@@ -14,8 +14,10 @@ sender ``i`` and every possible path length ``l``,
 
 where the consistent-path count comes from the block-arrangement counter in
 :mod:`repro.combinatorics.arrangements`.  Bayes' rule with a uniform prior
-over senders then yields the posterior.  Two policy details mirror the threat
-model:
+over senders then yields the posterior.  Honest candidates the observation
+does not name are exchangeable — they receive equal counts — so the sum is
+evaluated once per named candidate plus once for that whole orbit, not ``N``
+times.  Two policy details mirror the threat model:
 
 * a compromised sender betrays itself (the "local eavesdropper" case), so a
   compromised node that did *not* file an origin report has posterior zero;
@@ -44,6 +46,7 @@ It is exact, not sampled; the Monte-Carlo machinery only samples
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.adversary.observation import Observation, RECEIVER, observation_from_path
@@ -336,18 +339,21 @@ class BayesianPathInference:
     # ------------------------------------------------------------------ #
 
     def _posterior_full_bayes(self, observation: Observation) -> SenderPosterior:
-        n = self._model.n_nodes
         if observation.origin_node is not None:
             return self._delta_posterior(observation.origin_node)
 
         fragments = observation.to_fragments()
-        weights: dict[int, float] = {}
-        for candidate in range(n):
-            if candidate in self._compromised:
-                # A compromised sender would have filed an origin report.
-                weights[candidate] = 0.0
-                continue
-            weights[candidate] = self._candidate_likelihood(candidate, fragments)
+        # A compromised sender would have filed an origin report.  Honest
+        # candidates the observation does not name all meet the same
+        # count_arrangements case (not anchored, not on the path, the same
+        # pool size), so they form one orbit priced by one representative.
+        weights = self._orbit_weights(
+            zero=self._compromised,
+            named=fragments.observed_on_path | fragments.absent_nodes,
+            likelihood=lambda candidate: self._candidate_likelihood(
+                candidate, fragments
+            ),
+        )
         return self._normalise(weights)
 
     def _candidate_likelihood(self, candidate: int, fragments: FragmentSet) -> float:
@@ -368,7 +374,6 @@ class BayesianPathInference:
     # ------------------------------------------------------------------ #
 
     def _posterior_position_aware(self, observation: Observation) -> SenderPosterior:
-        n = self._model.n_nodes
         if observation.origin_node is not None:
             return self._delta_posterior(observation.origin_node)
         for report in observation.hop_reports:
@@ -406,15 +411,16 @@ class BayesianPathInference:
         ]
         known_length = ends_at_receiver_positions[0] if ends_at_receiver_positions else None
 
-        weights: dict[int, float] = {}
-        pinned_nodes = set(pinned.values())
-        for candidate in range(n):
-            if candidate in self._compromised or candidate in pinned_nodes:
-                weights[candidate] = 0.0
-                continue
-            weights[candidate] = self._position_aware_likelihood(
+        # Besides the pinned nodes, only the receiver-reported last
+        # intermediate enters the likelihood by identity; every other honest
+        # candidate shares one orbit weight.
+        weights = self._orbit_weights(
+            zero=self._compromised.union(pinned.values()),
+            named=frozenset() if last_intermediate is None else {last_intermediate},
+            likelihood=lambda candidate: self._position_aware_likelihood(
                 candidate, pinned, last_intermediate, known_length
-            )
+            ),
+        )
         if all(weight == 0.0 for weight in weights.values()):
             # No intermediate evidence at all (e.g. a direct path with only the
             # receiver's report): fall back to the full-Bayes computation,
@@ -473,8 +479,6 @@ class BayesianPathInference:
             pool = n - 1 - len(distinct_pinned) - len(
                 self._compromised.difference(distinct_pinned).difference({candidate})
             )
-            if candidate in self._compromised:
-                pool += 1  # candidate already excluded via the N-1 term
             count = falling_factorial(pool, free)
             denominator = total_paths(n, length)
             if denominator and count:
@@ -784,6 +788,34 @@ class BayesianPathInference:
     # ------------------------------------------------------------------ #
     # Helpers                                                             #
     # ------------------------------------------------------------------ #
+
+    def _orbit_weights(
+        self,
+        zero: frozenset[int],
+        named: frozenset[int] | set[int],
+        likelihood: Callable[[int], float],
+    ) -> dict[int, float]:
+        """Per-candidate weights in candidate order, one price per orbit.
+
+        Candidates in ``zero`` weigh nothing; those in ``named`` enter the
+        likelihood by identity and are priced one by one; every remaining
+        candidate is exchangeable with the others, so the first one prices
+        the whole orbit.  Equal integer counts give equal floats, and the
+        dict is filled in order ``0 .. N-1``, so the normalised posterior is
+        bit-identical to pricing all ``N`` candidates.
+        """
+        weights: dict[int, float] = {}
+        orbit: float | None = None
+        for candidate in range(self._model.n_nodes):
+            if candidate in zero:
+                weights[candidate] = 0.0
+            elif candidate in named:
+                weights[candidate] = likelihood(candidate)
+            else:
+                if orbit is None:
+                    orbit = likelihood(candidate)
+                weights[candidate] = orbit
+        return weights
 
     def _delta_posterior(self, node: int) -> SenderPosterior:
         probabilities = {i: 0.0 for i in range(self._model.n_nodes)}

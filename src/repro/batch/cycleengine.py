@@ -55,6 +55,7 @@ from repro.distributions.base import PathLengthDistribution
 from repro.exceptions import ConfigurationError
 from repro.routing.strategies import PathSelectionStrategy
 from repro.simulation.results import IDENTIFIED_THRESHOLD
+from repro.telemetry.metrics import get_registry
 
 __all__ = [
     "CycleScoreTable",
@@ -78,6 +79,8 @@ class CycleScoreTable:
     inference engine, and reuse the score for every later trial of the class.
     Any number of compromised nodes is supported; the inference engine counts
     honest segments in the sub-clique avoiding the whole compromised set.
+    With telemetry active, each miss counts into ``classes_priced_total`` and
+    times into ``class_price_seconds``, both labelled with ``engine``.
     """
 
     def __init__(
@@ -85,7 +88,9 @@ class CycleScoreTable:
         model: SystemModel,
         distribution: PathLengthDistribution,
         compromised: frozenset[int],
+        engine: str = "cycle",
     ) -> None:
+        self._engine = engine
         self._compromised = frozenset(compromised)
         self._model = model.with_path_model(PathModel.CYCLE_ALLOWED)
         self._inference = BayesianPathInference(
@@ -110,6 +115,8 @@ class CycleScoreTable:
         cached = self._scores.get(key)
         if cached is not None:
             return cached
+        telemetry = get_registry()
+        started = telemetry.clock() if telemetry.enabled else 0.0
         sender, path = self._canonical(sender, path)
         observation = observation_from_path(
             sender,
@@ -123,6 +130,11 @@ class CycleScoreTable:
             posterior.max_probability >= IDENTIFIED_THRESHOLD,
         )
         self._scores[key] = score
+        if telemetry.enabled:
+            telemetry.counter("classes_priced_total", engine=self._engine).inc()
+            telemetry.histogram(
+                "class_price_seconds", engine=self._engine
+            ).observe(telemetry.clock() - started)
         return score
 
     def _canonical(
@@ -185,6 +197,7 @@ class CycleBatchEngine(TrialEngine):
             model=model.with_compromised(len(self.compromised)),
             distribution=self._distribution,
             compromised=self.compromised,
+            engine=self.name,
         )
 
     @classmethod

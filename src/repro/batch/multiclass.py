@@ -42,6 +42,7 @@ from repro.core.model import SystemModel
 from repro.distributions.base import PathLengthDistribution
 from repro.exceptions import ConfigurationError
 from repro.simulation.results import IDENTIFIED_THRESHOLD
+from repro.telemetry.metrics import get_registry
 
 __all__ = [
     "ORIGIN_KEY",
@@ -144,7 +145,10 @@ class ClassScoreTable:
 
     One table serves one ``(model, distribution, compromised)`` triple; scores
     are cached, so a class costs one canonical-observation inference no matter
-    how many trials (or batches) fall into it.
+    how many trials (or batches) fall into it.  With telemetry active, each
+    miss counts into ``classes_priced_total`` and times into
+    ``class_price_seconds``, labelled with the ``arrangement`` engine that
+    owns the table.
     """
 
     model: SystemModel
@@ -166,8 +170,15 @@ class ClassScoreTable:
         """Exact entropy/identification of one class, computed on first use."""
         cached = self._scores.get(key)
         if cached is None:
+            telemetry = get_registry()
+            started = telemetry.clock() if telemetry.enabled else 0.0
             cached = self._score_class(*key)
             self._scores[key] = cached
+            if telemetry.enabled:
+                telemetry.counter("classes_priced_total", engine="arrangement").inc()
+                telemetry.histogram(
+                    "class_price_seconds", engine="arrangement"
+                ).observe(telemetry.clock() - started)
         return cached
 
     # ------------------------------------------------------------------ #

@@ -197,9 +197,12 @@ class ShardedBackend(EstimatorBackend):
     Each worker rebuilds its kernel — including, on the multi-compromised
     domain, its per-class score table — from the picklable task alone.  That
     keeps shards self-contained and the merge trivially deterministic, at
-    the cost of re-pricing each observation class once per shard; the
-    re-pricing runs in parallel, so its wall-clock cost stays that of a
-    single table.
+    the cost of re-pricing every class a task meets: each task starts from
+    an empty table, so an adaptive run pays the pricing once per shard per
+    round, and the pool only divides that total by the worker count.  The
+    orbit-reduced posteriors of
+    :class:`~repro.adversary.inference.BayesianPathInference` keep each
+    price to a few candidate likelihoods rather than ``N``.
     """
 
     name = "sharded"

@@ -42,7 +42,7 @@ one is a dependency-free core type consumed by the analytical engines.
 from __future__ import annotations
 
 import itertools
-from collections import deque
+from collections import Counter, deque
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 
@@ -53,6 +53,11 @@ __all__ = ["Topology", "TopologyPathLaw"]
 #: Refuse to enumerate more than this many paths per (sender, length) pair;
 #: the same guard rail as the exhaustive analyzer's.
 _MAX_PATHS_PER_LENGTH = 2_000_000
+
+#: Pairings :meth:`Topology.random_regular` draws by rejection, from the
+#: generators seeded ``(seed, 0) .. (seed, 511)``; switch repair then draws
+#: from ``(seed, 512) .. (seed, 1023)`` until one pairing can be repaired.
+_PAIRING_ATTEMPTS = 512
 
 
 def _validate_adjacency(adjacency: tuple[tuple[int, ...], ...]) -> None:
@@ -148,6 +153,109 @@ def _adjacency_from_hex(digits: str, n_nodes: int) -> tuple[tuple[int, ...], ...
     return tuple(tuple(row) for row in matrix)
 
 
+def _reachable(
+    n_nodes: int, edges: list[tuple[int, int]], start: int, skip: int = -1
+) -> set[int]:
+    """Nodes reachable from ``start`` over ``edges``, ignoring edge ``skip``."""
+    neighbours: list[list[int]] = [[] for _ in range(n_nodes)]
+    for index, (a, b) in enumerate(edges):
+        if index != skip:
+            neighbours[a].append(b)
+            neighbours[b].append(a)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        for other in neighbours[frontier.pop()]:
+            if other not in seen:
+                seen.add(other)
+                frontier.append(other)
+    return seen
+
+
+def _switch_repair(
+    n_nodes: int, degree: int, seed: tuple[int, int]
+) -> list[tuple[int, int]] | None:
+    """Edges of a connected simple ``degree``-regular graph, by edge switching.
+
+    Draws one pairing from the generator seeded with ``seed``, then removes
+    its self-loops and repeated edges with switches: a bad pair ``(a, b)``
+    and another pair ``(c, d)`` become ``(a, c), (b, d)`` when that creates
+    no loop and no repeat.  Every node keeps its degree and each switch
+    removes at least one bad pair, so the loop ends.  Components are then
+    joined one at a time by switching an edge that lies on a cycle of the
+    component holding node 0 with an edge of another component.  Partners
+    come from the generator and everything else from a fixed order, so the
+    edges are a pure function of the arguments.  Returns ``None`` when no
+    switch applies (e.g. ``degree = 1`` on more than two nodes).
+    """
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    stubs = np.repeat(np.arange(n_nodes), degree)
+    rng.shuffle(stubs)
+    edges = [
+        (int(stubs[k]), int(stubs[k + 1])) for k in range(0, len(stubs), 2)
+    ]
+
+    def key(a: int, b: int) -> tuple[int, int]:
+        return (a, b) if a < b else (b, a)
+
+    multiplicity = Counter(key(a, b) for a, b in edges)
+
+    def switch(i: int) -> bool:
+        a, b = edges[i]
+        for j in rng.permutation(len(edges)).tolist():
+            if j == i:
+                continue
+            for c, d in (edges[j], edges[j][::-1]):
+                new_ac, new_bd = key(a, c), key(b, d)
+                if (
+                    a == c
+                    or b == d
+                    or new_ac == new_bd
+                    or multiplicity[new_ac]
+                    or multiplicity[new_bd]
+                ):
+                    continue
+                multiplicity[key(a, b)] -= 1
+                multiplicity[key(c, d)] -= 1
+                multiplicity[new_ac] += 1
+                multiplicity[new_bd] += 1
+                edges[i], edges[j] = (a, c), (b, d)
+                return True
+        return False
+
+    while True:
+        bad = [
+            i
+            for i, (a, b) in enumerate(edges)
+            if a == b or multiplicity[key(a, b)] > 1
+        ]
+        if not bad:
+            break
+        if not any(switch(i) for i in bad):
+            return None
+
+    while True:
+        component = _reachable(n_nodes, edges, 0)
+        if len(component) == n_nodes:
+            return edges
+        outside = min(set(range(n_nodes)) - component)
+        cycle_edge = next(
+            (
+                i
+                for i, (a, b) in enumerate(edges)
+                if a in component and b in _reachable(n_nodes, edges, a, skip=i)
+            ),
+            None,
+        )
+        if cycle_edge is None:
+            return None
+        other = next(i for i, edge in enumerate(edges) if outside in edge)
+        (a, b), (c, d) = edges[cycle_edge], edges[other]
+        edges[cycle_edge], edges[other] = (a, c), (b, d)
+
+
 @dataclass(frozen=True)
 class Topology:
     """An undirected, connected next-hop graph over the ``N`` node identities.
@@ -229,9 +337,14 @@ class Topology:
         """A random ``degree``-regular graph, deterministic per ``seed``.
 
         Uses the configuration (pairing) model with rejection of self-loops,
-        multi-edges, and disconnected outcomes; the construction depends only
-        on ``(n_nodes, degree, seed)``, so the spec round-trips through the
-        service digest.
+        multi-edges, and disconnected outcomes.  A pairing is simple with
+        probability about ``exp((1 - degree**2) / 4)``, so for ``degree >= 6``
+        every one of the 512 attempts usually fails; further pairings are then
+        repaired with degree-preserving edge switches (:func:`_switch_repair`,
+        after Steger & Wormald, "Generating random regular graphs quickly",
+        1999).  Specs the rejection loop realises keep their exact graph, and
+        the construction depends only on ``(n_nodes, degree, seed)``, so the
+        spec round-trips through the service digest.
         """
         import numpy as np
 
@@ -245,7 +358,8 @@ class Topology:
                 f"N * degree must be even for a {degree}-regular graph on "
                 f"{n_nodes} nodes"
             )
-        for attempt in range(512):
+        spec = f"regular:{degree}:{seed}"
+        for attempt in range(_PAIRING_ATTEMPTS):
             rng = np.random.default_rng((seed, attempt))
             stubs = np.repeat(np.arange(n_nodes), degree)
             rng.shuffle(stubs)
@@ -260,12 +374,17 @@ class Topology:
             if not ok:
                 continue
             try:
-                return cls(
-                    tuple(tuple(row) for row in adjacency),
-                    spec=f"regular:{degree}:{seed}",
-                )
+                return cls(tuple(tuple(row) for row in adjacency), spec=spec)
             except ConfigurationError:
                 continue  # disconnected pairing; redraw
+        for attempt in range(_PAIRING_ATTEMPTS, 2 * _PAIRING_ATTEMPTS):
+            edges = _switch_repair(n_nodes, degree, (seed, attempt))
+            if edges is None:
+                continue  # no switch applies from this pairing; redraw
+            adjacency = [[0] * n_nodes for _ in range(n_nodes)]
+            for a, b in edges:
+                adjacency[a][b] = adjacency[b][a] = 1
+            return cls(tuple(tuple(row) for row in adjacency), spec=spec)
         raise ConfigurationError(
             f"could not realise a connected {degree}-regular topology on "
             f"{n_nodes} nodes from seed {seed}"

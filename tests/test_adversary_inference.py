@@ -2,13 +2,23 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import random
 
 import pytest
 
+import repro.adversary.inference as inference_module
 from repro.adversary.attacks import IntersectionAttack, PredecessorAttack
 from repro.adversary.inference import BayesianPathInference, SenderPosterior
-from repro.adversary.observation import Observation, observation_from_path
+from repro.adversary.observation import (
+    RECEIVER,
+    HopReport,
+    Observation,
+    ReceiverReport,
+    observation_from_path,
+)
+from repro.batch.estimator import BatchMonteCarlo
 from repro.core.enumeration import enumerate_anonymity_degree
 from repro.core.model import AdversaryModel, PathModel, SystemModel
 from repro.distributions import FixedLength, UniformLength
@@ -160,6 +170,199 @@ class TestInferenceMatchesEnumeration:
             6, distribution, n_compromised=2, adversary=adversary
         )
         assert via_inference == pytest.approx(via_enumeration, abs=1e-10)
+
+
+def unreduced_posterior(inference, observation):
+    """Oracle: the candidate loop without orbit reduction.
+
+    Swaps the instance's orbit pricing for the plain loop that calls
+    ``_candidate_likelihood`` / ``_position_aware_likelihood`` once for every
+    non-excluded candidate, in candidate order.
+    """
+    n = inference.model.n_nodes
+
+    def every_candidate(zero, named, likelihood):
+        return {
+            candidate: 0.0 if candidate in zero else likelihood(candidate)
+            for candidate in range(n)
+        }
+
+    inference._orbit_weights = every_candidate
+    try:
+        return inference.posterior(observation)
+    finally:
+        del inference._orbit_weights
+
+
+def sample_observations(model, distribution, rng, count):
+    """Seeded observations with compromised nodes planted on the path."""
+    n = model.n_nodes
+    compromised = sorted(model.compromised_nodes())
+    honest = [node for node in range(n) if node not in compromised]
+    lengths = [length for length, _ in distribution.items()]
+    for _ in range(count):
+        sender = rng.choice(
+            compromised if compromised and rng.random() < 0.1 else honest
+        )
+        length = rng.choice(lengths)
+        spare_compromised = [node for node in compromised if node != sender]
+        spare_honest = [node for node in honest if node != sender]
+        k = rng.randint(
+            max(0, length - len(spare_honest)), min(len(spare_compromised), length)
+        )
+        path = rng.sample(spare_compromised, k) + rng.sample(spare_honest, length - k)
+        rng.shuffle(path)
+        yield observation_from_path(
+            sender,
+            path,
+            model.compromised_nodes(),
+            receiver_compromised=model.receiver_compromised,
+        )
+
+
+def accumulator_digest(accumulator):
+    """Short sha256 over every class's key, count, entropy bits, and flag."""
+    rows = sorted(
+        (repr(key), count, float(entropy).hex(), bool(identified))
+        for key, (count, entropy, identified) in accumulator.classes.items()
+    )
+    return hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+
+
+class TestOrbitReduction:
+    """Orbit-reduced pricing is bit-identical to the per-candidate loop."""
+
+    @pytest.mark.parametrize("receiver_compromised", [True, False])
+    @pytest.mark.parametrize(
+        "adversary", [AdversaryModel.FULL_BAYES, AdversaryModel.POSITION_AWARE]
+    )
+    @pytest.mark.parametrize("n_compromised", [0, 1, 2, 3, 5])
+    @pytest.mark.parametrize("n_nodes", [9, 20, 100])
+    def test_posteriors_equal_the_unreduced_loop(
+        self, n_nodes, n_compromised, adversary, receiver_compromised
+    ):
+        model = SystemModel(
+            n_nodes=n_nodes,
+            n_compromised=n_compromised,
+            adversary=adversary,
+            receiver_compromised=receiver_compromised,
+        )
+        distribution = UniformLength(0, 8)
+        inference = BayesianPathInference(model, distribution)
+        rng = random.Random(n_nodes * 100 + n_compromised)
+        for observation in sample_observations(model, distribution, rng, 30):
+            posterior = inference.posterior(observation)
+            oracle = unreduced_posterior(inference, observation)
+            assert list(posterior.probabilities.items()) == list(
+                oracle.probabilities.items()
+            )
+            assert posterior.entropy_bits == oracle.entropy_bits
+
+    def test_position_aware_fallback_to_full_bayes(self):
+        # A hand-built report pinning position 3 under a length law capped at
+        # 2 zeroes every position-aware weight, so the branch falls back to
+        # the position-free full-Bayes posterior.
+        model = SystemModel(
+            n_nodes=20, n_compromised=1, adversary=AdversaryModel.POSITION_AWARE
+        )
+        inference = BayesianPathInference(model, UniformLength(1, 2))
+        observation = Observation(
+            hop_reports=(
+                HopReport(1.0, node=0, predecessor=5, successor=RECEIVER, position=3),
+            ),
+            receiver_report=ReceiverReport(2.0, predecessor=0),
+        )
+        posterior = inference.posterior(observation)
+        oracle = unreduced_posterior(inference, observation)
+        fallback = inference._posterior_full_bayes(observation.without_positions())
+        assert list(posterior.probabilities.items()) == list(
+            oracle.probabilities.items()
+        )
+        assert posterior == fallback
+        assert posterior.probability(5) > 0.0
+
+    @pytest.mark.parametrize("receiver_compromised", [True, False])
+    @pytest.mark.parametrize("n_compromised", [1, 3, 5])
+    def test_full_bayes_prices_each_orbit_once(
+        self, monkeypatch, n_compromised, receiver_compromised
+    ):
+        calls = []
+        original = inference_module.count_arrangements
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(inference_module, "count_arrangements", counting)
+        model = SystemModel(
+            n_nodes=100,
+            n_compromised=n_compromised,
+            receiver_compromised=receiver_compromised,
+        )
+        distribution = UniformLength(0, 8)
+        support = len(list(distribution.items()))
+        inference = BayesianPathInference(model, distribution)
+        rng = random.Random(7)
+        for observation in sample_observations(model, distribution, rng, 40):
+            calls.clear()
+            inference.posterior(observation)
+            named_honest = (
+                observation.to_fragments().observed_on_path - inference.compromised
+            )
+            assert len(calls) <= (len(named_honest) + 1) * support
+
+    # Recorded from the per-candidate loop before orbit reduction: N = 100,
+    # U(2, 8), 20 000 trials at seed 13 -> (length sum, classes, mean
+    # entropy as float.hex, accumulator_digest).
+    GOLDEN = {
+        (2, AdversaryModel.FULL_BAYES, True): (
+            100053, 77, "0x1.98f58e675fec2p+2", "b6eeaed122e1556f"
+        ),
+        (2, AdversaryModel.FULL_BAYES, False): (
+            100053, 77, "0x1.99deec0da5c41p+2", "850d894be4c19aa3"
+        ),
+        (2, AdversaryModel.POSITION_AWARE, True): (
+            100053, 77, "0x1.94c423b03152dp+2", "e4180be5ee5e812f"
+        ),
+        (3, AdversaryModel.FULL_BAYES, True): (
+            100053, 111, "0x1.910daf94f958ep+2", "53b1b71ca2d47966"
+        ),
+        (3, AdversaryModel.FULL_BAYES, False): (
+            100053, 111, "0x1.9209538dc3d36p+2", "b2320422bf14dbf0"
+        ),
+        (3, AdversaryModel.POSITION_AWARE, True): (
+            100053, 111, "0x1.8b09217b57f6dp+2", "1d53297ea13873ca"
+        ),
+        (5, AdversaryModel.FULL_BAYES, True): (
+            100053, 145, "0x1.8226df18ef0ffp+2", "ee765bd37cb6ca54"
+        ),
+        (5, AdversaryModel.FULL_BAYES, False): (
+            100053, 145, "0x1.8326b8d46d1e4p+2", "2ec005e4315c762a"
+        ),
+        (5, AdversaryModel.POSITION_AWARE, True): (
+            100053, 145, "0x1.787a3b302d29cp+2", "6d43fc60ebe79bec"
+        ),
+    }
+
+    @pytest.mark.parametrize("config", sorted(GOLDEN, key=repr))
+    def test_golden_accumulators(self, config):
+        n_compromised, adversary, receiver_compromised = config
+        model = SystemModel(
+            n_nodes=100,
+            n_compromised=n_compromised,
+            adversary=adversary,
+            receiver_compromised=receiver_compromised,
+        )
+        accumulator = BatchMonteCarlo.from_distribution(
+            model, UniformLength(2, 8)
+        ).run_accumulate(20_000, rng=13)
+        mean, _ = accumulator.grouped_moments()
+        assert (
+            accumulator.length_sum,
+            len(accumulator.classes),
+            mean.hex(),
+            accumulator_digest(accumulator),
+        ) == self.GOLDEN[config]
 
 
 class TestPredecessorAttack:

@@ -14,8 +14,9 @@ import threading
 import pytest
 
 from repro.batch.engine import select_engine
+from repro.batch.multiclass import ORIGIN_KEY, ClassScoreTable
 from repro.batch.sharded import ShardedBackend
-from repro.core.model import SystemModel
+from repro.core.model import PathModel, SystemModel
 from repro.distributions import UniformLength
 from repro.exceptions import ConfigurationError
 from repro.routing.strategies import PathSelectionStrategy
@@ -338,6 +339,51 @@ class TestEngineInstrumentation:
         # 0.25s per chunk, bit-deterministic.
         assert timings.count == 4
         assert timings.sum == 1.0
+        assert timings.min == timings.max == 0.25
+
+    def test_class_pricing_counts_and_times_misses_only(self):
+        model = SystemModel(n_nodes=30, n_compromised=2)
+        table = ClassScoreTable(
+            model, UniformLength(2, 8), model.compromised_nodes()
+        )
+        keys = [(3, 0b001), (3, 0b001), (4, 0b0110), ORIGIN_KEY, (4, 0b0110)]
+        with activate(MetricsRegistry(clock=FakeClock(step=0.25))) as registry:
+            for key in keys:
+                table.score(key)
+        # Two distinct classes missed; the repeats and the pre-seeded origin
+        # class are hits and read no clock.
+        priced = registry.counter("classes_priced_total", engine="arrangement")
+        assert priced.value == 2
+        timings = registry.histogram("class_price_seconds", engine="arrangement")
+        assert timings.count == 2
+        assert timings.min == timings.max == 0.25
+
+    @pytest.mark.parametrize(
+        "path_model", [PathModel.SIMPLE, PathModel.CYCLE_ALLOWED]
+    )
+    def test_engines_label_class_pricing_with_their_name(self, path_model):
+        model = SystemModel(n_nodes=30, n_compromised=2, path_model=path_model)
+        strategy = PathSelectionStrategy(
+            "U(2,8)", UniformLength(2, 8), path_model=path_model
+        )
+        compromised = model.compromised_nodes()
+        engine = select_engine(model, strategy, compromised)(
+            model=model, strategy=strategy, compromised=compromised
+        )
+        with activate(MetricsRegistry(clock=FakeClock(step=0.25))) as registry:
+            accumulator = engine.run_accumulate(2_000, rng=5)
+            engine.run_accumulate(2_000, rng=5)  # every class already priced
+        if path_model is PathModel.SIMPLE:
+            assert engine.name == "arrangement"
+            misses = len(accumulator.classes) - (ORIGIN_KEY in accumulator.classes)
+        else:
+            assert engine.name == "cycle-multi"
+            misses = engine._score_table.n_classes
+        assert misses > 0
+        priced = registry.counter("classes_priced_total", engine=engine.name)
+        assert priced.value == misses
+        timings = registry.histogram("class_price_seconds", engine=engine.name)
+        assert timings.count == misses
         assert timings.min == timings.max == 0.25
 
     def test_uninstrumented_run_is_bit_identical_to_instrumented(self):

@@ -93,6 +93,45 @@ class TestTopologyObject:
         rebuilt = Topology.from_spec(topology.spec, topology.n_nodes)
         assert rebuilt == topology and rebuilt.spec == topology.spec
 
+    # Adjacency (as the generic adj:<hex> spec) of regular specs the pairing
+    # rejection loop realised before switch repair existed; their graphs, and
+    # so every digest and cache entry naming them, must not move.
+    REALISED_BEFORE_REPAIR = {
+        (6, 3, 4): "adj:1f9a",
+        (10, 4, 1): "adj:0a5598a1f294",
+        (20, 3, 7): "adj:20804600001004400842800208a0000809e1100006009900",
+        (30, 6, 3): (
+            "adj:704102010c22001a000110018084c03400841300008027118001811000581"
+            "084ca00328b040a20a044004a006000ab00122182024b108"
+        ),
+    }
+
+    @pytest.mark.parametrize("args", sorted(REALISED_BEFORE_REPAIR))
+    def test_random_regular_keeps_realised_graphs(self, args):
+        topology = Topology.random_regular(*args)
+        assert Topology(topology.adjacency).spec == self.REALISED_BEFORE_REPAIR[args]
+
+    def test_regular_6_1_at_n30_realises(self):
+        # Failed with "could not realise" before switch repair: a 6-regular
+        # pairing on 30 nodes is simple with probability ~1e-4.
+        topology = Topology.from_spec("regular:6:1", 30)
+        assert topology.spec == "regular:6:1"
+        assert all(topology.degree(node) == 6 for node in range(30))
+        assert Topology.from_spec("regular:6:1", 30) == topology
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n_nodes", [10, 20, 30])
+    @pytest.mark.parametrize("degree", [6, 8])
+    def test_random_regular_high_degree_realises(self, degree, n_nodes, seed):
+        topology = Topology.random_regular(n_nodes, degree, seed)
+        assert all(topology.degree(node) == degree for node in range(n_nodes))
+        assert Topology.random_regular(n_nodes, degree, seed) == topology
+
+    def test_random_regular_degree_one_still_fails_fast(self):
+        # A perfect matching on more than two nodes is never connected.
+        with pytest.raises(ConfigurationError, match="could not realise"):
+            Topology.random_regular(8, 1)
+
     def test_adjacency_spec_round_trips_hand_built_matrices(self):
         path = Topology(((0, 1, 0), (1, 0, 1), (0, 1, 0)))
         assert path.spec.startswith("adj:")
