@@ -26,7 +26,7 @@ Beyond the static floors, ``--trend BENCH_history.jsonl`` checks the perf
 one JSONL line per benchmark per run) is grouped by ``(benchmark,
 environment fingerprint, smoke)``, and the newest entry of each group is
 compared against the rolling median of its previous ``--trend-window`` runs.
-A throughput key (``*per_second*``, ``*speedup*``) more than ``--trend-drop``
+A throughput key (``*per_sec*``, ``*speedup*``) more than ``--trend-drop``
 below the median — or a duration key (``*_seconds``) the same fraction above
 it — is flagged.  Smoke groups only warn; full-workload regressions become
 violations, gated by ``--strict`` like the floors.  Groups with fewer than
@@ -128,7 +128,7 @@ def _environment_key(environment: dict) -> str:
 
 def _direction(key: str) -> int:
     """+1 when bigger is better, -1 when smaller is, 0 when unknowable."""
-    if "per_second" in key or "speedup" in key:
+    if "per_sec" in key or "speedup" in key:
         return 1
     if key.endswith("_seconds"):
         return -1

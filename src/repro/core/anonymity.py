@@ -41,7 +41,7 @@ from repro.core.events import EventClass, EventSummary
 from repro.core.model import AdversaryModel, PathModel, SystemModel
 from repro.distributions.base import PathLengthDistribution
 from repro.exceptions import ConfigurationError
-from repro.utils.mathx import entropy_bits, falling_factorial
+from repro.utils.mathx import falling_factorial, kahan_sum, xlog2x
 
 __all__ = ["AnonymityAnalyzer", "AnonymityResult", "anonymity_degree"]
 
@@ -103,6 +103,8 @@ class AnonymityAnalyzer:
                 "the topology batch engine (estimates)."
             )
         self._model = model
+        #: Path length -> its falling-factorial row (see :meth:`_coefficients`).
+        self._memo: dict[int, tuple[float, float, float, float, float]] = {}
 
     # ------------------------------------------------------------------ #
     # Public API                                                          #
@@ -157,6 +159,32 @@ class AnonymityAnalyzer:
                 "Truncate the distribution first (PathLengthDistribution.truncated)."
             )
 
+    def _coefficients(self, length: int) -> tuple[float, float, float, float, float]:
+        """The falling factorials of the class weights at ``length >= 1``, memoised.
+
+        The row is ``(den, silent, last, penultimate, interior)``: ``(N-1)_l``
+        and the numerators ``(N-3)_{l-1}``, ``(N-3)_{l-2}``, ``(N-4)_{l-3}``
+        and ``(N-5)_{l-4}`` (``0.0`` where ``l`` is too short for the class).
+        They are stored as the floats that ``prob * numerator / den`` converts
+        the exact integers to, so every weight term keeps its bits.  Beyond
+        ``N ~ 171`` that conversion overflows; such a row holds the exactly
+        rounded ratios ``numerator / den`` over a unit denominator instead.
+        """
+        row = self._memo.get(length)
+        if row is None:
+            n = self._model.n_nodes
+            den = falling_factorial(n - 1, length)
+            silent = falling_factorial(n - 3, length - 1)
+            last = falling_factorial(n - 3, length - 2) if length >= 2 else 0
+            pen = falling_factorial(n - 4, length - 3) if length >= 3 else 0
+            interior = falling_factorial(n - 5, length - 4) if length >= 4 else 0
+            try:
+                row = (float(den), float(silent), float(last), float(pen), float(interior))
+            except OverflowError:
+                row = (1.0, silent / den, last / den, pen / den, interior / den)
+            self._memo[length] = row
+        return row
+
     @staticmethod
     def _class_entropy(special_weight: float, other_weight: float, n_others: int) -> tuple[float, int, float]:
         """Entropy of a posterior with one special candidate and ``n_others`` symmetric ones.
@@ -165,15 +193,24 @@ class AnonymityAnalyzer:
         arguments are unnormalised likelihood values; zero-weight candidates
         drop out of the support.
         """
-        weights = []
-        if special_weight > 0.0:
-            weights.append(special_weight)
-        weights.extend(other_weight for _ in range(n_others) if other_weight > 0.0)
+        special = [special_weight] if special_weight > 0.0 else []
+        others = [other_weight] * n_others if other_weight > 0.0 else []
+        weights = special + others
         if not weights:
             return 0.0, 0, 0.0
         total = sum(weights)
-        probabilities = [w / total for w in weights]
-        return entropy_bits(probabilities), len(probabilities), max(probabilities)
+        # Equal weights give equal probabilities and equal entropy terms, so
+        # each is computed once and repeated: the sums see the same sequence
+        # a per-candidate loop would.
+        top = 0.0
+        terms: list[float] = []
+        for group in (special, others):
+            if group:
+                probability = group[0] / total
+                top = max(top, probability)
+                if probability > 0.0:
+                    terms += [xlog2x(probability)] * len(group)
+        return -kahan_sum(terms), len(weights), top
 
     # ------------------------------------------------------------------ #
     # FULL_BAYES event table                                              #
@@ -182,9 +219,6 @@ class AnonymityAnalyzer:
     def _events_full_bayes(self, dist: PathLengthDistribution) -> list[EventSummary]:
         n = self._model.n_nodes
 
-        def ff(a: int, b: int) -> int:
-            return falling_factorial(a, b)
-
         # --- Event probabilities -------------------------------------- #
         p_origin = 1.0 / n
         p_silent = sum(prob * (n - 1 - length) for length, prob in dist.items()) / n
@@ -192,55 +226,53 @@ class AnonymityAnalyzer:
         p_penultimate = sum(prob for length, prob in dist.items() if length >= 2) / n
         p_interior = sum(prob * max(length - 2, 0) for length, prob in dist.items()) / n
 
+        # One pass over the support appends each class's weight terms to its
+        # own list in support order, so each sum() below adds the same floats
+        # in the same order as a per-class pass would.  Keep sum(): CPython
+        # 3.12 compensates float sums and 3.10/3.11 do not, so a += loop
+        # would change the bits on one of them.
+        silent_terms: list[float] = []
+        last_terms: list[float] = []
+        pen_terms: list[float] = []
+        interior_terms: list[float] = []
+        for length, prob in dist.items():
+            if length < 1:
+                continue
+            den, silent, last, pen, interior = self._coefficients(length)
+            silent_terms.append(prob * silent / den)
+            if length >= 2:
+                last_terms.append(prob * last / den)
+            if length >= 3:
+                pen_terms.append(prob * pen / den)
+            if length >= 4:
+                interior_terms.append(prob * (length - 3) * interior / den)
+
         # --- Posterior likelihood weights per class -------------------- #
         # SILENT: receiver reports w; the compromised node saw nothing.
         silent_special = dist.pmf(0)  # the reported node itself, via a direct path
-        silent_other = sum(
-            prob * ff(n - 3, length - 1) / ff(n - 1, length)
-            for length, prob in dist.items()
-            if length >= 1 and ff(n - 1, length) > 0
-        )
         silent_entropy, silent_support, silent_top = self._class_entropy(
-            silent_special, silent_other, n - 2
+            silent_special, sum(silent_terms), n - 2
         )
 
         # LAST: the compromised node reports (p, R); the receiver reports m.
-        last_special = dist.pmf(1) / ff(n - 1, 1) if n >= 2 else 0.0
-        last_other = sum(
-            prob * ff(n - 3, length - 2) / ff(n - 1, length)
-            for length, prob in dist.items()
-            if length >= 2 and ff(n - 1, length) > 0
-        )
+        last_special = dist.pmf(1) / (n - 1) if n >= 2 else 0.0
         last_entropy, last_support, last_top = self._class_entropy(
-            last_special, last_other, n - 2
+            last_special, sum(last_terms), n - 2
         )
 
         # PENULTIMATE: the compromised node's successor is the receiver's
         # reported predecessor.
-        pen_special = dist.pmf(2) / ff(n - 1, 2) if n >= 3 else 0.0
-        pen_other = sum(
-            prob * ff(n - 4, length - 3) / ff(n - 1, length)
-            for length, prob in dist.items()
-            if length >= 3 and ff(n - 1, length) > 0
-        )
+        pen_special = dist.pmf(2) / ((n - 1) * (n - 2)) if n >= 3 else 0.0
+        pen_other = sum(pen_terms)
         pen_entropy, pen_support, pen_top = self._class_entropy(
             pen_special, pen_other, n - 3
         )
 
         # INTERIOR: the compromised node's successor matches neither the
-        # receiver nor the receiver's reported predecessor.
-        interior_special = sum(
-            prob * ff(n - 4, length - 3) / ff(n - 1, length)
-            for length, prob in dist.items()
-            if length >= 3 and ff(n - 1, length) > 0
-        )
-        interior_other = sum(
-            prob * (length - 3) * ff(n - 5, length - 4) / ff(n - 1, length)
-            for length, prob in dist.items()
-            if length >= 4 and ff(n - 1, length) > 0
-        )
+        # receiver nor the receiver's reported predecessor.  Its special
+        # weight is the PENULTIMATE class's other weight.
         interior_entropy, interior_support, interior_top = self._class_entropy(
-            interior_special, interior_other, n - 4
+            pen_other, sum(interior_terms), n - 4
         )
 
         return [
@@ -274,13 +306,13 @@ class AnonymityAnalyzer:
         # SILENT is identical to the FULL_BAYES case: position knowledge adds
         # nothing when the compromised node is off the path.
         silent_special = dist.pmf(0)
-        silent_other = sum(
-            prob * falling_factorial(n - 3, length - 1) / falling_factorial(n - 1, length)
-            for length, prob in dist.items()
-            if length >= 1 and falling_factorial(n - 1, length) > 0
-        )
+        silent_terms: list[float] = []
+        for length, prob in dist.items():
+            if length >= 1:
+                den, silent = self._coefficients(length)[:2]
+                silent_terms.append(prob * silent / den)
         silent_entropy, silent_support, silent_top = self._class_entropy(
-            silent_special, silent_other, n - 2
+            silent_special, sum(silent_terms), n - 2
         )
 
         def uniform_event(excluded: int) -> tuple[float, int, float]:

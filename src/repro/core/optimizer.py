@@ -17,6 +17,10 @@ Three optimizers are provided, in increasing generality:
   integer support with ``scipy.optimize`` (SLSQP), optionally constraining the
   mean.  The result is returned as a
   :class:`repro.distributions.CategoricalLength`.
+
+``scipy.optimize`` is imported on the first call of :func:`optimize_distribution`,
+its only user, so importing this module (and the ``repro-anon`` CLI) does not
+pay for it.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize as scipy_optimize
 
 from repro.core.anonymity import AnonymityAnalyzer
 from repro.core.model import SystemModel
@@ -90,14 +93,8 @@ def best_fixed_length(
 
     ``max_length`` defaults to the longest feasible simple path, ``N - 1``.
     """
+    max_length = _length_range(model, min_length, max_length)
     analyzer = AnonymityAnalyzer(model)
-    if max_length is None:
-        max_length = model.max_simple_path_length
-    if max_length > model.max_simple_path_length:
-        raise ConfigurationError(
-            f"max_length ({max_length}) exceeds the longest simple path "
-            f"({model.max_simple_path_length})"
-        )
     degrees = {
         length: analyzer.anonymity_degree(FixedLength(length))
         for length in range(min_length, max_length + 1)
@@ -115,6 +112,10 @@ def best_uniform_for_mean(model: SystemModel, mean: int) -> UniformWidthScan:
     expected path length, choose the variance of the uniform strategy.  The
     width is constrained so the bounds stay within ``[0, N - 1]``.
     """
+    if isinstance(mean, bool) or not isinstance(mean, (int, np.integer)):
+        raise ConfigurationError(
+            f"mean ({mean!r}) must be an integer: U(mean - w, mean + w) has integer bounds"
+        )
     analyzer = AnonymityAnalyzer(model)
     if not 0 <= mean <= model.max_simple_path_length:
         raise ConfigurationError(
@@ -150,16 +151,8 @@ def optimize_distribution(
     expected path length (pass ``mean``).  Returns the best distribution found
     and the anonymity degree it achieves.
     """
+    max_length = _length_range(model, min_length, max_length)
     analyzer = AnonymityAnalyzer(model)
-    if max_length is None:
-        max_length = model.max_simple_path_length
-    if max_length > model.max_simple_path_length:
-        raise ConfigurationError(
-            f"max_length ({max_length}) exceeds the longest simple path "
-            f"({model.max_simple_path_length})"
-        )
-    if min_length > max_length:
-        raise ConfigurationError("min_length must not exceed max_length")
     lengths = np.arange(min_length, max_length + 1)
     dimension = len(lengths)
     if mean is not None and not (min_length <= mean <= max_length):
@@ -210,6 +203,8 @@ def optimize_distribution(
         )
     bounds = [(0.0, 1.0)] * dimension
 
+    from scipy import optimize as scipy_optimize
+
     result = scipy_optimize.minimize(
         objective,
         start,
@@ -240,6 +235,27 @@ def optimize_distribution(
         converged=bool(result.success),
         message=str(result.message),
     )
+
+
+def _length_range(model: SystemModel, min_length: int, max_length: int | None) -> int:
+    """Validate a ``[min_length, max_length]`` support; returns ``max_length``.
+
+    ``max_length`` defaults to the longest feasible simple path, ``N - 1``.
+    """
+    if max_length is None:
+        max_length = model.max_simple_path_length
+    if max_length > model.max_simple_path_length:
+        raise ConfigurationError(
+            f"max_length ({max_length}) exceeds the longest simple path "
+            f"({model.max_simple_path_length})"
+        )
+    if min_length < 0:
+        raise ConfigurationError(f"min_length ({min_length}) must be non-negative")
+    if min_length > max_length:
+        raise ConfigurationError(
+            f"min_length ({min_length}) must not exceed max_length ({max_length})"
+        )
+    return max_length
 
 
 def _mean_matching_start(lengths: np.ndarray, mean: float) -> np.ndarray:

@@ -9,10 +9,13 @@ their domains overlap.
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cli import main
+from repro.core import anonymity
 from repro.core.anonymity import AnonymityAnalyzer, AnonymityResult, anonymity_degree
 from repro.core.closed_form import (
     fixed_length_degree,
@@ -21,7 +24,7 @@ from repro.core.closed_form import (
     uniform_degree,
 )
 from repro.core.enumeration import ExhaustiveAnalyzer, enumerate_anonymity_degree
-from repro.core.events import EventClass
+from repro.core.events import EventClass, EventSummary
 from repro.core.model import AdversaryModel, PathModel, SystemModel
 from repro.distributions import (
     CategoricalLength,
@@ -30,7 +33,158 @@ from repro.distributions import (
     TwoPointLength,
     UniformLength,
 )
+from repro.distributions.base import PathLengthDistribution
 from repro.exceptions import ConfigurationError
+from repro.utils.mathx import entropy_bits, falling_factorial
+
+
+class UnmemoisedAnalyzer(AnonymityAnalyzer):
+    """Oracle: the event tables without the per-length coefficient memo.
+
+    ``_class_entropy`` and the full-Bayes and position-aware tables are the
+    per-class passes the memoised analyzer replaced, kept verbatim: every
+    class weight is its own generator sum that recomputes the exact falling
+    factorials of each term, and every class entropy loops over candidates.
+    The predecessor-only table is inherited; it only calls ``_class_entropy``.
+    """
+
+    @staticmethod
+    def _class_entropy(special_weight: float, other_weight: float, n_others: int) -> tuple[float, int, float]:
+        """Entropy of a posterior with one special candidate and ``n_others`` symmetric ones.
+
+        Returns ``(entropy_bits, support_size, top_probability)``.  The weight
+        arguments are unnormalised likelihood values; zero-weight candidates
+        drop out of the support.
+        """
+        weights = []
+        if special_weight > 0.0:
+            weights.append(special_weight)
+        weights.extend(other_weight for _ in range(n_others) if other_weight > 0.0)
+        if not weights:
+            return 0.0, 0, 0.0
+        total = sum(weights)
+        probabilities = [w / total for w in weights]
+        return entropy_bits(probabilities), len(probabilities), max(probabilities)
+
+    def _events_full_bayes(self, dist: PathLengthDistribution) -> list[EventSummary]:
+        n = self._model.n_nodes
+
+        def ff(a: int, b: int) -> int:
+            return falling_factorial(a, b)
+
+        # --- Event probabilities -------------------------------------- #
+        p_origin = 1.0 / n
+        p_silent = sum(prob * (n - 1 - length) for length, prob in dist.items()) / n
+        p_last = sum(prob for length, prob in dist.items() if length >= 1) / n
+        p_penultimate = sum(prob for length, prob in dist.items() if length >= 2) / n
+        p_interior = sum(prob * max(length - 2, 0) for length, prob in dist.items()) / n
+
+        # --- Posterior likelihood weights per class -------------------- #
+        # SILENT: receiver reports w; the compromised node saw nothing.
+        silent_special = dist.pmf(0)  # the reported node itself, via a direct path
+        silent_other = sum(
+            prob * ff(n - 3, length - 1) / ff(n - 1, length)
+            for length, prob in dist.items()
+            if length >= 1 and ff(n - 1, length) > 0
+        )
+        silent_entropy, silent_support, silent_top = self._class_entropy(
+            silent_special, silent_other, n - 2
+        )
+
+        # LAST: the compromised node reports (p, R); the receiver reports m.
+        last_special = dist.pmf(1) / ff(n - 1, 1) if n >= 2 else 0.0
+        last_other = sum(
+            prob * ff(n - 3, length - 2) / ff(n - 1, length)
+            for length, prob in dist.items()
+            if length >= 2 and ff(n - 1, length) > 0
+        )
+        last_entropy, last_support, last_top = self._class_entropy(
+            last_special, last_other, n - 2
+        )
+
+        # PENULTIMATE: the compromised node's successor is the receiver's
+        # reported predecessor.
+        pen_special = dist.pmf(2) / ff(n - 1, 2) if n >= 3 else 0.0
+        pen_other = sum(
+            prob * ff(n - 4, length - 3) / ff(n - 1, length)
+            for length, prob in dist.items()
+            if length >= 3 and ff(n - 1, length) > 0
+        )
+        pen_entropy, pen_support, pen_top = self._class_entropy(
+            pen_special, pen_other, n - 3
+        )
+
+        # INTERIOR: the compromised node's successor matches neither the
+        # receiver nor the receiver's reported predecessor.
+        interior_special = sum(
+            prob * ff(n - 4, length - 3) / ff(n - 1, length)
+            for length, prob in dist.items()
+            if length >= 3 and ff(n - 1, length) > 0
+        )
+        interior_other = sum(
+            prob * (length - 3) * ff(n - 5, length - 4) / ff(n - 1, length)
+            for length, prob in dist.items()
+            if length >= 4 and ff(n - 1, length) > 0
+        )
+        interior_entropy, interior_support, interior_top = self._class_entropy(
+            interior_special, interior_other, n - 4
+        )
+
+        return [
+            EventSummary(EventClass.ORIGIN, p_origin, 0.0, 1, 1.0),
+            EventSummary(EventClass.SILENT, p_silent, silent_entropy, silent_support, silent_top),
+            EventSummary(EventClass.LAST, p_last, last_entropy, last_support, last_top),
+            EventSummary(
+                EventClass.PENULTIMATE, p_penultimate, pen_entropy, pen_support, pen_top
+            ),
+            EventSummary(
+                EventClass.INTERIOR, p_interior, interior_entropy, interior_support, interior_top
+            ),
+        ]
+
+    def _events_position_aware(self, dist: PathLengthDistribution) -> list[EventSummary]:
+        n = self._model.n_nodes
+
+        p_origin = 1.0 / n
+        p_silent = sum(prob * (n - 1 - length) for length, prob in dist.items()) / n
+        # The compromised node at position 1 sees the sender directly and the
+        # adversary knows the position, so the sender is identified.
+        p_identified = sum(prob for length, prob in dist.items() if length >= 1) / n
+        p_last = sum(prob for length, prob in dist.items() if length >= 2) / n
+        p_penultimate = sum(prob for length, prob in dist.items() if length >= 3) / n
+        p_interior = sum(prob * max(length - 3, 0) for length, prob in dist.items()) / n
+
+        # SILENT is identical to the FULL_BAYES case: position knowledge adds
+        # nothing when the compromised node is off the path.
+        silent_special = dist.pmf(0)
+        silent_other = sum(
+            prob * falling_factorial(n - 3, length - 1) / falling_factorial(n - 1, length)
+            for length, prob in dist.items()
+            if length >= 1 and falling_factorial(n - 1, length) > 0
+        )
+        silent_entropy, silent_support, silent_top = self._class_entropy(
+            silent_special, silent_other, n - 2
+        )
+
+        def uniform_event(excluded: int) -> tuple[float, int, float]:
+            candidates = max(n - excluded, 0)
+            if candidates <= 0:
+                return 0.0, 0, 0.0
+            return math.log2(candidates), candidates, 1.0 / candidates
+
+        last_entropy, last_support, last_top = uniform_event(2)
+        pen_entropy, pen_support, pen_top = uniform_event(3)
+        interior_entropy, interior_support, interior_top = uniform_event(4)
+
+        return [
+            EventSummary(EventClass.ORIGIN, p_origin + p_identified, 0.0, 1, 1.0),
+            EventSummary(EventClass.SILENT, p_silent, silent_entropy, silent_support, silent_top),
+            EventSummary(EventClass.LAST, p_last, last_entropy, last_support, last_top),
+            EventSummary(EventClass.PENULTIMATE, p_penultimate, pen_entropy, pen_support, pen_top),
+            EventSummary(
+                EventClass.INTERIOR, p_interior, interior_entropy, interior_support, interior_top
+            ),
+        ]
 
 
 class TestAnalyzerConstruction:
@@ -252,3 +406,86 @@ class TestPaperShape:
         low, high = min(a, b), max(a, b)
         value = anonymity_degree(100, UniformLength(low, high))
         assert -1e-12 <= value <= math.log2(100)
+
+
+def _laws(n: int) -> list[PathLengthDistribution]:
+    """Every F(l), a grid of U(a, b) and two-point laws, and 200 random pmfs.
+
+    The random pmfs are seeded by ``n`` and some carry entries at or below
+    the ``1e-15`` support threshold, which the distributions drop.
+    """
+    top = n - 1
+    step = max(1, top // 6)
+    grid = sorted({*range(0, top + 1, step), top})
+    laws: list[PathLengthDistribution] = [FixedLength(length) for length in range(n)]
+    laws += [UniformLength(low, high) for low in grid for high in grid if low < high]
+    laws += [
+        TwoPointLength(short, long, p_short)
+        for short in grid
+        for long in grid
+        if short < long
+        for p_short in (0.125, 0.5, 0.9)
+    ]
+    draw = random.Random(n)
+    for _ in range(200):
+        support = draw.sample(range(n), draw.randint(1, min(n, 41)))
+        weights = [draw.random() ** 3 for _ in support]
+        if len(support) > 1 and draw.random() < 0.3:
+            weights[-1] = draw.choice((1e-16, 1e-15, 5e-16)) * sum(weights[:-1])
+        total = sum(weights)
+        laws.append(CategoricalLength({length: w / total for length, w in zip(support, weights)}))
+    return laws
+
+
+class TestCoefficientMemo:
+    """The memoised single-pass tables reproduce the per-class passes bit for bit."""
+
+    @pytest.mark.parametrize("adversary", list(AdversaryModel))
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 9, 20, 50, 100, 150])
+    def test_matches_unmemoised_oracle(self, n, adversary):
+        model = SystemModel(n_nodes=n, n_compromised=1, adversary=adversary)
+        analyzer, oracle = AnonymityAnalyzer(model), UnmemoisedAnalyzer(model)
+        for law in _laws(n):
+            result, expected = analyzer.analyze(law), oracle.analyze(law)
+            assert result.events == expected.events, law.name
+            assert result.degree_bits == expected.degree_bits, law.name
+
+    @pytest.mark.parametrize("adversary", [AdversaryModel.FULL_BAYES, AdversaryModel.POSITION_AWARE])
+    def test_repeated_support_computes_no_falling_factorials(self, adversary, monkeypatch):
+        calls = []
+
+        def counted(n: int, k: int) -> int:
+            calls.append((n, k))
+            return falling_factorial(n, k)
+
+        monkeypatch.setattr(anonymity, "falling_factorial", counted)
+        analyzer = AnonymityAnalyzer(SystemModel(n_nodes=100, adversary=adversary))
+        law = UniformLength(0, 40)
+        analyzer.analyze(law)
+        assert len(calls) <= 5 * len(law.support)
+        calls.clear()
+        analyzer.analyze(UniformLength(10, 30))
+        analyzer.analyze(law)
+        assert calls == []
+
+    def test_fixed_lengths_at_n_200_match_theorem1(self):
+        # (N-1)_l exceeds the float range from N ~ 172; the closed form used
+        # to die with "OverflowError: int too large to convert to float".
+        analyzer = AnonymityAnalyzer(SystemModel(n_nodes=200))
+        for length in range(200):
+            assert analyzer.anonymity_degree(FixedLength(length)) == pytest.approx(
+                fixed_length_degree(200, length), rel=1e-12
+            )
+
+    def test_position_aware_at_n_200_is_below_full_bayes(self):
+        law = UniformLength(0, 199)
+        aware = anonymity_degree(200, law, AdversaryModel.POSITION_AWARE)
+        assert 0.0 < aware < anonymity_degree(200, law)
+
+    def test_cli_degree_n_200_length_150(self, capsys):
+        assert main(["degree", "--n", "200", "--strategy", "fixed", "--length", "150"]) == 0
+        assert "H*(S) = 7.58550 bits" in capsys.readouterr().out
+
+    def test_cli_optimize_n_200_mean_90(self, capsys):
+        assert main(["optimize", "--n", "200", "--mean", "90"]) == 0
+        assert "best uniform" in capsys.readouterr().out

@@ -2,8 +2,16 @@
 
 from __future__ import annotations
 
-import pytest
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+from test_core_anonymity import UnmemoisedAnalyzer
+
+import repro
+from repro.core import optimizer
 from repro.core.anonymity import AnonymityAnalyzer
 from repro.core.model import SystemModel
 from repro.core.optimizer import (
@@ -113,3 +121,68 @@ class TestFullSimplexOptimization:
             optimize_distribution(
                 model, min_length=0, max_length=5, initial=FixedLength(10)
             )
+
+
+class TestInputValidation:
+    """Each bad input fails up front with a ConfigurationError naming it."""
+
+    def test_best_fixed_length_min_10_max_5(self, model):
+        with pytest.raises(ConfigurationError, match="min_length"):
+            best_fixed_length(model, min_length=10, max_length=5)
+
+    def test_optimize_min_length_minus_1(self, model, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the objective ran before validation")
+
+        monkeypatch.setattr(AnonymityAnalyzer, "analyze", never)
+        with pytest.raises(ConfigurationError, match="min_length"):
+            optimize_distribution(model, min_length=-1, max_length=5)
+
+    def test_best_uniform_mean_7_5(self, model):
+        with pytest.raises(ConfigurationError, match="mean"):
+            best_uniform_for_mean(model, 7.5)  # type: ignore[arg-type]
+
+
+class TestMemoisedAnalyzerParity:
+    """The optimisers take identical trajectories over the memoised closed form."""
+
+    @staticmethod
+    def _run(n: int, mean: int):
+        model = SystemModel(n_nodes=n, n_compromised=1)
+        scan = best_uniform_for_mean(model, mean)
+        outcome = optimize_distribution(
+            model, min_length=0, max_length=min(n - 1, 2 * mean), mean=mean
+        )
+        return scan, outcome
+
+    @pytest.mark.parametrize("n,mean", [(50, 3), (100, 12), (100, 20)])
+    def test_bit_identical_to_unmemoised_oracle(self, n, mean, monkeypatch):
+        scan, outcome = self._run(n, mean)
+        monkeypatch.setattr(optimizer, "AnonymityAnalyzer", UnmemoisedAnalyzer)
+        expected_scan, expected = self._run(n, mean)
+        assert scan.degrees == expected_scan.degrees
+        assert scan.best_width == expected_scan.best_width
+        assert outcome.degree_bits == expected.degree_bits
+        assert outcome.iterations == expected.iterations
+        assert outcome.distribution.as_dict() == expected.distribution.as_dict()
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    """scipy.optimize loads on the first full-simplex optimisation, not with the CLI.
+
+    The top-level ``scipy`` package may still load: numba, behind the
+    optional ``[jit]`` extra, imports it to check its version.
+    """
+    source = Path(repro.__file__).resolve().parent.parent
+    result = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, repro.cli; print('scipy.optimize' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(source)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

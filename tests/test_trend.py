@@ -267,6 +267,8 @@ class TestTrendCliGate:
     ("key", "expected"),
     [
         ("trials_per_second", 1),
+        ("batch_numpy_trials_per_sec", 1),
+        ("analyses_per_sec", 1),
         ("speedup_pure", 1),
         ("elapsed_seconds", -1),
         ("anonymity_bits", 0),
