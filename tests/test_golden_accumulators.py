@@ -1,0 +1,144 @@
+"""Golden batch accumulators, one per engine kernel.
+
+Each row pins ``(length_sum, class count, mean entropy as float.hex,
+accumulator_digest)`` for a fixed ``(seed, chunk_trials)`` run, so any change
+to an engine's draw order, decode, classification, or pricing shows up as a
+bit difference.  The values were recorded before the batch engines were cut
+down to one kernel each, and every engine must keep reproducing them.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from repro.batch import BatchMonteCarlo, ShardedBackend
+from repro.core.model import PathModel, SystemModel
+from repro.core.topology import Topology
+from repro.distributions import GeometricLength, UniformLength
+from repro.routing.strategies import PathSelectionStrategy
+
+TRIALS = 20_000
+SEED = 13
+
+
+def accumulator_digest(accumulator) -> str:
+    """Short sha256 over every class's key, count, entropy bits, and flag."""
+    rows = sorted(
+        (repr(key), count, float(entropy).hex(), bool(identified))
+        for key, (count, entropy, identified) in accumulator.classes.items()
+    )
+    return hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+
+
+def fingerprint(accumulator) -> tuple[int, int, str, str]:
+    mean, _ = accumulator.grouped_moments()
+    return (
+        accumulator.length_sum,
+        len(accumulator.classes),
+        mean.hex(),
+        accumulator_digest(accumulator),
+    )
+
+
+def crowds() -> PathSelectionStrategy:
+    return PathSelectionStrategy(
+        "Crowds (cycle paths)",
+        GeometricLength(p_forward=0.75, minimum=1),
+        path_model=PathModel.CYCLE_ALLOWED,
+    )
+
+
+def uniform(low: int, high: int) -> PathSelectionStrategy:
+    distribution = UniformLength(low, high)
+    return PathSelectionStrategy(distribution.name, distribution)
+
+
+def ring_or_grid(spec: str) -> tuple[SystemModel, PathSelectionStrategy]:
+    topology = Topology.from_spec(spec, 20)
+    return SystemModel(n_nodes=20, n_compromised=1, topology=topology), uniform(1, 6)
+
+
+def cycle_model(n_compromised: int) -> SystemModel:
+    return SystemModel(
+        n_nodes=100, n_compromised=n_compromised, path_model=PathModel.CYCLE_ALLOWED
+    )
+
+
+#: Configuration name -> (engine it must select, model and strategy builder).
+CONFIGURATIONS = {
+    "five-class": (
+        "five-class", lambda: (SystemModel(n_nodes=100, n_compromised=1), uniform(1, 20))
+    ),
+    "arrangement": (
+        "arrangement", lambda: (SystemModel(n_nodes=100, n_compromised=2), uniform(2, 8))
+    ),
+    "cycle": ("cycle", lambda: (cycle_model(1), crowds())),
+    "cycle-multi": ("cycle-multi", lambda: (cycle_model(2), crowds())),
+    "topology-ring": ("topology", lambda: ring_or_grid("ring")),
+    "topology-grid": ("topology", lambda: ring_or_grid("grid:4x5")),
+}
+
+#: Recorded as (length sum, classes, mean entropy as float.hex, digest).
+GOLDEN = {
+    ("five-class", None): (
+        210119, 5, "0x1.a134f44548528p+2", "0a12b0af1814388d"
+    ),
+    ("five-class", 4_097): (
+        210239, 5, "0x1.a1a9c974e6b43p+2", "0d1c6baac4047b8e"
+    ),
+    ("arrangement", None): (
+        100053, 77, "0x1.98f58e675fec2p+2", "b6eeaed122e1556f"
+    ),
+    ("arrangement", 4_097): (
+        100438, 77, "0x1.98f6a3fe54838p+2", "ff9da57aa8199646"
+    ),
+    ("cycle", None): (
+        80072, 12, "0x1.a10f8961c1396p+2", "3513acc86307f16d"
+    ),
+    ("cycle", 4_097): (
+        80068, 11, "0x1.a132634e2bbd7p+2", "a5427e5d3b6c1595"
+    ),
+    ("cycle-multi", None): (
+        80072, 19, "0x1.99daec6727012p+2", "341ded0dc3e363bb"
+    ),
+    ("cycle-multi", 4_097): (
+        80068, 15, "0x1.99d8f86a85359p+2", "0c1a1b0c66db9d33"
+    ),
+    ("topology-ring", None): (
+        70090, 32, "0x1.770b09642b375p+1", "53d8b6ecc764cfca"
+    ),
+    ("topology-ring", 4_097): (
+        70091, 32, "0x1.7636b3b8af3fcp+1", "b34c2b2626334c8f"
+    ),
+    ("topology-grid", None): (
+        70090, 51, "0x1.e915a3d8c6635p+1", "d878b6bf2217ed8d"
+    ),
+    ("topology-grid", 4_097): (
+        70091, 50, "0x1.e984bc27c4766p+1", "39a3f42b647d548b"
+    ),
+}
+
+#: ``(seed, shards=2)`` on the sharded backend, merged across both shards.
+SHARDED_GOLDEN = (100365, 78, "0x1.995bf05cc2132p+2", "f5c417969abffc61")
+
+
+@pytest.mark.parametrize("config", sorted(GOLDEN, key=repr), ids=repr)
+def test_golden_accumulators(config):
+    name, chunk_trials = config
+    engine_name, build = CONFIGURATIONS[name]
+    model, strategy = build()
+    estimator = BatchMonteCarlo(model, strategy, chunk_trials=chunk_trials)
+    assert estimator.engine.name == engine_name
+    accumulator = estimator.run_accumulate(TRIALS, rng=SEED)
+    assert fingerprint(accumulator) == GOLDEN[config]
+
+
+def test_sharded_golden_accumulator():
+    _, build = CONFIGURATIONS["arrangement"]
+    model, strategy = build()
+    with ShardedBackend(workers=1, shards=2) as backend:
+        accumulator = backend.accumulate_runner(model, strategy)(TRIALS, rng=SEED)
+    assert accumulator.n_trials == TRIALS
+    assert fingerprint(accumulator) == SHARDED_GOLDEN
