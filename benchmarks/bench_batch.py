@@ -3,14 +3,14 @@
 This is the perf baseline for the ``repro.batch`` subsystem: the same
 10k-trial estimation job (N=20 nodes, one compromised, uniform path lengths)
 run through the ``event`` backend (``StrategyMonteCarlo`` — one observation
-object and one exact posterior per trial) and through the ``batch`` backend in
-both flavours (pure-Python columnar core, and the NumPy-accelerated kernels).
+object and one exact posterior per trial) and through the ``batch`` backend
+(the five-class engine's numpy kernel).
 
 The asserted floor — **batch >= 10x the trials/sec of the hop-by-hop
-estimator on the pure-Python core** — is deliberately far below the typical
-measured ratio (hundreds to thousands of x) so the benchmark documents the
-speedup without being timing-flaky; future PRs that regress the fast path
-will still trip it long before users notice.
+estimator** — is deliberately far below the typical measured ratio
+(thousands of x) so the benchmark documents the speedup without being
+timing-flaky; future PRs that regress the fast path will still trip it long
+before users notice.
 
 The headline measurement also writes a machine-readable ``BENCH_batch.json``
 record (see :mod:`perf_record`) so the perf trajectory is tracked across PRs.
@@ -40,8 +40,8 @@ N_NODES = 20
 N_TRIALS = 10_000
 SMOKE_TRIALS = 2_000
 DISTRIBUTION = UniformLength(2, 8)
-#: Minimum required speedup of the pure-Python batch core over the
-#: per-observation estimator (the measured ratio is far larger).
+#: Minimum required speedup of the batch engine over the per-observation
+#: estimator (the measured ratio is far larger).
 MIN_SPEEDUP = 10.0
 
 
@@ -72,21 +72,10 @@ def test_event_backend_throughput(benchmark, smoke):
     assert report.estimate.contains(exact, slack=0.02)
 
 
-def test_batch_backend_throughput_pure_python(benchmark, smoke):
-    """The pure-Python columnar core at the same workload."""
+def test_batch_backend_throughput(benchmark, smoke):
+    """The batch engine at the same workload."""
     model, strategy = _workload()
-    estimator = BatchMonteCarlo(model, strategy, use_numpy=False)
-    report = benchmark.pedantic(
-        lambda: estimator.run(_trials(smoke), rng=0), rounds=3, iterations=1
-    )
-    exact = AnonymityAnalyzer(model).anonymity_degree(DISTRIBUTION)
-    assert report.estimate.contains(exact, slack=0.02)
-
-
-def test_batch_backend_throughput_numpy(benchmark, smoke):
-    """The NumPy-accelerated kernels at the same workload."""
-    model, strategy = _workload()
-    estimator = BatchMonteCarlo(model, strategy, use_numpy=True)
+    estimator = BatchMonteCarlo(model, strategy)
     report = benchmark.pedantic(
         lambda: estimator.run(_trials(smoke), rng=0), rounds=3, iterations=1
     )
@@ -95,7 +84,7 @@ def test_batch_backend_throughput_numpy(benchmark, smoke):
 
 
 def test_batch_speedup_floor(smoke):
-    """The acceptance criterion: pure-Python batch >= 10x hop-by-hop trials/sec.
+    """The acceptance criterion: batch >= 10x hop-by-hop trials/sec.
 
     Measured directly (not via pytest-benchmark) so the ratio is computed in
     one process run, printed into the benchmark log, and written to
@@ -108,19 +97,14 @@ def test_batch_speedup_floor(smoke):
     event = StrategyMonteCarlo(model, strategy)
     event_tps = _trials_per_second(lambda: event.run(n_trials, rng=0), n_trials)
 
-    pure = BatchMonteCarlo(model, strategy, use_numpy=False)
-    pure_tps = _trials_per_second(lambda: pure.run(n_trials, rng=0), n_trials)
+    batch = BatchMonteCarlo(model, strategy)
+    batch_tps = _trials_per_second(lambda: batch.run(n_trials, rng=0), n_trials)
 
-    fast = BatchMonteCarlo(model, strategy, use_numpy=True)
-    fast_tps = _trials_per_second(lambda: fast.run(n_trials, rng=0), n_trials)
-
-    report = fast.run(n_trials, rng=0)
+    report = batch.run(n_trials, rng=0)
     print()
     print(f"event (hop-by-hop)     : {event_tps:>12,.0f} trials/sec")
-    print(f"batch (pure Python)    : {pure_tps:>12,.0f} trials/sec "
-          f"({pure_tps / event_tps:,.0f}x)")
-    print(f"batch (NumPy kernels)  : {fast_tps:>12,.0f} trials/sec "
-          f"({fast_tps / event_tps:,.0f}x)")
+    print(f"batch (numpy kernel)   : {batch_tps:>12,.0f} trials/sec "
+          f"({batch_tps / event_tps:,.0f}x)")
     print(f"estimate {report.estimate} vs exact {exact:.4f}")
 
     write_record(
@@ -133,19 +117,14 @@ def test_batch_speedup_floor(smoke):
             "floor_speedup": MIN_SPEEDUP,
         },
         event_trials_per_sec=round(event_tps, 1),
-        batch_pure_trials_per_sec=round(pure_tps, 1),
-        batch_numpy_trials_per_sec=round(fast_tps, 1),
-        speedup_pure=round(pure_tps / event_tps, 2),
-        speedup_numpy=round(fast_tps / event_tps, 2),
+        batch_numpy_trials_per_sec=round(batch_tps, 1),
+        speedup_numpy=round(batch_tps / event_tps, 2),
     )
 
     assert report.estimate.contains(exact, slack=0.02)
     if smoke:
         return  # floors are only meaningful on the full workload
-    assert pure_tps >= MIN_SPEEDUP * event_tps, (
-        f"pure-Python batch core is only {pure_tps / event_tps:.1f}x the "
+    assert batch_tps >= MIN_SPEEDUP * event_tps, (
+        f"batch engine is only {batch_tps / event_tps:.1f}x the "
         f"hop-by-hop estimator; the floor is {MIN_SPEEDUP}x"
-    )
-    assert fast_tps >= pure_tps * 0.5, (
-        "NumPy kernels should not be dramatically slower than the pure core"
     )

@@ -2,15 +2,16 @@
 
 This is the perf record for the ``sharded`` backend of
 :mod:`repro.batch.sharded`: one large estimation job on the
-multi-compromised arrangement-class engine (N=30 nodes, three compromised,
-uniform path lengths) run
+multi-compromised cycle engine (``cycle-multi``: N=30 nodes, three
+compromised, uniform lengths on cycle-allowed paths) run
 
 * single-process through the ``batch`` backend, and
 * through the ``sharded`` backend with a 4-worker ``spawn`` pool.
 
-Both runs use the pure-Python columnar core (``use_numpy=False``) so the
-kernels are CPU-bound interpreter work — the regime sharding exists for; the
-NumPy kernels finish the same job so quickly that process startup, not
+The cycle kernel walks a hop matrix level by level over bounded
+65,536-trial chunks, so a multi-million-trial job is seconds of CPU-bound
+work in constant memory — the regime sharding exists for; the simple-path
+kernels finish a job this size so quickly that process startup, not
 compute, would dominate.  The asserted floor — **sharded >= 2x the
 single-process wall clock at 4 workers** — is the acceptance criterion of the
 backend; near-linear scaling (3x+ on 4 idle cores) is typical because the
@@ -41,15 +42,15 @@ import pytest
 from perf_record import write_record
 
 from repro.batch import BatchMonteCarlo, ShardedBackend
-from repro.core.model import SystemModel
+from repro.core.model import PathModel, SystemModel
 from repro.distributions import UniformLength
 from repro.routing.strategies import PathSelectionStrategy
 
-#: The workload: a multi-compromised model on the arrangement-class engine.
+#: The workload: a multi-compromised model on the cycle-multi engine.
 N_NODES = 30
 N_COMPROMISED = 3
 DISTRIBUTION = UniformLength(1, 8)
-N_TRIALS = 6_000_000
+N_TRIALS = 12_000_000
 SMOKE_TRIALS = 400_000
 WORKERS = 4
 #: Acceptance floor for the 4-worker pool over the single-process run.
@@ -58,7 +59,9 @@ MIN_SPEEDUP = 2.0
 
 def _workload():
     model = SystemModel(n_nodes=N_NODES, n_compromised=N_COMPROMISED)
-    strategy = PathSelectionStrategy(DISTRIBUTION.name, DISTRIBUTION)
+    strategy = PathSelectionStrategy(
+        DISTRIBUTION.name, DISTRIBUTION, path_model=PathModel.CYCLE_ALLOWED
+    )
     return model, strategy
 
 
@@ -91,12 +94,12 @@ def test_sharded_speedup_floor(smoke):
     n_trials = SMOKE_TRIALS if smoke else N_TRIALS
     model, strategy = _workload()
 
-    single_estimator = BatchMonteCarlo(model, strategy, use_numpy=False)
+    single_estimator = BatchMonteCarlo(model, strategy)
     started = time.perf_counter()
     single_report = single_estimator.run(n_trials, rng=0)
     single_seconds = time.perf_counter() - started
 
-    backend = ShardedBackend(workers=workers, shards=WORKERS, use_numpy=False)
+    backend = ShardedBackend(workers=workers, shards=WORKERS)
     started = time.perf_counter()
     sharded_report = backend.estimate(model, strategy, n_trials=n_trials, rng=0)
     sharded_seconds = time.perf_counter() - started

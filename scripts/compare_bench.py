@@ -10,7 +10,7 @@ a silently smaller number in an artifact nobody opens.
 Each floor rule names a record (the ``benchmark`` key of one per-benchmark
 record), a top-level numeric key in it, and a ``min`` and/or ``max`` bound::
 
-    {"record": "batch", "key": "speedup_pure", "min": 10.0}
+    {"record": "batch", "key": "speedup_numpy", "min": 10.0}
 
 Records produced in ``--smoke`` mode carry ``"smoke": true`` and are checked
 but only *warned* about — smoke workloads are sized for coverage, not for

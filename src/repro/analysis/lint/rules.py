@@ -293,9 +293,9 @@ class DeterminismRule(ContractRule):
 # ---------------------------------------------------------------------- #
 
 #: What a registered trial engine must expose: the ``covers`` predicate plus
-#: either the three pipeline stages or a wholesale ``run_accumulate``
-#: override in its own body.
-_ENGINE_STAGES = ("sample_block", "classify", "score")
+#: either the chunk kernel or a wholesale ``run_accumulate`` override in its
+#: own body.
+_ENGINE_STAGES = ("accumulate_chunk",)
 
 
 @register_rule
@@ -303,12 +303,12 @@ class RegistryContractRule(ContractRule):
     """R002: registration call sites must register total protocol surfaces.
 
     ``select_engine`` promises that whatever ``covers()`` claims can actually
-    run; a class registered without the stage methods only fails when its
-    domain is first exercised.  For every ``register_engine(...)`` call the
+    run; a class registered without its kernel only fails when its domain is
+    first exercised.  For every ``register_engine(...)`` call the
     registered class (resolved through the project-wide class index,
     inherited concrete methods included) must define ``covers`` plus either
-    all of ``sample_block``/``classify``/``score`` or its own
-    ``run_accumulate``; ``register_backend(...)`` requires ``estimate``
+    the ``accumulate_chunk`` kernel or its own ``run_accumulate``;
+    ``register_backend(...)`` requires ``estimate``
     (``plan``/``accumulate_runner`` extend the surface but are optional).
     A call site whose class the linter cannot resolve statically is itself
     a finding — registration is a compile-time contract, not a runtime

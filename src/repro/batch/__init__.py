@@ -1,17 +1,19 @@
 """Vectorized batch simulation of anonymity experiments.
 
 This subpackage is the fast path of the reproduction: instead of pushing one
-message at a time through the discrete-event transport, it samples thousands
-of rerouting-path trials as **columnar arrays** (struct-of-arrays, ``array('q')``
-buffers), classifies every trial into a symmetric observation class with array
-operations, and scores each class with an *exact* per-class posterior entropy.
-Two class systems cover the whole simple-path domain:
+message at a time through the discrete-event transport, it draws thousands
+of rerouting-path trials at once as numpy arrays, classifies every trial into
+a symmetric observation class with array operations, and scores each class
+with an *exact* per-class posterior entropy — one kernel per engine.  Two
+class systems cover the whole simple-path domain:
 
 * the paper's **five classes** for one compromised node with a compromised
   receiver (scored by the closed form);
 * **arrangement classes** — ``(length, compromised-position-set)`` keys — for
   any number of compromised nodes and honest receivers, scored through the
   exact fragment-arrangement counts of :mod:`repro.combinatorics`.
+
+Cycle-allowed paths and non-clique topologies have engines of their own.
 
 The resulting estimator is statistically identical to the hop-by-hop
 :class:`~repro.simulation.experiment.StrategyMonteCarlo` at roughly two to
@@ -21,40 +23,26 @@ across worker processes (``benchmarks/bench_sharded.py``).
 
 Layout
 ------
-:mod:`repro.batch.columns`
-    The columnar trial containers (:class:`TrialColumns`,
-    :class:`MultiTrialColumns`).
+:mod:`repro.batch.engine`
+    The :class:`TrialEngine` protocol (``covers`` plus one
+    ``accumulate_chunk`` kernel), the mergeable :class:`BatchAccumulator`,
+    the engine registry (:func:`register_engine` / :func:`select_engine`),
+    and the two built-in simple-path engines (:class:`FiveClassEngine`,
+    :class:`ArrangementEngine`).
 :mod:`repro.batch.sampler`
-    Bulk trial sampling (:class:`BatchTrialSampler`,
-    :class:`MultiTrialSampler`) on top of the inverse-CDF batch sampler of
-    :meth:`PathLengthDistribution.sample_batch`.
-:mod:`repro.batch.classify`
-    Array classification into the five :class:`~repro.core.events.EventClass`
-    codes (the ``C = 1`` engine).
+    The bulk draws the clique engines share: the inverse-CDF length decoder
+    (:class:`InverseCdfDecoder`) and the slot-to-position-mask decode.
 :mod:`repro.batch.multiclass`
-    Arrangement-class keys and their exact score table (the general engine).
-:mod:`repro.batch.cyclesampler`
-    Columnar Markov hop-block sampling for cycle-allowed paths
-    (:class:`CycleTrialSampler`).
+    Arrangement-class keys and their exact score table.
 :mod:`repro.batch.cycleclassify`
-    Cycle observation-class keys (:func:`classify_cycle_trials`).
+    Cycle observation-class keys (:func:`cycle_trial_key`, the scalar
+    reference rule, and its array kernel).
 :mod:`repro.batch.cycleengine`
     The cycle-allowed engines (:class:`CycleBatchEngine` for ``C = 1``,
     :class:`MultiCycleEngine` for any other ``C``) and their lazily priced
     :class:`CycleScoreTable` (Crowds-style protocols).
-:mod:`repro.batch.engine`
-    The :class:`TrialEngine` protocol (``sample_block → classify → score``),
-    the mergeable :class:`BatchAccumulator`, the engine registry
-    (:func:`register_engine` / :func:`select_engine`), and the two built-in
-    simple-path engines (:class:`FiveClassEngine`,
-    :class:`ArrangementEngine`).
-:mod:`repro.batch.fused`
-    The single-pass fused kernel tier behind
-    :meth:`TrialEngine.fused_accumulate` — bit-identical, faster twins of the
-    staged numpy pipelines.
-:mod:`repro.batch.jit`
-    The optional numba-compiled tier (:class:`FiveClassJitEngine`),
-    registered only when the ``[jit]`` extra is installed.
+:mod:`repro.batch.topoengine`
+    The graph-general :class:`TopologyEngine` for non-clique topologies.
 :mod:`repro.batch.estimator`
     The drop-in estimator (:class:`BatchMonteCarlo`), a thin dispatcher over
     the engine registry.
@@ -63,11 +51,8 @@ Layout
 :mod:`repro.batch.backends`
     The ``exact | event | batch | sharded`` backend registry used by sweeps,
     the experiment registry, and the ``repro-anon batch`` CLI.
-:mod:`repro.batch._accel`
-    Feature-detected, never-required NumPy acceleration for the array kernels.
 """
 
-from repro.batch._accel import HAVE_NUMPY
 from repro.batch.backends import (
     BatchBackend,
     EstimatorBackend,
@@ -78,15 +63,12 @@ from repro.batch.backends import (
     get_backend,
     register_backend,
 )
-from repro.batch.columns import ABSENT, MultiTrialColumns, TrialColumns
-from repro.batch.classify import class_counts, classify_columns
-from repro.batch.cycleclassify import classify_cycle_trials, cycle_trial_key
+from repro.batch.cycleclassify import cycle_trial_key
 from repro.batch.cycleengine import (
     CycleBatchEngine,
     CycleScoreTable,
     MultiCycleEngine,
 )
-from repro.batch.cyclesampler import CycleTrialColumns, CycleTrialSampler
 from repro.batch.engine import (
     ArrangementEngine,
     FiveClassEngine,
@@ -97,39 +79,22 @@ from repro.batch.engine import (
     select_engine,
 )
 from repro.batch.estimator import BatchAccumulator, BatchMonteCarlo
-from repro.batch.fused import InverseCdfDecoder
-from repro.batch.jit import HAVE_NUMBA, FiveClassJitEngine
-from repro.batch.multiclass import ClassScoreTable, count_class_keys
-from repro.batch.sampler import BatchTrialSampler, MultiTrialSampler
+from repro.batch.multiclass import ClassScoreTable
+from repro.batch.sampler import InverseCdfDecoder
 from repro.batch.sharded import ShardedBackend, split_trials
-from repro.batch.topoengine import TopologyEngine, TopologyTrialBlock
+from repro.batch.topoengine import TopologyEngine
 
 __all__ = [
-    "HAVE_NUMPY",
-    "HAVE_NUMBA",
-    "ABSENT",
-    "TrialColumns",
-    "MultiTrialColumns",
-    "CycleTrialColumns",
-    "BatchTrialSampler",
-    "MultiTrialSampler",
-    "CycleTrialSampler",
-    "classify_columns",
-    "class_counts",
-    "count_class_keys",
-    "classify_cycle_trials",
     "cycle_trial_key",
     "ClassScoreTable",
     "CycleScoreTable",
     "TrialEngine",
     "FiveClassEngine",
-    "FiveClassJitEngine",
     "ArrangementEngine",
     "InverseCdfDecoder",
     "CycleBatchEngine",
     "MultiCycleEngine",
     "TopologyEngine",
-    "TopologyTrialBlock",
     "available_engines",
     "get_engine",
     "register_engine",

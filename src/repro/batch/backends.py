@@ -17,7 +17,8 @@ Three engines can answer, with very different cost/coverage trade-offs:
 ``batch``
     The vectorized :class:`repro.batch.estimator.BatchMonteCarlo`: a
     dispatcher over the :class:`~repro.batch.engine.TrialEngine` registry
-    (columnar trials, array classification, per-class entropies).
+    (bulk draws, array classification, per-class entropies).  Accepts a
+    ``chunk_trials=`` option.
     Statistically identical to ``event`` on its whole domain — ``C > 1``,
     honest receivers, and cycle-allowed paths at any ``C`` included — at a
     large multiple of its throughput.
@@ -30,7 +31,7 @@ The registry makes the choice a string, so callers (``analysis.sweep``, the
 ``repro-anon batch`` CLI, the experiment registry) can switch engines without
 importing any of them, and downstream code can plug in new engines (remote,
 GPU, ...) with :func:`register_backend`.  Backend-specific constructor options
-(``workers``, ``use_numpy``, ...) flow through the ``**options`` of
+(``workers``, ``chunk_trials``, ...) flow through the ``**options`` of
 :func:`get_backend` / :func:`estimate_anonymity`.
 
 Every backend returns the same
@@ -143,23 +144,13 @@ class BatchBackend(EstimatorBackend):
 
     name = "batch"
 
-    def __init__(
-        self,
-        use_numpy: bool | None = None,
-        chunk_trials: int | str | None = None,
-    ) -> None:
-        self._use_numpy = use_numpy
+    def __init__(self, chunk_trials: int | None = None) -> None:
         self._chunk_trials = chunk_trials
 
     def _estimator(
         self, model: SystemModel, strategy: PathSelectionStrategy
     ) -> BatchMonteCarlo:
-        return BatchMonteCarlo(
-            model,
-            strategy,
-            use_numpy=self._use_numpy,
-            chunk_trials=self._chunk_trials,
-        )
+        return BatchMonteCarlo(model, strategy, chunk_trials=self._chunk_trials)
 
     def estimate(
         self,
@@ -177,9 +168,7 @@ class BatchBackend(EstimatorBackend):
 
         Returns a callable ``(n_trials, rng) -> BatchAccumulator``.  The
         kernel — including its exact per-class score table — is built once
-        here and reused across every block of an adaptive run; adaptive
-        autotuning (``block_size="auto"``) reaches the underlying engine
-        through the bound estimator's ``engine`` property.
+        here and reused across every block of an adaptive run.
         """
         return self._estimator(model, strategy).run_accumulate
 
@@ -205,7 +194,7 @@ def get_backend(name: str, **options: Any) -> EstimatorBackend:
 
     ``options`` are forwarded to the backend factory — e.g.
     ``get_backend("sharded", workers=8)`` or
-    ``get_backend("batch", use_numpy=False)``.  Factories reject options they
+    ``get_backend("batch", chunk_trials=16_384)``.  Factories reject options they
     do not understand with a ``TypeError``, exactly like any constructor.
     """
     try:

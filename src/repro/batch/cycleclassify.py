@@ -1,4 +1,4 @@
-"""Columnar classification of cycle-path trials into observation classes.
+"""Classification of cycle-path trials into observation classes.
 
 With a compromised set ``M`` on cycle-allowed paths, the adversary's
 posterior entropy for a trial depends only on a small *class key* — never on
@@ -30,18 +30,19 @@ coincide).  The keys, per adversary:
     ``"open"`` under an honest receiver.  For ``C = 1`` adjacency cannot
     occur, so the keys coincide bit for bit with the single-node form.
 
-:func:`cycle_trial_key` is the scalar reference rule.  The NumPy kernel
-vectorises the overwhelmingly common cases (origin, silent, at most one
-compromised visit) and falls back to the scalar rule only for the rare
-multi-visit trials, so classification cost stays columnar at any ``C``.
+:func:`cycle_trial_key` is the scalar reference rule.  The array kernel
+:func:`classify_cycle_arrays` vectorises the overwhelmingly common cases
+(origin, silent, at most one compromised visit) and falls back to the scalar
+rule only for the rare multi-visit trials, so classification cost stays
+columnar at any ``C``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Collection, Sequence
 
-from repro.batch._accel import resolve_use_numpy
-from repro.batch.cyclesampler import CycleTrialColumns
+import numpy as np
+
 from repro.core.model import AdversaryModel
 
 __all__ = [
@@ -50,7 +51,6 @@ __all__ = [
     "PATH_KEY",
     "ADJACENT",
     "cycle_trial_key",
-    "classify_cycle_trials",
     "classify_cycle_arrays",
 ]
 
@@ -110,74 +110,6 @@ def cycle_trial_key(
     return ("fb", len(occurrences), gaps, last)
 
 
-def classify_cycle_trials(
-    columns: CycleTrialColumns,
-    compromised: int | Collection[int],
-    adversary: AdversaryModel = AdversaryModel.FULL_BAYES,
-    receiver_compromised: bool = True,
-    use_numpy: bool | None = None,
-) -> dict[tuple, tuple[int, int]]:
-    """Histogram a batch into class keys.
-
-    Returns ``{key: (count, representative)}`` where ``representative`` is
-    the index of the first trial of the class in the batch — the trial whose
-    concrete path the score table prices once for the whole class.  The pure
-    and NumPy kernels produce identical mappings.
-    """
-    members = _membership(compromised)
-    if resolve_use_numpy(use_numpy):
-        return _classify_numpy(columns, members, adversary, receiver_compromised)
-    return _classify_pure(columns, members, adversary, receiver_compromised)
-
-
-# ---------------------------------------------------------------------- #
-# Pure-Python kernel                                                      #
-# ---------------------------------------------------------------------- #
-
-
-def _classify_pure(
-    columns: CycleTrialColumns,
-    compromised: frozenset[int],
-    adversary: AdversaryModel,
-    receiver_compromised: bool,
-) -> dict[tuple, tuple[int, int]]:
-    result: dict[tuple, tuple[int, int]] = {}
-    width = columns.width
-    hops = columns.hops
-    for index, (sender, length) in enumerate(
-        zip(columns.senders, columns.lengths)
-    ):
-        base = index * width
-        key = cycle_trial_key(
-            sender,
-            hops[base : base + length],
-            length,
-            compromised,
-            adversary,
-            receiver_compromised,
-        )
-        entry = result.get(key)
-        result[key] = (1, index) if entry is None else (entry[0] + 1, entry[1])
-    return result
-
-
-# ---------------------------------------------------------------------- #
-# NumPy kernel                                                            #
-# ---------------------------------------------------------------------- #
-
-
-def _classify_numpy(
-    columns: CycleTrialColumns,
-    compromised: frozenset[int],
-    adversary: AdversaryModel,
-    receiver_compromised: bool,
-) -> dict[tuple, tuple[int, int]]:
-    senders, lengths, hops = columns.as_numpy()
-    return classify_cycle_arrays(
-        senders, lengths, hops, compromised, adversary, receiver_compromised
-    )
-
-
 def classify_cycle_arrays(
     senders,
     lengths,
@@ -186,16 +118,15 @@ def classify_cycle_arrays(
     adversary: AdversaryModel = AdversaryModel.FULL_BAYES,
     receiver_compromised: bool = True,
 ) -> dict[tuple, tuple[int, int]]:
-    """The NumPy class-key histogram, on bare arrays.
+    """Histogram one chunk into ``{key: (count, representative)}``.
 
-    ``hops`` is the ``n_trials x width`` hop matrix (any layout numpy can
-    index — the fused cycle kernel passes a transposed view of its live
-    level-major draw matrix, skipping the row-major copy the columnar
-    sampler makes).  Shared by :func:`classify_cycle_trials` and
-    :mod:`repro.batch.fused`; produces the same mapping as the pure kernel.
+    ``representative`` is the index of the first trial of the class in the
+    chunk — the trial whose concrete path the score table prices once for
+    the whole class.  ``hops`` is the ``n_trials x width`` hop matrix (any
+    layout numpy can index — the cycle engine passes a transposed view of
+    its level-major draw matrix).  Every key equals :func:`cycle_trial_key`
+    of the trial it counts.
     """
-    import numpy as np
-
     n_trials = len(senders)
     width = hops.shape[1]
     result: dict[tuple, tuple[int, int]] = {}
@@ -253,7 +184,7 @@ def classify_cycle_arrays(
             add(ne_mask, ("fb", 1, (), "ne"))
 
     # Rare multi-visit trials: the scalar reference rule, row by row in
-    # batch order so representatives match the pure kernel.
+    # chunk order so each class's representative is its first trial.
     for index in np.nonzero(on_path & (hits >= 2))[0]:
         index = int(index)
         length = int(lengths[index])

@@ -3,18 +3,30 @@
 These are the cycle-path members of the :class:`~repro.batch.engine.TrialEngine`
 registry (after the five-class and arrangement simple-path engines): they
 bring Crowds-style protocols onto the batch fast path for *any* number of
-compromised nodes.  One run decomposes into the protocol's three columnar
-stages:
+compromised nodes.  Each chunk runs one kernel, :meth:`CycleBatchEngine.accumulate_chunk`:
 
-1. **sample_block** — draw whole trial blocks of Markov-style hop transitions
-   (:class:`~repro.batch.cyclesampler.CycleTrialSampler`);
+1. **draw** — the simple-path symmetry reduction does not apply here: the
+   adversary's observation class depends on *coincidences* between hop
+   identities (whether the node a compromised node forwarded to later shows
+   up as another observed predecessor), so the kernel draws the hop
+   sequences themselves, as one level-major matrix of Markov-style
+   transitions.  Senders are uniform over the ``N`` nodes, lengths come from
+   the inverse-CDF decoder, and hop level ``h`` is drawn for *every* trial at
+   once: one raw uniform column over ``[0, N-1)`` per level, decoded as "the
+   raw value, skipping the node that currently holds the message" — exactly
+   the uniform-over-``N-1`` no-self-forwarding rule of
+   :class:`~repro.routing.selection.CyclePathSelector`.  Levels beyond a
+   trial's sampled length are still drawn (the chain keeps walking) and
+   masked out by length, so the generator consumption is a fixed function
+   of ``(n_trials, sampled lengths)``;
 2. **classify** — histogram every trial into its cycle observation class
-   (:func:`~repro.batch.cycleclassify.classify_cycle_trials`);
-3. **score** — price each *distinct* class exactly once with the cycle-aware
+   (:func:`~repro.batch.cycleclassify.classify_cycle_arrays`, on a
+   transposed view of the hop matrix);
+3. **price** — score each *distinct* class exactly once with the cycle-aware
    exact Bayesian engine (:class:`CycleScoreTable` over
-   :class:`repro.adversary.inference.BayesianPathInference`), then gather.
+   :class:`repro.adversary.inference.BayesianPathInference`).
 
-Because stage 3 reuses exact per-class entropies, the per-trial entropy
+Because the prices are exact per-class entropies, the per-trial entropy
 samples follow exactly the same law as the hop-by-hop event engine's — the
 class key provably determines the posterior entropy (see
 :mod:`repro.adversary.inference`) — at a large multiple of its throughput:
@@ -30,26 +42,26 @@ first exhibited a class.
 
 Two registrations share the implementation:
 
-* :class:`CycleBatchEngine` (``"cycle"``) — the single-compromised fast path
-  of PR 4, unchanged bit for bit;
-* :class:`MultiCycleEngine` (``"cycle-multi"``) — the engine that closes the
-  roadmap's last coverage gap: cycle paths with ``C != 1`` (including
-  ``C = 0``), classified by multi-node walk-pattern keys and priced by the
-  honest-subgraph walk counts of :mod:`repro.combinatorics.walks`.
+* :class:`CycleBatchEngine` (``"cycle"``) — the single-compromised fast path;
+* :class:`MultiCycleEngine` (``"cycle-multi"``) — cycle paths with
+  ``C != 1`` (including ``C = 0``), classified by multi-node walk-pattern
+  keys and priced by the honest-subgraph walk counts of
+  :mod:`repro.combinatorics.walks`.
 
-Trial blocks are processed in fixed-size chunks so the hop matrix of a
+Trials are processed in fixed-size chunks so the hop matrix of a
 multi-million-trial run never materialises at once; the chunk size is a
 constant, part of the determinism contract.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.adversary.inference import BayesianPathInference
 from repro.adversary.observation import observation_from_path
-from repro.batch._accel import resolve_use_numpy
-from repro.batch.cycleclassify import classify_cycle_trials
-from repro.batch.cyclesampler import CycleTrialSampler
-from repro.batch.engine import TrialEngine, register_engine
+from repro.batch.cycleclassify import classify_cycle_arrays
+from repro.batch.engine import ChunkClasses, TrialEngine, register_engine
+from repro.batch.sampler import InverseCdfDecoder
 from repro.core.model import PathModel, SystemModel
 from repro.distributions.base import PathLengthDistribution
 from repro.exceptions import ConfigurationError
@@ -109,8 +121,10 @@ class CycleScoreTable:
         """Exact ``(entropy_bits, identified)`` of the class of ``key``.
 
         ``sender``/``path`` are any concrete trial of the class; they are
-        canonicalised before pricing, so the returned floats depend only on
-        the key.
+        canonicalised before pricing.  Trials of one class can still
+        canonicalise differently (a full-Bayes key does not fix the hop the
+        compromised node sits on), and their scores then agree only to the
+        last ulp: the first trial this table prices fixes the class's floats.
         """
         cached = self._scores.get(key)
         if cached is not None:
@@ -144,8 +158,8 @@ class CycleScoreTable:
 
         The posterior entropy is invariant under relabelling of honest nodes,
         so mapping every representative onto the same canonical identities —
-        compromised identities stay fixed — makes the score arithmetic, and
-        hence its last-ulp floats, a pure function of the class key.
+        compromised identities stay fixed — makes the score arithmetic a pure
+        function of the canonical trial.
         """
         compromised = self._compromised
         fresh = iter(
@@ -182,17 +196,14 @@ class CycleBatchEngine(TrialEngine):
         model: SystemModel,
         strategy: PathSelectionStrategy,
         compromised: frozenset[int],
-        use_numpy: bool | None = None,
     ) -> None:
-        super().__init__(model, strategy, compromised, use_numpy)
+        super().__init__(model, strategy, compromised)
         if strategy.path_model is not PathModel.CYCLE_ALLOWED:
             raise ConfigurationError(
                 f"{type(self).__name__} requires a cycle-allowed strategy, got "
                 f"{strategy.path_model!r}"
             )
-        self._sampler = CycleTrialSampler(
-            n_nodes=model.n_nodes, distribution=self._distribution
-        )
+        self._lengths = InverseCdfDecoder(self._distribution)
         self._score_table = CycleScoreTable(
             model=model.with_compromised(len(self.compromised)),
             distribution=self._distribution,
@@ -208,35 +219,58 @@ class CycleBatchEngine(TrialEngine):
             and len(compromised) == 1
         )
 
-    def sample_block(self, n_trials: int, generator):
-        return self._sampler.draw(n_trials, generator, use_numpy=self.use_numpy)
+    def accumulate_chunk(
+        self, n_trials: int, generator: np.random.Generator
+    ) -> tuple[int, ChunkClasses]:
+        """Draw, walk, classify, and price one chunk of cycle-path trials.
 
-    def classify(self, block) -> dict[tuple, tuple[int, int]]:
-        return classify_cycle_trials(
-            block,
+        The level-major hop matrix stays live and is classified through a
+        transposed *view* (no row-major copy); class representatives are
+        priced immediately, while the matrix is still live.
+        """
+        n_nodes = self.model.n_nodes
+        senders = generator.integers(0, n_nodes, size=n_trials)
+        lengths = self._lengths.decode(n_trials, generator)
+        width = int(lengths.max())
+        # One raw column per hop level, drawn in level order: the raw value
+        # r in [0, N-1) decodes to "r, skipping the current holder".
+        raw_columns = [
+            generator.integers(0, n_nodes - 1, size=n_trials) for _ in range(width)
+        ]
+
+        levels = np.empty((width, n_trials), dtype=np.int64)
+        current = senders
+        for h, raw in enumerate(raw_columns):
+            step = raw.astype(np.int64)
+            step += step >= current
+            levels[h] = step
+            current = step
+        hops = levels.T  # (n_trials, width) view — no copy
+
+        keyed = classify_cycle_arrays(
+            senders,
+            lengths,
+            hops,
             self.compromised,
             adversary=self.model.adversary,
             receiver_compromised=self.model.receiver_compromised,
-            use_numpy=self.use_numpy,
         )
-
-    def score(self, key, block, representative) -> tuple[float, bool]:
-        return self._score_table.score(
-            key, block.senders[representative], block.path(representative)
-        )
-
-    def fused_accumulate(self, n_trials, generator):
-        if not resolve_use_numpy(self.use_numpy):
-            return super().fused_accumulate(n_trials, generator)
-        from repro.batch.fused import fused_cycle_accumulate
-
-        return fused_cycle_accumulate(self, n_trials, generator)
+        classes: ChunkClasses = {}
+        for key, (count, representative) in keyed.items():
+            path = tuple(
+                int(hop) for hop in hops[representative, : int(lengths[representative])]
+            )
+            entropy, identified = self._score_table.score(
+                key, int(senders[representative]), path
+            )
+            classes[key] = (count, entropy, identified)
+        return int(lengths.sum()), classes
 
 
 class MultiCycleEngine(CycleBatchEngine):
     """The fourth built-in engine: cycle-allowed paths with ``C != 1``.
 
-    Shares the sampler (hop identities carry no compromised knowledge), the
+    Shares the kernel (hop identities carry no compromised knowledge), the
     multi-node classifier keys of :mod:`repro.batch.cycleclassify`, and the
     generalised :class:`CycleScoreTable` with the ``C = 1`` engine; only the
     covered domain differs.  ``C = 0`` degenerates to the silent class under

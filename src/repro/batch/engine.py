@@ -1,37 +1,29 @@
 """The ``TrialEngine`` protocol: one shape for every vectorized estimator.
 
 The paper's central symmetry result — a trial's posterior entropy depends
-only on which symmetric *observation class* the trial falls into — used to be
-implemented once per domain, each time as a private pipeline with its own
-attribute set inside :class:`~repro.batch.estimator.BatchMonteCarlo`.  This
-module factors the shared shape out into one formal protocol:
+only on which symmetric *observation class* the trial falls into — means
+every estimator is the same kernel: draw a chunk of trials, classify each
+into its class, and price each distinct class exactly once.  This module
+fixes that shape as one formal protocol of two members:
 
-``sample_block``
-    Draw one columnar block of trials (struct-of-arrays ``int64`` columns)
-    from the engine's model/strategy, consuming the generator in a fixed,
-    documented order.
-``classify``
-    Reduce a block to a histogram ``{class key: (count, representative)}``
-    with array operations.  ``representative`` is the block index of the
-    first trial of the class (or ``None`` for engines whose keys are
-    self-describing).
-``score``
-    Price one class key *exactly* — entropy bits plus an identified flag —
-    via the closed form, the fragment-arrangement counts, or the cycle walk
-    counts.  Scoring happens once per distinct key, never per trial.
+``covers``
+    A class predicate: can this engine estimate a ``(model, strategy,
+    compromised)`` configuration?  :func:`select_engine` consults it.
+``accumulate_chunk``
+    Draw ``n_trials`` trials from the generator in a fixed, documented
+    order, classify them with array operations, and return the chunk
+    reduction ``(length_sum, {class key: (count, entropy, identified)})``.
+    Each engine prices its classes *exactly* — via the closed form, the
+    fragment-arrangement counts, the cycle walk counts, or a topology's
+    joint class table — and memoises the prices, so a class costs one
+    inference per engine instance, never one per trial.
 
-The concrete driver :meth:`TrialEngine.run_accumulate` reduces a run to a
-:class:`BatchAccumulator` — per-class counts plus a length sum — the currency
-every layer above understands: the ``sharded`` backend ships accumulators
-between processes, the adaptive scheduler merges them block by block, and the
-result cache replays the reports they summarise bit for bit.  Each chunk runs
-through :meth:`TrialEngine.fused_accumulate`: by default the staged
-three-stage pipeline, overridden by the five-class, arrangement, and cycle
-engines with the single-pass kernels of :mod:`repro.batch.fused` (and, when
-numba is installed, by the compiled engines of :mod:`repro.batch.jit`) —
-all draw-for-draw identical to the staged path.  The driver also owns
-chunk-size autotuning: ``chunk_trials = AUTO_CHUNK`` walks a fixed geometric
-ladder once and locks in the fastest rung (see ``docs/backends.md``).
+The concrete driver :meth:`TrialEngine.run_accumulate` splits a budget into
+chunks of :attr:`TrialEngine.chunk_trials` and folds the chunk reductions
+into a :class:`BatchAccumulator` — per-class counts plus a length sum — the
+currency every layer above understands: the ``sharded`` backend ships
+accumulators between processes, the adaptive scheduler merges them block by
+block, and the result cache replays the reports they summarise bit for bit.
 
 Engines register themselves in a registry that mirrors
 :func:`repro.batch.backends.register_backend`:
@@ -40,7 +32,7 @@ engine for a ``(model, strategy, compromised)`` configuration by asking each
 registered engine's :meth:`TrialEngine.covers` predicate, latest registration
 first — so a user-registered engine preempts the built-ins on any domain it
 claims, and a new domain becomes a registration instead of a fork of the
-subsystem.  Four built-in engines cover the whole supported domain:
+subsystem.  Five built-in engines cover the whole supported domain:
 
 ================  =============================================  ==========================
 engine            domain                                         classes
@@ -49,12 +41,13 @@ engine            domain                                         classes
 ``arrangement``   simple paths, any ``C``, honest receiver ok    ``(length, position-mask)``
 ``cycle``         cycle-allowed paths, ``C = 1``                 walk patterns
 ``cycle-multi``   cycle-allowed paths, ``C != 1`` (incl. 0)      walk patterns (multi-node)
+``topology``      any path model on a non-clique topology        enumerated observation keys
 ================  =============================================  ==========================
 
 The two simple-path engines live in this module; the cycle engines live in
-:mod:`repro.batch.cycleengine` (they carry their own sampler and score
-table).  :class:`~repro.batch.estimator.BatchMonteCarlo` is a thin
-dispatcher over :func:`select_engine`.
+:mod:`repro.batch.cycleengine` and the topology engine in
+:mod:`repro.batch.topoengine`.  :class:`~repro.batch.estimator.BatchMonteCarlo`
+is a thin dispatcher over :func:`select_engine`.
 """
 
 from __future__ import annotations
@@ -64,15 +57,15 @@ import logging
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
-from repro.batch._accel import resolve_use_numpy
-from repro.batch.classify import class_counts, classify_columns
-from repro.batch.multiclass import ClassScoreTable, count_class_keys
-from repro.batch.sampler import BatchTrialSampler, MultiTrialSampler
+import numpy as np
+
+from repro.batch.multiclass import ClassScoreTable, count_key_arrays
+from repro.batch.sampler import MAX_MASK_LENGTH, InverseCdfDecoder, decode_masks
 from repro.core.anonymity import AnonymityAnalyzer
-from repro.core.events import EVENT_ORDER
-from repro.core.model import PathModel, SystemModel
+from repro.core.events import EVENT_ORDER, EventClass, event_code
+from repro.core.model import AdversaryModel, PathModel, SystemModel
 from repro.distributions.base import PathLengthDistribution
 from repro.exceptions import ConfigurationError
 from repro.routing.strategies import PathSelectionStrategy
@@ -81,16 +74,13 @@ from repro.telemetry.metrics import DEFAULT_RATE_BUCKETS, get_registry
 from repro.utils.rng import RandomSource, ensure_rng
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from repro.simulation.experiment import MonteCarloReport
 
 logger = logging.getLogger(__name__)
 
 __all__ = [
-    "AUTO_CHUNK",
-    "AUTOTUNE_LADDER",
     "BatchAccumulator",
+    "ChunkClasses",
     "TrialEngine",
     "FiveClassEngine",
     "ArrangementEngine",
@@ -106,33 +96,23 @@ __all__ = [
 #: the shards were configured inconsistently.
 _MERGE_RTOL = 1e-9
 
-#: ``chunk_trials`` sentinel that turns on chunk-size autotuning: the driver
-#: walks :data:`AUTOTUNE_LADDER` once (timing each rung with the injectable
-#: telemetry clock) and then locks in the fastest rung.  Opt-in — the
-#: defaults (``None`` or a constant) stay bit-reproducible across machines,
-#: autotuned runs are reproducible only for a fixed clock (see
-#: ``docs/backends.md``).
-AUTO_CHUNK = "auto"
-
-#: The fixed geometric warmup ladder of chunk autotuning.  Rungs are measured
-#: in ladder order, one full chunk each; ties break toward the earlier rung,
-#: so for a given sequence of clock readings the choice is deterministic.
-AUTOTUNE_LADDER: tuple[int, ...] = (4_096, 8_192, 16_384, 32_768, 65_536)
+#: One chunk reduction's classes: ``{key: (count, entropy_bits, identified)}``.
+ChunkClasses = dict[object, tuple[int, float, bool]]
 
 
-def validate_chunk_trials(value: int | str | None) -> int | str | None:
+def validate_chunk_trials(value: int | None) -> int | None:
     """Validate a ``chunk_trials`` setting and return it unchanged.
 
-    Accepts ``None`` (one block per run), :data:`AUTO_CHUNK`, or an integer
-    ``>= 1``.  Anything else — notably ``0`` or a negative count, which would
-    spin :meth:`TrialEngine.run_accumulate` forever without ever shrinking the
+    Accepts ``None`` (one chunk per run) or an integer ``>= 1``.  Anything
+    else — notably ``0`` or a negative count, which would spin
+    :meth:`TrialEngine.run_accumulate` forever without ever shrinking the
     remaining budget — raises a :class:`~repro.exceptions.ConfigurationError`.
     """
-    if value is None or value == AUTO_CHUNK:
+    if value is None:
         return value
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise ConfigurationError(
-            f"chunk_trials must be None, {AUTO_CHUNK!r}, or an integer >= 1, got {value!r}"
+            f"chunk_trials must be None or an integer >= 1, got {value!r}"
         )
     return value
 
@@ -225,67 +205,47 @@ class BatchAccumulator:
 
 
 class TrialEngine(abc.ABC):
-    """One vectorized estimation pipeline: ``sample_block → classify → score``.
+    """One vectorized estimation kernel: draw → classify → price, per chunk.
 
     An engine binds one ``(model, strategy, compromised)`` configuration at
     construction; :meth:`run_accumulate` then turns trial budgets into
-    :class:`BatchAccumulator` reductions through the three stages.  Engines
-    advertise their domain through the :meth:`covers` class predicate, which
-    is what :func:`select_engine` consults.
+    :class:`BatchAccumulator` reductions through :meth:`accumulate_chunk`.
+    Engines advertise their domain through the :meth:`covers` class
+    predicate, which is what :func:`select_engine` consults.
 
-    Determinism contract: :meth:`sample_block` must consume a fixed number of
-    bulk draws in a fixed order per block, and :attr:`chunk_trials` (when not
-    ``None``) fixes how a budget splits into blocks — so a run is a pure
-    function of the seed, identical between the pure-Python and NumPy
-    kernels, and shard merges can never disagree on a class entropy.
-    Engines that override :meth:`fused_accumulate` must keep the fused kernel
-    draw-for-draw identical to the staged stages (same generator consumption,
-    same class histogram, same scores); the parity tests in
-    ``tests/test_fused.py`` enforce this bit for bit.  The :data:`AUTO_CHUNK`
-    setting trades that bit-stability across machines for throughput: the
-    chunk sequence then depends on the telemetry clock's readings (and only
-    on them), so autotuned results are reproducible for a fixed clock but
-    not across hosts — which is why the adaptive service never caches them.
+    Determinism contract: :meth:`accumulate_chunk` must consume a fixed
+    number of bulk draws in a fixed order per chunk, and
+    :attr:`chunk_trials` (when not ``None``) fixes how a budget splits into
+    chunks — so a run is a pure function of ``(seed, chunk_trials)``, and
+    shard merges can never disagree on a class entropy.
     """
 
     #: Registry key and display name of the engine.
     name: str = "abstract"
-    #: Trials sampled per columnar block.  ``None`` runs the whole budget as
-    #: one block; a constant bounds the live column memory of huge runs and
-    #: is part of the ``(seed -> bits)`` determinism contract;
-    #: :data:`AUTO_CHUNK` lets the driver pick the fastest rung of
-    #: :data:`AUTOTUNE_LADDER` (opting out of cross-machine bit-stability).
-    chunk_trials: int | str | None = None
+    #: Trials drawn per chunk.  ``None`` runs the whole budget as one chunk;
+    #: a constant bounds the live memory of huge runs.  Part of the
+    #: ``(seed -> bits)`` determinism contract.
+    chunk_trials: int | None = None
 
     def __init__(
         self,
         model: SystemModel,
         strategy: PathSelectionStrategy,
         compromised: frozenset[int],
-        use_numpy: bool | None = None,
     ) -> None:
         self.model = model
         self.strategy = strategy
         self.compromised = frozenset(compromised)
-        self.use_numpy = use_numpy
+        if model.n_nodes < 2:
+            raise ConfigurationError(
+                f"batch sampling needs at least 2 nodes, got n_nodes={model.n_nodes}"
+            )
         if any(not 0 <= node < model.n_nodes for node in self.compromised):
             raise ConfigurationError(
                 "compromised node identities must lie in [0, N)"
             )
         validate_chunk_trials(self.chunk_trials)
         self._distribution = strategy.effective_distribution(model.n_nodes)
-        #: Per-key score cache: scores are pure functions of the key for a
-        #: fixed engine configuration, so pricing survives across chunks and
-        #: runs of one instance.
-        self._score_memo: dict[object, tuple[float, bool]] = {}
-        # Autotune state lives on the instance so the warmup ladder spans
-        # run_accumulate calls (adaptive rounds are smaller than the ladder).
-        self._autotune_samples: list[float] = []
-        self._autotuned_chunk: int | None = None
-
-    # ------------------------------------------------------------------ #
-    # Domain                                                              #
-    # ------------------------------------------------------------------ #
 
     @classmethod
     @abc.abstractmethod
@@ -302,150 +262,48 @@ class TrialEngine(abc.ABC):
         """The effective (feasibility-truncated) distribution being estimated."""
         return self._distribution
 
-    # ------------------------------------------------------------------ #
-    # The three stages                                                    #
-    # ------------------------------------------------------------------ #
-
     @abc.abstractmethod
-    def sample_block(self, n_trials: int, generator: "np.random.Generator") -> Any:
-        """Draw one columnar block of ``n_trials`` trials."""
+    def accumulate_chunk(
+        self, n_trials: int, generator: np.random.Generator
+    ) -> tuple[int, ChunkClasses]:
+        """Draw, classify, and price one chunk of ``n_trials`` trials.
 
-    @abc.abstractmethod
-    def classify(self, block: Any) -> dict[object, tuple[int, int | None]]:
-        """Histogram a block into ``{class key: (count, representative)}``.
-
-        ``representative`` is the block index of the first trial of the class
-        when :meth:`score` needs a concrete trial to price the class, or
-        ``None`` when the key alone suffices.
+        Returns ``(length_sum, {class key: (count, entropy, identified)})``.
+        Keys must be hashable and ``repr``-stable; each distinct key is priced
+        exactly once per engine instance.
         """
-
-    @abc.abstractmethod
-    def score(
-        self, key: object, block: Any, representative: int | None
-    ) -> tuple[float, bool]:
-        """Exact ``(entropy_bits, identified)`` of one observation class."""
-
-    # ------------------------------------------------------------------ #
-    # The driver                                                          #
-    # ------------------------------------------------------------------ #
-
-    def block_length_sum(self, block: Any) -> int:
-        """Summed path length of one block (NumPy-accelerated when enabled)."""
-        if resolve_use_numpy(self.use_numpy):
-            return int(block.as_numpy()[1].sum())
-        return sum(block.lengths)
-
-    def fused_accumulate(
-        self, n_trials: int, generator: "np.random.Generator"
-    ) -> tuple[int, dict[object, tuple[int, float, bool]]]:
-        """One chunk, reduced to ``(length_sum, {key: (count, entropy, identified)})``.
-
-        The default implementation is the staged pipeline —
-        ``sample_block → classify → score`` — with per-key scores memoised on
-        the instance so a class is priced exactly once no matter how many
-        chunks (or runs) it appears in.  Engines with a single-pass kernel
-        (see :mod:`repro.batch.fused`) override this to draw, encode, and
-        reduce without materialising the intermediate block; overrides must
-        stay draw-for-draw identical to this staged path.
-        """
-        block = self.sample_block(n_trials, generator)
-        length_sum = self.block_length_sum(block)
-        memo = self._score_memo
-        classes: dict[object, tuple[int, float, bool]] = {}
-        for key, (count, representative) in self.classify(block).items():
-            score = memo.get(key)
-            if score is None:
-                score = self.score(key, block, representative)
-                memo[key] = score
-            classes[key] = (count, score[0], score[1])
-        return length_sum, classes
-
-    @property
-    def autotuned_chunk(self) -> int | None:
-        """The chunk size chosen by :data:`AUTO_CHUNK` warmup, once decided."""
-        return self._autotuned_chunk
-
-    def _autotune_next_chunk(self) -> int:
-        """The next chunk size under autotuning: the current rung, or the pick."""
-        if self._autotuned_chunk is not None:
-            return self._autotuned_chunk
-        return AUTOTUNE_LADDER[len(self._autotune_samples)]
-
-    def _autotune_record(
-        self, block_trials: int, chunk_seconds: float, telemetry: Any
-    ) -> None:
-        """Record one warmup measurement; lock in the winner after the ladder.
-
-        Only full rungs count — a run ending mid-rung leaves the ladder where
-        it was, and the next ``run_accumulate`` call resumes it.  Throughput
-        ties break toward the earlier (smaller) rung, so the decision is a
-        deterministic function of the clock readings alone.
-        """
-        if self._autotuned_chunk is not None:
-            return
-        samples = self._autotune_samples
-        if block_trials != AUTOTUNE_LADDER[len(samples)]:
-            return
-        samples.append(
-            block_trials / chunk_seconds if chunk_seconds > 0.0 else math.inf
-        )
-        if len(samples) == len(AUTOTUNE_LADDER):
-            best = max(range(len(samples)), key=samples.__getitem__)
-            self._autotuned_chunk = AUTOTUNE_LADDER[best]
-            logger.debug(
-                "engine %s autotuned chunk_trials=%d (throughputs %r)",
-                self.name,
-                self._autotuned_chunk,
-                samples,
-            )
-            if telemetry.enabled:
-                telemetry.gauge(
-                    "engine_chunk_autotuned", engine=self.name
-                ).set(self._autotuned_chunk)
 
     def run_accumulate(
         self, n_trials: int, rng: RandomSource = None
     ) -> BatchAccumulator:
-        """Run ``n_trials`` trials through the fused chunks; one accumulator.
+        """Run ``n_trials`` trials chunk by chunk; one accumulator.
 
         This is the shard-sized unit of work of the ``sharded`` backend: the
         returned accumulator is a columnar reduction (per-class counts plus a
-        length sum), cheap to pickle and mergeable by summation.  Each chunk
-        runs through :meth:`fused_accumulate` — the engine's single-pass
-        kernel where one exists, the staged three-stage pipeline otherwise —
-        and each distinct class key is priced exactly once per instance, on
-        first sight.
+        length sum), cheap to pickle and mergeable by summation.
 
         When telemetry is active (see :mod:`repro.telemetry`), every chunk
         reports its trial count, wall time, and throughput under the engine's
         name; with the default null registry the instrumentation cost is one
-        ``enabled`` check per chunk.  Under :data:`AUTO_CHUNK` the clock is
-        read regardless — the warmup ladder needs the timings — and the
-        chosen chunk size is surfaced as the ``engine_chunk_autotuned`` gauge.
+        ``enabled`` check per chunk.
         """
         if n_trials < 1:
             raise ConfigurationError("n_trials must be >= 1")
         # Re-validated here (not only at construction) because chunk_trials
         # is also assignable on instances; a 0 would otherwise loop forever.
-        chunk_setting = validate_chunk_trials(self.chunk_trials)
-        autotuning = chunk_setting == AUTO_CHUNK
+        chunk_trials = validate_chunk_trials(self.chunk_trials)
         generator = ensure_rng(rng)
         telemetry = get_registry()
         classes: dict[object, list] = {}
         length_sum = 0
         remaining = n_trials
         while remaining:
-            if autotuning:
-                block_trials = min(self._autotune_next_chunk(), remaining)
-            elif chunk_setting is None:
-                block_trials = remaining
-            else:
-                assert isinstance(chunk_setting, int)
-                block_trials = min(chunk_setting, remaining)
+            block_trials = (
+                remaining if chunk_trials is None else min(chunk_trials, remaining)
+            )
             remaining -= block_trials
-            timed = autotuning or telemetry.enabled
-            chunk_started = telemetry.clock() if timed else 0.0
-            chunk_length, chunk_classes = self.fused_accumulate(
+            chunk_started = telemetry.clock() if telemetry.enabled else 0.0
+            chunk_length, chunk_classes = self.accumulate_chunk(
                 block_trials, generator
             )
             length_sum += chunk_length
@@ -455,10 +313,8 @@ class TrialEngine(abc.ABC):
                     classes[key] = [count, entropy, identified]
                 else:
                     entry[0] += count
-            chunk_seconds = (telemetry.clock() - chunk_started) if timed else 0.0
-            if autotuning:
-                self._autotune_record(block_trials, chunk_seconds, telemetry)
             if telemetry.enabled:
+                chunk_seconds = telemetry.clock() - chunk_started
                 telemetry.counter("engine_chunks_total", engine=self.name).inc()
                 telemetry.counter(
                     "engine_trials_total", engine=self.name
@@ -489,13 +345,32 @@ class TrialEngine(abc.ABC):
 # ---------------------------------------------------------------------- #
 
 
+def _check_simple_path_support(
+    distribution: PathLengthDistribution, n_nodes: int
+) -> None:
+    """Reject a length law that no simple path on ``n_nodes`` nodes can follow."""
+    if distribution.max_length > n_nodes - 1:
+        raise ConfigurationError(
+            f"distribution {distribution.name} reaches length "
+            f"{distribution.max_length}, infeasible for simple paths on "
+            f"{n_nodes} nodes; truncate it first"
+        )
+
+
+_ORIGIN = event_code(EventClass.ORIGIN)
+_SILENT = event_code(EventClass.SILENT)
+_LAST = event_code(EventClass.LAST)
+_PENULTIMATE = event_code(EventClass.PENULTIMATE)
+_INTERIOR = event_code(EventClass.INTERIOR)
+
+
 class FiveClassEngine(TrialEngine):
     """The paper's core domain: five symmetric classes, one closed form.
 
     One compromised node, compromised receiver, simple paths.  A trial is
-    three integers (sender, length, compromised hop position or absent); one
-    exact closed-form evaluation prices all five classes up front, so
-    :meth:`score` is a table lookup.
+    three integers (sender, length, compromised hop slot — see
+    :mod:`repro.batch.sampler`); one exact closed-form evaluation prices all
+    five classes up front, so a chunk reduces to a handful of counts.
     """
 
     name = "five-class"
@@ -505,23 +380,19 @@ class FiveClassEngine(TrialEngine):
         model: SystemModel,
         strategy: PathSelectionStrategy,
         compromised: frozenset[int],
-        use_numpy: bool | None = None,
     ) -> None:
-        super().__init__(model, strategy, compromised, use_numpy)
+        super().__init__(model, strategy, compromised)
         if not self.covers(model, strategy, self.compromised):
             raise ConfigurationError(
                 "the five-class engine covers one compromised node with a "
                 "compromised receiver on simple paths; got "
                 f"C={len(self.compromised)} on {strategy.path_model.value} paths"
             )
+        _check_simple_path_support(self._distribution, model.n_nodes)
         (self._compromised_node,) = self.compromised
-        self._sampler = BatchTrialSampler(
-            n_nodes=model.n_nodes,
-            distribution=self._distribution,
-            compromised_node=self._compromised_node,
-        )
+        self._lengths = InverseCdfDecoder(self._distribution)
         # One exact closed-form evaluation yields the entropy and the
-        # identification flag of every class; trials only index into it.
+        # identification flag of every class; chunks only count them.
         analysis = AnonymityAnalyzer(
             model.with_compromised(1)
         ).analyze(self._distribution)
@@ -534,10 +405,6 @@ class FiveClassEngine(TrialEngine):
                 identified.add(code)
         self._entropy_by_code = tuple(entropies)
         self._identified_codes = frozenset(identified)
-        # Hoisted out of classify(): the class codes *are* the histogram
-        # indices (the encoding of EVENT_ORDER), so per-chunk classification
-        # never needs to touch EventClass objects again.
-        self._n_codes = len(EVENT_ORDER)
 
     @classmethod
     def covers(
@@ -553,45 +420,65 @@ class FiveClassEngine(TrialEngine):
             and model.receiver_compromised
         )
 
-    def sample_block(self, n_trials: int, generator: "np.random.Generator") -> Any:
-        return self._sampler.draw(n_trials, generator, use_numpy=self.use_numpy)
+    def accumulate_chunk(
+        self, n_trials: int, generator: np.random.Generator
+    ) -> tuple[int, ChunkClasses]:
+        """Draw senders, lengths, and slots; count the five classes.
 
-    def classify(self, block: Any) -> dict[object, tuple[int, int | None]]:
-        codes = classify_columns(
-            block,
-            self._compromised_node,
-            adversary=self.model.adversary,
-            use_numpy=self.use_numpy,
-        )
-        if resolve_use_numpy(self.use_numpy):
-            import numpy as np
+        Works in *slot* space: a trial's compromised node is on the path at
+        position ``slot + 1`` exactly when ``slot < length``.  The five
+        classes partition the chunk, so the whole histogram is a handful of
+        ``count_nonzero`` reductions and two subtractions — no per-trial code
+        vector is written at all.  The mask algebra mirrors the precedence of
+        :func:`repro.core.events.classify_trial` — ORIGIN beats LAST and
+        PENULTIMATE, which beat INTERIOR — by excluding each stronger class
+        from the weaker counts.
+        """
+        adversary = self.model.adversary
+        n_nodes = self.model.n_nodes
+        senders = generator.integers(0, n_nodes, size=n_trials)
+        lengths = self._lengths.decode(n_trials, generator)
+        slots = generator.integers(0, n_nodes - 1, size=n_trials)
 
-            histogram = np.bincount(
-                np.frombuffer(codes, dtype=np.int8), minlength=self._n_codes
+        on_path = slots < lengths
+        origin = senders == self._compromised_node
+        if adversary is AdversaryModel.POSITION_AWARE:
+            # The first hop sees the sender directly: slot 0 identifies too.
+            origin = origin | (on_path & (slots == 0))
+        n_origin = int(np.count_nonzero(origin))
+        observed = on_path & ~origin
+        n_observed = int(np.count_nonzero(observed))
+        if adversary is AdversaryModel.PREDECESSOR_ONLY:
+            n_last = n_penultimate = 0
+            n_interior = n_observed
+        else:
+            last_slot = lengths - 1
+            n_last = int(np.count_nonzero(observed & (slots == last_slot)))
+            n_penultimate = int(
+                np.count_nonzero(observed & (slots == last_slot - 1))
             )
-            return {
-                code: (int(count), None)
-                for code, count in enumerate(histogram)
-                if count
-            }
-        counts = class_counts(codes)
-        return {
-            code: (counts[cls], None)
-            for code, cls in enumerate(EVENT_ORDER)
-            if counts[cls]
+            n_interior = n_observed - n_last - n_penultimate
+        n_silent = n_trials - n_origin - n_observed
+
+        counts = (
+            (_ORIGIN, n_origin),
+            (_SILENT, n_silent),
+            (_LAST, n_last),
+            (_PENULTIMATE, n_penultimate),
+            (_INTERIOR, n_interior),
+        )
+        # Ascending code order keeps the accumulator's class order (and so
+        # every downstream float summation) fixed from chunk to chunk.
+        classes: ChunkClasses = {
+            code: (
+                count,
+                self._entropy_by_code[code],
+                code in self._identified_codes,
+            )
+            for code, count in sorted(counts)
+            if count
         }
-
-    def score(self, key: Any, block: Any, representative: int | None) -> tuple[float, bool]:
-        return self._entropy_by_code[key], key in self._identified_codes
-
-    def fused_accumulate(
-        self, n_trials: int, generator: "np.random.Generator"
-    ) -> tuple[int, dict[object, tuple[int, float, bool]]]:
-        if not resolve_use_numpy(self.use_numpy):
-            return super().fused_accumulate(n_trials, generator)
-        from repro.batch.fused import fused_five_class_accumulate
-
-        return fused_five_class_accumulate(self, n_trials, generator)
+        return int(lengths.sum()), classes
 
 
 class ArrangementEngine(TrialEngine):
@@ -610,21 +497,27 @@ class ArrangementEngine(TrialEngine):
         model: SystemModel,
         strategy: PathSelectionStrategy,
         compromised: frozenset[int],
-        use_numpy: bool | None = None,
     ) -> None:
-        super().__init__(model, strategy, compromised, use_numpy)
+        super().__init__(model, strategy, compromised)
         if not self.covers(model, strategy, self.compromised):
             raise ConfigurationError(
                 "the arrangement engine covers simple-path strategies; got "
                 f"{strategy.path_model.value} paths"
             )
-        self._sampler = MultiTrialSampler(
-            n_nodes=model.n_nodes,
-            distribution=self._distribution,
-            n_compromised=len(self.compromised),
-        )
+        _check_simple_path_support(self._distribution, model.n_nodes)
+        if self._distribution.max_length > MAX_MASK_LENGTH:
+            raise ConfigurationError(
+                f"distribution {self._distribution.name} reaches length "
+                f"{self._distribution.max_length}, beyond the {MAX_MASK_LENGTH}-hop "
+                "position bitmask; use the hop-by-hop 'event' engine"
+            )
+        # With C == N there is no honest sender, so masks are never consulted
+        # (and C distinct slots would not fit in the N - 1 slot range anyway).
+        n_compromised = len(self.compromised)
+        self._n_slot_columns = n_compromised if n_compromised < model.n_nodes else 0
+        self._lengths = InverseCdfDecoder(self._distribution)
         self._score_table = ClassScoreTable(
-            model=model.with_compromised(len(self.compromised)),
+            model=model.with_compromised(n_compromised),
             distribution=self._distribution,
             compromised=self.compromised,
         )
@@ -638,25 +531,31 @@ class ArrangementEngine(TrialEngine):
     ) -> bool:
         return model.clique_routing and strategy.path_model is PathModel.SIMPLE
 
-    def sample_block(self, n_trials: int, generator: "np.random.Generator") -> Any:
-        return self._sampler.draw(n_trials, generator, use_numpy=self.use_numpy)
+    def accumulate_chunk(
+        self, n_trials: int, generator: np.random.Generator
+    ) -> tuple[int, ChunkClasses]:
+        """Draw senders, lengths, and one raw slot column per compromised node.
 
-    def classify(self, block: Any) -> dict[object, tuple[int, int | None]]:
-        keyed = count_class_keys(block, self.compromised, use_numpy=self.use_numpy)
-        return {key: (count, None) for key, count in keyed.items()}
+        The slot columns decode to position bitmasks
+        (:func:`~repro.batch.sampler.decode_masks`), and the packed
+        ``(length, mask)`` keys reduce through one ``np.unique`` histogram
+        (:func:`~repro.batch.multiclass.count_key_arrays`).
+        """
+        n_nodes = self.model.n_nodes
+        senders = generator.integers(0, n_nodes, size=n_trials)
+        lengths = self._lengths.decode(n_trials, generator)
+        raw_columns = [
+            generator.integers(0, n_nodes - 1 - j, size=n_trials)
+            for j in range(self._n_slot_columns)
+        ]
+        masks = decode_masks(lengths, raw_columns, n_trials)
 
-    def score(self, key: Any, block: Any, representative: int | None) -> tuple[float, bool]:
-        score = self._score_table.score(key)
-        return score.entropy_bits, score.identified
-
-    def fused_accumulate(
-        self, n_trials: int, generator: "np.random.Generator"
-    ) -> tuple[int, dict[object, tuple[int, float, bool]]]:
-        if not resolve_use_numpy(self.use_numpy):
-            return super().fused_accumulate(n_trials, generator)
-        from repro.batch.fused import fused_arrangement_accumulate
-
-        return fused_arrangement_accumulate(self, n_trials, generator)
+        keyed = count_key_arrays(senders, lengths, masks, self.compromised)
+        classes: ChunkClasses = {}
+        for key, count in keyed.items():
+            score = self._score_table.score(key)
+            classes[key] = (count, score.entropy_bits, score.identified)
+        return int(lengths.sum()), classes
 
 
 # ---------------------------------------------------------------------- #
@@ -679,9 +578,10 @@ def register_engine(
     and therefore for the ``batch``/``sharded`` backends, the adaptive
     service, sweeps, and the CLI — without touching any call site.
     ``engine`` must be constructible as
-    ``engine(model=..., strategy=..., compromised=..., use_numpy=...)`` and
-    expose the :class:`TrialEngine` surface (the ``covers`` predicate plus
-    ``run_accumulate``).  Later registrations take precedence on any domain
+    ``engine(model=..., strategy=..., compromised=...)`` and expose the
+    :class:`TrialEngine` surface (the ``covers`` predicate plus
+    ``run_accumulate``, which subclasses get by implementing
+    ``accumulate_chunk``).  Later registrations take precedence on any domain
     they claim, so registering is also how the built-ins are overridden.
 
     The registry is process-local; the ``sharded`` backend resolves the

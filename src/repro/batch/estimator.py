@@ -6,19 +6,20 @@ estimator builds one message, one observation, and one exact Bayesian
 posterior per trial, the batch estimator exploits the symmetry result of the
 paper: the posterior entropy of a trial depends *only* on which symmetric
 observation class the trial falls into.  One run therefore decomposes into
-the three columnar stages of the :class:`~repro.batch.engine.TrialEngine`
-protocol — ``sample_block`` (parallel int64 columns), ``classify`` (array-op
-histogram of class keys), ``score`` (exact per-class entropies, one inference
-per *class*) — reduced to a :class:`~repro.batch.engine.BatchAccumulator`.
+chunks of the :class:`~repro.batch.engine.TrialEngine` kernel
+``accumulate_chunk`` — bulk draws, an array-op histogram of class keys, and
+exact per-class entropies (one inference per *class*) — reduced to a
+:class:`~repro.batch.engine.BatchAccumulator`.
 
 :class:`BatchMonteCarlo` itself is a thin dispatcher: it asks the engine
 registry (:func:`repro.batch.engine.select_engine`) which
 :class:`~repro.batch.engine.TrialEngine` covers the requested
 ``(model, strategy, compromised)`` configuration and delegates the run.  The
-four built-in engines — ``five-class``, ``arrangement``, ``cycle``, and
-``cycle-multi`` — cover one compromised node on the paper's core domain, any
-``C`` with honest receivers on simple paths, and cycle-allowed (Crowds-style)
-strategies at any ``C``; registering a new engine extends the estimator (and
+five built-in engines — ``five-class``, ``arrangement``, ``cycle``,
+``cycle-multi``, and ``topology`` — cover one compromised node on the paper's
+core domain, any ``C`` with honest receivers on simple paths, cycle-allowed
+(Crowds-style) strategies at any ``C``, and non-clique topologies;
+registering a new engine extends the estimator (and
 the ``sharded`` backend, the adaptive service, sweeps, and the CLI above it)
 without touching any of them.
 
@@ -36,12 +37,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 # Importing the cycle and topology engines registers them alongside the
-# simple-path engines that repro.batch.engine registers at import.  The jit
-# module registers its compiled engines only when numba is importable; it
-# comes last so the compiled tier preempts its numpy twins (latest wins).
+# simple-path engines that repro.batch.engine registers at import.
 import repro.batch.cycleengine  # noqa: F401  (registration side effect)
 import repro.batch.topoengine  # noqa: F401  (registration side effect)
-import repro.batch.jit  # noqa: F401  (conditional registration side effect)
 from repro.batch.engine import (
     BatchAccumulator,
     TrialEngine,
@@ -82,13 +80,10 @@ class BatchMonteCarlo:
     model: SystemModel
     strategy: PathSelectionStrategy
     compromised: frozenset[int] | None = None
-    #: Tri-state NumPy toggle, see :mod:`repro.batch._accel`.
-    use_numpy: bool | None = None
     #: Chunking override for the selected engine: ``None`` keeps the engine's
-    #: default, an integer fixes the chunk size, and
-    #: :data:`~repro.batch.engine.AUTO_CHUNK` enables throughput autotuning.
-    #: Part of the determinism contract — see ``TrialEngine.chunk_trials``.
-    chunk_trials: int | str | None = None
+    #: default and an integer fixes the chunk size.  Part of the determinism
+    #: contract — see ``TrialEngine.chunk_trials``.
+    chunk_trials: int | None = None
 
     _engine: TrialEngine = field(init=False, repr=False)
 
@@ -103,7 +98,6 @@ class BatchMonteCarlo:
             model=self.model,
             strategy=self.strategy,
             compromised=self.compromised,
-            use_numpy=self.use_numpy,
         )
         if self.chunk_trials is not None:
             self._engine.chunk_trials = validate_chunk_trials(self.chunk_trials)
@@ -147,10 +141,9 @@ class BatchMonteCarlo:
         cls,
         model: SystemModel,
         distribution: PathLengthDistribution,
-        use_numpy: bool | None = None,
     ) -> "BatchMonteCarlo":
         """Build an estimator straight from a distribution (no named strategy)."""
         strategy = PathSelectionStrategy(
             name=distribution.name, distribution=distribution
         )
-        return cls(model=model, strategy=strategy, use_numpy=use_numpy)
+        return cls(model=model, strategy=strategy)

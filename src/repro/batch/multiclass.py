@@ -14,8 +14,8 @@ whenever they share
 and every trial whose sender is compromised is an outright identification.
 This module turns that fact into a batch kernel:
 
-:func:`count_class_keys`
-    Reduce a :class:`~repro.batch.columns.MultiTrialColumns` batch to a
+:func:`count_key_arrays`
+    Reduce one chunk's sender, length, and position-mask arrays to a
     histogram of ``(length, position-mask)`` keys (compromised senders fold
     into the single :data:`ORIGIN_KEY`).
 
@@ -31,13 +31,12 @@ This module turns that fact into a batch kernel:
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.adversary.inference import BayesianPathInference
 from repro.adversary.observation import observation_from_path
-from repro.batch._accel import resolve_use_numpy
-from repro.batch.columns import MultiTrialColumns
 from repro.core.model import SystemModel
 from repro.distributions.base import PathLengthDistribution
 from repro.exceptions import ConfigurationError
@@ -48,7 +47,6 @@ __all__ = [
     "ORIGIN_KEY",
     "ClassScore",
     "ClassScoreTable",
-    "count_class_keys",
     "count_key_arrays",
 ]
 
@@ -56,35 +54,12 @@ __all__ = [
 #: always has ``length >= 0``, so ``-1`` can never collide with one.
 ORIGIN_KEY: tuple[int, int] = (-1, 0)
 
-#: Packing layout of the accelerated histogram: 7 low bits hold ``length + 1``
+#: Packing layout of the histogram: 7 low bits hold ``length + 1``
 #: (0..64, with 0 for the ORIGIN sentinel's ``-1``), the rest hold the mask.
 #: Usable whenever ``mask < 2**56``, i.e. the path fits 56 hops.
 _PACK_SHIFT = 7
 _PACK_LENGTH_MASK = (1 << _PACK_SHIFT) - 1
 _PACK_MAX_LENGTH = 56
-
-
-def count_class_keys(
-    columns: MultiTrialColumns,
-    compromised: frozenset[int],
-    use_numpy: bool | None = None,
-) -> dict[tuple[int, int], int]:
-    """Histogram of ``(length, mask)`` class keys over one columnar batch.
-
-    Trials whose sender is in ``compromised`` all land on :data:`ORIGIN_KEY`;
-    for the rest the key is the trial's ``(length, position-mask)`` pair.  The
-    pure-Python and NumPy reductions produce identical histograms.
-    """
-    if resolve_use_numpy(use_numpy):
-        senders, lengths, masks = columns.as_numpy()
-        return count_key_arrays(senders, lengths, masks, compromised)
-    counted = Counter(
-        ORIGIN_KEY if sender in compromised else (length, mask)
-        for sender, length, mask in zip(
-            columns.senders, columns.lengths, columns.masks
-        )
-    )
-    return dict(counted)
 
 
 def count_key_arrays(
@@ -93,14 +68,11 @@ def count_key_arrays(
     masks,
     compromised: frozenset[int],
 ) -> dict[tuple[int, int], int]:
-    """The NumPy reduction of :func:`count_class_keys`, on bare int64 arrays.
+    """Histogram of ``(length, mask)`` class keys over one chunk's arrays.
 
-    Shared by the columnar path above and the single-pass kernel of
-    :mod:`repro.batch.fused`, which holds the live draw arrays and never
-    builds a :class:`~repro.batch.columns.MultiTrialColumns` at all.
+    Trials whose sender is in ``compromised`` all land on :data:`ORIGIN_KEY`;
+    for the rest the key is the trial's ``(length, position-mask)`` pair.
     """
-    import numpy as np
-
     origin = (
         np.isin(senders, np.fromiter(compromised, dtype=np.int64))
         if compromised

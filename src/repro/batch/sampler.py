@@ -1,12 +1,13 @@
-"""Bulk sampling of rerouting-path trials as columns.
+"""Bulk draws shared by the clique engines: lengths, slots, and position masks.
 
 One trial of the single-compromised-node model is fully characterised by
-three integers (see :mod:`repro.batch.columns`): the sender, the path length,
-and where — if anywhere — the compromised node ``m`` sits on the path.  The
-sampler draws all three *in bulk*:
+three integers: the sender, the path length, and where — if anywhere — the
+compromised node ``m`` sits on the path.  The engines draw all three *in
+bulk*:
 
 * senders are uniform over the ``N`` nodes (the paper's a-priori assumption);
-* lengths come from the distribution's inverse-CDF batch sampler
+* lengths come from :class:`InverseCdfDecoder`, a table-accelerated,
+  bit-identical twin of the distribution's inverse-CDF batch sampler
   (:meth:`repro.distributions.base.PathLengthDistribution.sample_batch`);
 * the position of ``m`` exploits the symmetry of uniform simple-path
   selection: conditioned on ``sender != m``, the compromised node is one of
@@ -17,37 +18,29 @@ sampler draws all three *in bulk*:
   reproduces the exact joint law of the hop-by-hop path builder — without
   materialising any of the other ``l - 1`` node identities.
 
-:class:`MultiTrialSampler` generalises the slot trick to ``C >= 0``
-compromised nodes: extend the rerouting path to a uniformly random
-permutation of all ``N - 1`` non-sender nodes (the first ``l`` entries *are*
-the path), and the compromised nodes occupy ``C`` distinct, uniformly random
-slots of that permutation.  Drawing ``C`` distinct slots — via the classic
-"draw ``r_j ∈ {0 .. N-2-j}`` and map to the ``r_j``-th untaken slot" decode —
-and keeping those ``< l`` reproduces the exact joint law of the compromised
+:func:`decode_masks` generalises the slot trick to ``C >= 0`` compromised
+nodes: extend the rerouting path to a uniformly random permutation of all
+``N - 1`` non-sender nodes (the first ``l`` entries *are* the path), and the
+compromised nodes occupy ``C`` distinct, uniformly random slots of that
+permutation.  Drawing ``C`` distinct slots — via the classic "draw
+``r_j ∈ {0 .. N-2-j}`` and map to the ``r_j``-th untaken slot" decode — and
+keeping those ``< l`` reproduces the exact joint law of the compromised
 *position set*, again without materialising any honest node identity.
 
-A fixed number of bulk draws is consumed from the generator per batch
-(senders, length uniforms, then one slot column per compromised node), in a
-fixed order, so results are deterministic under a fixed seed no matter which
-post-processing path (pure-Python or NumPy) consumes the columns afterwards.
+Each engine consumes a fixed number of bulk draws from the generator per
+chunk (senders, length uniforms, then its slot or hop columns), in a fixed
+order, so results are deterministic under a fixed seed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 
-from repro.batch._accel import resolve_use_numpy
-from repro.batch.columns import (
-    ABSENT,
-    MultiTrialColumns,
-    TrialColumns,
-    int64_column,
-)
+import numpy as np
+
 from repro.distributions.base import PathLengthDistribution
-from repro.exceptions import ConfigurationError
-from repro.utils.rng import RandomSource, ensure_rng
 
-__all__ = ["BatchTrialSampler", "MultiTrialSampler", "MAX_MASK_LENGTH"]
+__all__ = ["MAX_MASK_LENGTH", "InverseCdfDecoder", "decode_masks"]
 
 #: Longest path representable in a position bitmask (int64, one bit of
 #: headroom).  Systems whose effective distribution exceeds this need the
@@ -55,222 +48,82 @@ __all__ = ["BatchTrialSampler", "MultiTrialSampler", "MAX_MASK_LENGTH"]
 MAX_MASK_LENGTH = 62
 
 
-@dataclass(frozen=True)
-class BatchTrialSampler:
-    """Draws batches of ``(sender, length, position)`` trial columns.
+class InverseCdfDecoder:
+    """LUT-accelerated bulk inverse-CDF length decode, bit-identical to
+    :meth:`~repro.distributions.base.PathLengthDistribution.sample_batch`.
 
-    Parameters
-    ----------
-    n_nodes:
-        System size ``N``.
-    distribution:
-        Path-length distribution to sample from.  Must already be feasible for
-        simple paths (``max_length <= n_nodes - 1``); use
-        :meth:`~repro.routing.strategies.PathSelectionStrategy.effective_distribution`
-        to truncate heavy-tailed strategies first.
-    compromised_node:
-        Identity of the single compromised node ``m``.  The anonymity degree
-        is invariant under node relabelling, so the default canonical choice
-        (node ``0``) is fully general.
+    ``sample_batch`` binary-searches the whole cumulative table for every
+    uniform.  Length supports are tiny (tens of entries), so almost every
+    uniform can be resolved by one table gather instead: bucket the unit
+    interval into ``2**12`` equal cells and precompute, per cell, the length
+    every uniform in the cell must decode to.  A cell determines the length
+    exactly when ``searchsorted`` returns the same index for both cell
+    endpoints; cells that straddle a table boundary (at most ``support`` of
+    the 4096) hold a sentinel instead, and their uniforms fall back to the
+    *same* ``searchsorted`` call — so the decoded lengths are exactly
+    ``sample_batch``'s.  The bucket index ``int(u * 2**12)`` is computed
+    exactly — multiplying a float64 by a power of two only shifts its
+    exponent — so no rounding can leak a uniform into the wrong cell.
+
+    One ``generator.random(n)`` draw per chunk, identical to ``sample_batch``.
     """
 
-    n_nodes: int
-    distribution: PathLengthDistribution
-    compromised_node: int = 0
+    _SCALE_BITS = 12
 
-    def __post_init__(self) -> None:
-        if self.n_nodes < 2:
-            raise ConfigurationError(
-                f"batch sampling needs at least 2 nodes, got n_nodes={self.n_nodes}"
+    def __init__(self, distribution: PathLengthDistribution) -> None:
+        lengths, cumulative = distribution.cdf_table()
+        self._cum = np.asarray(cumulative)
+        self._lengths = np.asarray(lengths, dtype=np.int64)
+        scale = 1 << self._SCALE_BITS
+        self._scale = scale
+        edges = np.searchsorted(
+            self._cum, np.arange(scale + 1) / scale, side="left"
+        )
+        np.minimum(edges, len(self._lengths) - 1, out=edges)
+        self._sentinel = int(self._lengths.min()) - 1
+        self._table = np.where(
+            edges[:-1] == edges[1:], self._lengths[edges[:-1]], self._sentinel
+        )
+
+    def decode(self, n_trials: int, generator: np.random.Generator) -> np.ndarray:
+        """Draw ``n_trials`` lengths as a live int64 array."""
+        uniforms = generator.random(n_trials)
+        # int64 buckets: fancy indexing re-casts narrower index arrays to
+        # intp, which costs more than the wider astype saves.
+        buckets = (uniforms * self._scale).astype(np.int64)
+        lengths = self._table[buckets]
+        unresolved = np.nonzero(lengths == self._sentinel)[0]
+        if unresolved.size:
+            indices = np.searchsorted(
+                self._cum, uniforms[unresolved], side="left"
             )
-        if not 0 <= self.compromised_node < self.n_nodes:
-            raise ConfigurationError(
-                f"compromised node {self.compromised_node} outside the node range "
-                f"[0, {self.n_nodes})"
-            )
-        if self.distribution.max_length > self.n_nodes - 1:
-            raise ConfigurationError(
-                f"distribution {self.distribution.name} reaches length "
-                f"{self.distribution.max_length}, infeasible for simple paths on "
-                f"{self.n_nodes} nodes; truncate it first"
-            )
-
-    def draw(
-        self,
-        n_trials: int,
-        rng: RandomSource = None,
-        use_numpy: bool | None = None,
-    ) -> TrialColumns:
-        """Sample ``n_trials`` trials as one columnar batch."""
-        if n_trials < 1:
-            raise ConfigurationError(f"n_trials must be >= 1, got {n_trials}")
-        generator = ensure_rng(rng)
-        accelerate = resolve_use_numpy(use_numpy)
-
-        senders_raw = generator.integers(0, self.n_nodes, size=n_trials)
-        lengths = self.distribution.sample_batch(n_trials, generator)
-        slots_raw = generator.integers(0, self.n_nodes - 1, size=n_trials)
-
-        if accelerate:
-            import numpy as np
-
-            lengths_np = np.frombuffer(lengths, dtype=np.int64)
-            positions_np = np.where(
-                slots_raw < lengths_np, slots_raw + 1, ABSENT
-            ).astype(np.int64)
-            senders = int64_column()
-            senders.frombytes(senders_raw.astype(np.int64).tobytes())
-            positions = int64_column()
-            positions.frombytes(positions_np.tobytes())
-        else:
-            senders = int64_column(int(s) for s in senders_raw)
-            positions = int64_column(
-                slot + 1 if slot < length else ABSENT
-                for slot, length in zip((int(s) for s in slots_raw), lengths)
-            )
-        return TrialColumns(senders=senders, lengths=lengths, positions=positions)
+            np.minimum(indices, len(self._lengths) - 1, out=indices)
+            lengths[unresolved] = self._lengths[indices]
+        return lengths
 
 
-@dataclass(frozen=True)
-class MultiTrialSampler:
-    """Draws batches of ``(sender, length, position-set)`` trial columns.
+def decode_masks(
+    lengths: np.ndarray, raw_columns: Sequence[np.ndarray], n_trials: int
+) -> np.ndarray:
+    """Decode raw slot columns to position bitmasks, as a live int64 array.
 
-    The multi-compromised generalisation of :class:`BatchTrialSampler`: instead
-    of one hop position, every trial carries the *bitmask* of 1-based hop
-    positions occupied by any of the ``C`` compromised nodes (see
-    :class:`~repro.batch.columns.MultiTrialColumns`).  The masks are drawn from
-    the exact joint law of uniform simple-path selection conditioned on an
-    honest sender; trials whose sender is compromised ignore the mask (the
-    adversary observes the origination directly).
-
-    Parameters
-    ----------
-    n_nodes:
-        System size ``N``.
-    distribution:
-        Path-length distribution to sample from; must be feasible for simple
-        paths *and* fit the position bitmask (``max_length <= 62``).
-    n_compromised:
-        Number of compromised nodes ``C`` (``0 <= C <= N``).  Identities are
-        irrelevant here — the position-set law is the same for any fixed set
-        of ``C`` non-sender nodes.
+    ``raw_columns[j]`` holds uniform draws over the ``N - 1 - j`` slots still
+    untaken; each is shifted past the already-taken slots in ascending order
+    (the insertion walk of the module docstring), and bit ``s`` of a trial's
+    mask is set when its compromised node landed on slot ``s < length``,
+    i.e. on 1-based hop position ``s + 1``.
     """
-
-    n_nodes: int
-    distribution: PathLengthDistribution
-    n_compromised: int = 1
-
-    def __post_init__(self) -> None:
-        if self.n_nodes < 2:
-            raise ConfigurationError(
-                f"batch sampling needs at least 2 nodes, got n_nodes={self.n_nodes}"
-            )
-        if not 0 <= self.n_compromised <= self.n_nodes:
-            raise ConfigurationError(
-                f"n_compromised {self.n_compromised} outside [0, {self.n_nodes}]"
-            )
-        if self.distribution.max_length > self.n_nodes - 1:
-            raise ConfigurationError(
-                f"distribution {self.distribution.name} reaches length "
-                f"{self.distribution.max_length}, infeasible for simple paths on "
-                f"{self.n_nodes} nodes; truncate it first"
-            )
-        if self.distribution.max_length > MAX_MASK_LENGTH:
-            raise ConfigurationError(
-                f"distribution {self.distribution.name} reaches length "
-                f"{self.distribution.max_length}, beyond the {MAX_MASK_LENGTH}-hop "
-                "position bitmask; use the hop-by-hop 'event' engine"
-            )
-
-    @property
-    def _n_slot_columns(self) -> int:
-        # With C == N there is no honest sender, so masks are never consulted
-        # (and C distinct slots would not fit in the N - 1 slot range anyway).
-        return self.n_compromised if self.n_compromised < self.n_nodes else 0
-
-    def draw(
-        self,
-        n_trials: int,
-        rng: RandomSource = None,
-        use_numpy: bool | None = None,
-    ) -> MultiTrialColumns:
-        """Sample ``n_trials`` trials as one columnar batch."""
-        if n_trials < 1:
-            raise ConfigurationError(f"n_trials must be >= 1, got {n_trials}")
-        generator = ensure_rng(rng)
-        accelerate = resolve_use_numpy(use_numpy)
-
-        senders_raw = generator.integers(0, self.n_nodes, size=n_trials)
-        lengths = self.distribution.sample_batch(n_trials, generator)
-        # One bulk column per compromised node: r_j is uniform over the
-        # N-1-j slots still untaken, decoded below to the r_j-th free slot.
-        raw_columns = [
-            generator.integers(0, self.n_nodes - 1 - j, size=n_trials)
-            for j in range(self._n_slot_columns)
-        ]
-
-        if accelerate:
-            return self._decode_numpy(senders_raw, lengths, raw_columns, n_trials)
-        return self._decode_pure(senders_raw, lengths, raw_columns, n_trials)
-
-    # ------------------------------------------------------------------ #
-    # Slot decoding kernels (same semantics, tested against each other)   #
-    # ------------------------------------------------------------------ #
-
-    def _decode_pure(self, senders_raw, lengths, raw_columns, n_trials):
-        masks = int64_column(bytes(8 * n_trials))
-        if raw_columns:
-            for i, (length, raws) in enumerate(
-                zip(lengths, zip(*(column.tolist() for column in raw_columns)))
-            ):
-                taken: list[int] = []
-                mask = 0
-                for raw in raws:
-                    slot = raw
-                    for occupied in sorted(taken):
-                        if slot >= occupied:
-                            slot += 1
-                    taken.append(slot)
-                    if slot < length:
-                        mask |= 1 << slot
-                masks[i] = mask
-        senders = int64_column(int(s) for s in senders_raw)
-        return MultiTrialColumns(senders=senders, lengths=lengths, masks=masks)
-
-    def _decode_numpy(self, senders_raw, lengths, raw_columns, n_trials):
-        import numpy as np
-
-        lengths_np = np.frombuffer(lengths, dtype=np.int64)
-        masks_np = self._decode_masks_numpy(lengths_np, raw_columns, n_trials)
-        senders = int64_column()
-        senders.frombytes(senders_raw.astype(np.int64).tobytes())
-        masks = int64_column()
-        masks.frombytes(masks_np.tobytes())
-        return MultiTrialColumns(senders=senders, lengths=lengths, masks=masks)
-
-    @staticmethod
-    def _decode_masks_numpy(lengths_np, raw_columns, n_trials):
-        """Decode raw slot columns to position bitmasks, as a live int64 array.
-
-        The array half of :meth:`_decode_numpy`, shared with the single-pass
-        arrangement kernel of :mod:`repro.batch.fused` (which skips the
-        ``array('q')`` conversion entirely).
-        """
-        import numpy as np
-
-        masks_np = np.zeros(n_trials, dtype=np.int64)
-        slots = np.empty((len(raw_columns), n_trials), dtype=np.int64)
-        for j, raw in enumerate(raw_columns):
-            values = raw.astype(np.int64)
-            if j:
-                # Shift past already-taken slots in ascending order — the
-                # vectorized twin of the pure kernel's insertion walk.
-                occupied = np.sort(slots[:j], axis=0)
-                for k in range(j):
-                    values += values >= occupied[k]
-            slots[j] = values
-            on_path = values < lengths_np
-            masks_np |= np.where(
-                on_path, np.int64(1) << np.minimum(values, MAX_MASK_LENGTH), 0
-            )
-        return masks_np
+    masks = np.zeros(n_trials, dtype=np.int64)
+    slots = np.empty((len(raw_columns), n_trials), dtype=np.int64)
+    for j, raw in enumerate(raw_columns):
+        values = raw.astype(np.int64)
+        if j:
+            occupied = np.sort(slots[:j], axis=0)
+            for k in range(j):
+                values += values >= occupied[k]
+        slots[j] = values
+        on_path = values < lengths
+        masks |= np.where(
+            on_path, np.int64(1) << np.minimum(values, MAX_MASK_LENGTH), 0
+        )
+    return masks

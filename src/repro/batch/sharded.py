@@ -7,8 +7,8 @@ throughput with cores.  The design leans on the accumulator factoring of
 
 * the trial budget is split into ``shards`` near-equal chunks;
 * every shard gets its own sub-seed, drawn from the parent generator in shard
-  order, and runs a full :class:`~repro.batch.estimator.BatchMonteCarlo`
-  kernel in a worker process;
+  order, and runs the selected :class:`~repro.batch.engine.TrialEngine` in a
+  worker process;
 * each worker returns only a :class:`~repro.batch.estimator.BatchAccumulator`
   — per-class counts plus a length sum, a few hundred bytes — so nothing
   per-trial (no columns, no delivery logs, no observations) ever crosses a
@@ -30,7 +30,7 @@ results independent of the machine's parallelism.
 Workers are started with the ``spawn`` method (never ``fork``), so the backend
 is safe under threaded parents and behaves identically across platforms; the
 worker entry point is a module-level function whose payload is just the
-(picklable) model, strategy, trial count, and sub-seed.
+(picklable) model, strategy, trial count, sub-seed, and engine class.
 
 Registered as the ``"sharded"`` estimator backend; reach it anywhere a backend
 name is accepted::
@@ -51,8 +51,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from repro.batch.backends import EstimatorBackend, register_backend
-from repro.batch.engine import select_engine
-from repro.batch.estimator import BatchAccumulator, BatchMonteCarlo
+from repro.batch.engine import TrialEngine, select_engine
+from repro.batch.estimator import BatchAccumulator
 from repro.core.model import SystemModel
 from repro.exceptions import ConfigurationError
 from repro.routing.strategies import PathSelectionStrategy
@@ -107,16 +107,14 @@ class ShardTask:
     chose without consulting their own (process-local) registry — a
     user-registered engine therefore shards correctly as long as its class
     lives in an importable module, the standard constraint on any
-    multiprocessing payload.  ``None`` falls back to dispatching through
-    :class:`~repro.batch.estimator.BatchMonteCarlo` in the worker.
+    multiprocessing payload.
     """
 
     model: SystemModel
     strategy: PathSelectionStrategy
     n_trials: int
     seed: int
-    use_numpy: bool | None
-    engine: Callable | None = None
+    engine: Callable[..., TrialEngine]
 
 
 @dataclass(frozen=True)
@@ -148,18 +146,11 @@ def _run_shard(task: ShardTask) -> ShardResult:
     Module-level (hence picklable by reference) so it works under the
     ``spawn`` start method, where the child imports this module afresh.
     """
-    if task.engine is not None:
-        kernel = task.engine(
-            model=task.model,
-            strategy=task.strategy,
-            compromised=task.model.compromised_nodes(),
-            use_numpy=task.use_numpy,
-        )
-    else:
-        kernel = BatchMonteCarlo(
-            model=task.model, strategy=task.strategy, use_numpy=task.use_numpy
-        )
-    engine_name = getattr(kernel, "name", None) or kernel.engine.name
+    kernel = task.engine(
+        model=task.model,
+        strategy=task.strategy,
+        compromised=task.model.compromised_nodes(),
+    )
     # Elapsed-time *reporting* only — never feeds the accumulator bits.
     started = time.perf_counter()  # repro: ignore[R001]
     accumulator = kernel.run_accumulate(task.n_trials, rng=task.seed)
@@ -167,12 +158,12 @@ def _run_shard(task: ShardTask) -> ShardResult:
         accumulator=accumulator,
         elapsed_seconds=time.perf_counter() - started,  # repro: ignore[R001]
         n_trials=task.n_trials,
-        engine_name=engine_name,
+        engine_name=kernel.name,
     )
 
 
 class ShardedBackend(EstimatorBackend):
-    """Multiprocess estimator backend: sharded ``BatchMonteCarlo`` kernels.
+    """Multiprocess estimator backend: sharded trial-engine kernels.
 
     Parameters
     ----------
@@ -184,9 +175,6 @@ class ShardedBackend(EstimatorBackend):
         Number of seed streams the trial budget is split into (default:
         ``workers``).  Fixing ``shards`` makes results independent of
         ``workers``; see the module docstring for the determinism contract.
-    use_numpy:
-        Tri-state NumPy toggle forwarded to every shard kernel, see
-        :mod:`repro.batch._accel`.
 
     The worker pool is created lazily on the first pooled :meth:`estimate`
     and *reused* across calls, so a sweep that evaluates many points through
@@ -211,7 +199,6 @@ class ShardedBackend(EstimatorBackend):
         self,
         workers: int | None = None,
         shards: int | None = None,
-        use_numpy: bool | None = None,
     ) -> None:
         if workers is None:
             workers = default_workers()
@@ -227,7 +214,6 @@ class ShardedBackend(EstimatorBackend):
             raise ConfigurationError(f"shards must be >= 1, got {shards}")
         self.workers = workers
         self.shards = shards
-        self._use_numpy = use_numpy
         self._pool: ProcessPoolExecutor | None = None
         self._pool_finalizer: weakref.finalize | None = None
 
@@ -314,7 +300,6 @@ class ShardedBackend(EstimatorBackend):
                 strategy=strategy,
                 n_trials=size,
                 seed=int(generator.integers(0, 2**63 - 1)),
-                use_numpy=self._use_numpy,
                 engine=engine,
             )
             for size in split_trials(n_trials, self.shards)

@@ -4,27 +4,24 @@ The four clique engines (``five-class``, ``arrangement``, ``cycle``,
 ``cycle-multi``) all rest on relabelling symmetry: honest identities are
 interchangeable, so classes can be keyed by *pattern* instead of identity.
 On a general topology that symmetry is gone — a star's hub and a leaf are
-different worlds — so this engine takes the graph-general route:
+different worlds — so this engine takes the graph-general route.  At
+construction it enumerates every ``(sender, length, path)`` outcome of the
+:class:`~repro.core.topology.TopologyPathLaw` into flat tables:
 
-``sample_block``
-    One trial is two bulk draws: a uniform sender and one uniform float that
-    indexes the sender's flattened inverse-CDF over every enumerated
-    ``(length, path)`` outcome of the
-    :class:`~repro.core.topology.TopologyPathLaw`.  The table bakes the law's
-    exact probabilities (row-normalised transition walks for cycle paths,
-    per-sender renormalised uniform simple paths) into one cumulative array
-    per sender, so the sampled outcomes follow the law exactly and the draw
-    count per trial is fixed — part of the ``(seed -> bits)`` determinism
-    contract shared by the pure-Python and NumPy kernels.
-``classify``
-    Each enumerated outcome's observation-class key is precomputed at
-    construction (identity-carrying keys — no canonical relabelling), so a
-    block classifies with one gather plus a bincount.
-``score``
-    Classes are priced from the exact joint table of
-    :class:`~repro.adversary.inference.TopologyClassTable` — the same table
-    the topology-aware Bayesian inference reads — so batch estimates and the
-    exhaustive analyzer agree on every class entropy to floating point.
+* one cumulative-probability ramp per sender, baking the law's exact
+  probabilities (row-normalised transition walks for cycle paths,
+  per-sender renormalised uniform simple paths) into an inverse CDF;
+* each outcome's length and precomputed observation-class id
+  (identity-carrying keys — no canonical relabelling);
+* each class's exact score, priced from the joint table of
+  :class:`~repro.adversary.inference.TopologyClassTable` — the same table
+  the topology-aware Bayesian inference reads — so batch estimates and the
+  exhaustive analyzer agree on every class entropy to floating point.
+
+A chunk (:meth:`TopologyEngine.accumulate_chunk`) is then two bulk draws per
+trial — a uniform sender and one uniform float that indexes the sender's
+ramp — followed by one gather and one ``np.bincount``.  The draw count per
+trial is fixed, part of the ``(seed -> bits)`` determinism contract.
 
 The engine covers *both* path models on any connected non-clique topology at
 any number of compromised nodes; construction cost is the path enumeration
@@ -36,14 +33,11 @@ experiments.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from collections import Counter
-from dataclasses import dataclass
+import numpy as np
 
 from repro.adversary.inference import TopologyClassTable, observation_class_key
 from repro.adversary.observation import observation_from_path
-from repro.batch._accel import resolve_use_numpy
-from repro.batch.engine import TrialEngine, register_engine
+from repro.batch.engine import ChunkClasses, TrialEngine, register_engine
 from repro.core.model import PathModel, SystemModel
 from repro.core.topology import TopologyPathLaw
 from repro.exceptions import ConfigurationError
@@ -51,36 +45,11 @@ from repro.routing.strategies import PathSelectionStrategy
 from repro.simulation.results import IDENTIFIED_THRESHOLD
 from repro.utils.mathx import entropy_bits, kahan_sum
 
-__all__ = ["TopologyEngine", "TopologyTrialBlock", "CHUNK_TRIALS"]
+__all__ = ["TopologyEngine", "CHUNK_TRIALS"]
 
 #: Trials per columnar block; matches the cycle engines and is part of the
 #: (seed -> bits) determinism contract.
 CHUNK_TRIALS = 65_536
-
-
-@dataclass(frozen=True)
-class TopologyTrialBlock:
-    """One columnar block of resolved topology trials.
-
-    ``senders`` / ``lengths`` / ``keys`` are parallel columns (lists in the
-    pure kernel, int64 arrays in the NumPy kernel); ``keys`` holds the
-    precomputed class id of each trial's enumerated outcome, so
-    classification never revisits paths.
-    """
-
-    senders: object
-    lengths: object
-    keys: object
-
-    def as_numpy(self):
-        """The three columns as NumPy int64 arrays (senders, lengths, keys)."""
-        import numpy as np
-
-        return (
-            np.asarray(self.senders, dtype=np.int64),
-            np.asarray(self.lengths, dtype=np.int64),
-            np.asarray(self.keys, dtype=np.int64),
-        )
 
 
 class TopologyEngine(TrialEngine):
@@ -94,9 +63,8 @@ class TopologyEngine(TrialEngine):
         model: SystemModel,
         strategy: PathSelectionStrategy,
         compromised: frozenset[int],
-        use_numpy: bool | None = None,
     ) -> None:
-        super().__init__(model, strategy, compromised, use_numpy)
+        super().__init__(model, strategy, compromised)
         if model.topology is None:
             raise ConfigurationError(
                 "the topology engine needs a model that carries a topology; "
@@ -119,12 +87,12 @@ class TopologyEngine(TrialEngine):
         # sampling plus the outcome's length and class id.
         n = model.n_nodes
         key_ids: dict[tuple, int] = {}
-        self._entry_lengths: list[int] = []
-        self._entry_keys: list[int] = []
-        self._offsets: list[int] = []
-        self._cum: list[list[float]] = []
+        entry_lengths: list[int] = []
+        entry_keys: list[int] = []
+        offsets: list[int] = []
+        self._ramps: list[np.ndarray] = []
         for sender in range(n):
-            self._offsets.append(len(self._entry_lengths))
+            offsets.append(len(entry_lengths))
             running = 0.0
             ramp: list[float] = []
             for length, path, probability in law.entries(sender):
@@ -138,9 +106,12 @@ class TopologyEngine(TrialEngine):
                 key_id = key_ids.setdefault(key, len(key_ids))
                 running += probability
                 ramp.append(running)
-                self._entry_lengths.append(length)
-                self._entry_keys.append(key_id)
-            self._cum.append(ramp)
+                entry_lengths.append(length)
+                entry_keys.append(key_id)
+            self._ramps.append(np.asarray(ramp, dtype=np.float64))
+        self._offsets = np.asarray(offsets, dtype=np.int64)
+        self._entry_lengths = np.asarray(entry_lengths, dtype=np.int64)
+        self._entry_keys = np.asarray(entry_keys, dtype=np.int64)
 
         # Exact per-class scores, priced once from the joint table.
         self._scores: list[tuple[float, bool]] = []
@@ -152,84 +123,35 @@ class TopologyEngine(TrialEngine):
                 (entropy_bits(posterior), max(posterior) >= IDENTIFIED_THRESHOLD)
             )
 
-        self._np_cache = None
-
     @classmethod
     def covers(cls, model, strategy, compromised) -> bool:
         return not model.clique_routing
 
-    # ------------------------------------------------------------------ #
-    # The three stages                                                    #
-    # ------------------------------------------------------------------ #
-
-    def _numpy_tables(self):
-        if self._np_cache is None:
-            import numpy as np
-
-            self._np_cache = (
-                [np.asarray(ramp, dtype=np.float64) for ramp in self._cum],
-                np.asarray(self._offsets, dtype=np.int64),
-                np.asarray(self._entry_lengths, dtype=np.int64),
-                np.asarray(self._entry_keys, dtype=np.int64),
-            )
-        return self._np_cache
-
-    def sample_block(self, n_trials: int, generator) -> TopologyTrialBlock:
+    def accumulate_chunk(
+        self, n_trials: int, generator: np.random.Generator
+    ) -> tuple[int, ChunkClasses]:
+        """Draw senders and ramp uniforms; gather outcomes; count class ids."""
         n = self.model.n_nodes
         senders = generator.integers(0, n, size=n_trials)
         draws = generator.random(n_trials)
-        if resolve_use_numpy(self.use_numpy):
-            import numpy as np
-
-            ramps, offsets, lengths, keys = self._numpy_tables()
-            entry = np.empty(n_trials, dtype=np.int64)
-            for sender in range(n):
-                mask = senders == sender
-                if not mask.any():
-                    continue
-                ramp = ramps[sender]
-                local = np.searchsorted(ramp, draws[mask], side="right")
-                np.minimum(local, len(ramp) - 1, out=local)
-                entry[mask] = offsets[sender] + local
-            return TopologyTrialBlock(
-                senders=senders.astype(np.int64),
-                lengths=lengths[entry],
-                keys=keys[entry],
-            )
-        sender_list = [int(s) for s in senders]
-        length_col: list[int] = []
-        key_col: list[int] = []
-        for sender, draw in zip(sender_list, draws):
-            ramp = self._cum[sender]
-            local = bisect_right(ramp, draw)
-            if local >= len(ramp):
-                local = len(ramp) - 1
-            index = self._offsets[sender] + local
-            length_col.append(self._entry_lengths[index])
-            key_col.append(self._entry_keys[index])
-        return TopologyTrialBlock(
-            senders=sender_list, lengths=length_col, keys=key_col
+        entry = np.empty(n_trials, dtype=np.int64)
+        for sender in range(n):
+            mask = senders == sender
+            if not mask.any():
+                continue
+            ramp = self._ramps[sender]
+            local = np.searchsorted(ramp, draws[mask], side="right")
+            np.minimum(local, len(ramp) - 1, out=local)
+            entry[mask] = self._offsets[sender] + local
+        histogram = np.bincount(
+            self._entry_keys[entry], minlength=len(self._scores)
         )
-
-    def classify(self, block) -> dict[object, tuple[int, int | None]]:
-        if resolve_use_numpy(self.use_numpy):
-            import numpy as np
-
-            histogram = np.bincount(
-                block.as_numpy()[2], minlength=len(self._scores)
-            )
-            return {
-                key_id: (int(count), None)
-                for key_id, count in enumerate(histogram)
-                if count
-            }
-        return {
-            key_id: (count, None)
-            for key_id, count in sorted(Counter(block.keys).items())
-        }
-
-    def score(self, key, block, representative) -> tuple[float, bool]:
-        return self._scores[key]
+        classes: ChunkClasses = {}
+        for key_id, count in enumerate(histogram):
+            if count:
+                entropy, identified = self._scores[key_id]
+                classes[key_id] = (int(count), entropy, identified)
+        return int(self._entry_lengths[entry].sum()), classes
 
     # ------------------------------------------------------------------ #
     # Exact results                                                       #

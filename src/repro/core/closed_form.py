@@ -121,6 +121,11 @@ def _general_degree_from_pmf(n_nodes: int, pmf: dict[int, float]) -> float:
     n = n_nodes
     ff = falling_factorial
 
+    def share(numerator: int, length: int) -> float:
+        # Divide the exact integers first: past N ~ 171 the falling
+        # factorials no longer fit in a float, but their ratio always does.
+        return numerator / ff(n - 1, length)
+
     p_silent = sum(prob * (n - 1 - length) for length, prob in pmf.items()) / n
     p_last = sum(prob for length, prob in pmf.items() if length >= 1) / n
     p_pen = sum(prob for length, prob in pmf.items() if length >= 2) / n
@@ -129,7 +134,7 @@ def _general_degree_from_pmf(n_nodes: int, pmf: dict[int, float]) -> float:
     silent_entropy = _weighted_class_entropy(
         pmf.get(0, 0.0),
         sum(
-            prob * ff(n - 3, length - 1) / ff(n - 1, length)
+            prob * share(ff(n - 3, length - 1), length)
             for length, prob in pmf.items()
             if length >= 1 and ff(n - 1, length) > 0
         ),
@@ -138,7 +143,7 @@ def _general_degree_from_pmf(n_nodes: int, pmf: dict[int, float]) -> float:
     last_entropy = _weighted_class_entropy(
         pmf.get(1, 0.0) / ff(n - 1, 1),
         sum(
-            prob * ff(n - 3, length - 2) / ff(n - 1, length)
+            prob * share(ff(n - 3, length - 2), length)
             for length, prob in pmf.items()
             if length >= 2 and ff(n - 1, length) > 0
         ),
@@ -147,7 +152,7 @@ def _general_degree_from_pmf(n_nodes: int, pmf: dict[int, float]) -> float:
     pen_entropy = _weighted_class_entropy(
         pmf.get(2, 0.0) / ff(n - 1, 2) if n >= 3 else 0.0,
         sum(
-            prob * ff(n - 4, length - 3) / ff(n - 1, length)
+            prob * share(ff(n - 4, length - 3), length)
             for length, prob in pmf.items()
             if length >= 3 and ff(n - 1, length) > 0
         ),
@@ -155,12 +160,12 @@ def _general_degree_from_pmf(n_nodes: int, pmf: dict[int, float]) -> float:
     )
     interior_entropy = _weighted_class_entropy(
         sum(
-            prob * ff(n - 4, length - 3) / ff(n - 1, length)
+            prob * share(ff(n - 4, length - 3), length)
             for length, prob in pmf.items()
             if length >= 3 and ff(n - 1, length) > 0
         ),
         sum(
-            prob * (length - 3) * ff(n - 5, length - 4) / ff(n - 1, length)
+            prob * (length - 3) * share(ff(n - 5, length - 4), length)
             for length, prob in pmf.items()
             if length >= 4 and ff(n - 1, length) > 0
         ),

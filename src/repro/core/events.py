@@ -89,7 +89,8 @@ def classify_trial(
     path (``None`` when it is not on the path).  By the symmetry argument of
     the paper, the adversary's posterior entropy depends only on the resulting
     class — this function is the scalar reference implementation that the
-    columnar classifiers in :mod:`repro.batch.classify` are tested against.
+    five-class batch kernel (:class:`repro.batch.FiveClassEngine`) is tested
+    against.
     """
     if sender_compromised:
         return EventClass.ORIGIN

@@ -884,9 +884,7 @@ def topology_validation(
             batch_report.estimate.contains(truth, slack=0.01)
         )
         if topology is not None:
-            engine = TopologyEngine(
-                model, strategy, model.compromised_nodes(), use_numpy=True
-            )
+            engine = TopologyEngine(model, strategy, model.compromised_nodes())
             checks[f"engine class table matches exhaustive to 1e-10 ({label})"] = (
                 abs(engine.exact_degree() - truth) <= 1e-10
             )

@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.batch.backends import EstimatorBackend, get_backend
-from repro.batch.engine import AUTO_CHUNK, TrialEngine
 from repro.batch.estimator import BatchAccumulator
 from repro.core.model import SystemModel
 from repro.distributions.base import PathLengthDistribution
@@ -62,11 +61,6 @@ STOP_BUDGET = "max_trials"        #: the trial ceiling was exhausted first
 STOP_WALL_CLOCK = "max_seconds"   #: the wall-clock ceiling fired (not cacheable)
 STOP_EXACT = "exact"              #: a zero-variance backend answered directly
 
-#: Round size used while the engine's chunk autotuner is still warming up
-#: (``block_size="auto"``).  Two bootstrap rounds cover the whole warmup
-#: ladder, after which rounds adopt the tuned chunk size.
-AUTO_BOOTSTRAP_BLOCK = 65_536
-
 
 @dataclass(frozen=True)
 class AdaptiveRun:
@@ -79,9 +73,6 @@ class AdaptiveRun:
     #: ``(cumulative trials, CI half-width)`` after each round, in order.
     trajectory: tuple[tuple[int, float], ...]
     elapsed_seconds: float
-    #: True when the run's block sizes came from the chunk autotuner
-    #: (``block_size="auto"``), i.e. from throughput measurements.
-    auto_block: bool = False
 
     @property
     def n_trials(self) -> int:
@@ -97,12 +88,11 @@ class AdaptiveRun:
     def deterministic(self) -> bool:
         """Whether the outcome is a pure function of ``(seed, block_size)``.
 
-        False for runs stopped by the wall-clock ceiling *and* for
-        autotuned-block runs: measured throughput picks the block sizes, so
-        the trial partition — and hence the result bits — depends on the
-        machine.  Non-deterministic runs are never cached by the service.
+        False for runs stopped by the wall-clock ceiling, whose round count
+        depends on the machine.  Non-deterministic runs are never cached by
+        the service.
         """
-        return self.stop_reason != STOP_WALL_CLOCK and not self.auto_block
+        return self.stop_reason != STOP_WALL_CLOCK
 
     @property
     def convergence_history(self) -> tuple[tuple[int, float], ...]:
@@ -161,14 +151,6 @@ class AdaptiveScheduler:
     block_size:
         Trials per round.  Part of the determinism contract: changing it
         changes the sub-seed sequence and therefore the bits of the result.
-        Pass :data:`~repro.batch.engine.AUTO_CHUNK` (``"auto"``) to let the
-        engine's chunk autotuner pick the round size instead: the run warms
-        up on :data:`AUTO_BOOTSTRAP_BLOCK`-sized rounds while the engine
-        walks its throughput ladder, then adopts the tuned chunk size.
-        Autotuned runs are flagged (:attr:`AdaptiveRun.auto_block`) and never
-        treated as deterministic, since the block sizes come from wall-clock
-        throughput.  Requires a backend whose accumulate runner exposes its
-        engine (the ``batch`` backend does).
     max_trials:
         Hard ceiling on total trials; reaching it stops the run un-converged.
     max_seconds:
@@ -186,7 +168,7 @@ class AdaptiveScheduler:
         self,
         backend: str | EstimatorBackend = "batch",
         precision: float | None = 0.01,
-        block_size: int | str = 10_000,
+        block_size: int = 10_000,
         max_trials: int = 1_000_000,
         max_seconds: float | None = None,
         on_round: Callable[[RoundProgress], None] | None = None,
@@ -194,14 +176,13 @@ class AdaptiveScheduler:
     ) -> None:
         if precision is not None and precision <= 0.0:
             raise ConfigurationError(f"precision must be > 0, got {precision}")
-        if block_size != AUTO_CHUNK and (
+        if (
             isinstance(block_size, bool)
             or not isinstance(block_size, int)
             or block_size < 1
         ):
             raise ConfigurationError(
-                f"block_size must be an integer >= 1 or {AUTO_CHUNK!r}, "
-                f"got {block_size!r}"
+                f"block_size must be an integer >= 1, got {block_size!r}"
             )
         if max_trials < 1:
             raise ConfigurationError(f"max_trials must be >= 1, got {max_trials}")
@@ -281,22 +262,7 @@ class AdaptiveScheduler:
             )
         accumulate = runner(model, strategy)
         distribution = strategy.effective_distribution(model.n_nodes)
-
-        auto_block = self.block_size == AUTO_CHUNK
-        if auto_block:
-            # Autotuning lives in the engine's run_accumulate driver; the
-            # scheduler only aligns its round size with the tuned chunk.
-            engine = getattr(getattr(accumulate, "__self__", None), "engine", None)
-            if not isinstance(engine, TrialEngine):
-                raise ConfigurationError(
-                    "block_size='auto' needs a backend whose accumulate "
-                    "runner exposes its trial engine (the 'batch' backend "
-                    "does); pass an explicit integer block_size instead"
-                )
-            engine.chunk_trials = AUTO_CHUNK
-            block_size = AUTO_BOOTSTRAP_BLOCK
-        else:
-            block_size = self.block_size
+        block_size = self.block_size
 
         generator = ensure_rng(rng)
         merged: BatchAccumulator | None = None
@@ -311,10 +277,6 @@ class AdaptiveScheduler:
                 part = accumulate(block, rng=sub_seed)
             merged = part if merged is None else BatchAccumulator.merge([merged, part])
             rounds += 1
-            if auto_block:
-                tuned = engine.autotuned_chunk
-                if tuned is not None:
-                    block_size = tuned
             half_width = self._half_width(merged)
             trajectory.append((merged.n_trials, half_width))
             if self.on_round is not None:
@@ -351,7 +313,6 @@ class AdaptiveScheduler:
             stop_reason=stop_reason,
             trajectory=tuple(trajectory),
             elapsed_seconds=time.perf_counter() - started,
-            auto_block=auto_block,
         )
 
     @staticmethod

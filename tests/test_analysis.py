@@ -209,6 +209,25 @@ class TestR002RegistryContracts:
         assert len(findings) == 1
         assert "HollowEngine" in findings[0].message
         assert "covers" in findings[0].message
+        assert "accumulate_chunk" in findings[0].message
+
+    def test_engine_without_its_kernel_fires(self, tmp_path):
+        root = project_copy(tmp_path)
+        engine = root / "src/repro/batch/engine.py"
+        engine.write_text(
+            engine.read_text()
+            + "\n\nclass KernellessEngine(TrialEngine):\n"
+            + "    name = 'kernelless'\n\n"
+            + "    @classmethod\n"
+            + "    def covers(cls, model, strategy, compromised):\n"
+            + "        return False\n\n"
+            + "register_engine('kernelless', KernellessEngine)\n"
+        )
+        findings = run_check(root=root, rules=("R002",))
+        assert len(findings) == 1
+        assert "KernellessEngine" in findings[0].message
+        assert "accumulate_chunk" in findings[0].message
+        assert "covers" not in findings[0].message
 
     def test_engine_with_own_run_accumulate_is_clean(self, tmp_path):
         root = project_copy(tmp_path)
@@ -470,14 +489,14 @@ class TestProject:
         project = Project(REPO_ROOT)
         methods = project.concrete_methods("FiveClassEngine")
         assert methods is not None
-        # Inherited concrete driver plus own stages.
-        assert {"run_accumulate", "sample_block", "classify", "score"} <= methods
+        # Inherited concrete driver plus its own kernel.
+        assert {"run_accumulate", "accumulate_chunk", "covers"} <= methods
 
     def test_abstract_methods_do_not_satisfy_lookup(self):
         project = Project(REPO_ROOT)
         methods = project.concrete_methods("TrialEngine")
         assert methods is not None
-        assert "sample_block" not in methods
+        assert "accumulate_chunk" not in methods
         assert "run_accumulate" in methods
 
     def test_syntax_error_becomes_r000_finding(self, tmp_path):

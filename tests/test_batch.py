@@ -4,9 +4,9 @@ The load-bearing properties:
 
 * the inverse-CDF bulk sampler on :class:`PathLengthDistribution` reproduces
   the pmf;
-* the columnar classifier agrees trial-for-trial with the scalar reference
-  rule in :func:`repro.core.events.classify_trial`, on both the pure-Python
-  and the NumPy kernels;
+* the five-class kernel's class frequencies reproduce the closed form's
+  event table (its trial-for-trial agreement with the scalar reference rule
+  :func:`repro.core.events.classify_trial` lives in ``tests/test_kernels.py``);
 * the batch estimator is a statistically faithful drop-in for
   ``StrategyMonteCarlo``: its confidence interval covers the closed form on
   the single-compromised-node domain for every distribution family of the
@@ -24,21 +24,16 @@ import pytest
 
 from repro.analysis.sweep import fixed_length_sweep
 from repro.batch import (
-    ABSENT,
     BatchMonteCarlo,
-    BatchTrialSampler,
-    TrialColumns,
+    FiveClassEngine,
     available_backends,
-    class_counts,
-    classify_columns,
     estimate_anonymity,
     get_backend,
     register_backend,
 )
 from repro.batch.backends import ExactBackend, _BACKENDS
-from repro.batch.columns import int64_column
 from repro.core.anonymity import AnonymityAnalyzer
-from repro.core.events import EventClass, classify_trial, event_code
+from repro.core.events import EVENT_ORDER, EventClass, classify_trial
 from repro.core.model import AdversaryModel, PathModel, SystemModel
 from repro.distributions import (
     FixedLength,
@@ -105,95 +100,62 @@ class TestInverseCdfSampler:
             FixedLength(2).sample_batch(-1, rng=0)
 
 
-class TestTrialColumns:
-    def test_mismatched_columns_rejected(self):
-        with pytest.raises(ConfigurationError):
-            TrialColumns(
-                senders=int64_column([1, 2]),
-                lengths=int64_column([3]),
-                positions=int64_column([0, 0]),
-            )
+class _UntruncatedStrategy(PathSelectionStrategy):
+    """A strategy that skips the simple-path truncation of its length law."""
 
-    def test_row_decodes_absent_positions(self):
-        columns = TrialColumns(
-            senders=int64_column([4]),
-            lengths=int64_column([3]),
-            positions=int64_column([ABSENT]),
-        )
-        assert columns.row(0) == (4, 3, None)
-        assert columns.n_trials == 1
+    def effective_distribution(self, n_nodes: int):
+        return self.distribution
 
 
-class TestBatchTrialSampler:
+def five_class_engine(
+    n_nodes: int,
+    distribution,
+    adversary: AdversaryModel = AdversaryModel.FULL_BAYES,
+) -> FiveClassEngine:
+    model = SystemModel(n_nodes=n_nodes, n_compromised=1, adversary=adversary)
+    strategy = PathSelectionStrategy(distribution.name, distribution)
+    return FiveClassEngine(model, strategy, frozenset({0}))
+
+
+def class_histogram(engine: FiveClassEngine, n_trials: int, seed: int) -> dict:
+    """One kernel chunk's counts, keyed by :class:`EventClass` (zeros included)."""
+    _, classes = engine.accumulate_chunk(n_trials, np.random.default_rng(seed))
+    return {
+        event: classes[code][0] if code in classes else 0
+        for code, event in enumerate(EVENT_ORDER)
+    }
+
+
+class TestFiveClassEngineDraws:
     def test_rejects_infeasible_distribution(self):
-        with pytest.raises(ConfigurationError):
-            BatchTrialSampler(n_nodes=5, distribution=FixedLength(10))
+        model = SystemModel(n_nodes=5, n_compromised=1)
+        strategy = _UntruncatedStrategy("F(10)", FixedLength(10))
+        with pytest.raises(ConfigurationError, match="infeasible"):
+            FiveClassEngine(model, strategy, frozenset({0}))
 
     def test_rejects_bad_compromised_node(self):
-        with pytest.raises(ConfigurationError):
-            BatchTrialSampler(
-                n_nodes=5, distribution=FixedLength(2), compromised_node=5
-            )
-
-    def test_columns_have_consistent_ranges(self):
-        sampler = BatchTrialSampler(n_nodes=10, distribution=UniformLength(0, 9))
-        columns = sampler.draw(2_000, rng=4)
-        assert len(columns) == 2_000
-        for sender, length, position in zip(
-            columns.senders, columns.lengths, columns.positions
-        ):
-            assert 0 <= sender < 10
-            assert 0 <= length <= 9
-            assert position == ABSENT or 1 <= position <= length
-
-    def test_pure_and_numpy_paths_draw_identically(self):
-        sampler = BatchTrialSampler(n_nodes=12, distribution=UniformLength(1, 6))
-        fast = sampler.draw(1_500, rng=8, use_numpy=True)
-        pure = sampler.draw(1_500, rng=8, use_numpy=False)
-        assert fast.senders == pure.senders
-        assert fast.lengths == pure.lengths
-        assert fast.positions == pure.positions
+        model = SystemModel(n_nodes=5, n_compromised=1)
+        strategy = PathSelectionStrategy("F(2)", FixedLength(2))
+        with pytest.raises(ConfigurationError, match=r"\[0, N\)"):
+            FiveClassEngine(model, strategy, frozenset({5}))
 
     def test_position_marginals_match_theory(self):
-        """P[m at any given hop | sender honest] = 1/(N-1); off-path matches too."""
+        """P[m at any given hop] = 1/N over all trials; off-path matches too."""
         n_nodes, trials = 8, 60_000
-        sampler = BatchTrialSampler(n_nodes=n_nodes, distribution=FixedLength(3))
-        columns = sampler.draw(trials, rng=13)
-        honest = [
-            position
-            for sender, position in zip(columns.senders, columns.positions)
-            if sender != 0
-        ]
-        per_position = 1.0 / (n_nodes - 1)
-        for hop in (1, 2, 3):
-            observed = sum(1 for p in honest if p == hop) / len(honest)
-            assert observed == pytest.approx(per_position, abs=0.01)
-        off_path = sum(1 for p in honest if p == ABSENT) / len(honest)
-        assert off_path == pytest.approx(1.0 - 3 * per_position, abs=0.01)
+        counts = class_histogram(five_class_engine(n_nodes, FixedLength(3)), trials, 13)
+        # With F(3), hops 3, 2, 1 are exactly LAST, PENULTIMATE, INTERIOR, and
+        # an honest sender (probability (N-1)/N) puts m on each with 1/(N-1).
+        for event in (EventClass.LAST, EventClass.PENULTIMATE, EventClass.INTERIOR):
+            assert counts[event] / trials == pytest.approx(1 / n_nodes, abs=0.01)
+        assert counts[EventClass.SILENT] / trials == pytest.approx(
+            (n_nodes - 1) / n_nodes * (1.0 - 3 / (n_nodes - 1)), abs=0.01
+        )
 
 
 class TestClassification:
-    @pytest.mark.parametrize("adversary", list(AdversaryModel))
-    @pytest.mark.parametrize("use_numpy", [True, False])
-    def test_columnar_matches_scalar_reference(self, adversary, use_numpy):
-        sampler = BatchTrialSampler(n_nodes=9, distribution=UniformLength(0, 8))
-        columns = sampler.draw(3_000, rng=17)
-        codes = classify_columns(columns, 0, adversary=adversary, use_numpy=use_numpy)
-        for index, code in enumerate(codes):
-            sender, length, position = columns.row(index)
-            expected = classify_trial(
-                sender_compromised=sender == 0,
-                length=length,
-                position=position,
-                adversary=adversary,
-            )
-            assert code == event_code(expected)
-
     def test_class_counts_cover_every_class(self):
-        sampler = BatchTrialSampler(n_nodes=9, distribution=UniformLength(0, 8))
-        columns = sampler.draw(4_000, rng=23)
-        counts = class_counts(classify_columns(columns, 0))
-        assert set(counts) == set(EventClass)
+        counts = class_histogram(five_class_engine(9, UniformLength(0, 8)), 4_000, 23)
+        assert all(counts[event] > 0 for event in EventClass)
         assert sum(counts.values()) == 4_000
 
     def test_scalar_reference_validates_position(self):
@@ -205,9 +167,8 @@ class TestClassification:
         model = SystemModel(n_nodes=12, n_compromised=1)
         distribution = UniformLength(1, 6)
         analysis = AnonymityAnalyzer(model).analyze(distribution)
-        sampler = BatchTrialSampler(n_nodes=12, distribution=distribution)
         trials = 80_000
-        counts = class_counts(classify_columns(sampler.draw(trials, rng=29), 0))
+        counts = class_histogram(five_class_engine(12, distribution), trials, 29)
         for summary in analysis.events:
             observed = counts[summary.event] / trials
             assert observed == pytest.approx(summary.probability, abs=0.01)
@@ -245,17 +206,6 @@ class TestBatchEstimatorParity:
         assert first.estimate == second.estimate
         assert first.mean_path_length == second.mean_path_length
         assert first.identification_rate == second.identification_rate
-
-    def test_pure_python_core_equals_numpy_core(self):
-        model = SystemModel(n_nodes=20, n_compromised=1)
-        fast = BatchMonteCarlo.from_distribution(
-            model, UniformLength(2, 8), use_numpy=True
-        ).run(5_000, rng=7)
-        pure = BatchMonteCarlo.from_distribution(
-            model, UniformLength(2, 8), use_numpy=False
-        ).run(5_000, rng=7)
-        assert fast.estimate == pure.estimate
-        assert fast.identification_rate == pure.identification_rate
 
     def test_identification_rate_matches_origin_probability(self):
         """With F(l), l >= 2, only ORIGIN identifies: rate ~ 1/N."""

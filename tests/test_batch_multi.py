@@ -2,9 +2,9 @@
 
 The load-bearing properties:
 
-* the multi-trial sampler draws the exact position-set law of uniform
-  simple-path selection (marginals match theory; pure-Python and NumPy
-  kernels draw identically);
+* the arrangement kernel draws the exact position-set law of uniform
+  simple-path selection (marginals match theory; its trial-for-trial
+  agreement with a scalar insertion walk lives in ``tests/test_kernels.py``);
 * arrangement-class scoring is *exact*: the score of a ``(length, mask)``
   class equals the per-observation posterior entropy the hop-by-hop event
   machinery computes for any concrete trial of that class;
@@ -18,18 +18,15 @@ The load-bearing properties:
 from __future__ import annotations
 
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.adversary.inference import BayesianPathInference
 from repro.adversary.observation import observation_from_path
-from repro.batch import (
-    BatchMonteCarlo,
-    ClassScoreTable,
-    MultiTrialSampler,
-    count_class_keys,
-)
-from repro.batch.multiclass import ORIGIN_KEY
+from repro.batch import ArrangementEngine, BatchMonteCarlo, ClassScoreTable
+from repro.batch.multiclass import ORIGIN_KEY, count_key_arrays
 from repro.core.enumeration import ExhaustiveAnalyzer
 from repro.core.model import AdversaryModel, SystemModel
 from repro.distributions import FixedLength, UniformLength
@@ -42,83 +39,101 @@ SMALL = dict(n_nodes=7)
 SMALL_DISTRIBUTION = UniformLength(1, 4)
 
 
-class TestMultiTrialSampler:
-    def test_rejects_bad_configurations(self):
-        with pytest.raises(ConfigurationError, match="truncate"):
-            MultiTrialSampler(n_nodes=5, distribution=FixedLength(10), n_compromised=2)
-        with pytest.raises(ConfigurationError, match="n_compromised"):
-            MultiTrialSampler(n_nodes=5, distribution=FixedLength(2), n_compromised=6)
-        with pytest.raises(ConfigurationError, match="bitmask"):
-            MultiTrialSampler(
-                n_nodes=80, distribution=UniformLength(1, 70), n_compromised=2
-            )
+class _UntruncatedStrategy(PathSelectionStrategy):
+    """A strategy that skips the simple-path truncation of its length law."""
 
-    def test_pure_and_numpy_paths_draw_identically(self):
-        sampler = MultiTrialSampler(
-            n_nodes=12, distribution=UniformLength(1, 6), n_compromised=3
-        )
-        fast = sampler.draw(1_500, rng=8, use_numpy=True)
-        pure = sampler.draw(1_500, rng=8, use_numpy=False)
-        assert fast.senders == pure.senders
-        assert fast.lengths == pure.lengths
-        assert fast.masks == pure.masks
+    def effective_distribution(self, n_nodes: int):
+        return self.distribution
+
+
+def arrangement_engine(n_nodes, distribution, n_compromised) -> ArrangementEngine:
+    model = SystemModel(n_nodes=n_nodes, n_compromised=n_compromised)
+    strategy = PathSelectionStrategy(distribution.name, distribution)
+    return ArrangementEngine(model, strategy, model.compromised_nodes())
+
+
+def honest_masks(engine, n_trials, seed) -> Counter:
+    """Mask histogram of one kernel chunk's honest-sender trials."""
+    _, classes = engine.accumulate_chunk(n_trials, np.random.default_rng(seed))
+    masks: Counter = Counter()
+    for key, (count, _, _) in classes.items():
+        if key != ORIGIN_KEY:
+            masks[key[1]] += count
+    return masks
+
+
+class TestArrangementEngineDraws:
+    def test_rejects_bad_configurations(self):
+        model = SystemModel(n_nodes=5, n_compromised=2)
+        with pytest.raises(ConfigurationError, match="truncate"):
+            ArrangementEngine(
+                model, _UntruncatedStrategy("F(10)", FixedLength(10)), frozenset({0, 1})
+            )
+        with pytest.raises(ConfigurationError, match=r"\[0, N\)"):
+            ArrangementEngine(
+                model, PathSelectionStrategy("F(2)", FixedLength(2)), frozenset(range(6))
+            )
+        with pytest.raises(ConfigurationError, match="bitmask"):
+            arrangement_engine(80, UniformLength(1, 70), 2)
 
     def test_masks_stay_inside_the_path(self):
-        sampler = MultiTrialSampler(
-            n_nodes=9, distribution=UniformLength(0, 8), n_compromised=3
-        )
-        columns = sampler.draw(2_000, rng=4)
-        for index in range(len(columns)):
-            length = columns.lengths[index]
-            assert columns.masks[index] >> length == 0
-            assert len(columns.positions(index)) <= 3
+        engine = arrangement_engine(9, UniformLength(0, 8), 3)
+        _, classes = engine.accumulate_chunk(2_000, np.random.default_rng(4))
+        for length, mask in classes:
+            if (length, mask) != ORIGIN_KEY:
+                assert mask >> length == 0
+                assert bin(mask).count("1") <= 3
 
     def test_position_marginals_match_theory(self):
         """Each hop hosts a compromised node w.p. C/(N-1); counts never exceed C."""
         n_nodes, c, trials = 8, 3, 60_000
-        sampler = MultiTrialSampler(
-            n_nodes=n_nodes, distribution=FixedLength(4), n_compromised=c
-        )
-        columns = sampler.draw(trials, rng=13)
+        masks = honest_masks(arrangement_engine(n_nodes, FixedLength(4), c), trials, 13)
+        honest = sum(masks.values())
         per_position = c / (n_nodes - 1)
         for hop in (1, 2, 3, 4):
             observed = sum(
-                1 for mask in columns.masks if mask >> (hop - 1) & 1
-            ) / trials
+                count for mask, count in masks.items() if mask >> (hop - 1) & 1
+            ) / honest
             assert observed == pytest.approx(per_position, abs=0.01)
-        mean_on_path = sum(bin(mask).count("1") for mask in columns.masks) / trials
+        mean_on_path = sum(
+            bin(mask).count("1") * count for mask, count in masks.items()
+        ) / honest
         assert mean_on_path == pytest.approx(4 * per_position, abs=0.02)
 
     def test_single_compromised_reduces_to_the_five_class_law(self):
-        """With C=1 the mask marginal equals the position marginal of the C=1 sampler."""
-        sampler = MultiTrialSampler(
-            n_nodes=10, distribution=FixedLength(3), n_compromised=1
-        )
-        columns = sampler.draw(50_000, rng=19)
-        on_path = sum(1 for mask in columns.masks if mask) / len(columns)
-        assert on_path == pytest.approx(3 / 9, abs=0.01)
+        """With C=1 the mask marginal equals the position marginal of the C=1 law."""
+        masks = honest_masks(arrangement_engine(10, FixedLength(3), 1), 50_000, 19)
+        on_path = sum(count for mask, count in masks.items() if mask)
+        assert on_path / sum(masks.values()) == pytest.approx(3 / 9, abs=0.01)
 
 
 class TestClassKeyCounting:
-    def test_pure_and_numpy_histograms_agree(self):
-        sampler = MultiTrialSampler(
-            n_nodes=9, distribution=UniformLength(0, 5), n_compromised=2
-        )
-        columns = sampler.draw(4_000, rng=17)
+    @staticmethod
+    def arrays(n_trials, seed):
+        generator = np.random.default_rng(seed)
+        senders = generator.integers(0, 9, size=n_trials)
+        lengths = generator.integers(0, 6, size=n_trials)
+        masks = generator.integers(0, 1 << 5, size=n_trials) & ((1 << lengths) - 1)
+        return senders, lengths, masks
+
+    def test_histogram_matches_row_by_row_counting(self):
+        senders, lengths, masks = self.arrays(4_000, 17)
         compromised = frozenset({0, 1})
-        fast = count_class_keys(columns, compromised, use_numpy=True)
-        pure = count_class_keys(columns, compromised, use_numpy=False)
-        assert fast == pure
-        assert sum(fast.values()) == 4_000
+        keyed = count_key_arrays(senders, lengths, masks, compromised)
+        expected = Counter(
+            ORIGIN_KEY if sender in compromised else (length, mask)
+            for sender, length, mask in zip(
+                senders.tolist(), lengths.tolist(), masks.tolist()
+            )
+        )
+        assert keyed == dict(expected)
+        assert sum(keyed.values()) == 4_000
 
     def test_origin_key_counts_compromised_senders(self):
-        sampler = MultiTrialSampler(
-            n_nodes=9, distribution=FixedLength(2), n_compromised=2
-        )
-        columns = sampler.draw(3_000, rng=23)
+        senders, lengths, masks = self.arrays(3_000, 23)
         compromised = frozenset({0, 1})
-        keyed = count_class_keys(columns, compromised)
-        expected = sum(1 for sender in columns.senders if sender in compromised)
+        keyed = count_key_arrays(senders, lengths, masks, compromised)
+        expected = sum(1 for sender in senders.tolist() if sender in compromised)
         assert keyed.get(ORIGIN_KEY, 0) == expected
 
 
@@ -236,18 +251,6 @@ class TestMultiBatchParity:
         assert first.estimate == second.estimate
         assert first.mean_path_length == second.mean_path_length
         assert first.identification_rate == second.identification_rate
-
-    def test_pure_python_core_equals_numpy_core(self):
-        model = SystemModel(n_compromised=2, **SMALL)
-        fast = BatchMonteCarlo.from_distribution(
-            model, SMALL_DISTRIBUTION, use_numpy=True
-        ).run(5_000, rng=7)
-        pure = BatchMonteCarlo.from_distribution(
-            model, SMALL_DISTRIBUTION, use_numpy=False
-        ).run(5_000, rng=7)
-        assert fast.estimate == pure.estimate
-        assert fast.identification_rate == pure.identification_rate
-        assert fast.mean_path_length == pure.mean_path_length
 
     def test_entropy_never_exceeds_log2_n(self):
         model = SystemModel(n_nodes=9, n_compromised=4)

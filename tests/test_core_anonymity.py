@@ -295,6 +295,26 @@ class TestClosedFormAgreement:
             analyzer.anonymity_degree(UniformLength(low, high)), abs=1e-9
         )
 
+    # Beyond N ~ 171 the falling factorials of the class weights overflow a
+    # float; the closed form must still evaluate, and agree with the analyzer.
+    def test_uniform_degree_200_1_150(self):
+        analyzer = AnonymityAnalyzer(SystemModel(n_nodes=200))
+        assert uniform_degree(200, 1, 150) == pytest.approx(
+            analyzer.anonymity_degree(UniformLength(1, 150)), abs=1e-12
+        )
+
+    def test_uniform_degree_200_0_199(self):
+        analyzer = AnonymityAnalyzer(SystemModel(n_nodes=200))
+        assert uniform_degree(200, 0, 199) == pytest.approx(
+            analyzer.anonymity_degree(UniformLength(0, 199)), abs=1e-12
+        )
+
+    def test_two_point_degree_200_1_190_half(self):
+        analyzer = AnonymityAnalyzer(SystemModel(n_nodes=200))
+        assert two_point_degree(200, 1, 190, 0.5) == pytest.approx(
+            analyzer.anonymity_degree(TwoPointLength(1, 190, 0.5)), abs=1e-12
+        )
+
     def test_interior_entropy_requires_length_three(self):
         with pytest.raises(ConfigurationError):
             interior_event_entropy(100, 2)

@@ -168,17 +168,13 @@ class TestMemoisedAnalyzerParity:
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
-    """scipy.optimize loads on the first full-simplex optimisation, not with the CLI.
-
-    The top-level ``scipy`` package may still load: numba, behind the
-    optional ``[jit]`` extra, imports it to check its version.
-    """
+    """scipy loads on the first full-simplex optimisation, not with the CLI."""
     source = Path(repro.__file__).resolve().parent.parent
     result = subprocess.run(
         [
             sys.executable,
             "-c",
-            "import sys, repro.cli; print('scipy.optimize' in sys.modules)",
+            "import sys, repro.cli; print('scipy' in sys.modules)",
         ],
         capture_output=True,
         text=True,

@@ -3,9 +3,8 @@
 Covers the full vertical slice the cycle engines rest on: clique walk counts
 (:mod:`repro.combinatorics.walks`), the cycle-aware exact inference
 (:mod:`repro.adversary.inference`) at any number of compromised nodes, the
-columnar sampler/classifier/engines
-(:mod:`repro.batch.cyclesampler` / ``cycleclassify`` / ``cycleengine``), the
-backend/sharding/determinism contracts, and the service round-trip —
+classifier and engines (:mod:`repro.batch.cycleclassify` /
+``cycleengine``), the backend/sharding/determinism contracts, and the service round-trip —
 including the multi-compromised ``cycle-multi`` engine that closed the
 roadmap's last coverage gap.
 
@@ -16,7 +15,9 @@ the only pre-existing exact engine for cycle-allowed paths.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.adversary.inference import BayesianPathInference
@@ -25,12 +26,12 @@ from repro.batch import (
     BatchMonteCarlo,
     CycleBatchEngine,
     CycleScoreTable,
-    CycleTrialSampler,
     ShardedBackend,
-    classify_cycle_trials,
     cycle_trial_key,
     estimate_anonymity,
 )
+from repro.batch import cycleengine
+from repro.batch.cycleclassify import classify_cycle_arrays
 from repro.cli import main
 from repro.combinatorics.walks import (
     clique_walks,
@@ -61,6 +62,47 @@ def cycle_strategy(
         GeometricLength(p_forward=p_forward, minimum=minimum, max_length=max_length),
         path_model=PathModel.CYCLE_ALLOWED,
     )
+
+
+def draw_cycle_trials(n_nodes, distribution, n_trials, seed):
+    """``(sender, path)`` pairs walked hop by hop: uniform next hop, no self-loop."""
+    generator = np.random.default_rng(seed)
+    senders = generator.integers(0, n_nodes, size=n_trials).tolist()
+    trials = []
+    for sender, length in zip(senders, distribution.sample_batch(n_trials, generator)):
+        path = []
+        current = sender
+        for _ in range(length):
+            step = int(generator.integers(0, n_nodes - 1))
+            if step >= current:
+                step += 1
+            path.append(step)
+            current = step
+        trials.append((sender, tuple(path)))
+    return trials
+
+
+def cycle_arrays(trials):
+    """The kernel's array layout of ``trials``: senders, lengths, hop matrix."""
+    width = max(len(path) for _, path in trials)
+    senders = np.array([sender for sender, _ in trials], dtype=np.int64)
+    lengths = np.array([len(path) for _, path in trials], dtype=np.int64)
+    hops = np.zeros((len(trials), width), dtype=np.int64)
+    for index, (_, path) in enumerate(trials):
+        hops[index, : len(path)] = path
+    return senders, lengths, hops
+
+
+def scalar_histogram(trials, compromised, adversary, receiver_compromised=True):
+    """``{key: (count, first index)}`` through ``cycle_trial_key``, row by row."""
+    histogram: dict = {}
+    for index, (sender, path) in enumerate(trials):
+        key = cycle_trial_key(
+            sender, path, len(path), compromised, adversary, receiver_compromised
+        )
+        count, first = histogram.get(key, (0, index))
+        histogram[key] = (count + 1, first)
+    return histogram
 
 
 # ---------------------------------------------------------------------- #
@@ -223,50 +265,58 @@ class TestCycleInference:
 
 
 # ---------------------------------------------------------------------- #
-# Columnar sampler                                                        #
+# Kernel draws                                                            #
 # ---------------------------------------------------------------------- #
 
 
-class TestCycleTrialSampler:
-    def test_paths_follow_the_selector_rules(self, rng):
-        sampler = CycleTrialSampler(
-            n_nodes=7, distribution=UniformLength(0, 9)
+class TestCycleKernelDraws:
+    def test_lengths_can_exceed_the_simple_path_cap(self, rng):
+        # The whole point of the cycle model: no N - 1 feasibility cap.
+        model = SystemModel(n_nodes=3, n_compromised=1)
+        strategy = PathSelectionStrategy(
+            "F(8)", FixedLength(8), path_model=PathModel.CYCLE_ALLOWED
         )
-        columns = sampler.draw(500, rng)
-        for index in range(len(columns)):
-            sender = columns.senders[index]
-            path = columns.path(index)
-            assert len(path) == columns.lengths[index]
+        engine = CycleBatchEngine(model, strategy, frozenset({0}))
+        length_sum, classes = engine.accumulate_chunk(10, rng)
+        assert length_sum == 80
+        assert sum(count for count, _, _ in classes.values()) == 10
+
+    def test_paths_follow_the_selector_rules(self, rng, monkeypatch):
+        """The kernel's hop matrix: no self-forwarding, nodes in range."""
+        walked = []
+
+        def recording(senders, lengths, hops, *args, **kwargs):
+            walked.append((senders.copy(), lengths.copy(), np.array(hops)))
+            return classify_cycle_arrays(senders, lengths, hops, *args, **kwargs)
+
+        monkeypatch.setattr(cycleengine, "classify_cycle_arrays", recording)
+        model = SystemModel(n_nodes=7, n_compromised=1)
+        strategy = PathSelectionStrategy(
+            "U(0, 9)", UniformLength(0, 9), path_model=PathModel.CYCLE_ALLOWED
+        )
+        engine = CycleBatchEngine(model, strategy, frozenset({0}))
+        length_sum, _ = engine.accumulate_chunk(500, rng)
+        ((senders, lengths, hops),) = walked
+        assert hops.shape == (500, lengths.max())
+        assert length_sum == lengths.sum()
+        for sender, length, row in zip(senders, lengths, hops):
+            path = row[:length].tolist()
             if path:
                 assert path[0] != sender
             for first, second in zip(path, path[1:]):
                 assert first != second
             assert all(0 <= node < 7 for node in path)
 
-    def test_pure_and_numpy_columns_identical(self):
-        sampler = CycleTrialSampler(
-            n_nodes=6, distribution=GeometricLength(0.7, minimum=1, max_length=12)
+    def test_rejects_degenerate_configurations(self):
+        with pytest.raises(ConfigurationError):
+            SystemModel(n_nodes=1, n_compromised=0)
+        model = SystemModel(n_nodes=4, n_compromised=1)
+        strategy = PathSelectionStrategy(
+            "F(2)", FixedLength(2), path_model=PathModel.CYCLE_ALLOWED
         )
-        fast = sampler.draw(2_000, rng=42, use_numpy=True)
-        slow = sampler.draw(2_000, rng=42, use_numpy=False)
-        assert fast.senders == slow.senders
-        assert fast.lengths == slow.lengths
-        assert fast.width == slow.width
-        assert fast.hops == slow.hops
-
-    def test_lengths_can_exceed_the_simple_path_cap(self, rng):
-        # The whole point of the cycle model: no N - 1 feasibility cap.
-        sampler = CycleTrialSampler(n_nodes=3, distribution=FixedLength(8))
-        columns = sampler.draw(10, rng)
-        assert columns.width == 8
-        assert all(length == 8 for length in columns.lengths)
-
-    def test_rejects_degenerate_configurations(self, rng):
+        engine = CycleBatchEngine(model, strategy, frozenset({0}))
         with pytest.raises(ConfigurationError):
-            CycleTrialSampler(n_nodes=1, distribution=FixedLength(2))
-        sampler = CycleTrialSampler(n_nodes=4, distribution=FixedLength(2))
-        with pytest.raises(ConfigurationError):
-            sampler.draw(0, rng)
+            engine.run_accumulate(0, rng=1)
 
 
 # ---------------------------------------------------------------------- #
@@ -303,32 +353,24 @@ class TestCycleClassifier:
 
     @pytest.mark.parametrize("adversary", list(AdversaryModel))
     @pytest.mark.parametrize("receiver_compromised", [True, False])
-    def test_pure_and_numpy_kernels_identical(self, adversary, receiver_compromised):
-        sampler = CycleTrialSampler(
-            n_nodes=4, distribution=GeometricLength(0.7, minimum=1, max_length=10)
+    def test_array_kernel_matches_the_scalar_rule(self, adversary, receiver_compromised):
+        """Keys and first-index representatives equal ``cycle_trial_key`` row by row."""
+        trials = draw_cycle_trials(
+            4, GeometricLength(0.7, minimum=1, max_length=10), 4_000, seed=9
         )
-        columns = sampler.draw(4_000, rng=9)
-        fast = classify_cycle_trials(
-            columns, 0, adversary, receiver_compromised, use_numpy=True
+        keyed = classify_cycle_arrays(
+            *cycle_arrays(trials), frozenset({0}), adversary, receiver_compromised
         )
-        slow = classify_cycle_trials(
-            columns, 0, adversary, receiver_compromised, use_numpy=False
+        assert keyed == scalar_histogram(
+            trials, 0, adversary, receiver_compromised
         )
-        assert fast == slow
-        assert sum(count for count, _ in fast.values()) == len(columns)
+        assert sum(count for count, _ in keyed.values()) == len(trials)
 
     def test_kernels_match_scalar_reference(self):
-        columns = CycleTrialSampler(
-            n_nodes=4, distribution=UniformLength(0, 8)
-        ).draw(1_500, rng=3)
-        keyed = classify_cycle_trials(columns, 0, use_numpy=True)
-        from collections import Counter
-
+        trials = draw_cycle_trials(4, UniformLength(0, 8), 1_500, seed=3)
+        keyed = classify_cycle_arrays(*cycle_arrays(trials), frozenset({0}))
         reference = Counter(
-            cycle_trial_key(
-                columns.senders[i], columns.path(i), columns.lengths[i], 0
-            )
-            for i in range(len(columns))
+            cycle_trial_key(sender, path, len(path), 0) for sender, path in trials
         )
         assert {key: count for key, (count, _) in keyed.items()} == dict(reference)
 
@@ -354,17 +396,13 @@ class TestCycleBatchEngine:
         model = SystemModel(n_nodes=6, n_compromised=1)
         strategy = cycle_strategy(max_length=8)
         distribution = strategy.effective_distribution(6)
-        sampler = CycleTrialSampler(n_nodes=6, distribution=distribution)
-        columns = sampler.draw(1_000, rng=23)
         table = CycleScoreTable(
             model=model, distribution=distribution, compromised=frozenset({0})
         )
         inference = BayesianPathInference(
             model.with_path_model(PathModel.CYCLE_ALLOWED), distribution
         )
-        for index in range(len(columns)):
-            sender = columns.senders[index]
-            path = columns.path(index)
+        for sender, path in draw_cycle_trials(6, distribution, 1_000, seed=23):
             key = cycle_trial_key(sender, path, len(path), 0)
             entropy, _ = table.score(key, sender, path)
             observation = observation_from_path(sender, path, frozenset({0}))
@@ -391,13 +429,6 @@ class TestCycleBatchEngine:
         gap = abs(event.degree_bits - batch.degree_bits)
         tolerance = 3.0 * (event.estimate.std_error + batch.estimate.std_error)
         assert gap <= tolerance
-
-    def test_use_numpy_toggle_is_draw_for_draw_identical(self):
-        model = SystemModel(n_nodes=7, n_compromised=1)
-        strategy = cycle_strategy()
-        fast = BatchMonteCarlo(model, strategy, use_numpy=True)
-        slow = BatchMonteCarlo(model, strategy, use_numpy=False)
-        assert fast.run_accumulate(8_000, rng=5) == slow.run_accumulate(8_000, rng=5)
 
     def test_multi_compromised_cycles_select_the_multi_engine(self):
         # The last roadmap gap: C > 1 on cycle paths now has a batch engine.
@@ -697,9 +728,6 @@ class TestMultiCompromisedCycles:
         strategy = cycle_strategy(max_length=8)
         distribution = strategy.effective_distribution(7)
         compromised = frozenset({0, 1})
-        columns = CycleTrialSampler(n_nodes=7, distribution=distribution).draw(
-            800, rng=41
-        )
         table = CycleScoreTable(
             model=model, distribution=distribution, compromised=compromised
         )
@@ -708,9 +736,7 @@ class TestMultiCompromisedCycles:
             distribution,
             compromised,
         )
-        for index in range(len(columns)):
-            sender = columns.senders[index]
-            path = columns.path(index)
+        for sender, path in draw_cycle_trials(7, distribution, 800, seed=41):
             key = cycle_trial_key(sender, path, len(path), compromised)
             entropy, _ = table.score(key, sender, path)
             observation = observation_from_path(sender, path, compromised)
@@ -737,27 +763,19 @@ class TestMultiCompromisedCycles:
         report = BatchMonteCarlo(model, strategy).run(20_000, rng=23)
         assert report.estimate.contains(truth, slack=0.01)
 
-    def test_pure_and_numpy_kernels_identical(self):
-        columns = CycleTrialSampler(
-            n_nodes=5, distribution=UniformLength(0, 7)
-        ).draw(3_000, rng=47)
+    def test_array_kernel_matches_the_scalar_rule(self):
+        """Multi-node keys and representatives equal ``cycle_trial_key`` per row."""
+        trials = draw_cycle_trials(5, UniformLength(0, 7), 3_000, seed=47)
         compromised = frozenset({1, 3})
         for adversary in AdversaryModel:
-            fast = classify_cycle_trials(
-                columns, compromised, adversary, use_numpy=True
-            )
-            slow = classify_cycle_trials(
-                columns, compromised, adversary, use_numpy=False
-            )
-            assert fast == slow
-            assert sum(count for count, _ in fast.values()) == len(columns)
-
-    def test_use_numpy_toggle_is_draw_for_draw_identical(self):
-        model = SystemModel(n_nodes=6, n_compromised=2)
-        strategy = cycle_strategy()
-        fast = BatchMonteCarlo(model, strategy, use_numpy=True)
-        slow = BatchMonteCarlo(model, strategy, use_numpy=False)
-        assert fast.run_accumulate(6_000, rng=5) == slow.run_accumulate(6_000, rng=5)
+            for receiver_compromised in (True, False):
+                keyed = classify_cycle_arrays(
+                    *cycle_arrays(trials), compromised, adversary, receiver_compromised
+                )
+                assert keyed == scalar_histogram(
+                    trials, compromised, adversary, receiver_compromised
+                )
+                assert sum(count for count, _ in keyed.values()) == len(trials)
 
     def test_sharded_bit_deterministic_per_seed_and_shards(self):
         model = SystemModel(n_nodes=6, n_compromised=2)

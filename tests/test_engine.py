@@ -79,8 +79,6 @@ class TestEngineSelectionTotality:
         assert sum(count for count, _, _ in accumulator.classes.values()) == 64
 
     def test_built_in_domains_map_to_the_expected_engines(self):
-        from repro.batch.jit import HAVE_NUMBA, FiveClassJitEngine
-
         simple = strategy_for(PathModel.SIMPLE)
         cycles = strategy_for(PathModel.CYCLE_ALLOWED)
 
@@ -88,10 +86,7 @@ class TestEngineSelectionTotality:
             return select_engine(model, strategy, model.compromised_nodes())
 
         core = SystemModel(n_nodes=N_NODES, n_compromised=1)
-        # The compiled tier preempts its numpy twin when numba is present
-        # (bit-identical results either way — see tests/test_jit.py).
-        five_class = FiveClassJitEngine if HAVE_NUMBA else FiveClassEngine
-        assert selected(core, simple) is five_class
+        assert selected(core, simple) is FiveClassEngine
         honest = SystemModel(
             n_nodes=N_NODES, n_compromised=1, receiver_compromised=False
         )
@@ -122,18 +117,10 @@ class _ConstantEngine(TrialEngine):
     def covers(cls, model, strategy, compromised) -> bool:
         return True
 
-    def sample_block(self, n_trials, generator):
+    def accumulate_chunk(self, n_trials, generator):
         generator.integers(0, 2, size=n_trials)  # honour the RNG protocol
-        return n_trials
-
-    def block_length_sum(self, block) -> int:
-        return block  # every "path" has length 1
-
-    def classify(self, block):
-        return {"constant-class": (block, None)}
-
-    def score(self, key, block, representative):
-        return 1.5, False
+        # Every "path" has length 1 and every trial lands in one class.
+        return n_trials, {"constant-class": (n_trials, 1.5, False)}
 
 
 class TestEngineRegistry:
@@ -252,14 +239,14 @@ class TestFiveClassStillExact:
 class TestChunkTrialsValidation:
     """``chunk_trials`` is validated wherever it can be set.
 
-    A chunk size of ``0`` (or anything that is not ``None``, ``"auto"``, or a
-    positive integer) would make ``run_accumulate`` loop forever without
+    A chunk size of ``0`` (or anything that is not ``None`` or a positive
+    integer) would make ``run_accumulate`` loop forever without
     shrinking the remaining trial budget — so it is rejected with a
     ``ConfigurationError`` at engine construction, at estimator construction,
     and again at run time for values assigned to an existing instance.
     """
 
-    BAD_CHUNKS = [0, -5, 2.5, True, False, "autoo", "4096"]
+    BAD_CHUNKS = [0, -5, 2.5, True, False, "auto", "autoo", "4096"]
 
     def engine(self) -> FiveClassEngine:
         model = SystemModel(n_nodes=N_NODES, n_compromised=1)
@@ -297,9 +284,7 @@ class TestChunkTrialsValidation:
                 model, strategy_for(PathModel.SIMPLE), chunk_trials=chunk
             )
 
-    @pytest.mark.parametrize(
-        "chunk", [None, engine_module.AUTO_CHUNK, 1, 4_096], ids=repr
-    )
+    @pytest.mark.parametrize("chunk", [None, 1, 4_096], ids=repr)
     def test_valid_settings_are_returned_unchanged(self, chunk):
         assert engine_module.validate_chunk_trials(chunk) == chunk
 

@@ -1,0 +1,452 @@
+"""Tests for the engines' chunk kernels against scalar oracles.
+
+Every batch engine has exactly one kernel, ``accumulate_chunk``: bulk draws,
+an array-op classification, and exact per-class prices.  The load-bearing
+contract is that the kernel is an exact vectorisation of the scalar rules it
+replaces.  Each oracle here replays the kernel's draws from an identically
+seeded generator — through ``PathLengthDistribution.sample_batch`` instead of
+the table decoder — and classifies them trial by trial:
+
+* five-class: :func:`repro.core.events.classify_trial` on the decoded
+  ``(sender, length, position)`` of every trial;
+* arrangement: a test-local insertion walk that turns raw slot draws into
+  position masks one trial at a time;
+* cycle: a test-local hop-by-hop walk, keyed by
+  :func:`repro.batch.cycleclassify.cycle_trial_key` (the array classifier's
+  keys and representatives are checked row by row in ``tests/test_cycle.py``).
+
+The oracle must consume the generator exactly as the kernel does and produce
+the same class counts and length sum, for single chunks and for whole runs
+at every ``(seed, chunk_trials)``.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from repro.batch import BatchMonteCarlo, InverseCdfDecoder, ShardedBackend
+from repro.batch.cycleclassify import cycle_trial_key
+from repro.batch.engine import BatchAccumulator, TrialEngine, select_engine
+from repro.batch.multiclass import ORIGIN_KEY
+from repro.batch.sampler import decode_masks
+from repro.core.anonymity import AnonymityAnalyzer
+from repro.core.events import EVENT_ORDER, EventClass, classify_trial, event_code
+from repro.core.model import AdversaryModel, PathModel, SystemModel
+from repro.distributions import (
+    BinomialLength,
+    GeometricLength,
+    TwoPointLength,
+    UniformLength,
+    ZipfLength,
+)
+from repro.routing.strategies import PathSelectionStrategy
+from repro.telemetry import activate
+from repro.utils.rng import ensure_rng
+
+N_NODES = 9
+
+
+def strategy_for(path_model: PathModel) -> PathSelectionStrategy:
+    return PathSelectionStrategy(
+        "G(0.4)",
+        GeometricLength(0.4, max_length=6),
+        path_model=path_model,
+    )
+
+
+def build_engine(
+    path_model: PathModel,
+    compromised: frozenset[int],
+    adversary: AdversaryModel = AdversaryModel.FULL_BAYES,
+    receiver_compromised: bool = True,
+) -> TrialEngine:
+    model = SystemModel(
+        n_nodes=N_NODES,
+        n_compromised=len(compromised),
+        adversary=adversary,
+        path_model=path_model,
+        receiver_compromised=receiver_compromised,
+    )
+    strategy = strategy_for(path_model)
+    factory = select_engine(model, strategy, compromised)
+    return factory(model, strategy, compromised)
+
+
+# ---------------------------------------------------------------------- #
+# Scalar oracles: replay the kernel's draws, classify trial by trial      #
+# ---------------------------------------------------------------------- #
+
+
+def replay_lengths(engine: TrialEngine, n_trials: int, generator) -> list[int]:
+    return list(engine.distribution.sample_batch(n_trials, generator))
+
+
+def five_class_oracle(engine, n_trials, generator):
+    n_nodes = engine.model.n_nodes
+    senders = generator.integers(0, n_nodes, size=n_trials).tolist()
+    lengths = replay_lengths(engine, n_trials, generator)
+    slots = generator.integers(0, n_nodes - 1, size=n_trials).tolist()
+    counts: Counter = Counter()
+    for sender, length, slot in zip(senders, lengths, slots):
+        event = classify_trial(
+            sender_compromised=sender in engine.compromised,
+            length=length,
+            position=slot + 1 if slot < length else None,
+            adversary=engine.model.adversary,
+        )
+        counts[event_code(event)] += 1
+    return sum(lengths), counts
+
+
+def insertion_walk_mask(length: int, raws: list[int]) -> int:
+    """Place each compromised node on the ``raw``-th slot still untaken."""
+    taken: list[int] = []
+    mask = 0
+    for raw in raws:
+        slot = raw
+        for occupied in sorted(taken):
+            if slot >= occupied:
+                slot += 1
+        taken.append(slot)
+        if slot < length:
+            mask |= 1 << slot
+    return mask
+
+
+def arrangement_oracle(engine, n_trials, generator):
+    n_nodes = engine.model.n_nodes
+    n_compromised = len(engine.compromised)
+    n_columns = n_compromised if n_compromised < n_nodes else 0
+    senders = generator.integers(0, n_nodes, size=n_trials).tolist()
+    lengths = replay_lengths(engine, n_trials, generator)
+    columns = [
+        generator.integers(0, n_nodes - 1 - j, size=n_trials).tolist()
+        for j in range(n_columns)
+    ]
+    counts: Counter = Counter()
+    for index, (sender, length) in enumerate(zip(senders, lengths)):
+        if sender in engine.compromised:
+            counts[ORIGIN_KEY] += 1
+            continue
+        raws = [column[index] for column in columns]
+        counts[(length, insertion_walk_mask(length, raws))] += 1
+    return sum(lengths), counts
+
+
+def walk_cycle_trials(engine, n_trials, generator):
+    """Replay the cycle kernel's draws as per-trial ``(sender, hops, length)``."""
+    n_nodes = engine.model.n_nodes
+    senders = generator.integers(0, n_nodes, size=n_trials).tolist()
+    lengths = replay_lengths(engine, n_trials, generator)
+    width = max(lengths)
+    levels = [
+        generator.integers(0, n_nodes - 1, size=n_trials).tolist()
+        for _ in range(width)
+    ]
+    trials = []
+    for index, (sender, length) in enumerate(zip(senders, lengths)):
+        hops = []
+        current = sender
+        for level in levels:
+            step = level[index]
+            if step >= current:
+                step += 1  # never forward to yourself
+            hops.append(step)
+            current = step
+        trials.append((sender, hops, length))
+    return trials
+
+
+def cycle_key(engine, sender, hops, length):
+    return cycle_trial_key(
+        sender,
+        hops,
+        length,
+        engine.compromised,
+        adversary=engine.model.adversary,
+        receiver_compromised=engine.model.receiver_compromised,
+    )
+
+
+def cycle_oracle(engine, n_trials, generator):
+    trials = walk_cycle_trials(engine, n_trials, generator)
+    counts = Counter(cycle_key(engine, *trial) for trial in trials)
+    return sum(length for _, _, length in trials), counts
+
+
+ORACLES = {
+    "five-class": five_class_oracle,
+    "arrangement": arrangement_oracle,
+    "cycle": cycle_oracle,
+    "cycle-multi": cycle_oracle,
+}
+
+#: Every clique engine domain, as builder args.
+DOMAINS = [
+    pytest.param(PathModel.SIMPLE, frozenset({2}), AdversaryModel.FULL_BAYES, True, id="five-class"),
+    pytest.param(PathModel.SIMPLE, frozenset({2}), AdversaryModel.POSITION_AWARE, True, id="five-class-pos"),
+    pytest.param(PathModel.SIMPLE, frozenset({2}), AdversaryModel.PREDECESSOR_ONLY, True, id="five-class-pred"),
+    pytest.param(PathModel.SIMPLE, frozenset(), AdversaryModel.FULL_BAYES, True, id="arrangement-c0"),
+    pytest.param(PathModel.SIMPLE, frozenset({1, 4}), AdversaryModel.FULL_BAYES, True, id="arrangement-c2"),
+    pytest.param(PathModel.SIMPLE, frozenset({1, 4}), AdversaryModel.FULL_BAYES, False, id="arrangement-honest"),
+    pytest.param(PathModel.CYCLE_ALLOWED, frozenset({2}), AdversaryModel.FULL_BAYES, True, id="cycle"),
+    pytest.param(PathModel.CYCLE_ALLOWED, frozenset({2}), AdversaryModel.POSITION_AWARE, True, id="cycle-pos"),
+    pytest.param(PathModel.CYCLE_ALLOWED, frozenset({2}), AdversaryModel.FULL_BAYES, False, id="cycle-honest"),
+    pytest.param(PathModel.CYCLE_ALLOWED, frozenset({1, 4}), AdversaryModel.FULL_BAYES, True, id="cycle-multi"),
+]
+
+
+def counts_of(classes) -> dict:
+    return {key: count for key, (count, _, _) in classes.items()}
+
+
+class TestKernelsMatchScalarOracles:
+    @pytest.mark.parametrize("path_model, compromised, adversary, receiver", DOMAINS)
+    @pytest.mark.parametrize("seed", [0, 91])
+    def test_chunk_counts_and_draws_match_the_oracle(
+        self, path_model, compromised, adversary, receiver, seed
+    ):
+        """One kernel chunk == the scalar replay, including generator state."""
+        engine = build_engine(path_model, compromised, adversary, receiver)
+        kernel_gen = np.random.default_rng(seed)
+        oracle_gen = np.random.default_rng(seed)
+        length_sum, classes = engine.accumulate_chunk(4_097, kernel_gen)
+        oracle_sum, oracle_counts = ORACLES[engine.name](engine, 4_097, oracle_gen)
+        assert length_sum == oracle_sum
+        assert counts_of(classes) == dict(oracle_counts)
+        assert kernel_gen.bit_generator.state == oracle_gen.bit_generator.state
+
+    @pytest.mark.parametrize("path_model, compromised, adversary, receiver", DOMAINS)
+    @pytest.mark.parametrize("seed, chunk", [(3, None), (3, 1_000), (17, 127)])
+    def test_runs_match_the_oracle_per_seed_and_chunk(
+        self, path_model, compromised, adversary, receiver, seed, chunk
+    ):
+        """Whole runs fold the same chunks the oracle replays, for every chunking."""
+        engine = build_engine(path_model, compromised, adversary, receiver)
+        engine.chunk_trials = chunk
+        accumulator = engine.run_accumulate(5_003, rng=seed)
+
+        generator = ensure_rng(seed)
+        oracle_sum = 0
+        oracle_counts: Counter = Counter()
+        remaining = 5_003
+        while remaining:
+            block = remaining if chunk is None else min(chunk, remaining)
+            remaining -= block
+            block_sum, block_counts = ORACLES[engine.name](engine, block, generator)
+            oracle_sum += block_sum
+            oracle_counts.update(block_counts)
+        assert accumulator.length_sum == oracle_sum
+        assert counts_of(accumulator.classes) == dict(oracle_counts)
+
+    @pytest.mark.parametrize("adversary", list(AdversaryModel))
+    def test_five_class_prices_are_the_closed_form_events(self, adversary):
+        engine = build_engine(PathModel.SIMPLE, frozenset({2}), adversary)
+        analysis = AnonymityAnalyzer(engine.model).analyze(engine.distribution)
+        _, classes = engine.accumulate_chunk(20_000, np.random.default_rng(4))
+        for code, (_, entropy, _) in classes.items():
+            assert entropy == analysis.event(EVENT_ORDER[code]).entropy_bits
+
+    @pytest.mark.parametrize("n_compromised", [1, 2, 3, 5, 8])
+    def test_mask_decode_matches_the_insertion_walk(self, n_compromised):
+        generator = np.random.default_rng(n_compromised)
+        n_trials = 2_000
+        lengths = generator.integers(0, N_NODES, size=n_trials)
+        columns = [
+            generator.integers(0, N_NODES - 1 - j, size=n_trials)
+            for j in range(n_compromised)
+        ]
+        masks = decode_masks(lengths, columns, n_trials)
+        for index in range(n_trials):
+            raws = [int(column[index]) for column in columns]
+            assert masks[index] == insertion_walk_mask(int(lengths[index]), raws)
+
+
+class ScriptedGenerator:
+    """Hands a kernel fixed draws, in the order it asks for them.
+
+    ``integers`` calls are answered from ``columns`` in turn; ``random``
+    answers with the midpoint of each wanted length's CDF interval, which
+    the length decoder maps back to exactly that length.
+    """
+
+    def __init__(self, distribution, lengths, *columns):
+        support, cumulative = distribution.cdf_table()
+        lower = dict(zip(support, (0.0, *cumulative[:-1])))
+        upper = dict(zip(support, cumulative))
+        self._uniforms = np.array([(lower[n] + upper[n]) / 2 for n in lengths])
+        self._columns = [np.array(column, dtype=np.int64) for column in columns]
+
+    def integers(self, low, high, size):
+        column = self._columns.pop(0)
+        assert column.shape == (size,)
+        assert low <= column.min() and column.max() < high
+        return column
+
+    def random(self, size):
+        assert self._uniforms.shape == (size,)
+        return self._uniforms
+
+
+class TestFiveClassKernelLadder:
+    """Hand-built trials through the five-class kernel's mask algebra.
+
+    The engine's compromised node is 2 and the trial's compromised hop sits
+    at 1-based position ``slot + 1``, on the path when ``slot < length``.
+    """
+
+    def run(self, adversary, senders, lengths, slots):
+        engine = build_engine(PathModel.SIMPLE, frozenset({2}), adversary)
+        generator = ScriptedGenerator(engine.distribution, lengths, senders, slots)
+        length_sum, classes = engine.accumulate_chunk(len(senders), generator)
+        assert length_sum == sum(lengths)
+        return {EVENT_ORDER[code]: count for code, count in counts_of(classes).items()}
+
+    def test_every_branch_of_the_ladder_is_reachable(self):
+        # A compromised sender, an off-path slot, the last slot, the
+        # penultimate slot, and an interior slot: one trial per class.
+        counts = self.run(
+            AdversaryModel.FULL_BAYES,
+            senders=[2, 0, 0, 0, 0],
+            lengths=[3, 1, 3, 3, 4],
+            slots=[0, 2, 2, 1, 0],
+        )
+        assert counts == {event: 1 for event in EventClass}
+
+    def test_position_aware_slot_zero_identifies_the_origin(self):
+        counts = self.run(
+            AdversaryModel.POSITION_AWARE,
+            senders=[0, 0],
+            lengths=[4, 4],
+            slots=[0, 1],
+        )
+        assert counts == {EventClass.ORIGIN: 1, EventClass.INTERIOR: 1}
+
+    def test_predecessor_only_collapses_on_path_trials_to_interior(self):
+        counts = self.run(
+            AdversaryModel.PREDECESSOR_ONLY,
+            senders=[0, 0, 0, 0],
+            lengths=[4, 4, 4, 1],
+            slots=[0, 2, 3, 1],
+        )
+        assert counts == {EventClass.INTERIOR: 3, EventClass.SILENT: 1}
+
+    @pytest.mark.parametrize("adversary", list(AdversaryModel))
+    def test_a_compromised_sender_outranks_every_position(self, adversary):
+        """ORIGIN beats LAST, PENULTIMATE, INTERIOR and SILENT alike."""
+        counts = self.run(
+            adversary,
+            senders=[2, 2, 2, 2],
+            lengths=[4, 4, 4, 1],
+            slots=[3, 2, 1, 5],
+        )
+        assert counts == {EventClass.ORIGIN: 4}
+
+
+class TestKernelDeterminism:
+    @pytest.mark.parametrize("path_model, compromised, adversary, receiver", DOMAINS)
+    def test_runs_at_any_seed_and_chunking_merge(
+        self, path_model, compromised, adversary, receiver
+    ):
+        """Accumulators cut at different seeds and chunk sizes sum cleanly.
+
+        Lazily priced classes are scored from whichever trial first lands in
+        them, so two fresh engines price a shared class from different
+        trials.  ``BatchAccumulator.merge`` refuses entropies that disagree
+        beyond its tolerance; the cycle engines' representatives can differ
+        in the last ulp, so the floats are not compared exactly here.
+        """
+        first = build_engine(path_model, compromised, adversary, receiver)
+        second = build_engine(path_model, compromised, adversary, receiver)
+        second.chunk_trials = 127
+        one = first.run_accumulate(5_003, rng=3)
+        two = second.run_accumulate(5_003, rng=17)
+        shared = one.classes.keys() & two.classes.keys()
+        assert len(shared) > 1
+        for key in shared:
+            assert one.classes[key][2] == two.classes[key][2]
+        merged = BatchAccumulator.merge([one, two])
+        assert merged.n_trials == 10_006
+        assert merged.length_sum == one.length_sum + two.length_sum
+        assert counts_of(merged.classes) == dict(
+            Counter(counts_of(one.classes)) + Counter(counts_of(two.classes))
+        )
+    @pytest.mark.parametrize("seed", [11, 29])
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_sharded_determinism(self, seed, shards):
+        """The kernels keep the ``(seed, shards)`` bit-stability contract."""
+        model = SystemModel(n_nodes=N_NODES, n_compromised=1)
+        strategy = strategy_for(PathModel.SIMPLE)
+        backend = ShardedBackend(workers=1, shards=shards)
+        first = backend.estimate(model, strategy, n_trials=6_000, rng=seed)
+        second = backend.estimate(model, strategy, n_trials=6_000, rng=seed)
+        assert first.estimate.mean == second.estimate.mean
+        assert first.estimate.std_error == second.estimate.std_error
+        assert first.identification_rate == second.identification_rate
+
+    def test_fixed_block_runs_stay_deterministic(self):
+        from repro.service.adaptive import AdaptiveScheduler
+
+        model = SystemModel(n_nodes=N_NODES, n_compromised=1)
+        scheduler = AdaptiveScheduler(
+            backend="batch", precision=None, block_size=4_000, max_trials=8_000
+        )
+        first = scheduler.run(model, strategy_for(PathModel.SIMPLE), rng=3)
+        second = scheduler.run(model, strategy_for(PathModel.SIMPLE), rng=3)
+        assert first.deterministic
+        assert first.report.estimate == second.report.estimate
+
+    def test_estimator_threads_chunk_trials_through(self):
+        model = SystemModel(n_nodes=N_NODES, n_compromised=1)
+        fixed = BatchMonteCarlo(
+            model, strategy_for(PathModel.SIMPLE), chunk_trials=2_048
+        )
+        assert fixed.engine.chunk_trials == 2_048
+
+    def test_fixed_chunking_is_independent_of_the_clock(self):
+        """A fixed-chunk accumulator's bits never depend on telemetry timing."""
+        one = build_engine(PathModel.SIMPLE, frozenset({2}))
+        two = build_engine(PathModel.SIMPLE, frozenset({2}))
+        one.chunk_trials = 1_024
+        two.chunk_trials = 1_024
+        readings = iter(float(tick) ** 2 for tick in range(1_000))
+        with activate(clock=lambda: next(readings)):
+            timed = one.run_accumulate(10_000, rng=9)
+        untimed = two.run_accumulate(10_000, rng=9)
+        assert timed == untimed
+
+
+class TestInverseCdfDecoder:
+    @pytest.mark.parametrize(
+        "distribution",
+        [
+            GeometricLength(0.25, max_length=40),
+            GeometricLength(0.9, max_length=5),
+            UniformLength(1, 3),
+            UniformLength(4, 4),
+            # A gapped support, a wide one, and length 0 with sub-cell tails.
+            TwoPointLength(2, 9, 0.3),
+            ZipfLength(1.5, 1, 30),
+            BinomialLength(12, 0.3, minimum=0),
+        ],
+        ids=lambda d: d.name,
+    )
+    def test_bit_identical_to_sample_batch(self, distribution):
+        """Same lengths and same generator consumption as ``sample_batch``."""
+        fast_gen = np.random.default_rng(123)
+        slow_gen = np.random.default_rng(123)
+        decoder = InverseCdfDecoder(distribution)
+        fast = decoder.decode(40_000, fast_gen)
+        slow = np.frombuffer(
+            distribution.sample_batch(40_000, slow_gen), dtype=np.int64
+        )
+        assert np.array_equal(fast, slow)
+        assert fast_gen.bit_generator.state == slow_gen.bit_generator.state
+
+    def test_unresolved_buckets_exist_and_fall_back(self):
+        """The LUT leaves boundary cells to searchsorted (and they agree)."""
+        decoder = InverseCdfDecoder(GeometricLength(0.25, max_length=40))
+        assert int((decoder._table == decoder._sentinel).sum()) > 0

@@ -346,6 +346,12 @@ class TestAdaptiveScheduler:
         with pytest.raises(ConfigurationError, match="accumulat"):
             AdaptiveScheduler(backend="event").run(model, FixedLength(4), rng=0)
 
+    @pytest.mark.parametrize("block_size", [0, -1, 2.5, True, "auto"], ids=repr)
+    def test_rejects_bad_block_sizes(self, block_size):
+        """A round is a fixed positive trial count, part of the bits' seed."""
+        with pytest.raises(ConfigurationError, match="block_size"):
+            AdaptiveScheduler(backend="batch", block_size=block_size)
+
 
 class TestEstimationService:
     def test_identical_request_served_from_cache_identically(self, tmp_path):

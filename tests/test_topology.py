@@ -16,7 +16,10 @@ path model, adversary model, receiver setting, and ``C ∈ {0, 1, 2}``.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.batch import (
@@ -201,9 +204,7 @@ class TestExhaustiveParity:
             truth = ExhaustiveAnalyzer(model).anonymity_degree(
                 strategy.distribution
             )
-            engine = TopologyEngine(
-                model, strategy, model.compromised_nodes(), use_numpy=None
-            )
+            engine = TopologyEngine(model, strategy, model.compromised_nodes())
             assert engine.exact_degree() == pytest.approx(truth, abs=1e-10), (
                 f"{name} {path_model.value} {adversary.value} "
                 f"receiver={receiver} C={n_compromised}"
@@ -241,7 +242,7 @@ class TestExhaustiveParity:
             assert engine.engine.name == "topology"
             report = engine.run(40_000, rng=5)
             truth = TopologyEngine(
-                model, strategy, model.compromised_nodes(), use_numpy=None
+                model, strategy, model.compromised_nodes()
             ).exact_degree()
             assert report.estimate.contains(truth, slack=3.5)
 
@@ -256,18 +257,33 @@ class TestExhaustiveParity:
 
 
 class TestTopologyDeterminism:
-    def test_pure_and_numpy_accumulators_bit_identical(self):
-        model = _model(TOPOLOGIES["grid"], PathModel.SIMPLE)
-        strategy = _strategy(PathModel.SIMPLE)
-        compromised = model.compromised_nodes()
-        pure = TopologyEngine(
-            model, strategy, compromised, use_numpy=False
-        ).run_accumulate(20_000, rng=9)
-        numpy_ = TopologyEngine(
-            model, strategy, compromised, use_numpy=True
-        ).run_accumulate(20_000, rng=9)
-        assert pure.classes == numpy_.classes
-        assert pure.length_sum == numpy_.length_sum
+    @pytest.mark.parametrize(
+        "path_model", [PathModel.SIMPLE, PathModel.CYCLE_ALLOWED]
+    )
+    def test_kernel_matches_a_per_trial_bisect_oracle(self, path_model):
+        """Vectorised ramp search + bincount == ``bisect_right`` trial by trial."""
+        model = _model(TOPOLOGIES["grid"], path_model)
+        engine = TopologyEngine(
+            model, _strategy(path_model), model.compromised_nodes()
+        )
+        length_sum, classes = engine.accumulate_chunk(
+            20_000, np.random.default_rng(9)
+        )
+        generator = np.random.default_rng(9)
+        senders = generator.integers(0, model.n_nodes, size=20_000).tolist()
+        draws = generator.random(20_000).tolist()
+        oracle_sum = 0
+        oracle_counts: Counter = Counter()
+        for sender, draw in zip(senders, draws):
+            ramp = engine._ramps[sender].tolist()
+            local = min(bisect_right(ramp, draw), len(ramp) - 1)
+            index = int(engine._offsets[sender]) + local
+            oracle_sum += int(engine._entry_lengths[index])
+            oracle_counts[int(engine._entry_keys[index])] += 1
+        assert length_sum == oracle_sum
+        assert {key: count for key, (count, _, _) in classes.items()} == dict(
+            oracle_counts
+        )
 
     def test_batch_bit_deterministic_per_seed(self):
         model = _model(TOPOLOGIES["ring"], PathModel.CYCLE_ALLOWED)
