@@ -9,9 +9,10 @@ class systems cover the whole simple-path domain:
 
 * the paper's **five classes** for one compromised node with a compromised
   receiver (scored by the closed form);
-* **arrangement classes** — ``(length, compromised-position-set)`` keys — for
-  any number of compromised nodes and honest receivers, scored through the
-  exact fragment-arrangement counts of :mod:`repro.combinatorics`.
+* **canonical observation classes** — a trial's observation up to
+  relabelling, coded from its sorted compromised positions — for any number
+  of compromised nodes and honest receivers, scored through the exact
+  fragment-arrangement counts of :mod:`repro.combinatorics`.
 
 Cycle-allowed paths and non-clique topologies have engines of their own.
 
@@ -31,9 +32,10 @@ Layout
     :class:`ArrangementEngine`).
 :mod:`repro.batch.sampler`
     The bulk draws the clique engines share: the inverse-CDF length decoder
-    (:class:`InverseCdfDecoder`) and the slot-to-position-mask decode.
+    (:class:`InverseCdfDecoder`) and the compromised-slot decode.
 :mod:`repro.batch.multiclass`
-    Arrangement-class keys and their exact score table.
+    Columnar observation-class codes, their canonical keys, and the exact
+    score table.
 :mod:`repro.batch.cycleclassify`
     Cycle observation-class keys (:func:`cycle_trial_key`, the scalar
     reference rule, and its array kernel).

@@ -98,7 +98,7 @@ def cycle_trial_key(
     gaps = tuple(
         ADJACENT
         if occurrences[j + 1] == occurrences[j] + 1
-        else hops[occurrences[j] + 1] == hops[occurrences[j + 1] - 1]
+        else bool(hops[occurrences[j] + 1] == hops[occurrences[j + 1] - 1])
         for j in range(len(occurrences) - 1)
     )
     if occurrences[-1] == length - 1:
@@ -117,24 +117,22 @@ def classify_cycle_arrays(
     compromised: frozenset[int],
     adversary: AdversaryModel = AdversaryModel.FULL_BAYES,
     receiver_compromised: bool = True,
-) -> dict[tuple, tuple[int, int]]:
-    """Histogram one chunk into ``{key: (count, representative)}``.
+) -> dict[tuple, int]:
+    """Histogram one chunk into ``{key: count}``.
 
-    ``representative`` is the index of the first trial of the class in the
-    chunk — the trial whose concrete path the score table prices once for
-    the whole class.  ``hops`` is the ``n_trials x width`` hop matrix (any
-    layout numpy can index — the cycle engine passes a transposed view of
-    its level-major draw matrix).  Every key equals :func:`cycle_trial_key`
-    of the trial it counts.
+    ``hops`` is the ``n_trials x width`` hop matrix (any layout numpy can
+    index — the cycle engine passes a transposed view of its level-major
+    draw matrix).  Every key equals :func:`cycle_trial_key` of the trials it
+    counts.
     """
     n_trials = len(senders)
     width = hops.shape[1]
-    result: dict[tuple, tuple[int, int]] = {}
+    result: dict[tuple, int] = {}
 
     def add(mask, key) -> None:
-        count = int(mask.sum())
+        count = int(np.count_nonzero(mask))
         if count:
-            result[key] = (count, int(mask.argmax()))
+            result[key] = count
 
     if len(compromised) == 1:
         (compromised_node,) = compromised
@@ -183,8 +181,7 @@ def classify_cycle_arrays(
             add(eq_mask, ("fb", 1, (), "eq"))
             add(ne_mask, ("fb", 1, (), "ne"))
 
-    # Rare multi-visit trials: the scalar reference rule, row by row in
-    # chunk order so each class's representative is its first trial.
+    # Rare multi-visit trials: the scalar reference rule, row by row.
     for index in np.nonzero(on_path & (hits >= 2))[0]:
         index = int(index)
         length = int(lengths[index])
@@ -196,6 +193,5 @@ def classify_cycle_arrays(
             adversary,
             receiver_compromised,
         )
-        entry = result.get(key)
-        result[key] = (1, index) if entry is None else (entry[0] + 1, entry[1])
+        result[key] = result.get(key, 0) + 1
     return result

@@ -33,12 +33,11 @@ class key provably determines the posterior entropy (see
 the event engine runs one exact inference per *trial*, these engines one per
 *class*, and the number of distinct classes is tiny.
 
-Scoring goes through a **canonical representative**: the class
-representative's concrete path is relabelled so honest nodes appear in first-
-appearance order while compromised identities stay fixed.  Equal keys
-therefore price through bit-identical arithmetic, which keeps shard merges
-exact and cached service replays bit-stable no matter which concrete trial
-first exhibited a class.
+Scoring goes through a **canonical representative**: one concrete trial
+built from the class key alone (:meth:`CycleScoreTable.representative`).
+Equal keys therefore price through bit-identical arithmetic, which keeps
+shard merges exact and cached service replays bit-stable no matter which
+concrete trial or seed first exhibited a class.
 
 Two registrations share the implementation:
 
@@ -55,11 +54,19 @@ constant, part of the determinism contract.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from repro.adversary.inference import BayesianPathInference
 from repro.adversary.observation import observation_from_path
-from repro.batch.cycleclassify import classify_cycle_arrays
+from repro.batch.cycleclassify import (
+    ADJACENT,
+    ORIGIN_KEY,
+    PATH_KEY,
+    SILENT_KEY,
+    classify_cycle_arrays,
+)
 from repro.batch.engine import ChunkClasses, TrialEngine, register_engine
 from repro.batch.sampler import InverseCdfDecoder
 from repro.core.model import PathModel, SystemModel
@@ -68,6 +75,7 @@ from repro.exceptions import ConfigurationError
 from repro.routing.strategies import PathSelectionStrategy
 from repro.simulation.results import IDENTIFIED_THRESHOLD
 from repro.telemetry.metrics import get_registry
+from repro.telemetry.tracing import trace_span
 
 __all__ = [
     "CycleScoreTable",
@@ -87,12 +95,15 @@ class CycleScoreTable:
     Unlike the simple-path tables, cycle classes are discovered from the data
     (how often compromised nodes recur, which anchors coincide), so the
     table prices classes on first sight and memoises: build one canonical
-    representative observation for the class, hand it to the exact cycle
-    inference engine, and reuse the score for every later trial of the class.
-    Any number of compromised nodes is supported; the inference engine counts
-    honest segments in the sub-clique avoiding the whole compromised set.
-    With telemetry active, each miss counts into ``classes_priced_total`` and
-    times into ``class_price_seconds``, both labelled with ``engine``.
+    representative trial from the class key alone (:meth:`representative`),
+    hand its observation to the exact cycle inference engine, and reuse the
+    score for every later trial of the class.  A class's floats are thus a
+    pure function of its key, whichever trial first reached it.  Any number
+    of compromised nodes is supported; the inference engine counts honest
+    segments in the sub-clique avoiding the whole compromised set.  With
+    telemetry active, each miss runs inside an ``engine.price`` span, counts
+    into ``classes_priced_total`` and times into ``class_price_seconds``,
+    all labelled with ``engine``.
     """
 
     def __init__(
@@ -115,66 +126,66 @@ class CycleScoreTable:
         """Number of distinct classes priced so far."""
         return len(self._scores)
 
-    def score(
-        self, key: tuple, sender: int, path: tuple[int, ...]
-    ) -> tuple[float, bool]:
-        """Exact ``(entropy_bits, identified)`` of the class of ``key``.
-
-        ``sender``/``path`` are any concrete trial of the class; they are
-        canonicalised before pricing.  Trials of one class can still
-        canonicalise differently (a full-Bayes key does not fix the hop the
-        compromised node sits on), and their scores then agree only to the
-        last ulp: the first trial this table prices fixes the class's floats.
-        """
+    def score(self, key: tuple) -> tuple[float, bool]:
+        """Exact ``(entropy_bits, identified)`` of the class of ``key``."""
         cached = self._scores.get(key)
         if cached is not None:
             return cached
         telemetry = get_registry()
-        started = telemetry.clock() if telemetry.enabled else 0.0
-        sender, path = self._canonical(sender, path)
-        observation = observation_from_path(
-            sender,
-            path,
-            self._compromised,
-            receiver_compromised=self._model.receiver_compromised,
-        )
-        posterior = self._inference.posterior(observation)
-        score = (
-            posterior.entropy_bits,
-            posterior.max_probability >= IDENTIFIED_THRESHOLD,
-        )
-        self._scores[key] = score
-        if telemetry.enabled:
-            telemetry.counter("classes_priced_total", engine=self._engine).inc()
-            telemetry.histogram(
-                "class_price_seconds", engine=self._engine
-            ).observe(telemetry.clock() - started)
-        return score
+        with trace_span("engine.price", telemetry, engine=self._engine):
+            started = telemetry.clock() if telemetry.enabled else 0.0
+            sender, path = self.representative(key)
+            observation = observation_from_path(
+                sender,
+                path,
+                self._compromised,
+                receiver_compromised=self._model.receiver_compromised,
+            )
+            posterior = self._inference.posterior(observation)
+            cached = (
+                posterior.entropy_bits,
+                posterior.max_probability >= IDENTIFIED_THRESHOLD,
+            )
+            if telemetry.enabled:
+                telemetry.counter("classes_priced_total", engine=self._engine).inc()
+                telemetry.histogram(
+                    "class_price_seconds", engine=self._engine
+                ).observe(telemetry.clock() - started)
+        self._scores[key] = cached
+        return cached
 
-    def _canonical(
-        self, sender: int, path: tuple[int, ...]
-    ) -> tuple[int, tuple[int, ...]]:
-        """Relabel honest nodes in first-appearance order.
+    def representative(self, key: tuple) -> tuple[int, tuple[int, ...]]:
+        """One ``(sender, path)`` trial of the class, built from ``key`` alone.
 
-        The posterior entropy is invariant under relabelling of honest nodes,
-        so mapping every representative onto the same canonical identities —
-        compromised identities stay fixed — makes the score arithmetic a pure
-        function of the canonical trial.
+        The sender is the first honest node and the first compromised visit
+        sits on hop 1; honest hops cycle through the honest nodes (so two
+        consecutive ones always differ), and adjacent visits alternate
+        between the first two compromised nodes.
         """
-        compromised = self._compromised
-        fresh = iter(
-            node
-            for node in range(self._model.n_nodes)
-            if node not in compromised
-        )
-        mapping = {node: node for node in compromised}
-        relabelled = []
-        for node in (sender, *path):
-            node = int(node)
-            if node not in mapping:
-                mapping[node] = next(fresh)
-            relabelled.append(mapping[node])
-        return relabelled[0], tuple(relabelled[1:])
+        compromised = sorted(self._compromised)
+        honest = [
+            node for node in range(self._model.n_nodes) if node not in self._compromised
+        ]
+        if key == ORIGIN_KEY:
+            return compromised[0], ()
+        sender = honest[0]
+        if key in (SILENT_KEY, PATH_KEY):
+            return sender, () if key == SILENT_KEY else (compromised[0],)
+        fresh = (honest[index % len(honest)] for index in itertools.count(1))
+        if key[0] == "pos":
+            return sender, (*(next(fresh) for _ in range(key[1] - 1)), compromised[0])
+        _, _, gaps, last = key
+        path = [compromised[0]]
+        for gap in gaps:
+            if gap == ADJACENT:
+                path.append(compromised[1] if path[-1] == compromised[0] else compromised[0])
+                continue
+            # A bridged gap shares one honest node; an open one needs two.
+            path.extend(next(fresh) for _ in range(1 if gap else 2))
+            path.append(compromised[0])
+        if last != "recv":
+            path.extend(next(fresh) for _ in range(2 if last == "ne" else 1))
+        return sender, tuple(path)
 
 
 class CycleBatchEngine(TrialEngine):
@@ -225,8 +236,8 @@ class CycleBatchEngine(TrialEngine):
         """Draw, walk, classify, and price one chunk of cycle-path trials.
 
         The level-major hop matrix stays live and is classified through a
-        transposed *view* (no row-major copy); class representatives are
-        priced immediately, while the matrix is still live.
+        transposed *view* (no row-major copy); each new class is priced from
+        its key alone.
         """
         n_nodes = self.model.n_nodes
         senders = generator.integers(0, n_nodes, size=n_trials)
@@ -256,13 +267,8 @@ class CycleBatchEngine(TrialEngine):
             receiver_compromised=self.model.receiver_compromised,
         )
         classes: ChunkClasses = {}
-        for key, (count, representative) in keyed.items():
-            path = tuple(
-                int(hop) for hop in hops[representative, : int(lengths[representative])]
-            )
-            entropy, identified = self._score_table.score(
-                key, int(senders[representative]), path
-            )
+        for key, count in keyed.items():
+            entropy, identified = self._score_table.score(key)
             classes[key] = (count, entropy, identified)
         return int(lengths.sum()), classes
 

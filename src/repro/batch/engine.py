@@ -38,7 +38,7 @@ subsystem.  Five built-in engines cover the whole supported domain:
 engine            domain                                         classes
 ================  =============================================  ==========================
 ``five-class``    simple paths, ``C = 1``, compromised receiver  the paper's five events
-``arrangement``   simple paths, any ``C``, honest receiver ok    ``(length, position-mask)``
+``arrangement``   simple paths, any ``C``, honest receiver ok    canonical observations
 ``cycle``         cycle-allowed paths, ``C = 1``                 walk patterns
 ``cycle-multi``   cycle-allowed paths, ``C != 1`` (incl. 0)      walk patterns (multi-node)
 ``topology``      any path model on a non-clique topology        enumerated observation keys
@@ -61,8 +61,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.batch.multiclass import ClassScoreTable, count_key_arrays
-from repro.batch.sampler import MAX_MASK_LENGTH, InverseCdfDecoder, decode_masks
+from repro.batch.multiclass import ClassScoreTable
+from repro.batch.sampler import InverseCdfDecoder, decode_slots
 from repro.core.anonymity import AnonymityAnalyzer
 from repro.core.events import EVENT_ORDER, EventClass, event_code
 from repro.core.model import AdversaryModel, PathModel, SystemModel
@@ -482,11 +482,13 @@ class FiveClassEngine(TrialEngine):
 
 
 class ArrangementEngine(TrialEngine):
-    """The general simple-path domain: ``(length, position-mask)`` classes.
+    """The general simple-path domain: canonical observation classes.
 
     Any number of compromised nodes (including zero), honest receivers
-    allowed.  Classes are priced lazily through the exact
-    fragment-arrangement counts of :mod:`repro.combinatorics`
+    allowed, paths of any feasible length.  A trial's class is its
+    observation up to relabelling, coded from its sorted compromised
+    positions with array operations and priced once per class through the
+    exact fragment-arrangement counts of :mod:`repro.combinatorics`
     (:class:`~repro.batch.multiclass.ClassScoreTable`).
     """
 
@@ -505,21 +507,13 @@ class ArrangementEngine(TrialEngine):
                 f"{strategy.path_model.value} paths"
             )
         _check_simple_path_support(self._distribution, model.n_nodes)
-        if self._distribution.max_length > MAX_MASK_LENGTH:
-            raise ConfigurationError(
-                f"distribution {self._distribution.name} reaches length "
-                f"{self._distribution.max_length}, beyond the {MAX_MASK_LENGTH}-hop "
-                "position bitmask; use the hop-by-hop 'event' engine"
-            )
-        # With C == N there is no honest sender, so masks are never consulted
-        # (and C distinct slots would not fit in the N - 1 slot range anyway).
-        n_compromised = len(self.compromised)
-        self._n_slot_columns = n_compromised if n_compromised < model.n_nodes else 0
         self._lengths = InverseCdfDecoder(self._distribution)
+        self._is_compromised = np.zeros(model.n_nodes, dtype=bool)
+        self._is_compromised[sorted(self.compromised)] = True
         self._score_table = ClassScoreTable(
-            model=model.with_compromised(n_compromised),
-            distribution=self._distribution,
-            compromised=self.compromised,
+            model.with_compromised(len(self.compromised)),
+            self._distribution,
+            engine=self.name,
         )
 
     @classmethod
@@ -531,29 +525,41 @@ class ArrangementEngine(TrialEngine):
     ) -> bool:
         return model.clique_routing and strategy.path_model is PathModel.SIMPLE
 
-    def accumulate_chunk(
+    def draw(
         self, n_trials: int, generator: np.random.Generator
-    ) -> tuple[int, ChunkClasses]:
-        """Draw senders, lengths, and one raw slot column per compromised node.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Draw senders, lengths, and the ``(C, n)`` row-sorted compromised slots.
 
-        The slot columns decode to position bitmasks
-        (:func:`~repro.batch.sampler.decode_masks`), and the packed
-        ``(length, mask)`` keys reduce through one ``np.unique`` histogram
-        (:func:`~repro.batch.multiclass.count_key_arrays`).
+        One raw slot column per compromised node, decoded by the insertion
+        walk of :func:`~repro.batch.sampler.decode_slots`; with ``C == N``
+        there is no honest sender and no column is drawn.
         """
         n_nodes = self.model.n_nodes
         senders = generator.integers(0, n_nodes, size=n_trials)
         lengths = self._lengths.decode(n_trials, generator)
+        n_columns = len(self.compromised) if len(self.compromised) < n_nodes else 0
         raw_columns = [
             generator.integers(0, n_nodes - 1 - j, size=n_trials)
-            for j in range(self._n_slot_columns)
+            for j in range(n_columns)
         ]
-        masks = decode_masks(lengths, raw_columns, n_trials)
+        return senders, lengths, decode_slots(raw_columns, n_trials)
 
-        keyed = count_key_arrays(senders, lengths, masks, self.compromised)
+    def accumulate_chunk(
+        self, n_trials: int, generator: np.random.Generator
+    ) -> tuple[int, ChunkClasses]:
+        """Draw one chunk, code its observation classes, and price each once.
+
+        The class codes (:class:`~repro.batch.multiclass.ClassCoder`) reduce
+        through one histogram; only the handful of distinct codes reach
+        Python, each mapped to its canonical observation key and price.
+        """
+        senders, lengths, slots = self.draw(n_trials, generator)
+        table = self._score_table
+        codes = table.coder.encode(self._is_compromised[senders], lengths, slots)
         classes: ChunkClasses = {}
-        for key, count in keyed.items():
-            score = self._score_table.score(key)
+        for code, count in zip(*table.coder.tally(codes)):
+            key = table.key(code)
+            score = table.score(key)
             classes[key] = (count, score.entropy_bits, score.identified)
         return int(lengths.sum()), classes
 

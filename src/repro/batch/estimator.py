@@ -49,6 +49,7 @@ from repro.batch.engine import (
 from repro.core.model import SystemModel
 from repro.distributions.base import PathLengthDistribution
 from repro.routing.strategies import PathSelectionStrategy
+from repro.telemetry.tracing import trace_span
 from repro.utils.rng import RandomSource
 
 __all__ = ["BatchMonteCarlo", "BatchAccumulator"]
@@ -66,9 +67,9 @@ class BatchMonteCarlo:
       paths runs on the five-class engine (the closed form's symmetry
       classes);
     * any other ``C >= 0`` on simple paths — including an honest receiver —
-      runs on the ``(length, position-mask)`` arrangement-class engine, whose
-      per-class entropies come from the exact fragment-arrangement counts in
-      :mod:`repro.combinatorics`;
+      runs on the arrangement engine, whose classes are canonical
+      observations and whose per-class entropies come from the exact
+      fragment-arrangement counts in :mod:`repro.combinatorics`;
     * cycle-allowed strategies (Crowds, Onion Routing II, Hordes) run on the
       cycle engines of :mod:`repro.batch.cycleengine` — the dedicated
       ``C = 1`` kernel or its multi-compromised generalisation — whose
@@ -94,11 +95,13 @@ class BatchMonteCarlo:
         # Identity-range validation happens in TrialEngine.__init__, which
         # every selected engine runs during construction below.
         factory = select_engine(self.model, self.strategy, self.compromised)
-        self._engine = factory(
-            model=self.model,
-            strategy=self.strategy,
-            compromised=self.compromised,
-        )
+        name = getattr(factory, "name", type(factory).__name__)
+        with trace_span("engine.construct", engine=name):
+            self._engine = factory(
+                model=self.model,
+                strategy=self.strategy,
+                compromised=self.compromised,
+            )
         if self.chunk_trials is not None:
             self._engine.chunk_trials = validate_chunk_trials(self.chunk_trials)
 

@@ -1,105 +1,240 @@
-"""Symmetric observation classes for the multi-compromised-node batch domain.
+"""Observation classes of the simple-path arrangement engine.
 
 The ``C = 1`` batch engine rides on the paper's five observation classes.  For
-``C > 1`` (or an honest receiver) no such five-way table exists, but the same
+``C != 1`` (or an honest receiver) no such five-way table exists, but the same
 symmetry argument still applies one level up: under uniform sender choice and
 uniform simple-path selection, relabelling honest nodes (and likewise
 compromised nodes) maps observations to observations of equal posterior
-entropy.  Two trials with an honest sender therefore share their entropy
-whenever they share
+entropy.  A trial's posterior therefore depends only on its *observation up
+to relabelling*, and every trial whose sender is compromised is an outright
+identification.  On a simple path every node is distinct, so that canonical
+observation is fixed by a handful of integers per trial — the sorted 1-based
+hop positions ``p_1 < ... < p_k`` of the on-path compromised nodes and the
+path length ``l``:
 
-* the path length ``l``, and
-* the *set* of 1-based hop positions occupied by compromised nodes,
+* **full Bayes** sees the on-path count ``k``, each gap ``p_{j+1} - p_j - 1``
+  clipped to ``{0, 1, 2+}`` (adjacent nodes, one shared honest neighbour, or
+  two distinct ones) and the tail ``l - p_k`` clipped to ``{0, 1, 2+}`` (the
+  last compromised node delivers, its successor is the receiver's reported
+  predecessor, or it is not) — ``{0, 1+}`` under an honest receiver;
+* **predecessor-only** sees only whether ``k >= 1``;
+* **position-aware** sees the positions themselves plus the clipped tail.
 
-and every trial whose sender is compromised is an outright identification.
 This module turns that fact into a batch kernel:
 
-:func:`count_key_arrays`
-    Reduce one chunk's sender, length, and position-mask arrays to a
-    histogram of ``(length, position-mask)`` keys (compromised senders fold
-    into the single :data:`ORIGIN_KEY`).
+:class:`ClassCoder`
+    Encode one chunk's sorted slot columns into one integer *class code* per
+    trial with array operations, and reduce the codes with one ``bincount``
+    (or a sort, for code spaces wider than the chunk).  Code spaces too wide
+    for an int64 reduce over digit rows instead.
 
 :class:`ClassScoreTable`
-    Lazily score each distinct key exactly once: build one *canonical
-    representative* observation for the class and hand it to the exact
-    Bayesian engine (:class:`~repro.adversary.inference.BayesianPathInference`),
-    which prices it with the closed-form fragment-arrangement counts of
-    :mod:`repro.combinatorics.arrangements`.  Estimators then gather per-trial
-    entropies from the table, so — exactly as in the ``C = 1`` engine — only
-    the *observation* is sampled, never the posterior.
+    Map each new code to its canonical observation key once — run
+    :func:`~repro.adversary.observation.observation_from_path` on the
+    shortest trial that realises the code, take
+    :func:`~repro.adversary.inference.observation_class_key` of it and
+    relabel the honest identities by first appearance — and price each key
+    once from a representative observation built from the key alone, with
+    the exact Bayesian engine
+    (:class:`~repro.adversary.inference.BayesianPathInference`) and its
+    closed-form fragment-arrangement counts.  A class's price is thus a pure
+    function of its key, whichever trial or seed first reached it.
+
+Keys live in a canonical label space: compromised identities are
+``0 .. C-1`` in order of appearance, honest ones ``C, C+1, ...`` in order of
+first appearance, so the key of a class does not depend on which nodes the
+engine compromised.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.adversary.inference import BayesianPathInference
-from repro.adversary.observation import observation_from_path
-from repro.core.model import SystemModel
+from repro.adversary.inference import BayesianPathInference, observation_class_key
+from repro.adversary.observation import (
+    RECEIVER,
+    HopReport,
+    Observation,
+    ReceiverReport,
+    observation_from_path,
+)
+from repro.core.model import AdversaryModel, SystemModel
 from repro.distributions.base import PathLengthDistribution
 from repro.exceptions import ConfigurationError
 from repro.simulation.results import IDENTIFIED_THRESHOLD
 from repro.telemetry.metrics import get_registry
+from repro.telemetry.tracing import trace_span
 
 __all__ = [
     "ORIGIN_KEY",
+    "ClassCoder",
     "ClassScore",
     "ClassScoreTable",
-    "count_key_arrays",
+    "canonical_key",
 ]
 
-#: Histogram key of the "sender is compromised" class.  A real length/mask key
-#: always has ``length >= 0``, so ``-1`` can never collide with one.
-ORIGIN_KEY: tuple[int, int] = (-1, 0)
+#: Canonical observation key of a compromised sender: it betrays itself.
+ORIGIN_KEY: tuple = ("origin", 0)
 
-#: Packing layout of the histogram: 7 low bits hold ``length + 1``
-#: (0..64, with 0 for the ORIGIN sentinel's ``-1``), the rest hold the mask.
-#: Usable whenever ``mask < 2**56``, i.e. the path fits 56 hops.
-_PACK_SHIFT = 7
-_PACK_LENGTH_MASK = (1 << _PACK_SHIFT) - 1
-_PACK_MAX_LENGTH = 56
+#: Code spaces up to this many bins fit one int64 code per trial.
+_MAX_PACKED_BINS = 1 << 62
+#: Code spaces up to this many bins — or the chunk's trial count, if larger —
+#: reduce through one ``bincount``; wider ones through a sort.
+_MIN_BINCOUNT_BINS = 1 << 12
 
 
-def count_key_arrays(
-    senders,
-    lengths,
-    masks,
-    compromised: frozenset[int],
-) -> dict[tuple[int, int], int]:
-    """Histogram of ``(length, mask)`` class keys over one chunk's arrays.
+def canonical_key(key: tuple, compromised: frozenset[int]) -> tuple:
+    """An observation key up to relabelling of the nodes.
 
-    Trials whose sender is in ``compromised`` all land on :data:`ORIGIN_KEY`;
-    for the rest the key is the trial's ``(length, position-mask)`` pair.
+    ``key`` is an :func:`~repro.adversary.inference.observation_class_key`.
+    Compromised identities become ``0, 1, ...`` and honest ones ``C, C+1,
+    ...``, each in order of first appearance: every report's predecessor,
+    node and successor in turn, then the receiver's predecessor.  Positions
+    are kept.  Two observations share a canonical key exactly when a
+    relabelling that maps compromised nodes to compromised nodes carries one
+    onto the other.
     """
-    origin = (
-        np.isin(senders, np.fromiter(compromised, dtype=np.int64))
-        if compromised
-        else np.zeros(len(senders), dtype=bool)
-    )
-    keyed_lengths = np.where(origin, ORIGIN_KEY[0], lengths)
-    keyed_masks = np.where(origin, ORIGIN_KEY[1], masks)
-    max_length = int(lengths.max(initial=0))
-    if max_length <= _PACK_MAX_LENGTH:
-        # Hot path: pack (length, mask) into one int64 so the histogram is
-        # a single 1-D ``np.unique`` instead of a column-wise one.  The
-        # shift keeps the ORIGIN sentinel (-1, 0) distinct and ordered.
-        packed = (keyed_masks << _PACK_SHIFT) | (keyed_lengths + 1)
-        values, counts = np.unique(packed, return_counts=True)
-        return {
-            (int(value & _PACK_LENGTH_MASK) - 1, int(value >> _PACK_SHIFT)): int(
-                count
-            )
-            for value, count in zip(values, counts)
-        }
-    pairs, counts = np.unique(
-        np.stack((keyed_lengths, keyed_masks)), axis=1, return_counts=True
-    )
-    return {
-        (int(length), int(mask)): int(count)
-        for length, mask, count in zip(pairs[0], pairs[1], counts)
-    }
+    names: dict[int, int] = {}
+    next_name = [0, len(compromised)]
+
+    def name(node):
+        if isinstance(node, str):
+            return node
+        if node not in names:
+            honest = node not in compromised
+            names[node] = next_name[honest]
+            next_name[honest] += 1
+        return names[node]
+
+    kind = key[0]
+    if kind == "origin":
+        return ("origin", name(key[1]))
+    if kind == "pred":
+        return ("pred", name(key[1]), name(key[2]))
+    if kind != "obs":
+        return key
+    reports = []
+    for node, *position, predecessor, successor in key[1]:
+        predecessor = name(predecessor)
+        node = name(node)
+        reports.append((node, *position, predecessor, name(successor)))
+    receiver = None if key[2] is None else name(key[2])
+    return ("obs", tuple(reports), receiver)
+
+
+class ClassCoder:
+    """Columnar class codes for one adversary's simple-path observation classes.
+
+    A code is a mixed-radix number over per-trial digits (see the module
+    docstring): the on-path count, the clipped gaps and the clipped tail for
+    full Bayes; whether any compromised node is on the path for
+    predecessor-only; the on-path positions (``0`` for off-path slots) and the
+    clipped tail for position-aware.  The last code is the origin class.
+    """
+
+    def __init__(
+        self,
+        adversary: AdversaryModel,
+        receiver_compromised: bool,
+        n_columns: int,
+        max_length: int,
+    ) -> None:
+        self._adversary = adversary
+        self._n_columns = n_columns
+        tail_radix = 3 if receiver_compromised else 2
+        self._tail_max = tail_radix - 1
+        if adversary is AdversaryModel.PREDECESSOR_ONLY:
+            radices: tuple[int, ...] = (2,)
+        elif adversary is AdversaryModel.POSITION_AWARE:
+            radices = (max_length + 1,) * n_columns + (tail_radix,)
+        else:
+            radices = (n_columns + 1,) + (3,) * max(n_columns - 1, 0) + (tail_radix,)
+        self._radices = radices
+        space = math.prod(radices)
+        self._n_bins = space + 1
+        #: Packed codes are int64 scalars; wider spaces use digit rows.
+        self.packed = self._n_bins <= _MAX_PACKED_BINS
+        #: The code of the origin class (a compromised sender).
+        self.origin_code: int | tuple[int, ...] = (
+            space if self.packed else (-1,) * len(radices)
+        )
+
+    def encode(
+        self, origin: np.ndarray, lengths: np.ndarray, slots: np.ndarray
+    ) -> np.ndarray:
+        """One code per trial: an int64 vector, or an ``(n, digits)`` matrix.
+
+        ``origin`` flags compromised senders, ``lengths`` are the path
+        lengths and ``slots`` the ``(C, n)`` row-sorted slots of
+        :func:`~repro.batch.sampler.decode_slots`.
+        """
+        digits = self._digits(lengths, slots)
+        if not self.packed:
+            rows = np.stack(digits, axis=1).astype(np.int64, copy=False)
+            rows[origin] = -1
+            return rows
+        codes = np.zeros(lengths.shape, dtype=np.int64)
+        for digit, radix in zip(digits, self._radices):
+            codes *= radix
+            codes += digit
+        codes[origin] = self.origin_code
+        return codes
+
+    def _digits(self, lengths: np.ndarray, slots: np.ndarray) -> list[np.ndarray]:
+        on_path = slots < lengths
+        if self._adversary is AdversaryModel.PREDECESSOR_ONLY:
+            return [on_path.any(axis=0)]
+        # Sorted rows put the on-path slots first, so the last on-path row
+        # to write the tail is the trial's last compromised position.
+        tail = np.zeros(lengths.shape, dtype=np.int64)
+        for row, on in zip(slots, on_path):
+            np.copyto(tail, lengths - 1 - row, where=on)
+        np.minimum(tail, self._tail_max, out=tail)
+        if self._adversary is AdversaryModel.POSITION_AWARE:
+            positions = [np.where(on, row + 1, 0) for row, on in zip(slots, on_path)]
+            return [*positions, tail]
+        gaps = [
+            np.where(on_path[j + 1], np.minimum(slots[j + 1] - slots[j] - 1, 2), 0)
+            for j in range(self._n_columns - 1)
+        ]
+        return [on_path.sum(axis=0), *gaps, tail]
+
+    def tally(self, codes: np.ndarray) -> tuple[list, list[int]]:
+        """The distinct codes of one chunk, ascending, with their counts."""
+        if not self.packed:
+            rows, counts = np.unique(codes, axis=0, return_counts=True)
+            return [tuple(row) for row in rows.tolist()], counts.tolist()
+        if self._n_bins <= max(codes.size, _MIN_BINCOUNT_BINS):
+            binned = np.bincount(codes, minlength=self._n_bins)
+            present = np.flatnonzero(binned)
+            return present.tolist(), binned[present].tolist()
+        values, counts = np.unique(codes, return_counts=True)
+        return values.tolist(), counts.tolist()
+
+    def trial(self, code: int | tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+        """``(length, positions)`` of the shortest honest-sender trial of ``code``."""
+        if isinstance(code, tuple):
+            digits = list(code)
+        else:
+            digits = []
+            for radix in reversed(self._radices):
+                code, digit = divmod(code, radix)
+                digits.append(digit)
+            digits.reverse()
+        if self._adversary is AdversaryModel.PREDECESSOR_ONLY:
+            return (1, (1,)) if digits[0] else (0, ())
+        if self._adversary is AdversaryModel.POSITION_AWARE:
+            positions = [position for position in digits[:-1] if position]
+        else:
+            positions = [1] if digits[0] else []
+            for gap in digits[1 : digits[0]]:
+                positions.append(positions[-1] + 1 + gap)
+        if not positions:
+            return 0, ()
+        return positions[-1] + digits[-1], tuple(positions)
 
 
 @dataclass(frozen=True)
@@ -111,88 +246,144 @@ class ClassScore:
     identified: bool
 
 
-@dataclass
 class ClassScoreTable:
-    """Lazy exact scoring of ``(length, mask)`` observation classes.
+    """Canonical keys and exact scores of simple-path observation classes.
 
-    One table serves one ``(model, distribution, compromised)`` triple; scores
-    are cached, so a class costs one canonical-observation inference no matter
-    how many trials (or batches) fall into it.  With telemetry active, each
-    miss counts into ``classes_priced_total`` and times into
-    ``class_price_seconds``, labelled with the ``arrangement`` engine that
-    owns the table.
+    One table serves one ``(model, distribution)`` pair; codes, keys and
+    scores are memoised, so a class costs one inference no matter how many
+    trials (or chunks) fall into it.  ``model.n_compromised`` fixes ``C``;
+    which nodes are compromised does not matter, because keys live in the
+    canonical label space of the module docstring.  With telemetry active,
+    each priced class runs inside an ``engine.price`` span, counts into
+    ``classes_priced_total`` and times into ``class_price_seconds``, all
+    labelled with ``engine``.
     """
 
-    model: SystemModel
-    distribution: PathLengthDistribution
-    compromised: frozenset[int]
-
-    _inference: BayesianPathInference = field(init=False, repr=False)
-    _scores: dict[tuple[int, int], ClassScore] = field(
-        init=False, repr=False, default_factory=dict
-    )
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        model: SystemModel,
+        distribution: PathLengthDistribution,
+        engine: str = "arrangement",
+    ) -> None:
+        self._model = model
+        self._engine = engine
+        self._compromised = model.compromised_nodes()
         self._inference = BayesianPathInference(
-            self.model, self.distribution, self.compromised
+            model, distribution, self._compromised
         )
-        self._scores[ORIGIN_KEY] = ClassScore(entropy_bits=0.0, identified=True)
-
-    def score(self, key: tuple[int, int]) -> ClassScore:
-        """Exact entropy/identification of one class, computed on first use."""
-        cached = self._scores.get(key)
-        if cached is None:
-            telemetry = get_registry()
-            started = telemetry.clock() if telemetry.enabled else 0.0
-            cached = self._score_class(*key)
-            self._scores[key] = cached
-            if telemetry.enabled:
-                telemetry.counter("classes_priced_total", engine="arrangement").inc()
-                telemetry.histogram(
-                    "class_price_seconds", engine="arrangement"
-                ).observe(telemetry.clock() - started)
-        return cached
-
-    # ------------------------------------------------------------------ #
-    # Canonical representatives                                           #
-    # ------------------------------------------------------------------ #
-
-    def _score_class(self, length: int, mask: int) -> ClassScore:
-        posterior = self._inference.posterior(
-            observation_from_path(
-                *self._canonical_trial(length, mask),
-                self.compromised,
-                receiver_compromised=self.model.receiver_compromised,
-            )
+        # With C == N there is no honest sender, so no slot is ever drawn.
+        n_compromised = model.n_compromised
+        n_columns = n_compromised if n_compromised < model.n_nodes else 0
+        self.coder = ClassCoder(
+            model.adversary,
+            model.receiver_compromised,
+            n_columns,
+            distribution.max_length,
         )
-        return ClassScore(
-            entropy_bits=posterior.entropy_bits,
-            identified=posterior.max_probability >= IDENTIFIED_THRESHOLD,
-        )
+        self._keys: dict[object, tuple] = {self.coder.origin_code: ORIGIN_KEY}
+        self._scores: dict[tuple, ClassScore] = {
+            ORIGIN_KEY: ClassScore(entropy_bits=0.0, identified=True)
+        }
 
-    def _canonical_trial(self, length: int, mask: int) -> tuple[int, list[int]]:
-        """One concrete ``(sender, path)`` realising the class.
+    def key(self, code: int | tuple[int, ...]) -> tuple:
+        """Canonical observation key of a class code, computed on first use."""
+        key = self._keys.get(code)
+        if key is None:
+            key = self._keys[code] = self.class_key(*self.coder.trial(code))
+        return key
 
-        Compromised positions are filled with (sorted) compromised identities
-        and honest positions with distinct honest identities; by the
-        relabelling symmetry any such representative prices the whole class.
+    def class_key(self, length: int, positions: tuple[int, ...]) -> tuple:
+        """Canonical key of the honest-sender trial with compromised ``positions``.
+
+        The trial is built in the canonical label space — compromised
+        identities ``0, 1, ...`` along the path, honest ones from ``C`` up —
+        so :func:`canonical_key` only relabels its honest identities, by
+        first appearance in the observation.
         """
-        compromised_pool = iter(sorted(self.compromised))
-        honest_pool = iter(
-            node
-            for node in range(self.model.n_nodes)
-            if node not in self.compromised
-        )
-        sender = next(honest_pool)
+        n_compromised = self._model.n_compromised
+        compromised_pool = iter(range(n_compromised))
+        honest_pool = iter(range(n_compromised, self._model.n_nodes))
         try:
+            sender = next(honest_pool)
             path = [
-                next(compromised_pool) if mask >> bit & 1 else next(honest_pool)
-                for bit in range(length)
+                next(compromised_pool) if position in positions else next(honest_pool)
+                for position in range(1, length + 1)
             ]
         except StopIteration:
             raise ConfigurationError(
-                f"class (length={length}, mask={mask:#x}) needs more distinct "
-                f"nodes than the system provides (N={self.model.n_nodes}, "
-                f"C={len(self.compromised)})"
+                f"class (length={length}, positions={positions}) needs more "
+                f"distinct nodes than the system provides (N={self._model.n_nodes}, "
+                f"C={n_compromised})"
             ) from None
-        return sender, path
+        observation = observation_from_path(
+            sender,
+            path,
+            self._compromised,
+            receiver_compromised=self._model.receiver_compromised,
+        )
+        return canonical_key(
+            observation_class_key(observation, self._model.adversary),
+            self._compromised,
+        )
+
+    def score(self, key: tuple) -> ClassScore:
+        """Exact entropy/identification of one class key, computed on first use."""
+        cached = self._scores.get(key)
+        if cached is None:
+            telemetry = get_registry()
+            with trace_span("engine.price", telemetry, engine=self._engine):
+                started = telemetry.clock() if telemetry.enabled else 0.0
+                posterior = self._inference.posterior(self._representative(key))
+                cached = ClassScore(
+                    entropy_bits=posterior.entropy_bits,
+                    identified=posterior.max_probability >= IDENTIFIED_THRESHOLD,
+                )
+                if telemetry.enabled:
+                    telemetry.counter(
+                        "classes_priced_total", engine=self._engine
+                    ).inc()
+                    telemetry.histogram(
+                        "class_price_seconds", engine=self._engine
+                    ).observe(telemetry.clock() - started)
+            self._scores[key] = cached
+        return cached
+
+    def _representative(self, key: tuple) -> Observation:
+        """The observation whose canonical key is ``key``, built from the key alone."""
+        kind = key[0]
+        if kind == "pred-silent":
+            return Observation(silent_compromised=self._compromised)
+        if kind == "pred":
+            # The weak adversary reads only the first report's predecessor.
+            _, node, predecessor = key
+            return Observation(
+                hop_reports=(HopReport(1.0, node, predecessor, RECEIVER),),
+                silent_compromised=self._compromised - {node},
+            )
+        _, entries, receiver = key
+        reports = []
+        for index, entry in enumerate(entries, start=1):
+            if self._model.adversary is AdversaryModel.POSITION_AWARE:
+                node, position, predecessor, successor = entry
+            else:
+                (node, predecessor, successor), position = entry, None
+            reports.append(
+                HopReport(
+                    float(index),
+                    node,
+                    predecessor,
+                    RECEIVER if successor == "R" else successor,
+                    position=position,
+                )
+            )
+        return Observation(
+            hop_reports=tuple(reports),
+            receiver_report=(
+                None
+                if receiver is None
+                else ReceiverReport(float(len(reports) + 1), receiver)
+            ),
+            silent_compromised=self._compromised.difference(
+                report.node for report in reports
+            ),
+        )

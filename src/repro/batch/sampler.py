@@ -1,4 +1,4 @@
-"""Bulk draws shared by the clique engines: lengths, slots, and position masks.
+"""Bulk draws shared by the clique engines: lengths and compromised slots.
 
 One trial of the single-compromised-node model is fully characterised by
 three integers: the sender, the path length, and where — if anywhere — the
@@ -18,14 +18,15 @@ bulk*:
   reproduces the exact joint law of the hop-by-hop path builder — without
   materialising any of the other ``l - 1`` node identities.
 
-:func:`decode_masks` generalises the slot trick to ``C >= 0`` compromised
+:func:`decode_slots` generalises the slot trick to ``C >= 0`` compromised
 nodes: extend the rerouting path to a uniformly random permutation of all
 ``N - 1`` non-sender nodes (the first ``l`` entries *are* the path), and the
 compromised nodes occupy ``C`` distinct, uniformly random slots of that
 permutation.  Drawing ``C`` distinct slots — via the classic "draw
 ``r_j ∈ {0 .. N-2-j}`` and map to the ``r_j``-th untaken slot" decode — and
 keeping those ``< l`` reproduces the exact joint law of the compromised
-*position set*, again without materialising any honest node identity.
+*position set*, again without materialising any honest node identity, and
+at any path length: positions are plain integers, never bits of a mask.
 
 Each engine consumes a fixed number of bulk draws from the generator per
 chunk (senders, length uniforms, then its slot or hop columns), in a fixed
@@ -40,12 +41,7 @@ import numpy as np
 
 from repro.distributions.base import PathLengthDistribution
 
-__all__ = ["MAX_MASK_LENGTH", "InverseCdfDecoder", "decode_masks"]
-
-#: Longest path representable in a position bitmask (int64, one bit of
-#: headroom).  Systems whose effective distribution exceeds this need the
-#: hop-by-hop ``event`` engine.
-MAX_MASK_LENGTH = 62
+__all__ = ["InverseCdfDecoder", "decode_slots"]
 
 
 class InverseCdfDecoder:
@@ -102,28 +98,27 @@ class InverseCdfDecoder:
         return lengths
 
 
-def decode_masks(
-    lengths: np.ndarray, raw_columns: Sequence[np.ndarray], n_trials: int
-) -> np.ndarray:
-    """Decode raw slot columns to position bitmasks, as a live int64 array.
+def decode_slots(raw_columns: Sequence[np.ndarray], n_trials: int) -> np.ndarray:
+    """Decode raw slot columns to each trial's sorted slots, as a ``(C, n)`` array.
 
     ``raw_columns[j]`` holds uniform draws over the ``N - 1 - j`` slots still
     untaken; each is shifted past the already-taken slots in ascending order
-    (the insertion walk of the module docstring), and bit ``s`` of a trial's
-    mask is set when its compromised node landed on slot ``s < length``,
-    i.e. on 1-based hop position ``s + 1``.
+    (the insertion walk of the module docstring) and then inserted into the
+    row-wise sorted slots taken so far, so row ``j`` of the result holds
+    every trial's ``j``-th smallest slot.  A compromised node on slot
+    ``s < length`` sits on 1-based hop position ``s + 1``, and because the
+    rows are sorted, a trial's on-path slots are its first ones.
     """
-    masks = np.zeros(n_trials, dtype=np.int64)
     slots = np.empty((len(raw_columns), n_trials), dtype=np.int64)
     for j, raw in enumerate(raw_columns):
-        values = raw.astype(np.int64)
-        if j:
-            occupied = np.sort(slots[:j], axis=0)
-            for k in range(j):
-                values += values >= occupied[k]
-        slots[j] = values
-        on_path = values < lengths
-        masks |= np.where(
-            on_path, np.int64(1) << np.minimum(values, MAX_MASK_LENGTH), 0
-        )
-    return masks
+        carry = raw.astype(np.int64)
+        # One pass over the taken rows both shifts the new draw past every
+        # taken slot at or below it and carries the larger value upwards,
+        # which inserts the draw into the sorted rows.
+        for taken in slots[:j]:
+            carry += carry >= taken
+            lower = np.minimum(taken, carry)
+            np.maximum(taken, carry, out=carry)
+            taken[...] = lower
+        slots[j] = carry
+    return slots

@@ -20,8 +20,8 @@ that counting machinery:
 The estimation engines stand on this substrate: the hop-by-hop ``event``
 engine prices every sampled observation individually, while the vectorized
 batch engines price each symmetric observation class exactly once through
-the same counts — ``(length, position-set)`` arrangement classes on simple
-paths (:mod:`repro.batch.multiclass`), walk-pattern classes on cycle paths
+the same counts — canonical observation classes on simple paths
+(:mod:`repro.batch.multiclass`), walk-pattern classes on cycle paths
 (:mod:`repro.batch.cycleengine`).
 """
 

@@ -32,8 +32,8 @@ division.
 Consumers: :class:`repro.adversary.inference.BayesianPathInference` evaluates
 these counts per observation (the ``event`` engine), and the vectorized batch
 classifier for ``C > 1`` (:mod:`repro.batch.multiclass`) evaluates them once
-per symmetric ``(length, compromised-position-set)`` class and amortises the
-result over every trial in the class.
+per canonical observation class and amortises the result over every trial in
+the class.
 """
 
 from __future__ import annotations

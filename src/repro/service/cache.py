@@ -40,11 +40,14 @@ __all__ = ["CachedEstimate", "CacheStats", "ResultCache"]
 
 logger = logging.getLogger(__name__)
 
-#: On-disk entry schema version; bumped on incompatible layout changes.
-#: Version 2 added the per-round convergence ``trajectory``, so a cache hit
-#: replays the full convergence history bit-identically (the run-ledger diff
-#: contract); version-1 entries stop matching and are recomputed.
-ENTRY_VERSION = 2
+#: On-disk entry schema version; bumped on incompatible layout changes and
+#: whenever the bits an entry replays change.  Version 2 added the per-round
+#: convergence ``trajectory``, so a cache hit replays the full convergence
+#: history bit-identically (the run-ledger diff contract).  Version 3 marks
+#: the arrangement and cycle engines pricing each canonical observation
+#: class once, from its key alone, which changes their result bits; older
+#: entries stop matching and are recomputed.
+ENTRY_VERSION = 3
 
 
 @dataclass(frozen=True)

@@ -94,15 +94,15 @@ def cycle_arrays(trials):
 
 
 def scalar_histogram(trials, compromised, adversary, receiver_compromised=True):
-    """``{key: (count, first index)}`` through ``cycle_trial_key``, row by row."""
-    histogram: dict = {}
-    for index, (sender, path) in enumerate(trials):
-        key = cycle_trial_key(
-            sender, path, len(path), compromised, adversary, receiver_compromised
+    """``{key: count}`` through ``cycle_trial_key``, row by row."""
+    return dict(
+        Counter(
+            cycle_trial_key(
+                sender, path, len(path), compromised, adversary, receiver_compromised
+            )
+            for sender, path in trials
         )
-        count, first = histogram.get(key, (0, index))
-        histogram[key] = (count + 1, first)
-    return histogram
+    )
 
 
 # ---------------------------------------------------------------------- #
@@ -354,7 +354,7 @@ class TestCycleClassifier:
     @pytest.mark.parametrize("adversary", list(AdversaryModel))
     @pytest.mark.parametrize("receiver_compromised", [True, False])
     def test_array_kernel_matches_the_scalar_rule(self, adversary, receiver_compromised):
-        """Keys and first-index representatives equal ``cycle_trial_key`` row by row."""
+        """Key counts equal ``cycle_trial_key`` row by row."""
         trials = draw_cycle_trials(
             4, GeometricLength(0.7, minimum=1, max_length=10), 4_000, seed=9
         )
@@ -364,7 +364,7 @@ class TestCycleClassifier:
         assert keyed == scalar_histogram(
             trials, 0, adversary, receiver_compromised
         )
-        assert sum(count for count, _ in keyed.values()) == len(trials)
+        assert sum(keyed.values()) == len(trials)
 
     def test_kernels_match_scalar_reference(self):
         trials = draw_cycle_trials(4, UniformLength(0, 8), 1_500, seed=3)
@@ -372,7 +372,7 @@ class TestCycleClassifier:
         reference = Counter(
             cycle_trial_key(sender, path, len(path), 0) for sender, path in trials
         )
-        assert {key: count for key, (count, _) in keyed.items()} == dict(reference)
+        assert keyed == dict(reference)
 
 
 # ---------------------------------------------------------------------- #
@@ -404,7 +404,7 @@ class TestCycleBatchEngine:
         )
         for sender, path in draw_cycle_trials(6, distribution, 1_000, seed=23):
             key = cycle_trial_key(sender, path, len(path), 0)
-            entropy, _ = table.score(key, sender, path)
+            entropy, _ = table.score(key)
             observation = observation_from_path(sender, path, frozenset({0}))
             assert entropy == pytest.approx(
                 inference.posterior(observation).entropy_bits, abs=1e-9
@@ -440,7 +440,7 @@ class TestCycleBatchEngine:
             distribution=FixedLength(3),
             compromised=frozenset({0, 1}),
         )
-        entropy, identified = table.score(("silent",), 2, (3, 4, 5))
+        entropy, identified = table.score(("silent",))
         assert entropy > 0.0 and not identified
 
     def test_engine_requires_a_cycle_strategy(self):
@@ -663,7 +663,7 @@ def enumerate_degree_via_class_table(model, distribution) -> float:
                     model.adversary,
                     model.receiver_compromised,
                 )
-                entropy, _ = table.score(key, sender, path)
+                entropy, _ = table.score(key)
                 degree += path_prob * entropy
     return degree
 
@@ -738,11 +738,40 @@ class TestMultiCompromisedCycles:
         )
         for sender, path in draw_cycle_trials(7, distribution, 800, seed=41):
             key = cycle_trial_key(sender, path, len(path), compromised)
-            entropy, _ = table.score(key, sender, path)
+            entropy, _ = table.score(key)
             observation = observation_from_path(sender, path, compromised)
             assert entropy == pytest.approx(
                 inference.posterior(observation).entropy_bits, abs=1e-9
             )
+
+    @pytest.mark.parametrize("receiver_compromised", [True, False])
+    @pytest.mark.parametrize("adversary", list(AdversaryModel))
+    @pytest.mark.parametrize("n_compromised", [0, 1, 2, 3])
+    def test_representatives_realise_their_keys(
+        self, n_compromised, adversary, receiver_compromised
+    ):
+        """The trial a class is priced from, built from its key alone, has that key."""
+        model = SystemModel(
+            n_nodes=6,
+            n_compromised=n_compromised,
+            adversary=adversary,
+            receiver_compromised=receiver_compromised,
+        )
+        compromised = model.compromised_nodes()
+        distribution = UniformLength(0, 9)
+        table = CycleScoreTable(
+            model=model, distribution=distribution, compromised=compromised
+        )
+        trials = draw_cycle_trials(6, distribution, 3_000, seed=53)
+        keys = scalar_histogram(trials, compromised, adversary, receiver_compromised)
+        assert len(keys) > (1 if n_compromised else 0)
+        for key in keys:
+            sender, path = table.representative(key)
+            assert path == () or path[0] != sender
+            assert all(first != second for first, second in zip(path, path[1:]))
+            assert cycle_trial_key(
+                sender, path, len(path), compromised, adversary, receiver_compromised
+            ) == key
 
     @pytest.mark.parametrize("adversary", list(AdversaryModel))
     def test_estimate_covers_exhaustive_truth(self, adversary):
@@ -764,7 +793,7 @@ class TestMultiCompromisedCycles:
         assert report.estimate.contains(truth, slack=0.01)
 
     def test_array_kernel_matches_the_scalar_rule(self):
-        """Multi-node keys and representatives equal ``cycle_trial_key`` per row."""
+        """Multi-node key counts equal ``cycle_trial_key`` per row."""
         trials = draw_cycle_trials(5, UniformLength(0, 7), 3_000, seed=47)
         compromised = frozenset({1, 3})
         for adversary in AdversaryModel:
@@ -775,7 +804,7 @@ class TestMultiCompromisedCycles:
                 assert keyed == scalar_histogram(
                     trials, compromised, adversary, receiver_compromised
                 )
-                assert sum(count for count, _ in keyed.values()) == len(trials)
+                assert sum(keyed.values()) == len(trials)
 
     def test_sharded_bit_deterministic_per_seed_and_shards(self):
         model = SystemModel(n_nodes=6, n_compromised=2)

@@ -10,7 +10,10 @@ the table decoder — and classifies them trial by trial:
 * five-class: :func:`repro.core.events.classify_trial` on the decoded
   ``(sender, length, position)`` of every trial;
 * arrangement: a test-local insertion walk that turns raw slot draws into
-  position masks one trial at a time;
+  compromised positions one trial at a time, then the observation key of a
+  concrete path with those positions, through
+  :func:`repro.adversary.observation.observation_from_path`, up to
+  relabelling (:func:`repro.batch.multiclass.canonical_key`);
 * cycle: a test-local hop-by-hop walk, keyed by
   :func:`repro.batch.cycleclassify.cycle_trial_key` (the array classifier's
   keys and representatives are checked row by row in ``tests/test_cycle.py``).
@@ -27,11 +30,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from repro.adversary.inference import observation_class_key
+from repro.adversary.observation import observation_from_path
 from repro.batch import BatchMonteCarlo, InverseCdfDecoder, ShardedBackend
 from repro.batch.cycleclassify import cycle_trial_key
 from repro.batch.engine import BatchAccumulator, TrialEngine, select_engine
-from repro.batch.multiclass import ORIGIN_KEY
-from repro.batch.sampler import decode_masks
+from repro.batch.multiclass import canonical_key
+from repro.batch.sampler import decode_slots
 from repro.core.anonymity import AnonymityAnalyzer
 from repro.core.events import EVENT_ORDER, EventClass, classify_trial, event_code
 from repro.core.model import AdversaryModel, PathModel, SystemModel
@@ -101,19 +106,42 @@ def five_class_oracle(engine, n_trials, generator):
     return sum(lengths), counts
 
 
-def insertion_walk_mask(length: int, raws: list[int]) -> int:
+def insertion_walk(raws: list[int]) -> list[int]:
     """Place each compromised node on the ``raw``-th slot still untaken."""
     taken: list[int] = []
-    mask = 0
     for raw in raws:
         slot = raw
         for occupied in sorted(taken):
             if slot >= occupied:
                 slot += 1
         taken.append(slot)
-        if slot < length:
-            mask |= 1 << slot
-    return mask
+    return taken
+
+
+def canonical_observation_key(engine, sender, path) -> tuple:
+    """The trial's observation key up to relabelling."""
+    observation = observation_from_path(
+        sender,
+        path,
+        engine.compromised,
+        receiver_compromised=engine.model.receiver_compromised,
+    )
+    return canonical_key(
+        observation_class_key(observation, engine.model.adversary),
+        engine.compromised,
+    )
+
+
+def arrangement_trial(engine, sender, length, slots) -> list[int]:
+    """A concrete path with compromised node ``j`` on slot ``slots[j]``."""
+    compromised = sorted(engine.compromised)
+    placed = {slot: compromised[j] for j, slot in enumerate(slots) if slot < length}
+    honest = iter(
+        node
+        for node in reversed(range(engine.model.n_nodes))
+        if node != sender and node not in engine.compromised
+    )
+    return [placed[slot] if slot in placed else next(honest) for slot in range(length)]
 
 
 def arrangement_oracle(engine, n_trials, generator):
@@ -128,11 +156,9 @@ def arrangement_oracle(engine, n_trials, generator):
     ]
     counts: Counter = Counter()
     for index, (sender, length) in enumerate(zip(senders, lengths)):
-        if sender in engine.compromised:
-            counts[ORIGIN_KEY] += 1
-            continue
-        raws = [column[index] for column in columns]
-        counts[(length, insertion_walk_mask(length, raws))] += 1
+        slots = insertion_walk([column[index] for column in columns])
+        path = arrangement_trial(engine, sender, length, slots)
+        counts[canonical_observation_key(engine, sender, path)] += 1
     return sum(lengths), counts
 
 
@@ -192,6 +218,8 @@ DOMAINS = [
     pytest.param(PathModel.SIMPLE, frozenset(), AdversaryModel.FULL_BAYES, True, id="arrangement-c0"),
     pytest.param(PathModel.SIMPLE, frozenset({1, 4}), AdversaryModel.FULL_BAYES, True, id="arrangement-c2"),
     pytest.param(PathModel.SIMPLE, frozenset({1, 4}), AdversaryModel.FULL_BAYES, False, id="arrangement-honest"),
+    pytest.param(PathModel.SIMPLE, frozenset({0, 3, 5}), AdversaryModel.POSITION_AWARE, True, id="arrangement-pos"),
+    pytest.param(PathModel.SIMPLE, frozenset({0, 3, 5}), AdversaryModel.PREDECESSOR_ONLY, False, id="arrangement-pred"),
     pytest.param(PathModel.CYCLE_ALLOWED, frozenset({2}), AdversaryModel.FULL_BAYES, True, id="cycle"),
     pytest.param(PathModel.CYCLE_ALLOWED, frozenset({2}), AdversaryModel.POSITION_AWARE, True, id="cycle-pos"),
     pytest.param(PathModel.CYCLE_ALLOWED, frozenset({2}), AdversaryModel.FULL_BAYES, False, id="cycle-honest"),
@@ -250,19 +278,19 @@ class TestKernelsMatchScalarOracles:
         for code, (_, entropy, _) in classes.items():
             assert entropy == analysis.event(EVENT_ORDER[code]).entropy_bits
 
-    @pytest.mark.parametrize("n_compromised", [1, 2, 3, 5, 8])
-    def test_mask_decode_matches_the_insertion_walk(self, n_compromised):
+    @pytest.mark.parametrize("n_compromised", [0, 1, 2, 3, 5, 8])
+    def test_slot_decode_matches_the_insertion_walk(self, n_compromised):
         generator = np.random.default_rng(n_compromised)
         n_trials = 2_000
-        lengths = generator.integers(0, N_NODES, size=n_trials)
         columns = [
             generator.integers(0, N_NODES - 1 - j, size=n_trials)
             for j in range(n_compromised)
         ]
-        masks = decode_masks(lengths, columns, n_trials)
+        slots = decode_slots(columns, n_trials)
+        assert slots.shape == (n_compromised, n_trials)
         for index in range(n_trials):
             raws = [int(column[index]) for column in columns]
-            assert masks[index] == insertion_walk_mask(int(lengths[index]), raws)
+            assert slots[:, index].tolist() == sorted(insertion_walk(raws))
 
 
 class ScriptedGenerator:
@@ -346,6 +374,27 @@ class TestFiveClassKernelLadder:
         assert counts == {EventClass.ORIGIN: 4}
 
 
+class TestClassPricesDependOnTheKeyAlone:
+    def test_cycle_key_fb_1_recv_prices_to_one_float(self):
+        """Two different first trials of one cycle class price it identically.
+
+        The class ``('fb', 1, (), 'recv')`` used to take the floats of the
+        first trial that reached it: 1.850279539781306 bits when the
+        compromised node sat on hop 1, 1.8502795397813059 when on hop 4.
+        """
+        key = ("fb", 1, (), "recv")
+        prices = []
+        # Sender 3 reaches the receiver through node 0 on hop 1, or through
+        # nodes 5, 6, 7 and then 0 (a raw draw skips the current holder).
+        for lengths, *levels in (([1], [0]), ([4], [4], [5], [6], [0])):
+            engine = build_engine(PathModel.CYCLE_ALLOWED, frozenset({0}))
+            generator = ScriptedGenerator(engine.distribution, lengths, [3], *levels)
+            _, classes = engine.accumulate_chunk(1, generator)
+            assert list(classes) == [key]
+            prices.append(classes[key][1])
+        assert prices[0] == prices[1]
+
+
 class TestKernelDeterminism:
     @pytest.mark.parametrize("path_model, compromised, adversary, receiver", DOMAINS)
     def test_runs_at_any_seed_and_chunking_merge(
@@ -353,11 +402,9 @@ class TestKernelDeterminism:
     ):
         """Accumulators cut at different seeds and chunk sizes sum cleanly.
 
-        Lazily priced classes are scored from whichever trial first lands in
-        them, so two fresh engines price a shared class from different
-        trials.  ``BatchAccumulator.merge`` refuses entropies that disagree
-        beyond its tolerance; the cycle engines' representatives can differ
-        in the last ulp, so the floats are not compared exactly here.
+        Every engine prices a class from its key alone, so two fresh engines
+        that reach a shared class through different trials still agree on
+        its floats exactly.
         """
         first = build_engine(path_model, compromised, adversary, receiver)
         second = build_engine(path_model, compromised, adversary, receiver)
@@ -365,9 +412,10 @@ class TestKernelDeterminism:
         one = first.run_accumulate(5_003, rng=3)
         two = second.run_accumulate(5_003, rng=17)
         shared = one.classes.keys() & two.classes.keys()
-        assert len(shared) > 1
+        # With no compromised node every trial is silent: one class.
+        assert len(shared) > 1 if compromised else len(shared) == 1
         for key in shared:
-            assert one.classes[key][2] == two.classes[key][2]
+            assert one.classes[key][1:] == two.classes[key][1:]
         merged = BatchAccumulator.merge([one, two])
         assert merged.n_trials == 10_006
         assert merged.length_sum == one.length_sum + two.length_sum

@@ -13,6 +13,7 @@ import threading
 
 import pytest
 
+from repro.batch import BatchMonteCarlo
 from repro.batch.engine import select_engine
 from repro.batch.multiclass import ORIGIN_KEY, ClassScoreTable
 from repro.batch.sharded import ShardedBackend
@@ -343,10 +344,9 @@ class TestEngineInstrumentation:
 
     def test_class_pricing_counts_and_times_misses_only(self):
         model = SystemModel(n_nodes=30, n_compromised=2)
-        table = ClassScoreTable(
-            model, UniformLength(2, 8), model.compromised_nodes()
-        )
-        keys = [(3, 0b001), (3, 0b001), (4, 0b0110), ORIGIN_KEY, (4, 0b0110)]
+        table = ClassScoreTable(model, UniformLength(2, 8))
+        first, second = table.class_key(3, (1,)), table.class_key(4, (2, 3))
+        keys = [first, first, second, ORIGIN_KEY, second]
         with activate(MetricsRegistry(clock=FakeClock(step=0.25))) as registry:
             for key in keys:
                 table.score(key)
@@ -384,6 +384,33 @@ class TestEngineInstrumentation:
         assert priced.value == misses
         timings = registry.histogram("class_price_seconds", engine=engine.name)
         assert timings.count == misses
+        assert timings.min == timings.max == 0.25
+
+    @pytest.mark.parametrize(
+        "path_model", [PathModel.SIMPLE, PathModel.CYCLE_ALLOWED]
+    )
+    def test_cold_path_spans_time_construction_and_each_price(self, path_model):
+        model = SystemModel(n_nodes=30, n_compromised=2, path_model=path_model)
+        strategy = PathSelectionStrategy(
+            "U(2,8)", UniformLength(2, 8), path_model=path_model
+        )
+        with activate(MetricsRegistry(clock=FakeClock(step=0.25))) as registry:
+            estimator = BatchMonteCarlo(model, strategy)
+            estimator.run_accumulate(2_000, rng=5)
+        name = estimator.engine.name
+        labels = (("engine", name),)
+        (construct,) = [r for r in registry.spans if r.name == "engine.construct"]
+        # Nothing inside construction reads the clock: one step.
+        assert (construct.path, construct.attributes) == ("engine.construct", labels)
+        assert construct.duration == 0.25
+        prices = [r for r in registry.spans if r.name == "engine.price"]
+        priced = registry.counter("classes_priced_total", engine=name).value
+        assert len(prices) == priced > 0
+        # Each price span wraps the two reads of class_price_seconds.
+        for record in prices:
+            assert (record.path, record.attributes) == ("engine.price", labels)
+            assert record.duration == 0.75
+        timings = registry.histogram("class_price_seconds", engine=name)
         assert timings.min == timings.max == 0.25
 
     def test_uninstrumented_run_is_bit_identical_to_instrumented(self):
