@@ -311,36 +311,38 @@ class TestOrbitReduction:
             )
             assert len(calls) <= (len(named_honest) + 1) * support
 
-    # Recorded from the per-candidate loop before orbit reduction: N = 100,
-    # U(2, 8), 20 000 trials at seed 13 -> (length sum, classes, mean
-    # entropy as float.hex, accumulator_digest).
+    # N = 100, U(2, 8), 20 000 trials at seed 13 -> (length sum, classes,
+    # mean entropy as float.hex, accumulator_digest).  First recorded from
+    # the per-candidate loop before orbit reduction; re-recorded when the
+    # arrangement engine began to price each canonical observation class
+    # once, from its key alone.
     GOLDEN = {
         (2, AdversaryModel.FULL_BAYES, True): (
-            100053, 77, "0x1.98f58e675fec2p+2", "b6eeaed122e1556f"
+            100053, 14, "0x1.98f58e675fec1p+2", "68fc4ddcfe8565e6"
         ),
         (2, AdversaryModel.FULL_BAYES, False): (
-            100053, 77, "0x1.99deec0da5c41p+2", "850d894be4c19aa3"
+            100053, 10, "0x1.99deec0da5c43p+2", "800f6db0fe45e2b7"
         ),
         (2, AdversaryModel.POSITION_AWARE, True): (
-            100053, 77, "0x1.94c423b03152dp+2", "e4180be5ee5e812f"
+            100053, 48, "0x1.94c423b03152cp+2", "b6ae8d9085ca445a"
         ),
         (3, AdversaryModel.FULL_BAYES, True): (
-            100053, 111, "0x1.910daf94f958ep+2", "53b1b71ca2d47966"
+            100053, 16, "0x1.910daf94f9592p+2", "d45dc5e3c15513e6"
         ),
         (3, AdversaryModel.FULL_BAYES, False): (
-            100053, 111, "0x1.9209538dc3d36p+2", "b2320422bf14dbf0"
+            100053, 12, "0x1.9209538dc3d36p+2", "bd2ac5f3394f0793"
         ),
         (3, AdversaryModel.POSITION_AWARE, True): (
-            100053, 111, "0x1.8b09217b57f6dp+2", "1d53297ea13873ca"
+            100053, 74, "0x1.8b09217b57f69p+2", "1966a49970fa8687"
         ),
         (5, AdversaryModel.FULL_BAYES, True): (
-            100053, 145, "0x1.8226df18ef0ffp+2", "ee765bd37cb6ca54"
+            100053, 27, "0x1.8226df18ef0fbp+2", "b1700e9124f4db3a"
         ),
         (5, AdversaryModel.FULL_BAYES, False): (
-            100053, 145, "0x1.8326b8d46d1e4p+2", "2ec005e4315c762a"
+            100053, 23, "0x1.8326b8d46d1e0p+2", "ea2438cb83e37e0d"
         ),
         (5, AdversaryModel.POSITION_AWARE, True): (
-            100053, 145, "0x1.787a3b302d29cp+2", "6d43fc60ebe79bec"
+            100053, 104, "0x1.787a3b302d29bp+2", "9aa20ce522f52368"
         ),
     }
 

@@ -3,8 +3,10 @@
 Each row pins ``(length_sum, class count, mean entropy as float.hex,
 accumulator_digest)`` for a fixed ``(seed, chunk_trials)`` run, so any change
 to an engine's draw order, decode, classification, or pricing shows up as a
-bit difference.  The values were recorded before the batch engines were cut
-down to one kernel each, and every engine must keep reproducing them.
+bit difference.  The five-class and topology rows were recorded before the
+batch engines were cut down to one kernel each; the arrangement, cycle and
+sharded rows were re-recorded when those engines began to price each
+canonical observation class once, from its key alone.
 """
 
 from __future__ import annotations
@@ -89,22 +91,22 @@ GOLDEN = {
         210239, 5, "0x1.a1a9c974e6b43p+2", "0d1c6baac4047b8e"
     ),
     ("arrangement", None): (
-        100053, 77, "0x1.98f58e675fec2p+2", "b6eeaed122e1556f"
+        100053, 14, "0x1.98f58e675fec1p+2", "68fc4ddcfe8565e6"
     ),
     ("arrangement", 4_097): (
-        100438, 77, "0x1.98f6a3fe54838p+2", "ff9da57aa8199646"
+        100438, 14, "0x1.98f6a3fe54834p+2", "82df60d5cdab491f"
     ),
     ("cycle", None): (
-        80072, 12, "0x1.a10f8961c1396p+2", "3513acc86307f16d"
+        80072, 12, "0x1.a10f8961c1396p+2", "d8e1db16f0451096"
     ),
     ("cycle", 4_097): (
-        80068, 11, "0x1.a132634e2bbd7p+2", "a5427e5d3b6c1595"
+        80068, 11, "0x1.a132634e2bbd7p+2", "fdb6d888fbcc6b64"
     ),
     ("cycle-multi", None): (
-        80072, 19, "0x1.99daec6727012p+2", "341ded0dc3e363bb"
+        80072, 19, "0x1.99daec6727012p+2", "26da9f60f7a002ba"
     ),
     ("cycle-multi", 4_097): (
-        80068, 15, "0x1.99d8f86a85359p+2", "0c1a1b0c66db9d33"
+        80068, 15, "0x1.99d8f86a85359p+2", "04d69a3eaddc912c"
     ),
     ("topology-ring", None): (
         70090, 32, "0x1.770b09642b375p+1", "53d8b6ecc764cfca"
@@ -121,7 +123,7 @@ GOLDEN = {
 }
 
 #: ``(seed, shards=2)`` on the sharded backend, merged across both shards.
-SHARDED_GOLDEN = (100365, 78, "0x1.995bf05cc2132p+2", "f5c417969abffc61")
+SHARDED_GOLDEN = (100365, 14, "0x1.995bf05cc2133p+2", "241cfca6a9e6d907")
 
 
 @pytest.mark.parametrize("config", sorted(GOLDEN, key=repr), ids=repr)
