@@ -537,10 +537,9 @@ class ArrangementEngine(TrialEngine):
         n_nodes = self.model.n_nodes
         senders = generator.integers(0, n_nodes, size=n_trials)
         lengths = self._lengths.decode(n_trials, generator)
-        n_columns = len(self.compromised) if len(self.compromised) < n_nodes else 0
         raw_columns = [
             generator.integers(0, n_nodes - 1 - j, size=n_trials)
-            for j in range(n_columns)
+            for j in range(self._score_table.coder.n_columns)
         ]
         return senders, lengths, decode_slots(raw_columns, n_trials)
 
@@ -555,7 +554,9 @@ class ArrangementEngine(TrialEngine):
         """
         senders, lengths, slots = self.draw(n_trials, generator)
         table = self._score_table
-        codes = table.coder.encode(self._is_compromised[senders], lengths, slots)
+        codes = table.coder.encode(
+            self._is_compromised[senders], lengths.astype(slots.dtype), slots
+        )
         classes: ChunkClasses = {}
         for code, count in zip(*table.coder.tally(codes)):
             key = table.key(code)

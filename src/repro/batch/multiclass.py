@@ -143,7 +143,8 @@ class ClassCoder:
         max_length: int,
     ) -> None:
         self._adversary = adversary
-        self._n_columns = n_columns
+        #: Slot columns a chunk draws: one per compromised node.
+        self.n_columns = n_columns
         tail_radix = 3 if receiver_compromised else 2
         self._tail_max = tail_radix - 1
         if adversary is AdversaryModel.PREDECESSOR_ONLY:
@@ -184,23 +185,29 @@ class ClassCoder:
         return codes
 
     def _digits(self, lengths: np.ndarray, slots: np.ndarray) -> list[np.ndarray]:
-        on_path = slots < lengths
         if self._adversary is AdversaryModel.PREDECESSOR_ONLY:
-            return [on_path.any(axis=0)]
+            # Sorted rows: some slot is on the path iff the smallest one is.
+            return [(slots[:1] < lengths).any(axis=0)]
+        on_path = slots < lengths
         # Sorted rows put the on-path slots first, so the last on-path row
-        # to write the tail is the trial's last compromised position.
-        tail = np.zeros(lengths.shape, dtype=np.int64)
+        # to write ``last`` holds the trial's last compromised slot.
+        last = lengths - 1
+        tail = last.copy()
         for row, on in zip(slots, on_path):
-            np.copyto(tail, lengths - 1 - row, where=on)
+            np.copyto(last, row, where=on)
+        tail -= last
         np.minimum(tail, self._tail_max, out=tail)
         if self._adversary is AdversaryModel.POSITION_AWARE:
             positions = [np.where(on, row + 1, 0) for row, on in zip(slots, on_path)]
             return [*positions, tail]
-        gaps = [
-            np.where(on_path[j + 1], np.minimum(slots[j + 1] - slots[j] - 1, 2), 0)
-            for j in range(self._n_columns - 1)
-        ]
-        return [on_path.sum(axis=0), *gaps, tail]
+        digits = [on_path.sum(axis=0)]
+        for j in range(self.n_columns - 1):
+            gap = slots[j + 1] - slots[j]
+            gap -= 1
+            np.minimum(gap, 2, out=gap)
+            gap *= on_path[j + 1]
+            digits.append(gap)
+        return [*digits, tail]
 
     def tally(self, codes: np.ndarray) -> tuple[list, list[int]]:
         """The distinct codes of one chunk, ascending, with their counts."""

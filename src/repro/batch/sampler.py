@@ -99,7 +99,7 @@ class InverseCdfDecoder:
 
 
 def decode_slots(raw_columns: Sequence[np.ndarray], n_trials: int) -> np.ndarray:
-    """Decode raw slot columns to each trial's sorted slots, as a ``(C, n)`` array.
+    """Decode raw slot columns to each trial's sorted slots, as ``(C, n)`` int32.
 
     ``raw_columns[j]`` holds uniform draws over the ``N - 1 - j`` slots still
     untaken; each is shifted past the already-taken slots in ascending order
@@ -109,9 +109,10 @@ def decode_slots(raw_columns: Sequence[np.ndarray], n_trials: int) -> np.ndarray
     ``s < length`` sits on 1-based hop position ``s + 1``, and because the
     rows are sorted, a trial's on-path slots are its first ones.
     """
-    slots = np.empty((len(raw_columns), n_trials), dtype=np.int64)
+    # Slots lie below N - 1, so int32 holds them at half the memory traffic.
+    slots = np.empty((len(raw_columns), n_trials), dtype=np.int32)
     for j, raw in enumerate(raw_columns):
-        carry = raw.astype(np.int64)
+        carry = raw.astype(np.int32)
         # One pass over the taken rows both shifts the new draw past every
         # taken slot at or below it and carries the larger value upwards,
         # which inserts the draw into the sorted rows.

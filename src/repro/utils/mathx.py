@@ -45,10 +45,7 @@ def falling_factorial(n: int, k: int) -> int:
         return 1
     if n < k:
         return 0
-    result = 1
-    for offset in range(k):
-        result *= n - offset
-    return result
+    return math.perm(n, k)
 
 
 def binomial(n: int, k: int) -> int:
