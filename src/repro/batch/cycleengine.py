@@ -169,8 +169,10 @@ class CycleScoreTable:
         if key == ORIGIN_KEY:
             return compromised[0], ()
         sender = honest[0]
-        if key in (SILENT_KEY, PATH_KEY):
-            return sender, () if key == SILENT_KEY else (compromised[0],)
+        if key == SILENT_KEY:
+            return sender, ()
+        if key == PATH_KEY:
+            return sender, (compromised[0],)
         fresh = (honest[index % len(honest)] for index in itertools.count(1))
         if key[0] == "pos":
             return sender, (*(next(fresh) for _ in range(key[1] - 1)), compromised[0])
