@@ -16,7 +16,7 @@ the table decoder — and classifies them trial by trial:
   relabelling (:func:`repro.batch.multiclass.canonical_key`);
 * cycle: a test-local hop-by-hop walk, keyed by
   :func:`repro.batch.cycleclassify.cycle_trial_key` (the array classifier's
-  keys and representatives are checked row by row in ``tests/test_cycle.py``).
+  key counts are checked row by row in ``tests/test_cycle.py``).
 
 The oracle must consume the generator exactly as the kernel does and produce
 the same class counts and length sum, for single chunks and for whole runs
