@@ -194,9 +194,9 @@ class TestClassKeyCounting:
         assert keyed[ORIGIN_KEY] == expected
 
 
-def every_trial(n_nodes, n_compromised):
+def every_trial(n_nodes, n_compromised, max_length=None):
     """Every honest-sender ``(length, positions)`` a simple path can realise."""
-    for length in range(n_nodes):
+    for length in range(n_nodes if max_length is None else max_length + 1):
         for k in range(min(n_compromised, length) + 1):
             # The other compromised nodes need off-path slots.
             if n_compromised - k > n_nodes - 1 - length:
@@ -276,7 +276,7 @@ class TestClassCodes:
         """7 545 (length, position set) pairs fall into a few observation classes."""
         model = SystemModel(n_nodes=100, n_compromised=3, adversary=adversary)
         table = ClassScoreTable(model, UniformLength(1, 20))
-        trials = [trial for trial in every_trial(100, 3) if 1 <= trial[0] <= 20]
+        trials = [trial for trial in every_trial(100, 3, max_length=20) if trial[0]]
         assert len(trials) == 7_545
         slots = np.array(
             [
