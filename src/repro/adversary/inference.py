@@ -270,8 +270,6 @@ class BayesianPathInference:
         #: Lazily-built class table for non-clique topologies; the clique
         #: branches below never pay for it.
         self._topology_table: TopologyClassTable | None = None
-        #: Lazily-built simple-path likelihood terms (see _length_terms).
-        self._terms: tuple[tuple[int, float, int], ...] | None = None
 
     # ------------------------------------------------------------------ #
     # Public API                                                          #
@@ -360,28 +358,16 @@ class BayesianPathInference:
 
     def _candidate_likelihood(self, candidate: int, fragments: FragmentSet) -> float:
         likelihood = 0.0
-        for length, prob, denominator in self._length_terms():
+        for length, prob in self._distribution.items():
+            denominator = total_paths(self._model.n_nodes, length)
+            if denominator == 0:
+                continue
             count = count_arrangements(
                 self._model.n_nodes, candidate, length, fragments
             )
             if count:
                 likelihood += prob * count / denominator
         return likelihood
-
-    def _length_terms(self) -> tuple[tuple[int, float, int], ...]:
-        """``(length, Pr[L = length], total simple paths)`` over the support.
-
-        Lengths no simple path can take are left out.  Computed once per
-        engine instance: every candidate of every observation reuses it.
-        """
-        if self._terms is None:
-            n = self._model.n_nodes
-            self._terms = tuple(
-                (length, prob, total_paths(n, length))
-                for length, prob in self._distribution.items()
-                if total_paths(n, length)
-            )
-        return self._terms
 
     # ------------------------------------------------------------------ #
     # POSITION_AWARE                                                      #

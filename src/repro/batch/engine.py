@@ -511,9 +511,7 @@ class ArrangementEngine(TrialEngine):
         self._is_compromised = np.zeros(model.n_nodes, dtype=bool)
         self._is_compromised[sorted(self.compromised)] = True
         self._score_table = ClassScoreTable(
-            model.with_compromised(len(self.compromised)),
-            self._distribution,
-            engine=self.name,
+            model.with_compromised(len(self.compromised)), self._distribution
         )
 
     @classmethod
@@ -549,7 +547,7 @@ class ArrangementEngine(TrialEngine):
         """Draw one chunk, code its observation classes, and price each once.
 
         The class codes (:class:`~repro.batch.multiclass.ClassCoder`) reduce
-        through one histogram; only the handful of distinct codes reach
+        through one ``np.unique``; only the handful of distinct codes reach
         Python, each mapped to its canonical observation key and price.
         """
         senders, lengths, slots = self.draw(n_trials, generator)

@@ -24,20 +24,20 @@ This module turns that fact into a batch kernel:
 
 :class:`ClassCoder`
     Encode one chunk's sorted slot columns into one integer *class code* per
-    trial with array operations, and reduce the codes with one ``bincount``
-    (or a sort, for code spaces wider than the chunk).  Code spaces too wide
-    for an int64 reduce over digit rows instead.
+    trial with array operations, and reduce the codes with one
+    ``np.unique``.  Code spaces too wide for an int64 reduce over digit rows
+    instead.
 
 :class:`ClassScoreTable`
     Map each new code to its canonical observation key once — run
     :func:`~repro.adversary.observation.observation_from_path` on the
     shortest trial that realises the code, take
     :func:`~repro.adversary.inference.observation_class_key` of it and
-    relabel the honest identities by first appearance — and price each key
-    once from a representative observation built from the key alone, with
-    the exact Bayesian engine
+    relabel the honest identities by first appearance — and price that
+    observation once with the exact Bayesian engine
     (:class:`~repro.adversary.inference.BayesianPathInference`) and its
-    closed-form fragment-arrangement counts.  A class's price is thus a pure
+    closed-form fragment-arrangement counts.  Codes and keys match one to
+    one, so the priced observation, and with it a class's price, is a pure
     function of its key, whichever trial or seed first reached it.
 
 Keys live in a canonical label space: compromised identities are
@@ -54,13 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.adversary.inference import BayesianPathInference, observation_class_key
-from repro.adversary.observation import (
-    RECEIVER,
-    HopReport,
-    Observation,
-    ReceiverReport,
-    observation_from_path,
-)
+from repro.adversary.observation import Observation, observation_from_path
 from repro.core.model import AdversaryModel, SystemModel
 from repro.distributions.base import PathLengthDistribution
 from repro.exceptions import ConfigurationError
@@ -81,9 +75,6 @@ ORIGIN_KEY: tuple = ("origin", 0)
 
 #: Code spaces up to this many bins fit one int64 code per trial.
 _MAX_PACKED_BINS = 1 << 62
-#: Code spaces up to this many bins — or the chunk's trial count, if larger —
-#: reduce through one ``bincount``; wider ones through a sort.
-_MIN_BINCOUNT_BINS = 1 << 12
 
 
 def canonical_key(key: tuple, compromised: frozenset[int]) -> tuple:
@@ -211,15 +202,11 @@ class ClassCoder:
 
     def tally(self, codes: np.ndarray) -> tuple[list, list[int]]:
         """The distinct codes of one chunk, ascending, with their counts."""
-        if not self.packed:
-            rows, counts = np.unique(codes, axis=0, return_counts=True)
-            return [tuple(row) for row in rows.tolist()], counts.tolist()
-        if self._n_bins <= max(codes.size, _MIN_BINCOUNT_BINS):
-            binned = np.bincount(codes, minlength=self._n_bins)
-            present = np.flatnonzero(binned)
-            return present.tolist(), binned[present].tolist()
-        values, counts = np.unique(codes, return_counts=True)
-        return values.tolist(), counts.tolist()
+        if self.packed:
+            values, counts = np.unique(codes, return_counts=True)
+            return values.tolist(), counts.tolist()
+        rows, counts = np.unique(codes, axis=0, return_counts=True)
+        return [tuple(row) for row in rows.tolist()], counts.tolist()
 
     def trial(self, code: int | tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
         """``(length, positions)`` of the shortest honest-sender trial of ``code``."""
@@ -263,17 +250,13 @@ class ClassScoreTable:
     canonical label space of the module docstring.  With telemetry active,
     each priced class runs inside an ``engine.price`` span, counts into
     ``classes_priced_total`` and times into ``class_price_seconds``, all
-    labelled with ``engine``.
+    labelled with the ``arrangement`` engine that owns the table.
     """
 
     def __init__(
-        self,
-        model: SystemModel,
-        distribution: PathLengthDistribution,
-        engine: str = "arrangement",
+        self, model: SystemModel, distribution: PathLengthDistribution
     ) -> None:
         self._model = model
-        self._engine = engine
         self._compromised = model.compromised_nodes()
         self._inference = BayesianPathInference(
             model, distribution, self._compromised
@@ -288,6 +271,8 @@ class ClassScoreTable:
             distribution.max_length,
         )
         self._keys: dict[object, tuple] = {self.coder.origin_code: ORIGIN_KEY}
+        #: The observation each key is priced from (see :meth:`class_key`).
+        self._observations: dict[tuple, Observation] = {}
         self._scores: dict[tuple, ClassScore] = {
             ORIGIN_KEY: ClassScore(entropy_bits=0.0, identified=True)
         }
@@ -305,7 +290,8 @@ class ClassScoreTable:
         The trial is built in the canonical label space — compromised
         identities ``0, 1, ...`` along the path, honest ones from ``C`` up —
         so :func:`canonical_key` only relabels its honest identities, by
-        first appearance in the observation.
+        first appearance in the observation.  The first trial to reach a key
+        fixes the observation :meth:`score` prices it from.
         """
         n_compromised = self._model.n_compromised
         compromised_pool = iter(range(n_compromised))
@@ -328,69 +314,35 @@ class ClassScoreTable:
             self._compromised,
             receiver_compromised=self._model.receiver_compromised,
         )
-        return canonical_key(
+        key = canonical_key(
             observation_class_key(observation, self._model.adversary),
             self._compromised,
         )
+        self._observations.setdefault(key, observation)
+        return key
 
     def score(self, key: tuple) -> ClassScore:
-        """Exact entropy/identification of one class key, computed on first use."""
+        """Exact entropy/identification of one class key, computed on first use.
+
+        ``key`` comes from :meth:`key` or :meth:`class_key`, which keep the
+        observation it is priced from.
+        """
         cached = self._scores.get(key)
         if cached is None:
             telemetry = get_registry()
-            with trace_span("engine.price", telemetry, engine=self._engine):
+            with trace_span("engine.price", telemetry, engine="arrangement"):
                 started = telemetry.clock() if telemetry.enabled else 0.0
-                posterior = self._inference.posterior(self._representative(key))
+                posterior = self._inference.posterior(self._observations[key])
                 cached = ClassScore(
                     entropy_bits=posterior.entropy_bits,
                     identified=posterior.max_probability >= IDENTIFIED_THRESHOLD,
                 )
                 if telemetry.enabled:
                     telemetry.counter(
-                        "classes_priced_total", engine=self._engine
+                        "classes_priced_total", engine="arrangement"
                     ).inc()
                     telemetry.histogram(
-                        "class_price_seconds", engine=self._engine
+                        "class_price_seconds", engine="arrangement"
                     ).observe(telemetry.clock() - started)
             self._scores[key] = cached
         return cached
-
-    def _representative(self, key: tuple) -> Observation:
-        """The observation whose canonical key is ``key``, built from the key alone."""
-        kind = key[0]
-        if kind == "pred-silent":
-            return Observation(silent_compromised=self._compromised)
-        if kind == "pred":
-            # The weak adversary reads only the first report's predecessor.
-            _, node, predecessor = key
-            return Observation(
-                hop_reports=(HopReport(1.0, node, predecessor, RECEIVER),),
-                silent_compromised=self._compromised - {node},
-            )
-        _, entries, receiver = key
-        reports = []
-        for index, entry in enumerate(entries, start=1):
-            if self._model.adversary is AdversaryModel.POSITION_AWARE:
-                node, position, predecessor, successor = entry
-            else:
-                (node, predecessor, successor), position = entry, None
-            reports.append(
-                HopReport(
-                    float(index),
-                    node,
-                    predecessor,
-                    RECEIVER if successor == "R" else successor,
-                    position=position,
-                )
-            )
-        return Observation(
-            hop_reports=tuple(reports),
-            receiver_report=(
-                None
-                if receiver is None
-                else ReceiverReport(float(len(reports) + 1), receiver)
-            ),
-            silent_compromised=self._compromised.difference(
-                report.node for report in reports
-            ),
-        )

@@ -166,20 +166,17 @@ def coded_keys(table, compromised, senders, lengths, slots) -> Counter:
 
 
 class TestClassKeyCounting:
-    @pytest.mark.parametrize("reducer", ["bincount", "sort", "digit-rows"])
+    @pytest.mark.parametrize("reducer", ["packed", "digit-rows"])
     @pytest.mark.parametrize("adversary", list(AdversaryModel))
     def test_histogram_matches_row_by_row_counting(
         self, monkeypatch, reducer, adversary
     ):
-        if reducer == "sort":
-            monkeypatch.setattr(multiclass, "_MIN_BINCOUNT_BINS", 0)
-        elif reducer == "digit-rows":
+        if reducer == "digit-rows":
             monkeypatch.setattr(multiclass, "_MAX_PACKED_BINS", 0)
         model = SystemModel(n_nodes=9, n_compromised=3, adversary=adversary)
         table = ClassScoreTable(model, UniformLength(0, 8))
-        assert table.coder.packed == (reducer != "digit-rows")
-        # Few trials against a wide position-aware code space: the sort path.
-        arrays = trial_arrays(9, 3, 300 if reducer == "sort" else 4_000, 17)
+        assert table.coder.packed == (reducer == "packed")
+        arrays = trial_arrays(9, 3, 4_000, 17)
         compromised = model.compromised_nodes()
         keyed = coded_keys(table, compromised, *arrays)
         assert keyed == row_keys(table, compromised, *arrays)
@@ -323,6 +320,13 @@ class TestClassScoreTable:
             )
             posterior = inference.posterior(observation)
             key = canonical_key(observation_class_key(observation, adversary), compromised)
+            if sender not in compromised:
+                positions = tuple(
+                    hop
+                    for hop, node in enumerate(path.intermediates, start=1)
+                    if node in compromised
+                )
+                assert table.class_key(len(path.intermediates), positions) == key
             score = table.score(key)
             assert score.entropy_bits == pytest.approx(
                 posterior.entropy_bits, abs=1e-12
