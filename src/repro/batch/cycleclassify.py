@@ -130,7 +130,7 @@ def classify_cycle_arrays(
     result: dict[tuple, int] = {}
 
     def add(mask, key) -> None:
-        count = int(np.count_nonzero(mask))
+        count = int(mask.sum())
         if count:
             result[key] = count
 

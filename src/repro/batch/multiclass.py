@@ -146,9 +146,8 @@ class ClassCoder:
             radices = (n_columns + 1,) + (3,) * max(n_columns - 1, 0) + (tail_radix,)
         self._radices = radices
         space = math.prod(radices)
-        self._n_bins = space + 1
         #: Packed codes are int64 scalars; wider spaces use digit rows.
-        self.packed = self._n_bins <= _MAX_PACKED_BINS
+        self.packed = space + 1 <= _MAX_PACKED_BINS
         #: The code of the origin class (a compromised sender).
         self.origin_code: int | tuple[int, ...] = (
             space if self.packed else (-1,) * len(radices)
