@@ -162,6 +162,21 @@ def _run_shard(task: ShardTask) -> ShardResult:
     )
 
 
+def _allowed_cpus() -> tuple[int, ...]:
+    """The CPUs this process may run on, ascending; empty where the OS cannot say."""
+    if not hasattr(os, "sched_getaffinity"):
+        return ()
+    return tuple(sorted(os.sched_getaffinity(0)))
+
+
+def _bind_worker(counter, cpus: tuple[int, ...]) -> None:
+    """Pool initializer: bind each worker, in start order, to a CPU of its own."""
+    with counter.get_lock():
+        index = counter.value
+        counter.value += 1
+    os.sched_setaffinity(0, {cpus[index % len(cpus)]})
+
+
 class ShardedBackend(EstimatorBackend):
     """Multiprocess estimator backend: sharded trial-engine kernels.
 
@@ -181,6 +196,14 @@ class ShardedBackend(EstimatorBackend):
     one backend instance pays the spawn start-up once, not per point.  The
     pool is released by :meth:`close` (the backend is also a context
     manager) or, failing that, when the backend is garbage-collected.
+
+    A pool with one worker per CPU the process may run on binds each worker
+    to a CPU of its own (Linux).  Left to the scheduler, the workers of a
+    block are woken together and can land on one CPU; a shard of a few
+    milliseconds ends before the load balancer moves either, and the pair
+    then often stays put, so a whole run's shards execute one after the
+    other.  Smaller pools leave placement to the scheduler, so several
+    pools on a larger machine do not pile onto the same CPUs.
 
     Each worker rebuilds its kernel — including, on the multi-compromised
     domain, its per-class score table — from the picklable task alone.  That
@@ -313,8 +336,15 @@ class ShardedBackend(EstimatorBackend):
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
             context = multiprocessing.get_context("spawn")
+            cpus = _allowed_cpus()
+            initializer, initargs = None, ()
+            if self.workers == len(cpus):
+                initializer, initargs = _bind_worker, (context.Value("i", 0), cpus)
             self._pool = ProcessPoolExecutor(
-                max_workers=self.workers, mp_context=context
+                max_workers=self.workers,
+                mp_context=context,
+                initializer=initializer,
+                initargs=initargs,
             )
             # The finalizer references the pool, never the backend, so the
             # backend stays collectable and the workers are joined when it is.

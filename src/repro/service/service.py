@@ -17,7 +17,10 @@ otherwise the adaptive scheduler's minimum.  Properties:
   processes (``sharded``), so threads are the right dispatch unit;
 * **backend reuse** — one backend instance per ``(name, options)`` is shared
   across requests, so e.g. the sharded worker pool spawns once per service,
-  not once per request.
+  not once per request;
+* **no start-up collection on the request path** — the first service of a
+  process freezes the start-up heap, so full garbage collections during
+  requests skip the tens of thousands of objects loaded at import.
 
 Results that are not a pure function of the request — runs cut short by the
 service's wall-clock ceiling — are returned but never cached.
@@ -25,6 +28,7 @@ service's wall-clock ceiling — are returned but never cached.
 
 from __future__ import annotations
 
+import gc
 import logging
 import os
 import threading
@@ -49,6 +53,29 @@ if TYPE_CHECKING:
 __all__ = ["EstimationService", "ServiceResult"]
 
 logger = logging.getLogger(__name__)
+
+#: Whether this process has frozen its start-up heap (see _freeze_startup_heap).
+_startup_heap_frozen = False
+
+
+def _freeze_startup_heap() -> None:
+    """Take the start-up heap out of the cyclic collector's walks, once per process.
+
+    The modules, classes and functions loaded at start-up (about 47 000
+    tracked objects after ``import repro.cli``) live as long as the process,
+    yet every full collection walks them all: 15-20 ms on a 2-core Xeon
+    guest (Python 3.11).  The interpreter runs its first full collection
+    after a fixed number of allocations, so in a fresh process it lands on
+    one of the first requests.  One explicit collection here, then
+    :func:`gc.freeze`: later full collections walk only the objects created
+    since, and nothing unreachable is frozen.  Later calls do nothing.
+    """
+    global _startup_heap_frozen
+    if _startup_heap_frozen:
+        return
+    _startup_heap_frozen = True
+    gc.collect()
+    gc.freeze()
 
 
 @dataclass(frozen=True)
@@ -110,6 +137,9 @@ class EstimationService:
         or a path to one.  Every answered request (computed, cache hit, or
         coalesced) appends one record; a failing append degrades to a log
         line and a counter, never to a lost result.
+
+    The first service constructed in a process freezes the start-up heap
+    (:func:`_freeze_startup_heap`), so no request pays for walking it.
     """
 
     def __init__(
@@ -134,6 +164,7 @@ class EstimationService:
         self._inflight: dict[str, Future] = {}
         self._backends: dict[tuple, EstimatorBackend] = {}
         self._closed = False
+        _freeze_startup_heap()
 
     # ------------------------------------------------------------------ #
     # Estimation                                                          #

@@ -42,6 +42,7 @@ from repro.service import (
     EstimationService,
     ResultCache,
 )
+from repro.service import service as service_module
 
 #: The reference configuration of the acceptance criterion.
 REFERENCE_KWARGS = dict(
@@ -406,6 +407,15 @@ class TestEstimationService:
             assert stats.disk_entries == 1
             assert service.clear_cache() == 1
             assert service.cache_stats().disk_entries == 0
+
+    def test_first_service_freezes_the_startup_heap_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(service_module, "_startup_heap_frozen", False)
+        monkeypatch.setattr(service_module.gc, "collect", lambda: calls.append("collect"))
+        monkeypatch.setattr(service_module.gc, "freeze", lambda: calls.append("freeze"))
+        EstimationService().close()
+        EstimationService().close()
+        assert calls == ["collect", "freeze"]
 
 
 class TestServiceSweeps:

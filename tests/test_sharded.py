@@ -20,6 +20,9 @@ runs the identical shard code.
 
 from __future__ import annotations
 
+import os
+import time
+
 import pytest
 
 from repro.analysis.sweep import fixed_length_sweep
@@ -39,6 +42,12 @@ from repro.exceptions import ConfigurationError
 from repro.experiments.registry import run_experiment
 from repro.routing.strategies import PathSelectionStrategy
 from repro.simulation import monte_carlo_with_backend
+
+
+def _held_worker_cpus(hold: float) -> tuple[int, tuple[int, ...]]:
+    """Pool task: hold this worker briefly, then report its pid and its CPUs."""
+    time.sleep(hold)
+    return os.getpid(), tuple(sorted(os.sched_getaffinity(0)))
 
 
 class TestSplitTrials:
@@ -262,6 +271,20 @@ class TestShardedWiring:
             assert backend._pool is pool  # one pool across calls
             assert first.estimate == second.estimate
         assert backend._pool is None  # context exit released it
+
+    def test_one_worker_per_cpu_binds_each_worker_to_its_own_cpu(self):
+        cpus = sorted(os.sched_getaffinity(0))
+        bound: dict[int, tuple[int, ...]] = {}
+        with ShardedBackend(workers=max(2, len(cpus))) as backend:
+            pool = backend._ensure_pool()
+            for _ in range(100):
+                bound.update(pool.map(_held_worker_cpus, [0.05] * backend.workers))
+                if len(bound) == backend.workers:
+                    break
+        if backend.workers == len(cpus):
+            assert sorted(bound.values()) == [(cpu,) for cpu in cpus]
+        else:  # more workers than CPUs: placement stays with the scheduler
+            assert sorted(bound.values()) == [tuple(cpus)] * backend.workers
 
     def test_cli_round_trip_multi_compromised(self, capsys):
         exit_code = main(
