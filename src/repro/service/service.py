@@ -54,9 +54,6 @@ __all__ = ["EstimationService", "ServiceResult"]
 
 logger = logging.getLogger(__name__)
 
-#: Whether this process has frozen its start-up heap (see _freeze_startup_heap).
-_startup_heap_frozen = False
-
 
 def _freeze_startup_heap() -> None:
     """Take the start-up heap out of the cyclic collector's walks, once per process.
@@ -68,12 +65,11 @@ def _freeze_startup_heap() -> None:
     after a fixed number of allocations, so in a fresh process it lands on
     one of the first requests.  One explicit collection here, then
     :func:`gc.freeze`: later full collections walk only the objects created
-    since, and nothing unreachable is frozen.  Later calls do nothing.
+    since, and nothing unreachable is frozen.  Nothing happens once the
+    process holds frozen objects, from an earlier call or its own code.
     """
-    global _startup_heap_frozen
-    if _startup_heap_frozen:
+    if gc.get_freeze_count():
         return
-    _startup_heap_frozen = True
     gc.collect()
     gc.freeze()
 

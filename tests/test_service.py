@@ -16,6 +16,7 @@ Covers the four contracts of the subsystem:
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 
@@ -42,7 +43,6 @@ from repro.service import (
     EstimationService,
     ResultCache,
 )
-from repro.service import service as service_module
 
 #: The reference configuration of the acceptance criterion.
 REFERENCE_KWARGS = dict(
@@ -410,9 +410,9 @@ class TestEstimationService:
 
     def test_first_service_freezes_the_startup_heap_once(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(service_module, "_startup_heap_frozen", False)
-        monkeypatch.setattr(service_module.gc, "collect", lambda: calls.append("collect"))
-        monkeypatch.setattr(service_module.gc, "freeze", lambda: calls.append("freeze"))
+        monkeypatch.setattr(gc, "get_freeze_count", lambda: calls.count("freeze"))
+        monkeypatch.setattr(gc, "collect", lambda: calls.append("collect"))
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
         EstimationService().close()
         EstimationService().close()
         assert calls == ["collect", "freeze"]

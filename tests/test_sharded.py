@@ -278,7 +278,9 @@ class TestShardedWiring:
         with ShardedBackend(workers=max(2, len(cpus))) as backend:
             pool = backend._ensure_pool()
             for _ in range(100):
-                bound.update(pool.map(_held_worker_cpus, [0.05] * backend.workers))
+                bound.update(
+                    pool.map(_held_worker_cpus, [0.05] * backend.workers, timeout=60)
+                )
                 if len(bound) == backend.workers:
                     break
         if backend.workers == len(cpus):
