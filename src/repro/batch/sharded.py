@@ -49,6 +49,7 @@ import weakref
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.batch.backends import EstimatorBackend, register_backend
 from repro.batch.engine import TrialEngine, select_engine
@@ -58,6 +59,9 @@ from repro.exceptions import ConfigurationError
 from repro.routing.strategies import PathSelectionStrategy
 from repro.telemetry.metrics import get_registry
 from repro.utils.rng import RandomSource, ensure_rng
+
+if TYPE_CHECKING:
+    from multiprocessing.sharedctypes import Synchronized
 
 __all__ = [
     "ShardedBackend",
@@ -169,7 +173,7 @@ def _allowed_cpus() -> tuple[int, ...]:
     return tuple(sorted(os.sched_getaffinity(0)))
 
 
-def _bind_worker(counter, cpus: tuple[int, ...]) -> None:
+def _bind_worker(counter: "Synchronized[int]", cpus: tuple[int, ...]) -> None:
     """Pool initializer: bind each worker, in start order, to a CPU of its own."""
     with counter.get_lock():
         index = counter.value
