@@ -7,9 +7,10 @@ enumeration of a small system (no shared code or symmetry arguments at all).
 ``test_closed_form_record`` writes ``BENCH_closed_form.json``: the analyses
 per second of the event-class engine on a fixed 41-length pmf at N = 100, and
 the wall time (median of a few runs) and iteration count of one
-mean-constrained SLSQP run, whose finite-difference gradient makes it the
-engine's heaviest caller.  It is a trend record (``--smoke`` shrinks the
-counts), with no floor.
+mean-constrained SLSQP run.  That run evaluates the exact value-and-gradient
+of ``AnonymityAnalyzer.degree_gradient`` at each step and calls the event-class
+engine only twice, to score the returned distribution and the start.  It is
+a trend record (``--smoke`` shrinks the counts), with no floor.
 """
 
 from __future__ import annotations

@@ -30,12 +30,20 @@ For more than one compromised node use the exhaustive engine in
 machinery in :mod:`repro.simulation` (estimates with confidence intervals,
 arbitrary systems); both share the same threat-model semantics and are tested
 against this module on their common domain.
+
+Beside each adversary's event table sits a dense form of the same sum,
+:meth:`AnonymityAnalyzer.degree_gradient`: ``H*`` and its exact gradient over
+a pmf vector on a fixed support, which the Section 5.4 optimiser
+(:mod:`repro.core.optimizer`) calls instead of one analysis per support point.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.core.events import EventClass, EventSummary
 from repro.core.model import AdversaryModel, PathModel, SystemModel
@@ -43,7 +51,24 @@ from repro.distributions.base import PathLengthDistribution
 from repro.exceptions import ConfigurationError
 from repro.utils.mathx import falling_factorial, kahan_sum, xlog2x
 
-__all__ = ["AnonymityAnalyzer", "AnonymityResult", "anonymity_degree"]
+__all__ = ["AnonymityAnalyzer", "AnonymityResult", "DegreeGradient", "anonymity_degree"]
+
+#: The zero-weight rule: a candidate's share ``q`` of its class's weight is
+#: floored at the unit roundoff ``2**-53`` before its log2 is taken.  The
+#: entropy slope ``-log2 q`` is unbounded at ``q = 0`` (the mean-matching
+#: start of the optimiser has ``Pr[L = 0] = 0``), and SLSQP's quasi-Newton
+#: model needs a finite one.  A weight whose share is below the floor is
+#: lost in rounding when added to its class's total, and its entropy term
+#: ``q*log2(1/q)`` is under 6e-15 bits, so the floor moves the gradient
+#: only where the value cannot see the weight.  Floors from ``2**-30`` to
+#: ``2**-1074`` all reach the same optima; lower floors cost more
+#: iterations, because SLSQP's first step must scale down a steeper slope.
+_SHARE_FLOOR = math.ldexp(1.0, -53)
+
+#: One observation class of a :class:`DegreeGradient`: its probability,
+#: special-weight and other-weight rows over the support, and its count of
+#: other candidates.
+_GradientClass = tuple[np.ndarray, np.ndarray, np.ndarray, int]
 
 
 @dataclass(frozen=True)
@@ -73,6 +98,71 @@ class AnonymityResult:
             if summary.event is event_class:
                 return summary
         raise KeyError(f"no summary for event class {event_class!r}")
+
+
+def _split_entropy(
+    special: np.ndarray, other: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Entropy of weights ``special`` plus ``counts`` x ``other``, elementwise.
+
+    Returns ``(entropy_bits, total, log2 special share, log2 other share)``.
+    A total of zero reads as one, so an empty posterior has entropy zero;
+    shares are floored at :data:`_SHARE_FLOOR` before their log2.
+    """
+    total = special + counts * other
+    total = np.where(total > 0.0, total, 1.0)
+    special_share = special / total
+    other_share = other / total
+    log_special = np.log2(np.maximum(special_share, _SHARE_FLOOR))
+    log_other = np.log2(np.maximum(other_share, _SHARE_FLOOR))
+    entropy = -(special_share * log_special + counts * other_share * log_other)
+    return entropy, total, log_special, log_other
+
+
+@dataclass(frozen=True)
+class DegreeGradient:
+    """``H*`` and its gradient over dense pmfs on one support of path lengths.
+
+    Built by :meth:`AnonymityAnalyzer.degree_gradient`.  Each observation
+    class whose posterior depends on the pmf ``p`` is four things: a
+    probability row ``a``, a special-weight row ``s``, an other-weight row
+    ``o`` and a candidate count ``k``.  The class occurs with probability
+    ``P = a.p``, and its posterior weighs one candidate ``s.p`` and each of
+    ``k`` others ``o.p``, so ``H*`` adds ``P * H(s.p, o.p)``.  Classes whose
+    posterior does not depend on ``p`` add ``c.p`` through one row ``c``.
+
+    With ``T = s + k*o``, ``dH/ds = (-H - log2(s/T)) / T`` and
+    ``dH/do = k * (-H - log2(o/T)) / T``.  A class of total weight zero has
+    ``P = 0``; its partial derivative along each length is that length's own
+    probability times the entropy of that length's own weights.
+    """
+
+    #: ``(3, classes, lengths)``: the probability, special and other rows.
+    rows: np.ndarray
+    #: ``(classes,)``: each class's count ``k`` of other candidates.
+    counts: np.ndarray
+    #: ``(lengths,)``: the probability-weighted entropy of the classes whose
+    #: posterior does not depend on the pmf.
+    constant: np.ndarray
+
+    def __call__(self, pmf: np.ndarray) -> tuple[float, np.ndarray]:
+        """Return ``(H* in bits, dH*/dpmf)`` at the pmf vector ``pmf``."""
+        probability, special, other = self.rows @ pmf
+        entropy, total, log_special, log_other = _split_entropy(special, other, self.counts)
+        slope = probability / total
+        gradient = (
+            entropy @ self.rows[0]
+            + (slope * (-entropy - log_special)) @ self.rows[1]
+            + (slope * self.counts * (-entropy - log_other)) @ self.rows[2]
+            + self.constant
+        )
+        empty = special + self.counts * other <= 0.0
+        if empty.any():
+            own_entropy = _split_entropy(
+                self.rows[1, empty], self.rows[2, empty], self.counts[empty, None]
+            )[0]
+            gradient = gradient + (self.rows[0, empty] * own_entropy).sum(axis=0)
+        return float(probability @ entropy + self.constant @ pmf), gradient
 
 
 class AnonymityAnalyzer:
@@ -145,6 +235,38 @@ class AnonymityAnalyzer:
 
         return self.anonymity_degree(FixedLength(length))
 
+    def degree_gradient(self, lengths: Sequence[int]) -> DegreeGradient:
+        """``H*`` and its exact gradient over dense pmfs on ``lengths``.
+
+        The returned callable maps a pmf vector (entry ``i`` is the
+        probability of ``lengths[i]``) to ``(H* in bits, dH*/dpmf)``.  Its
+        value equals :meth:`analyze` of the same pmf up to rounding.
+        """
+        support = np.asarray(lengths, dtype=np.int64)
+        max_len = self._model.max_simple_path_length
+        if support.size == 0 or support.min() < 0 or support.max() > max_len:
+            raise ConfigurationError(
+                f"path lengths must lie within [0, {max_len}] for a system of "
+                f"{self._model.n_nodes} nodes; got {list(lengths)}"
+            )
+        adversary = self._model.adversary
+        if adversary is AdversaryModel.FULL_BAYES:
+            classes, constant = self._gradient_full_bayes(support)
+        elif adversary is AdversaryModel.POSITION_AWARE:
+            classes, constant = self._gradient_position_aware(support)
+        elif adversary is AdversaryModel.PREDECESSOR_ONLY:
+            classes, constant = self._gradient_predecessor_only(support)
+        else:  # pragma: no cover - exhaustiveness guard
+            raise ConfigurationError(f"unsupported adversary model {adversary!r}")
+        probability, special, other, counts = zip(*classes)
+        return DegreeGradient(
+            rows=np.array([probability, special, other], dtype=float),
+            # n - 3 and n - 4 are negative in the smallest systems, which
+            # have no such candidates.
+            counts=np.maximum(np.array(counts, dtype=float), 0.0),
+            constant=constant,
+        )
+
     # ------------------------------------------------------------------ #
     # Shared helpers                                                      #
     # ------------------------------------------------------------------ #
@@ -184,6 +306,21 @@ class AnonymityAnalyzer:
                 row = (1.0, silent / den, last / den, pen / den, interior / den)
             self._memo[length] = row
         return row
+
+    def _ratio_rows(self, support: np.ndarray) -> np.ndarray:
+        """The full-Bayes other-weight ratios per length of ``support``.
+
+        Rows are ``silent / den``, ``last / den``, ``penultimate / den`` and
+        ``(l - 3) * interior / den`` from :meth:`_coefficients` (zero at
+        ``l = 0``, and wherever ``l`` is too short for the class).
+        """
+        rows = np.zeros((4, len(support)))
+        for column, length in enumerate(support.tolist()):
+            if length >= 1:
+                den, *numerators = self._coefficients(length)
+                rows[:, column] = [numerator / den for numerator in numerators]
+        rows[3] *= np.maximum(support - 3, 0)
+        return rows
 
     @staticmethod
     def _class_entropy(special_weight: float, other_weight: float, n_others: int) -> tuple[float, int, float]:
@@ -287,6 +424,20 @@ class AnonymityAnalyzer:
             ),
         ]
 
+    def _gradient_full_bayes(self, support: np.ndarray) -> tuple[list[_GradientClass], np.ndarray]:
+        """:meth:`_events_full_bayes` as :class:`DegreeGradient` rows."""
+        n = self._model.n_nodes
+        silent, last, pen, interior = self._ratio_rows(support)
+        classes = [
+            ((n - 1 - support) / n, support == 0, silent, n - 2),
+            ((support >= 1) / n, (support == 1) / (n - 1), last, n - 2),
+            # Length 2 exists only when n >= 3, so the max() never changes a
+            # non-zero entry; it keeps n = 2 from dividing by zero.
+            ((support >= 2) / n, (support == 2) / max((n - 1) * (n - 2), 1), pen, n - 3),
+            (np.maximum(support - 2, 0) / n, pen, interior, n - 4),
+        ]
+        return classes, np.zeros(len(support))
+
     # ------------------------------------------------------------------ #
     # POSITION_AWARE event table                                          #
     # ------------------------------------------------------------------ #
@@ -335,6 +486,25 @@ class AnonymityAnalyzer:
             ),
         ]
 
+    def _gradient_position_aware(
+        self, support: np.ndarray
+    ) -> tuple[list[_GradientClass], np.ndarray]:
+        """:meth:`_events_position_aware` as :class:`DegreeGradient` rows."""
+        n = self._model.n_nodes
+        silent = self._ratio_rows(support)[0]
+        classes = [((n - 1 - support) / n, support == 0, silent, n - 2)]
+        # LAST, PENULTIMATE and INTERIOR are uniform over the candidates the
+        # position leaves, whatever the pmf.
+        constant = np.zeros(len(support))
+        for excluded, probability in (
+            (2, support >= 2),
+            (3, support >= 3),
+            (4, np.maximum(support - 3, 0)),
+        ):
+            if n - excluded > 0:
+                constant += probability / n * math.log2(n - excluded)
+        return classes, constant
+
     # ------------------------------------------------------------------ #
     # PREDECESSOR_ONLY event table                                        #
     # ------------------------------------------------------------------ #
@@ -370,6 +540,19 @@ class AnonymityAnalyzer:
             EventSummary(EventClass.LAST, 0.0, 0.0, 0, 0.0),
             EventSummary(EventClass.PENULTIMATE, 0.0, 0.0, 0, 0.0),
         ]
+
+    def _gradient_predecessor_only(
+        self, support: np.ndarray
+    ) -> tuple[list[_GradientClass], np.ndarray]:
+        """:meth:`_events_predecessor_only` as :class:`DegreeGradient` rows."""
+        n = self._model.n_nodes
+        # Lengths of 2 or more exist only when n >= 3 (see _gradient_full_bayes).
+        other = np.maximum(support - 1, 0) / max((n - 1) * (n - 2), 1)
+        classes = [(support / n, (support >= 1) / (n - 1), other, n - 2)]
+        # SILENT: uniform over the n - 1 non-compromised nodes.  Its
+        # probability 1 - 1/n - E[L]/n is written per length, (n - 1 - l)/n,
+        # so the rows stay linear in the pmf.
+        return classes, (n - 1 - support) / n * math.log2(n - 1)
 
 
 def anonymity_degree(

@@ -18,6 +18,21 @@ Three optimizers are provided, in increasing generality:
   mean.  The result is returned as a
   :class:`repro.distributions.CategoricalLength`.
 
+SLSQP runs on exact gradients.  :meth:`AnonymityAnalyzer.degree_gradient
+<repro.core.anonymity.AnonymityAnalyzer.degree_gradient>` builds each
+observation class's per-length rows once per support and returns ``H*`` with
+its gradient in one vectorised pass, so each SLSQP evaluation costs a few
+small matrix products instead of one closed-form analysis per support point.
+The gradient is taken through the map from SLSQP's vector ``v`` to the pmf
+``v / sum(v)``, and both equality constraints pass their constant Jacobians.
+A candidate of zero posterior weight has an unbounded entropy slope; its
+share is floored at ``2**-53`` (the zero-weight rule, see
+:data:`repro.core.anonymity._SHARE_FLOOR`).  ``H*`` is a conditional entropy
+whose joint law is linear in the pmf, so it is concave in the pmf for every
+adversary and each problem has one optimum value.  The reported degree is
+the closed form (:meth:`AnonymityAnalyzer.analyze`) of the returned
+distribution.
+
 ``scipy.optimize`` is imported on the first call of :func:`optimize_distribution`,
 its only user, so importing this module (and the ``repro-anon`` CLI) does not
 pay for it.
@@ -25,6 +40,7 @@ pay for it.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,15 +166,37 @@ def optimize_distribution(
     non-negative and to sum to one, with an optional constraint pinning the
     expected path length (pass ``mean``).  Returns the best distribution found
     and the anonymity degree it achieves.
+
+    SLSQP takes the exact gradient of :meth:`AnonymityAnalyzer.degree_gradient
+    <repro.core.anonymity.AnonymityAnalyzer.degree_gradient>`, with each
+    candidate's posterior share floored at ``2**-53`` so that zero weights
+    (such as ``Pr[L = 0] = 0`` at the mean-matching start) keep a finite
+    slope.  ``degree_bits`` is the closed form of the returned distribution,
+    and the start is returned instead when it scores higher.  The bounds
+    must be integers, ``mean`` a number within them and ``max_iterations`` a
+    positive integer; anything else raises :class:`ConfigurationError`
+    before any evaluation.
     """
     max_length = _length_range(model, min_length, max_length)
+    if (
+        isinstance(max_iterations, bool)
+        or not isinstance(max_iterations, (int, np.integer))
+        or max_iterations < 1
+    ):
+        raise ConfigurationError(
+            f"max_iterations ({max_iterations!r}) must be a positive integer"
+        )
+    if mean is not None:
+        if isinstance(mean, bool) or not isinstance(mean, numbers.Real):
+            raise ConfigurationError(f"the target mean ({mean!r}) must be a number")
+        if not min_length <= mean <= max_length:
+            raise ConfigurationError(
+                f"the target mean ({mean}) must lie within [{min_length}, {max_length}]"
+            )
     analyzer = AnonymityAnalyzer(model)
     lengths = np.arange(min_length, max_length + 1)
     dimension = len(lengths)
-    if mean is not None and not (min_length <= mean <= max_length):
-        raise ConfigurationError(
-            f"the target mean ({mean}) must lie within [{min_length}, {max_length}]"
-        )
+    evaluate = analyzer.degree_gradient(lengths)
 
     def degree_of_vector(vector: np.ndarray) -> float:
         vector = np.clip(vector, 0.0, None)
@@ -173,8 +211,17 @@ def optimize_distribution(
         distribution = CategoricalLength(pmf, name="candidate")
         return analyzer.anonymity_degree(distribution)
 
-    def objective(vector: np.ndarray) -> float:
-        return -degree_of_vector(vector)
+    def objective(vector: np.ndarray) -> tuple[float, np.ndarray]:
+        # -H* at pmf = clip(v) / sum(clip(v)).  SLSQP evaluates only within
+        # the bounds, where the clip is the identity, so the chain rule
+        # through the normalisation gives dH/dv = (dH/dpmf - <dH/dpmf, pmf>) / sum(v).
+        vector = np.clip(vector, 0.0, None)
+        total = vector.sum()
+        if total <= 0.0:
+            return 0.0, np.zeros(dimension)
+        pmf = vector / total
+        degree, gradient = evaluate(pmf)
+        return -degree, (gradient @ pmf - gradient) / total
 
     # Starting point: the caller's initial distribution, or uniform over the
     # support (respecting the mean constraint via a simple two-point warm start
@@ -191,14 +238,22 @@ def optimize_distribution(
     else:
         start = _mean_matching_start(lengths, mean)
 
+    # Both constraints are linear, so their Jacobians are constant rows.
+    ones = np.ones(dimension)
+    weights = lengths.astype(float)
     constraints = [
-        {"type": "eq", "fun": lambda vector: float(np.sum(vector) - 1.0)},
+        {
+            "type": "eq",
+            "fun": lambda vector: float(np.sum(vector) - 1.0),
+            "jac": lambda vector: ones,
+        },
     ]
     if mean is not None:
         constraints.append(
             {
                 "type": "eq",
                 "fun": lambda vector: float(np.dot(vector, lengths) - mean),
+                "jac": lambda vector: weights,
             }
         )
     bounds = [(0.0, 1.0)] * dimension
@@ -208,6 +263,7 @@ def optimize_distribution(
     result = scipy_optimize.minimize(
         objective,
         start,
+        jac=True,
         method="SLSQP",
         bounds=bounds,
         constraints=constraints,
@@ -244,6 +300,9 @@ def _length_range(model: SystemModel, min_length: int, max_length: int | None) -
     """
     if max_length is None:
         max_length = model.max_simple_path_length
+    for name, value in (("min_length", min_length), ("max_length", max_length)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ConfigurationError(f"{name} ({value!r}) must be an integer path length")
     if max_length > model.max_simple_path_length:
         raise ConfigurationError(
             f"max_length ({max_length}) exceeds the longest simple path "

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -509,3 +510,78 @@ class TestCoefficientMemo:
     def test_cli_optimize_n_200_mean_90(self, capsys):
         assert main(["optimize", "--n", "200", "--mean", "90"]) == 0
         assert "best uniform" in capsys.readouterr().out
+
+
+class TestDegreeGradient:
+    """The dense value-and-gradient the Section 5.4 optimiser runs on."""
+
+    @staticmethod
+    def _evaluator(n: int, adversary: AdversaryModel):
+        analyzer = AnonymityAnalyzer(SystemModel(n_nodes=n, n_compromised=1, adversary=adversary))
+        return analyzer, analyzer.degree_gradient(range(n))
+
+    @staticmethod
+    def _pmfs(n: int):
+        """Random pmfs on 0..n-1 whose entries stay far above the FD step."""
+        generator = np.random.default_rng(n)
+        for _ in range(3):
+            weights = generator.uniform(0.5, 1.5, n)
+            yield weights / weights.sum()
+
+    @pytest.mark.parametrize("adversary", list(AdversaryModel))
+    @pytest.mark.parametrize("n", [5, 40, 100, 200])
+    def test_value_matches_analyze(self, n, adversary):
+        analyzer, evaluate = self._evaluator(n, adversary)
+        for pmf in self._pmfs(n):
+            law = CategoricalLength(dict(enumerate(pmf.tolist())))
+            assert abs(evaluate(pmf)[0] - analyzer.analyze(law).degree_bits) <= 1e-12
+
+    @pytest.mark.parametrize("adversary", list(AdversaryModel))
+    @pytest.mark.parametrize("n", [5, 40, 100, 200])
+    def test_gradient_matches_central_differences(self, n, adversary):
+        _, evaluate = self._evaluator(n, adversary)
+        step = 1e-6
+        for pmf in self._pmfs(n):
+            gradient = evaluate(pmf)[1]
+            differences = [
+                (evaluate(pmf + step * unit)[0] - evaluate(pmf - step * unit)[0]) / (2 * step)
+                for unit in np.eye(n)
+            ]
+            np.testing.assert_allclose(gradient, differences, rtol=1e-6, atol=0.0)
+
+    @pytest.mark.parametrize("adversary", list(AdversaryModel))
+    @pytest.mark.parametrize("mean", [1, 2, 12])
+    def test_gradient_is_finite_at_the_mean_matching_start(self, mean, adversary):
+        # Pr[L = 0] = 0 there: the special candidate of the silent class has
+        # zero weight, where the entropy's slope is unbounded.
+        analyzer = AnonymityAnalyzer(SystemModel(n_nodes=100, adversary=adversary))
+        start = np.zeros(2 * mean + 1)
+        start[mean] = 1.0
+        degree, gradient = analyzer.degree_gradient(range(2 * mean + 1))(start)
+        assert degree == pytest.approx(analyzer.degree_for_fixed_length(mean), abs=1e-12)
+        assert np.isfinite(gradient).all()
+
+    @pytest.mark.parametrize(
+        "adversary,length",
+        [(AdversaryModel.PREDECESSOR_ONLY, 0), (AdversaryModel.POSITION_AWARE, 29)],
+    )
+    def test_a_class_of_zero_weight_takes_each_lengths_own_entropy(self, adversary, length):
+        # F(0) leaves the predecessor-only on-path class empty and F(N - 1)
+        # the position-aware silent one; moving mass to any other length
+        # raises H* at the rate of that length's own posterior entropy.
+        # H* is linear along each axis there, so forward differences are
+        # exact up to rounding.
+        _, evaluate = self._evaluator(30, adversary)
+        vertex = np.zeros(30)
+        vertex[length] = 1.0
+        degree, gradient = evaluate(vertex)
+        step = 1e-6
+        forward = [(evaluate(vertex + step * unit)[0] - degree) / step for unit in np.eye(30)]
+        np.testing.assert_allclose(gradient, forward, rtol=1e-6)
+
+    def test_rejects_lengths_beyond_a_simple_path(self):
+        analyzer = AnonymityAnalyzer(SystemModel(n_nodes=10))
+        with pytest.raises(ConfigurationError, match="within"):
+            analyzer.degree_gradient(range(11))
+        with pytest.raises(ConfigurationError, match="within"):
+            analyzer.degree_gradient([-1, 0, 1])

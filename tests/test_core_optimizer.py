@@ -12,8 +12,8 @@ from test_core_anonymity import UnmemoisedAnalyzer
 
 import repro
 from repro.core import optimizer
-from repro.core.anonymity import AnonymityAnalyzer
-from repro.core.model import SystemModel
+from repro.core.anonymity import AnonymityAnalyzer, DegreeGradient
+from repro.core.model import AdversaryModel, SystemModel
 from repro.core.optimizer import (
     best_fixed_length,
     best_uniform_for_mean,
@@ -123,24 +123,175 @@ class TestFullSimplexOptimization:
             )
 
 
+@pytest.fixture
+def no_evaluation(monkeypatch):
+    """Fail the test if the closed form or the gradient evaluator runs."""
+
+    def never(*args, **kwargs):
+        raise AssertionError("the objective ran before validation")
+
+    monkeypatch.setattr(AnonymityAnalyzer, "analyze", never)
+    monkeypatch.setattr(DegreeGradient, "__call__", never)
+
+
 class TestInputValidation:
-    """Each bad input fails up front with a ConfigurationError naming it."""
+    """Each bad input fails up front with a one-line ConfigurationError naming it."""
+
+    @staticmethod
+    def _rejects(match, call, *args, **kwargs):
+        with pytest.raises(ConfigurationError, match=match) as caught:
+            call(*args, **kwargs)
+        assert "\n" not in str(caught.value)
 
     def test_best_fixed_length_min_10_max_5(self, model):
-        with pytest.raises(ConfigurationError, match="min_length"):
-            best_fixed_length(model, min_length=10, max_length=5)
+        self._rejects("min_length", best_fixed_length, model, min_length=10, max_length=5)
 
-    def test_optimize_min_length_minus_1(self, model, monkeypatch):
-        def never(*args, **kwargs):
-            raise AssertionError("the objective ran before validation")
+    def test_best_fixed_length_max_5_5(self, model, no_evaluation):
+        self._rejects("max_length", best_fixed_length, model, 1, 5.5)
 
-        monkeypatch.setattr(AnonymityAnalyzer, "analyze", never)
-        with pytest.raises(ConfigurationError, match="min_length"):
-            optimize_distribution(model, min_length=-1, max_length=5)
+    def test_best_fixed_length_min_true(self, model, no_evaluation):
+        self._rejects("min_length", best_fixed_length, model, True, 5)
+
+    def test_optimize_min_length_minus_1(self, model, no_evaluation):
+        self._rejects("min_length", optimize_distribution, model, min_length=-1, max_length=5)
+
+    def test_optimize_min_length_1_5(self, model, no_evaluation):
+        # The mean constraint would run over lengths 1.5, 2.5, ... 5.5 while
+        # the returned pmf sat on 1 ... 5.
+        self._rejects("min_length", optimize_distribution, model, min_length=1.5, max_length=6)
+
+    def test_optimize_max_length_6_5(self, model, no_evaluation):
+        # np.arange(0, 7.5) would let mass land on length 7.
+        self._rejects("max_length", optimize_distribution, model, min_length=0, max_length=6.5)
+
+    def test_optimize_max_iterations_0(self, model, no_evaluation):
+        self._rejects("max_iterations", optimize_distribution, model, max_length=5, max_iterations=0)
+
+    def test_optimize_max_iterations_minus_3(self, model, no_evaluation):
+        self._rejects(
+            "max_iterations", optimize_distribution, model, max_length=5, max_iterations=-3
+        )
+
+    def test_optimize_max_iterations_2_5(self, model, no_evaluation):
+        self._rejects(
+            "max_iterations", optimize_distribution, model, max_length=5, max_iterations=2.5
+        )
+
+    def test_optimize_mean_true(self, model, no_evaluation):
+        # True would run as the mean 1.
+        self._rejects("mean", optimize_distribution, model, min_length=0, max_length=5, mean=True)
 
     def test_best_uniform_mean_7_5(self, model):
-        with pytest.raises(ConfigurationError, match="mean"):
-            best_uniform_for_mean(model, 7.5)  # type: ignore[arg-type]
+        self._rejects("mean", best_uniform_for_mean, model, 7.5)
+
+
+#: Optima of the finite-difference SLSQP that the exact gradient replaced,
+#: recorded with it: ``(adversary, N, mean): H*`` over ``0..min(N-1, 2*mean)``,
+#: or ``0..N-1`` without a mean, as ``repro-anon optimize`` sets them up.
+FINITE_DIFFERENCE_OPTIMA = {
+    ("full_bayes", 20, None): 3.969180712228521,
+    ("full_bayes", 20, 2): 3.9260820806123458,
+    ("full_bayes", 20, 5): 3.967405171451557,
+    ("full_bayes", 20, 12): 3.946917061380117,
+    ("full_bayes", 50, None): 5.47283466498748,
+    ("full_bayes", 50, 2): 5.431308506558104,
+    ("full_bayes", 50, 5): 5.457706785378157,
+    ("full_bayes", 50, 12): 5.471654385216321,
+    ("full_bayes", 50, 30): 5.4656213053642135,
+    ("full_bayes", 100, None): 6.547747471384482,
+    ("full_bayes", 100, 2): 6.517177687161602,
+    ("full_bayes", 100, 5): 6.5318681836543036,
+    ("full_bayes", 100, 12): 6.542219572229742,
+    ("full_bayes", 100, 30): 6.547694394851362,
+    ("full_bayes", 200, None): 7.590650750817961,
+    ("full_bayes", 200, 2): 7.5703864233047655,
+    ("full_bayes", 200, 5): 7.578088935886243,
+    ("full_bayes", 200, 12): 7.584078421997938,
+    ("full_bayes", 200, 30): 7.5888708033309085,
+    ("position_aware", 20, None): 3.8345763031819584,
+    ("position_aware", 20, 2): 3.8293466049844747,
+    ("position_aware", 20, 5): 3.7941647797850226,
+    ("position_aware", 20, 12): 3.7035170859598305,
+    ("position_aware", 50, None): 5.392457041985551,
+    ("position_aware", 50, 2): 5.3917741383274285,
+    ("position_aware", 50, 5): 5.386745533451166,
+    ("position_aware", 50, 12): 5.373655930091738,
+    ("position_aware", 50, 30): 5.339996950024608,
+    ("position_aware", 100, None): 6.49744788984817,
+    ("position_aware", 100, 2): 6.4972898442808384,
+    ("position_aware", 100, 5): 6.496082398957359,
+    ("position_aware", 100, 12): 6.492927024491159,
+    ("position_aware", 100, 30): 6.484813204435543,
+    ("position_aware", 200, None): 7.560451838777365,
+    ("position_aware", 200, 2): 7.560413957955147,
+    ("position_aware", 200, 5): 7.560118469575252,
+    ("position_aware", 200, 12): 7.559344652765089,
+    ("position_aware", 200, 30): 7.557354838113205,
+    ("predecessor_only", 20, None): 4.035531137771406,
+    ("predecessor_only", 20, 2): 4.004610573981134,
+    ("predecessor_only", 20, 5): 4.02903128313235,
+    ("predecessor_only", 20, 12): 4.035531137771406,
+    ("predecessor_only", 50, None): 5.5024156455986875,
+    ("predecessor_only", 50, 2): 5.477827253468296,
+    ("predecessor_only", 50, 5): 5.490490847245216,
+    ("predecessor_only", 50, 12): 5.499398410091084,
+    ("predecessor_only", 50, 30): 5.502415647230679,
+    ("predecessor_only", 100, None): 6.56306242765183,
+    ("predecessor_only", 100, 2): 6.545922131628132,
+    ("predecessor_only", 100, 5): 6.552706945539482,
+    ("predecessor_only", 100, 12): 6.558217766682491,
+    ("predecessor_only", 100, 30): 6.562282950989731,
+    ("predecessor_only", 200, None): 7.598441296915322,
+    ("predecessor_only", 200, 2): 7.587408207130682,
+    ("predecessor_only", 200, 5): 7.590911295718862,
+    ("predecessor_only", 200, 12): 7.593924963432882,
+    ("predecessor_only", 200, 30): 7.5966216453815285,
+}
+
+
+class TestOptimumParity:
+    """H* is concave in the pmf, so each problem has one optimum value, and an
+    exact-gradient optimum below the finite-difference one is a gradient bug."""
+
+    @pytest.mark.parametrize(
+        "adversary,n,mean", list(FINITE_DIFFERENCE_OPTIMA), ids=lambda value: str(value)
+    )
+    def test_never_below_the_finite_difference_optimum(self, adversary, n, mean):
+        model = SystemModel(n_nodes=n, n_compromised=1, adversary=AdversaryModel(adversary))
+        if mean is None:
+            outcome = optimize_distribution(model, min_length=0)
+        else:
+            outcome = optimize_distribution(
+                model, min_length=0, max_length=min(n - 1, 2 * mean), mean=mean
+            )
+        assert outcome.converged, outcome.message
+        assert outcome.degree_bits >= FINITE_DIFFERENCE_OPTIMA[adversary, n, mean] - 1e-9
+
+
+class TestExactGradientBudget:
+    def test_n_100_mean_12_runs_on_the_exact_gradient(self, monkeypatch):
+        # Finite differences over the 25 support points took 507 closed-form
+        # analyses here; the exact gradient needs no analysis until the end.
+        calls = {"evaluate": 0, "analyze": 0}
+        evaluate, analyze = DegreeGradient.__call__, AnonymityAnalyzer.analyze
+
+        def counted_evaluate(self, pmf):
+            calls["evaluate"] += 1
+            return evaluate(self, pmf)
+
+        def counted_analyze(self, distribution):
+            calls["analyze"] += 1
+            return analyze(self, distribution)
+
+        monkeypatch.setattr(DegreeGradient, "__call__", counted_evaluate)
+        monkeypatch.setattr(AnonymityAnalyzer, "analyze", counted_analyze)
+        outcome = optimize_distribution(
+            SystemModel(n_nodes=100, n_compromised=1), min_length=0, max_length=24, mean=12
+        )
+        assert outcome.converged
+        assert 0 < calls["evaluate"] <= 100
+        # The closed form scores the returned distribution and the start.
+        assert calls["analyze"] == 2
 
 
 class TestMemoisedAnalyzerParity:

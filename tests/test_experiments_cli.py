@@ -7,6 +7,8 @@ import math
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.model import SystemModel
+from repro.core.optimizer import best_uniform_for_mean, optimize_distribution
 from repro.experiments import (
     EXPERIMENTS,
     ExperimentData,
@@ -17,6 +19,8 @@ from repro.experiments import (
     run_experiment,
     theorem1,
 )
+from repro.experiments import fig6
+from repro.experiments.base import PAPER_N_COMPROMISED, PAPER_N_NODES
 from repro.experiments.extensions import (
     adversary_ablation,
     protocol_comparison,
@@ -84,6 +88,24 @@ class TestFigure6AndTheorems:
     def test_fig6_small_system_optimization_dominates(self):
         data = figure6(n_nodes=30, means=[3, 6, 9])
         assert data.all_checks_pass
+
+    def test_fig6_full_simplex_at_paper_scale(self, monkeypatch):
+        # figure6 keeps the better of the scan and SLSQP, so SLSQP's own
+        # answers are recorded on the way through.
+        outcomes = {}
+
+        def recorded(model, **kwargs):
+            outcomes[kwargs["mean"]] = outcome = optimize_distribution(model, **kwargs)
+            return outcome
+
+        monkeypatch.setattr(fig6, "optimize_distribution", recorded)
+        data = figure6(full_simplex=True)
+        assert len(data.checks) == 3 and data.all_checks_pass, data.checks
+        assert sorted(outcomes) == list(range(2, 50, 3))
+        model = SystemModel(n_nodes=PAPER_N_NODES, n_compromised=PAPER_N_COMPROMISED)
+        for mean, outcome in outcomes.items():
+            scan = best_uniform_for_mean(model, int(mean))
+            assert outcome.degree_bits >= scan.best_degree - 1e-9, mean
 
     def test_theorem1_small_system(self):
         data = theorem1(n_nodes=50)

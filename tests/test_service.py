@@ -354,6 +354,39 @@ class TestAdaptiveScheduler:
             AdaptiveScheduler(backend="batch", block_size=block_size)
 
 
+def _binomial_lower_bound(trials: int, probability: float, alpha: float) -> int:
+    """The largest ``k`` with ``Pr[Binomial(trials, probability) < k] <= alpha``."""
+    below = 0.0
+    for k in range(trials + 1):
+        below_next = below + math.comb(trials, k) * probability**k * (1 - probability) ** (
+            trials - k
+        )
+        if below_next > alpha:
+            return k
+        below = below_next
+    return trials
+
+
+class TestAdaptiveCoverage:
+    """Stopping on the running CI half-width must not break the 95% coverage."""
+
+    SEEDS = 400
+
+    def test_coverage_at_c1_n20_uniform_1_6_precision_0_05(self):
+        model = SystemModel(n_nodes=20, n_compromised=1)
+        law = UniformLength(1, 6)
+        exact = AnonymityAnalyzer(model).anonymity_degree(law)
+        # Blocks of 100 trials make a request take several rounds, so the
+        # stopping rule is what decides where each run ends.
+        scheduler = AdaptiveScheduler(backend="batch", precision=0.05, block_size=100)
+        runs = [scheduler.run(model, law, rng=seed) for seed in range(self.SEEDS)]
+        assert all(run.stop_reason == "precision" for run in runs)
+        assert sorted(run.rounds for run in runs)[self.SEEDS // 2] >= 5
+        covered = sum(run.report.estimate.contains(exact) for run in runs)
+        # A correct 95% interval falls below this by chance once in 1000.
+        assert covered >= _binomial_lower_bound(self.SEEDS, 0.95, 0.001)
+
+
 class TestEstimationService:
     def test_identical_request_served_from_cache_identically(self, tmp_path):
         request = EstimateRequest(**REFERENCE_KWARGS)
