@@ -128,7 +128,7 @@ def best_uniform_for_mean(model: SystemModel, mean: int) -> UniformWidthScan:
     expected path length, choose the variance of the uniform strategy.  The
     width is constrained so the bounds stay within ``[0, N - 1]``.
     """
-    if isinstance(mean, bool) or not isinstance(mean, (int, np.integer)):
+    if not _is_integer(mean):
         raise ConfigurationError(
             f"mean ({mean!r}) must be an integer: U(mean - w, mean + w) has integer bounds"
         )
@@ -178,11 +178,7 @@ def optimize_distribution(
     before any evaluation.
     """
     max_length = _length_range(model, min_length, max_length)
-    if (
-        isinstance(max_iterations, bool)
-        or not isinstance(max_iterations, (int, np.integer))
-        or max_iterations < 1
-    ):
+    if not _is_integer(max_iterations) or max_iterations < 1:
         raise ConfigurationError(
             f"max_iterations ({max_iterations!r}) must be a positive integer"
         )
@@ -301,7 +297,7 @@ def _length_range(model: SystemModel, min_length: int, max_length: int | None) -
     if max_length is None:
         max_length = model.max_simple_path_length
     for name, value in (("min_length", min_length), ("max_length", max_length)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        if not _is_integer(value):
             raise ConfigurationError(f"{name} ({value!r}) must be an integer path length")
     if max_length > model.max_simple_path_length:
         raise ConfigurationError(
@@ -315,6 +311,11 @@ def _length_range(model: SystemModel, min_length: int, max_length: int | None) -
             f"min_length ({min_length}) must not exceed max_length ({max_length})"
         )
     return max_length
+
+
+def _is_integer(value: object) -> bool:
+    """Whether ``value`` is a Python or numpy integer (``bool`` is not)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _mean_matching_start(lengths: np.ndarray, mean: float) -> np.ndarray:

@@ -165,7 +165,9 @@ class TestInputValidation:
         self._rejects("max_length", optimize_distribution, model, min_length=0, max_length=6.5)
 
     def test_optimize_max_iterations_0(self, model, no_evaluation):
-        self._rejects("max_iterations", optimize_distribution, model, max_length=5, max_iterations=0)
+        self._rejects(
+            "max_iterations", optimize_distribution, model, max_length=5, max_iterations=0
+        )
 
     def test_optimize_max_iterations_minus_3(self, model, no_evaluation):
         self._rejects(
@@ -253,9 +255,7 @@ class TestOptimumParity:
     """H* is concave in the pmf, so each problem has one optimum value, and an
     exact-gradient optimum below the finite-difference one is a gradient bug."""
 
-    @pytest.mark.parametrize(
-        "adversary,n,mean", list(FINITE_DIFFERENCE_OPTIMA), ids=lambda value: str(value)
-    )
+    @pytest.mark.parametrize("adversary,n,mean", list(FINITE_DIFFERENCE_OPTIMA), ids=str)
     def test_never_below_the_finite_difference_optimum(self, adversary, n, mean):
         model = SystemModel(n_nodes=n, n_compromised=1, adversary=AdversaryModel(adversary))
         if mean is None:
