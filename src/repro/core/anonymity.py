@@ -103,8 +103,9 @@ class AnonymityResult:
 def _split_entropy(
     special: np.ndarray, other: np.ndarray, counts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Entropy of weights ``special`` plus ``counts`` x ``other``, elementwise.
+    """Posterior entropy of one candidate of weight ``special`` and ``counts`` of ``other``.
 
+    The array form of :meth:`AnonymityAnalyzer._class_entropy`, elementwise.
     Returns ``(entropy_bits, total, log2 special share, log2 other share)``.
     A total of zero reads as one, so an empty posterior has entropy zero;
     shares are floored at :data:`_SHARE_FLOOR` before their log2.
@@ -119,7 +120,7 @@ def _split_entropy(
     return entropy, total, log_special, log_other
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DegreeGradient:
     """``H*`` and its gradient over dense pmfs on one support of path lengths.
 
