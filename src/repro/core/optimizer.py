@@ -184,7 +184,9 @@ def optimize_distribution(
         )
     if mean is not None:
         if isinstance(mean, bool) or not isinstance(mean, numbers.Real):
-            raise ConfigurationError(f"the target mean ({mean!r}) must be a number")
+            raise ConfigurationError(
+                f"the target mean ({mean!r}) must be a real number, not {type(mean).__name__}"
+            )
         if not min_length <= mean <= max_length:
             raise ConfigurationError(
                 f"the target mean ({mean}) must lie within [{min_length}, {max_length}]"
@@ -298,7 +300,9 @@ def _length_range(model: SystemModel, min_length: int, max_length: int | None) -
         max_length = model.max_simple_path_length
     for name, value in (("min_length", min_length), ("max_length", max_length)):
         if not _is_integer(value):
-            raise ConfigurationError(f"{name} ({value!r}) must be an integer path length")
+            raise ConfigurationError(
+                f"{name} ({value!r}) must be an integer path length, not {type(value).__name__}"
+            )
     if max_length > model.max_simple_path_length:
         raise ConfigurationError(
             f"max_length ({max_length}) exceeds the longest simple path "
