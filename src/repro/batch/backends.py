@@ -35,7 +35,7 @@ GPU, ...) with :func:`register_backend`.  Backend-specific constructor options
 :func:`get_backend` / :func:`estimate_anonymity`.
 
 Every backend returns the same
-:class:`repro.simulation.experiment.MonteCarloReport`; the exact backend
+:class:`repro.core.results.MonteCarloReport`; the exact backend
 reports a zero-width confidence interval.
 """
 
@@ -44,19 +44,16 @@ from __future__ import annotations
 import abc
 import logging
 from collections.abc import Callable
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from repro.batch.estimator import BatchMonteCarlo
 from repro.core.anonymity import AnonymityAnalyzer
 from repro.core.model import SystemModel
+from repro.core.results import IDENTIFIED_THRESHOLD, EstimateWithCI, MonteCarloReport
 from repro.distributions.base import PathLengthDistribution
 from repro.exceptions import ConfigurationError
 from repro.routing.strategies import PathSelectionStrategy
-from repro.simulation.results import IDENTIFIED_THRESHOLD, EstimateWithCI
 from repro.utils.rng import RandomSource
-
-if TYPE_CHECKING:
-    from repro.simulation.experiment import MonteCarloReport
 
 __all__ = [
     "EstimatorBackend",
@@ -85,7 +82,7 @@ class EstimatorBackend(abc.ABC):
         strategy: PathSelectionStrategy,
         n_trials: int = 10_000,
         rng: RandomSource = None,
-    ) -> "MonteCarloReport":
+    ) -> MonteCarloReport:
         """Estimate ``H*(S)`` and return a ``MonteCarloReport``."""
 
 
@@ -100,9 +97,7 @@ class ExactBackend(EstimatorBackend):
         strategy: PathSelectionStrategy,
         n_trials: int = 10_000,
         rng: RandomSource = None,
-    ) -> "MonteCarloReport":
-        from repro.simulation.experiment import MonteCarloReport
-
+    ) -> MonteCarloReport:
         distribution = strategy.effective_distribution(model.n_nodes)
         analysis = AnonymityAnalyzer(model).analyze(distribution)
         identification = sum(
@@ -133,7 +128,7 @@ class EventBackend(EstimatorBackend):
         strategy: PathSelectionStrategy,
         n_trials: int = 10_000,
         rng: RandomSource = None,
-    ) -> "MonteCarloReport":
+    ) -> MonteCarloReport:
         from repro.simulation.experiment import StrategyMonteCarlo
 
         return StrategyMonteCarlo(model, strategy).run(n_trials, rng=rng)
@@ -158,7 +153,7 @@ class BatchBackend(EstimatorBackend):
         strategy: PathSelectionStrategy,
         n_trials: int = 10_000,
         rng: RandomSource = None,
-    ) -> "MonteCarloReport":
+    ) -> MonteCarloReport:
         return self._estimator(model, strategy).run(n_trials, rng=rng)
 
     def accumulate_runner(
@@ -236,7 +231,7 @@ def estimate_anonymity(
     rng: RandomSource = None,
     backend: str = "batch",
     **backend_options: Any,
-) -> "MonteCarloReport":
+) -> MonteCarloReport:
     """One-call estimation through a named backend.
 
     ``strategy`` may be a full :class:`PathSelectionStrategy` or a bare

@@ -70,10 +70,10 @@ from repro.batch.cycleclassify import (
 from repro.batch.engine import ChunkClasses, TrialEngine, register_engine
 from repro.batch.sampler import InverseCdfDecoder
 from repro.core.model import PathModel, SystemModel
+from repro.core.results import IDENTIFIED_THRESHOLD
 from repro.distributions.base import PathLengthDistribution
 from repro.exceptions import ConfigurationError
 from repro.routing.strategies import PathSelectionStrategy
-from repro.simulation.results import IDENTIFIED_THRESHOLD
 from repro.telemetry.metrics import get_registry
 from repro.telemetry.tracing import trace_span
 

@@ -57,8 +57,6 @@ import logging
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from repro.batch.multiclass import ClassScoreTable
@@ -66,15 +64,12 @@ from repro.batch.sampler import InverseCdfDecoder, decode_slots
 from repro.core.anonymity import AnonymityAnalyzer
 from repro.core.events import EVENT_ORDER, EventClass, event_code
 from repro.core.model import AdversaryModel, PathModel, SystemModel
+from repro.core.results import IDENTIFIED_THRESHOLD, EstimateWithCI, MonteCarloReport
 from repro.distributions.base import PathLengthDistribution
 from repro.exceptions import ConfigurationError
 from repro.routing.strategies import PathSelectionStrategy
-from repro.simulation.results import IDENTIFIED_THRESHOLD, EstimateWithCI
 from repro.telemetry.metrics import DEFAULT_RATE_BUCKETS, get_registry
 from repro.utils.rng import RandomSource, ensure_rng
-
-if TYPE_CHECKING:
-    from repro.simulation.experiment import MonteCarloReport
 
 logger = logging.getLogger(__name__)
 
@@ -185,10 +180,8 @@ class BatchAccumulator:
         )
         return mean, math.sqrt(variance / n)
 
-    def report(self, model: SystemModel, distribution_name: str) -> "MonteCarloReport":
-        """Summarise into a :class:`~repro.simulation.experiment.MonteCarloReport`."""
-        from repro.simulation.experiment import MonteCarloReport
-
+    def report(self, model: SystemModel, distribution_name: str) -> MonteCarloReport:
+        """Summarise into a :class:`~repro.core.results.MonteCarloReport`."""
         n = self.n_trials
         mean, std_error = self.grouped_moments()
         identified = sum(
@@ -334,7 +327,7 @@ class TrialEngine(abc.ABC):
             classes={key: tuple(value) for key, value in classes.items()},
         )
 
-    def run(self, n_trials: int, rng: RandomSource = None) -> "MonteCarloReport":
+    def run(self, n_trials: int, rng: RandomSource = None) -> MonteCarloReport:
         """Run ``n_trials`` trials and summarise into a ``MonteCarloReport``."""
         accumulator = self.run_accumulate(n_trials, rng=rng)
         return accumulator.report(self.model, self._distribution.name)

@@ -56,9 +56,9 @@ import numpy as np
 from repro.adversary.inference import BayesianPathInference, observation_class_key
 from repro.adversary.observation import Observation, observation_from_path
 from repro.core.model import AdversaryModel, SystemModel
+from repro.core.results import IDENTIFIED_THRESHOLD
 from repro.distributions.base import PathLengthDistribution
 from repro.exceptions import ConfigurationError
-from repro.simulation.results import IDENTIFIED_THRESHOLD
 from repro.telemetry.metrics import get_registry
 from repro.telemetry.tracing import trace_span
 

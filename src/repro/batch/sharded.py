@@ -14,7 +14,7 @@ throughput with cores.  The design leans on the accumulator factoring of
   per-trial (no columns, no delivery logs, no observations) ever crosses a
   process boundary;
 * the parent merges accumulators by summation, in shard order, into one
-  :class:`~repro.simulation.experiment.MonteCarloReport`.
+  :class:`~repro.core.results.MonteCarloReport`.
 
 Determinism
 -----------

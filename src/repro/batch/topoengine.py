@@ -39,10 +39,10 @@ from repro.adversary.inference import TopologyClassTable, observation_class_key
 from repro.adversary.observation import observation_from_path
 from repro.batch.engine import ChunkClasses, TrialEngine, register_engine
 from repro.core.model import PathModel, SystemModel
+from repro.core.results import IDENTIFIED_THRESHOLD
 from repro.core.topology import TopologyPathLaw
 from repro.exceptions import ConfigurationError
 from repro.routing.strategies import PathSelectionStrategy
-from repro.simulation.results import IDENTIFIED_THRESHOLD
 from repro.utils.mathx import entropy_bits, kahan_sum
 
 __all__ = ["TopologyEngine", "CHUNK_TRIALS"]

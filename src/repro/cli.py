@@ -85,31 +85,23 @@ from repro.distributions import (
 )
 from repro.core.model import PathModel
 from repro.experiments.registry import list_experiments, run_experiment
-from repro.protocols import (
-    AnonymizerProtocol,
-    CrowdsProtocol,
-    FreedomProtocol,
-    HordesProtocol,
-    OnionRoutingI,
-    PipeNetProtocol,
-    RemailerChainProtocol,
-)
 from repro.routing.strategies import (
     PathSelectionStrategy,
     deployed_system_strategies,
 )
-from repro.simulation.experiment import ProtocolMonteCarlo
 
 __all__ = ["main", "build_parser"]
 
-_PROTOCOL_FACTORIES = {
-    "freedom": FreedomProtocol,
-    "onion-routing-1": OnionRoutingI,
-    "pipenet": PipeNetProtocol,
-    "anonymizer": AnonymizerProtocol,
-    "remailer": RemailerChainProtocol,
-    "crowds": CrowdsProtocol,
-    "hordes": HordesProtocol,
+#: ``simulate --protocol`` names and the :mod:`repro.protocols` class each
+#: one runs; the protocols and the simulator load only when ``simulate`` runs.
+_PROTOCOL_CLASSES = {
+    "freedom": "FreedomProtocol",
+    "onion-routing-1": "OnionRoutingI",
+    "pipenet": "PipeNetProtocol",
+    "anonymizer": "AnonymizerProtocol",
+    "remailer": "RemailerChainProtocol",
+    "crowds": "CrowdsProtocol",
+    "hordes": "HordesProtocol",
 }
 
 #: Named strategies of the deployed-system catalogue accepted by --strategy.
@@ -335,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--n", type=_positive_int, default=40)
     simulate.add_argument("--compromised", type=_non_negative_int, default=1)
     simulate.add_argument(
-        "--protocol", choices=sorted(_PROTOCOL_FACTORIES), default="freedom"
+        "--protocol", choices=sorted(_PROTOCOL_CLASSES), default="freedom"
     )
     simulate.add_argument("--trials", type=_positive_int, default=500)
     simulate.add_argument("--seed", type=int, default=0)
@@ -630,7 +622,10 @@ def _command_compare(args: argparse.Namespace) -> int:
 
 
 def _command_simulate(args: argparse.Namespace) -> int:
-    factory_cls = _PROTOCOL_FACTORIES[args.protocol]
+    from repro import protocols
+    from repro.simulation.experiment import ProtocolMonteCarlo
+
+    factory_cls = getattr(protocols, _PROTOCOL_CLASSES[args.protocol])
     strategy = factory_cls(args.n).strategy()
     # Carry the protocol's path model on the model so the report and the
     # header describe what was actually sampled (crowds/hordes build walks).

@@ -64,6 +64,10 @@ __all__ = [
     "optimize_distribution",
 ]
 
+#: How far from ``mean`` a start's expected length may be for
+#: :func:`optimize_distribution` to return that start in place of SLSQP's answer.
+_MEAN_TOLERANCE = 1e-9
+
 
 @dataclass(frozen=True)
 class FixedLengthScan:
@@ -172,7 +176,9 @@ def optimize_distribution(
     candidate's posterior share floored at ``2**-53`` so that zero weights
     (such as ``Pr[L = 0] = 0`` at the mean-matching start) keep a finite
     slope.  ``degree_bits`` is the closed form of the returned distribution,
-    and the start is returned instead when it scores higher.  The bounds
+    and the start is returned instead when it scores higher and meets
+    ``mean`` to within 1e-9 (an ``initial`` off the mean only seeds SLSQP).
+    A one-length support returns its point mass.  The bounds
     must be integers, ``mean`` a number within them and ``max_iterations`` a
     positive integer; anything else raises :class:`ConfigurationError`
     before any evaluation.
@@ -246,7 +252,9 @@ def optimize_distribution(
             "jac": lambda vector: ones,
         },
     ]
-    if mean is not None:
+    # On a one-length support the simplex constraint already fixes the mean,
+    # and SLSQP refuses more equality constraints than variables.
+    if mean is not None and dimension > 1:
         constraints.append(
             {
                 "type": "eq",
@@ -274,10 +282,13 @@ def optimize_distribution(
     best_degree = degree_of_vector(best_vector)
 
     # SLSQP occasionally terminates at a point worse than its starting point on
-    # flat regions of the objective; keep whichever is better.
-    start_degree = degree_of_vector(start)
-    if start_degree > best_degree:
-        best_vector, best_degree = start, start_degree
+    # flat regions of the objective; keep whichever is better, but only a
+    # start that meets the mean (a caller's ``initial`` need not).
+    start_feasible = mean is None or abs(float(start @ weights) - mean) <= _MEAN_TOLERANCE
+    if start_feasible:
+        start_degree = degree_of_vector(start)
+        if start_degree > best_degree:
+            best_vector, best_degree = start, start_degree
 
     distribution = CategoricalLength.from_vector(
         best_vector, offset=int(lengths[0]), name="optimized"

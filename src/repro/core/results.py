@@ -1,13 +1,27 @@
-"""Statistical containers for Monte-Carlo experiment results."""
+"""Statistical containers for Monte-Carlo estimates of the anonymity degree.
+
+Every estimator backend (event, batch, sharded, exact) and the estimation
+service report through these types.  The module depends on nothing but numpy
+and the system model, so the engines, the service and its cache import it
+without loading the discrete-event simulator.
+"""
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["EstimateWithCI", "summarize_samples", "IDENTIFIED_THRESHOLD"]
+from repro.core.model import SystemModel
+
+__all__ = [
+    "EstimateWithCI",
+    "MonteCarloReport",
+    "summarize_samples",
+    "IDENTIFIED_THRESHOLD",
+]
 
 #: Two-sided z value for a 95% normal confidence interval.
 _Z_95 = 1.959963984540054
@@ -44,7 +58,26 @@ class EstimateWithCI:
         return f"{self.mean:.4f} ± {_Z_95 * self.std_error:.4f} (n={self.n_samples})"
 
 
-def summarize_samples(samples) -> EstimateWithCI:
+@dataclass(frozen=True)
+class MonteCarloReport:
+    """Outcome of a Monte-Carlo anonymity experiment."""
+
+    estimate: EstimateWithCI
+    n_trials: int
+    distribution: str
+    model: SystemModel
+    #: Mean path length actually realised across the trials.
+    mean_path_length: float
+    #: Fraction of trials in which the adversary identified the sender outright.
+    identification_rate: float
+
+    @property
+    def degree_bits(self) -> float:
+        """Point estimate of the anonymity degree in bits."""
+        return self.estimate.mean
+
+
+def summarize_samples(samples: Iterable[float] | np.ndarray) -> EstimateWithCI:
     """Build an :class:`EstimateWithCI` from raw per-trial samples."""
     if isinstance(samples, np.ndarray):
         array = np.asarray(samples, dtype=float)

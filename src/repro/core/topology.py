@@ -33,17 +33,13 @@ service cache unchanged.  Every topology has a canonical ``spec`` string
 (``"ring"``, ``"grid:2x3"``, ``"two-zone:3:3:1"``, ...) that round-trips via
 :meth:`Topology.from_spec` — the form the service's
 :class:`~repro.service.request.EstimateRequest` serialises.
-
-This module is distinct from :mod:`repro.network.topology`, the
-networkx-backed transport-layer graph of the discrete-event simulator; this
-one is a dependency-free core type consumed by the analytical engines.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter, deque
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 
 from repro.exceptions import ConfigurationError
@@ -508,6 +504,29 @@ class Topology:
         return tuple(
             other for other, bit in enumerate(self.adjacency[node]) if bit
         )
+
+    def are_connected(self, source: int, destination: int) -> bool:
+        """True when ``source`` and ``destination`` share an edge (one hop).
+
+        An O(1) adjacency lookup; an identity outside ``0 .. N-1`` raises
+        :class:`ConfigurationError`.
+        """
+        n = self.n_nodes
+        for node in (source, destination):
+            if not 0 <= node < n:
+                raise ConfigurationError(
+                    f"node {node} is outside the valid range [0, {n})"
+                )
+        return bool(self.adjacency[source][destination])
+
+    def validate_path(self, sender: int, path: Sequence[int]) -> bool:
+        """True when every hop of ``sender -> path[0] -> ...`` is an edge."""
+        previous = sender
+        for node in path:
+            if not self.are_connected(previous, node):
+                return False
+            previous = node
+        return True
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Every undirected edge as an ``(i, j)`` pair with ``i < j``."""

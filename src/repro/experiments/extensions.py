@@ -61,14 +61,15 @@ from repro.distributions import (
     UniformLength,
 )
 from repro.experiments.base import PAPER_N_COMPROMISED, PAPER_N_NODES, ExperimentData
-from repro.protocols import CrowdsProtocol, FreedomProtocol, OnionRoutingI
 from repro.routing.strategies import (
     PathSelectionStrategy,
     deployed_system_strategies,
 )
-from repro.simulation.engine import AnonymousCommunicationSystem
-from repro.simulation.experiment import ProtocolMonteCarlo, StrategyMonteCarlo
 from repro.utils.rng import ensure_rng, spawn_child_rng
+
+# The experiments that drive the discrete-event simulator import it (and the
+# protocols) in their own bodies, so the registry, and with it the CLI, loads
+# without them.
 
 __all__ = [
     "compromised_sweep",
@@ -92,6 +93,8 @@ def compromised_sweep(
     seed: int = 2002,
 ) -> ExperimentData:
     """Effect of the number of compromised nodes on the anonymity degree."""
+    from repro.simulation.experiment import StrategyMonteCarlo
+
     lengths = list(range(1, small_n))
     series = []
     for c in compromised_counts:
@@ -242,6 +245,9 @@ def simulation_validation(
     seed: int = 77,
 ) -> ExperimentData:
     """The full discrete-event simulator reproduces the closed-form degrees."""
+    from repro.protocols import FreedomProtocol, OnionRoutingI
+    from repro.simulation.experiment import ProtocolMonteCarlo, StrategyMonteCarlo
+
     model = SystemModel(n_nodes=n_nodes, n_compromised=PAPER_N_COMPROMISED)
     analyzer = AnonymityAnalyzer(model)
     rng = ensure_rng(seed)
@@ -303,6 +309,9 @@ def predecessor_attack_rounds(
     seed: int = 11,
 ) -> ExperimentData:
     """Repeated path formation against Crowds: the predecessor attack."""
+    from repro.protocols import CrowdsProtocol
+    from repro.simulation.engine import AnonymousCommunicationSystem
+
     model = SystemModel(n_nodes=n_nodes, n_compromised=n_compromised)
     rng = ensure_rng(seed)
     system = AnonymousCommunicationSystem(
@@ -678,6 +687,7 @@ def cycle_validation(
       the ``C = 1`` engine ships with.
     """
     from repro.service import DistributionSpec, EstimateRequest, EstimationService
+    from repro.simulation.experiment import StrategyMonteCarlo
 
     distribution = GeometricLength(
         p_forward=p_forward, minimum=1, max_length=max_length

@@ -1,4 +1,8 @@
-"""Network substrate: nodes, topologies, messages, clocks, and transport."""
+"""Network substrate of the simulator: nodes, messages, clocks, and transport.
+
+Transport routes over :class:`repro.core.topology.Topology`, the graph the
+analytic engines price.
+"""
 
 from repro.network.clock import (
     ConstantLatency,
@@ -9,7 +13,6 @@ from repro.network.clock import (
 )
 from repro.network.message import DeliveryRecord, Message
 from repro.network.node import Node, NodeRegistry
-from repro.network.topology import CliqueTopology, GraphTopology, Topology
 from repro.network.transport import Transport, TransmissionLog
 
 __all__ = [
@@ -17,9 +20,6 @@ __all__ = [
     "NodeRegistry",
     "Message",
     "DeliveryRecord",
-    "Topology",
-    "CliqueTopology",
-    "GraphTopology",
     "SimulationClock",
     "LatencyModel",
     "ConstantLatency",

@@ -13,11 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.adversary.collector import AdversaryCoordinator
-from repro.exceptions import SimulationError
+from repro.core.topology import Topology
+from repro.exceptions import ConfigurationError, SimulationError
 from repro.network.clock import ConstantLatency, LatencyModel, SimulationClock
 from repro.network.message import Message
 from repro.network.node import NodeRegistry
-from repro.network.topology import Topology
 from repro.utils.rng import RandomSource, ensure_rng
 
 __all__ = ["Transport", "TransmissionLog"]
@@ -36,9 +36,12 @@ class TransmissionLog:
 
 @dataclass
 class Transport:
-    """Reliable unicast transport over a topology with a latency model."""
+    """Reliable unicast transport over a topology with a latency model.
 
-    topology: Topology
+    ``topology=None`` is the paper's clique over the registry's nodes.
+    """
+
+    topology: Topology | None
     registry: NodeRegistry
     clock: SimulationClock = field(default_factory=SimulationClock)
     latency: LatencyModel = field(default_factory=ConstantLatency)
@@ -55,11 +58,23 @@ class Transport:
         rng: RandomSource = None,
     ) -> float:
         """Deliver ``message`` from one node to another; returns the arrival time."""
-        if not self.topology.are_connected(source, destination):
+        if not self._linked(source, destination):
             raise SimulationError(
                 f"node {source} cannot reach node {destination} on this topology"
             )
         return self._transmit(message, source, destination, rng)
+
+    def _linked(self, source: int, destination: int) -> bool:
+        """One hop apart; on the clique that is any two distinct nodes."""
+        if self.topology is not None:
+            return self.topology.are_connected(source, destination)
+        n_nodes = len(self.registry)
+        for node in (source, destination):
+            if not 0 <= node < n_nodes:
+                raise ConfigurationError(
+                    f"node {node} is outside the valid range [0, {n_nodes})"
+                )
+        return source != destination
 
     def send_to_receiver(self, message: Message, source: int, rng: RandomSource = None) -> float:
         """Deliver ``message`` from a node to the (external) receiver."""

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.model import PathModel
+from repro.core.topology import Topology
 from repro.exceptions import ConfigurationError
-from repro.network.topology import Topology
 
 __all__ = ["ReroutingPath"]
 
@@ -115,6 +115,12 @@ class ReroutingPath:
             return self.is_simple
         return self.follows_no_self_forwarding
 
-    def routable_on(self, topology: Topology) -> bool:
-        """True when every consecutive hop is a direct link of the topology."""
+    def routable_on(self, topology: Topology | None) -> bool:
+        """True when every consecutive hop is a direct link of the topology.
+
+        ``None`` is the paper's clique, where every hop to another node is a
+        link.
+        """
+        if topology is None:
+            return self.follows_no_self_forwarding
         return topology.validate_path(self.sender, self.intermediates)

@@ -35,21 +35,18 @@ import math
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from repro.batch.backends import EstimatorBackend, get_backend
 from repro.batch.estimator import BatchAccumulator
 from repro.core.model import SystemModel
+from repro.core.results import MonteCarloReport, _Z_95 as Z_95
 from repro.distributions.base import PathLengthDistribution
 from repro.exceptions import ConfigurationError
 from repro.routing.strategies import PathSelectionStrategy
-from repro.simulation.results import _Z_95 as Z_95
 from repro.telemetry.metrics import get_registry
 from repro.telemetry.tracing import trace_span
 from repro.utils.rng import RandomSource, ensure_rng
-
-if TYPE_CHECKING:
-    from repro.simulation.experiment import MonteCarloReport
 
 __all__ = ["AdaptiveRun", "AdaptiveScheduler", "RoundProgress", "STOP_PRECISION", "STOP_BUDGET", "STOP_WALL_CLOCK", "STOP_EXACT"]
 
@@ -66,7 +63,7 @@ STOP_EXACT = "exact"              #: a zero-variance backend answered directly
 class AdaptiveRun:
     """Outcome of one adaptive estimation: the report plus how it stopped."""
 
-    report: "MonteCarloReport"
+    report: MonteCarloReport
     rounds: int
     converged: bool
     stop_reason: str

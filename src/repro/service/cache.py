@@ -26,15 +26,11 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
 
+from repro.core.results import EstimateWithCI, MonteCarloReport
 from repro.exceptions import ConfigurationError
 from repro.service.request import EstimateRequest
-from repro.simulation.results import EstimateWithCI
 from repro.telemetry.metrics import get_registry
-
-if TYPE_CHECKING:
-    from repro.simulation.experiment import MonteCarloReport
 
 __all__ = ["CachedEstimate", "CacheStats", "ResultCache"]
 
@@ -54,7 +50,7 @@ ENTRY_VERSION = 3
 class CachedEstimate:
     """What the cache stores per digest: the report plus how it was reached."""
 
-    report: "MonteCarloReport"
+    report: MonteCarloReport
     rounds: int
     converged: bool
     stop_reason: str
@@ -131,8 +127,6 @@ def _encode_entry(request: EstimateRequest, cached: CachedEstimate) -> dict:
 
 
 def _decode_entry(data: dict, digest: str) -> CachedEstimate:
-    from repro.simulation.experiment import MonteCarloReport
-
     if data.get("entry_version") != ENTRY_VERSION or data.get("digest") != digest:
         raise ValueError("cache entry does not match its digest")
     request = EstimateRequest.from_canonical_dict(data["request"])

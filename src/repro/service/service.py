@@ -36,9 +36,9 @@ import time
 from collections.abc import Callable, Iterable
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.batch.backends import EstimatorBackend, get_backend
+from repro.core.results import MonteCarloReport
 from repro.exceptions import ConfigurationError
 from repro.service.adaptive import AdaptiveRun, AdaptiveScheduler, RoundProgress
 from repro.service.cache import CachedEstimate, CacheStats, ResultCache
@@ -46,9 +46,6 @@ from repro.service.request import EstimateRequest
 from repro.telemetry.journal import RunJournal
 from repro.telemetry.metrics import get_registry
 from repro.telemetry.tracing import trace_span
-
-if TYPE_CHECKING:
-    from repro.simulation.experiment import MonteCarloReport
 
 __all__ = ["EstimationService", "ServiceResult"]
 
@@ -79,7 +76,7 @@ class ServiceResult:
     """One answered request: the report, its provenance, and its cost."""
 
     digest: str
-    report: "MonteCarloReport"
+    report: MonteCarloReport
     rounds: int
     converged: bool
     stop_reason: str

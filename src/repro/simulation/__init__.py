@@ -1,13 +1,16 @@
-"""Discrete-event simulation and Monte-Carlo anonymity experiments."""
+"""Discrete-event simulation and Monte-Carlo anonymity experiments.
 
+The estimators never import this package: their report types live in
+:mod:`repro.core.results`, re-exported here for the simulator's callers.
+"""
+
+from repro.core.results import EstimateWithCI, MonteCarloReport, summarize_samples
 from repro.simulation.engine import AnonymousCommunicationSystem, SendOutcome
 from repro.simulation.experiment import (
-    MonteCarloReport,
     ProtocolMonteCarlo,
     StrategyMonteCarlo,
     monte_carlo_with_backend,
 )
-from repro.simulation.results import EstimateWithCI, summarize_samples
 
 __all__ = [
     "AnonymousCommunicationSystem",

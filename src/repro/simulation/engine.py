@@ -1,12 +1,12 @@
 """The executable anonymous communication system.
 
 :class:`AnonymousCommunicationSystem` wires every substrate together into one
-runnable system: the node registry, the topology, the transport (with its
-latency model), the adversary coordinator with agents at the compromised nodes
-and at the receiver, and a rerouting protocol.  Calling :meth:`send` pushes a
-real message through the system hop by hop — building and peeling onion layers
-where the protocol uses them — while the adversary's agents record exactly the
-tuples prescribed by the paper's threat model.
+runnable system: the node registry, the transport over the model's topology
+(with its latency model), the adversary coordinator with agents at the
+compromised nodes and at the receiver, and a rerouting protocol.  Calling
+:meth:`send` pushes a real message through the system hop by hop — building
+and peeling onion layers where the protocol uses them — while the adversary's
+agents record exactly the tuples prescribed by the paper's threat model.
 
 The engine is the integration point that lets the reproduction check its
 analytical results against "running code": the Monte-Carlo experiments in
@@ -27,7 +27,6 @@ from repro.exceptions import ConfigurationError, SimulationError
 from repro.network.clock import ConstantLatency, LatencyModel, SimulationClock
 from repro.network.message import DeliveryRecord, Message
 from repro.network.node import NodeRegistry
-from repro.network.topology import CliqueTopology, Topology
 from repro.network.transport import Transport
 from repro.protocols.base import DELIVER, ReroutingProtocol
 from repro.utils.rng import RandomSource, ensure_rng
@@ -50,11 +49,14 @@ class SendOutcome:
 
 @dataclass
 class AnonymousCommunicationSystem:
-    """A runnable instance of the paper's system model."""
+    """A runnable instance of the paper's system model.
+
+    Messages travel over ``model.topology``, the graph the analytic engines
+    price; ``None`` there is the paper's clique.
+    """
 
     model: SystemModel
     protocol: ReroutingProtocol
-    topology: Topology | None = None
     latency: LatencyModel = field(default_factory=ConstantLatency)
     compromised: frozenset[int] | None = None
     #: When False, no :class:`DeliveryRecord` is retained at all (running
@@ -72,8 +74,6 @@ class AnonymousCommunicationSystem:
                 f"protocol is configured for {self.protocol.n_nodes} nodes but the "
                 f"system model has {self.model.n_nodes}"
             )
-        if self.topology is None:
-            self.topology = CliqueTopology(self.model.n_nodes)
         if self.compromised is None:
             self.compromised = self.model.compromised_nodes()
         self.compromised = frozenset(self.compromised)
@@ -88,7 +88,7 @@ class AnonymousCommunicationSystem:
             self.compromised, receiver_compromised=self.model.receiver_compromised
         )
         self.transport = Transport(
-            topology=self.topology,
+            topology=self.model.topology,
             registry=self.registry,
             clock=self.clock,
             latency=self.latency,

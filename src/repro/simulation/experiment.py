@@ -25,43 +25,20 @@ from dataclasses import dataclass, field
 
 from repro.adversary.inference import BayesianPathInference
 from repro.adversary.observation import observation_from_path
+from repro.batch.backends import estimate_anonymity
 from repro.core.model import SystemModel
+from repro.core.results import IDENTIFIED_THRESHOLD, MonteCarloReport, summarize_samples
 from repro.distributions.base import PathLengthDistribution
 from repro.exceptions import ConfigurationError
 from repro.routing.strategies import PathSelectionStrategy
 from repro.simulation.engine import AnonymousCommunicationSystem
-from repro.simulation.results import (
-    IDENTIFIED_THRESHOLD,
-    EstimateWithCI,
-    summarize_samples,
-)
 from repro.utils.rng import RandomSource, ensure_rng
 
 __all__ = [
     "StrategyMonteCarlo",
     "ProtocolMonteCarlo",
-    "MonteCarloReport",
     "monte_carlo_with_backend",
 ]
-
-
-@dataclass(frozen=True)
-class MonteCarloReport:
-    """Outcome of a Monte-Carlo anonymity experiment."""
-
-    estimate: EstimateWithCI
-    n_trials: int
-    distribution: str
-    model: SystemModel
-    #: Mean path length actually realised across the trials.
-    mean_path_length: float
-    #: Fraction of trials in which the adversary identified the sender outright.
-    identification_rate: float
-
-    @property
-    def degree_bits(self) -> float:
-        """Point estimate of the anonymity degree in bits."""
-        return self.estimate.mean
 
 
 @dataclass
@@ -142,11 +119,7 @@ def monte_carlo_with_backend(
     estimator, ``"sharded"`` fans batch kernels across worker processes, and
     ``"exact"`` short-circuits to the closed form.  ``backend_options`` are
     forwarded to the backend factory (e.g. ``workers=8`` for ``sharded``).
-    The import is deferred because the batch subsystem itself builds on this
-    module's report type.
     """
-    from repro.batch.backends import estimate_anonymity
-
     return estimate_anonymity(
         model, strategy, n_trials=n_trials, rng=rng, backend=backend,
         **backend_options,

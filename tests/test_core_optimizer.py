@@ -122,6 +122,34 @@ class TestFullSimplexOptimization:
                 model, min_length=0, max_length=5, initial=FixedLength(10)
             )
 
+    def test_optimize_initial_u12_12_off_mean_0_89(self):
+        # U(12, 12) has mean 12.  It used to win the start-vs-best guard and
+        # came back "converged" at mean 12.0 with 4.664 bits, above the 4.524
+        # bits of the feasible optimum.  Now it only seeds SLSQP.
+        model = SystemModel(n_nodes=31, n_compromised=1)
+        outcome = optimize_distribution(
+            model, min_length=0, max_length=12, mean=0.89, initial=UniformLength(12, 12)
+        )
+        reference = optimize_distribution(model, min_length=0, max_length=12, mean=0.89)
+        assert outcome.converged
+        assert outcome.distribution.mean() == pytest.approx(0.89, abs=1e-9)
+        assert outcome.degree_bits == pytest.approx(reference.degree_bits, abs=1e-9)
+
+    @pytest.mark.parametrize("length", [5, 0], ids=["support_5_5_mean_5", "support_0_0_mean_0"])
+    def test_optimize_n_20_one_length_support_with_its_mean(self, length):
+        # SLSQP refused the mean constraint next to the simplex one on a
+        # single variable ("More equality constraints than independent
+        # variables") and reported converged=False for the only pmf there is.
+        model = SystemModel(n_nodes=20, n_compromised=1)
+        outcome = optimize_distribution(
+            model, min_length=length, max_length=length, mean=length
+        )
+        assert outcome.converged, outcome.message
+        assert outcome.distribution.as_dict() == {length: 1.0}
+        assert outcome.degree_bits == AnonymityAnalyzer(model).anonymity_degree(
+            FixedLength(length)
+        )
+
 
 @pytest.fixture
 def no_evaluation(monkeypatch):
@@ -333,3 +361,53 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+#: Imports the CLI, answers an adaptive ``batch`` request, a ``sharded`` one
+#: run inline, and the first request again from the on-disk cache, then
+#: prints which simulator modules got loaded on the way.
+_ESTIMATOR_SURFACE = """
+import sys
+
+import repro.cli
+from repro.service import DistributionSpec, EstimateRequest, EstimationService
+
+
+def request(**options):
+    return EstimateRequest(
+        n_nodes=20,
+        distribution=DistributionSpec("uniform", {"low": 1, "high": 6}),
+        precision=0.05,
+        block_size=500,
+        seed=3,
+        **options,
+    )
+
+
+with EstimationService(cache_dir=sys.argv[1]) as service:
+    service.estimate(request())
+    service.estimate(
+        request(backend="sharded", backend_options={"workers": 1, "shards": 2})
+    )
+with EstimationService(cache_dir=sys.argv[1]) as service:
+    assert service.estimate(request()).from_cache
+simulator = ("networkx", "repro.network", "repro.protocols", "repro.crypto",
+             "repro.simulation.engine")
+print(sorted(
+    name for name in sys.modules
+    if any(name == root or name.startswith(root + ".") for root in simulator)
+))
+"""
+
+
+def test_estimator_requests_leave_the_simulator_unloaded(tmp_path):
+    """Neither the CLI nor a batch, sharded or cached request loads the simulator."""
+    source = Path(repro.__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, "-c", _ESTIMATOR_SURFACE, str(tmp_path / "cache")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(source)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

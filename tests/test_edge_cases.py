@@ -22,10 +22,11 @@ from repro.adversary.observation import (
 from repro.core.anonymity import AnonymityAnalyzer, anonymity_degree
 from repro.core.enumeration import enumerate_anonymity_degree
 from repro.core.model import AdversaryModel, SystemModel
+from repro.core.topology import Topology
 from repro.distributions import CategoricalLength, FixedLength, UniformLength
-from repro.exceptions import InferenceError, ObservationError
+from repro.exceptions import InferenceError, ObservationError, SimulationError
 from repro.network.clock import ExponentialLatency
-from repro.network.topology import GraphTopology
+from repro.network.transport import Transport
 from repro.protocols import FreedomProtocol, OnionRoutingI
 from repro.simulation import AnonymousCommunicationSystem
 
@@ -146,13 +147,10 @@ class TestRestrictedTopologiesAndLatencies:
         # Onion Routing picks arbitrary routes; on a ring topology most of
         # them are unroutable, which must surface as a simulation error rather
         # than silently succeeding.
-        from repro.exceptions import SimulationError
-
         n = 8
-        ring = GraphTopology.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-        model = SystemModel(n_nodes=n, n_compromised=1)
+        model = SystemModel(n_nodes=n, n_compromised=1, topology=Topology.ring(n))
         system = AnonymousCommunicationSystem(
-            model=model, protocol=OnionRoutingI(n, route_length=3), topology=ring
+            model=model, protocol=OnionRoutingI(n, route_length=3)
         )
         failures = 0
         for seed in range(10):
@@ -161,6 +159,28 @@ class TestRestrictedTopologiesAndLatencies:
             except SimulationError:
                 failures += 1
         assert failures > 0
+
+    def test_ring_8_onion_routing_i_route_3_sends_from_2_hop_only_over_ring_edges(self):
+        # The simulator used to route on a clique of its own whatever the
+        # model's topology, so all ten sends were delivered, over routes such
+        # as (1, 7, 3) that follow no ring edge.
+        ring = Topology.ring(8)
+        model = SystemModel(n_nodes=8, n_compromised=1, topology=ring)
+        system = AnonymousCommunicationSystem(
+            model=model, protocol=OnionRoutingI(8, route_length=3)
+        )
+        for seed in range(10):
+            try:
+                system.send(2, rng=seed)
+            except SimulationError:
+                pass
+        hops = [
+            (entry.source, entry.destination)
+            for entry in system.transport.log
+            if entry.destination != Transport.RECEIVER_ADDRESS
+        ]
+        assert hops
+        assert all(destination in ring.neighbors(source) for source, destination in hops)
 
     def test_random_latency_preserves_report_ordering(self):
         model = SystemModel(n_nodes=12, n_compromised=3)

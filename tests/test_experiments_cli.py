@@ -157,7 +157,11 @@ class TestCLI:
         assert main(["compare", "--n", "40"]) == 0
         assert "Crowds" in capsys.readouterr().out
 
-    def test_simulate_command(self, capsys):
+    @pytest.mark.parametrize(
+        "protocol",
+        ["anonymizer", "crowds", "freedom", "hordes", "onion-routing-1", "pipenet", "remailer"],
+    )
+    def test_simulate_command(self, capsys, protocol):
         assert (
             main(
                 [
@@ -165,7 +169,7 @@ class TestCLI:
                     "--n",
                     "15",
                     "--protocol",
-                    "freedom",
+                    protocol,
                     "--trials",
                     "60",
                     "--seed",

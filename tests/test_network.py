@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-import networkx as nx
 import pytest
 
 from repro.adversary.collector import AdversaryCoordinator
+from repro.core.topology import Topology
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.network.clock import (
     ConstantLatency,
@@ -15,8 +15,16 @@ from repro.network.clock import (
 )
 from repro.network.message import DeliveryRecord, Message
 from repro.network.node import Node, NodeRegistry
-from repro.network.topology import CliqueTopology, GraphTopology
 from repro.network.transport import Transport
+
+
+def path_graph(n_nodes: int) -> Topology:
+    """The path ``0 - 1 - ... - n_nodes-1``."""
+    return Topology(
+        tuple(
+            tuple(int(abs(i - j) == 1) for j in range(n_nodes)) for i in range(n_nodes)
+        )
+    )
 
 
 class TestNodeRegistry:
@@ -63,50 +71,43 @@ class TestMessage:
 
 class TestCliqueTopology:
     def test_everyone_reachable(self):
-        topology = CliqueTopology(5)
-        assert topology.neighbors(2) == frozenset({0, 1, 3, 4})
+        topology = Topology.clique(5)
+        assert topology.neighbors(2) == (0, 1, 3, 4)
         assert topology.are_connected(0, 4)
-        assert not topology.are_connected(3, 3) if 3 in topology.neighbors(3) else True
+        assert not topology.are_connected(3, 3)
 
     def test_path_validation(self):
-        topology = CliqueTopology(5)
+        topology = Topology.clique(5)
         assert topology.validate_path(0, [1, 2, 3])
 
     def test_rejects_tiny(self):
         with pytest.raises(ConfigurationError):
-            CliqueTopology(1)
+            Topology.clique(1)
 
     def test_rejects_out_of_range_node(self):
-        with pytest.raises(ConfigurationError):
-            CliqueTopology(5).neighbors(9)
+        with pytest.raises(ConfigurationError, match="outside the valid range"):
+            Topology.clique(5).are_connected(9, 0)
+        with pytest.raises(ConfigurationError, match="outside the valid range"):
+            Topology.clique(5).are_connected(0, -1)
 
 
 class TestGraphTopology:
-    def test_from_edges(self):
-        topology = GraphTopology.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-        assert topology.neighbors(1) == frozenset({0, 2})
+    def test_path_graph(self):
+        topology = path_graph(4)
+        assert topology.neighbors(1) == (0, 2)
         assert not topology.are_connected(0, 3)
-        assert topology.shortest_path_length(0, 3) == 3
 
     def test_rejects_disconnected(self):
-        graph = nx.Graph()
-        graph.add_nodes_from(range(4))
-        graph.add_edge(0, 1)
+        two_edges = ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))
         with pytest.raises(ConfigurationError):
-            GraphTopology(graph)
-
-    def test_rejects_bad_labels(self):
-        graph = nx.path_graph(3)
-        graph = nx.relabel_nodes(graph, {0: 10, 1: 11, 2: 12})
-        with pytest.raises(ConfigurationError):
-            GraphTopology(graph)
+            Topology(two_edges)
 
     def test_random_regular(self):
-        topology = GraphTopology.random_regular(10, degree=4, seed=1)
+        topology = Topology.random_regular(10, degree=4, seed=1)
         assert all(len(topology.neighbors(node)) == 4 for node in range(10))
 
     def test_path_validation_respects_edges(self):
-        topology = GraphTopology.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        topology = path_graph(4)
         assert topology.validate_path(0, [1, 2, 3])
         assert not topology.validate_path(0, [2])
 
@@ -141,7 +142,7 @@ class TestClockAndLatency:
 class TestTransport:
     def _transport(self, n_nodes=5, compromised=frozenset()):
         return Transport(
-            topology=CliqueTopology(n_nodes),
+            topology=None,
             registry=NodeRegistry.create(n_nodes, compromised),
             adversary=AdversaryCoordinator(compromised),
         )
@@ -163,9 +164,14 @@ class TestTransport:
         assert transport.log[-1].destination == Transport.RECEIVER_ADDRESS
 
     def test_unreachable_destination_rejected(self):
-        transport = Transport(
-            topology=GraphTopology.from_edges(4, [(0, 1), (1, 2), (2, 3)]),
-            registry=NodeRegistry.create(4),
-        )
+        transport = Transport(topology=path_graph(4), registry=NodeRegistry.create(4))
         with pytest.raises(SimulationError):
             transport.send_between_nodes(Message(sender=0), 0, 3)
+
+    def test_clique_transport_rejects_self_forwarding_and_strangers(self):
+        transport = self._transport()
+        with pytest.raises(SimulationError):
+            transport.send_between_nodes(Message(sender=0), 2, 2)
+        with pytest.raises(ConfigurationError, match="outside the valid range"):
+            transport.send_between_nodes(Message(sender=0), 0, 5)
+        assert transport.transmissions == 0

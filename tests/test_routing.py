@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.model import PathModel
+from repro.core.topology import Topology
 from repro.distributions import FixedLength, GeometricLength, UniformLength
 from repro.exceptions import ConfigurationError
-from repro.network.topology import CliqueTopology, GraphTopology
 from repro.routing.path import ReroutingPath
 from repro.routing.selection import CyclePathSelector, SimplePathSelector, selector_for
 from repro.routing.strategies import PathSelectionStrategy, deployed_system_strategies
@@ -79,9 +79,12 @@ class TestReroutingPath:
 
     def test_routable_on_topology(self):
         path = ReroutingPath(sender=0, intermediates=(1, 2))
-        assert path.routable_on(CliqueTopology(4))
-        sparse = GraphTopology.from_edges(4, [(0, 1), (1, 3), (3, 2)])
+        assert path.routable_on(Topology.clique(4))
+        assert path.routable_on(None)
+        # Edges 0-1, 1-3 and 3-2: the path 0 -> 1 -> 2 needs the missing 1-2.
+        sparse = Topology(((0, 1, 0, 0), (1, 0, 0, 1), (0, 0, 0, 1), (0, 1, 1, 0)))
         assert not path.routable_on(sparse)
+        assert ReroutingPath(sender=0, intermediates=(1, 3, 2)).routable_on(sparse)
 
 
 class TestSelectors:
