@@ -57,6 +57,7 @@ import logging
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+
 import numpy as np
 
 from repro.batch.multiclass import ClassScoreTable
