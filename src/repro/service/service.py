@@ -55,9 +55,9 @@ logger = logging.getLogger(__name__)
 def _freeze_startup_heap() -> None:
     """Take the start-up heap out of the cyclic collector's walks, once per process.
 
-    The modules, classes and functions loaded at start-up (about 47 000
+    The modules, classes and functions loaded at start-up (about 27 000
     tracked objects after ``import repro.cli``) live as long as the process,
-    yet every full collection walks them all: 15-20 ms on a 2-core Xeon
+    yet every full collection walks them all: about 9 ms on a 2-core Xeon
     guest (Python 3.11).  The interpreter runs its first full collection
     after a fixed number of allocations, so in a fresh process it lands on
     one of the first requests.  One explicit collection here, then
