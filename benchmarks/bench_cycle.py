@@ -21,7 +21,7 @@ Both engines are statistically identical (their per-trial entropies follow
 the same law), which the parity test checks before anything is timed.
 
 The measurement writes a machine-readable ``BENCH_cycle.json`` record (see
-:mod:`perf_record`); the ``C = 2`` case of the ``cycle-multi`` engine merges
+:mod:`perf_record`); the ``C = 2`` case of the same engine merges
 its numbers into the same record under ``c2_``-prefixed keys, with its own
 floor against the hop-by-hop path.  Under ``--smoke`` the budgets shrink so
 the whole run takes seconds; the records are written but the floors are not
@@ -53,7 +53,7 @@ SMOKE_EVENT_TRIALS = 300
 SMOKE_BATCH_TRIALS = 100_000
 #: Acceptance floor for the cycle engine over hop-by-hop estimation.
 MIN_SPEEDUP = 25.0
-#: Acceptance floor for the C = 2 cycle-multi engine over hop-by-hop.  The
+#: Acceptance floor for the cycle engine at C = 2 over hop-by-hop.  The
 #: multi-node classifier falls back to the scalar rule on multi-visit trials
 #: (much more common at C = 2), so its floor sits below the C = 1 kernel's
 #: while still demanding an order of magnitude over per-trial inference.
@@ -144,7 +144,7 @@ def test_cycle_speedup_floor(smoke):
 
 
 def test_cycle_multi_speedup_floor(smoke):
-    """The C = 2 case: the cycle-multi engine vs hop-by-hop, its own floor."""
+    """The C = 2 case: the cycle engine vs hop-by-hop, its own floor."""
     event_trials = SMOKE_EVENT_TRIALS if smoke else EVENT_TRIALS
     batch_trials = SMOKE_MULTI_BATCH_TRIALS if smoke else MULTI_BATCH_TRIALS
     model, strategy = _workload(n_compromised=2)
@@ -155,7 +155,7 @@ def test_cycle_multi_speedup_floor(smoke):
     event_seconds = time.perf_counter() - started
 
     batch_engine = BatchMonteCarlo(model, strategy)
-    assert batch_engine.engine.name == "cycle-multi"
+    assert batch_engine.engine.name == "cycle"
     started = time.perf_counter()
     batch_report = batch_engine.run(batch_trials, rng=0)
     batch_seconds = time.perf_counter() - started
@@ -165,7 +165,7 @@ def test_cycle_multi_speedup_floor(smoke):
     speedup = batch_tps / event_tps
     print()
     print(f"event C=2 (hop-by-hop)  : {event_seconds:8.2f}s ({event_tps:,.0f} trials/sec)")
-    print(f"batch C=2 (cycle-multi) : {batch_seconds:8.2f}s ({batch_tps:,.0f} trials/sec)")
+    print(f"batch C=2 (cycle)       : {batch_seconds:8.2f}s ({batch_tps:,.0f} trials/sec)")
     print(f"speedup                 : {speedup:8.1f}x")
     print(f"event estimate {event_report.estimate}")
     print(f"batch estimate {batch_report.estimate}")
@@ -195,6 +195,6 @@ def test_cycle_multi_speedup_floor(smoke):
     if smoke:
         return  # tiny budgets; record only
     assert speedup >= MIN_MULTI_SPEEDUP, (
-        f"cycle-multi engine reached only {speedup:.1f}x over the hop-by-hop "
+        f"cycle engine reached only {speedup:.1f}x over the hop-by-hop "
         f"event engine at C=2; the floor is {MIN_MULTI_SPEEDUP}x"
     )

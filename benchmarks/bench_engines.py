@@ -18,6 +18,7 @@ from perf_record import write_record
 
 from repro.adversary.inference import BayesianPathInference
 from repro.adversary.observation import observation_from_path
+from repro.batch import engine as engine_module
 from repro.batch.engine import TrialEngine, select_engine
 from repro.core.anonymity import AnonymityAnalyzer
 from repro.core.model import PathModel, SystemModel
@@ -93,9 +94,10 @@ KERNEL_NODES = 100
 KERNEL_TRIALS = 2_000_000
 KERNEL_SMOKE_TRIALS = 100_000
 KERNEL_DISTRIBUTION = GeometricLength(0.25, max_length=40)
-#: Chunk size of the measurement — cache-resident chunks; ``chunk_trials=None``
-#: would measure allocator and cache pressure on the 2M-element temporaries
-#: instead of kernel cost.
+#: Chunk size of the measurement — cache-resident chunks, set on
+#: ``repro.batch.engine.CHUNK_TRIALS`` for the test and restored after it; one
+#: 2M-trial block would measure allocator and cache pressure on its
+#: temporaries instead of kernel cost.
 KERNEL_CHUNK = 16_384
 #: Acceptance floor on the five-class kernel, in trials/sec: twice the median
 #: of seven runs of the retired staged five-class pipeline on this workload
@@ -121,9 +123,7 @@ def _kernel_engine(path_model, compromised) -> TrialEngine:
         KERNEL_DISTRIBUTION.name, KERNEL_DISTRIBUTION, path_model=path_model
     )
     factory = select_engine(model, strategy, compromised)
-    engine = factory(model, strategy, compromised)
-    engine.chunk_trials = KERNEL_CHUNK
-    return engine
+    return factory(model, strategy, compromised)
 
 
 def _accumulate_tps(engine: TrialEngine, n_trials: int) -> float:
@@ -136,12 +136,13 @@ def _accumulate_tps(engine: TrialEngine, n_trials: int) -> float:
     return best
 
 
-def test_kernel_throughput_floor(smoke):
+def test_kernel_throughput_floor(smoke, monkeypatch):
     """The kernel record: trials/sec of every clique engine's kernel.
 
     The five-class floor is asserted on the full workload only; arrangement
     and cycle throughput are recorded without a floor.
     """
+    monkeypatch.setattr(engine_module, "CHUNK_TRIALS", KERNEL_CHUNK)
     n_trials = KERNEL_SMOKE_TRIALS if smoke else KERNEL_TRIALS
     results: dict[str, float] = {}
     print()

@@ -19,6 +19,7 @@ import time
 from perf_record import write_record
 
 from repro.analysis.overhead import anonymity_per_hop, evaluate_tradeoff, pareto_frontier
+from repro.batch import engine as engine_module
 from repro.batch.engine import select_engine
 from repro.core.model import SystemModel
 from repro.distributions import FixedLength, UniformLength
@@ -74,7 +75,8 @@ def test_marginal_anonymity_per_hop(benchmark):
     assert all(gain <= 1e-9 for gain in beyond)
 
 
-#: Telemetry-overhead workload: small chunks stress the per-chunk hooks.
+#: Telemetry-overhead workload: small chunks stress the per-chunk hooks.  The
+#: chunk size is set on ``repro.batch.engine.CHUNK_TRIALS`` for the test.
 OVERHEAD_TRIALS = 200_000
 SMOKE_OVERHEAD_TRIALS = 20_000
 OVERHEAD_CHUNK = 1_000
@@ -83,7 +85,7 @@ OVERHEAD_CHUNK = 1_000
 MAX_DISABLED_OVERHEAD = 0.05
 
 
-def test_telemetry_overhead_bounds(smoke):
+def test_telemetry_overhead_bounds(smoke, monkeypatch):
     """Disabled telemetry <= 5% of chunk time; enabled collection stays sane.
 
     The disabled hot path in ``TrialEngine.run_accumulate`` is one ``enabled``
@@ -103,7 +105,7 @@ def test_telemetry_overhead_bounds(smoke):
     compromised = frozenset(model.compromised_nodes())
     factory = select_engine(model, strategy, compromised)
     engine = factory(model=model, strategy=strategy, compromised=compromised)
-    engine.chunk_trials = OVERHEAD_CHUNK
+    monkeypatch.setattr(engine_module, "CHUNK_TRIALS", OVERHEAD_CHUNK)
 
     def run_seconds() -> float:
         started = time.perf_counter()

@@ -2,7 +2,7 @@
 
 This is the perf record for the ``sharded`` backend of
 :mod:`repro.batch.sharded`: one large estimation job on the
-multi-compromised cycle engine (``cycle-multi``: N=30 nodes, three
+cycle engine with several compromised nodes (N=30 nodes, three
 compromised, uniform lengths on cycle-allowed paths) run
 
 * single-process through the ``batch`` backend, and
@@ -46,7 +46,7 @@ from repro.core.model import PathModel, SystemModel
 from repro.distributions import UniformLength
 from repro.routing.strategies import PathSelectionStrategy
 
-#: The workload: a multi-compromised model on the cycle-multi engine.
+#: The workload: a multi-compromised model on the cycle engine.
 N_NODES = 30
 N_COMPROMISED = 3
 DISTRIBUTION = UniformLength(1, 8)

@@ -40,9 +40,8 @@ Layout
     Cycle observation-class keys (:func:`cycle_trial_key`, the scalar
     reference rule, and its array kernel).
 :mod:`repro.batch.cycleengine`
-    The cycle-allowed engines (:class:`CycleBatchEngine` for ``C = 1``,
-    :class:`MultiCycleEngine` for any other ``C``) and their lazily priced
-    :class:`CycleScoreTable` (Crowds-style protocols).
+    The cycle-allowed engine (:class:`CycleBatchEngine`, any ``C``) and its
+    lazily priced :class:`CycleScoreTable` (Crowds-style protocols).
 :mod:`repro.batch.topoengine`
     The graph-general :class:`TopologyEngine` for non-clique topologies.
 :mod:`repro.batch.estimator`
@@ -66,11 +65,7 @@ from repro.batch.backends import (
     register_backend,
 )
 from repro.batch.cycleclassify import cycle_trial_key
-from repro.batch.cycleengine import (
-    CycleBatchEngine,
-    CycleScoreTable,
-    MultiCycleEngine,
-)
+from repro.batch.cycleengine import CycleBatchEngine, CycleScoreTable
 from repro.batch.engine import (
     ArrangementEngine,
     FiveClassEngine,
@@ -95,7 +90,6 @@ __all__ = [
     "ArrangementEngine",
     "InverseCdfDecoder",
     "CycleBatchEngine",
-    "MultiCycleEngine",
     "TopologyEngine",
     "available_engines",
     "get_engine",

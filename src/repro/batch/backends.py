@@ -17,8 +17,7 @@ Three engines can answer, with very different cost/coverage trade-offs:
 ``batch``
     The vectorized :class:`repro.batch.estimator.BatchMonteCarlo`: a
     dispatcher over the :class:`~repro.batch.engine.TrialEngine` registry
-    (bulk draws, array classification, per-class entropies).  Accepts a
-    ``chunk_trials=`` option.
+    (bulk draws, array classification, per-class entropies).
     Statistically identical to ``event`` on its whole domain — ``C > 1``,
     honest receivers, and cycle-allowed paths at any ``C`` included — at a
     large multiple of its throughput.
@@ -31,7 +30,7 @@ The registry makes the choice a string, so callers (``analysis.sweep``, the
 ``repro-anon batch`` CLI, the experiment registry) can switch engines without
 importing any of them, and downstream code can plug in new engines (remote,
 GPU, ...) with :func:`register_backend`.  Backend-specific constructor options
-(``workers``, ``chunk_trials``, ...) flow through the ``**options`` of
+(``workers``, ``shards``, ...) flow through the ``**options`` of
 :func:`get_backend` / :func:`estimate_anonymity`.
 
 Every backend returns the same
@@ -139,14 +138,6 @@ class BatchBackend(EstimatorBackend):
 
     name = "batch"
 
-    def __init__(self, chunk_trials: int | None = None) -> None:
-        self._chunk_trials = chunk_trials
-
-    def _estimator(
-        self, model: SystemModel, strategy: PathSelectionStrategy
-    ) -> BatchMonteCarlo:
-        return BatchMonteCarlo(model, strategy, chunk_trials=self._chunk_trials)
-
     def estimate(
         self,
         model: SystemModel,
@@ -154,7 +145,7 @@ class BatchBackend(EstimatorBackend):
         n_trials: int = 10_000,
         rng: RandomSource = None,
     ) -> MonteCarloReport:
-        return self._estimator(model, strategy).run(n_trials, rng=rng)
+        return BatchMonteCarlo(model, strategy).run(n_trials, rng=rng)
 
     def accumulate_runner(
         self, model: SystemModel, strategy: PathSelectionStrategy
@@ -165,7 +156,7 @@ class BatchBackend(EstimatorBackend):
         kernel — including its exact per-class score table — is built once
         here and reused across every block of an adaptive run.
         """
-        return self._estimator(model, strategy).run_accumulate
+        return BatchMonteCarlo(model, strategy).run_accumulate
 
 
 # ---------------------------------------------------------------------- #
@@ -188,9 +179,8 @@ def get_backend(name: str, **options: Any) -> EstimatorBackend:
     """Instantiate the backend registered under ``name``.
 
     ``options`` are forwarded to the backend factory — e.g.
-    ``get_backend("sharded", workers=8)`` or
-    ``get_backend("batch", chunk_trials=16_384)``.  Factories reject options they
-    do not understand with a ``TypeError``, exactly like any constructor.
+    ``get_backend("sharded", workers=8)``.  Factories reject options they do
+    not understand with a ``TypeError``, exactly like any constructor.
     """
     try:
         factory = _BACKENDS[name]

@@ -1,8 +1,8 @@
-"""The vectorized trial engines for cycle-allowed path strategies.
+"""The vectorized trial engine for cycle-allowed path strategies.
 
-These are the cycle-path members of the :class:`~repro.batch.engine.TrialEngine`
-registry (after the five-class and arrangement simple-path engines): they
-bring Crowds-style protocols onto the batch fast path for *any* number of
+This is the cycle-path member of the :class:`~repro.batch.engine.TrialEngine`
+registry (after the five-class and arrangement simple-path engines): it
+brings Crowds-style protocols onto the batch fast path for *any* number of
 compromised nodes.  Each chunk runs one kernel, :meth:`CycleBatchEngine.accumulate_chunk`:
 
 1. **draw** — the simple-path symmetry reduction does not apply here: the
@@ -30,7 +30,7 @@ Because the prices are exact per-class entropies, the per-trial entropy
 samples follow exactly the same law as the hop-by-hop event engine's — the
 class key provably determines the posterior entropy (see
 :mod:`repro.adversary.inference`) — at a large multiple of its throughput:
-the event engine runs one exact inference per *trial*, these engines one per
+the event engine runs one exact inference per *trial*, this engine one per
 *class*, and the number of distinct classes is tiny.
 
 Scoring goes through a **canonical representative**: one concrete trial
@@ -39,17 +39,13 @@ Equal keys therefore price through bit-identical arithmetic, which keeps
 shard merges exact and cached service replays bit-stable no matter which
 concrete trial or seed first exhibited a class.
 
-Two registrations share the implementation:
+Any ``C`` runs on the one engine, :class:`CycleBatchEngine` (``"cycle"``):
+``C = 0`` degenerates to the silent class under every adversary, and
+``C > 1`` is classified by multi-node walk-pattern keys and priced by the
+honest-subgraph walk counts of :mod:`repro.combinatorics.walks`.
 
-* :class:`CycleBatchEngine` (``"cycle"``) — the single-compromised fast path;
-* :class:`MultiCycleEngine` (``"cycle-multi"``) — cycle paths with
-  ``C != 1`` (including ``C = 0``), classified by multi-node walk-pattern
-  keys and priced by the honest-subgraph walk counts of
-  :mod:`repro.combinatorics.walks`.
-
-Trials are processed in fixed-size chunks so the hop matrix of a
-multi-million-trial run never materialises at once; the chunk size is a
-constant, part of the determinism contract.
+Trials are processed in chunks of :data:`repro.batch.engine.CHUNK_TRIALS`,
+so the hop matrix of a multi-million-trial run never materialises at once.
 """
 
 from __future__ import annotations
@@ -77,16 +73,7 @@ from repro.routing.strategies import PathSelectionStrategy
 from repro.telemetry.metrics import get_registry
 from repro.telemetry.tracing import trace_span
 
-__all__ = [
-    "CycleScoreTable",
-    "CycleBatchEngine",
-    "MultiCycleEngine",
-    "CHUNK_TRIALS",
-]
-
-#: Trials sampled per columnar chunk.  A constant: chunk boundaries shape the
-#: generator consumption, so this is part of the (seed -> bits) contract.
-CHUNK_TRIALS = 65_536
+__all__ = ["CycleScoreTable", "CycleBatchEngine"]
 
 
 class CycleScoreTable:
@@ -103,7 +90,7 @@ class CycleScoreTable:
     segments in the sub-clique avoiding the whole compromised set.  With
     telemetry active, each miss runs inside an ``engine.price`` span, counts
     into ``classes_priced_total`` and times into ``class_price_seconds``,
-    all labelled with ``engine``.
+    all labelled ``engine=cycle``.
     """
 
     def __init__(
@@ -111,9 +98,7 @@ class CycleScoreTable:
         model: SystemModel,
         distribution: PathLengthDistribution,
         compromised: frozenset[int],
-        engine: str = "cycle",
     ) -> None:
-        self._engine = engine
         self._compromised = frozenset(compromised)
         self._model = model.with_path_model(PathModel.CYCLE_ALLOWED)
         self._inference = BayesianPathInference(
@@ -132,7 +117,7 @@ class CycleScoreTable:
         if cached is not None:
             return cached
         telemetry = get_registry()
-        with trace_span("engine.price", telemetry, engine=self._engine):
+        with trace_span("engine.price", telemetry, engine="cycle"):
             started = telemetry.clock() if telemetry.enabled else 0.0
             sender, path = self.representative(key)
             observation = observation_from_path(
@@ -147,9 +132,9 @@ class CycleScoreTable:
                 posterior.max_probability >= IDENTIFIED_THRESHOLD,
             )
             if telemetry.enabled:
-                telemetry.counter("classes_priced_total", engine=self._engine).inc()
+                telemetry.counter("classes_priced_total", engine="cycle").inc()
                 telemetry.histogram(
-                    "class_price_seconds", engine=self._engine
+                    "class_price_seconds", engine="cycle"
                 ).observe(telemetry.clock() - started)
         self._scores[key] = cached
         return cached
@@ -191,18 +176,17 @@ class CycleScoreTable:
 
 
 class CycleBatchEngine(TrialEngine):
-    """Columnar Monte-Carlo kernel for one cycle-allowed strategy (``C = 1``).
+    """Columnar Monte-Carlo kernel for one cycle-allowed strategy, any ``C``.
 
     Selected by :class:`~repro.batch.estimator.BatchMonteCarlo` when the
     strategy's path model is :attr:`~repro.core.model.PathModel.CYCLE_ALLOWED`
-    with one compromised node; it produces the same
+    on a clique; it produces the same
     :class:`~repro.batch.engine.BatchAccumulator` currency as the simple-path
     engines, so sharding, adaptive scheduling, and the service cache compose
     with it unchanged.
     """
 
     name = "cycle"
-    chunk_trials = CHUNK_TRIALS
 
     def __init__(
         self,
@@ -221,16 +205,11 @@ class CycleBatchEngine(TrialEngine):
             model=model.with_compromised(len(self.compromised)),
             distribution=self._distribution,
             compromised=self.compromised,
-            engine=self.name,
         )
 
     @classmethod
     def covers(cls, model, strategy, compromised) -> bool:
-        return (
-            model.clique_routing
-            and strategy.path_model is PathModel.CYCLE_ALLOWED
-            and len(compromised) == 1
-        )
+        return model.clique_routing and strategy.path_model is PathModel.CYCLE_ALLOWED
 
     def accumulate_chunk(
         self, n_trials: int, generator: np.random.Generator
@@ -275,31 +254,4 @@ class CycleBatchEngine(TrialEngine):
         return int(lengths.sum()), classes
 
 
-class MultiCycleEngine(CycleBatchEngine):
-    """The fourth built-in engine: cycle-allowed paths with ``C != 1``.
-
-    Shares the kernel (hop identities carry no compromised knowledge), the
-    multi-node classifier keys of :mod:`repro.batch.cycleclassify`, and the
-    generalised :class:`CycleScoreTable` with the ``C = 1`` engine; only the
-    covered domain differs.  ``C = 0`` degenerates to the silent class under
-    every adversary, and any larger ``C`` rides on the honest-subgraph walk
-    counts — validated exactly against exhaustive enumeration in
-    ``tests/test_cycle.py`` and the ``ext-cycle`` experiment.
-    """
-
-    name = "cycle-multi"
-
-    @classmethod
-    def covers(cls, model, strategy, compromised) -> bool:
-        return (
-            model.clique_routing
-            and strategy.path_model is PathModel.CYCLE_ALLOWED
-            and len(compromised) != 1
-        )
-
-
-# Most general last: selection walks the registry in reverse, so the
-# dedicated C = 1 kernel keeps the paper's core cycle domain while the
-# multi-node engine picks up everything else.
-register_engine(MultiCycleEngine.name, MultiCycleEngine)
 register_engine(CycleBatchEngine.name, CycleBatchEngine)

@@ -19,8 +19,8 @@ fixes that shape as one formal protocol of two members:
     inference per engine instance, never one per trial.
 
 The concrete driver :meth:`TrialEngine.run_accumulate` splits a budget into
-chunks of :attr:`TrialEngine.chunk_trials` and folds the chunk reductions
-into a :class:`BatchAccumulator` — per-class counts plus a length sum — the
+chunks of :data:`CHUNK_TRIALS` trials and folds the chunk reductions into a
+:class:`BatchAccumulator` — per-class counts plus a length sum — the
 currency every layer above understands: the ``sharded`` backend ships
 accumulators between processes, the adaptive scheduler merges them block by
 block, and the result cache replays the reports they summarise bit for bit.
@@ -32,19 +32,18 @@ engine for a ``(model, strategy, compromised)`` configuration by asking each
 registered engine's :meth:`TrialEngine.covers` predicate, latest registration
 first — so a user-registered engine preempts the built-ins on any domain it
 claims, and a new domain becomes a registration instead of a fork of the
-subsystem.  Five built-in engines cover the whole supported domain:
+subsystem.  Four built-in engines cover the whole supported domain:
 
 ================  =============================================  ==========================
 engine            domain                                         classes
 ================  =============================================  ==========================
 ``five-class``    simple paths, ``C = 1``, compromised receiver  the paper's five events
 ``arrangement``   simple paths, any ``C``, honest receiver ok    canonical observations
-``cycle``         cycle-allowed paths, ``C = 1``                 walk patterns
-``cycle-multi``   cycle-allowed paths, ``C != 1`` (incl. 0)      walk patterns (multi-node)
+``cycle``         cycle-allowed paths, any ``C``                 walk patterns
 ``topology``      any path model on a non-clique topology        enumerated observation keys
 ================  =============================================  ==========================
 
-The two simple-path engines live in this module; the cycle engines live in
+The two simple-path engines live in this module; the cycle engine lives in
 :mod:`repro.batch.cycleengine` and the topology engine in
 :mod:`repro.batch.topoengine`.  :class:`~repro.batch.estimator.BatchMonteCarlo`
 is a thin dispatcher over :func:`select_engine`.
@@ -84,8 +83,14 @@ __all__ = [
     "get_engine",
     "register_engine",
     "select_engine",
-    "validate_chunk_trials",
+    "CHUNK_TRIALS",
 ]
+
+#: Trials drawn per chunk by every engine.  It bounds the live memory of a
+#: run by one chunk, and chunk boundaries shape the generator consumption, so
+#: it is part of the ``(seed -> bits)`` determinism contract.
+#: :meth:`TrialEngine.run_accumulate` reads it at call time.
+CHUNK_TRIALS = 65_536
 
 #: Relative tolerance when merging per-class entropies across shards; scores
 #: are deterministic functions of the class, so any real disagreement means
@@ -94,23 +99,6 @@ _MERGE_RTOL = 1e-9
 
 #: One chunk reduction's classes: ``{key: (count, entropy_bits, identified)}``.
 ChunkClasses = dict[object, tuple[int, float, bool]]
-
-
-def validate_chunk_trials(value: int | None) -> int | None:
-    """Validate a ``chunk_trials`` setting and return it unchanged.
-
-    Accepts ``None`` (one chunk per run) or an integer ``>= 1``.  Anything
-    else — notably ``0`` or a negative count, which would spin
-    :meth:`TrialEngine.run_accumulate` forever without ever shrinking the
-    remaining budget — raises a :class:`~repro.exceptions.ConfigurationError`.
-    """
-    if value is None:
-        return value
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigurationError(
-            f"chunk_trials must be None or an integer >= 1, got {value!r}"
-        )
-    return value
 
 
 @dataclass(frozen=True)
@@ -208,18 +196,13 @@ class TrialEngine(abc.ABC):
     predicate, which is what :func:`select_engine` consults.
 
     Determinism contract: :meth:`accumulate_chunk` must consume a fixed
-    number of bulk draws in a fixed order per chunk, and
-    :attr:`chunk_trials` (when not ``None``) fixes how a budget splits into
-    chunks — so a run is a pure function of ``(seed, chunk_trials)``, and
-    shard merges can never disagree on a class entropy.
+    number of bulk draws in a fixed order per chunk, and :data:`CHUNK_TRIALS`
+    fixes how a budget splits into chunks — so a run is a pure function of
+    its seed, and shard merges can never disagree on a class entropy.
     """
 
     #: Registry key and display name of the engine.
     name: str = "abstract"
-    #: Trials drawn per chunk.  ``None`` runs the whole budget as one chunk;
-    #: a constant bounds the live memory of huge runs.  Part of the
-    #: ``(seed -> bits)`` determinism contract.
-    chunk_trials: int | None = None
 
     def __init__(
         self,
@@ -238,7 +221,6 @@ class TrialEngine(abc.ABC):
             raise ConfigurationError(
                 "compromised node identities must lie in [0, N)"
             )
-        validate_chunk_trials(self.chunk_trials)
         self._distribution = strategy.effective_distribution(model.n_nodes)
 
     @classmethod
@@ -270,7 +252,7 @@ class TrialEngine(abc.ABC):
     def run_accumulate(
         self, n_trials: int, rng: RandomSource = None
     ) -> BatchAccumulator:
-        """Run ``n_trials`` trials chunk by chunk; one accumulator.
+        """Run ``n_trials`` trials in chunks of :data:`CHUNK_TRIALS`; one accumulator.
 
         This is the shard-sized unit of work of the ``sharded`` backend: the
         returned accumulator is a columnar reduction (per-class counts plus a
@@ -283,18 +265,13 @@ class TrialEngine(abc.ABC):
         """
         if n_trials < 1:
             raise ConfigurationError("n_trials must be >= 1")
-        # Re-validated here (not only at construction) because chunk_trials
-        # is also assignable on instances; a 0 would otherwise loop forever.
-        chunk_trials = validate_chunk_trials(self.chunk_trials)
         generator = ensure_rng(rng)
         telemetry = get_registry()
         classes: dict[object, list] = {}
         length_sum = 0
         remaining = n_trials
         while remaining:
-            block_trials = (
-                remaining if chunk_trials is None else min(chunk_trials, remaining)
-            )
+            block_trials = min(CHUNK_TRIALS, remaining)
             remaining -= block_trials
             chunk_started = telemetry.clock() if telemetry.enabled else 0.0
             chunk_length, chunk_classes = self.accumulate_chunk(

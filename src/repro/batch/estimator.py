@@ -15,9 +15,8 @@ exact per-class entropies (one inference per *class*) — reduced to a
 registry (:func:`repro.batch.engine.select_engine`) which
 :class:`~repro.batch.engine.TrialEngine` covers the requested
 ``(model, strategy, compromised)`` configuration and delegates the run.  The
-five built-in engines — ``five-class``, ``arrangement``, ``cycle``,
-``cycle-multi``, and ``topology`` — cover one compromised node on the paper's
-core domain, any ``C`` with honest receivers on simple paths, cycle-allowed
+four built-in engines — ``five-class``, ``arrangement``, ``cycle``, and
+``topology`` — cover one compromised node on the paper's core domain, any ``C`` with honest receivers on simple paths, cycle-allowed
 (Crowds-style) strategies at any ``C``, and non-clique topologies;
 registering a new engine extends the estimator (and
 the ``sharded`` backend, the adaptive service, sweeps, and the CLI above it)
@@ -40,12 +39,7 @@ from dataclasses import dataclass, field
 # simple-path engines that repro.batch.engine registers at import.
 import repro.batch.cycleengine  # noqa: F401  (registration side effect)
 import repro.batch.topoengine  # noqa: F401  (registration side effect)
-from repro.batch.engine import (
-    BatchAccumulator,
-    TrialEngine,
-    select_engine,
-    validate_chunk_trials,
-)
+from repro.batch.engine import BatchAccumulator, TrialEngine, select_engine
 from repro.core.model import SystemModel
 from repro.distributions.base import PathLengthDistribution
 from repro.routing.strategies import PathSelectionStrategy
@@ -71,9 +65,10 @@ class BatchMonteCarlo:
       observations and whose per-class entropies come from the exact
       fragment-arrangement counts in :mod:`repro.combinatorics`;
     * cycle-allowed strategies (Crowds, Onion Routing II, Hordes) run on the
-      cycle engines of :mod:`repro.batch.cycleengine` — the dedicated
-      ``C = 1`` kernel or its multi-compromised generalisation — whose
-      classes are priced by the cycle-aware walk-counting inference engine.
+      cycle engine of :mod:`repro.batch.cycleengine` at any ``C``, whose
+      classes are priced by the cycle-aware walk-counting inference engine;
+    * any non-clique topology runs on the topology engine of
+      :mod:`repro.batch.topoengine`.
 
     All engines sample only observations; posteriors are always exact.
     """
@@ -81,10 +76,6 @@ class BatchMonteCarlo:
     model: SystemModel
     strategy: PathSelectionStrategy
     compromised: frozenset[int] | None = None
-    #: Chunking override for the selected engine: ``None`` keeps the engine's
-    #: default and an integer fixes the chunk size.  Part of the determinism
-    #: contract — see ``TrialEngine.chunk_trials``.
-    chunk_trials: int | None = None
 
     _engine: TrialEngine = field(init=False, repr=False)
 
@@ -102,8 +93,6 @@ class BatchMonteCarlo:
                 strategy=self.strategy,
                 compromised=self.compromised,
             )
-        if self.chunk_trials is not None:
-            self._engine.chunk_trials = validate_chunk_trials(self.chunk_trials)
 
     # ------------------------------------------------------------------ #
     # Estimation                                                          #

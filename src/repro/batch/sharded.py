@@ -59,6 +59,7 @@ from repro.exceptions import ConfigurationError
 from repro.routing.strategies import PathSelectionStrategy
 from repro.telemetry.metrics import get_registry
 from repro.utils.rng import RandomSource, ensure_rng
+from repro.utils.validation import check_positive_int
 
 if TYPE_CHECKING:
     from multiprocessing.sharedctypes import Synchronized
@@ -227,18 +228,14 @@ class ShardedBackend(EstimatorBackend):
         workers: int | None = None,
         shards: int | None = None,
     ) -> None:
-        if workers is None:
-            workers = default_workers()
-        if workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {workers}")
+        workers = (
+            default_workers() if workers is None else check_positive_int(workers, "workers")
+        )
         if workers > _MAX_WORKERS:
             raise ConfigurationError(
                 f"workers must be <= {_MAX_WORKERS}, got {workers}"
             )
-        if shards is None:
-            shards = workers
-        if shards < 1:
-            raise ConfigurationError(f"shards must be >= 1, got {shards}")
+        shards = workers if shards is None else check_positive_int(shards, "shards")
         self.workers = workers
         self.shards = shards
         self._pool: ProcessPoolExecutor | None = None

@@ -1,7 +1,7 @@
 """The ``topology`` trial engine: vectorized estimation on arbitrary graphs.
 
-The four clique engines (``five-class``, ``arrangement``, ``cycle``,
-``cycle-multi``) all rest on relabelling symmetry: honest identities are
+The three clique engines (``five-class``, ``arrangement``, ``cycle``) all
+rest on relabelling symmetry: honest identities are
 interchangeable, so classes can be keyed by *pattern* instead of identity.
 On a general topology that symmetry is gone — a star's hub and a leaf are
 different worlds — so this engine takes the graph-general route.  At
@@ -45,18 +45,13 @@ from repro.exceptions import ConfigurationError
 from repro.routing.strategies import PathSelectionStrategy
 from repro.utils.mathx import entropy_bits, kahan_sum
 
-__all__ = ["TopologyEngine", "CHUNK_TRIALS"]
-
-#: Trials per columnar block; matches the cycle engines and is part of the
-#: (seed -> bits) determinism contract.
-CHUNK_TRIALS = 65_536
+__all__ = ["TopologyEngine"]
 
 
 class TopologyEngine(TrialEngine):
     """Columnar Monte-Carlo kernel for any connected non-clique topology."""
 
     name = "topology"
-    chunk_trials = CHUNK_TRIALS
 
     def __init__(
         self,

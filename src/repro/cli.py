@@ -23,7 +23,7 @@ exposes the library's main entry points without writing any Python:
   deployed-system catalogue: ``crowds`` (the paper's simple-path length
   strategy) plus the cycle-allowed ``crowds-cycles``,
   ``onion-routing-2-cycles``, and ``hordes``, which run on the vectorized
-  cycle engines at any ``C``;
+  cycle engine at any ``C``;
 * ``repro-anon estimate --n 100 --strategy uniform --precision 0.01
   --cache-dir ~/.repro-cache`` — adaptive-precision estimation through the
   caching service of :mod:`repro.service`: trials run in blocks until the
@@ -330,14 +330,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--protocol", choices=sorted(_PROTOCOL_CLASSES), default="freedom"
     )
     simulate.add_argument("--trials", type=_positive_int, default=500)
-    simulate.add_argument("--seed", type=int, default=0)
+    simulate.add_argument("--seed", type=_non_negative_int, default=0)
 
     batch = subparsers.add_parser(
         "batch", help="vectorized Monte-Carlo estimate via a pluggable backend"
     )
     _add_strategy_arguments(batch, default_strategy="uniform")
     batch.add_argument("--trials", type=_positive_int, default=100_000)
-    batch.add_argument("--seed", type=int, default=0)
+    batch.add_argument("--seed", type=_non_negative_int, default=0)
     batch.add_argument(
         "--topology",
         default=None,
@@ -357,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_non_negative_int,
         default=1,
         help="number of compromised nodes C (C != 1 selects the "
-        "arrangement-class engine on simple paths, cycle-multi on walks)",
+        "arrangement-class engine on simple paths; walks run on the cycle engine)",
     )
     batch.add_argument(
         "--workers",
@@ -403,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=1_000_000,
         help="hard ceiling on total trials",
     )
-    estimate.add_argument("--seed", type=int, default=0)
+    estimate.add_argument("--seed", type=_non_negative_int, default=0)
     estimate.add_argument(
         "--topology",
         default=None,

@@ -95,8 +95,11 @@ class SystemModel:
     topology: Topology | None = None
 
     def __post_init__(self) -> None:
-        check_positive_int(self.n_nodes, "n_nodes")
-        check_non_negative_int(self.n_compromised, "n_compromised")
+        # numpy integers are accepted but stored as plain ints.
+        object.__setattr__(self, "n_nodes", check_positive_int(self.n_nodes, "n_nodes"))
+        object.__setattr__(
+            self, "n_compromised", check_non_negative_int(self.n_compromised, "n_compromised")
+        )
         if self.n_nodes < 2:
             raise ConfigurationError(
                 f"the system needs at least 2 nodes, got n_nodes={self.n_nodes}"

@@ -54,6 +54,7 @@ from repro.distributions import (
     UniformLength,
 )
 from repro.exceptions import ConfigurationError, OptimizationError
+from repro.utils.validation import check_non_negative_int, check_positive_int
 
 __all__ = [
     "FixedLengthScan",
@@ -113,7 +114,7 @@ def best_fixed_length(
 
     ``max_length`` defaults to the longest feasible simple path, ``N - 1``.
     """
-    max_length = _length_range(model, min_length, max_length)
+    min_length, max_length = _length_range(model, min_length, max_length)
     analyzer = AnonymityAnalyzer(model)
     degrees = {
         length: analyzer.anonymity_degree(FixedLength(length))
@@ -132,12 +133,10 @@ def best_uniform_for_mean(model: SystemModel, mean: int) -> UniformWidthScan:
     expected path length, choose the variance of the uniform strategy.  The
     width is constrained so the bounds stay within ``[0, N - 1]``.
     """
-    if not _is_integer(mean):
-        raise ConfigurationError(
-            f"mean ({mean!r}) must be an integer: U(mean - w, mean + w) has integer bounds"
-        )
+    # U(mean - w, mean + w) has integer bounds.
+    mean = check_non_negative_int(mean, "mean")
     analyzer = AnonymityAnalyzer(model)
-    if not 0 <= mean <= model.max_simple_path_length:
+    if mean > model.max_simple_path_length:
         raise ConfigurationError(
             f"mean ({mean}) must lie within [0, {model.max_simple_path_length}]"
         )
@@ -183,11 +182,8 @@ def optimize_distribution(
     positive integer; anything else raises :class:`ConfigurationError`
     before any evaluation.
     """
-    max_length = _length_range(model, min_length, max_length)
-    if not _is_integer(max_iterations) or max_iterations < 1:
-        raise ConfigurationError(
-            f"max_iterations ({max_iterations!r}) must be a positive integer"
-        )
+    min_length, max_length = _length_range(model, min_length, max_length)
+    max_iterations = check_positive_int(max_iterations, "max_iterations")
     if mean is not None:
         if isinstance(mean, bool) or not isinstance(mean, numbers.Real):
             raise ConfigurationError(
@@ -302,35 +298,27 @@ def optimize_distribution(
     )
 
 
-def _length_range(model: SystemModel, min_length: int, max_length: int | None) -> int:
-    """Validate a ``[min_length, max_length]`` support; returns ``max_length``.
+def _length_range(
+    model: SystemModel, min_length: int, max_length: int | None
+) -> tuple[int, int]:
+    """Validate a ``[min_length, max_length]`` support; returns it as plain ints.
 
     ``max_length`` defaults to the longest feasible simple path, ``N - 1``.
     """
     if max_length is None:
         max_length = model.max_simple_path_length
-    for name, value in (("min_length", min_length), ("max_length", max_length)):
-        if not _is_integer(value):
-            raise ConfigurationError(
-                f"{name} ({value!r}) must be an integer path length, not {type(value).__name__}"
-            )
+    min_length = check_non_negative_int(min_length, "min_length")
+    max_length = check_non_negative_int(max_length, "max_length")
     if max_length > model.max_simple_path_length:
         raise ConfigurationError(
             f"max_length ({max_length}) exceeds the longest simple path "
             f"({model.max_simple_path_length})"
         )
-    if min_length < 0:
-        raise ConfigurationError(f"min_length ({min_length}) must be non-negative")
     if min_length > max_length:
         raise ConfigurationError(
             f"min_length ({min_length}) must not exceed max_length ({max_length})"
         )
-    return max_length
-
-
-def _is_integer(value: object) -> bool:
-    """Whether ``value`` is a Python or numpy integer (``bool`` is not)."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    return min_length, max_length
 
 
 def _mean_matching_start(lengths: np.ndarray, mean: float) -> np.ndarray:

@@ -28,13 +28,13 @@ these experiments exercise it:
   reaches a target CI half-width with measurably fewer trials than the fixed
   reference budget, deterministically per ``(seed, block_size)``, and serves
   a repeated identical request bit-identically from its result cache;
-* ``cycle_validation`` — the vectorized cycle engines (Crowds-style
+* ``cycle_validation`` — the vectorized cycle engine (Crowds-style
   cycle-allowed paths on the ``batch``/``sharded`` fast path) reproduce the
   exhaustive ground truth and the hop-by-hop event engine under all three
   adversary models, are bit-deterministic per ``(seed, shards)``, and
   round-trip a cycle request bit-identically through the service cache —
-  at ``C = 1`` (the dedicated kernel) *and* at ``C = 2`` (the multi-node
-  ``cycle-multi`` engine that closed the roadmap's last coverage gap);
+  at ``C = 1`` *and* at ``C = 2`` (multi-node walk patterns, priced by the
+  honest-subgraph walk counts);
 * ``topology_validation`` — anonymity versus connectivity on restricted
   graphs: the exact degree across clique/grid/ring/star/two-zone topologies,
   cut-vertex sensitivity as bridges are added between two zones, the
@@ -681,10 +681,10 @@ def cycle_validation(
     * **service round-trip:** a cycle-allowed :class:`EstimateRequest` is
       answered adaptively, and repeating the identical request is served
       bit-identically from the content-addressed result cache;
-    * **multiple compromised nodes:** the ``cycle-multi`` engine's estimate
+    * **multiple compromised nodes:** the ``cycle`` engine's estimate
       covers the exhaustive degree at ``C = 2`` under every adversary model
       and is bit-deterministic per ``(seed, shards)`` — the same guard rails
-      the ``C = 1`` engine ships with.
+      as at ``C = 1``.
     """
     from repro.service import DistributionSpec, EstimateRequest, EstimationService
     from repro.simulation.experiment import StrategyMonteCarlo
@@ -761,7 +761,7 @@ def cycle_validation(
         not cold.from_cache and warm.from_cache and warm.report == cold.report
     )
 
-    # The C > 1 leg: the cycle-multi engine is guarded exactly like C = 1.
+    # The C > 1 leg is guarded exactly like C = 1.
     multi_trials = batch_trials // 2
     multi_points: dict[str, str] = {}
     for adversary in AdversaryModel:

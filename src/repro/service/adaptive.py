@@ -8,6 +8,14 @@ of trials through an accumulating estimator backend, merges the per-block
 95% confidence-interval half-width of the entropy estimate falls below the
 target (or a trial / wall-clock ceiling is hit).
 
+The sample variance cannot see a class the run has not drawn yet — with
+small blocks, a run could otherwise stop after two trials of one class with
+a zero-width interval.  So the precision rule fires only once the run holds
+at least :func:`trial_floor` trials: by the rule of three, a class unseen in
+``n`` trials may still carry ``3/n`` of the mass, and one trial's entropy
+lies in ``[0, log2 N]``, so ``n >= 3 * log2(N) / precision`` keeps the
+unseen mass's pull on the mean within the target.
+
 Determinism
 -----------
 The trial sequence is a pure function of ``(seed, block_size)``: block ``i``
@@ -47,8 +55,18 @@ from repro.routing.strategies import PathSelectionStrategy
 from repro.telemetry.metrics import get_registry
 from repro.telemetry.tracing import trace_span
 from repro.utils.rng import RandomSource, ensure_rng
+from repro.utils.validation import check_positive_int
 
-__all__ = ["AdaptiveRun", "AdaptiveScheduler", "RoundProgress", "STOP_PRECISION", "STOP_BUDGET", "STOP_WALL_CLOCK", "STOP_EXACT"]
+__all__ = [
+    "AdaptiveRun",
+    "AdaptiveScheduler",
+    "RoundProgress",
+    "STOP_PRECISION",
+    "STOP_BUDGET",
+    "STOP_WALL_CLOCK",
+    "STOP_EXACT",
+    "trial_floor",
+]
 
 logger = logging.getLogger(__name__)
 
@@ -57,6 +75,16 @@ STOP_PRECISION = "precision"      #: the CI half-width target was reached
 STOP_BUDGET = "max_trials"        #: the trial ceiling was exhausted first
 STOP_WALL_CLOCK = "max_seconds"   #: the wall-clock ceiling fired (not cacheable)
 STOP_EXACT = "exact"              #: a zero-variance backend answered directly
+
+
+def trial_floor(n_nodes: int, precision: float) -> int:
+    """Trials a run must hold before the precision rule may stop it.
+
+    ``ceil(3 * log2(N) / precision)``: a class the run has never drawn may
+    still carry ``3/n`` of the mass after ``n`` trials (the rule of three),
+    and its entropy may lie anywhere in ``[0, log2 N]``.
+    """
+    return math.ceil(3 * math.log2(n_nodes) / precision)
 
 
 @dataclass(frozen=True)
@@ -105,7 +133,8 @@ class RoundProgress:
     Carries the convergence point of the round plus a ``1/sqrt(n)``
     extrapolation of the work remaining — the CI half-width shrinks as the
     inverse square root of the trial count, so the trials needed to reach the
-    target are ``n * (half_width / precision)^2``, capped by the budget.
+    target are ``n * (half_width / precision)^2``, at least the run's
+    :func:`trial_floor` (``min_trials``), capped by the budget.
     """
 
     rounds: int
@@ -114,16 +143,17 @@ class RoundProgress:
     precision: float | None
     block_size: int
     max_trials: int
+    min_trials: int = 0
 
     @property
     def trials_to_target(self) -> int | None:
         """Extrapolated further trials needed (``None`` without a target)."""
-        if self.precision is None or self.half_width <= 0.0:
+        if self.precision is None:
             return None
-        if self.half_width <= self.precision:
-            return 0
-        needed = self.n_trials * (self.half_width / self.precision) ** 2
-        return int(min(math.ceil(needed), self.max_trials) - self.n_trials)
+        needed = float(self.min_trials)
+        if self.half_width > self.precision:
+            needed = max(needed, self.n_trials * (self.half_width / self.precision) ** 2)
+        return max(math.ceil(min(needed, self.max_trials)) - self.n_trials, 0)
 
     @property
     def rounds_to_target(self) -> int | None:
@@ -145,6 +175,7 @@ class AdaptiveScheduler:
     precision:
         Target 95% CI half-width in bits, or ``None`` to always spend the
         full ``max_trials`` budget (useful for apples-to-apples comparisons).
+        A run stops on it only once it holds :func:`trial_floor` trials.
     block_size:
         Trials per round.  Part of the determinism contract: changing it
         changes the sub-seed sequence and therefore the bits of the result.
@@ -173,16 +204,8 @@ class AdaptiveScheduler:
     ) -> None:
         if precision is not None and precision <= 0.0:
             raise ConfigurationError(f"precision must be > 0, got {precision}")
-        if (
-            isinstance(block_size, bool)
-            or not isinstance(block_size, int)
-            or block_size < 1
-        ):
-            raise ConfigurationError(
-                f"block_size must be an integer >= 1, got {block_size!r}"
-            )
-        if max_trials < 1:
-            raise ConfigurationError(f"max_trials must be >= 1, got {max_trials}")
+        block_size = check_positive_int(block_size, "block_size")
+        max_trials = check_positive_int(max_trials, "max_trials")
         if max_seconds is not None and max_seconds <= 0.0:
             raise ConfigurationError(f"max_seconds must be > 0, got {max_seconds}")
         if isinstance(backend, EstimatorBackend):
@@ -260,6 +283,9 @@ class AdaptiveScheduler:
         accumulate = runner(model, strategy)
         distribution = strategy.effective_distribution(model.n_nodes)
         block_size = self.block_size
+        min_trials = (
+            0 if self.precision is None else trial_floor(model.n_nodes, self.precision)
+        )
 
         generator = ensure_rng(rng)
         merged: BatchAccumulator | None = None
@@ -285,9 +311,14 @@ class AdaptiveScheduler:
                         precision=self.precision,
                         block_size=block_size,
                         max_trials=self.max_trials,
+                        min_trials=min_trials,
                     )
                 )
-            if self.precision is not None and half_width <= self.precision:
+            if (
+                self.precision is not None
+                and half_width <= self.precision
+                and merged.n_trials >= min_trials
+            ):
                 converged = True
                 stop_reason = STOP_PRECISION
                 break

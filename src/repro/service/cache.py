@@ -42,8 +42,10 @@ logger = logging.getLogger(__name__)
 #: history bit-identically (the run-ledger diff contract).  Version 3 marks
 #: the arrangement and cycle engines pricing each canonical observation
 #: class once, from its key alone, which changes their result bits; older
-#: entries stop matching and are recomputed.
-ENTRY_VERSION = 3
+#: entries stop matching and are recomputed.  Version 4 marks every engine
+#: running in chunks of one constant size, and the adaptive precision rule
+#: waiting for a trial floor, both of which change result bits.
+ENTRY_VERSION = 4
 
 
 @dataclass(frozen=True)

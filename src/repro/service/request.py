@@ -44,6 +44,7 @@ from repro.distributions import (
 )
 from repro.exceptions import ConfigurationError
 from repro.routing.strategies import PathSelectionStrategy
+from repro.utils.validation import check_non_negative_int, check_positive_int
 
 __all__ = ["DistributionSpec", "EstimateRequest", "SPEC_FAMILIES"]
 
@@ -269,7 +270,7 @@ class EstimateRequest:
     path_model:
         ``"simple"`` (the default) or ``"cycle_allowed"`` — whether the
         strategy builds simple paths or Crowds-style walks.  Cycle requests
-        run on the vectorized cycle engines (any ``n_compromised``) and
+        run on the vectorized cycle engine (any ``n_compromised``) and
         cache exactly like any other request.
     topology:
         A :meth:`~repro.core.topology.Topology.from_spec` string (``"ring"``,
@@ -325,7 +326,13 @@ class EstimateRequest:
                 "distribution must be a DistributionSpec or a "
                 f"PathLengthDistribution, got {self.distribution!r}"
             )
-        object.__setattr__(self, "n_nodes", int(self.n_nodes))
+        object.__setattr__(self, "n_nodes", check_positive_int(self.n_nodes, "n_nodes"))
+        object.__setattr__(
+            self, "n_compromised", check_non_negative_int(self.n_compromised, "n_compromised")
+        )
+        object.__setattr__(self, "block_size", check_positive_int(self.block_size, "block_size"))
+        object.__setattr__(self, "seed", check_non_negative_int(self.seed, "seed"))
+        object.__setattr__(self, "max_trials", check_positive_int(self.max_trials, "max_trials"))
         object.__setattr__(self, "adversary", AdversaryModel(self.adversary).value)
         object.__setattr__(self, "path_model", PathModel(self.path_model).value)
         if self.topology is not None:
@@ -352,10 +359,6 @@ class EstimateRequest:
             if compromised == tuple(range(len(compromised))):
                 compromised = None  # the model's canonical set
             object.__setattr__(self, "compromised", compromised)
-        object.__setattr__(self, "n_compromised", int(self.n_compromised))
-        object.__setattr__(self, "block_size", int(self.block_size))
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "max_trials", int(self.max_trials))
         if self.precision is not None:
             precision = float(self.precision)
             if precision <= 0.0:
@@ -363,10 +366,6 @@ class EstimateRequest:
                     f"precision must be > 0 (a CI half-width in bits), got {precision}"
                 )
             object.__setattr__(self, "precision", precision)
-        if self.block_size < 1:
-            raise ConfigurationError(f"block_size must be >= 1, got {self.block_size}")
-        if self.max_trials < 1:
-            raise ConfigurationError(f"max_trials must be >= 1, got {self.max_trials}")
         # Build the model now: its validation (N >= 2, C <= N, ...) applies.
         model = self.model()
         if self.compromised is not None and any(

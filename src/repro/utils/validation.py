@@ -7,6 +7,8 @@ nodes).  These helpers keep the validation one-liners readable at call sites.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.exceptions import ConfigurationError
 
 __all__ = [
@@ -17,22 +19,27 @@ __all__ = [
 ]
 
 
-def check_positive_int(value: int, name: str) -> int:
-    """Ensure ``value`` is an integer >= 1 and return it."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigurationError(f"{name} must be an int, got {type(value).__name__}")
-    if value < 1:
-        raise ConfigurationError(f"{name} must be >= 1, got {value}")
-    return value
+def _check_int(value: object, name: str) -> int:
+    """``value`` as a plain ``int``; Python and numpy integers only, never ``bool``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
-def check_non_negative_int(value: int, name: str) -> int:
-    """Ensure ``value`` is an integer >= 0 and return it."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigurationError(f"{name} must be an int, got {type(value).__name__}")
-    if value < 0:
-        raise ConfigurationError(f"{name} must be >= 0, got {value}")
-    return value
+def check_positive_int(value: object, name: str) -> int:
+    """Ensure ``value`` is an integer >= 1 and return it as a plain ``int``."""
+    number = _check_int(value, name)
+    if number < 1:
+        raise ConfigurationError(f"{name} must be >= 1, got {number}")
+    return number
+
+
+def check_non_negative_int(value: object, name: str) -> int:
+    """Ensure ``value`` is an integer >= 0 and return it as a plain ``int``."""
+    number = _check_int(value, name)
+    if number < 0:
+        raise ConfigurationError(f"{name} must be >= 0, got {number}")
+    return number
 
 
 def check_probability(value: float, name: str) -> float:

@@ -228,14 +228,13 @@ class TestBatchEstimatorParity:
         cycle_strategy = PathSelectionStrategy(
             "cycles", FixedLength(3), path_model=PathModel.CYCLE_ALLOWED
         )
-        # Cycle strategies select a cycle engine at any C: the dedicated
-        # C = 1 kernel or the multi-compromised generalisation.
+        # Cycle strategies select the cycle engine at any C.
         single = BatchMonteCarlo(SystemModel(n_nodes=10), cycle_strategy)
         assert single.engine.name == "cycle"
         multi = BatchMonteCarlo(
             SystemModel(n_nodes=10, n_compromised=2), cycle_strategy
         )
-        assert multi.engine.name == "cycle-multi"
+        assert multi.engine.name == "cycle"
         estimator = BatchMonteCarlo.from_distribution(
             SystemModel(n_nodes=10), FixedLength(3)
         )

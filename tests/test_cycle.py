@@ -5,7 +5,7 @@ Covers the full vertical slice the cycle engines rest on: clique walk counts
 (:mod:`repro.adversary.inference`) at any number of compromised nodes, the
 classifier and engines (:mod:`repro.batch.cycleclassify` /
 ``cycleengine``), the backend/sharding/determinism contracts, and the service round-trip —
-including the multi-compromised ``cycle-multi`` engine that closed the
+including multi-compromised cycle paths (``C > 1``), which closed the
 roadmap's last coverage gap.
 
 The ground truth throughout is :class:`repro.core.enumeration.ExhaustiveAnalyzer`,
@@ -434,7 +434,7 @@ class TestCycleBatchEngine:
         # The last roadmap gap: C > 1 on cycle paths now has a batch engine.
         model = SystemModel(n_nodes=8, n_compromised=2)
         estimator = BatchMonteCarlo(model, cycle_strategy())
-        assert estimator.engine.name == "cycle-multi"
+        assert estimator.engine.name == "cycle"
         table = CycleScoreTable(
             model=model,
             distribution=FixedLength(3),

@@ -24,7 +24,7 @@ from repro.batch import (
     BatchMonteCarlo,
     CycleBatchEngine,
     FiveClassEngine,
-    MultiCycleEngine,
+    TopologyEngine,
     TrialEngine,
     available_engines,
     get_engine,
@@ -33,6 +33,7 @@ from repro.batch import (
 )
 from repro.batch import engine as engine_module
 from repro.core.model import PathModel, SystemModel
+from repro.core.topology import Topology
 from repro.distributions import UniformLength
 from repro.exceptions import ConfigurationError
 from repro.routing.strategies import PathSelectionStrategy
@@ -94,10 +95,9 @@ class TestEngineSelectionTotality:
         for c in (0, 2, 3):
             multi = SystemModel(n_nodes=N_NODES, n_compromised=c)
             assert selected(multi, simple) is ArrangementEngine
-        assert selected(core, cycles) is CycleBatchEngine
-        for c in (0, 2, 3):
+        for c in (0, 1, 2, 3):
             multi = SystemModel(n_nodes=N_NODES, n_compromised=c)
-            assert selected(multi, cycles) is MultiCycleEngine
+            assert selected(multi, cycles) is CycleBatchEngine
 
     def test_empty_registry_raises_a_configuration_error(self, monkeypatch):
         monkeypatch.setattr(engine_module, "_ENGINES", {})
@@ -169,7 +169,7 @@ class TestEngineRegistry:
                 model=model, strategy=simple, compromised=frozenset({0, 1})
             )
         with pytest.raises(ConfigurationError, match="cycle-allowed"):
-            MultiCycleEngine(
+            CycleBatchEngine(
                 model=model, strategy=simple, compromised=frozenset({0, 1})
             )
         with pytest.raises(ConfigurationError, match="simple-path"):
@@ -213,7 +213,7 @@ class TestEngineRegistry:
     def test_accumulators_merge_across_engines_of_one_configuration(self):
         model = SystemModel(n_nodes=N_NODES, n_compromised=2)
         strategy = strategy_for(PathModel.CYCLE_ALLOWED)
-        engine = MultiCycleEngine(
+        engine = CycleBatchEngine(
             model=model, strategy=strategy, compromised=frozenset({0, 1})
         )
         parts = [engine.run_accumulate(1_000, rng=seed) for seed in (1, 2)]
@@ -236,17 +236,28 @@ class TestFiveClassStillExact:
         assert direct == dispatched
 
 
-class TestChunkTrialsValidation:
-    """``chunk_trials`` is validated wherever it can be set.
+#: One configuration per built-in engine (cycle at two C): (engine, model, path model).
+ENGINE_CONFIGURATIONS = {
+    "five-class": (FiveClassEngine, SystemModel(n_nodes=N_NODES), PathModel.SIMPLE),
+    "arrangement": (
+        ArrangementEngine, SystemModel(n_nodes=N_NODES, n_compromised=2), PathModel.SIMPLE
+    ),
+    "cycle-c1": (CycleBatchEngine, SystemModel(n_nodes=N_NODES), PathModel.CYCLE_ALLOWED),
+    "cycle-c2": (
+        CycleBatchEngine,
+        SystemModel(n_nodes=N_NODES, n_compromised=2),
+        PathModel.CYCLE_ALLOWED,
+    ),
+    "topology": (
+        TopologyEngine,
+        SystemModel(n_nodes=N_NODES, topology=Topology.ring(N_NODES)),
+        PathModel.SIMPLE,
+    ),
+}
 
-    A chunk size of ``0`` (or anything that is not ``None`` or a positive
-    integer) would make ``run_accumulate`` loop forever without
-    shrinking the remaining trial budget — so it is rejected with a
-    ``ConfigurationError`` at engine construction, at estimator construction,
-    and again at run time for values assigned to an existing instance.
-    """
 
-    BAD_CHUNKS = [0, -5, 2.5, True, False, "auto", "autoo", "4096"]
+class TestChunking:
+    """Every engine runs a budget in chunks of the one module constant."""
 
     def engine(self) -> FiveClassEngine:
         model = SystemModel(n_nodes=N_NODES, n_compromised=1)
@@ -256,37 +267,41 @@ class TestChunkTrialsValidation:
             compromised=frozenset({0}),
         )
 
-    @pytest.mark.parametrize("chunk", BAD_CHUNKS, ids=repr)
-    def test_construction_rejects_bad_chunk_trials(self, chunk):
-        class BadChunkEngine(FiveClassEngine):
-            chunk_trials = chunk
+    @staticmethod
+    def chunk_sizes(name, n_trials, monkeypatch) -> list[int]:
+        """The chunk sizes one ``run_accumulate`` of the named engine draws."""
+        engine_class, model, path_model = ENGINE_CONFIGURATIONS[name]
+        engine = engine_class(
+            model=model, strategy=strategy_for(path_model), compromised=model.compromised_nodes()
+        )
+        sizes: list[int] = []
+        kernel = engine.accumulate_chunk
 
-        model = SystemModel(n_nodes=N_NODES, n_compromised=1)
-        with pytest.raises(ConfigurationError, match="chunk_trials"):
-            BadChunkEngine(
-                model=model,
-                strategy=strategy_for(PathModel.SIMPLE),
-                compromised=frozenset({0}),
-            )
+        def recording(chunk, generator):
+            sizes.append(chunk)
+            return kernel(chunk, generator)
 
-    @pytest.mark.parametrize("chunk", BAD_CHUNKS, ids=repr)
-    def test_run_rejects_bad_chunk_trials_assigned_later(self, chunk):
-        engine = self.engine()
-        engine.chunk_trials = chunk
-        with pytest.raises(ConfigurationError, match="chunk_trials"):
-            engine.run_accumulate(100, rng=0)
+        monkeypatch.setattr(engine, "accumulate_chunk", recording)
+        assert engine.run_accumulate(n_trials, rng=1).n_trials == n_trials
+        return sizes
 
-    @pytest.mark.parametrize("chunk", BAD_CHUNKS, ids=repr)
-    def test_estimator_rejects_bad_chunk_trials(self, chunk):
-        model = SystemModel(n_nodes=N_NODES, n_compromised=1)
-        with pytest.raises(ConfigurationError, match="chunk_trials"):
-            BatchMonteCarlo(
-                model, strategy_for(PathModel.SIMPLE), chunk_trials=chunk
-            )
+    @pytest.mark.parametrize("name", sorted(ENGINE_CONFIGURATIONS))
+    def test_budget_splits_into_chunks_of_the_patched_constant(self, name, monkeypatch):
+        monkeypatch.setattr(engine_module, "CHUNK_TRIALS", 1_000)
+        assert self.chunk_sizes(name, 2_005, monkeypatch) == [1_000, 1_000, 5]
 
-    @pytest.mark.parametrize("chunk", [None, 1, 4_096], ids=repr)
-    def test_valid_settings_are_returned_unchanged(self, chunk):
-        assert engine_module.validate_chunk_trials(chunk) == chunk
+    def test_one_constant_bounds_every_chunk(self, monkeypatch):
+        chunk = engine_module.CHUNK_TRIALS
+        assert self.chunk_sizes("five-class", chunk + 1, monkeypatch) == [chunk, 1]
+
+    def test_chunk_size_is_not_an_option(self):
+        model = SystemModel(n_nodes=N_NODES)
+        with pytest.raises(TypeError):
+            BatchMonteCarlo(model, strategy_for(PathModel.SIMPLE), chunk_trials=4_096)
+        from repro.batch import get_backend
+
+        with pytest.raises(TypeError):
+            get_backend("batch", chunk_trials=4_096)
 
     def test_n_trials_must_be_positive(self):
         with pytest.raises(ConfigurationError, match="n_trials"):

@@ -1,12 +1,15 @@
 """Golden batch accumulators, one per engine kernel.
 
 Each row pins ``(length_sum, class count, mean entropy as float.hex,
-accumulator_digest)`` for a fixed ``(seed, chunk_trials)`` run, so any change
+accumulator_digest)`` for a fixed ``(seed, chunk size)`` run, so any change
 to an engine's draw order, decode, classification, or pricing shows up as a
 bit difference.  The five-class and topology rows were recorded before the
 batch engines were cut down to one kernel each; the arrangement, cycle and
 sharded rows were re-recorded when those engines began to price each
-canonical observation class once, from its key alone.
+canonical observation class once, from its key alone.  The 150 000-trial
+rows run three chunks of the engines' common chunk size; they were recorded
+when the simple-path engines still ran a budget as one block unless told
+otherwise, with 65 536-trial chunks set explicitly for those two.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import hashlib
 import pytest
 
 from repro.batch import BatchMonteCarlo, ShardedBackend
+from repro.batch import engine as engine_module
 from repro.core.model import PathModel, SystemModel
 from repro.core.topology import Topology
 from repro.distributions import GeometricLength, UniformLength
@@ -77,12 +81,14 @@ CONFIGURATIONS = {
         "arrangement", lambda: (SystemModel(n_nodes=100, n_compromised=2), uniform(2, 8))
     ),
     "cycle": ("cycle", lambda: (cycle_model(1), crowds())),
-    "cycle-multi": ("cycle-multi", lambda: (cycle_model(2), crowds())),
+    "cycle-multi": ("cycle", lambda: (cycle_model(2), crowds())),
     "topology-ring": ("topology", lambda: ring_or_grid("ring")),
     "topology-grid": ("topology", lambda: ring_or_grid("grid:4x5")),
 }
 
-#: Recorded as (length sum, classes, mean entropy as float.hex, digest).
+#: Recorded as (length sum, classes, mean entropy as float.hex, digest), per
+#: configuration and chunk size: ``None`` runs the engines' own chunk size
+#: (one chunk at this budget), an integer patches it for the run.
 GOLDEN = {
     ("five-class", None): (
         210119, 5, "0x1.a134f44548528p+2", "0a12b0af1814388d"
@@ -122,19 +128,41 @@ GOLDEN = {
     ),
 }
 
+#: ``LONG_TRIALS`` trials in three chunks of the engines' own chunk size.
+LONG_TRIALS = 150_000
+LONG_GOLDEN = {
+    "five-class": (1570756, 5, "0x1.a1ccad5fe8bd4p+2", "67de1183d5cc62a7"),
+    "arrangement": (749341, 14, "0x1.998c54e80ac19p+2", "bfdfc5d09d73d7f5"),
+    "cycle": (599495, 15, "0x1.a19a79d77bd2dp+2", "cb95af3ebaca5221"),
+    "cycle-multi": (599495, 32, "0x1.9a3509daa5606p+2", "37b62fa56508df74"),
+    "topology-ring": (523898, 32, "0x1.7730770eede90p+1", "96974d22035cb2ae"),
+    "topology-grid": (523898, 51, "0x1.ea94ceadf90e7p+1", "2a5578e9292bc72f"),
+}
+
 #: ``(seed, shards=2)`` on the sharded backend, merged across both shards.
 SHARDED_GOLDEN = (100365, 14, "0x1.995bf05cc2133p+2", "241cfca6a9e6d907")
 
 
-@pytest.mark.parametrize("config", sorted(GOLDEN, key=repr), ids=repr)
-def test_golden_accumulators(config):
-    name, chunk_trials = config
+def run_golden(name: str, trials: int):
     engine_name, build = CONFIGURATIONS[name]
     model, strategy = build()
-    estimator = BatchMonteCarlo(model, strategy, chunk_trials=chunk_trials)
+    estimator = BatchMonteCarlo(model, strategy)
     assert estimator.engine.name == engine_name
-    accumulator = estimator.run_accumulate(TRIALS, rng=SEED)
-    assert fingerprint(accumulator) == GOLDEN[config]
+    return estimator.run_accumulate(trials, rng=SEED)
+
+
+@pytest.mark.parametrize("config", sorted(GOLDEN, key=repr), ids=repr)
+def test_golden_accumulators(config, monkeypatch):
+    name, chunk = config
+    if chunk is not None:
+        monkeypatch.setattr(engine_module, "CHUNK_TRIALS", chunk)
+    assert fingerprint(run_golden(name, TRIALS)) == GOLDEN[config]
+
+
+@pytest.mark.parametrize("name", sorted(LONG_GOLDEN))
+def test_golden_accumulators_over_three_chunks(name):
+    assert LONG_TRIALS // engine_module.CHUNK_TRIALS == 2
+    assert fingerprint(run_golden(name, LONG_TRIALS)) == LONG_GOLDEN[name]
 
 
 def test_sharded_golden_accumulator():

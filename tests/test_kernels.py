@@ -20,7 +20,8 @@ the table decoder — and classifies them trial by trial:
 
 The oracle must consume the generator exactly as the kernel does and produce
 the same class counts and length sum, for single chunks and for whole runs
-at every ``(seed, chunk_trials)``.
+at every ``(seed, chunk size)``, the chunk size patched through
+``repro.batch.engine.CHUNK_TRIALS``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ import pytest
 
 from repro.adversary.inference import observation_class_key
 from repro.adversary.observation import observation_from_path
-from repro.batch import BatchMonteCarlo, InverseCdfDecoder, ShardedBackend
+from repro.batch import InverseCdfDecoder, ShardedBackend
+from repro.batch import engine as engine_module
 from repro.batch.cycleclassify import cycle_trial_key
 from repro.batch.engine import BatchAccumulator, TrialEngine, select_engine
 from repro.batch.multiclass import canonical_key
@@ -207,7 +209,6 @@ ORACLES = {
     "five-class": five_class_oracle,
     "arrangement": arrangement_oracle,
     "cycle": cycle_oracle,
-    "cycle-multi": cycle_oracle,
 }
 
 #: Every clique engine domain, as builder args.
@@ -250,11 +251,13 @@ class TestKernelsMatchScalarOracles:
     @pytest.mark.parametrize("path_model, compromised, adversary, receiver", DOMAINS)
     @pytest.mark.parametrize("seed, chunk", [(3, None), (3, 1_000), (17, 127)])
     def test_runs_match_the_oracle_per_seed_and_chunk(
-        self, path_model, compromised, adversary, receiver, seed, chunk
+        self, path_model, compromised, adversary, receiver, seed, chunk, monkeypatch
     ):
         """Whole runs fold the same chunks the oracle replays, for every chunking."""
+        if chunk is not None:
+            monkeypatch.setattr(engine_module, "CHUNK_TRIALS", chunk)
+        chunk = engine_module.CHUNK_TRIALS
         engine = build_engine(path_model, compromised, adversary, receiver)
-        engine.chunk_trials = chunk
         accumulator = engine.run_accumulate(5_003, rng=seed)
 
         generator = ensure_rng(seed)
@@ -262,7 +265,7 @@ class TestKernelsMatchScalarOracles:
         oracle_counts: Counter = Counter()
         remaining = 5_003
         while remaining:
-            block = remaining if chunk is None else min(chunk, remaining)
+            block = min(chunk, remaining)
             remaining -= block
             block_sum, block_counts = ORACLES[engine.name](engine, block, generator)
             oracle_sum += block_sum
@@ -398,7 +401,7 @@ class TestClassPricesDependOnTheKeyAlone:
 class TestKernelDeterminism:
     @pytest.mark.parametrize("path_model, compromised, adversary, receiver", DOMAINS)
     def test_runs_at_any_seed_and_chunking_merge(
-        self, path_model, compromised, adversary, receiver
+        self, path_model, compromised, adversary, receiver, monkeypatch
     ):
         """Accumulators cut at different seeds and chunk sizes sum cleanly.
 
@@ -408,8 +411,8 @@ class TestKernelDeterminism:
         """
         first = build_engine(path_model, compromised, adversary, receiver)
         second = build_engine(path_model, compromised, adversary, receiver)
-        second.chunk_trials = 127
         one = first.run_accumulate(5_003, rng=3)
+        monkeypatch.setattr(engine_module, "CHUNK_TRIALS", 127)
         two = second.run_accumulate(5_003, rng=17)
         shared = one.classes.keys() & two.classes.keys()
         # With no compromised node every trial is silent: one class.
@@ -447,19 +450,11 @@ class TestKernelDeterminism:
         assert first.deterministic
         assert first.report.estimate == second.report.estimate
 
-    def test_estimator_threads_chunk_trials_through(self):
-        model = SystemModel(n_nodes=N_NODES, n_compromised=1)
-        fixed = BatchMonteCarlo(
-            model, strategy_for(PathModel.SIMPLE), chunk_trials=2_048
-        )
-        assert fixed.engine.chunk_trials == 2_048
-
-    def test_fixed_chunking_is_independent_of_the_clock(self):
+    def test_fixed_chunking_is_independent_of_the_clock(self, monkeypatch):
         """A fixed-chunk accumulator's bits never depend on telemetry timing."""
+        monkeypatch.setattr(engine_module, "CHUNK_TRIALS", 1_024)
         one = build_engine(PathModel.SIMPLE, frozenset({2}))
         two = build_engine(PathModel.SIMPLE, frozenset({2}))
-        one.chunk_trials = 1_024
-        two.chunk_trials = 1_024
         readings = iter(float(tick) ** 2 for tick in range(1_000))
         with activate(clock=lambda: next(readings)):
             timed = one.run_accumulate(10_000, rng=9)

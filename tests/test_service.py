@@ -44,6 +44,7 @@ from repro.service import (
     EstimationService,
     ResultCache,
 )
+from repro.service.adaptive import trial_floor
 
 #: The reference configuration of the acceptance criterion.
 REFERENCE_KWARGS = dict(
@@ -195,6 +196,65 @@ class TestRequestCanonicalization:
             EstimateRequest(**REFERENCE_KWARGS, compromised=(0, 99))
         with pytest.raises(ConfigurationError):
             EstimateRequest(**REFERENCE_KWARGS | {"n_compromised": 3}, compromised=(0, 1))
+
+
+class TestIntegerSettingsFailFast:
+    """Integer fields refuse floats, bools and negatives at construction.
+
+    Each used to be truncated by ``int()`` (and digested as the truncated
+    value) or to fail deep in numpy on the first estimate.
+    """
+
+    U2_5 = DistributionSpec("uniform", {"low": 2, "high": 5})
+
+    @staticmethod
+    def _rejects(field, **kwargs):
+        with pytest.raises(ConfigurationError, match=field) as caught:
+            EstimateRequest(**kwargs)
+        assert "\n" not in str(caught.value)
+
+    def test_request_n_nodes_20_7(self):
+        self._rejects("n_nodes", n_nodes=20.7, distribution=self.U2_5)
+
+    def test_request_n_compromised_1_9(self):
+        self._rejects("n_compromised", n_nodes=20, n_compromised=1.9, distribution=self.U2_5)
+
+    def test_request_seed_3_9(self):
+        self._rejects("seed", n_nodes=20, seed=3.9, distribution=self.U2_5)
+
+    def test_request_seed_minus_1(self):
+        self._rejects("seed", n_nodes=20, seed=-1, distribution=self.U2_5)
+
+    def test_request_max_trials_2_5(self):
+        self._rejects("max_trials", n_nodes=20, max_trials=2.5, distribution=self.U2_5)
+
+    def test_request_block_size_true(self):
+        self._rejects("block_size", n_nodes=20, block_size=True, distribution=self.U2_5)
+
+    def test_request_numpy_integers_keep_the_digest(self):
+        import numpy as np
+
+        plain = EstimateRequest(**REFERENCE_KWARGS)
+        wrapped = EstimateRequest(
+            **REFERENCE_KWARGS
+            | {
+                "n_nodes": np.int64(50),
+                "seed": np.int32(7),
+                "block_size": np.int64(5_000),
+                "max_trials": np.int64(200_000),
+            }
+        )
+        assert type(wrapped.n_nodes) is int and type(wrapped.seed) is int
+        assert wrapped.digest() == plain.digest() == REFERENCE_DIGEST
+
+    def test_service_sharded_shards_2_5(self):
+        request = EstimateRequest(
+            **REFERENCE_KWARGS | {"backend": "sharded"},
+            backend_options=(("workers", 1), ("shards", 2.5)),
+        )
+        with EstimationService() as service:
+            with pytest.raises(ConfigurationError, match="shards"):
+                service.estimate(request)
 
 
 def _reference_cached(seed: int = 7) -> tuple[EstimateRequest, CachedEstimate]:
@@ -354,6 +414,30 @@ class TestAdaptiveScheduler:
         with pytest.raises(ConfigurationError, match="block_size"):
             AdaptiveScheduler(backend="batch", block_size=block_size)
 
+    def test_max_trials_2_5(self):
+        # It used to fail on the first block, inside numpy.
+        with pytest.raises(ConfigurationError, match="max_trials"):
+            AdaptiveScheduler(backend="batch", max_trials=2.5)
+
+    def test_max_trials_true(self):
+        # It used to run one trial.
+        with pytest.raises(ConfigurationError, match="max_trials"):
+            AdaptiveScheduler(backend="batch", max_trials=True)
+
+    def test_block_size_1_n100_u1_20_does_not_stop_at_2_trials(self):
+        # Two trials of one class have a zero-width interval: the run used to
+        # stop there with 6.6147 bits, against 6.5272 for the closed form.
+        seen = []
+        run = AdaptiveScheduler(
+            backend="batch", precision=0.01, block_size=1, on_round=seen.append
+        ).run(SystemModel(n_nodes=100, n_compromised=1), UniformLength(1, 20), rng=0)
+        assert run.converged and run.stop_reason == "precision"
+        assert run.n_trials >= trial_floor(100, 0.01) == 1_994
+        assert 0.0 < run.half_width <= 0.01
+        # No round before the last one reports the target as reached.
+        assert all(progress.trials_to_target > 0 for progress in seen[:-1])
+        assert seen[-1].trials_to_target == 0
+
 
 def _binomial_lower_bound(trials: int, probability: float, alpha: float) -> int:
     """The largest ``k`` with ``Pr[Binomial(trials, probability) < k] <= alpha``."""
@@ -384,6 +468,18 @@ class TestAdaptiveCoverage:
         covered = sum(run.report.estimate.contains(exact) for run in runs)
         # A correct 95% interval falls below this by chance once in 1000.
         assert covered >= _binomial_lower_bound(self.SEEDS, 0.95, 0.001)
+
+    def test_coverage_at_c1_n100_uniform_1_20_precision_0_01_blocks_of_50(self):
+        # Small blocks let the rule stop before the run has drawn the rare
+        # classes; without the trial floor 158 of these 200 runs covered.
+        model = SystemModel(n_nodes=100, n_compromised=1)
+        law = UniformLength(1, 20)
+        exact = AnonymityAnalyzer(model).anonymity_degree(law)
+        scheduler = AdaptiveScheduler(backend="batch", precision=0.01, block_size=50)
+        runs = [scheduler.run(model, law, rng=seed) for seed in range(200)]
+        assert all(run.stop_reason == "precision" for run in runs)
+        covered = sum(run.report.estimate.contains(exact) for run in runs)
+        assert covered >= _binomial_lower_bound(200, 0.95, 0.001)
 
 
 class TestEstimationService:
@@ -592,6 +688,15 @@ class TestCLIHardening:
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["batch", "estimate", "simulate"])
+    def test_seed_minus_1_is_a_usage_error(self, command, capsys):
+        # numpy used to refuse the seed with a traceback.
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--n", "20", "--seed", "-1"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--seed" in err and "Traceback" not in err
+
     def test_workers_without_sharded_backend_is_a_one_liner(self, capsys):
         assert main(["batch", "--n", "12", "--trials", "100", "--workers", "2"]) == 2
         assert "--workers/--shards only apply" in capsys.readouterr().err
@@ -692,6 +797,21 @@ class TestRoundProgress:
         )
         assert progress.trials_to_target == 40_000
         assert progress.rounds_to_target == 4
+
+    def test_trial_floor_holds_the_target_back(self):
+        from repro.service import RoundProgress
+
+        progress = RoundProgress(
+            rounds=2,
+            n_trials=2,
+            half_width=0.0,
+            precision=0.01,
+            block_size=1,
+            max_trials=1_000_000,
+            min_trials=1_994,
+        )
+        assert progress.trials_to_target == 1_992
+        assert progress.rounds_to_target == 1_992
 
     def test_no_precision_target_means_no_extrapolation(self):
         from repro.service import RoundProgress

@@ -187,6 +187,20 @@ class TestShardedWiring:
         with pytest.raises(ConfigurationError):
             ShardedBackend(workers=1_000)
 
+    def test_sharded_shards_2_5(self):
+        # It used to fail on the first estimate with numpy's TypeError.
+        with pytest.raises(ConfigurationError, match="shards"):
+            get_backend("sharded", workers=1, shards=2.5)
+
+    def test_sharded_workers_2_0(self):
+        with pytest.raises(ConfigurationError, match="workers"):
+            get_backend("sharded", workers=2.0)
+
+    def test_sharded_workers_true(self):
+        # It used to run as one worker.
+        with pytest.raises(ConfigurationError, match="workers"):
+            get_backend("sharded", workers=True)
+
     def test_monte_carlo_with_backend_forwards_options(self):
         model = SystemModel(n_nodes=12, n_compromised=1)
         strategy = PathSelectionStrategy("F(2)", FixedLength(2))

@@ -14,6 +14,7 @@ import threading
 import pytest
 
 from repro.batch import BatchMonteCarlo
+from repro.batch import engine as engine_module
 from repro.batch.engine import select_engine
 from repro.batch.multiclass import ORIGIN_KEY, ClassScoreTable
 from repro.batch.sharded import ShardedBackend
@@ -321,14 +322,14 @@ class TestExposition:
 
 
 class TestEngineInstrumentation:
-    def test_engine_reports_chunks_trials_and_exact_timings(self):
+    def test_engine_reports_chunks_trials_and_exact_timings(self, monkeypatch):
         model = SystemModel(n_nodes=30, n_compromised=1)
         strategy = _strategy()
         compromised = frozenset(model.compromised_nodes())
         engine = select_engine(model, strategy, compromised)(
             model=model, strategy=strategy, compromised=compromised
         )
-        engine.chunk_trials = 500
+        monkeypatch.setattr(engine_module, "CHUNK_TRIALS", 500)
         clock = FakeClock(step=0.25)
         with activate(MetricsRegistry(clock=clock)) as registry:
             engine.run_accumulate(2_000, rng=5)
@@ -377,7 +378,7 @@ class TestEngineInstrumentation:
             assert engine.name == "arrangement"
             misses = len(accumulator.classes) - (ORIGIN_KEY in accumulator.classes)
         else:
-            assert engine.name == "cycle-multi"
+            assert engine.name == "cycle"
             misses = engine._score_table.n_classes
         assert misses > 0
         priced = registry.counter("classes_priced_total", engine=engine.name)

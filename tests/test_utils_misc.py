@@ -53,6 +53,14 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             check_positive_int(True, "x")
 
+    def test_positive_int_accepts_numpy_integers_as_plain_ints(self):
+        value = check_positive_int(np.int64(3), "x")
+        assert value == 3 and type(value) is int
+
+    def test_non_negative_int_rejects_a_float(self):
+        with pytest.raises(ConfigurationError, match="x must be an integer, got 2.0"):
+            check_non_negative_int(2.0, "x")
+
     def test_non_negative_accepts_zero(self):
         assert check_non_negative_int(0, "x") == 0
 
