@@ -7,6 +7,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 import repro.adversary.inference as inference_module
 from repro.adversary.attacks import IntersectionAttack, PredecessorAttack
@@ -365,6 +366,51 @@ class TestOrbitReduction:
             mean.hex(),
             accumulator_digest(accumulator),
         ) == self.GOLDEN[config]
+
+
+def scalar_truncated_convolution(a, b, max_edges):
+    """The scalar double loop the array convolution replaced, as its reference."""
+    out = [0.0] * (max_edges + 1)
+    for i, x in enumerate(a):
+        if i > max_edges:
+            break
+        if x == 0.0:
+            continue
+        for j, y in enumerate(b):
+            if i + j > max_edges:
+                break
+            out[i + j] += x * y
+    return out
+
+
+#: Non-negative walk-count-like series with exact zeros among the terms.
+SERIES = st.lists(
+    st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e6)),
+    max_size=40,
+)
+
+
+class TestTruncatedConvolution:
+    @given(SERIES, SERIES, st.integers(min_value=-4, max_value=4))
+    def test_bits_equal_the_scalar_double_loop(self, a, b, shift):
+        """Each output is the scalar loop's float: same products, same order.
+
+        ``shift`` places ``max_edges`` below, at and above the full length
+        ``len(a) + len(b) - 2`` of the untruncated convolution.
+        """
+        max_edges = max(0, len(a) + len(b) - 2 + shift)
+        result = inference_module._truncated_convolution(a, b, max_edges)
+        expected = scalar_truncated_convolution(a, b, max_edges)
+        assert all(type(value) is float for value in result)
+        assert len(result) == len(expected) == max_edges + 1
+        for got, want in zip(result, expected):
+            assert got == want
+
+    @given(SERIES, SERIES, st.integers(min_value=0, max_value=100))
+    def test_bits_equal_at_any_budget(self, a, b, max_edges):
+        assert inference_module._truncated_convolution(
+            a, b, max_edges
+        ) == scalar_truncated_convolution(a, b, max_edges)
 
 
 class TestPredecessorAttack:

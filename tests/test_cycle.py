@@ -82,15 +82,24 @@ def draw_cycle_trials(n_nodes, distribution, n_trials, seed):
     return trials
 
 
-def cycle_arrays(trials):
-    """The kernel's array layout of ``trials``: senders, lengths, hop matrix."""
+def cycle_arrays(trials, padding=0):
+    """The kernel's array layout of ``trials``: senders, lengths, hop matrix.
+
+    Cells past a trial's length hold ``padding``; a classifier must never
+    read them.
+    """
     width = max(len(path) for _, path in trials)
     senders = np.array([sender for sender, _ in trials], dtype=np.int64)
     lengths = np.array([len(path) for _, path in trials], dtype=np.int64)
-    hops = np.zeros((len(trials), width), dtype=np.int64)
+    hops = np.full((len(trials), width), padding, dtype=np.int64)
     for index, (_, path) in enumerate(trials):
         hops[index, : len(path)] = path
     return senders, lengths, hops
+
+
+#: Hop-matrix fillers past each trial's length: a node id, a negative value,
+#: and one far beyond any node id or table size.
+PADDINGS = (0, -1, 2**62)
 
 
 def scalar_histogram(trials, compromised, adversary, receiver_compromised=True):
@@ -358,13 +367,17 @@ class TestCycleClassifier:
         trials = draw_cycle_trials(
             4, GeometricLength(0.7, minimum=1, max_length=10), 4_000, seed=9
         )
-        keyed = classify_cycle_arrays(
-            *cycle_arrays(trials), frozenset({0}), adversary, receiver_compromised
-        )
-        assert keyed == scalar_histogram(
-            trials, 0, adversary, receiver_compromised
-        )
-        assert sum(keyed.values()) == len(trials)
+        for padding in PADDINGS:
+            keyed = classify_cycle_arrays(
+                *cycle_arrays(trials, padding),
+                frozenset({0}),
+                adversary,
+                receiver_compromised,
+            )
+            assert keyed == scalar_histogram(
+                trials, 0, adversary, receiver_compromised
+            )
+            assert sum(keyed.values()) == len(trials)
 
     def test_kernels_match_scalar_reference(self):
         trials = draw_cycle_trials(4, UniformLength(0, 8), 1_500, seed=3)
@@ -796,15 +809,19 @@ class TestMultiCompromisedCycles:
         """Multi-node key counts equal ``cycle_trial_key`` per row."""
         trials = draw_cycle_trials(5, UniformLength(0, 7), 3_000, seed=47)
         compromised = frozenset({1, 3})
-        for adversary in AdversaryModel:
-            for receiver_compromised in (True, False):
-                keyed = classify_cycle_arrays(
-                    *cycle_arrays(trials), compromised, adversary, receiver_compromised
-                )
-                assert keyed == scalar_histogram(
-                    trials, compromised, adversary, receiver_compromised
-                )
-                assert sum(keyed.values()) == len(trials)
+        for adversary, receiver_compromised, padding in itertools.product(
+            AdversaryModel, (True, False), PADDINGS
+        ):
+            keyed = classify_cycle_arrays(
+                *cycle_arrays(trials, padding),
+                compromised,
+                adversary,
+                receiver_compromised,
+            )
+            assert keyed == scalar_histogram(
+                trials, compromised, adversary, receiver_compromised
+            )
+            assert sum(keyed.values()) == len(trials)
 
     def test_sharded_bit_deterministic_per_seed_and_shards(self):
         model = SystemModel(n_nodes=6, n_compromised=2)

@@ -9,7 +9,10 @@ sharded rows were re-recorded when those engines began to price each
 canonical observation class once, from its key alone.  The 150 000-trial
 rows run three chunks of the engines' common chunk size; they were recorded
 when the simple-path engines still ran a budget as one block unless told
-otherwise, with 65 536-trial chunks set explicitly for those two.
+otherwise, with 65 536-trial chunks set explicitly for those two.  The
+``C = 2`` cycle rows for an honest receiver and for the position-aware and
+predecessor-only adversaries were recorded before the cycle kernel began to
+decode and classify only the hops each trial walks.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import pytest
 
 from repro.batch import BatchMonteCarlo, ShardedBackend
 from repro.batch import engine as engine_module
-from repro.core.model import PathModel, SystemModel
+from repro.core.model import AdversaryModel, PathModel, SystemModel
 from repro.core.topology import Topology
 from repro.distributions import GeometricLength, UniformLength
 from repro.routing.strategies import PathSelectionStrategy
@@ -66,9 +69,12 @@ def ring_or_grid(spec: str) -> tuple[SystemModel, PathSelectionStrategy]:
     return SystemModel(n_nodes=20, n_compromised=1, topology=topology), uniform(1, 6)
 
 
-def cycle_model(n_compromised: int) -> SystemModel:
+def cycle_model(n_compromised: int, **settings) -> SystemModel:
     return SystemModel(
-        n_nodes=100, n_compromised=n_compromised, path_model=PathModel.CYCLE_ALLOWED
+        n_nodes=100,
+        n_compromised=n_compromised,
+        path_model=PathModel.CYCLE_ALLOWED,
+        **settings,
     )
 
 
@@ -82,6 +88,17 @@ CONFIGURATIONS = {
     ),
     "cycle": ("cycle", lambda: (cycle_model(1), crowds())),
     "cycle-multi": ("cycle", lambda: (cycle_model(2), crowds())),
+    "cycle-honest": (
+        "cycle", lambda: (cycle_model(2, receiver_compromised=False), crowds())
+    ),
+    "cycle-position-aware": (
+        "cycle",
+        lambda: (cycle_model(2, adversary=AdversaryModel.POSITION_AWARE), crowds()),
+    ),
+    "cycle-predecessor-only": (
+        "cycle",
+        lambda: (cycle_model(2, adversary=AdversaryModel.PREDECESSOR_ONLY), crowds()),
+    ),
     "topology-ring": ("topology", lambda: ring_or_grid("ring")),
     "topology-grid": ("topology", lambda: ring_or_grid("grid:4x5")),
 }
@@ -114,6 +131,24 @@ GOLDEN = {
     ("cycle-multi", 4_097): (
         80068, 15, "0x1.99d8f86a85359p+2", "04d69a3eaddc912c"
     ),
+    ("cycle-honest", None): (
+        80072, 13, "0x1.99e3509e31fd7p+2", "d7e0f3822befe3d7"
+    ),
+    ("cycle-honest", 4_097): (
+        80068, 12, "0x1.99e158d3f1895p+2", "da28a078f3aa25a9"
+    ),
+    ("cycle-position-aware", None): (
+        80072, 24, "0x1.9589047f4b900p+2", "c13ec27669c49049"
+    ),
+    ("cycle-position-aware", 4_097): (
+        80068, 25, "0x1.965c50e32206dp+2", "3a5fcb21d51cb823"
+    ),
+    ("cycle-predecessor-only", None): (
+        80072, 3, "0x1.99e3509e32050p+2", "949c7ae24cae7d80"
+    ),
+    ("cycle-predecessor-only", 4_097): (
+        80068, 3, "0x1.99e158d3f176ep+2", "b9551879589ffc48"
+    ),
     ("topology-ring", None): (
         70090, 32, "0x1.770b09642b375p+1", "53d8b6ecc764cfca"
     ),
@@ -135,6 +170,13 @@ LONG_GOLDEN = {
     "arrangement": (749341, 14, "0x1.998c54e80ac19p+2", "bfdfc5d09d73d7f5"),
     "cycle": (599495, 15, "0x1.a19a79d77bd2dp+2", "cb95af3ebaca5221"),
     "cycle-multi": (599495, 32, "0x1.9a3509daa5606p+2", "37b62fa56508df74"),
+    "cycle-honest": (599495, 24, "0x1.9a3d7297e4077p+2", "ed40e408004a8b68"),
+    "cycle-position-aware": (
+        599495, 31, "0x1.96a6f517f6b66p+2", "060858866ea3d098"
+    ),
+    "cycle-predecessor-only": (
+        599495, 3, "0x1.9a3d7297e427ap+2", "99a72afaf95fcf22"
+    ),
     "topology-ring": (523898, 32, "0x1.7730770eede90p+1", "96974d22035cb2ae"),
     "topology-grid": (523898, 51, "0x1.ea94ceadf90e7p+1", "2a5578e9292bc72f"),
 }

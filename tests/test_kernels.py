@@ -225,6 +225,10 @@ DOMAINS = [
     pytest.param(PathModel.CYCLE_ALLOWED, frozenset({2}), AdversaryModel.POSITION_AWARE, True, id="cycle-pos"),
     pytest.param(PathModel.CYCLE_ALLOWED, frozenset({2}), AdversaryModel.FULL_BAYES, False, id="cycle-honest"),
     pytest.param(PathModel.CYCLE_ALLOWED, frozenset({1, 4}), AdversaryModel.FULL_BAYES, True, id="cycle-multi"),
+    pytest.param(PathModel.CYCLE_ALLOWED, frozenset({2}), AdversaryModel.PREDECESSOR_ONLY, True, id="cycle-pred"),
+    pytest.param(PathModel.CYCLE_ALLOWED, frozenset(), AdversaryModel.FULL_BAYES, True, id="cycle-c0"),
+    pytest.param(PathModel.CYCLE_ALLOWED, frozenset({1, 4}), AdversaryModel.POSITION_AWARE, True, id="cycle-multi-pos"),
+    pytest.param(PathModel.CYCLE_ALLOWED, frozenset({1, 4}), AdversaryModel.FULL_BAYES, False, id="cycle-multi-honest"),
 ]
 
 
