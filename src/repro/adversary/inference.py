@@ -46,8 +46,10 @@ It is exact, not sampled; the Monte-Carlo machinery only samples
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.adversary.observation import Observation, RECEIVER, observation_from_path
 from repro.combinatorics.arrangements import count_arrangements, total_paths
@@ -270,6 +272,8 @@ class BayesianPathInference:
         #: Lazily-built class table for non-clique topologies; the clique
         #: branches below never pay for it.
         self._topology_table: TopologyClassTable | None = None
+        #: Memoised cycle segment factors, by ``(max_free, closed)``.
+        self._segment_factors: dict[tuple[int, bool], tuple[float, ...]] = {}
 
     # ------------------------------------------------------------------ #
     # Public API                                                          #
@@ -683,7 +687,7 @@ class BayesianPathInference:
         # Candidate-independent factors: the honest segments between
         # non-adjacent visits, plus the tail segment after the last visit
         # (absent when a compromised node itself delivered to the receiver).
-        factors: list[list[float]] = [
+        factors: list[Sequence[float]] = [
             self._segment_factor(max_free, closed)
             for closed in gap_closed
             if closed is not None
@@ -730,11 +734,20 @@ class BayesianPathInference:
         weights[first_predecessor] = special
         return self._zero_compromised(weights)
 
-    def _segment_factor(self, max_free: int, closed: bool) -> list[float]:
-        """Normalised honest-walk counts for one pinned segment, by edge count."""
-        return [
-            self._honest_walk(edges, closed) for edges in range(max_free + 1)
-        ]
+    def _segment_factor(self, max_free: int, closed: bool) -> tuple[float, ...]:
+        """Normalised honest-walk counts for one pinned segment, by edge count.
+
+        Memoised per ``(max_free, closed)``: every class of one engine draws
+        on the same few series.
+        """
+        key = (max_free, closed)
+        factor = self._segment_factors.get(key)
+        if factor is None:
+            factor = tuple(
+                self._honest_walk(edges, closed) for edges in range(max_free + 1)
+            )
+            self._segment_factors[key] = factor
+        return factor
 
     def _cycle_position_aware(self, observation: Observation) -> SenderPosterior:
         n = self._model.n_nodes
@@ -833,23 +846,22 @@ class BayesianPathInference:
 
 
 def _truncated_convolution(
-    a: list[float], b: list[float], max_edges: int
+    a: Sequence[float], b: Sequence[float], max_edges: int
 ) -> list[float]:
     """Convolution of two edge-count series, truncated at ``max_edges``.
 
     ``out[t] = sum(a[i] * b[t - i])`` — the walk-count series of two adjacent
     honest segments whose combined edge budget is ``t``.  Entries beyond the
     distribution's longest path can never contribute to a likelihood, so they
-    are dropped rather than computed.
+    are dropped rather than computed.  One array update per term of ``a``,
+    in ascending ``i``, adds the same products to each ``out[t]`` in the same
+    order as the scalar double loop, so the sums are bit-identical to it.
     """
-    out = [0.0] * (max_edges + 1)
-    for i, x in enumerate(a):
-        if i > max_edges:
-            break
+    out = np.zeros(max_edges + 1)
+    right = np.asarray(b, dtype=float)
+    for i, x in enumerate(a[: max_edges + 1]):
         if x == 0.0:
             continue
-        for j, y in enumerate(b):
-            if i + j > max_edges:
-                break
-            out[i + j] += x * y
-    return out
+        span = min(len(right), max_edges + 1 - i)
+        out[i : i + span] += x * right[:span]
+    return out.tolist()

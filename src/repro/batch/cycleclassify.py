@@ -34,7 +34,8 @@ coincide).  The keys, per adversary:
 :func:`classify_cycle_arrays` vectorises the overwhelmingly common cases
 (origin, silent, at most one compromised visit) and falls back to the scalar
 rule only for the rare multi-visit trials, so classification cost stays
-columnar at any ``C``.
+columnar at any ``C``.  It reads only the hops each trial walks, level by
+level, so its cost follows the walked hops rather than the longest path.
 """
 
 from __future__ import annotations
@@ -122,68 +123,73 @@ def classify_cycle_arrays(
 
     ``hops`` is the ``n_trials x width`` hop matrix (any layout numpy can
     index — the cycle engine passes a transposed view of its level-major
-    draw matrix).  Every key equals :func:`cycle_trial_key` of the trials it
-    counts.
+    draw matrix).  Only live cells are read: row ``i``'s first
+    ``lengths[i]`` hops.  Cells past a trial's length are never read, so they
+    may hold anything.  Compromised visits are found level by level among
+    the trials still walking; each trial's visit count and first visit come
+    from those visit rows, and a single visit's successor and witness are
+    read from its own row.  Every key equals :func:`cycle_trial_key` of the
+    trials it counts.
     """
     n_trials = len(senders)
     width = hops.shape[1]
+    # Node ids are non-negative, so clipping at one past the largest
+    # compromised id maps every honest node onto a False entry.
+    top = max(compromised, default=-1) + 1
+    compromised_ids = np.zeros(top + 1, dtype=bool)
+    compromised_ids[sorted(compromised)] = True
+
+    def visited(nodes):
+        return compromised_ids[np.minimum(nodes, top)]
+
+    origin = visited(senders)
+    hits = np.zeros(n_trials, dtype=np.int64)
+    first = np.zeros(n_trials, dtype=np.int64)
+    walking = np.flatnonzero(~origin)
+    for level in range(width):
+        walking = walking[lengths[walking] > level]
+        visitors = walking[visited(hops[walking, level])]
+        first[visitors[hits[visitors] == 0]] = level
+        hits[visitors] += 1
+
     result: dict[tuple, int] = {}
 
-    def add(mask, key) -> None:
-        count = int(mask.sum())
+    def add(count: int, key: tuple) -> None:
         if count:
-            result[key] = count
+            result[key] = int(count)
 
-    if len(compromised) == 1:
-        (compromised_node,) = compromised
-        occurrences = hops == compromised_node
-        origin = senders == compromised_node
-    else:
-        members = np.fromiter(sorted(compromised), dtype=np.int64)
-        occurrences = np.isin(hops, members)
-        origin = np.isin(senders, members)
-    valid = np.arange(width) < lengths[:, None]
-    occurrences &= valid
-    hits = occurrences.sum(axis=1)
-    add(origin, ORIGIN_KEY)
-    add(~origin & (hits == 0), SILENT_KEY)
-    on_path = ~origin & (hits > 0)
-    if width == 0:
-        return result  # every path is direct: only origin/silent occur
+    on_path = np.flatnonzero(hits)
+    n_origin = np.count_nonzero(origin)
+    add(n_origin, ORIGIN_KEY)
+    add(n_trials - n_origin - on_path.size, SILENT_KEY)
 
     if adversary is AdversaryModel.PREDECESSOR_ONLY:
-        add(on_path, PATH_KEY)
+        add(on_path.size, PATH_KEY)
         return result
 
-    first = occurrences.argmax(axis=1)  # 0-based first visit, on-path only
     if adversary is AdversaryModel.POSITION_AWARE:
-        for position in np.unique(first[on_path]):
-            add(on_path & (first == position), ("pos", int(position) + 1))
+        positions, counts = np.unique(first[on_path], return_counts=True)
+        for position, count in zip(positions.tolist(), counts.tolist()):
+            add(count, ("pos", position + 1))
         return result
 
     # FULL_BAYES: vectorized single-visit fast path.
-    single = on_path & (hits == 1)
-    m_last = single & (first + 1 == lengths)
-    add(m_last, ("fb", 1, (), "recv"))
-    not_last = single & ~m_last
+    single = on_path[hits[on_path] == 1]
+    visit = first[single]
+    m_last = visit + 1 == lengths[single]
+    add(np.count_nonzero(m_last), ("fb", 1, (), "recv"))
+    rows = single[~m_last]
     if not receiver_compromised:
-        add(not_last, ("fb", 1, (), "open"))
+        add(rows.size, ("fb", 1, (), "open"))
     else:
-        rows = np.nonzero(not_last)[0]
-        if rows.size:
-            successors = hops[rows, first[rows] + 1]
-            witnesses = hops[rows, lengths[rows] - 1]
-            bridged = successors == witnesses
-            eq_mask = np.zeros(n_trials, dtype=bool)
-            eq_mask[rows[bridged]] = True
-            ne_mask = np.zeros(n_trials, dtype=bool)
-            ne_mask[rows[~bridged]] = True
-            add(eq_mask, ("fb", 1, (), "eq"))
-            add(ne_mask, ("fb", 1, (), "ne"))
+        successors = hops[rows, visit[~m_last] + 1]
+        witnesses = hops[rows, lengths[rows] - 1]
+        n_bridged = np.count_nonzero(successors == witnesses)
+        add(n_bridged, ("fb", 1, (), "eq"))
+        add(rows.size - n_bridged, ("fb", 1, (), "ne"))
 
     # Rare multi-visit trials: the scalar reference rule, row by row.
-    for index in np.nonzero(on_path & (hits >= 2))[0]:
-        index = int(index)
+    for index in on_path[hits[on_path] >= 2].tolist():
         length = int(lengths[index])
         key = cycle_trial_key(
             int(senders[index]),

@@ -12,16 +12,20 @@ compromised nodes.  Each chunk runs one kernel, :meth:`CycleBatchEngine.accumula
    sequences themselves, as one level-major matrix of Markov-style
    transitions.  Senders are uniform over the ``N`` nodes, lengths come from
    the inverse-CDF decoder, and hop level ``h`` is drawn for *every* trial at
-   once: one raw uniform column over ``[0, N-1)`` per level, decoded as "the
-   raw value, skipping the node that currently holds the message" — exactly
-   the uniform-over-``N-1`` no-self-forwarding rule of
-   :class:`~repro.routing.selection.CyclePathSelector`.  Levels beyond a
-   trial's sampled length are still drawn (the chain keeps walking) and
-   masked out by length, so the generator consumption is a fixed function
-   of ``(n_trials, sampled lengths)``;
+   once: one raw uniform column over ``[0, N-1)`` per level.  Levels beyond
+   a trial's sampled length are still drawn, so the generator consumption
+   is a fixed function of ``(n_trials, sampled lengths)``.  Only *live*
+   cells, level ``h`` below the trial's length, are decoded: the chunk is
+   sorted by length (stable, longest first), so the trials still walking at
+   level ``h`` form a prefix, and each of their raw values decodes as "the
+   raw value, skipping the node that currently holds the message" —
+   exactly the uniform-over-``N-1`` no-self-forwarding rule of
+   :class:`~repro.routing.selection.CyclePathSelector`.  Every other cell of
+   the level-major hop matrix stays unwritten;
 2. **classify** — histogram every trial into its cycle observation class
    (:func:`~repro.batch.cycleclassify.classify_cycle_arrays`, on a
-   transposed view of the hop matrix);
+   transposed view of the hop matrix), reading live cells only, so its cost
+   follows the hops the trials walk rather than the longest path;
 3. **price** — score each *distinct* class exactly once with the cycle-aware
    exact Bayesian engine (:class:`CycleScoreTable` over
    :class:`repro.adversary.inference.BayesianPathInference`).
@@ -216,9 +220,10 @@ class CycleBatchEngine(TrialEngine):
     ) -> tuple[int, ChunkClasses]:
         """Draw, walk, classify, and price one chunk of cycle-path trials.
 
-        The level-major hop matrix stays live and is classified through a
-        transposed *view* (no row-major copy); each new class is priced from
-        its key alone.
+        Every level's raw column is drawn for every trial, but only live
+        cells (level ``h`` below the trial's length) are decoded into the
+        level-major hop matrix and classified, through a transposed *view*
+        (no row-major copy); each new class is priced from its key alone.
         """
         n_nodes = self.model.n_nodes
         senders = generator.integers(0, n_nodes, size=n_trials)
@@ -230,12 +235,21 @@ class CycleBatchEngine(TrialEngine):
             generator.integers(0, n_nodes - 1, size=n_trials) for _ in range(width)
         ]
 
+        # Longest paths first (stable), so the trials still walking at level
+        # h are a prefix of live[h] trials.  The narrowest unsigned key lets
+        # numpy radix-sort it.
+        order = np.argsort(
+            (width - lengths).astype(np.min_scalar_type(width)), kind="stable"
+        )
+        senders = senders[order]
+        lengths = lengths[order]
+        live = n_trials - np.searchsorted(lengths[::-1], np.arange(width), "right")
         levels = np.empty((width, n_trials), dtype=np.int64)
         current = senders
-        for h, raw in enumerate(raw_columns):
-            step = raw.astype(np.int64)
-            step += step >= current
-            levels[h] = step
+        for h, (raw, walking) in enumerate(zip(raw_columns, live.tolist())):
+            step = raw[order[:walking]]
+            step += step >= current[:walking]
+            levels[h, :walking] = step
             current = step
         hops = levels.T  # (n_trials, width) view — no copy
 
