@@ -12,7 +12,10 @@ when the simple-path engines still ran a budget as one block unless told
 otherwise, with 65 536-trial chunks set explicitly for those two.  The
 ``C = 2`` cycle rows for an honest receiver and for the position-aware and
 predecessor-only adversaries were recorded before the cycle kernel began to
-decode and classify only the hops each trial walks.
+decode and classify only the hops each trial walks.  The cycle-path ring
+and the position-aware, honest-receiver grid rows were recorded before the
+topology law began to enumerate each (sender, length) path set once and the
+topology engine began to read its class ids from the class table.
 """
 
 from __future__ import annotations
@@ -101,6 +104,35 @@ CONFIGURATIONS = {
     ),
     "topology-ring": ("topology", lambda: ring_or_grid("ring")),
     "topology-grid": ("topology", lambda: ring_or_grid("grid:4x5")),
+    "topology-ring-cycle": (
+        "topology",
+        lambda: (
+            SystemModel(
+                n_nodes=20,
+                n_compromised=2,
+                topology=Topology.ring(20),
+                path_model=PathModel.CYCLE_ALLOWED,
+            ),
+            PathSelectionStrategy(
+                "U(1,6) walks",
+                UniformLength(1, 6),
+                path_model=PathModel.CYCLE_ALLOWED,
+            ),
+        ),
+    ),
+    "topology-grid-position-aware": (
+        "topology",
+        lambda: (
+            SystemModel(
+                n_nodes=20,
+                n_compromised=2,
+                topology=Topology.from_spec("grid:4x5", 20),
+                adversary=AdversaryModel.POSITION_AWARE,
+                receiver_compromised=False,
+            ),
+            uniform(1, 6),
+        ),
+    ),
 }
 
 #: Recorded as (length sum, classes, mean entropy as float.hex, digest), per
@@ -161,6 +193,18 @@ GOLDEN = {
     ("topology-grid", 4_097): (
         70091, 50, "0x1.e984bc27c4766p+1", "39a3f42b647d548b"
     ),
+    ("topology-ring-cycle", None): (
+        70090, 111, "0x1.2fbe38fe01042p+1", "3f25f0e86427dcbc"
+    ),
+    ("topology-ring-cycle", 4_097): (
+        70091, 107, "0x1.2ff241a0a4039p+1", "faaf8c42efe8396b"
+    ),
+    ("topology-grid-position-aware", None): (
+        70090, 65, "0x1.b2bdbfad5a74ap+1", "f0b1d684e66eef54"
+    ),
+    ("topology-grid-position-aware", 4_097): (
+        70091, 66, "0x1.b3a9c011cb2bfp+1", "891ef2fc1ba59686"
+    ),
 }
 
 #: ``LONG_TRIALS`` trials in three chunks of the engines' own chunk size.
@@ -179,6 +223,12 @@ LONG_GOLDEN = {
     ),
     "topology-ring": (523898, 32, "0x1.7730770eede90p+1", "96974d22035cb2ae"),
     "topology-grid": (523898, 51, "0x1.ea94ceadf90e7p+1", "2a5578e9292bc72f"),
+    "topology-ring-cycle": (
+        523898, 112, "0x1.3066b73b00d02p+1", "31f5f460ff74e7f1"
+    ),
+    "topology-grid-position-aware": (
+        523898, 66, "0x1.b48b4e41036c3p+1", "d8eb68679818923c"
+    ),
 }
 
 #: ``(seed, shards=2)`` on the sharded backend, merged across both shards.
