@@ -15,7 +15,9 @@ compromised node, a uniform length strategy, estimated
 The asserted floor — **batch >= 25x the event engine's trials/sec** on each
 graph — is the acceptance criterion of the engine; the construction cost
 (enumerating the path law once) is included in the timed batch run, so the
-floor also guards against enumeration regressions.
+floor also guards against enumeration regressions.  The record also carries
+the construction time on its own (``construct_seconds``,
+``grid_construct_seconds``), a trend with no floor.
 
 Both engines are statistically identical (their per-trial entropies follow
 the same law), which the parity test checks before anything is timed.
@@ -82,9 +84,11 @@ def _measure(topology: Topology, event_trials: int, batch_trials: int):
     event_seconds = time.perf_counter() - started
 
     # Construction (the one-time path-law enumeration) is part of the timing:
-    # it is the cost a cold estimate actually pays.
+    # it is the cost a cold estimate actually pays.  It is also reported on
+    # its own, as a trend of the cold path.
     started = time.perf_counter()
     batch_engine = BatchMonteCarlo(model, strategy)
+    construct_seconds = time.perf_counter() - started
     assert batch_engine.engine.name == "topology"
     batch_report = batch_engine.run(batch_trials, rng=0)
     batch_seconds = time.perf_counter() - started
@@ -96,6 +100,7 @@ def _measure(topology: Topology, event_trials: int, batch_trials: int):
     print(f"topology {topology.spec}")
     print(f"event (hop-by-hop)   : {event_seconds:8.2f}s ({event_tps:,.0f} trials/sec)")
     print(f"batch (topology eng.): {batch_seconds:8.2f}s ({batch_tps:,.0f} trials/sec)")
+    print(f"  of which construction: {construct_seconds:6.3f}s")
     print(f"speedup              : {speedup:8.1f}x")
     print(f"event estimate {event_report.estimate}")
     print(f"batch estimate {batch_report.estimate}")
@@ -105,14 +110,21 @@ def _measure(topology: Topology, event_trials: int, batch_trials: int):
         event_report.estimate.std_error + batch_report.estimate.std_error
     )
     assert gap <= tolerance
-    return event_seconds, batch_seconds, event_tps, batch_tps, speedup
+    return event_seconds, batch_seconds, construct_seconds, event_tps, batch_tps, speedup
 
 
 def test_topology_ring_speedup_floor(smoke):
     """The acceptance criterion on a ring: >= 25x hop-by-hop trials/sec."""
     event_trials = SMOKE_EVENT_TRIALS if smoke else EVENT_TRIALS
     batch_trials = SMOKE_BATCH_TRIALS if smoke else BATCH_TRIALS
-    event_seconds, batch_seconds, event_tps, batch_tps, speedup = _measure(
+    (
+        event_seconds,
+        batch_seconds,
+        construct_seconds,
+        event_tps,
+        batch_tps,
+        speedup,
+    ) = _measure(
         Topology.ring(N_NODES), event_trials, batch_trials
     )
 
@@ -130,6 +142,7 @@ def test_topology_ring_speedup_floor(smoke):
         },
         event_seconds=round(event_seconds, 3),
         batch_seconds=round(batch_seconds, 3),
+        construct_seconds=round(construct_seconds, 4),
         event_trials_per_sec=round(event_tps, 1),
         batch_trials_per_sec=round(batch_tps, 1),
         speedup=round(speedup, 1),
@@ -147,7 +160,14 @@ def test_topology_grid_speedup_floor(smoke):
     """The same floor on a 4x5 grid (richer path space, larger class table)."""
     event_trials = SMOKE_EVENT_TRIALS if smoke else EVENT_TRIALS
     batch_trials = SMOKE_BATCH_TRIALS if smoke else BATCH_TRIALS
-    event_seconds, batch_seconds, event_tps, batch_tps, speedup = _measure(
+    (
+        event_seconds,
+        batch_seconds,
+        construct_seconds,
+        event_tps,
+        batch_tps,
+        speedup,
+    ) = _measure(
         Topology.grid(4, 5), event_trials, batch_trials
     )
 
@@ -162,6 +182,7 @@ def test_topology_grid_speedup_floor(smoke):
         },
         grid_event_seconds=round(event_seconds, 3),
         grid_batch_seconds=round(batch_seconds, 3),
+        grid_construct_seconds=round(construct_seconds, 4),
         grid_event_trials_per_sec=round(event_tps, 1),
         grid_batch_trials_per_sec=round(batch_tps, 1),
         grid_speedup=round(speedup, 1),

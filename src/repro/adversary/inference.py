@@ -50,6 +50,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.adversary.observation import Observation, RECEIVER, observation_from_path
 from repro.combinatorics.arrangements import count_arrangements, total_paths
@@ -124,6 +125,13 @@ class TopologyClassTable:
     inference engine reads posteriors out of it, and
     :meth:`exact_degree` reproduces the exhaustive analyzer's ``H*`` to
     floating-point agreement by construction.
+
+    Each outcome's observation is derived once.  Besides the joint table,
+    :attr:`outcome_classes` keeps, per sender, the class index of every
+    outcome of ``law.entries(sender)``: the position of its key in
+    :attr:`joint`, whose keys stand in order of first appearance over
+    ``(sender, outcome)``.  The batch ``topology`` engine numbers its
+    classes by those indices.
     """
 
     def __init__(
@@ -151,8 +159,11 @@ class TopologyClassTable:
         self._law = law
         n = model.n_nodes
         prior = 1.0 / n
-        joint: dict[tuple, list[float]] = {}
+        index_of: dict[tuple, int] = {}
+        rows: list[list[float]] = []
+        self._outcome_classes: list[np.ndarray] = []
         for sender in range(n):
+            indices: list[int] = []
             for _length, path, probability in law.entries(sender):
                 observation = observation_from_path(
                     sender,
@@ -161,12 +172,14 @@ class TopologyClassTable:
                     receiver_compromised=model.receiver_compromised,
                 )
                 key = observation_class_key(observation, model.adversary)
-                weights = joint.get(key)
-                if weights is None:
-                    weights = [0.0] * n
-                    joint[key] = weights
-                weights[sender] += prior * probability
-        self._joint = {key: tuple(w) for key, w in joint.items()}
+                index = index_of.get(key)
+                if index is None:
+                    index = index_of[key] = len(rows)
+                    rows.append([0.0] * n)
+                rows[index][sender] += prior * probability
+                indices.append(index)
+            self._outcome_classes.append(np.asarray(indices, dtype=np.int64))
+        self._joint = {key: tuple(rows[index]) for key, index in index_of.items()}
 
     @property
     def law(self) -> TopologyPathLaw:
@@ -177,6 +190,11 @@ class TopologyClassTable:
     def joint(self) -> dict[tuple, tuple[float, ...]]:
         """Exact joint ``Pr[sender, class]`` indexed by class key."""
         return self._joint
+
+    @property
+    def outcome_classes(self) -> list[np.ndarray]:
+        """Per sender, each outcome's class index: its key's position in :attr:`joint`."""
+        return self._outcome_classes
 
     def weights(self, key: tuple) -> tuple[float, ...]:
         """Per-sender joint weights of one class key."""
@@ -272,8 +290,8 @@ class BayesianPathInference:
         #: Lazily-built class table for non-clique topologies; the clique
         #: branches below never pay for it.
         self._topology_table: TopologyClassTable | None = None
-        #: Memoised cycle segment factors, by ``(max_free, closed)``.
-        self._segment_factors: dict[tuple[int, bool], tuple[float, ...]] = {}
+        #: Memoised cycle segment series, one per ``closed`` flag.
+        self._segment_series: dict[bool, tuple[float, ...]] = {}
 
     # ------------------------------------------------------------------ #
     # Public API                                                          #
@@ -737,17 +755,19 @@ class BayesianPathInference:
     def _segment_factor(self, max_free: int, closed: bool) -> tuple[float, ...]:
         """Normalised honest-walk counts for one pinned segment, by edge count.
 
-        Memoised per ``(max_free, closed)``: every class of one engine draws
-        on the same few series.
+        One series per ``closed`` flag is memoised, as long as the
+        distribution's longest path, and each class takes its first
+        ``max_free + 1`` terms.  A term depends on its edge count alone, so
+        the slice equals the series a class would build for itself.
         """
-        key = (max_free, closed)
-        factor = self._segment_factors.get(key)
-        if factor is None:
-            factor = tuple(
-                self._honest_walk(edges, closed) for edges in range(max_free + 1)
+        series = self._segment_series.get(closed)
+        if series is None:
+            series = tuple(
+                self._honest_walk(edges, closed)
+                for edges in range(self._distribution.max_length + 1)
             )
-            self._segment_factors[key] = factor
-        return factor
+            self._segment_series[closed] = series
+        return series[: max_free + 1]
 
     def _cycle_position_aware(self, observation: Observation) -> SenderPosterior:
         n = self._model.n_nodes
@@ -853,15 +873,21 @@ def _truncated_convolution(
     ``out[t] = sum(a[i] * b[t - i])`` — the walk-count series of two adjacent
     honest segments whose combined edge budget is ``t``.  Entries beyond the
     distribution's longest path can never contribute to a likelihood, so they
-    are dropped rather than computed.  One array update per term of ``a``,
-    in ascending ``i``, adds the same products to each ``out[t]`` in the same
-    order as the scalar double loop, so the sums are bit-identical to it.
+    are dropped rather than computed.
+
+    The whole series is one product and one reduction: row ``i`` of a
+    Toeplitz view holds ``b`` shifted right by ``i`` (a sliding window over
+    a zero-padded copy of ``b``, rows reversed), each row is scaled by
+    ``a[i]``, and ``np.add.reduce(..., axis=0)`` adds the rows in ascending
+    ``i``, the scalar double loop's order.  The cells that loop skips (out
+    of range, or ``a[i] == 0``) add ``+0.0`` to a non-negative sum, which
+    changes nothing, so every output is the scalar loop's float bit for bit.
     """
-    out = np.zeros(max_edges + 1)
-    right = np.asarray(b, dtype=float)
-    for i, x in enumerate(a[: max_edges + 1]):
-        if x == 0.0:
-            continue
-        span = min(len(right), max_edges + 1 - i)
-        out[i : i + span] += x * right[:span]
-    return out.tolist()
+    width = max_edges + 1
+    left = np.asarray(a[:width], dtype=float)
+    right = np.asarray(b[:width], dtype=float)
+    padded = np.zeros(len(left) + width)
+    padded[len(left) : len(left) + len(right)] = right
+    # Window s starts at padded[s]; row i of the view is window len(left) - i.
+    toeplitz = sliding_window_view(padded, width)[:0:-1]
+    return np.add.reduce(left[:, None] * toeplitz, axis=0).tolist()

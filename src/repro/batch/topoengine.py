@@ -5,18 +5,22 @@ rest on relabelling symmetry: honest identities are
 interchangeable, so classes can be keyed by *pattern* instead of identity.
 On a general topology that symmetry is gone — a star's hub and a leaf are
 different worlds — so this engine takes the graph-general route.  At
-construction it enumerates every ``(sender, length, path)`` outcome of the
-:class:`~repro.core.topology.TopologyPathLaw` into flat tables:
+construction it builds the
+:class:`~repro.adversary.inference.TopologyClassTable` of the
+:class:`~repro.core.topology.TopologyPathLaw` — the same table the
+topology-aware Bayesian inference reads — and flattens every
+``(sender, length, path)`` outcome into flat tables:
 
 * one cumulative-probability ramp per sender, baking the law's exact
   probabilities (row-normalised transition walks for cycle paths,
   per-sender renormalised uniform simple paths) into an inverse CDF;
-* each outcome's length and precomputed observation-class id
-  (identity-carrying keys — no canonical relabelling);
-* each class's exact score, priced from the joint table of
-  :class:`~repro.adversary.inference.TopologyClassTable` — the same table
-  the topology-aware Bayesian inference reads — so batch estimates and the
-  exhaustive analyzer agree on every class entropy to floating point.
+* each outcome's length and observation-class id: the class index the table
+  recorded for that outcome, i.e. the position of its identity-carrying key
+  (no canonical relabelling) in the joint table.  The engine derives no
+  observation of its own;
+* each class's exact score, priced in id order from the table's joint
+  weights, so batch estimates and the exhaustive analyzer agree on every
+  class entropy to floating point.
 
 A chunk (:meth:`TopologyEngine.accumulate_chunk`) is then two bulk draws per
 trial — a uniform sender and one uniform float that indexes the sender's
@@ -33,10 +37,11 @@ experiments.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-from repro.adversary.inference import TopologyClassTable, observation_class_key
-from repro.adversary.observation import observation_from_path
+from repro.adversary.inference import TopologyClassTable
 from repro.batch.engine import ChunkClasses, TrialEngine, register_engine
 from repro.core.model import PathModel, SystemModel
 from repro.core.results import IDENTIFIED_THRESHOLD
@@ -79,39 +84,29 @@ class TopologyEngine(TrialEngine):
 
         # Flatten every (sender, length, path) outcome into global parallel
         # arrays: a per-sender cumulative-probability ramp for inverse-CDF
-        # sampling plus the outcome's length and class id.
-        n = model.n_nodes
-        key_ids: dict[tuple, int] = {}
-        entry_lengths: list[int] = []
-        entry_keys: list[int] = []
-        offsets: list[int] = []
-        self._ramps: list[np.ndarray] = []
-        for sender in range(n):
-            offsets.append(len(entry_lengths))
-            running = 0.0
-            ramp: list[float] = []
-            for length, path, probability in law.entries(sender):
-                observation = observation_from_path(
-                    sender,
-                    path,
-                    self.compromised,
-                    receiver_compromised=model.receiver_compromised,
-                )
-                key = observation_class_key(observation, model.adversary)
-                key_id = key_ids.setdefault(key, len(key_ids))
-                running += probability
-                ramp.append(running)
-                entry_lengths.append(length)
-                entry_keys.append(key_id)
-            self._ramps.append(np.asarray(ramp, dtype=np.float64))
-        self._offsets = np.asarray(offsets, dtype=np.int64)
-        self._entry_lengths = np.asarray(entry_lengths, dtype=np.int64)
-        self._entry_keys = np.asarray(entry_keys, dtype=np.int64)
+        # sampling plus the outcome's length and the table's class index.
+        outcomes = [law.entries(sender) for sender in range(model.n_nodes)]
+        self._ramps: list[np.ndarray] = [
+            np.fromiter(
+                itertools.accumulate(probability for _, _, probability in entries),
+                dtype=np.float64,
+                count=len(entries),
+            )
+            for entries in outcomes
+        ]
+        self._offsets = np.cumsum(
+            [0] + [len(entries) for entries in outcomes[:-1]], dtype=np.int64
+        )
+        self._entry_lengths = np.fromiter(
+            (length for entries in outcomes for length, _, _ in entries),
+            dtype=np.int64,
+        )
+        self._entry_keys = np.concatenate(self._table.outcome_classes)
 
-        # Exact per-class scores, priced once from the joint table.
+        # Exact per-class scores, priced once from the joint table, in class
+        # index order.
         self._scores: list[tuple[float, bool]] = []
-        for key, _key_id in sorted(key_ids.items(), key=lambda item: item[1]):
-            weights = self._table.weights(key)
+        for weights in self._table.joint.values():
             total = kahan_sum(weights)
             posterior = [w / total for w in weights]
             self._scores.append(

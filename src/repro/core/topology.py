@@ -41,6 +41,7 @@ import itertools
 from collections import Counter, deque
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from repro.exceptions import ConfigurationError
 
@@ -266,6 +267,11 @@ class Topology:
 
     adjacency: tuple[tuple[int, ...], ...]
     spec: str = field(default="", compare=False)
+    # Per-node data, set once by __post_init__.  Declared ClassVar so that
+    # they are not dataclass fields: equality, hashing, repr and the spec
+    # ignore them, and pickling still carries them in the instance dict.
+    _neighbors: ClassVar[tuple[tuple[int, ...], ...]]
+    _degrees: ClassVar[tuple[int, ...]]
 
     def __post_init__(self) -> None:
         adjacency = tuple(tuple(int(v) for v in row) for row in self.adjacency)
@@ -273,6 +279,11 @@ class Topology:
         _validate_adjacency(adjacency)
         if not self.spec:
             object.__setattr__(self, "spec", _adjacency_spec(adjacency))
+        neighbors = tuple(
+            tuple(other for other, bit in enumerate(row) if bit) for row in adjacency
+        )
+        object.__setattr__(self, "_neighbors", neighbors)
+        object.__setattr__(self, "_degrees", tuple(map(len, neighbors)))
 
     # ------------------------------------------------------------------ #
     # Named constructors                                                  #
@@ -496,14 +507,15 @@ class Topology:
         return sum(sum(row) for row in self.adjacency) // 2
 
     def degree(self, node: int) -> int:
-        """Number of neighbours of ``node``."""
-        return sum(self.adjacency[node])
+        """Number of neighbours of ``node``; O(1), counted at construction."""
+        return self._degrees[node]
 
     def neighbors(self, node: int) -> tuple[int, ...]:
-        """Neighbours of ``node``, in ascending identity order."""
-        return tuple(
-            other for other, bit in enumerate(self.adjacency[node]) if bit
-        )
+        """Neighbours of ``node``, in ascending identity order.
+
+        O(1): the tuples are built once, at construction.
+        """
+        return self._neighbors[node]
 
     def are_connected(self, source: int, destination: int) -> bool:
         """True when ``source`` and ``destination`` share an edge (one hop).
@@ -587,23 +599,34 @@ class Topology:
         """
         if length == 0:
             return ((),)
+        neighbors = self._neighbors
         paths: list[tuple[int, ...]] = []
+        visited = [False] * self.n_nodes
+        visited[start] = True
+        prefix: list[int] = []
+        last = length - 1
 
-        def extend(current: int, used: set[int], prefix: tuple[int, ...]) -> None:
-            if len(prefix) == length:
-                paths.append(prefix)
-                if len(paths) > max_paths:
-                    raise ConfigurationError(
-                        f"more than {max_paths} simple paths of length {length} "
-                        f"from node {start} on topology {self.spec}; reduce the "
-                        "system size or path length"
-                    )
-                return
-            for node in self.neighbors(current):
-                if node not in used and node != start:
-                    extend(node, used | {node}, prefix + (node,))
+        def extend(current: int) -> None:
+            complete = len(prefix) == last
+            for node in neighbors[current]:
+                if visited[node]:
+                    continue
+                if complete:
+                    paths.append((*prefix, node))
+                    if len(paths) > max_paths:
+                        raise ConfigurationError(
+                            f"more than {max_paths} simple paths of length {length} "
+                            f"from node {start} on topology {self.spec}; reduce the "
+                            "system size or path length"
+                        )
+                    continue
+                visited[node] = True
+                prefix.append(node)
+                extend(node)
+                prefix.pop()
+                visited[node] = False
 
-        extend(start, set(), ())
+        extend(start)
         return tuple(paths)
 
     def walks(
@@ -618,24 +641,30 @@ class Topology:
         if length == 0:
             yield ()
             return
+        neighbors = self._neighbors
         count = 0
+        prefix: list[int] = []
+        last = length - 1
 
-        def extend(current: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        def extend(current: int) -> Iterator[tuple[int, ...]]:
             nonlocal count
-            if len(prefix) == length:
-                count += 1
-                if count > max_paths:
-                    raise ConfigurationError(
-                        f"more than {max_paths} walks of length {length} from "
-                        f"node {start} on topology {self.spec}; reduce the "
-                        "system size or path length"
-                    )
-                yield prefix
-                return
-            for node in self.neighbors(current):
-                yield from extend(node, prefix + (node,))
+            complete = len(prefix) == last
+            for node in neighbors[current]:
+                if complete:
+                    count += 1
+                    if count > max_paths:
+                        raise ConfigurationError(
+                            f"more than {max_paths} walks of length {length} from "
+                            f"node {start} on topology {self.spec}; reduce the "
+                            "system size or path length"
+                        )
+                    yield (*prefix, node)
+                    continue
+                prefix.append(node)
+                yield from extend(node)
+                prefix.pop()
 
-        yield from extend(start, ())
+        yield from extend(start)
 
 
 class TopologyPathLaw:
@@ -681,6 +710,7 @@ class TopologyPathLaw:
             raise ConfigurationError("path lengths must be >= 0")
         self._max_paths = int(max_paths)
         self._entries: dict[int, tuple[tuple[int, tuple[int, ...], float], ...]] = {}
+        self._path_sets: dict[int, dict[int, tuple[tuple[int, ...], ...]]] = {}
 
     @property
     def topology(self) -> Topology:
@@ -696,10 +726,11 @@ class TopologyPathLaw:
         """The sender's renormalised length pmf (identical to the input for walks)."""
         if self._allow_cycles:
             return dict(self._length_probs)
+        path_sets = self._simple_path_sets(sender)
         feasible = {
             length: prob
             for length, prob in self._length_probs.items()
-            if self._paths(sender, length)
+            if path_sets[length]
         }
         total = sum(feasible.values())
         if total <= 0.0:
@@ -713,7 +744,8 @@ class TopologyPathLaw:
         """Every ``(length, path, probability)`` outcome for ``sender``.
 
         The order is deterministic (ascending length, DFS path order) and the
-        probabilities sum to one; cached per sender.
+        probabilities sum to one; cached per sender.  Simple-path outcomes
+        hold the very tuples :meth:`feasible_lengths` enumerated.
         """
         cached = self._entries.get(sender)
         if cached is not None:
@@ -727,12 +759,11 @@ class TopologyPathLaw:
                         (length, walk, self._walk_probability(sender, walk, prob))
                     )
         else:
-            lengths = self.feasible_lengths(sender)
-            for length, prob in lengths.items():
-                paths = self._paths(sender, length)
+            path_sets = self._simple_path_sets(sender)
+            for length, prob in self.feasible_lengths(sender).items():
+                paths = path_sets[length]
                 share = prob / len(paths)
-                for path in paths:
-                    out.append((length, path, share))
+                out.extend((length, path, share) for path in paths)
         entries = tuple(out)
         self._entries[sender] = entries
         return entries
@@ -747,5 +778,13 @@ class TopologyPathLaw:
             current = node
         return weight
 
-    def _paths(self, sender: int, length: int) -> tuple[tuple[int, ...], ...]:
-        return self._topology.simple_paths(sender, length, self._max_paths)
+    def _simple_path_sets(self, sender: int) -> dict[int, tuple[tuple[int, ...], ...]]:
+        """The sender's simple paths per supported length, enumerated once."""
+        path_sets = self._path_sets.get(sender)
+        if path_sets is None:
+            path_sets = {
+                length: self._topology.simple_paths(sender, length, self._max_paths)
+                for length in self._length_probs
+            }
+            self._path_sets[sender] = path_sets
+        return path_sets

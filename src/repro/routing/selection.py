@@ -181,9 +181,6 @@ class TopologyCyclePathSelector(NodeSelector):
     def __init__(self, topology: Topology) -> None:
         super().__init__(topology.n_nodes)
         self._topology = topology
-        self._neighbors = tuple(
-            topology.neighbors(node) for node in range(topology.n_nodes)
-        )
 
     @property
     def topology(self) -> Topology:
@@ -199,7 +196,7 @@ class TopologyCyclePathSelector(NodeSelector):
         intermediates: list[int] = []
         current = sender
         for _ in range(length):
-            neighbors = self._neighbors[current]
+            neighbors = self._topology.neighbors(current)
             current = neighbors[int(generator.integers(0, len(neighbors)))]
             intermediates.append(current)
         return ReroutingPath(sender=sender, intermediates=tuple(intermediates))

@@ -22,6 +22,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from repro.adversary.inference import observation_class_key
+from repro.adversary.observation import observation_from_path
 from repro.batch import (
     BatchMonteCarlo,
     ShardedBackend,
@@ -178,6 +180,127 @@ class TestTopologyObject:
 
 
 # ---------------------------------------------------------------------- #
+# Path enumeration against the recursive reference                        #
+# ---------------------------------------------------------------------- #
+
+
+def _adjacent(topology: Topology, node: int) -> list[int]:
+    return [other for other, bit in enumerate(topology.adjacency[node]) if bit]
+
+
+def reference_simple_paths(topology, start, length, max_paths=2_000_000):
+    """The recursive DFS that copies its visited set and prefix at every step."""
+    if length == 0:
+        return ((),)
+    paths = []
+
+    def extend(current, used, prefix):
+        if len(prefix) == length:
+            paths.append(prefix)
+            if len(paths) > max_paths:
+                raise ConfigurationError(
+                    f"more than {max_paths} simple paths of length {length} "
+                    f"from node {start} on topology {topology.spec}; reduce the "
+                    "system size or path length"
+                )
+            return
+        for node in _adjacent(topology, current):
+            if node not in used and node != start:
+                extend(node, used | {node}, prefix + (node,))
+
+    extend(start, set(), ())
+    return tuple(paths)
+
+
+def reference_walks(topology, start, length, max_paths=2_000_000):
+    """The generator DFS over adjacency rows, one prefix tuple per step."""
+    if length == 0:
+        yield ()
+        return
+    count = 0
+
+    def extend(current, prefix):
+        nonlocal count
+        if len(prefix) == length:
+            count += 1
+            if count > max_paths:
+                raise ConfigurationError(
+                    f"more than {max_paths} walks of length {length} from "
+                    f"node {start} on topology {topology.spec}; reduce the "
+                    "system size or path length"
+                )
+            yield prefix
+            return
+        for node in _adjacent(topology, current):
+            yield from extend(node, prefix + (node,))
+
+    yield from extend(start, ())
+
+
+#: Two 20-node graphs beside the six-node test graphs.
+LARGER = [Topology.from_spec(spec, 20) for spec in ("grid:4x5", "regular:3:1")]
+
+#: Every test graph with the simple-path and walk lengths to compare at.
+ENUMERATION_CASES = [
+    pytest.param(topology, range(topology.n_nodes), range(5), id=topology.spec)
+    for topology in TOPOLOGIES.values()
+] + [pytest.param(topology, range(7), range(7), id=topology.spec) for topology in LARGER]
+
+
+def _drain(iterator):
+    """Items an iterator yields before it raises, and the error message."""
+    items = []
+    with pytest.raises(ConfigurationError) as error:
+        for item in iterator:
+            items.append(item)
+    return items, str(error.value)
+
+
+class TestPathEnumeration:
+    @pytest.mark.parametrize(
+        "topology, path_lengths, walk_lengths", ENUMERATION_CASES
+    )
+    def test_paths_and_walks_equal_the_reference_in_order(
+        self, topology, path_lengths, walk_lengths
+    ):
+        for start in range(topology.n_nodes):
+            for length in path_lengths:
+                assert topology.simple_paths(start, length) == (
+                    reference_simple_paths(topology, start, length)
+                ), (topology.spec, start, length)
+            for length in walk_lengths:
+                assert tuple(topology.walks(start, length)) == tuple(
+                    reference_walks(topology, start, length)
+                ), (topology.spec, start, length)
+
+    @pytest.mark.parametrize("topology", LARGER, ids=lambda topology: topology.spec)
+    def test_max_paths_raises_at_the_same_count(self, topology):
+        exact = len(reference_simple_paths(topology, 0, 4))
+        assert len(topology.simple_paths(0, 4, max_paths=exact)) == exact
+        for max_paths in (0, 1, exact // 2, exact - 1):
+            with pytest.raises(ConfigurationError) as expected:
+                reference_simple_paths(topology, 0, 4, max_paths=max_paths)
+            with pytest.raises(ConfigurationError) as error:
+                topology.simple_paths(0, 4, max_paths=max_paths)
+            assert str(error.value) == str(expected.value)
+            assert _drain(topology.walks(0, 4, max_paths=max_paths)) == _drain(
+                reference_walks(topology, 0, 4, max_paths=max_paths)
+            )
+        walks = len(tuple(reference_walks(topology, 0, 4)))
+        assert len(tuple(topology.walks(0, 4, max_paths=walks))) == walks
+
+    @pytest.mark.parametrize(
+        "topology",
+        list(TOPOLOGIES.values()) + LARGER,
+        ids=lambda topology: topology.spec,
+    )
+    def test_degree_and_neighbors_match_the_adjacency_rows(self, topology):
+        for node, row in enumerate(topology.adjacency):
+            assert topology.neighbors(node) == tuple(_adjacent(topology, node))
+            assert topology.degree(node) == sum(row)
+
+
+# ---------------------------------------------------------------------- #
 # Exhaustive parity: the acceptance matrix                                #
 # ---------------------------------------------------------------------- #
 
@@ -208,6 +331,53 @@ class TestExhaustiveParity:
             assert engine.exact_degree() == pytest.approx(truth, abs=1e-10), (
                 f"{name} {path_model.value} {adversary.value} "
                 f"receiver={receiver} C={n_compromised}"
+            )
+
+    @pytest.mark.parametrize("name", sorted(TOPOLOGIES))
+    @pytest.mark.parametrize(
+        "path_model", [PathModel.SIMPLE, PathModel.CYCLE_ALLOWED]
+    )
+    def test_engine_classes_match_the_threat_model_everywhere(
+        self, name, path_model
+    ):
+        """Each outcome's engine class is the key its observation yields."""
+        topology = TOPOLOGIES[name]
+        strategy = _strategy(path_model)
+        law = TopologyPathLaw(
+            topology,
+            allow_cycles=path_model is PathModel.CYCLE_ALLOWED,
+            length_probs=dict(strategy.distribution.items()),
+        )
+        for adversary, receiver, n_compromised in itertools.product(
+            list(AdversaryModel), [True, False], [0, 1, 2]
+        ):
+            model = _model(
+                topology,
+                path_model,
+                n_compromised=n_compromised,
+                adversary=adversary,
+                receiver_compromised=receiver,
+            )
+            compromised = model.compromised_nodes()
+            engine = TopologyEngine(model, strategy, compromised)
+            keys = list(engine._table.joint)
+            setting = (name, adversary.value, receiver, n_compromised)
+            for sender in range(model.n_nodes):
+                outcomes = law.entries(sender)
+                first = int(engine._offsets[sender])
+                indices = range(first, first + len(outcomes))
+                assert engine._entry_lengths[indices].tolist() == [
+                    length for length, _, _ in outcomes
+                ], setting
+                for index, (_, path, _) in zip(indices, outcomes):
+                    observation = observation_from_path(
+                        sender, path, compromised, receiver_compromised=receiver
+                    )
+                    assert keys[engine._entry_keys[index]] == (
+                        observation_class_key(observation, adversary)
+                    ), setting
+            assert len(engine._entry_keys) == sum(
+                len(law.entries(sender)) for sender in range(model.n_nodes)
             )
 
     @pytest.mark.parametrize("name", sorted(TOPOLOGIES))
