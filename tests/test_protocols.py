@@ -9,6 +9,7 @@ respect the declared path model.
 from __future__ import annotations
 
 import collections
+import hashlib
 
 import numpy as np
 import pytest
@@ -200,3 +201,88 @@ class TestProtocolStrategyConsistency:
 
     def test_describe_includes_protocol_name(self):
         assert "Freedom" in FreedomProtocol(10).describe()
+
+
+def _tick(timestamp):
+    """A timestamp of the unit constant-latency clock, as the int it must be."""
+    assert timestamp == int(timestamp)
+    return int(timestamp)
+
+
+def draw_rows(protocol, n_compromised, n_messages=40, seed=11):
+    """One row of plain ints and tuples per message sent from one generator."""
+    model = SystemModel(n_nodes=protocol.n_nodes, n_compromised=n_compromised)
+    system = AnonymousCommunicationSystem(model=model, protocol=protocol)
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(n_messages):
+        sender = int(rng.integers(0, protocol.n_nodes))
+        outcome = system.send(sender, payload="x", rng=rng)
+        observation = outcome.observation
+        receiver = observation.receiver_report
+        rows.append((
+            sender,
+            tuple(int(node) for node in outcome.delivery.path),
+            _tick(outcome.delivery.delivered_at),
+            tuple(
+                (_tick(r.timestamp), int(r.node), int(r.predecessor),
+                 r.successor if isinstance(r.successor, str) else int(r.successor),
+                 r.position)
+                for r in observation.hop_reports
+            ),
+            None if receiver is None else (_tick(receiver.timestamp), int(receiver.predecessor)),
+            tuple(sorted(int(node) for node in observation.silent_compromised)),
+            observation.origin_node,
+        ))
+    return rows
+
+
+#: SHA-256 of ``repr(draw_rows(cls(12), C))``: every sender, delivered path,
+#: delivery time and observation field each protocol produces from seed 11 at
+#: N = 12.  A change that draws nothing must leave every digest as it is.
+#: Hordes shares Crowds' forward path and default coin, hence its digests.
+DRAW_DIGESTS = {
+    (AnonymizerProtocol, 1):
+        "4eff9a6bd4499769496178ee4da15cebeb5a8d3e426986875ecc6a867767187c",
+    (AnonymizerProtocol, 2):
+        "44c1a77f1b5f8dcb8ca8e337caa223b72093ce208d8bbb983778009e61ae31d7",
+    (CrowdsProtocol, 1):
+        "594e7677433ed563c686febe4bdbd1421286ea91c01c2054a0d9fcd0c9d8ff26",
+    (CrowdsProtocol, 2):
+        "f4f9c9da1777d31b5a05b5cfdca00b3e69af3d6db9fb1e1ead1b037532a9d24d",
+    (FreedomProtocol, 1):
+        "fc569088a1cff9bf43f50f9b6e2386e513671b2dd0ab394cb4e1f33ee1efbe7d",
+    (FreedomProtocol, 2):
+        "4dc64ad46afaa1940a3efb3a4d48f206eccd271b14d6120c54a1d05cef66d980",
+    (HordesProtocol, 1):
+        "594e7677433ed563c686febe4bdbd1421286ea91c01c2054a0d9fcd0c9d8ff26",
+    (HordesProtocol, 2):
+        "f4f9c9da1777d31b5a05b5cfdca00b3e69af3d6db9fb1e1ead1b037532a9d24d",
+    (OnionRoutingI, 1):
+        "671a5828a292dafd6ad82d45e7cbb5abcb5b29e08fdf1120097b187d2349feba",
+    (OnionRoutingI, 2):
+        "a3ab741601dde01aa9cfd06658daa2e8b6cd7411d8b98ea047b90e7d970da4af",
+    (OnionRoutingII, 1):
+        "247dc429527cf7400cf4cbca044cce28425bf19670c61abd04f679e2d1016c0f",
+    (OnionRoutingII, 2):
+        "1cbe5641fd012bc380d90ef84fb57e29659b022d06d20b3636c5e142691c14c4",
+    (PipeNetProtocol, 1):
+        "c1a9eef8742ffec89dbfae4c82947257c2c0ef63e4d0bf92af420320594dd71e",
+    (PipeNetProtocol, 2):
+        "5b3e3430d1c3c94f5a67cd307a56bcbba6c65478ee9fa433047fdd5a1e99cf3d",
+    (RemailerChainProtocol, 1):
+        "33b96b44ff2048a4f0ce31becbb8ae72135e591916f04fe431bf0e06bcb9dec9",
+    (RemailerChainProtocol, 2):
+        "1a0aa16d733733da7318afb28764473dd7f590a9a4e69049a05ffc369be51336",
+}
+
+
+@pytest.mark.parametrize(
+    "protocol_class,n_compromised",
+    sorted(DRAW_DIGESTS, key=lambda key: (key[0].__name__, key[1])),
+    ids=lambda value: getattr(value, "__name__", f"C{value}"),
+)
+def test_seeded_draws_are_pinned(protocol_class, n_compromised):
+    rows = draw_rows(protocol_class(12), n_compromised)
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == DRAW_DIGESTS[protocol_class, n_compromised], rows[:3]
