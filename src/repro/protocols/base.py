@@ -25,7 +25,7 @@ import abc
 from typing import Any
 
 from repro.crypto.keys import KeyDirectory
-from repro.exceptions import ProtocolError
+from repro.exceptions import ConfigurationError, ProtocolError
 from repro.network.message import Message
 from repro.routing.path import ReroutingPath
 from repro.routing.strategies import PathSelectionStrategy
@@ -46,7 +46,7 @@ class ReroutingProtocol(abc.ABC):
 
     def __init__(self, n_nodes: int, key_directory: KeyDirectory | None = None) -> None:
         if n_nodes < 2:
-            raise ProtocolError(f"{self.name} needs at least two nodes, got {n_nodes}")
+            raise ConfigurationError(f"{self.name} needs at least two nodes, got {n_nodes}")
         self._n_nodes = n_nodes
         self._keys = key_directory or KeyDirectory.generate(n_nodes)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from repro.core.model import PathModel
 from repro.distributions import FixedLength, UniformLength
-from repro.exceptions import ProtocolError
+from repro.exceptions import ConfigurationError
 from repro.protocols.base import SourceRoutedProtocol
 from repro.routing.strategies import PathSelectionStrategy
 from repro.utils.validation import check_range
@@ -35,7 +35,7 @@ class RemailerChainProtocol(SourceRoutedProtocol):
         super().__init__(n_nodes, key_directory)
         min_chain, max_chain = check_range(min_chain, max_chain, "min_chain", "max_chain")
         if max_chain > n_nodes - 1:
-            raise ProtocolError(
+            raise ConfigurationError(
                 f"a chain of {max_chain} remailers is impossible with only "
                 f"{n_nodes} nodes"
             )

@@ -29,10 +29,10 @@ from repro.batch.backends import estimate_anonymity
 from repro.core.model import SystemModel
 from repro.core.results import IDENTIFIED_THRESHOLD, MonteCarloReport, summarize_samples
 from repro.distributions.base import PathLengthDistribution
-from repro.exceptions import ConfigurationError
 from repro.routing.strategies import PathSelectionStrategy
 from repro.simulation.engine import AnonymousCommunicationSystem
 from repro.utils.rng import RandomSource, ensure_rng
+from repro.utils.validation import check_positive_int
 
 __all__ = [
     "StrategyMonteCarlo",
@@ -61,8 +61,7 @@ class StrategyMonteCarlo:
 
     def run(self, n_trials: int, rng: RandomSource = None) -> MonteCarloReport:
         """Run ``n_trials`` independent single-message experiments."""
-        if n_trials < 1:
-            raise ConfigurationError("n_trials must be >= 1")
+        n_trials = check_positive_int(n_trials, "n_trials")
         generator = ensure_rng(rng)
         distribution = self.strategy.effective_distribution(self.model.n_nodes)
         # The inference engine keys its path-counting rules off the model's
@@ -145,8 +144,7 @@ class ProtocolMonteCarlo:
 
     def run(self, n_trials: int, rng: RandomSource = None) -> MonteCarloReport:
         """Run ``n_trials`` end-to-end transmissions and score each observation."""
-        if n_trials < 1:
-            raise ConfigurationError("n_trials must be >= 1")
+        n_trials = check_positive_int(n_trials, "n_trials")
         generator = ensure_rng(rng)
 
         probe_protocol = self.protocol_factory()

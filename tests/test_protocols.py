@@ -46,6 +46,21 @@ def run_protocol(protocol, n_messages=60, n_nodes=None, n_compromised=1, seed=3)
     return paths
 
 
+#: The protocols whose sender fixes the whole route at origination.
+ROUTED = pytest.mark.parametrize(
+    "protocol_class",
+    [
+        AnonymizerProtocol,
+        FreedomProtocol,
+        OnionRoutingI,
+        OnionRoutingII,
+        PipeNetProtocol,
+        RemailerChainProtocol,
+    ],
+    ids=lambda protocol_class: protocol_class.__name__,
+)
+
+
 class TestSourceRoutedProtocols:
     @pytest.mark.parametrize(
         "factory,expected_length",
@@ -84,12 +99,31 @@ class TestSourceRoutedProtocols:
         outcome = system.send(4, payload={"query": "page"}, rng=1)
         assert outcome.message.payload == {"query": "page"}
 
-    def test_forward_rejects_wrong_node(self):
-        protocol = FreedomProtocol(10)
+    @ROUTED
+    def test_forward_rejects_wrong_node(self, protocol_class):
+        protocol = protocol_class(10)
         message = protocol.originate(0, "x", rng=1)
         wrong_node = (message.route[0] + 1) % 10
         with pytest.raises(ProtocolError):
             protocol.forward(wrong_node, message, rng=1)
+
+    @ROUTED
+    def test_forward_rejects_an_exhausted_route(self, protocol_class):
+        protocol = protocol_class(10)
+        message = protocol.originate(0, "x", rng=1)
+        first_hop = message.route[0]
+        message.route.clear()
+        with pytest.raises(ProtocolError):
+            protocol.forward(first_hop, message, rng=1)
+
+    @ROUTED
+    def test_delivered_path_is_the_originated_route(self, protocol_class):
+        model = SystemModel(n_nodes=12, n_compromised=1)
+        system = AnonymousCommunicationSystem(model=model, protocol=protocol_class(12))
+        rng = np.random.default_rng(6)
+        for sender in range(12):
+            outcome = system.send(sender, rng=rng)
+            assert outcome.delivery.path == tuple(outcome.message.route)
 
     def test_strategies_report_correct_distributions(self):
         assert OnionRoutingI(10).strategy().distribution == FixedLength(5)

@@ -701,6 +701,16 @@ class TestCLIHardening:
         assert main(["batch", "--n", "12", "--trials", "100", "--workers", "2"]) == 2
         assert "--workers/--shards only apply" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["simulate", "--n", "1"], ["simulate", "--n", "4", "--protocol", "remailer"]],
+    )
+    def test_infeasible_simulate_protocol_is_a_one_liner(self, argv, capsys):
+        # Too few nodes for any route, or for the remailer's longest chain.
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+
 
 class TestTrajectoryReplay:
     """Cache hits replay the full convergence trajectory bit-identically —

@@ -161,12 +161,6 @@ class TestStrategyMonteCarlo:
         assert report.n_trials == 100
         assert 0.0 <= report.degree_bits <= model.max_entropy
 
-    def test_invalid_trial_count(self):
-        model = SystemModel(n_nodes=10, n_compromised=1)
-        strategy = PathSelectionStrategy("F(2)", FixedLength(2))
-        with pytest.raises(ConfigurationError):
-            StrategyMonteCarlo(model, strategy).run(0)
-
 
 class TestProtocolMonteCarlo:
     def test_freedom_matches_closed_form(self):
@@ -197,6 +191,21 @@ class TestProtocolMonteCarlo:
         experiment = ProtocolMonteCarlo(model, lambda: FreedomProtocol(15), reuse_system=True)
         report = experiment.run(50, rng=2)
         assert report.n_trials == 50
+
+
+@pytest.mark.parametrize("n_trials", [0, 2.5, True])
+@pytest.mark.parametrize(
+    "experiment",
+    [
+        lambda model: StrategyMonteCarlo(model, PathSelectionStrategy("F(2)", FixedLength(2))),
+        lambda model: ProtocolMonteCarlo(model, lambda: FreedomProtocol(10)),
+    ],
+    ids=["strategy", "protocol"],
+)
+def test_invalid_trial_count(experiment, n_trials):
+    model = SystemModel(n_nodes=10, n_compromised=1)
+    with pytest.raises(ConfigurationError):
+        experiment(model).run(n_trials)
 
 
 class TestSummaries:
