@@ -12,7 +12,7 @@ these experiments exercise it:
 * ``protocol_comparison`` — ranking of the deployed systems surveyed in
   Section 2 by the anonymity degree of their path-length strategies;
 * ``simulation_validation`` — the discrete-event simulator (real protocols,
-  real onion envelopes, real adversary agents) reproduces the closed-form
+  real message passing, real adversary agents) reproduces the closed-form
   anonymity degree within Monte-Carlo confidence intervals;
 * ``predecessor_attack_rounds`` — how quickly repeated path formation (the
   predecessor attack of Wright et al., the paper's reference [23]) erodes the

@@ -2,11 +2,10 @@
 
 A :class:`Message` models the unit of traffic at the transport layer: an
 opaque payload plus the minimal routing state needed by the rerouting
-protocols (the remaining route for source-routed systems such as Onion
+protocols (the whole route for source-routed systems such as Onion
 Routing and Freedom, or nothing at all for hop-by-hop systems such as
-Crowds).  Payloads may be wrapped in the toy layered encryption from
-:mod:`repro.crypto` so that each hop only learns its immediate neighbours,
-mirroring the real systems' message formats.
+Crowds).  The payload travels as given: the simulator assumes perfect
+cryptography, as the paper's adversary model does.
 """
 
 from __future__ import annotations
@@ -34,11 +33,10 @@ class Message:
         Identity of the originating node.
     payload:
         Application payload (opaque to the library).
-    onion:
-        Optional layered-encryption envelope (see :mod:`repro.crypto.onion`).
     route:
-        For source-routed protocols, the remaining intermediate nodes to
-        traverse; hop-by-hop protocols leave it empty and decide dynamically.
+        For source-routed protocols, every intermediate node the sender chose,
+        in order (``metadata["route_position"]`` counts the hops done);
+        hop-by-hop protocols leave it empty and decide dynamically.
     hops_taken:
         The intermediate nodes traversed so far (filled in by the simulator).
     metadata:
@@ -47,7 +45,6 @@ class Message:
 
     sender: int
     payload: Any = None
-    onion: Any = None
     route: list[int] = field(default_factory=list)
     hops_taken: list[int] = field(default_factory=list)
     metadata: dict[str, Any] = field(default_factory=dict)

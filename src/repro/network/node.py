@@ -4,8 +4,8 @@ A :class:`Node` is one of the ``N`` participants of the paper's system model.
 Nodes are deliberately thin: protocol behaviour lives in
 :mod:`repro.protocols`, and the adversary's agents live in
 :mod:`repro.adversary.collector`.  A node knows its identity, whether it has
-been compromised, its cryptographic key (for the toy onion encryption), and
-simple traffic counters that the analysis modules can inspect.
+been compromised, and simple traffic counters that the analysis modules can
+inspect.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ class Node:
 
     node_id: int
     compromised: bool = False
-    #: Symmetric key used by the toy layered-encryption substrate.
-    key: bytes | None = None
     #: Number of messages this node has originated.
     sent_count: int = 0
     #: Number of messages this node has forwarded on behalf of others.

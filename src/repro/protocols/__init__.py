@@ -3,16 +3,8 @@
 from repro.protocols.anonymizer import AnonymizerProtocol
 from repro.protocols.base import DELIVER, ReroutingProtocol, SourceRoutedProtocol
 from repro.protocols.crowds import CrowdsProtocol
-from repro.protocols.dcnet import DCNet, DCNetRound
 from repro.protocols.freedom import FreedomProtocol
 from repro.protocols.hordes import HordesProtocol
-from repro.protocols.mixnet import (
-    FreeRouteMixProtocol,
-    MixCascadeProtocol,
-    PoolMix,
-    ThresholdMix,
-    TimedMix,
-)
 from repro.protocols.onion_routing import OnionRoutingI, OnionRoutingII
 from repro.protocols.pipenet import PipeNetProtocol
 from repro.protocols.remailer import RemailerChainProtocol
@@ -29,11 +21,4 @@ __all__ = [
     "OnionRoutingI",
     "OnionRoutingII",
     "RemailerChainProtocol",
-    "MixCascadeProtocol",
-    "FreeRouteMixProtocol",
-    "ThresholdMix",
-    "TimedMix",
-    "PoolMix",
-    "DCNet",
-    "DCNetRound",
 ]

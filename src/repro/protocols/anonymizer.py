@@ -40,9 +40,8 @@ class AnonymizerProtocol(ReroutingProtocol):
         self,
         n_nodes: int,
         dedicated_proxy: int | None = None,
-        key_directory=None,
     ) -> None:
-        super().__init__(n_nodes, key_directory)
+        super().__init__(n_nodes)
         if dedicated_proxy is not None and not 0 <= dedicated_proxy < n_nodes:
             raise ProtocolError(
                 f"dedicated proxy {dedicated_proxy} outside the node range [0, {n_nodes})"

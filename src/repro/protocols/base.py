@@ -8,8 +8,7 @@ rerouting path is selected*.  The protocol classes in this subpackage
 therefore expose two complementary faces:
 
 * an **operational** face used by the discrete-event simulator: originate a
-  message (wrapping it in layered encryption where the real system does) and
-  decide, hop by hop, where it goes next;
+  message and decide, hop by hop, where it goes next;
 * an **analytical** face used by the experiments: the
   :class:`~repro.routing.strategies.PathSelectionStrategy` that the protocol's
   routing behaviour induces, which is what the paper's anonymity-degree
@@ -17,6 +16,8 @@ therefore expose two complementary faces:
 
 Tests assert that the two faces agree: the empirical path-length distribution
 produced by the operational implementation matches the analytical strategy.
+Like the paper's adversary model, the simulator assumes perfect cryptography:
+a message carries its route and payload as they are, and no hop encrypts.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from __future__ import annotations
 import abc
 from typing import Any
 
-from repro.crypto.keys import KeyDirectory
 from repro.exceptions import ConfigurationError, ProtocolError
 from repro.network.message import Message
 from repro.routing.path import ReroutingPath
@@ -44,11 +44,10 @@ class ReroutingProtocol(abc.ABC):
     #: Human-readable protocol name (overridden by subclasses).
     name: str = "abstract-rerouting-protocol"
 
-    def __init__(self, n_nodes: int, key_directory: KeyDirectory | None = None) -> None:
+    def __init__(self, n_nodes: int) -> None:
         if n_nodes < 2:
             raise ConfigurationError(f"{self.name} needs at least two nodes, got {n_nodes}")
         self._n_nodes = n_nodes
-        self._keys = key_directory or KeyDirectory.generate(n_nodes)
 
     # ------------------------------------------------------------------ #
     # Analytical face                                                     #
@@ -58,11 +57,6 @@ class ReroutingProtocol(abc.ABC):
     def n_nodes(self) -> int:
         """Number of participating nodes."""
         return self._n_nodes
-
-    @property
-    def key_directory(self) -> KeyDirectory:
-        """Directory of per-node keys used by layered encryption."""
-        return self._keys
 
     @abc.abstractmethod
     def strategy(self) -> PathSelectionStrategy:
@@ -113,26 +107,14 @@ class SourceRoutedProtocol(ReroutingProtocol):
     """Common behaviour for protocols whose sender picks the whole route.
 
     Onion Routing, Freedom, PipeNet, and remailer chains all build the entire
-    route at the sender and wrap the payload in one encryption layer per hop.
-    Subclasses only need to provide the path-selection strategy; origination
-    and forwarding are implemented here once, on top of the onion substrate.
+    route at the sender.  Subclasses only need to provide the path-selection
+    strategy; origination and forwarding are implemented here once.
     """
 
-    #: Whether to build real layered envelopes.  Disabling them speeds up very
-    #: large Monte-Carlo runs without changing any routing behaviour.
-    use_onion_encryption: bool = True
-
     def originate(self, sender: int, payload: Any, rng: RandomSource = None) -> Message:
-        generator = ensure_rng(rng)
-        path = self.build_path(sender, generator)
+        path = self.build_path(sender, rng)
         message = Message(sender=sender, payload=payload, route=list(path.intermediates))
         message.metadata["route_position"] = 0
-        if path.length == 0:
-            return message
-        if self.use_onion_encryption:
-            from repro.crypto.onion import build_onion
-
-            message.onion = build_onion(list(path.intermediates), payload, self._keys)
         return message
 
     def forward(self, node: int, message: Message, rng: RandomSource = None) -> int | str:
@@ -147,21 +129,6 @@ class SourceRoutedProtocol(ReroutingProtocol):
                 f"message {message.message_id}"
             )
         message.metadata["route_position"] = position + 1
-        if self.use_onion_encryption and message.onion is not None:
-            from repro.crypto.onion import peel_layer
-
-            envelope = (
-                message.onion.envelope
-                if hasattr(message.onion, "envelope")
-                else message.onion
-            )
-            layer = peel_layer(node, envelope, self._keys)
-            message.onion = layer.remaining if layer.next_hop is not None else None
-            if layer.next_hop is None:
-                message.payload = layer.payload
-                return DELIVER
-            return layer.next_hop
-        # Plain source routing without envelopes.
         if position + 1 < len(message.route):
             return message.route[position + 1]
         return DELIVER

@@ -40,9 +40,8 @@ class CrowdsProtocol(ReroutingProtocol):
         n_nodes: int,
         p_forward: float = 0.75,
         static_paths: bool = False,
-        key_directory=None,
     ) -> None:
-        super().__init__(n_nodes, key_directory)
+        super().__init__(n_nodes)
         self._p_forward = check_probability(p_forward, "p_forward")
         if self._p_forward >= 1.0:
             raise ProtocolError(

@@ -24,8 +24,8 @@ class FreedomProtocol(SourceRoutedProtocol):
 
     name = "Freedom"
 
-    def __init__(self, n_nodes: int, route_length: int = 3, key_directory=None) -> None:
-        super().__init__(n_nodes, key_directory)
+    def __init__(self, n_nodes: int, route_length: int = 3) -> None:
+        super().__init__(n_nodes)
         check_non_negative_int(route_length, "route_length")
         self._route_length = route_length
 

@@ -30,9 +30,8 @@ class HordesProtocol(CrowdsProtocol):
         n_nodes: int,
         p_forward: float = 0.75,
         multicast_group_size: int = 8,
-        key_directory=None,
     ) -> None:
-        super().__init__(n_nodes, p_forward=p_forward, static_paths=False, key_directory=key_directory)
+        super().__init__(n_nodes, p_forward=p_forward, static_paths=False)
         self._multicast_group_size = min(multicast_group_size, n_nodes)
 
     @property

@@ -29,8 +29,8 @@ class OnionRoutingI(SourceRoutedProtocol):
 
     name = "Onion Routing I"
 
-    def __init__(self, n_nodes: int, route_length: int = 5, key_directory=None) -> None:
-        super().__init__(n_nodes, key_directory)
+    def __init__(self, n_nodes: int, route_length: int = 5) -> None:
+        super().__init__(n_nodes)
         check_non_negative_int(route_length, "route_length")
         self._route_length = route_length
 
@@ -57,9 +57,8 @@ class OnionRoutingII(SourceRoutedProtocol):
         n_nodes: int,
         p_forward: float = 0.5,
         minimum_hops: int = 1,
-        key_directory=None,
     ) -> None:
-        super().__init__(n_nodes, key_directory)
+        super().__init__(n_nodes)
         self._p_forward = check_probability(p_forward, "p_forward")
         self._minimum_hops = check_non_negative_int(minimum_hops, "minimum_hops")
 

@@ -28,9 +28,8 @@ class PipeNetProtocol(SourceRoutedProtocol):
         self,
         n_nodes: int,
         p_three_hops: float = 0.5,
-        key_directory=None,
     ) -> None:
-        super().__init__(n_nodes, key_directory)
+        super().__init__(n_nodes)
         self._p_three_hops = check_probability(p_three_hops, "p_three_hops")
 
     @property

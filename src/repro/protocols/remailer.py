@@ -4,8 +4,7 @@ Anonymous remailers provide email sender anonymity by relaying a message
 through a user-chosen chain of remailer nodes, each of which strips the
 incoming headers before forwarding.  The chain length is chosen by the user;
 deployments commonly recommend two to five remailers, modelled here as a
-uniform choice over a configurable interval.  Messages are wrapped in one
-encryption layer per remailer exactly like onions.
+uniform choice over a configurable interval.
 """
 
 from __future__ import annotations
@@ -30,9 +29,8 @@ class RemailerChainProtocol(SourceRoutedProtocol):
         n_nodes: int,
         min_chain: int = 2,
         max_chain: int = 5,
-        key_directory=None,
     ) -> None:
-        super().__init__(n_nodes, key_directory)
+        super().__init__(n_nodes)
         min_chain, max_chain = check_range(min_chain, max_chain, "min_chain", "max_chain")
         if max_chain > n_nodes - 1:
             raise ConfigurationError(

@@ -4,9 +4,9 @@
 runnable system: the node registry, the transport over the model's topology
 (with its latency model), the adversary coordinator with agents at the
 compromised nodes and at the receiver, and a rerouting protocol.  Calling
-:meth:`send` pushes a real message through the system hop by hop — building
-and peeling onion layers where the protocol uses them — while the adversary's
-agents record exactly the tuples prescribed by the paper's threat model.
+:meth:`send` pushes a real message through the system hop by hop while the
+adversary's agents record exactly the tuples prescribed by the paper's threat
+model.
 
 The engine is the integration point that lets the reproduction check its
 analytical results against "running code": the Monte-Carlo experiments in

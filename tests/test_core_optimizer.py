@@ -391,8 +391,7 @@ with EstimationService(cache_dir=sys.argv[1]) as service:
     )
 with EstimationService(cache_dir=sys.argv[1]) as service:
     assert service.estimate(request()).from_cache
-simulator = ("networkx", "repro.network", "repro.protocols", "repro.crypto",
-             "repro.simulation.engine")
+simulator = ("networkx", "repro.network", "repro.protocols", "repro.simulation.engine")
 print(sorted(
     name for name in sys.modules
     if any(name == root or name.startswith(root + ".") for root in simulator)

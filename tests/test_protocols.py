@@ -21,9 +21,7 @@ from repro.protocols import (
     AnonymizerProtocol,
     CrowdsProtocol,
     FreedomProtocol,
-    FreeRouteMixProtocol,
     HordesProtocol,
-    MixCascadeProtocol,
     OnionRoutingI,
     OnionRoutingII,
     PipeNetProtocol,
@@ -46,19 +44,32 @@ def run_protocol(protocol, n_messages=60, n_nodes=None, n_compromised=1, seed=3)
     return paths
 
 
+def _by_class(classes):
+    return pytest.mark.parametrize(
+        "protocol_class", classes, ids=lambda protocol_class: protocol_class.__name__
+    )
+
+
 #: The protocols whose sender fixes the whole route at origination.
-ROUTED = pytest.mark.parametrize(
-    "protocol_class",
-    [
-        AnonymizerProtocol,
-        FreedomProtocol,
-        OnionRoutingI,
-        OnionRoutingII,
-        PipeNetProtocol,
-        RemailerChainProtocol,
-    ],
-    ids=lambda protocol_class: protocol_class.__name__,
-)
+ROUTED = _by_class([
+    AnonymizerProtocol,
+    FreedomProtocol,
+    OnionRoutingI,
+    OnionRoutingII,
+    PipeNetProtocol,
+    RemailerChainProtocol,
+])
+#: Every protocol the simulator runs.
+EVERY = _by_class([
+    AnonymizerProtocol,
+    CrowdsProtocol,
+    FreedomProtocol,
+    HordesProtocol,
+    OnionRoutingI,
+    OnionRoutingII,
+    PipeNetProtocol,
+    RemailerChainProtocol,
+])
 
 
 class TestSourceRoutedProtocols:
@@ -93,11 +104,13 @@ class TestSourceRoutedProtocols:
         assert len(set(lengths)) > 1
         assert np.mean(lengths) == pytest.approx(2.0, abs=0.6)
 
-    def test_payload_is_delivered_through_the_onion(self):
+    @EVERY
+    def test_payload_is_delivered_unchanged(self, protocol_class):
         model = SystemModel(n_nodes=12, n_compromised=1)
-        system = AnonymousCommunicationSystem(model=model, protocol=OnionRoutingI(12))
-        outcome = system.send(4, payload={"query": "page"}, rng=1)
-        assert outcome.message.payload == {"query": "page"}
+        system = AnonymousCommunicationSystem(model=model, protocol=protocol_class(12))
+        payload = b"GET /page"
+        outcome = system.send(4, payload=payload, rng=1)
+        assert outcome.message.payload is payload
 
     @ROUTED
     def test_forward_rejects_wrong_node(self, protocol_class):
@@ -183,32 +196,6 @@ class TestCrowds:
         assert protocol.strategy().path_model is PathModel.CYCLE_ALLOWED
 
 
-class TestMixProtocols:
-    def test_cascade_follows_fixed_sequence(self):
-        cascade = (2, 5, 8)
-        protocol = MixCascadeProtocol(12, cascade=cascade)
-        for sender, path in run_protocol(protocol, n_messages=25):
-            if sender not in cascade:
-                assert path == cascade
-
-    def test_cascade_validation(self):
-        with pytest.raises(ProtocolError):
-            MixCascadeProtocol(10, cascade=())
-        with pytest.raises(ProtocolError):
-            MixCascadeProtocol(10, cascade=(1, 1))
-        with pytest.raises(ProtocolError):
-            MixCascadeProtocol(10, cascade=(1, 99))
-
-    def test_free_route_lengths_within_bounds(self):
-        protocol = FreeRouteMixProtocol(15, min_hops=2, max_hops=4)
-        lengths = {len(path) for _, path in run_protocol(protocol, n_messages=60)}
-        assert lengths.issubset({2, 3, 4})
-
-    def test_free_route_bounds_validated(self):
-        with pytest.raises(ProtocolError):
-            FreeRouteMixProtocol(5, min_hops=2, max_hops=6)
-
-
 class TestProtocolStrategyConsistency:
     @pytest.mark.parametrize(
         "factory",
@@ -217,7 +204,6 @@ class TestProtocolStrategyConsistency:
             lambda: FreedomProtocol(18),
             lambda: PipeNetProtocol(18),
             lambda: RemailerChainProtocol(18, 2, 5),
-            lambda: FreeRouteMixProtocol(18, 2, 5),
         ],
     )
     def test_operational_lengths_match_declared_distribution(self, factory):
