@@ -4,8 +4,7 @@ A :class:`Message` models the unit of traffic at the transport layer: an
 opaque payload plus the minimal routing state needed by the rerouting
 protocols (the whole route for source-routed systems such as Onion
 Routing and Freedom, or nothing at all for hop-by-hop systems such as
-Crowds).  The payload travels as given: the simulator assumes perfect
-cryptography, as the paper's adversary model does.
+Crowds).  The payload travels as given; no hop encrypts it.
 """
 
 from __future__ import annotations
