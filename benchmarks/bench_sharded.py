@@ -28,6 +28,16 @@ The measurement writes a machine-readable ``BENCH_sharded.json`` record (see
 where process spawn overhead is comparable to compute, so the record is
 written but the 2x floor is not asserted.
 
+A second case records the adaptive regime, where blocks are small and the
+pool spawn and engine construction weigh as much as sampling: one adaptive
+estimate at N = 100, C = 3 and precision 0.003 (0.01 under ``--smoke``),
+for U(2,8) and U(1,20), through ``batch`` and through a fresh 2-worker
+``sharded`` pool, spawn included.  Both start from an empty engine cache,
+as a fresh ``repro-anon estimate`` process does.  The totals over both rows
+land in the record as ``adaptive_batch_seconds`` and
+``adaptive_sharded_seconds``, a trend with no floor: the target is
+``sharded`` no slower than ``batch``.
+
 Run with::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_sharded.py -q -s
@@ -39,12 +49,14 @@ import os
 import time
 
 import pytest
-from perf_record import write_record
+from perf_record import update_record, write_record
 
-from repro.batch import BatchMonteCarlo, ShardedBackend
+from repro.batch import BatchMonteCarlo, ShardedBackend, get_backend
+from repro.batch.engine import clear_engine_cache
 from repro.core.model import PathModel, SystemModel
 from repro.distributions import UniformLength
 from repro.routing.strategies import PathSelectionStrategy
+from repro.service.adaptive import AdaptiveScheduler
 
 #: The workload: a multi-compromised model on the cycle engine.
 N_NODES = 30
@@ -55,6 +67,15 @@ SMOKE_TRIALS = 400_000
 WORKERS = 4
 #: Acceptance floor for the 4-worker pool over the single-process run.
 MIN_SPEEDUP = 2.0
+
+#: The adaptive case: simple paths, N=100, three compromised nodes.
+ADAPTIVE_N_NODES = 100
+ADAPTIVE_N_COMPROMISED = 3
+ADAPTIVE_DISTRIBUTIONS = (UniformLength(2, 8), UniformLength(1, 20))
+ADAPTIVE_PRECISION = 0.003
+SMOKE_ADAPTIVE_PRECISION = 0.01
+ADAPTIVE_SEED = 1
+ADAPTIVE_WORKERS = 2
 
 
 def _workload():
@@ -144,4 +165,53 @@ def test_sharded_speedup_floor(smoke):
     assert speedup >= MIN_SPEEDUP, (
         f"sharded backend reached only {speedup:.2f}x over single-process "
         f"batch; the floor at {WORKERS} workers is {MIN_SPEEDUP}x"
+    )
+
+
+def _adaptive_seconds(backend, model, strategy, precision) -> tuple[float, float]:
+    """Wall time and estimate of one adaptive run from an empty engine cache."""
+    clear_engine_cache()
+    started = time.perf_counter()
+    run = AdaptiveScheduler(backend=backend, precision=precision).run(
+        model, strategy, rng=ADAPTIVE_SEED
+    )
+    return time.perf_counter() - started, run.report.degree_bits
+
+
+def test_adaptive_sharded_against_batch(smoke):
+    """Record adaptive ``sharded`` (pool spawn included) against adaptive ``batch``."""
+    precision = SMOKE_ADAPTIVE_PRECISION if smoke else ADAPTIVE_PRECISION
+    model = SystemModel(n_nodes=ADAPTIVE_N_NODES, n_compromised=ADAPTIVE_N_COMPROMISED)
+    batch_total = sharded_total = 0.0
+    print()
+    for distribution in ADAPTIVE_DISTRIBUTIONS:
+        strategy = PathSelectionStrategy(distribution.name, distribution)
+        batch_seconds, batch_bits = _adaptive_seconds(
+            get_backend("batch"), model, strategy, precision
+        )
+        with ShardedBackend(workers=ADAPTIVE_WORKERS, shards=ADAPTIVE_WORKERS) as backend:
+            sharded_seconds, sharded_bits = _adaptive_seconds(
+                backend, model, strategy, precision
+            )
+        print(f"adaptive {distribution.name}: batch {batch_seconds:6.3f}s "
+              f"({batch_bits:.4f} bits), sharded {sharded_seconds:6.3f}s "
+              f"({sharded_bits:.4f} bits)")
+        batch_total += batch_seconds
+        sharded_total += sharded_seconds
+        # Both runs stop at the precision target, so they agree within it.
+        assert abs(batch_bits - sharded_bits) <= 4 * precision
+
+    update_record(
+        "sharded",
+        smoke=smoke,
+        config={
+            "adaptive_n_nodes": ADAPTIVE_N_NODES,
+            "adaptive_n_compromised": ADAPTIVE_N_COMPROMISED,
+            "adaptive_distributions": [d.name for d in ADAPTIVE_DISTRIBUTIONS],
+            "adaptive_precision": precision,
+            "adaptive_workers": ADAPTIVE_WORKERS,
+            "adaptive_shards": ADAPTIVE_WORKERS,
+        },
+        adaptive_batch_seconds=round(batch_total, 3),
+        adaptive_sharded_seconds=round(sharded_total, 3),
     )

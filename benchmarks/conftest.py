@@ -14,6 +14,18 @@ from __future__ import annotations
 
 import pytest
 
+from repro.batch.engine import clear_engine_cache
+
+
+@pytest.fixture(autouse=True)
+def _cold_engine_cache() -> None:
+    """Start every benchmark from an empty engine cache.
+
+    Engines are shared per process, so without this a benchmark that times a
+    cold estimate would time one warmed by an earlier benchmark.
+    """
+    clear_engine_cache()
+
 
 def pytest_addoption(parser):
     """``--smoke``: reduced workloads for the CI smoke job.

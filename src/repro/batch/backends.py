@@ -153,8 +153,10 @@ class BatchBackend(EstimatorBackend):
         """Bind one kernel for block accumulation (the adaptive-service hook).
 
         Returns a callable ``(n_trials, rng) -> BatchAccumulator``.  The
-        kernel — including its exact per-class score table — is built once
-        here and reused across every block of an adaptive run.
+        kernel — including its exact per-class score table — comes from the
+        process-wide engine cache (:func:`~repro.batch.engine.shared_engine`),
+        so it is built once per configuration per process and reused across
+        every block of an adaptive run and by later requests.
         """
         return BatchMonteCarlo(model, strategy).run_accumulate
 

@@ -39,11 +39,16 @@ from dataclasses import dataclass, field
 # simple-path engines that repro.batch.engine registers at import.
 import repro.batch.cycleengine  # noqa: F401  (registration side effect)
 import repro.batch.topoengine  # noqa: F401  (registration side effect)
-from repro.batch.engine import BatchAccumulator, TrialEngine, select_engine
+from repro.batch.engine import (
+    BatchAccumulator,
+    TrialEngine,
+    select_engine,
+    shared_engine,
+)
 from repro.core.model import SystemModel
 from repro.distributions.base import PathLengthDistribution
 from repro.routing.strategies import PathSelectionStrategy
-from repro.telemetry.tracing import trace_span
+from repro.telemetry.metrics import get_registry
 from repro.utils.rng import RandomSource
 
 __all__ = ["BatchMonteCarlo", "BatchAccumulator"]
@@ -71,6 +76,12 @@ class BatchMonteCarlo:
       :mod:`repro.batch.topoengine`.
 
     All engines sample only observations; posteriors are always exact.
+
+    The engine comes from the process-wide cache of
+    :func:`~repro.batch.engine.shared_engine`, so estimators of one
+    configuration share one engine and its class prices.  With telemetry
+    active, construction counts into ``engine_builds_total`` on a cache miss
+    and ``engine_reuses_total`` on a hit, labelled by engine.
     """
 
     model: SystemModel
@@ -84,15 +95,15 @@ class BatchMonteCarlo:
             self.compromised = self.model.compromised_nodes()
         self.compromised = frozenset(self.compromised)
         # Identity-range validation happens in TrialEngine.__init__, which
-        # every selected engine runs during construction below.
+        # every selected engine runs when it is first built.
         factory = select_engine(self.model, self.strategy, self.compromised)
-        name = getattr(factory, "name", type(factory).__name__)
-        with trace_span("engine.construct", engine=name):
-            self._engine = factory(
-                model=self.model,
-                strategy=self.strategy,
-                compromised=self.compromised,
-            )
+        self._engine, reused = shared_engine(
+            factory, self.model, self.strategy, self.compromised
+        )
+        telemetry = get_registry()
+        if telemetry.enabled:
+            metric = "engine_reuses_total" if reused else "engine_builds_total"
+            telemetry.counter(metric, engine=self._engine.name).inc()
 
     # ------------------------------------------------------------------ #
     # Estimation                                                          #

@@ -30,7 +30,10 @@ results independent of the machine's parallelism.
 Workers are started with the ``spawn`` method (never ``fork``), so the backend
 is safe under threaded parents and behaves identically across platforms; the
 worker entry point is a module-level function whose payload is just the
-(picklable) model, strategy, trial count, sub-seed, and engine class.
+(picklable) model, strategy, trial count, sub-seed, and engine class.  Each
+worker takes its engine from its own process-wide cache
+(:func:`~repro.batch.engine.shared_engine`), so it builds and prices a
+configuration once for the life of the pool, not once per task.
 
 Registered as the ``"sharded"`` estimator backend; reach it anywhere a backend
 name is accepted::
@@ -52,7 +55,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.batch.backends import EstimatorBackend, register_backend
-from repro.batch.engine import TrialEngine, select_engine
+from repro.batch.engine import TrialEngine, select_engine, shared_engine
 from repro.batch.estimator import BatchAccumulator
 from repro.core.model import SystemModel
 from repro.exceptions import ConfigurationError
@@ -91,10 +94,8 @@ def split_trials(n_trials: int, shards: int) -> tuple[int, ...]:
     would be empty (more shards than trials) are dropped, so every returned
     entry is positive and the total is exactly ``n_trials``.
     """
-    if n_trials < 1:
-        raise ConfigurationError("n_trials must be >= 1")
-    if shards < 1:
-        raise ConfigurationError(f"shards must be >= 1, got {shards}")
+    n_trials = check_positive_int(n_trials, "n_trials")
+    shards = check_positive_int(shards, "shards")
     base, extra = divmod(n_trials, shards)
     sizes = tuple(
         base + (1 if index < extra else 0) for index in range(shards)
@@ -108,8 +109,9 @@ class ShardTask:
 
     ``engine`` is the :class:`~repro.batch.engine.TrialEngine` class the
     parent resolved through :func:`~repro.batch.engine.select_engine`.  It is
-    pickled *by reference*, so workers rebuild exactly the engine the parent
-    chose without consulting their own (process-local) registry — a
+    pickled *by reference*, so a worker builds (or reuses, see
+    :func:`~repro.batch.engine.shared_engine`) exactly the engine the parent
+    chose without consulting its own (process-local) registry — a
     user-registered engine therefore shards correctly as long as its class
     lives in an importable module, the standard constraint on any
     multiprocessing payload.
@@ -143,6 +145,11 @@ class ShardResult:
     n_trials: int
     #: Name of the engine the kernel resolved to (telemetry label).
     engine_name: str
+    #: Wall-clock seconds the worker spent obtaining its engine: a build on a
+    #: cache miss, one lookup on a hit.
+    construct_seconds: float
+    #: Whether the worker's engine cache already held the engine.
+    engine_reused: bool
 
 
 def _run_shard(task: ShardTask) -> ShardResult:
@@ -150,20 +157,23 @@ def _run_shard(task: ShardTask) -> ShardResult:
 
     Module-level (hence picklable by reference) so it works under the
     ``spawn`` start method, where the child imports this module afresh.
+    The kernel comes from the worker's engine cache, so the tasks of one
+    configuration build it once per worker.
     """
-    kernel = task.engine(
-        model=task.model,
-        strategy=task.strategy,
-        compromised=task.model.compromised_nodes(),
-    )
     # Elapsed-time *reporting* only — never feeds the accumulator bits.
     started = time.perf_counter()  # repro: ignore[R001]
+    kernel, reused = shared_engine(
+        task.engine, task.model, task.strategy, task.model.compromised_nodes()
+    )
+    built = time.perf_counter()  # repro: ignore[R001]
     accumulator = kernel.run_accumulate(task.n_trials, rng=task.seed)
     return ShardResult(
         accumulator=accumulator,
-        elapsed_seconds=time.perf_counter() - started,  # repro: ignore[R001]
+        elapsed_seconds=time.perf_counter() - built,  # repro: ignore[R001]
         n_trials=task.n_trials,
         engine_name=kernel.name,
+        construct_seconds=built - started,
+        engine_reused=reused,
     )
 
 
@@ -210,15 +220,16 @@ class ShardedBackend(EstimatorBackend):
     other.  Smaller pools leave placement to the scheduler, so several
     pools on a larger machine do not pile onto the same CPUs.
 
-    Each worker rebuilds its kernel — including, on the multi-compromised
-    domain, its per-class score table — from the picklable task alone.  That
-    keeps shards self-contained and the merge trivially deterministic, at
-    the cost of re-pricing every class a task meets: each task starts from
-    an empty table, so an adaptive run pays the pricing once per shard per
-    round, and the pool only divides that total by the worker count.  The
-    orbit-reduced posteriors of
-    :class:`~repro.adversary.inference.BayesianPathInference` keep each
-    price to a few candidate likelihoods rather than ``N``.
+    Each worker resolves its kernel from the picklable task alone, through
+    its own process-wide engine cache
+    (:func:`~repro.batch.engine.shared_engine`): the first task of a
+    configuration builds the engine and prices the classes it meets, and
+    every later task of that configuration on the same worker — later
+    shards, later adaptive rounds, later requests — reuses both.  An
+    adaptive run therefore pays construction at most once per worker, not
+    once per shard per round.  A class's price is a function of its key
+    alone, so a reused engine returns the same bits as a fresh one and
+    reports stay a pure function of ``(seed, shards)``.
     """
 
     name = "sharded"
@@ -275,10 +286,10 @@ class ShardedBackend(EstimatorBackend):
     def _merge_telemetry(results: "list[ShardResult]") -> list[BatchAccumulator]:
         """Fold worker-side timings into the parent registry; the accumulators.
 
-        Worker processes measure their own kernel wall time (see
-        :class:`ShardResult`); the parent is where a live registry can exist,
-        so the per-shard histograms and counters are recorded here, in shard
-        order.  With telemetry disabled this is a plain unwrap.
+        Worker processes measure their own engine lookup and kernel wall
+        time (see :class:`ShardResult`); the parent is where a live registry
+        can exist, so the per-shard histograms and counters are recorded
+        here, in shard order.  With telemetry disabled this is a plain unwrap.
         """
         telemetry = get_registry()
         if telemetry.enabled:
@@ -292,6 +303,13 @@ class ShardedBackend(EstimatorBackend):
                 telemetry.histogram(
                     "sharded_shard_seconds", engine=result.engine_name
                 ).observe(result.elapsed_seconds)
+                telemetry.histogram(
+                    "sharded_construct_seconds", engine=result.engine_name
+                ).observe(result.construct_seconds)
+                if result.engine_reused:
+                    telemetry.counter(
+                        "sharded_engine_reuses_total", engine=result.engine_name
+                    ).inc()
         return [result.accumulator for result in results]
 
     def plan(

@@ -5,7 +5,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.batch.engine import clear_engine_cache
 from repro.core.model import SystemModel
+
+
+@pytest.fixture(autouse=True)
+def _fresh_engine_cache() -> None:
+    """Start every test from an empty engine cache.
+
+    Engines are shared per process, so without this a test that counts
+    construction or pricing would depend on which tests ran before it.
+    """
+    clear_engine_cache()
 
 
 @pytest.fixture

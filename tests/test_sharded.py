@@ -41,7 +41,9 @@ from repro.distributions import FixedLength, UniformLength
 from repro.exceptions import ConfigurationError
 from repro.experiments.registry import run_experiment
 from repro.routing.strategies import PathSelectionStrategy
+from repro.service.adaptive import AdaptiveScheduler
 from repro.simulation import monte_carlo_with_backend
+from repro.telemetry import activate
 
 
 def _held_worker_cpus(hold: float) -> tuple[int, tuple[int, ...]]:
@@ -111,6 +113,38 @@ class TestShardPlanDeterminism:
         assert pooled.estimate == inline.estimate
         assert pooled.mean_path_length == inline.mean_path_length
         assert pooled.identification_rate == inline.identification_rate
+
+    def test_warm_pool_reproduces_the_inline_adaptive_run(self):
+        """Workers that served other runs first still return the inline bits."""
+        model = SystemModel(n_nodes=20, n_compromised=2)
+        strategy = PathSelectionStrategy("U(2, 8)", UniformLength(2, 8))
+
+        def adaptive(backend):
+            return AdaptiveScheduler(
+                backend=backend, precision=None, block_size=2_000, max_trials=8_000
+            ).run(model, strategy, rng=7)
+
+        inline = adaptive(ShardedBackend(workers=1, shards=2))
+        with ShardedBackend(workers=2, shards=2) as backend:
+            # Another configuration, then this one at another seed, so the
+            # workers' engines are warm with classes the run did not draw.
+            backend.estimate(
+                SystemModel(n_nodes=15, n_compromised=1),
+                PathSelectionStrategy("F(3)", FixedLength(3)),
+                n_trials=4_000,
+                rng=1,
+            )
+            backend.estimate(model, strategy, n_trials=8_000, rng=99)
+            with activate() as registry:
+                pooled = adaptive(backend)
+        assert pooled.report == inline.report
+        assert pooled.trajectory == inline.trajectory
+        shards = registry.counter("sharded_shards_total", engine="arrangement").value
+        reuses = registry.counter(
+            "sharded_engine_reuses_total", engine="arrangement"
+        ).value
+        assert shards == 8
+        assert reuses >= shards - 2  # at most one build per worker
 
 
 class TestAccumulatorMerge:
@@ -200,6 +234,26 @@ class TestShardedWiring:
         # It used to run as one worker.
         with pytest.raises(ConfigurationError, match="workers"):
             get_backend("sharded", workers=True)
+
+    @pytest.mark.parametrize("n_trials", [0, 2.5, True])
+    @pytest.mark.parametrize(
+        "backend, options",
+        [("batch", {}), ("sharded", {"workers": 1})],
+        ids=["batch", "sharded"],
+    )
+    def test_trial_counts_must_be_positive_integers(self, backend, options, n_trials):
+        # 2.5 and True used to reach numpy (a bare TypeError), and True ran
+        # one sharded trial.
+        model = SystemModel(n_nodes=10, n_compromised=1)
+        with pytest.raises(ConfigurationError, match="n_trials"):
+            estimate_anonymity(
+                model,
+                UniformLength(2, 5),
+                n_trials=n_trials,
+                rng=1,
+                backend=backend,
+                **options,
+            )
 
     def test_monte_carlo_with_backend_forwards_options(self):
         model = SystemModel(n_nodes=12, n_compromised=1)

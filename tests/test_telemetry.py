@@ -459,6 +459,34 @@ class TestEngineInstrumentation:
         assert timings.count == 2
         assert timings.sum > 0.0
 
+    def test_estimators_of_one_configuration_build_once_then_reuse(self):
+        model = SystemModel(n_nodes=30, n_compromised=2)
+        with activate(MetricsRegistry(clock=FakeClock(step=0.25))) as registry:
+            first = BatchMonteCarlo(model, _strategy())
+            second = BatchMonteCarlo(model, _strategy())
+        assert second.engine is first.engine
+        name = first.engine.name
+        assert registry.counter("engine_builds_total", engine=name).value == 1
+        assert registry.counter("engine_reuses_total", engine=name).value == 1
+        assert [r.name for r in registry.spans] == ["engine.construct"]
+
+    def test_sharded_tasks_report_engine_reuse_and_construction(self):
+        model = SystemModel(n_nodes=30, n_compromised=2)
+        scheduler = AdaptiveScheduler(
+            backend=ShardedBackend(workers=1, shards=2),
+            precision=None,
+            block_size=1_000,
+            max_trials=3_000,
+        )
+        with activate(MetricsRegistry(clock=FakeClock(step=0.25))) as registry:
+            run = scheduler.run(model, _strategy(), rng=4)
+        assert run.rounds == 3
+        name = "arrangement"
+        assert registry.counter("sharded_shards_total", engine=name).value == 6
+        # The first task builds the engine; the other five reuse it.
+        assert registry.counter("sharded_engine_reuses_total", engine=name).value == 5
+        assert registry.histogram("sharded_construct_seconds", engine=name).count == 6
+
 
 class TestCacheInstrumentation:
     def test_miss_store_and_both_hit_tiers_are_counted(self, tmp_path):
