@@ -19,23 +19,30 @@ coincide).  The keys, per adversary:
     Position-aware adversary: the first compromised visit sits at hop ``q``
     (everything after the first visit factors out of the posterior).
 ``("fb", k, gaps, last)``
-    Full-Bayes adversary: ``k`` compromised visits; ``gaps[j]`` records the
-    relation between visits ``j`` and ``j + 1`` — ``"adj"`` when they sit
-    adjacent on the path (possible only for ``C > 1``), otherwise a boolean
-    for whether the node forwarded to at visit ``j`` coincides with the
-    predecessor observed at visit ``j + 1`` (the visits share their honest
-    bridge); ``last`` is ``"recv"`` when a compromised node delivered to the
-    receiver itself, ``"eq"``/``"ne"`` for whether the final visit's
-    successor coincides with the receiver's reported predecessor, or
-    ``"open"`` under an honest receiver.  For ``C = 1`` adjacency cannot
-    occur, so the keys coincide bit for bit with the single-node form.
+    Full-Bayes adversary: ``k`` compromised visits; each of the ``k - 1``
+    gaps between consecutive visits is ``"adj"`` when they sit adjacent on
+    the path (possible only for ``C > 1``), otherwise a boolean for whether
+    the node forwarded to at the earlier visit coincides with the
+    predecessor observed at the later one (``True``: the visits share their
+    honest bridge; ``False``: the gap is open).  ``gaps`` is in canonical
+    order, adjacent first, then bridged, then open: the honest segments
+    enter the likelihood through a convolution, which commutes, so a
+    class's entropy depends only on how many gaps of each kind it has, and
+    each such class is keyed, and priced, once.  ``last`` is ``"recv"``
+    when a compromised node delivered to the receiver itself,
+    ``"eq"``/``"ne"`` for whether the final visit's successor coincides
+    with the receiver's reported predecessor, or ``"open"`` under an honest
+    receiver.  For ``C = 1`` adjacency cannot occur, so the keys coincide
+    with the single-node form.
 
 :func:`cycle_trial_key` is the scalar reference rule.  The array kernel
-:func:`classify_cycle_arrays` vectorises the overwhelmingly common cases
-(origin, silent, at most one compromised visit) and falls back to the scalar
-rule only for the rare multi-visit trials, so classification cost stays
-columnar at any ``C``.  It reads only the hops each trial walks, level by
-level, so its cost follows the walked hops rather than the longest path.
+:func:`classify_cycle_arrays` finds every compromised visit level by level
+among the trials still walking, so its cost follows the walked hops rather
+than the longest path.  It then reads each trial's visit count, first
+visit, gap counts and tail relation from those visits with array
+operations, packs them into one integer code per on-path trial, and builds
+keys only for the distinct codes, so no trial takes a per-row Python path
+at any ``C``.  It reads only live cells: a trial's first ``length`` hops.
 """
 
 from __future__ import annotations
@@ -63,6 +70,10 @@ SILENT_KEY = ("silent",)
 PATH_KEY = ("path",)
 #: Gap marker for two compromised visits sitting adjacent on the path.
 ADJACENT = "adj"
+#: Canonical gap order of a full-Bayes key: adjacent, bridged, open.
+_GAP_ORDER = {ADJACENT: 0, True: 1, False: 2}
+#: Tail relations of a full-Bayes key, by the code the array kernel packs.
+_TAILS = ("recv", "eq", "ne", "open")
 
 
 def _membership(compromised: int | Collection[int]) -> frozenset[int]:
@@ -96,11 +107,14 @@ def cycle_trial_key(
         return PATH_KEY
     if adversary is AdversaryModel.POSITION_AWARE:
         return ("pos", occurrences[0] + 1)
-    gaps = tuple(
-        ADJACENT
-        if occurrences[j + 1] == occurrences[j] + 1
-        else bool(hops[occurrences[j] + 1] == hops[occurrences[j + 1] - 1])
-        for j in range(len(occurrences) - 1)
+    gaps = sorted(
+        (
+            ADJACENT
+            if occurrences[j + 1] == occurrences[j] + 1
+            else bool(hops[occurrences[j] + 1] == hops[occurrences[j + 1] - 1])
+            for j in range(len(occurrences) - 1)
+        ),
+        key=_GAP_ORDER.__getitem__,
     )
     if occurrences[-1] == length - 1:
         last = "recv"
@@ -108,7 +122,7 @@ def cycle_trial_key(
         last = "open"
     else:
         last = "eq" if hops[occurrences[-1] + 1] == hops[length - 1] else "ne"
-    return ("fb", len(occurrences), gaps, last)
+    return ("fb", len(occurrences), tuple(gaps), last)
 
 
 def classify_cycle_arrays(
@@ -126,10 +140,10 @@ def classify_cycle_arrays(
     draw matrix).  Only live cells are read: row ``i``'s first
     ``lengths[i]`` hops.  Cells past a trial's length are never read, so they
     may hold anything.  Compromised visits are found level by level among
-    the trials still walking; each trial's visit count and first visit come
-    from those visit rows, and a single visit's successor and witness are
-    read from its own row.  Every key equals :func:`cycle_trial_key` of the
-    trials it counts.
+    the trials still walking and sorted by trial; each on-path trial's visit
+    count, first and last visit, gap counts and tail relation come from
+    those visits and the live cells beside them.  Every key equals
+    :func:`cycle_trial_key` of the trials it counts.
     """
     n_trials = len(senders)
     width = hops.shape[1]
@@ -143,14 +157,26 @@ def classify_cycle_arrays(
         return compromised_ids[np.minimum(nodes, top)]
 
     origin = visited(senders)
-    hits = np.zeros(n_trials, dtype=np.int64)
-    first = np.zeros(n_trials, dtype=np.int64)
+    visitors_at = []
     walking = np.flatnonzero(~origin)
     for level in range(width):
         walking = walking[lengths[walking] > level]
-        visitors = walking[visited(hops[walking, level])]
-        first[visitors[hits[visitors] == 0]] = level
-        hits[visitors] += 1
+        visitors_at.append(walking[visited(hops[walking, level])])
+
+    # Every visit as (trial, level), grouped by trial with its levels in
+    # walk order.
+    visit_rows = np.concatenate([np.empty(0, dtype=np.intp), *visitors_at])
+    visit_levels = np.repeat(
+        np.arange(width),
+        np.fromiter((visitors.size for visitors in visitors_at), np.intp, width),
+    )
+    order = np.argsort(visit_rows, kind="stable")
+    visit_rows = visit_rows[order]
+    visit_levels = visit_levels[order]
+    starts = np.ones(visit_rows.size, dtype=bool)
+    starts[1:] = visit_rows[1:] != visit_rows[:-1]
+    first_visit = np.flatnonzero(starts)
+    on_path = visit_rows[first_visit]
 
     result: dict[tuple, int] = {}
 
@@ -158,7 +184,6 @@ def classify_cycle_arrays(
         if count:
             result[key] = int(count)
 
-    on_path = np.flatnonzero(hits)
     n_origin = np.count_nonzero(origin)
     add(n_origin, ORIGIN_KEY)
     add(n_trials - n_origin - on_path.size, SILENT_KEY)
@@ -168,36 +193,57 @@ def classify_cycle_arrays(
         return result
 
     if adversary is AdversaryModel.POSITION_AWARE:
-        positions, counts = np.unique(first[on_path], return_counts=True)
+        positions, counts = np.unique(visit_levels[first_visit], return_counts=True)
         for position, count in zip(positions.tolist(), counts.tolist()):
             add(count, ("pos", position + 1))
         return result
 
-    # FULL_BAYES: vectorized single-visit fast path.
-    single = on_path[hits[on_path] == 1]
-    visit = first[single]
-    m_last = visit + 1 == lengths[single]
-    add(np.count_nonzero(m_last), ("fb", 1, (), "recv"))
-    rows = single[~m_last]
-    if not receiver_compromised:
-        add(rows.size, ("fb", 1, (), "open"))
-    else:
-        successors = hops[rows, visit[~m_last] + 1]
-        witnesses = hops[rows, lengths[rows] - 1]
-        n_bridged = np.count_nonzero(successors == witnesses)
-        add(n_bridged, ("fb", 1, (), "eq"))
-        add(rows.size - n_bridged, ("fb", 1, (), "ne"))
+    # FULL_BAYES.  Gap j joins visits j and j + 1 of one trial: adjacent
+    # when their levels are consecutive, else bridged when the earlier
+    # visit's successor is the later one's predecessor.  Both cells lie
+    # strictly between the two visits, so both are live.
+    trial_of = np.cumsum(starts) - 1
+    gap = np.flatnonzero(~starts[1:])
+    earlier, later = visit_levels[gap], visit_levels[gap + 1]
+    adjacent = later == earlier + 1
+    spaced = gap[~adjacent]
+    spaced_rows = visit_rows[spaced]
+    bridged = (
+        hops[spaced_rows, visit_levels[spaced] + 1]
+        == hops[spaced_rows, visit_levels[spaced + 1] - 1]
+    )
+    n_adjacent = np.bincount(trial_of[gap[adjacent]], minlength=on_path.size)
+    n_bridged = np.bincount(trial_of[spaced[bridged]], minlength=on_path.size)
+    visits = np.diff(np.append(first_visit, visit_rows.size))
 
-    # Rare multi-visit trials: the scalar reference rule, row by row.
-    for index in on_path[hits[on_path] >= 2].tolist():
-        length = int(lengths[index])
-        key = cycle_trial_key(
-            int(senders[index]),
-            hops[index, :length],
-            length,
-            compromised,
-            adversary,
-            receiver_compromised,
+    # The tail: the last visit delivered to the receiver itself, or its
+    # successor is (or is not) the receiver's witness, the trial's last hop.
+    last_visit = visit_levels[first_visit + visits - 1]
+    path_lengths = lengths[on_path]
+    tails = np.zeros(on_path.size, dtype=np.int64)
+    relayed = np.flatnonzero(last_visit + 1 != path_lengths)
+    if not receiver_compromised:
+        tails[relayed] = _TAILS.index("open")
+    else:
+        relay_rows = on_path[relayed]
+        witnessed = (
+            hops[relay_rows, last_visit[relayed] + 1]
+            == hops[relay_rows, path_lengths[relayed] - 1]
         )
-        result[key] = result.get(key, 0) + 1
+        tails[relayed] = np.where(
+            witnessed, _TAILS.index("eq"), _TAILS.index("ne")
+        )
+
+    # One code per on-path trial; keys are built for distinct codes only.
+    # Visit and gap counts are at most the width, so base width + 1 packs.
+    base = width + 1
+    codes = ((visits * base + n_adjacent) * base + n_bridged) * len(_TAILS) + tails
+    distinct, counts = np.unique(codes, return_counts=True)
+    for code, count in zip(distinct.tolist(), counts.tolist()):
+        code, tail = divmod(code, len(_TAILS))
+        code, n_bridge = divmod(code, base)
+        k, n_adj = divmod(code, base)
+        n_open = k - 1 - n_adj - n_bridge
+        gaps = (ADJACENT,) * n_adj + (True,) * n_bridge + (False,) * n_open
+        add(count, ("fb", k, gaps, _TAILS[tail]))
     return result

@@ -10,22 +10,23 @@ compromised nodes.  Each chunk runs one kernel, :meth:`CycleBatchEngine.accumula
    identities (whether the node a compromised node forwarded to later shows
    up as another observed predecessor), so the kernel draws the hop
    sequences themselves, as one level-major matrix of Markov-style
-   transitions.  Senders are uniform over the ``N`` nodes, lengths come from
-   the inverse-CDF decoder, and hop level ``h`` is drawn for *every* trial at
-   once: one raw uniform column over ``[0, N-1)`` per level.  Levels beyond
-   a trial's sampled length are still drawn, so the generator consumption
-   is a fixed function of ``(n_trials, sampled lengths)``.  Only *live*
-   cells, level ``h`` below the trial's length, are decoded: the chunk is
-   sorted by length (stable, longest first), so the trials still walking at
-   level ``h`` form a prefix, and each of their raw values decodes as "the
-   raw value, skipping the node that currently holds the message" —
-   exactly the uniform-over-``N-1`` no-self-forwarding rule of
+   transitions.  Senders are uniform over the ``N`` nodes and lengths come
+   from the inverse-CDF decoder.  The chunk is then sorted by length
+   (stable, longest first), so the trials still walking at level ``h`` —
+   the *live* cells, level ``h`` below the trial's length — form a prefix.
+   Only those hops are drawn: level ``h`` takes one raw uniform draw over
+   ``[0, N-1)`` per walking trial, in that sorted order, so the generator
+   consumption is a fixed function of the sampled lengths.  Each raw value
+   decodes as "the raw value, skipping the node that currently holds the
+   message" — exactly the uniform-over-``N-1`` no-self-forwarding rule of
    :class:`~repro.routing.selection.CyclePathSelector`.  Every other cell of
    the level-major hop matrix stays unwritten;
 2. **classify** — histogram every trial into its cycle observation class
    (:func:`~repro.batch.cycleclassify.classify_cycle_arrays`, on a
    transposed view of the hop matrix), reading live cells only, so its cost
-   follows the hops the trials walk rather than the longest path;
+   follows the hops the trials walk rather than the longest path.  A
+   full-Bayes key orders its gaps canonically, so walks with the same gap
+   counts share one class;
 3. **price** — score each *distinct* class exactly once with the cycle-aware
    exact Bayesian engine (:class:`CycleScoreTable` over
    :class:`repro.adversary.inference.BayesianPathInference`).
@@ -220,36 +221,38 @@ class CycleBatchEngine(TrialEngine):
     ) -> tuple[int, ChunkClasses]:
         """Draw, walk, classify, and price one chunk of cycle-path trials.
 
-        Every level's raw column is drawn for every trial, but only live
-        cells (level ``h`` below the trial's length) are decoded into the
-        level-major hop matrix and classified, through a transposed *view*
-        (no row-major copy); each new class is priced from its key alone.
+        Only live cells (level ``h`` below the trial's length) are drawn,
+        decoded into the level-major hop matrix and classified, through a
+        transposed *view* (no row-major copy); each new class is priced from
+        its key alone.
         """
         n_nodes = self.model.n_nodes
         senders = generator.integers(0, n_nodes, size=n_trials)
         lengths = self._lengths.decode(n_trials, generator)
         width = int(lengths.max())
-        # One raw column per hop level, drawn in level order: the raw value
-        # r in [0, N-1) decodes to "r, skipping the current holder".
-        raw_columns = [
-            generator.integers(0, n_nodes - 1, size=n_trials) for _ in range(width)
-        ]
 
         # Longest paths first (stable), so the trials still walking at level
-        # h are a prefix of live[h] trials.  The narrowest unsigned key lets
-        # numpy radix-sort it.
+        # h are a prefix of live[h] trials.  This order is part of the draw
+        # contract.  The narrowest unsigned key lets numpy radix-sort it.
         order = np.argsort(
             (width - lengths).astype(np.min_scalar_type(width)), kind="stable"
         )
         senders = senders[order]
         lengths = lengths[order]
         live = n_trials - np.searchsorted(lengths[::-1], np.arange(width), "right")
+        # A full (width x n_trials) buffer, although only live cells are
+        # written: freeing a block this large raises glibc's mmap and trim
+        # thresholds, which keeps the simple-path kernels' chunk arrays on
+        # the heap without page faults.  A ragged hop store measurably slowed
+        # those kernels (ROADMAP item 11).
         levels = np.empty((width, n_trials), dtype=np.int64)
         current = senders
-        for h, (raw, walking) in enumerate(zip(raw_columns, live.tolist())):
-            step = raw[order[:walking]]
+        for h, walking in enumerate(live.tolist()):
+            # One draw per walking trial at this level: the raw value r in
+            # [0, N-1) decodes to "r, skipping the current holder".
+            step = levels[h, :walking]
+            step[:] = generator.integers(0, n_nodes - 1, size=walking)
             step += step >= current[:walking]
-            levels[h, :walking] = step
             current = step
         hops = levels.T  # (n_trials, width) view — no copy
 

@@ -44,8 +44,11 @@ logger = logging.getLogger(__name__)
 #: class once, from its key alone, which changes their result bits; older
 #: entries stop matching and are recomputed.  Version 4 marks every engine
 #: running in chunks of one constant size, and the adaptive precision rule
-#: waiting for a trial floor, both of which change result bits.
-ENTRY_VERSION = 4
+#: waiting for a trial floor, both of which change result bits.  Version 5
+#: marks the cycle engine drawing only the hops each trial walks and keying
+#: full-Bayes walks by their canonically ordered gaps, which changes every
+#: cycle-path result's bits.
+ENTRY_VERSION = 5
 
 
 @dataclass(frozen=True)
