@@ -10,12 +10,16 @@ canonical observation class once, from its key alone.  The 150 000-trial
 rows run three chunks of the engines' common chunk size; they were recorded
 when the simple-path engines still ran a budget as one block unless told
 otherwise, with 65 536-trial chunks set explicitly for those two.  The
-``C = 2`` cycle rows for an honest receiver and for the position-aware and
-predecessor-only adversaries were recorded before the cycle kernel began to
-decode and classify only the hops each trial walks.  The cycle-path ring
-and the position-aware, honest-receiver grid rows were recorded before the
-topology law began to enumerate each (sender, length) path set once and the
-topology engine began to read its class ids from the class table.
+cycle-path ring and the position-aware, honest-receiver grid rows were
+recorded before the topology law began to enumerate each (sender, length)
+path set once and the topology engine began to read its class ids from the
+class table.  Every clique cycle row was re-recorded, on Python 3.11.7,
+when the cycle kernel began to draw only the hops each trial walks (one
+draw per walking trial per level, longest trials first) and to key
+full-Bayes walks by their canonically ordered gaps: that changes which
+draws form each walk, so the generator state after a chunk, and with it
+the length sums of every later chunk, moved too, and ``ENTRY_VERSION``
+became 5.
 """
 
 from __future__ import annotations
@@ -152,34 +156,34 @@ GOLDEN = {
         100438, 14, "0x1.98f6a3fe54834p+2", "82df60d5cdab491f"
     ),
     ("cycle", None): (
-        80072, 12, "0x1.a10f8961c1396p+2", "d8e1db16f0451096"
+        80072, 12, "0x1.a10a3de302c69p+2", "1f9788b579916b71"
     ),
     ("cycle", 4_097): (
-        80068, 11, "0x1.a132634e2bbd7p+2", "fdb6d888fbcc6b64"
+        80053, 9, "0x1.a1efb17aae32dp+2", "cc297e176ffcd872"
     ),
     ("cycle-multi", None): (
-        80072, 19, "0x1.99daec6727012p+2", "26da9f60f7a002ba"
+        80072, 17, "0x1.99c5ba8e93fabp+2", "a1a0e410d7f74dfb"
     ),
     ("cycle-multi", 4_097): (
-        80068, 15, "0x1.99d8f86a85359p+2", "04d69a3eaddc912c"
+        80053, 17, "0x1.9ae29ee0460c5p+2", "441e116aed5c718c"
     ),
     ("cycle-honest", None): (
-        80072, 13, "0x1.99e3509e31fd7p+2", "d7e0f3822befe3d7"
+        80072, 13, "0x1.99ce1b90211dap+2", "81767a9b5e3996f7"
     ),
     ("cycle-honest", 4_097): (
-        80068, 12, "0x1.99e158d3f1895p+2", "da28a078f3aa25a9"
+        80053, 13, "0x1.9aeb0689a8d5ap+2", "fb54c2ec30514a8d"
     ),
     ("cycle-position-aware", None): (
-        80072, 24, "0x1.9589047f4b900p+2", "c13ec27669c49049"
+        80072, 21, "0x1.9588f1fbf927fp+2", "f0a887812a49cb7d"
     ),
     ("cycle-position-aware", 4_097): (
-        80068, 25, "0x1.965c50e32206dp+2", "3a5fcb21d51cb823"
+        80053, 22, "0x1.9661d6fae86aep+2", "263b3e327a337e2a"
     ),
     ("cycle-predecessor-only", None): (
-        80072, 3, "0x1.99e3509e32050p+2", "949c7ae24cae7d80"
+        80072, 3, "0x1.99ce1b9021150p+2", "66038a183410a513"
     ),
     ("cycle-predecessor-only", 4_097): (
-        80068, 3, "0x1.99e158d3f176ep+2", "b9551879589ffc48"
+        80053, 3, "0x1.9aeb0689a8ceep+2", "7297db2b2063c102"
     ),
     ("topology-ring", None): (
         70090, 32, "0x1.770b09642b375p+1", "53d8b6ecc764cfca"
@@ -212,14 +216,14 @@ LONG_TRIALS = 150_000
 LONG_GOLDEN = {
     "five-class": (1570756, 5, "0x1.a1ccad5fe8bd4p+2", "67de1183d5cc62a7"),
     "arrangement": (749341, 14, "0x1.998c54e80ac19p+2", "bfdfc5d09d73d7f5"),
-    "cycle": (599495, 15, "0x1.a19a79d77bd2dp+2", "cb95af3ebaca5221"),
-    "cycle-multi": (599495, 32, "0x1.9a3509daa5606p+2", "37b62fa56508df74"),
-    "cycle-honest": (599495, 24, "0x1.9a3d7297e4077p+2", "ed40e408004a8b68"),
+    "cycle": (598768, 12, "0x1.a1d4392f07e9dp+2", "a2e25cee7ce23362"),
+    "cycle-multi": (598768, 24, "0x1.9a5d5e1956b1bp+2", "2870fc4d1768fb53"),
+    "cycle-honest": (598768, 17, "0x1.9a65c8745f303p+2", "b10b5efe099ef37a"),
     "cycle-position-aware": (
-        599495, 31, "0x1.96a6f517f6b66p+2", "060858866ea3d098"
+        598768, 30, "0x1.96ab532c0d52ep+2", "865b1e4c7de40a47"
     ),
     "cycle-predecessor-only": (
-        599495, 3, "0x1.9a3d7297e427ap+2", "99a72afaf95fcf22"
+        598768, 3, "0x1.9a65c8745f2cfp+2", "c99bb99be58fc1ed"
     ),
     "topology-ring": (523898, 32, "0x1.7730770eede90p+1", "96974d22035cb2ae"),
     "topology-grid": (523898, 51, "0x1.ea94ceadf90e7p+1", "2a5578e9292bc72f"),

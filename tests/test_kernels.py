@@ -165,27 +165,26 @@ def arrangement_oracle(engine, n_trials, generator):
 
 
 def walk_cycle_trials(engine, n_trials, generator):
-    """Replay the cycle kernel's draws as per-trial ``(sender, hops, length)``."""
+    """Replay the cycle kernel's draws as per-trial ``(sender, hops, length)``.
+
+    Per hop level, one draw per trial still walking, longest trials first
+    (a stable sort, so equal lengths keep their draw order).
+    """
     n_nodes = engine.model.n_nodes
     senders = generator.integers(0, n_nodes, size=n_trials).tolist()
     lengths = replay_lengths(engine, n_trials, generator)
-    width = max(lengths)
-    levels = [
-        generator.integers(0, n_nodes - 1, size=n_trials).tolist()
-        for _ in range(width)
-    ]
-    trials = []
-    for index, (sender, length) in enumerate(zip(senders, lengths)):
-        hops = []
-        current = sender
-        for level in levels:
-            step = level[index]
-            if step >= current:
+    order = sorted(range(n_trials), key=lambda index: -lengths[index])
+    hops = [[] for _ in range(n_trials)]
+    current = list(senders)
+    for level in range(max(lengths)):
+        walking = [index for index in order if lengths[index] > level]
+        draws = generator.integers(0, n_nodes - 1, size=len(walking)).tolist()
+        for index, step in zip(walking, draws):
+            if step >= current[index]:
                 step += 1  # never forward to yourself
-            hops.append(step)
-            current = step
-        trials.append((sender, hops, length))
-    return trials
+            hops[index].append(step)
+            current[index] = step
+    return list(zip(senders, hops, lengths))
 
 
 def cycle_key(engine, sender, hops, length):
