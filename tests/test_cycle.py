@@ -31,7 +31,7 @@ from repro.batch import (
     estimate_anonymity,
 )
 from repro.batch import cycleengine
-from repro.batch.cycleclassify import classify_cycle_arrays
+from repro.batch.cycleclassify import ADJACENT, classify_cycle_arrays
 from repro.cli import main
 from repro.combinatorics.walks import (
     clique_walks,
@@ -98,8 +98,9 @@ def cycle_arrays(trials, padding=0):
 
 
 #: Hop-matrix fillers past each trial's length: a node id, a negative value,
-#: and one far beyond any node id or table size.
-PADDINGS = (0, -1, 2**62)
+#: one far beyond any node id or table size, and one far below any valid
+#: index (the kind of value ``np.empty`` can leave in a dead cell).
+PADDINGS = (0, -1, 2**62, -(2**62))
 
 
 def scalar_histogram(trials, compromised, adversary, receiver_compromised=True):
@@ -362,20 +363,34 @@ class TestCycleClassifier:
 
     @pytest.mark.parametrize("adversary", list(AdversaryModel))
     @pytest.mark.parametrize("receiver_compromised", [True, False])
-    def test_array_kernel_matches_the_scalar_rule(self, adversary, receiver_compromised):
-        """Key counts equal ``cycle_trial_key`` row by row."""
-        trials = draw_cycle_trials(
-            4, GeometricLength(0.7, minimum=1, max_length=10), 4_000, seed=9
-        )
+    @pytest.mark.parametrize(
+        "n_nodes, compromised, distribution",
+        [
+            (4, frozenset({0}), GeometricLength(0.7, minimum=1, max_length=10)),
+            (6, frozenset({1, 4}), GeometricLength(0.8, minimum=1, max_length=16)),
+            (9, frozenset({2, 3, 7}), GeometricLength(0.8, minimum=1, max_length=16)),
+        ],
+        ids=["C1", "C2", "C3"],
+    )
+    def test_array_kernel_matches_the_scalar_rule(
+        self, n_nodes, compromised, distribution, adversary, receiver_compromised
+    ):
+        """Key counts equal ``cycle_trial_key`` row by row.
+
+        At ``C >= 2`` the walks are long enough for several visits and
+        adjacent gaps, and the compromised identities leave holes in the
+        membership table, so a read of a dead cell changes a key or raises.
+        """
+        trials = draw_cycle_trials(n_nodes, distribution, 4_000, seed=9)
         for padding in PADDINGS:
             keyed = classify_cycle_arrays(
                 *cycle_arrays(trials, padding),
-                frozenset({0}),
+                compromised,
                 adversary,
                 receiver_compromised,
             )
             assert keyed == scalar_histogram(
-                trials, 0, adversary, receiver_compromised
+                trials, compromised, adversary, receiver_compromised
             )
             assert sum(keyed.values()) == len(trials)
 
@@ -859,6 +874,57 @@ class TestMultiCompromisedCycles:
             recomputed = fresh.estimate(request)
         assert not recomputed.from_cache
         assert recomputed.report == cold.report
+
+
+class TestCanonicalGapOrder:
+    """A full-Bayes cycle class's entropy depends on its gap counts alone.
+
+    This licenses the canonical keys: the classifiers sort a walk's gaps
+    (adjacent, bridged, open), so walks whose gaps differ only in order share
+    one class and one price.
+    """
+
+    @pytest.mark.parametrize("receiver_compromised", [True, False])
+    @pytest.mark.parametrize("n_compromised", [1, 2, 3])
+    @pytest.mark.parametrize("n_nodes", [30, 100])
+    def test_every_gap_order_prices_alike(
+        self, n_nodes, n_compromised, receiver_compromised
+    ):
+        model = SystemModel(
+            n_nodes=n_nodes,
+            n_compromised=n_compromised,
+            receiver_compromised=receiver_compromised,
+        )
+        compromised = model.compromised_nodes()
+        table = CycleScoreTable(
+            model=model,
+            distribution=GeometricLength(p_forward=0.75, minimum=1),
+            compromised=compromised,
+        )
+        canonical_order = (ADJACENT, True, False)
+        kinds = canonical_order if n_compromised > 1 else (True, False)
+        tails = ("recv", "eq", "ne") if receiver_compromised else ("recv", "open")
+        generator = np.random.default_rng([n_nodes, n_compromised, receiver_compromised])
+        for visits in range(2, 8):
+            gaps = [kinds[index] for index in generator.integers(0, len(kinds), visits - 1)]
+            if n_compromised > 1 and ADJACENT not in gaps:
+                gaps[0] = ADJACENT
+            last = tails[generator.integers(0, len(tails))]
+            canonical = ("fb", visits, tuple(sorted(gaps, key=canonical_order.index)), last)
+            entropy, identified = table.score(canonical)
+            for order in set(itertools.permutations(gaps)):
+                key = ("fb", visits, order, last)
+                assert table.score(key)[0] == pytest.approx(entropy, rel=0, abs=1e-12)
+                assert table.score(key)[1] == identified
+                # The scalar rule keys any walk of these gaps canonically.
+                sender, path = table.representative(key)
+                assert cycle_trial_key(
+                    sender,
+                    path,
+                    len(path),
+                    compromised,
+                    receiver_compromised=receiver_compromised,
+                ) == canonical
 
 
 class TestDeployedCycleStrategiesRun:

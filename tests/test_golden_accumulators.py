@@ -34,6 +34,7 @@ from repro.core.model import AdversaryModel, PathModel, SystemModel
 from repro.core.topology import Topology
 from repro.distributions import GeometricLength, UniformLength
 from repro.routing.strategies import PathSelectionStrategy
+from repro.service.cache import ENTRY_VERSION
 
 TRIALS = 20_000
 SEED = 13
@@ -238,6 +239,13 @@ LONG_GOLDEN = {
 #: ``(seed, shards=2)`` on the sharded backend, merged across both shards.
 SHARDED_GOLDEN = (100365, 14, "0x1.995bf05cc2133p+2", "241cfca6a9e6d907")
 
+#: ``ENTRY_VERSION`` -> short sha256 of ``repr((GOLDEN, LONG_GOLDEN,
+#: SHARDED_GOLDEN))`` as pinned under that version.
+GOLDEN_TABLE_DIGESTS = {
+    4: "12bf69452db79b66",
+    5: "2bbf05aa45886032",
+}
+
 
 def run_golden(name: str, trials: int):
     engine_name, build = CONFIGURATIONS[name]
@@ -268,3 +276,17 @@ def test_sharded_golden_accumulator():
         accumulator = backend.accumulate_runner(model, strategy)(TRIALS, rng=SEED)
     assert accumulator.n_trials == TRIALS
     assert fingerprint(accumulator) == SHARDED_GOLDEN
+
+
+def test_golden_tables_are_pinned_to_the_entry_version():
+    """Re-pinned golden rows come with a new ``ENTRY_VERSION``.
+
+    The result cache replays a stored report only while its entry version
+    matches, so a re-pin that moves result bits without a version bump would
+    let disk caches serve bits the code no longer computes.  A new digest
+    means a new version: bump ``ENTRY_VERSION`` and add its entry here; never
+    edit an old entry.
+    """
+    tables = repr((GOLDEN, LONG_GOLDEN, SHARDED_GOLDEN)).encode()
+    digest = hashlib.sha256(tables).hexdigest()[:16]
+    assert GOLDEN_TABLE_DIGESTS[ENTRY_VERSION] == digest
