@@ -148,7 +148,10 @@ class BatchBackend(EstimatorBackend):
         return BatchMonteCarlo(model, strategy).run(n_trials, rng=rng)
 
     def accumulate_runner(
-        self, model: SystemModel, strategy: PathSelectionStrategy
+        self,
+        model: SystemModel,
+        strategy: PathSelectionStrategy,
+        compromised: frozenset[int] | None = None,
     ) -> Callable[..., Any]:
         """Bind one kernel for block accumulation (the adaptive-service hook).
 
@@ -157,8 +160,10 @@ class BatchBackend(EstimatorBackend):
         process-wide engine cache (:func:`~repro.batch.engine.shared_engine`),
         so it is built once per configuration per process and reused across
         every block of an adaptive run and by later requests.
+        ``compromised`` names the compromised identities; ``None`` keeps the
+        model's canonical set.
         """
-        return BatchMonteCarlo(model, strategy).run_accumulate
+        return BatchMonteCarlo(model, strategy, compromised).run_accumulate
 
 
 # ---------------------------------------------------------------------- #

@@ -30,9 +30,9 @@ results independent of the machine's parallelism.
 Workers are started with the ``spawn`` method (never ``fork``), so the backend
 is safe under threaded parents and behaves identically across platforms; the
 worker entry point is a module-level function whose payload is just the
-(picklable) model, strategy, trial count, sub-seed, and engine class.  Each
-worker takes its engine from its own process-wide cache
-(:func:`~repro.batch.engine.shared_engine`), so it builds and prices a
+(picklable) model, strategy, trial count, sub-seed, engine class and
+compromised set.  Each worker takes its engine from its own process-wide
+cache (:func:`~repro.batch.engine.shared_engine`), so it builds and prices a
 configuration once for the life of the pool, not once per task.
 
 Registered as the ``"sharded"`` estimator backend; reach it anywhere a backend
@@ -122,6 +122,8 @@ class ShardTask:
     n_trials: int
     seed: int
     engine: Callable[..., TrialEngine]
+    #: The compromised identities the engine runs with.
+    compromised: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -163,7 +165,7 @@ def _run_shard(task: ShardTask) -> ShardResult:
     # Elapsed-time *reporting* only — never feeds the accumulator bits.
     started = time.perf_counter()  # repro: ignore[R001]
     kernel, reused = shared_engine(
-        task.engine, task.model, task.strategy, task.model.compromised_nodes()
+        task.engine, task.model, task.strategy, task.compromised
     )
     built = time.perf_counter()  # repro: ignore[R001]
     accumulator = kernel.run_accumulate(task.n_trials, rng=task.seed)
@@ -265,7 +267,12 @@ class ShardedBackend(EstimatorBackend):
         distribution = strategy.effective_distribution(model.n_nodes)
         return BatchAccumulator.merge(accumulators).report(model, distribution.name)
 
-    def accumulate_runner(self, model: SystemModel, strategy: PathSelectionStrategy):
+    def accumulate_runner(
+        self,
+        model: SystemModel,
+        strategy: PathSelectionStrategy,
+        compromised: frozenset[int] | None = None,
+    ):
         """Block-accumulation hook for the adaptive service.
 
         Returns a callable ``(n_trials, rng) -> BatchAccumulator`` that runs
@@ -273,10 +280,14 @@ class ShardedBackend(EstimatorBackend):
         accumulator.  Each block is planned from its own ``rng`` exactly like
         a standalone :meth:`estimate`, so a block remains deterministic per
         ``(seed, shards)`` and independent of the worker count.
+        ``compromised`` names the compromised identities; ``None`` keeps the
+        model's canonical set.
         """
 
         def run_block(n_trials: int, rng: RandomSource = None) -> BatchAccumulator:
-            tasks = self.plan(model, strategy, n_trials, rng=rng)
+            tasks = self.plan(
+                model, strategy, n_trials, rng=rng, compromised=compromised
+            )
             accumulators = self._merge_telemetry(self._execute(tasks))
             return BatchAccumulator.merge(accumulators)
 
@@ -318,6 +329,7 @@ class ShardedBackend(EstimatorBackend):
         strategy: PathSelectionStrategy,
         n_trials: int,
         rng: RandomSource = None,
+        compromised: frozenset[int] | None = None,
     ) -> list[ShardTask]:
         """Deterministic shard plan: chunk sizes plus per-shard sub-seeds.
 
@@ -325,10 +337,14 @@ class ShardedBackend(EstimatorBackend):
         whole plan, and therefore the final estimate, is a pure function of
         the parent seed and the shard count.  The trial engine is resolved
         *here*, in the parent, so user-registered engines reach the workers
-        (see :class:`ShardTask`).
+        (see :class:`ShardTask`).  ``compromised`` names the compromised
+        identities; ``None`` keeps the model's canonical set.
         """
         generator = ensure_rng(rng)
-        engine = select_engine(model, strategy, model.compromised_nodes())
+        compromised = frozenset(
+            model.compromised_nodes() if compromised is None else compromised
+        )
+        engine = select_engine(model, strategy, compromised)
         logger.debug(
             "planned %d shard(s) of %d trial(s) on engine %r (workers=%d)",
             self.shards,
@@ -343,6 +359,7 @@ class ShardedBackend(EstimatorBackend):
                 n_trials=size,
                 seed=int(generator.integers(0, 2**63 - 1)),
                 engine=engine,
+                compromised=compromised,
             )
             for size in split_trials(n_trials, self.shards)
         ]

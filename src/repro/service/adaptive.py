@@ -31,7 +31,8 @@ cached.
 
 Backends opt in by exposing ``accumulate_runner(model, strategy)`` — a
 callable ``(n_trials, rng) -> BatchAccumulator`` — as ``batch`` and
-``sharded`` do.  The ``exact`` backend short-circuits (zero variance, zero
+``sharded`` do; a run with an explicit compromised set passes it as a third
+argument.  The ``exact`` backend short-circuits (zero variance, zero
 trials); backends without accumulation (e.g. ``event``) are rejected with a
 clear error instead of a silent statistical downgrade.
 """
@@ -41,7 +42,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Collection
 from dataclasses import dataclass
 from typing import Any
 
@@ -228,15 +229,21 @@ class AdaptiveScheduler:
         model: SystemModel,
         strategy: PathSelectionStrategy | PathLengthDistribution,
         rng: RandomSource = None,
+        compromised: Collection[int] | None = None,
     ) -> AdaptiveRun:
-        """Estimate ``H*(S)`` adaptively; returns the report plus stop metadata."""
+        """Estimate ``H*(S)`` adaptively; returns the report plus stop metadata.
+
+        ``compromised`` names the compromised identities; ``None`` keeps the
+        model's canonical set ``{0, .., C-1}``.  An explicit set is handed to
+        the backend's ``accumulate_runner`` as a third argument.
+        """
         if isinstance(strategy, PathLengthDistribution):
             strategy = PathSelectionStrategy(
                 name=strategy.name, distribution=strategy
             )
         backend_name = getattr(self.backend, "name", type(self.backend).__name__)
         with trace_span("adaptive.run", backend=backend_name) as span:
-            run = self._run(model, strategy, rng)
+            run = self._run(model, strategy, rng, compromised)
             span.annotate(
                 rounds=run.rounds,
                 stop_reason=run.stop_reason,
@@ -260,6 +267,7 @@ class AdaptiveScheduler:
         model: SystemModel,
         strategy: PathSelectionStrategy,
         rng: RandomSource,
+        compromised: Collection[int] | None,
     ) -> AdaptiveRun:
         started = time.perf_counter()
         if getattr(self.backend, "name", None) == "exact":
@@ -280,7 +288,11 @@ class AdaptiveScheduler:
                 "accumulating backend ('batch', 'sharded', or a registered "
                 "engine exposing accumulate_runner(model, strategy))"
             )
-        accumulate = runner(model, strategy)
+        accumulate = (
+            runner(model, strategy)
+            if compromised is None
+            else runner(model, strategy, frozenset(compromised))
+        )
         distribution = strategy.effective_distribution(model.n_nodes)
         block_size = self.block_size
         min_trials = (

@@ -313,7 +313,10 @@ class EstimationService:
             on_round=on_round,
         )
         run: AdaptiveRun = scheduler.run(
-            request.model(), request.strategy(), rng=request.seed
+            request.model(),
+            request.strategy(),
+            rng=request.seed,
+            compromised=request.compromised,
         )
         if run.deterministic:
             self._cache.put(

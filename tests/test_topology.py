@@ -15,6 +15,7 @@ path model, adversary model, receiver setting, and ``C ∈ {0, 1, 2}``.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from bisect import bisect_right
 from collections import Counter
@@ -547,6 +548,41 @@ class TestTopologyService:
             recomputed = fresh.estimate(request)
         assert not recomputed.from_cache
         assert recomputed.report == cold.report
+
+    def test_explicit_compromised_set_is_honoured(self):
+        """A request's named compromised node is the one the estimate runs with.
+
+        On a star, compromising leaf 3 instead of the hub (node 0, the
+        canonical set) changes the answer, so an ignored set shows.
+        """
+        request = self._request(
+            n_nodes=8,
+            topology="star",
+            compromised=(3,),
+            distribution=DistributionSpec("uniform", {"low": 1, "high": 3}),
+            seed=1,
+        )
+        truth = TopologyEngine(
+            request.model(), request.strategy(), frozenset({3})
+        ).exact_degree()
+        runs = {}
+        for backend, options in [
+            ("batch", ()),
+            ("sharded", (("shards", 2), ("workers", 1))),
+            ("sharded", (("shards", 2), ("workers", 2))),
+        ]:
+            routed = dataclasses.replace(
+                request, backend=backend, backend_options=options
+            )
+            with EstimationService() as service:
+                runs[backend, options] = service.estimate(routed).report
+        for report in runs.values():
+            assert abs(report.degree_bits - truth) <= 5 * report.estimate.std_error
+        one_worker, two_workers = (
+            runs["sharded", (("shards", 2), ("workers", workers))]
+            for workers in (1, 2)
+        )
+        assert one_worker == two_workers
 
 
 # ---------------------------------------------------------------------- #
