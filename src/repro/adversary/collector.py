@@ -38,10 +38,22 @@ class AgentRecord:
 
 @dataclass
 class CompromisedNodeAgent:
-    """Passive agent running at one compromised node."""
+    """Passive agent running at one compromised node.
+
+    ``records`` keeps every traversal in arrival order; an index by message
+    id, kept beside it, lets :meth:`records_for` answer without scanning the
+    records of every other message the node has carried.
+    """
 
     node: int
     records: list[AgentRecord] = field(default_factory=list)
+    _by_message: dict[int, list[AgentRecord]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        for record in self.records:
+            self._by_message.setdefault(record.message_id, []).append(record)
 
     def on_forward(
         self,
@@ -52,20 +64,20 @@ class CompromisedNodeAgent:
         position: int | None = None,
     ) -> None:
         """Record one traversal of a message through this node."""
-        self.records.append(
-            AgentRecord(
-                message_id=message_id,
-                timestamp=timestamp,
-                node=self.node,
-                predecessor=predecessor,
-                successor=successor,
-                position=position,
-            )
+        record = AgentRecord(
+            message_id=message_id,
+            timestamp=timestamp,
+            node=self.node,
+            predecessor=predecessor,
+            successor=successor,
+            position=position,
         )
+        self.records.append(record)
+        self._by_message.setdefault(message_id, []).append(record)
 
     def records_for(self, message_id: int) -> list[AgentRecord]:
-        """All records this agent captured for one message."""
-        return [record for record in self.records if record.message_id == message_id]
+        """All records this agent captured for one message, in arrival order."""
+        return list(self._by_message.get(message_id, ()))
 
 
 @dataclass
