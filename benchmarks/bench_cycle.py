@@ -23,9 +23,11 @@ the same law), which the parity test checks before anything is timed.
 The measurement writes a machine-readable ``BENCH_cycle.json`` record (see
 :mod:`perf_record`); the ``C = 2`` case of the same engine merges
 its numbers into the same record under ``c2_``-prefixed keys, with its own
-floor against the hop-by-hop path.  Under ``--smoke`` the budgets shrink so
-the whole run takes seconds; the records are written but the floors are not
-asserted.
+floor against the hop-by-hop path.  A third case records the engine alone at
+paper scale (``N = 100``) under ``n100_``-prefixed keys, with no floor;
+``scripts/compare_bench.py --trend`` watches them.  Under ``--smoke`` the
+budgets shrink so the whole run takes seconds; the records are written but
+the floors are not asserted.
 
 Run with::
 
@@ -55,11 +57,18 @@ SMOKE_BATCH_TRIALS = 100_000
 MIN_SPEEDUP = 25.0
 #: Acceptance floor for the cycle engine at C = 2 over hop-by-hop: the same
 #: 25x as at C = 1 and as ``benchmarks/bench_floors.json``'s ``c2_speedup``
-#: rule.  Multi-visit trials (more common at C = 2) still go through the
-#: scalar rule, yet full runs clear the floor by an order of magnitude.
+#: rule.  Multi-visit trials, more common at C = 2, are classified with the
+#: same array operations as single visits, and full runs clear the floor by
+#: an order of magnitude.
 MIN_MULTI_SPEEDUP = 25.0
 MULTI_BATCH_TRIALS = 1_000_000
 SMOKE_MULTI_BATCH_TRIALS = 50_000
+#: Paper-scale Crowds: N = 100, C = 1, at the deployment's ``p_forward``
+#: and at 0.97, whose walks average about 33 hops.  Recorded only; no floor.
+#: The smoke budgets keep the whole case near a second.
+SCALE_NODES = 100
+SCALE_TRIALS = {0.75: 2_000_000, 0.97: 524_288}
+SMOKE_SCALE_TRIALS = {0.75: 200_000, 0.97: 65_536}
 
 
 def _workload(n_compromised: int = 1):
@@ -197,4 +206,46 @@ def test_cycle_multi_speedup_floor(smoke):
     assert speedup >= MIN_MULTI_SPEEDUP, (
         f"cycle engine reached only {speedup:.1f}x over the hop-by-hop "
         f"event engine at C=2; the floor is {MIN_MULTI_SPEEDUP}x"
+    )
+
+
+def test_paper_scale_crowds_throughput(smoke):
+    """Record the cycle engine's trials/sec at N = 100, prices already cached.
+
+    A warm-up run of the same seed prices every class the timed run meets,
+    so the timing is the kernel's: draws, classification and counting.
+    """
+    budgets = SMOKE_SCALE_TRIALS if smoke else SCALE_TRIALS
+    model = SystemModel(n_nodes=SCALE_NODES, n_compromised=1)
+    results = {}
+    for p_forward, trials in budgets.items():
+        strategy = PathSelectionStrategy(
+            "Crowds",
+            GeometricLength(p_forward=p_forward, minimum=1),
+            path_model=PathModel.CYCLE_ALLOWED,
+        )
+        estimator = BatchMonteCarlo(model, strategy)
+        estimator.run(trials, rng=1)
+        started = time.perf_counter()
+        report = estimator.run(trials, rng=1)
+        seconds = time.perf_counter() - started
+        print()
+        print(
+            f"N={SCALE_NODES} p_forward={p_forward}: {seconds:8.3f}s "
+            f"({trials / seconds:,.0f} trials/sec), estimate {report.estimate}"
+        )
+        results[p_forward] = (trials, seconds)
+
+    (trials, seconds), (p97_trials, p97_seconds) = results[0.75], results[0.97]
+    update_record(
+        "cycle",
+        smoke=smoke,
+        config={
+            "n100_n_nodes": SCALE_NODES,
+            "n100_trials": trials,
+            "n100_p97_trials": p97_trials,
+        },
+        n100_trials_per_sec=round(trials / seconds, 1),
+        n100_p97_trials_per_sec=round(p97_trials / p97_seconds, 1),
+        n100_p97_seconds=round(p97_seconds, 3),
     )
