@@ -157,11 +157,17 @@ def classify_cycle_arrays(
         return compromised_ids[np.minimum(nodes, top)]
 
     origin = visited(senders)
+    # Honest senders' trials, longest first, so the trials still walking at
+    # a level are a prefix of them.
+    walkers = np.flatnonzero(~origin)
+    walkers = walkers[np.argsort(-lengths[walkers], kind="stable")]
+    still_walking = walkers.size - np.searchsorted(
+        lengths[walkers][::-1], np.arange(width), "right"
+    )
     visitors_at = []
-    walking = np.flatnonzero(~origin)
-    for level in range(width):
-        walking = walking[lengths[walking] > level]
-        visitors_at.append(walking[visited(hops[walking, level])])
+    for level, count in enumerate(still_walking.tolist()):
+        walking = walkers[:count]
+        visitors_at.append(walking[visited(hops[:, level][walking])])
 
     # Every visit as (trial, level), grouped by trial with its levels in
     # walk order.
@@ -204,8 +210,7 @@ def classify_cycle_arrays(
     # strictly between the two visits, so both are live.
     trial_of = np.cumsum(starts) - 1
     gap = np.flatnonzero(~starts[1:])
-    earlier, later = visit_levels[gap], visit_levels[gap + 1]
-    adjacent = later == earlier + 1
+    adjacent = visit_levels[gap + 1] == visit_levels[gap] + 1
     spaced = gap[~adjacent]
     spaced_rows = visit_rows[spaced]
     bridged = (
