@@ -243,8 +243,9 @@ class CycleBatchEngine(TrialEngine):
         # A full (width x n_trials) buffer, although only live cells are
         # written: freeing a block this large raises glibc's mmap and trim
         # thresholds, which keeps the simple-path kernels' chunk arrays on
-        # the heap without page faults.  A ragged hop store measurably slowed
-        # those kernels (ROADMAP item 11).
+        # the heap without page faults.  A ragged hop store raised the
+        # perfbench kernel-fixed median request time from 0.036 s to
+        # 0.057-0.060 s this way (ROADMAP item 11, which owns that change).
         levels = np.empty((width, n_trials), dtype=np.int64)
         current = senders
         for h, walking in enumerate(live.tolist()):

@@ -914,8 +914,9 @@ class TestCanonicalGapOrder:
             entropy, identified = table.score(canonical)
             for order in set(itertools.permutations(gaps)):
                 key = ("fb", visits, order, last)
-                assert table.score(key)[0] == pytest.approx(entropy, rel=0, abs=1e-12)
-                assert table.score(key)[1] == identified
+                price, flag = table.score(key)
+                assert price == pytest.approx(entropy, rel=0, abs=1e-12)
+                assert flag == identified
                 # The scalar rule keys any walk of these gaps canonically.
                 sender, path = table.representative(key)
                 assert cycle_trial_key(
