@@ -1,10 +1,10 @@
-"""The contract-rule registry, mirroring the ``TrialEngine`` registry idiom.
+"""The contract-rule registry, mirroring the estimator-backend registry idiom.
 
 A rule is a class with an ``id``, a one-line ``title``, a package ``scope``,
 and a ``check(tree, source, path)`` method returning structured
 :class:`~repro.analysis.lint.findings.Finding` objects.  Rules register
-themselves through :func:`register_rule` exactly like estimation engines
-register through :func:`repro.batch.engine.register_engine`: registration is
+themselves through :func:`register_rule` exactly like estimator backends
+register through :func:`repro.batch.backends.register_backend`: registration is
 how the built-ins arrive, and how a downstream repo adds (or, with
 ``overwrite=True``, replaces) a rule without touching the walker.
 
@@ -91,7 +91,7 @@ _RULES: dict[str, type[ContractRule]] = {}
 def register_rule(rule: type[ContractRule], overwrite: bool = False) -> type[ContractRule]:
     """Register a contract rule under its ``id``.
 
-    Mirrors :func:`repro.batch.engine.register_engine`: later registrations
+    Mirrors :func:`repro.batch.backends.register_backend`: later registrations
     with ``overwrite=True`` replace built-ins, a duplicate id without
     ``overwrite`` is an error.  Returns the class so it stacks as a
     decorator.

@@ -6,9 +6,9 @@ runtime — after the violation is written, and only if a test exercises it:
 =====  ==================================================================
 R001   Determinism: no global-state randomness, wall-clock, or unordered
        set iteration inside the estimation kernels.
-R002   Registry totality: every ``register_engine`` / ``register_backend``
-       call site registers a class that statically defines the protocol
-       surface the registry promises.
+R002   Registry totality: every ``register_backend`` call site registers a
+       class that statically defines the protocol surface the registry
+       promises.
 R003   Schema stability: the field lists of the content-addressed request,
        cache entry, and run-ledger record match the pinned snapshot in
        ``analysis/schemas.json`` unless the matching version constant was
@@ -292,23 +292,16 @@ class DeterminismRule(ContractRule):
 # R002 — registry contracts                                               #
 # ---------------------------------------------------------------------- #
 
-#: What a registered trial engine must expose: the ``covers`` predicate plus
-#: either the chunk kernel or a wholesale ``run_accumulate`` override in its
-#: own body.
-_ENGINE_STAGES = ("accumulate_chunk",)
-
 
 @register_rule
 class RegistryContractRule(ContractRule):
     """R002: registration call sites must register total protocol surfaces.
 
-    ``select_engine`` promises that whatever ``covers()`` claims can actually
-    run; a class registered without its kernel only fails when its domain is
-    first exercised.  For every ``register_engine(...)`` call the
-    registered class (resolved through the project-wide class index,
-    inherited concrete methods included) must define ``covers`` plus either
-    the ``accumulate_chunk`` kernel or its own ``run_accumulate``;
-    ``register_backend(...)`` requires ``estimate``
+    ``get_backend`` promises that every registered name can estimate; a class
+    registered without ``estimate`` only fails when its name is first asked
+    for.  For every ``register_backend(...)`` call the registered class
+    (resolved through the project-wide class index, inherited concrete
+    methods included) must define ``estimate``
     (``plan``/``accumulate_runner`` extend the surface but are optional).
     A call site whose class the linter cannot resolve statically is itself
     a finding — registration is a compile-time contract, not a runtime
@@ -337,7 +330,7 @@ class RegistryContractRule(ContractRule):
                 if isinstance(callee, ast.Attribute)
                 else None
             )
-            if name not in ("register_engine", "register_backend"):
+            if name != "register_backend":
                 continue
             target = self._registered_target(node)
             if target is None:
@@ -359,7 +352,7 @@ class RegistryContractRule(ContractRule):
         """The class name being registered, or ``None`` if unresolvable."""
         candidate: ast.expr | None = None
         for keyword in node.keywords:
-            if keyword.arg in ("engine", "factory"):
+            if keyword.arg == "factory":
                 candidate = keyword.value
         if candidate is None:
             if len(node.args) >= 2:
@@ -386,24 +379,14 @@ class RegistryContractRule(ContractRule):
                     "must be statically defined in src/repro",
                 )
             ]
-        missing: list[str] = []
-        if registrar == "register_engine":
-            if "covers" not in methods:
-                missing.append("covers")
-            stages = [stage for stage in _ENGINE_STAGES if stage not in methods]
-            if stages and "run_accumulate" not in self._project.own_methods(class_name):
-                missing.extend(stages)
-        else:
-            if "estimate" not in methods:
-                missing.append("estimate")
-        if missing:
+        if "estimate" not in methods:
             return [
                 self.finding(
                     path,
                     node.lineno,
                     f"{registrar}({class_name}) registers a class without a "
-                    f"concrete {', '.join(missing)}; the registry promises "
-                    "this surface to every caller",
+                    "concrete estimate; the registry promises this surface "
+                    "to every caller",
                 )
             ]
         return []

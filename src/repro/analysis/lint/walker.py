@@ -193,11 +193,6 @@ class Project:
             queue.extend(info.bases)
         return frozenset(resolved)
 
-    def own_methods(self, class_name: str) -> frozenset[str]:
-        """Concrete methods defined directly in the class body (no bases)."""
-        info = self.class_index().get(class_name)
-        return info.methods if info is not None else frozenset()
-
 
 def default_root() -> Path:
     """The repo root this module was loaded from (fallback: the cwd)."""
@@ -211,7 +206,7 @@ def default_root() -> Path:
 
 def _instantiate(rule_ids: tuple[str, ...] | None) -> list[ContractRule]:
     # Importing the rules module registers the built-ins (exactly like
-    # importing repro.batch.engine registers the built-in engines).
+    # importing repro.batch.sharded registers the sharded backend).
     import repro.analysis.lint.rules  # noqa: F401  (registration side effect)
 
     ids = available_rules() if rule_ids is None else tuple(rule_ids)

@@ -25,10 +25,10 @@ across worker processes (``benchmarks/bench_sharded.py``).
 Layout
 ------
 :mod:`repro.batch.engine`
-    The :class:`TrialEngine` protocol (``covers`` plus one
-    ``accumulate_chunk`` kernel), the mergeable :class:`BatchAccumulator`,
-    the engine registry (:func:`register_engine` / :func:`select_engine`),
-    and the two built-in simple-path engines (:class:`FiveClassEngine`,
+    The :class:`TrialEngine` protocol (one ``accumulate_chunk`` kernel), the
+    mergeable :class:`BatchAccumulator`, :func:`select_engine` (one branch
+    per engine domain), the process-wide engine cache, and the two
+    simple-path engines (:class:`FiveClassEngine`,
     :class:`ArrangementEngine`).
 :mod:`repro.batch.sampler`
     The bulk draws the clique engines share: the inverse-CDF length decoder
@@ -46,7 +46,7 @@ Layout
     The graph-general :class:`TopologyEngine` for non-clique topologies.
 :mod:`repro.batch.estimator`
     The drop-in estimator (:class:`BatchMonteCarlo`), a thin dispatcher over
-    the engine registry.
+    the engine cache.
 :mod:`repro.batch.sharded`
     The multiprocess ``sharded`` backend (:class:`ShardedBackend`).
 :mod:`repro.batch.backends`
@@ -70,9 +70,6 @@ from repro.batch.engine import (
     ArrangementEngine,
     FiveClassEngine,
     TrialEngine,
-    available_engines,
-    get_engine,
-    register_engine,
     select_engine,
 )
 from repro.batch.estimator import BatchAccumulator, BatchMonteCarlo
@@ -91,9 +88,6 @@ __all__ = [
     "InverseCdfDecoder",
     "CycleBatchEngine",
     "TopologyEngine",
-    "available_engines",
-    "get_engine",
-    "register_engine",
     "select_engine",
     "BatchMonteCarlo",
     "BatchAccumulator",

@@ -16,7 +16,7 @@ Three engines can answer, with very different cost/coverage trade-offs:
     and the slowest.
 ``batch``
     The vectorized :class:`repro.batch.estimator.BatchMonteCarlo`: a
-    dispatcher over the :class:`~repro.batch.engine.TrialEngine` registry
+    dispatcher over the four :class:`~repro.batch.engine.TrialEngine` kernels
     (bulk draws, array classification, per-class entropies).
     Statistically identical to ``event`` on its whole domain — ``C > 1``,
     honest receivers, and cycle-allowed paths at any ``C`` included — at a

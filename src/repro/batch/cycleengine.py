@@ -1,7 +1,7 @@
 """The vectorized trial engine for cycle-allowed path strategies.
 
 This is the cycle-path member of the :class:`~repro.batch.engine.TrialEngine`
-registry (after the five-class and arrangement simple-path engines): it
+family (beside the five-class and arrangement simple-path engines): it
 brings Crowds-style protocols onto the batch fast path for *any* number of
 compromised nodes.  Each chunk runs one kernel, :meth:`CycleBatchEngine.accumulate_chunk`:
 
@@ -68,7 +68,7 @@ from repro.batch.cycleclassify import (
     SILENT_KEY,
     classify_cycle_arrays,
 )
-from repro.batch.engine import ChunkClasses, TrialEngine, register_engine
+from repro.batch.engine import ChunkClasses, TrialEngine
 from repro.batch.sampler import InverseCdfDecoder
 from repro.core.model import PathModel, SystemModel
 from repro.core.results import IDENTIFIED_THRESHOLD
@@ -183,7 +183,7 @@ class CycleScoreTable:
 class CycleBatchEngine(TrialEngine):
     """Columnar Monte-Carlo kernel for one cycle-allowed strategy, any ``C``.
 
-    Selected by :class:`~repro.batch.estimator.BatchMonteCarlo` when the
+    Selected by :func:`~repro.batch.engine.select_engine` when the
     strategy's path model is :attr:`~repro.core.model.PathModel.CYCLE_ALLOWED`
     on a clique; it produces the same
     :class:`~repro.batch.engine.BatchAccumulator` currency as the simple-path
@@ -211,10 +211,6 @@ class CycleBatchEngine(TrialEngine):
             distribution=self._distribution,
             compromised=self.compromised,
         )
-
-    @classmethod
-    def covers(cls, model, strategy, compromised) -> bool:
-        return model.clique_routing and strategy.path_model is PathModel.CYCLE_ALLOWED
 
     def accumulate_chunk(
         self, n_trials: int, generator: np.random.Generator
@@ -270,6 +266,3 @@ class CycleBatchEngine(TrialEngine):
             entropy, identified = self._score_table.score(key)
             classes[key] = (count, entropy, identified)
         return int(lengths.sum()), classes
-
-
-register_engine(CycleBatchEngine.name, CycleBatchEngine)

@@ -4,20 +4,15 @@ The paper's central symmetry result — a trial's posterior entropy depends
 only on which symmetric *observation class* the trial falls into — means
 every estimator is the same kernel: draw a chunk of trials, classify each
 into its class, and price each distinct class exactly once.  This module
-fixes that shape as one formal protocol of two members:
-
-``covers``
-    A class predicate: can this engine estimate a ``(model, strategy,
-    compromised)`` configuration?  :func:`select_engine` consults it.
-``accumulate_chunk``
-    Draw ``n_trials`` trials from the generator in a fixed, documented
-    order, classify them with array operations, and return the chunk
-    reduction ``(length_sum, {class key: (count, entropy, identified)})``.
-    Each engine prices its classes *exactly* — via the closed form, the
-    fragment-arrangement counts, the cycle walk counts, or a topology's
-    joint class table — and memoises the prices, so a class costs one
-    inference per engine, never one per trial (and, through
-    :func:`shared_engine`, one per process).
+fixes that shape as one abstract method, ``accumulate_chunk``: draw
+``n_trials`` trials from the generator in a fixed, documented order,
+classify them with array operations, and return the chunk reduction
+``(length_sum, {class key: (count, entropy, identified)})``.  Each engine
+prices its classes *exactly* — via the closed form, the
+fragment-arrangement counts, the cycle walk counts, or a topology's joint
+class table — and memoises the prices, so a class costs one inference per
+engine, never one per trial (and, through :func:`shared_engine`, one per
+process).
 
 The concrete driver :meth:`TrialEngine.run_accumulate` splits a budget into
 chunks of :data:`CHUNK_TRIALS` trials and folds the chunk reductions into a
@@ -26,34 +21,30 @@ currency every layer above understands: the ``sharded`` backend ships
 accumulators between processes, the adaptive scheduler merges them block by
 block, and the result cache replays the reports they summarise bit for bit.
 
-Engines register themselves in a registry that mirrors
-:func:`repro.batch.backends.register_backend`:
-:func:`register_engine` adds an engine class, :func:`select_engine` picks the
-engine for a ``(model, strategy, compromised)`` configuration by asking each
-registered engine's :meth:`TrialEngine.covers` predicate, latest registration
-first — so a user-registered engine preempts the built-ins on any domain it
-claims, and a new domain becomes a registration instead of a fork of the
-subsystem.  Four built-in engines cover the whole supported domain:
+Four engines cover four disjoint domains, and :func:`select_engine` maps a
+``(model, strategy, compromised)`` configuration to its engine, one branch
+per domain:
 
 ================  =============================================  ==========================
 engine            domain                                         classes
 ================  =============================================  ==========================
-``five-class``    simple paths, ``C = 1``, compromised receiver  the paper's five events
-``arrangement``   simple paths, any ``C``, honest receiver ok    canonical observations
-``cycle``         cycle-allowed paths, any ``C``                 walk patterns
 ``topology``      any path model on a non-clique topology        enumerated observation keys
+``cycle``         cycle-allowed paths on a clique, any ``C``     walk patterns
+``five-class``    simple paths, ``C = 1``, compromised receiver  the paper's five events
+``arrangement``   every other simple-path clique configuration   canonical observations
 ================  =============================================  ==========================
 
 The two simple-path engines live in this module; the cycle engine lives in
 :mod:`repro.batch.cycleengine` and the topology engine in
-:mod:`repro.batch.topoengine`.  :class:`~repro.batch.estimator.BatchMonteCarlo`
-is a thin dispatcher over :func:`select_engine`.
+:mod:`repro.batch.topoengine`.  A new domain is a new branch in
+:func:`select_engine`.
 
 Because every engine prices a class from its key alone, an engine is a pure
 function of its configuration.  :func:`shared_engine` therefore keeps one
-engine per configuration per process, in a bounded, content-addressed cache:
-adaptive rounds, service requests and the ``sharded`` workers build and
-price each configuration once, then reuse it.
+engine per configuration per process, in a bounded, content-addressed cache,
+and selects and builds the engine on a miss: adaptive rounds, service
+requests and the ``sharded`` workers build and price each configuration
+once, then reuse it.
 """
 
 from __future__ import annotations
@@ -63,7 +54,6 @@ import logging
 import math
 import threading
 from collections import OrderedDict
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,9 +80,6 @@ __all__ = [
     "TrialEngine",
     "FiveClassEngine",
     "ArrangementEngine",
-    "available_engines",
-    "get_engine",
-    "register_engine",
     "select_engine",
     "shared_engine",
     "clear_engine_cache",
@@ -206,8 +193,6 @@ class TrialEngine(abc.ABC):
     An engine binds one ``(model, strategy, compromised)`` configuration at
     construction; :meth:`run_accumulate` then turns trial budgets into
     :class:`BatchAccumulator` reductions through :meth:`accumulate_chunk`.
-    Engines advertise their domain through the :meth:`covers` class
-    predicate, which is what :func:`select_engine` consults.
 
     Determinism contract: :meth:`accumulate_chunk` must consume a fixed
     number of bulk draws in a fixed order per chunk, and :data:`CHUNK_TRIALS`
@@ -219,10 +204,10 @@ class TrialEngine(abc.ABC):
     requests, shard tasks and threads.  An engine must therefore keep no
     per-run state besides its memoised class prices, and each memoised price
     must be a function of its class key alone, so that concurrent misses on
-    one class store the same value.  All four built-in engines meet this.
+    one class store the same value.  All four engines meet this.
     """
 
-    #: Registry key and display name of the engine.
+    #: Display name of the engine: its telemetry label and span attribute.
     name: str = "abstract"
 
     def __init__(
@@ -243,16 +228,6 @@ class TrialEngine(abc.ABC):
                 "compromised node identities must lie in [0, N)"
             )
         self._distribution = strategy.effective_distribution(model.n_nodes)
-
-    @classmethod
-    @abc.abstractmethod
-    def covers(
-        cls,
-        model: SystemModel,
-        strategy: PathSelectionStrategy,
-        compromised: frozenset[int],
-    ) -> bool:
-        """True when this engine can estimate the given configuration."""
 
     @property
     def distribution(self) -> PathLengthDistribution:
@@ -374,7 +349,12 @@ class FiveClassEngine(TrialEngine):
         compromised: frozenset[int],
     ) -> None:
         super().__init__(model, strategy, compromised)
-        if not self.covers(model, strategy, self.compromised):
+        if not (
+            model.clique_routing
+            and strategy.path_model is PathModel.SIMPLE
+            and len(self.compromised) == 1
+            and model.receiver_compromised
+        ):
             raise ConfigurationError(
                 "the five-class engine covers one compromised node with a "
                 "compromised receiver on simple paths; got "
@@ -397,20 +377,6 @@ class FiveClassEngine(TrialEngine):
                 identified.add(code)
         self._entropy_by_code = tuple(entropies)
         self._identified_codes = frozenset(identified)
-
-    @classmethod
-    def covers(
-        cls,
-        model: SystemModel,
-        strategy: PathSelectionStrategy,
-        compromised: frozenset[int],
-    ) -> bool:
-        return (
-            model.clique_routing
-            and strategy.path_model is PathModel.SIMPLE
-            and len(compromised) == 1
-            and model.receiver_compromised
-        )
 
     def accumulate_chunk(
         self, n_trials: int, generator: np.random.Generator
@@ -493,7 +459,7 @@ class ArrangementEngine(TrialEngine):
         compromised: frozenset[int],
     ) -> None:
         super().__init__(model, strategy, compromised)
-        if not self.covers(model, strategy, self.compromised):
+        if not (model.clique_routing and strategy.path_model is PathModel.SIMPLE):
             raise ConfigurationError(
                 "the arrangement engine covers simple-path strategies; got "
                 f"{strategy.path_model.value} paths"
@@ -505,15 +471,6 @@ class ArrangementEngine(TrialEngine):
         self._score_table = ClassScoreTable(
             model.with_compromised(len(self.compromised)), self._distribution
         )
-
-    @classmethod
-    def covers(
-        cls,
-        model: SystemModel,
-        strategy: PathSelectionStrategy,
-        compromised: frozenset[int],
-    ) -> bool:
-        return model.clique_routing and strategy.path_model is PathModel.SIMPLE
 
     def draw(
         self, n_trials: int, generator: np.random.Generator
@@ -556,90 +513,33 @@ class ArrangementEngine(TrialEngine):
 
 
 # ---------------------------------------------------------------------- #
-# Registry                                                                #
+# Engine selection                                                        #
 # ---------------------------------------------------------------------- #
-
-_ENGINES: dict[str, Callable[..., TrialEngine]] = {}
-
-
-def register_engine(
-    name: str,
-    engine: Callable[..., TrialEngine],
-    overwrite: bool = False,
-) -> None:
-    """Register a trial engine under ``name``.
-
-    This is the vectorized-pipeline counterpart of
-    :func:`repro.batch.backends.register_backend`: a registered engine is
-    eligible for every :class:`~repro.batch.estimator.BatchMonteCarlo` run —
-    and therefore for the ``batch``/``sharded`` backends, the adaptive
-    service, sweeps, and the CLI — without touching any call site.
-    ``engine`` must be constructible as
-    ``engine(model=..., strategy=..., compromised=...)`` and expose the
-    :class:`TrialEngine` surface (the ``covers`` predicate plus
-    ``run_accumulate``, which subclasses get by implementing
-    ``accumulate_chunk``).  Later registrations take precedence on any domain
-    they claim, so registering is also how the built-ins are overridden.
-
-    The registry is process-local; the ``sharded`` backend resolves the
-    engine in the *parent* and ships the class to its workers by pickle
-    reference (see :class:`repro.batch.sharded.ShardTask`), so a registered
-    engine's class must live in an importable module to shard — the standard
-    constraint on any multiprocessing payload.
-    """
-    if name in _ENGINES and not overwrite:
-        raise ConfigurationError(
-            f"engine {name!r} is already registered; pass overwrite=True to replace it"
-        )
-    _ENGINES[name] = engine
-
-
-def available_engines() -> tuple[str, ...]:
-    """Registered engine names, in registration order."""
-    return tuple(_ENGINES)
-
-
-def get_engine(name: str) -> Callable[..., TrialEngine]:
-    """The engine class registered under ``name``."""
-    try:
-        return _ENGINES[name]
-    except KeyError:
-        known = ", ".join(_ENGINES)
-        raise ConfigurationError(
-            f"unknown trial engine {name!r}; registered engines: {known}"
-        ) from None
 
 
 def select_engine(
     model: SystemModel,
     strategy: PathSelectionStrategy,
     compromised: frozenset[int] | set[int],
-) -> Callable[..., TrialEngine]:
-    """The engine class covering ``(model, strategy, compromised)``.
+) -> type[TrialEngine]:
+    """The engine class whose domain holds ``(model, strategy, compromised)``.
 
-    Engines are consulted latest-registered first, so a user-registered
-    engine preempts the built-ins on any configuration its ``covers``
-    predicate claims.  Raises :class:`~repro.exceptions.ConfigurationError`
-    when no registered engine covers the configuration.
+    The four domains are disjoint and together cover every configuration, so
+    every configuration selects exactly one engine; the engine's constructor
+    then rejects what its domain cannot estimate (an infeasible length law,
+    compromised identities outside ``[0, N)``).
     """
-    compromised = frozenset(compromised)
-    for name in reversed(_ENGINES):
-        engine = _ENGINES[name]
-        if engine.covers(model, strategy, compromised):
-            logger.debug(
-                "selected engine %r for %s, C=%d, %s paths",
-                name,
-                model.describe(),
-                len(compromised),
-                strategy.path_model.value,
-            )
-            return engine
-    known = ", ".join(_ENGINES)
-    raise ConfigurationError(
-        f"no registered trial engine covers {model.describe()} with "
-        f"C={len(compromised)} under strategy {strategy.name!r} "
-        f"({strategy.path_model.value} paths); registered engines: {known}"
-    )
+    # Both modules import TrialEngine from this one, so they load here.
+    from repro.batch.cycleengine import CycleBatchEngine
+    from repro.batch.topoengine import TopologyEngine
+
+    if not model.clique_routing:
+        return TopologyEngine
+    if strategy.path_model is PathModel.CYCLE_ALLOWED:
+        return CycleBatchEngine
+    if len(compromised) == 1 and model.receiver_compromised:
+        return FiveClassEngine
+    return ArrangementEngine
 
 
 # ---------------------------------------------------------------------- #
@@ -662,28 +562,29 @@ _ENGINE_CACHE_LOCK = threading.Lock()
 
 
 def shared_engine(
-    factory: Callable[..., TrialEngine],
     model: SystemModel,
     strategy: PathSelectionStrategy,
     compromised: frozenset[int],
 ) -> tuple[TrialEngine, bool]:
     """This process's engine for a configuration, and whether it was reused.
 
-    The key holds everything an engine is a function of: the factory, the
-    model, the path model, the compromised set, and the effective
-    distribution's name and exact pmf.  It never holds the strategy or the
-    distribution object, whose equality tolerates pmf differences up to
-    ``1e-12``: two such pmfs must not share prices.  The name is in the key
-    because an engine's distribution names the reports built from it.
+    The key holds everything an engine is a function of: the model, the
+    path model, the compromised set, and the effective distribution's name
+    and exact pmf.  The engine class is a function of the model, the path
+    model and the compromised set (see :func:`select_engine`), so it needs no
+    place of its own.  The key never holds the strategy or the distribution
+    object, whose equality tolerates pmf differences up to ``1e-12``: two
+    such pmfs must not share prices.  The name is in the key because an
+    engine's distribution names the reports built from it.
 
-    A miss builds the engine inside an ``engine.construct`` span, outside the
-    lock, so a slow build never blocks lookups of other configurations.  Two
-    threads that miss on one key at once both build; engines are
-    deterministic, so either copy serves, and the first one stored is kept.
+    A miss selects the engine class and builds the engine inside an
+    ``engine.construct`` span, outside the lock, so a slow build never blocks
+    lookups of other configurations.  Two threads that miss on one key at
+    once both build; engines are deterministic, so either copy serves, and
+    the first one stored is kept.
     """
     distribution = strategy.effective_distribution(model.n_nodes)
     key = (
-        factory,
         model,
         strategy.path_model,
         compromised,
@@ -695,8 +596,15 @@ def shared_engine(
         if engine is not None:
             _ENGINE_CACHE.move_to_end(key)
             return engine, True
-    name = getattr(factory, "name", type(factory).__name__)
-    with trace_span("engine.construct", engine=name):
+    factory = select_engine(model, strategy, compromised)
+    logger.debug(
+        "building engine %r for %s, C=%d, %s paths",
+        factory.name,
+        model.describe(),
+        len(compromised),
+        strategy.path_model.value,
+    )
+    with trace_span("engine.construct", engine=factory.name):
         built = factory(model=model, strategy=strategy, compromised=compromised)
     with _ENGINE_CACHE_LOCK:
         engine = _ENGINE_CACHE.setdefault(key, built)
@@ -710,11 +618,3 @@ def clear_engine_cache() -> None:
     """Drop every engine :func:`shared_engine` keeps in this process."""
     with _ENGINE_CACHE_LOCK:
         _ENGINE_CACHE.clear()
-
-
-# The built-ins register from most general to most specific: selection walks
-# the registry in reverse, so the specialised five-class engine preempts the
-# arrangement engine on the paper's core domain, and anything registered
-# after these preempts both.
-register_engine(ArrangementEngine.name, ArrangementEngine)
-register_engine(FiveClassEngine.name, FiveClassEngine)

@@ -11,16 +11,14 @@ chunks of the :class:`~repro.batch.engine.TrialEngine` kernel
 exact per-class entropies (one inference per *class*) — reduced to a
 :class:`~repro.batch.engine.BatchAccumulator`.
 
-:class:`BatchMonteCarlo` itself is a thin dispatcher: it asks the engine
-registry (:func:`repro.batch.engine.select_engine`) which
-:class:`~repro.batch.engine.TrialEngine` covers the requested
-``(model, strategy, compromised)`` configuration and delegates the run.  The
-four built-in engines — ``five-class``, ``arrangement``, ``cycle``, and
-``topology`` — cover one compromised node on the paper's core domain, any ``C`` with honest receivers on simple paths, cycle-allowed
-(Crowds-style) strategies at any ``C``, and non-clique topologies;
-registering a new engine extends the estimator (and
-the ``sharded`` backend, the adaptive service, sweeps, and the CLI above it)
-without touching any of them.
+:class:`BatchMonteCarlo` itself is a thin dispatcher: it takes the
+configuration's engine from :func:`repro.batch.engine.shared_engine`, which
+picks the :class:`~repro.batch.engine.TrialEngine` through
+:func:`~repro.batch.engine.select_engine` on a cache miss, and delegates the
+run.  The four engines — ``five-class``, ``arrangement``, ``cycle``, and
+``topology`` — cover one compromised node on the paper's core domain, any
+``C`` with honest receivers on simple paths, cycle-allowed (Crowds-style)
+strategies at any ``C``, and non-clique topologies.
 
 Because scoring reuses exact per-class entropies, the per-trial entropy
 samples follow exactly the same law as the hop-by-hop estimator's — same
@@ -35,16 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-# Importing the cycle and topology engines registers them alongside the
-# simple-path engines that repro.batch.engine registers at import.
-import repro.batch.cycleengine  # noqa: F401  (registration side effect)
-import repro.batch.topoengine  # noqa: F401  (registration side effect)
-from repro.batch.engine import (
-    BatchAccumulator,
-    TrialEngine,
-    select_engine,
-    shared_engine,
-)
+from repro.batch.engine import BatchAccumulator, TrialEngine, shared_engine
 from repro.core.model import SystemModel
 from repro.distributions.base import PathLengthDistribution
 from repro.routing.strategies import PathSelectionStrategy
@@ -59,8 +48,9 @@ class BatchMonteCarlo:
     """Vectorized estimator of ``H*(S)`` for a path-selection strategy.
 
     Constructor-compatible with
-    :class:`~repro.simulation.experiment.StrategyMonteCarlo`.  The engine
-    registry selects the columnar pipeline by the strategy and model:
+    :class:`~repro.simulation.experiment.StrategyMonteCarlo`.
+    :func:`~repro.batch.engine.select_engine` picks the columnar pipeline by
+    the strategy and model:
 
     * one compromised node with the paper's compromised receiver on simple
       paths runs on the five-class engine (the closed form's symmetry
@@ -96,9 +86,8 @@ class BatchMonteCarlo:
         self.compromised = frozenset(self.compromised)
         # Identity-range validation happens in TrialEngine.__init__, which
         # every selected engine runs when it is first built.
-        factory = select_engine(self.model, self.strategy, self.compromised)
         self._engine, reused = shared_engine(
-            factory, self.model, self.strategy, self.compromised
+            self.model, self.strategy, self.compromised
         )
         telemetry = get_registry()
         if telemetry.enabled:

@@ -7,8 +7,8 @@ throughput with cores.  The design leans on the accumulator factoring of
 
 * the trial budget is split into ``shards`` near-equal chunks;
 * every shard gets its own sub-seed, drawn from the parent generator in shard
-  order, and runs the selected :class:`~repro.batch.engine.TrialEngine` in a
-  worker process;
+  order, and runs the configuration's
+  :class:`~repro.batch.engine.TrialEngine` in a worker process;
 * each worker returns only a :class:`~repro.batch.estimator.BatchAccumulator`
   — per-class counts plus a length sum, a few hundred bytes — so nothing
   per-trial (no columns, no delivery logs, no observations) ever crosses a
@@ -30,9 +30,9 @@ results independent of the machine's parallelism.
 Workers are started with the ``spawn`` method (never ``fork``), so the backend
 is safe under threaded parents and behaves identically across platforms; the
 worker entry point is a module-level function whose payload is just the
-(picklable) model, strategy, trial count, sub-seed, engine class and
-compromised set.  Each worker takes its engine from its own process-wide
-cache (:func:`~repro.batch.engine.shared_engine`), so it builds and prices a
+(picklable) model, strategy, trial count, sub-seed and compromised set.
+Each worker takes its engine from its own process-wide cache
+(:func:`~repro.batch.engine.shared_engine`), so it builds and prices a
 configuration once for the life of the pool, not once per task.
 
 Registered as the ``"sharded"`` estimator backend; reach it anywhere a backend
@@ -49,13 +49,12 @@ import multiprocessing
 import os
 import time
 import weakref
-from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.batch.backends import EstimatorBackend, register_backend
-from repro.batch.engine import TrialEngine, select_engine, shared_engine
+from repro.batch.engine import shared_engine
 from repro.batch.estimator import BatchAccumulator
 from repro.core.model import SystemModel
 from repro.exceptions import ConfigurationError
@@ -107,21 +106,15 @@ def split_trials(n_trials: int, shards: int) -> tuple[int, ...]:
 class ShardTask:
     """One worker's unit of work: a kernel configuration plus a sub-seed.
 
-    ``engine`` is the :class:`~repro.batch.engine.TrialEngine` class the
-    parent resolved through :func:`~repro.batch.engine.select_engine`.  It is
-    pickled *by reference*, so a worker builds (or reuses, see
-    :func:`~repro.batch.engine.shared_engine`) exactly the engine the parent
-    chose without consulting its own (process-local) registry — a
-    user-registered engine therefore shards correctly as long as its class
-    lives in an importable module, the standard constraint on any
-    multiprocessing payload.
+    The configuration alone names the engine: a worker builds (or reuses, see
+    :func:`~repro.batch.engine.shared_engine`) the engine that
+    :func:`~repro.batch.engine.select_engine` picks for it.
     """
 
     model: SystemModel
     strategy: PathSelectionStrategy
     n_trials: int
     seed: int
-    engine: Callable[..., TrialEngine]
     #: The compromised identities the engine runs with.
     compromised: frozenset[int]
 
@@ -164,9 +157,7 @@ def _run_shard(task: ShardTask) -> ShardResult:
     """
     # Elapsed-time *reporting* only — never feeds the accumulator bits.
     started = time.perf_counter()  # repro: ignore[R001]
-    kernel, reused = shared_engine(
-        task.engine, task.model, task.strategy, task.compromised
-    )
+    kernel, reused = shared_engine(task.model, task.strategy, task.compromised)
     built = time.perf_counter()  # repro: ignore[R001]
     accumulator = kernel.run_accumulate(task.n_trials, rng=task.seed)
     return ShardResult(
@@ -335,21 +326,17 @@ class ShardedBackend(EstimatorBackend):
 
         Sub-seeds are drawn from the parent generator in shard order — the
         whole plan, and therefore the final estimate, is a pure function of
-        the parent seed and the shard count.  The trial engine is resolved
-        *here*, in the parent, so user-registered engines reach the workers
-        (see :class:`ShardTask`).  ``compromised`` names the compromised
-        identities; ``None`` keeps the model's canonical set.
+        the parent seed and the shard count.  ``compromised`` names the
+        compromised identities; ``None`` keeps the model's canonical set.
         """
         generator = ensure_rng(rng)
         compromised = frozenset(
             model.compromised_nodes() if compromised is None else compromised
         )
-        engine = select_engine(model, strategy, compromised)
         logger.debug(
-            "planned %d shard(s) of %d trial(s) on engine %r (workers=%d)",
+            "planned %d shard(s) of %d trial(s) (workers=%d)",
             self.shards,
             n_trials,
-            getattr(engine, "name", engine),
             self.workers,
         )
         return [
@@ -358,7 +345,6 @@ class ShardedBackend(EstimatorBackend):
                 strategy=strategy,
                 n_trials=size,
                 seed=int(generator.integers(0, 2**63 - 1)),
-                engine=engine,
                 compromised=compromised,
             )
             for size in split_trials(n_trials, self.shards)

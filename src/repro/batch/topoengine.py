@@ -42,7 +42,7 @@ import itertools
 import numpy as np
 
 from repro.adversary.inference import TopologyClassTable
-from repro.batch.engine import ChunkClasses, TrialEngine, register_engine
+from repro.batch.engine import ChunkClasses, TrialEngine
 from repro.core.model import PathModel, SystemModel
 from repro.core.results import IDENTIFIED_THRESHOLD
 from repro.core.topology import TopologyPathLaw
@@ -113,10 +113,6 @@ class TopologyEngine(TrialEngine):
                 (entropy_bits(posterior), max(posterior) >= IDENTIFIED_THRESHOLD)
             )
 
-    @classmethod
-    def covers(cls, model, strategy, compromised) -> bool:
-        return not model.clique_routing
-
     def accumulate_chunk(
         self, n_trials: int, generator: np.random.Generator
     ) -> tuple[int, ChunkClasses]:
@@ -155,9 +151,3 @@ class TopologyEngine(TrialEngine):
         two to ``1e-10``.
         """
         return self._table.exact_degree()
-
-
-# Registered after the clique built-ins (see repro.batch.estimator): the
-# registry is walked latest-first, and the covers() predicates keep the
-# domains disjoint anyway — clique models never reach this engine.
-register_engine(TopologyEngine.name, TopologyEngine)

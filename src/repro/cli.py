@@ -743,8 +743,8 @@ def _exact_backend_covers(
     The exact backend evaluates the paper's closed form: one compromised
     node, simple paths, compromised receiver.  Requests outside that domain
     are usage errors (one line, exit code 2) that point at the backend whose
-    engine registry actually covers them, rather than only restating the
-    restriction.
+    engines actually cover them, rather than only restating the restriction.
+    ``batch`` and ``estimate`` both check here, so they print the same line.
     """
     if strategy.path_model is not PathModel.SIMPLE:
         print(
@@ -845,6 +845,10 @@ def _command_estimate(args: argparse.Namespace) -> int:
         max_trials=args.max_trials,
         seed=args.seed,
     )
+    if args.backend == "exact" and not _exact_backend_covers(
+        args, strategy, request.model().topology
+    ):
+        return 2
     on_round = _progress_callback(sys.stderr) if args.progress else None
     with _telemetry_scope(args) as registry:
         with _profile_scope(args) as profiler:

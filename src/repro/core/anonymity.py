@@ -174,13 +174,14 @@ class AnonymityAnalyzer:
             raise ConfigurationError(
                 "AnonymityAnalyzer computes the exact closed form for exactly one "
                 f"compromised node; got n_compromised={model.n_compromised}. "
-                "Use repro.core.enumeration (exact, small N) or "
-                "repro.simulation.MonteCarloAnonymityExperiment (estimates) for other cases."
+                "Use repro.core.enumeration.ExhaustiveAnalyzer (exact, small N) or "
+                "the batch backend (estimates) for other cases."
             )
         if model.path_model is not PathModel.SIMPLE:
             raise ConfigurationError(
-                "AnonymityAnalyzer covers simple rerouting paths; cycle-allowed paths "
-                "are handled by the enumeration and simulation engines."
+                "AnonymityAnalyzer covers simple rerouting paths; for cycle-allowed "
+                "paths use repro.core.enumeration.ExhaustiveAnalyzer (exact, small N) "
+                "or the batch backend (estimates)."
             )
         if not model.receiver_compromised:
             raise ConfigurationError(

@@ -24,7 +24,6 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 
 from repro.core.model import AdversaryModel, PathModel, SystemModel
 from repro.core.topology import TopologyPathLaw
@@ -40,13 +39,6 @@ _MAX_PATHS_PER_LENGTH = 2_000_000
 
 
 ObservationKey = tuple
-
-
-@dataclass(frozen=True)
-class _JointEntry:
-    """Posterior weight vector for one observation (indexed by sender)."""
-
-    weights: tuple[float, ...]
 
 
 class ExhaustiveAnalyzer:

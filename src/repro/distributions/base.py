@@ -26,7 +26,7 @@ from __future__ import annotations
 import abc
 from array import array
 from bisect import bisect_left
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -262,8 +262,3 @@ class PathLengthDistribution(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}({self.name})"
-
-
-def pmf_sequence_to_dict(probabilities: Sequence[float], offset: int = 0) -> dict[int, float]:
-    """Convert a dense probability sequence starting at ``offset`` into a pmf dict."""
-    return {offset + i: float(p) for i, p in enumerate(probabilities) if p > 0.0}

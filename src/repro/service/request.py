@@ -285,7 +285,7 @@ class EstimateRequest:
         ``PathLengthDistribution`` is accepted and converted).
     backend, backend_options:
         The estimator engine (must support block accumulation — ``batch``,
-        ``sharded``, or a registered engine exposing ``accumulate_runner``;
+        ``sharded``, or a registered backend exposing ``accumulate_runner``;
         ``exact`` short-circuits) and its constructor options.
     precision:
         Target 95% confidence-interval **half-width** in bits; the adaptive

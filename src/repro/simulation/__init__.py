@@ -6,11 +6,7 @@ The estimators never import this package: their report types live in
 
 from repro.core.results import EstimateWithCI, MonteCarloReport, summarize_samples
 from repro.simulation.engine import AnonymousCommunicationSystem, SendOutcome
-from repro.simulation.experiment import (
-    ProtocolMonteCarlo,
-    StrategyMonteCarlo,
-    monte_carlo_with_backend,
-)
+from repro.simulation.experiment import ProtocolMonteCarlo, StrategyMonteCarlo
 
 __all__ = [
     "AnonymousCommunicationSystem",
@@ -18,7 +14,6 @@ __all__ = [
     "StrategyMonteCarlo",
     "ProtocolMonteCarlo",
     "MonteCarloReport",
-    "monte_carlo_with_backend",
     "EstimateWithCI",
     "summarize_samples",
 ]

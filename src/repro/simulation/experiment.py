@@ -21,11 +21,10 @@ the outer expectation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.adversary.inference import BayesianPathInference
 from repro.adversary.observation import observation_from_path
-from repro.batch.backends import estimate_anonymity
 from repro.core.model import SystemModel
 from repro.core.results import IDENTIFIED_THRESHOLD, MonteCarloReport, summarize_samples
 from repro.distributions.base import PathLengthDistribution
@@ -37,7 +36,6 @@ from repro.utils.validation import check_positive_int
 __all__ = [
     "StrategyMonteCarlo",
     "ProtocolMonteCarlo",
-    "monte_carlo_with_backend",
 ]
 
 
@@ -102,45 +100,19 @@ class StrategyMonteCarlo:
         )
 
 
-def monte_carlo_with_backend(
-    model: SystemModel,
-    strategy: PathSelectionStrategy,
-    n_trials: int,
-    rng: RandomSource = None,
-    backend: str = "event",
-    **backend_options,
-) -> MonteCarloReport:
-    """Run one strategy-level Monte-Carlo estimate through a named backend.
-
-    ``backend`` selects the estimation engine from the registry in
-    :mod:`repro.batch.backends`: ``"event"`` (the default) is the hop-by-hop
-    :class:`StrategyMonteCarlo` above, ``"batch"`` is the vectorized columnar
-    estimator, ``"sharded"`` fans batch kernels across worker processes, and
-    ``"exact"`` short-circuits to the closed form.  ``backend_options`` are
-    forwarded to the backend factory (e.g. ``workers=8`` for ``sharded``).
-    """
-    return estimate_anonymity(
-        model, strategy, n_trials=n_trials, rng=rng, backend=backend,
-        **backend_options,
-    )
-
-
 @dataclass
 class ProtocolMonteCarlo:
     """Estimate ``H*`` by driving a real protocol through the discrete-event engine.
 
     Every trial builds a fresh system instance (so protocol state such as
-    Crowds' static paths does not leak across trials unless requested),
-    transmits one message from a uniformly random sender, and scores the
-    adversary's posterior entropy for the observation the agents collected.
+    Crowds' static paths does not leak across trials), transmits one message
+    from a uniformly random sender, and scores the adversary's posterior
+    entropy for the observation the agents collected.
     """
 
     model: SystemModel
     protocol_factory: "callable"
     inference_distribution: PathLengthDistribution | None = None
-    reuse_system: bool = False
-
-    _system: AnonymousCommunicationSystem | None = field(default=None, repr=False)
 
     def run(self, n_trials: int, rng: RandomSource = None) -> MonteCarloReport:
         """Run ``n_trials`` end-to-end transmissions and score each observation."""
@@ -162,7 +134,9 @@ class ProtocolMonteCarlo:
         lengths: list[int] = []
         identified = 0
         for _ in range(n_trials):
-            system = self._get_system(generator)
+            system = AnonymousCommunicationSystem(
+                model=self.model, protocol=self.protocol_factory()
+            )
             sender = int(generator.integers(0, self.model.n_nodes))
             outcome = system.send(sender, payload="probe", rng=generator)
             posterior = inference.posterior(outcome.observation)
@@ -178,15 +152,4 @@ class ProtocolMonteCarlo:
             model=self.model,
             mean_path_length=sum(lengths) / len(lengths),
             identification_rate=identified / n_trials,
-        )
-
-    def _get_system(self, generator) -> AnonymousCommunicationSystem:
-        if self.reuse_system:
-            if self._system is None:
-                self._system = AnonymousCommunicationSystem(
-                    model=self.model, protocol=self.protocol_factory()
-                )
-            return self._system
-        return AnonymousCommunicationSystem(
-            model=self.model, protocol=self.protocol_factory()
         )

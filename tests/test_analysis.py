@@ -196,60 +196,11 @@ class TestR002RegistryContracts:
     def test_head_registrations_are_clean(self):
         assert run_check(root=REPO_ROOT, rules=("R002",)) == []
 
-    def test_engine_without_stages_fires(self, tmp_path):
-        root = project_copy(tmp_path)
-        engine = root / "src/repro/batch/engine.py"
-        engine.write_text(
-            engine.read_text()
-            + "\n\nclass HollowEngine:\n"
-            + "    name = 'hollow'\n\n"
-            + "register_engine('hollow', HollowEngine)\n"
-        )
-        findings = run_check(root=root, rules=("R002",))
-        assert len(findings) == 1
-        assert "HollowEngine" in findings[0].message
-        assert "covers" in findings[0].message
-        assert "accumulate_chunk" in findings[0].message
-
-    def test_engine_without_its_kernel_fires(self, tmp_path):
-        root = project_copy(tmp_path)
-        engine = root / "src/repro/batch/engine.py"
-        engine.write_text(
-            engine.read_text()
-            + "\n\nclass KernellessEngine(TrialEngine):\n"
-            + "    name = 'kernelless'\n\n"
-            + "    @classmethod\n"
-            + "    def covers(cls, model, strategy, compromised):\n"
-            + "        return False\n\n"
-            + "register_engine('kernelless', KernellessEngine)\n"
-        )
-        findings = run_check(root=root, rules=("R002",))
-        assert len(findings) == 1
-        assert "KernellessEngine" in findings[0].message
-        assert "accumulate_chunk" in findings[0].message
-        assert "covers" not in findings[0].message
-
-    def test_engine_with_own_run_accumulate_is_clean(self, tmp_path):
-        root = project_copy(tmp_path)
-        engine = root / "src/repro/batch/engine.py"
-        engine.write_text(
-            engine.read_text()
-            + "\n\nclass DriverEngine:\n"
-            + "    name = 'driver'\n\n"
-            + "    @classmethod\n"
-            + "    def covers(cls, model, strategy, compromised):\n"
-            + "        return False\n\n"
-            + "    def run_accumulate(self, n_trials, rng=None):\n"
-            + "        raise NotImplementedError\n\n"
-            + "register_engine('driver', DriverEngine)\n"
-        )
-        assert run_check(root=root, rules=("R002",)) == []
-
     def test_unresolvable_registration_fires(self, tmp_path):
         root = project_copy(tmp_path)
-        engine = root / "src/repro/batch/engine.py"
-        engine.write_text(
-            engine.read_text() + "\n\nregister_engine('dyn', get_engine('batch'))\n"
+        backends = root / "src/repro/batch/backends.py"
+        backends.write_text(
+            backends.read_text() + "\n\nregister_backend('dyn', get_backend('batch'))\n"
         )
         findings = run_check(root=root, rules=("R002",))
         assert len(findings) == 1
@@ -490,7 +441,7 @@ class TestProject:
         methods = project.concrete_methods("FiveClassEngine")
         assert methods is not None
         # Inherited concrete driver plus its own kernel.
-        assert {"run_accumulate", "accumulate_chunk", "covers"} <= methods
+        assert {"run_accumulate", "accumulate_chunk"} <= methods
 
     def test_abstract_methods_do_not_satisfy_lookup(self):
         project = Project(REPO_ROOT)

@@ -44,7 +44,6 @@ from repro.distributions import (
 from repro.exceptions import ConfigurationError, DistributionError
 from repro.experiments.registry import run_experiment
 from repro.routing.strategies import PathSelectionStrategy
-from repro.simulation import monte_carlo_with_backend
 
 #: The four families named by the parity requirement, all feasible at N=20.
 PARITY_DISTRIBUTIONS = [
@@ -307,10 +306,10 @@ class TestBackends:
         finally:
             _BACKENDS.pop("null-test", None)
 
-    def test_monte_carlo_with_backend_helper(self):
+    def test_estimate_anonymity_with_a_strategy(self):
         model = SystemModel(n_nodes=12, n_compromised=1)
         strategy = PathSelectionStrategy("F(2)", FixedLength(2))
-        report = monte_carlo_with_backend(
+        report = estimate_anonymity(
             model, strategy, n_trials=10_000, rng=1, backend="batch"
         )
         exact = AnonymityAnalyzer(model).anonymity_degree(FixedLength(2))

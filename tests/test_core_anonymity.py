@@ -190,12 +190,12 @@ class UnmemoisedAnalyzer(AnonymityAnalyzer):
 
 class TestAnalyzerConstruction:
     def test_requires_single_compromised_node(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="ExhaustiveAnalyzer.*batch backend"):
             AnonymityAnalyzer(SystemModel(n_nodes=10, n_compromised=2))
 
     def test_requires_simple_paths(self):
         model = SystemModel(n_nodes=10, path_model=PathModel.CYCLE_ALLOWED)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="ExhaustiveAnalyzer.*batch backend"):
             AnonymityAnalyzer(model)
 
     def test_requires_compromised_receiver(self):

@@ -1,20 +1,20 @@
-"""Tests for the ``TrialEngine`` protocol and its engine registry.
+"""Tests for the ``TrialEngine`` protocol and engine selection.
 
 Two load-bearing contracts:
 
 * **totality** — for every ``(path_model, C, receiver)`` combination in the
-  supported domain, :func:`repro.batch.select_engine` returns an engine; no
-  configuration silently falls through to a raise any more (the pre-protocol
-  dispatcher rejected cycle paths with ``C != 1``);
-* **extensibility** — :func:`repro.batch.register_engine` mirrors
-  ``register_backend``: a user-registered engine is actually selected (latest
-  registration wins on any domain its ``covers`` predicate claims) and serves
-  ``BatchMonteCarlo`` runs end to end.
+  supported domain, :func:`repro.batch.select_engine` returns an engine, and
+  each domain maps to its one engine;
+* **one kernel** — a ``TrialEngine`` subclass needs only
+  ``accumulate_chunk`` to run and report, and a shard task, which carries no
+  engine, runs in a worker on the engine ``BatchMonteCarlo`` selects for the
+  same configuration, bit for bit.
 """
 
 from __future__ import annotations
 
 import itertools
+import pickle
 
 import pytest
 
@@ -26,12 +26,11 @@ from repro.batch import (
     FiveClassEngine,
     TopologyEngine,
     TrialEngine,
-    available_engines,
-    get_engine,
-    register_engine,
     select_engine,
 )
 from repro.batch import engine as engine_module
+from repro.batch.engine import clear_engine_cache
+from repro.batch.sharded import ShardedBackend, _run_shard
 from repro.core.model import PathModel, SystemModel
 from repro.core.topology import Topology
 from repro.distributions import UniformLength
@@ -98,24 +97,15 @@ class TestEngineSelectionTotality:
         for c in (0, 1, 2, 3):
             multi = SystemModel(n_nodes=N_NODES, n_compromised=c)
             assert selected(multi, cycles) is CycleBatchEngine
-
-    def test_empty_registry_raises_a_configuration_error(self, monkeypatch):
-        monkeypatch.setattr(engine_module, "_ENGINES", {})
-        model = SystemModel(n_nodes=N_NODES)
-        with pytest.raises(ConfigurationError, match="no registered trial engine"):
-            engine_module.select_engine(
-                model, strategy_for(PathModel.SIMPLE), frozenset({0})
-            )
+        ring = SystemModel(n_nodes=N_NODES, topology=Topology.ring(N_NODES))
+        for strategy in (simple, cycles):
+            assert selected(ring, strategy) is TopologyEngine
 
 
 class _ConstantEngine(TrialEngine):
-    """A degenerate engine claiming the whole domain: every trial one class."""
+    """A degenerate engine with only its kernel: every trial one class."""
 
     name = "constant"
-
-    @classmethod
-    def covers(cls, model, strategy, compromised) -> bool:
-        return True
 
     def accumulate_chunk(self, n_trials, generator):
         generator.integers(0, 2, size=n_trials)  # honour the RNG protocol
@@ -123,43 +113,34 @@ class _ConstantEngine(TrialEngine):
         return n_trials, {"constant-class": (n_trials, 1.5, False)}
 
 
-class TestEngineRegistry:
-    def test_registered_engine_is_selected_and_runs(self):
-        register_engine(_ConstantEngine.name, _ConstantEngine)
-        try:
-            model = SystemModel(n_nodes=N_NODES)
-            strategy = strategy_for(PathModel.SIMPLE)
-            assert select_engine(
-                model, strategy, model.compromised_nodes()
-            ) is _ConstantEngine
-            assert "constant" in available_engines()
-            assert get_engine("constant") is _ConstantEngine
-            # The dispatcher — and therefore every backend above it — uses it.
-            estimator = BatchMonteCarlo(model, strategy)
-            assert estimator.engine.name == "constant"
-            report = estimator.run(500, rng=1)
-            assert report.degree_bits == 1.5
-            assert report.estimate.std_error == 0.0
-            assert report.mean_path_length == 1.0
-        finally:
-            del engine_module._ENGINES[_ConstantEngine.name]
+class TestOneKernelEngine:
+    @pytest.mark.parametrize("chunk_trials", [None, 128], ids=["one-chunk", "chunked"])
+    def test_kernel_alone_runs_and_reports(self, chunk_trials, monkeypatch):
+        if chunk_trials is not None:
+            monkeypatch.setattr(engine_module, "CHUNK_TRIALS", chunk_trials)
+        model = SystemModel(n_nodes=N_NODES)
+        engine = _ConstantEngine(
+            model=model,
+            strategy=strategy_for(PathModel.SIMPLE),
+            compromised=model.compromised_nodes(),
+        )
+        chunks: list[int] = []
+        kernel = engine.accumulate_chunk
 
-    def test_duplicate_registration_requires_overwrite(self):
-        with pytest.raises(ConfigurationError, match="already registered"):
-            register_engine(FiveClassEngine.name, _ConstantEngine)
-        # overwrite=True replaces; restore the built-in afterwards.
-        register_engine(FiveClassEngine.name, _ConstantEngine, overwrite=True)
-        try:
-            assert get_engine(FiveClassEngine.name) is _ConstantEngine
-        finally:
-            register_engine(
-                FiveClassEngine.name, FiveClassEngine, overwrite=True
-            )
+        def recording(n_trials, generator):
+            chunks.append(n_trials)
+            return kernel(n_trials, generator)
 
-    def test_unknown_engine_name_raises(self):
-        with pytest.raises(ConfigurationError, match="unknown trial engine"):
-            get_engine("no-such-engine")
+        monkeypatch.setattr(engine, "accumulate_chunk", recording)
+        report = engine.run(500, rng=1)
+        assert chunks == ([500] if chunk_trials is None else [128, 128, 128, 116])
+        assert report.n_trials == 500
+        assert report.degree_bits == 1.5
+        assert report.estimate.std_error == 0.0
+        assert report.mean_path_length == 1.0
 
+
+class TestEngineDomains:
     def test_engines_reject_configurations_outside_their_domain(self):
         model = SystemModel(n_nodes=N_NODES, n_compromised=2)
         simple = strategy_for(PathModel.SIMPLE)
@@ -176,39 +157,6 @@ class TestEngineRegistry:
             ArrangementEngine(
                 model=model, strategy=cycles, compromised=frozenset({0, 1})
             )
-
-    def test_sharded_plan_ships_the_selected_engine_to_workers(self):
-        """The shard plan resolves the engine in the parent, not the worker.
-
-        Workers rebuild the engine from the pickled class reference, so a
-        user-registered engine shards correctly even though each spawn
-        worker's registry only holds the built-ins.
-        """
-        import pickle
-
-        from repro.batch.sharded import ShardedBackend, _run_shard
-
-        register_engine(_ConstantEngine.name, _ConstantEngine)
-        try:
-            model = SystemModel(n_nodes=N_NODES)
-            strategy = strategy_for(PathModel.SIMPLE)
-            backend = ShardedBackend(workers=1, shards=2)
-            tasks = backend.plan(model, strategy, 1_000, rng=3)
-            assert all(task.engine is _ConstantEngine for task in tasks)
-            # The worker path: round-trip the task through pickle (what the
-            # spawn pool does) and run it without consulting the registry.
-            task = pickle.loads(pickle.dumps(tasks[0]))
-            shard = _run_shard(task)
-            assert shard.engine_name == _ConstantEngine.name
-            assert shard.n_trials == task.n_trials
-            accumulator = shard.accumulator
-            assert accumulator.classes == {
-                "constant-class": (task.n_trials, 1.5, False)
-            }
-            report = backend.estimate(model, strategy, n_trials=1_000, rng=3)
-            assert report.degree_bits == 1.5
-        finally:
-            del engine_module._ENGINES[_ConstantEngine.name]
 
     def test_accumulators_merge_across_engines_of_one_configuration(self):
         model = SystemModel(n_nodes=N_NODES, n_compromised=2)
@@ -254,6 +202,25 @@ ENGINE_CONFIGURATIONS = {
         PathModel.SIMPLE,
     ),
 }
+
+
+class TestShardedWorkerEngine:
+    @pytest.mark.parametrize("name", sorted(ENGINE_CONFIGURATIONS))
+    def test_worker_runs_the_engine_the_estimator_selects(self, name):
+        """A pickled shard task rebuilds its engine from the configuration alone."""
+        engine_class, model, path_model = ENGINE_CONFIGURATIONS[name]
+        strategy = strategy_for(path_model)
+        (task,) = ShardedBackend(workers=1, shards=1).plan(
+            model, strategy, 3_000, rng=11
+        )
+        shard = _run_shard(pickle.loads(pickle.dumps(task)))
+        # The estimator builds its own engine, not the one the shard cached.
+        clear_engine_cache()
+        estimator = BatchMonteCarlo(model, strategy)
+        assert shard.engine_name == estimator.engine.name == engine_class.name
+        assert shard.accumulator == estimator.run_accumulate(
+            task.n_trials, rng=task.seed
+        )
 
 
 class TestChunking:

@@ -252,6 +252,31 @@ class TestCLI:
         )
         assert f"backend={backend}" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--compromised", "2"],
+            ["--strategy", "crowds-cycles"],
+            ["--topology", "ring"],
+        ],
+        ids=["multi-compromised", "cycles", "topology"],
+    )
+    def test_exact_backend_off_domain_is_one_line_from_estimate_and_batch(
+        self, flags, capsys
+    ):
+        errors = []
+        for command in (["estimate", "--precision", "0.05"], ["batch"]):
+            code = main([*command, "--n", "15", "--backend", "exact", *flags])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            errors.append(captured.err)
+        estimate_error, batch_error = errors
+        assert estimate_error == batch_error
+        assert estimate_error.startswith("error:")
+        assert estimate_error.count("\n") == 1
+        assert "--backend batch" in estimate_error
+
     def test_unknown_experiment_via_cli(self):
         with pytest.raises(KeyError):
             main(["figure", "nope"])

@@ -10,7 +10,7 @@ The load-bearing properties:
 * merged estimates keep the statistical contract of the single-process batch
   engine on both the C=1 closed-form domain and the C>1 exhaustive domain;
 * the backend is reachable everywhere backends are: the registry, sweeps,
-  ``monte_carlo_with_backend``, the ``ext-shard`` experiment, and the
+  ``estimate_anonymity``, the ``ext-shard`` experiment, and the
   ``repro-anon batch --backend sharded`` CLI round-trip.
 
 The spawn pool is exercised once (it costs ~a second of interpreter start-up
@@ -42,7 +42,6 @@ from repro.exceptions import ConfigurationError
 from repro.experiments.registry import run_experiment
 from repro.routing.strategies import PathSelectionStrategy
 from repro.service.adaptive import AdaptiveScheduler
-from repro.simulation import monte_carlo_with_backend
 from repro.telemetry import activate
 
 
@@ -255,10 +254,10 @@ class TestShardedWiring:
                 **options,
             )
 
-    def test_monte_carlo_with_backend_forwards_options(self):
+    def test_estimate_anonymity_forwards_options(self):
         model = SystemModel(n_nodes=12, n_compromised=1)
         strategy = PathSelectionStrategy("F(2)", FixedLength(2))
-        report = monte_carlo_with_backend(
+        report = estimate_anonymity(
             model, strategy, n_trials=10_000, rng=1,
             backend="sharded", workers=1, shards=2,
         )

@@ -186,12 +186,6 @@ class TestProtocolMonteCarlo:
         assert report.n_trials == 10
         assert 0.0 <= report.degree_bits <= model.max_entropy
 
-    def test_reuse_system_flag(self):
-        model = SystemModel(n_nodes=15, n_compromised=1)
-        experiment = ProtocolMonteCarlo(model, lambda: FreedomProtocol(15), reuse_system=True)
-        report = experiment.run(50, rng=2)
-        assert report.n_trials == 50
-
 
 @pytest.mark.parametrize("n_trials", [0, 2.5, True])
 @pytest.mark.parametrize(
