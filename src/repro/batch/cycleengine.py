@@ -205,6 +205,11 @@ class CycleBatchEngine(TrialEngine):
                 f"{type(self).__name__} requires a cycle-allowed strategy, got "
                 f"{strategy.path_model!r}"
             )
+        if not model.clique_routing:
+            raise ConfigurationError(
+                f"{type(self).__name__} walks the clique; topology "
+                f"{model.topology.spec} runs on the topology engine"
+            )
         self._lengths = InverseCdfDecoder(self._distribution)
         self._score_table = CycleScoreTable(
             model=model.with_compromised(len(self.compromised)),

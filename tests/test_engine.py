@@ -157,6 +157,13 @@ class TestEngineDomains:
             ArrangementEngine(
                 model=model, strategy=cycles, compromised=frozenset({0, 1})
             )
+        ring = SystemModel(
+            n_nodes=N_NODES, n_compromised=2, topology=Topology.ring(N_NODES)
+        )
+        with pytest.raises(ConfigurationError, match="topology engine"):
+            CycleBatchEngine(
+                model=ring, strategy=cycles, compromised=frozenset({0, 1})
+            )
 
     def test_accumulators_merge_across_engines_of_one_configuration(self):
         model = SystemModel(n_nodes=N_NODES, n_compromised=2)
