@@ -4,9 +4,9 @@ These are not paper figures; they document the cost of the building blocks a
 downstream user composes: the exact anonymity-degree computation, the
 Bayesian posterior for one observation, the optimizer, a single end-to-end
 protocol transmission, and the Monte-Carlo estimator — plus the kernel
-record: every clique engine's ``accumulate_chunk`` throughput, written to
-``BENCH_engines.json``, with the asserted floor **five-class >= 44.72 M
-trials/s** on the full workload.
+record: every clique engine's ``accumulate_chunk`` throughput (and each
+arrangement coder path's), written to ``BENCH_engines.json``, with the
+asserted floor **five-class >= 44.72 M trials/s** on the full workload.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from repro.adversary.observation import observation_from_path
 from repro.batch import engine as engine_module
 from repro.batch.engine import TrialEngine, select_engine
 from repro.core.anonymity import AnonymityAnalyzer
-from repro.core.model import PathModel, SystemModel
+from repro.core.model import AdversaryModel, PathModel, SystemModel
 from repro.core.optimizer import best_uniform_for_mean
 from repro.distributions import FixedLength, GeometricLength, UniformLength
 from repro.protocols import OnionRoutingI
@@ -105,18 +105,34 @@ KERNEL_CHUNK = 16_384
 #: old "fused >= 2x staged" guarantee restated as an absolute number.
 MIN_FIVE_CLASS_TRIALS_PER_SEC = 44_720_000
 
-#: The engine domains measured: (record key, path model, compromised set).
+#: The engine domains measured: (record key, path model, compromised set,
+#: adversary).  Arrangement is measured once per coder path: full Bayes
+#: codes, position-aware codes, and the predecessor-only counts that skip
+#: the slot decode.
 KERNEL_DOMAINS = [
-    ("five_class", PathModel.SIMPLE, frozenset({7})),
-    ("arrangement", PathModel.SIMPLE, frozenset({7, 23})),
-    ("cycle", PathModel.CYCLE_ALLOWED, frozenset({7})),
+    ("five_class", PathModel.SIMPLE, frozenset({7}), AdversaryModel.FULL_BAYES),
+    ("arrangement", PathModel.SIMPLE, frozenset({7, 23}), AdversaryModel.FULL_BAYES),
+    (
+        "arrangement_predecessor_only",
+        PathModel.SIMPLE,
+        frozenset({7, 23, 61}),
+        AdversaryModel.PREDECESSOR_ONLY,
+    ),
+    (
+        "arrangement_position_aware",
+        PathModel.SIMPLE,
+        frozenset({7, 23, 61}),
+        AdversaryModel.POSITION_AWARE,
+    ),
+    ("cycle", PathModel.CYCLE_ALLOWED, frozenset({7}), AdversaryModel.FULL_BAYES),
 ]
 
 
-def _kernel_engine(path_model, compromised) -> TrialEngine:
+def _kernel_engine(path_model, compromised, adversary) -> TrialEngine:
     model = SystemModel(
         n_nodes=KERNEL_NODES,
         n_compromised=len(compromised),
+        adversary=adversary,
         path_model=path_model,
     )
     strategy = PathSelectionStrategy(
@@ -140,21 +156,21 @@ def test_kernel_throughput_floor(smoke, monkeypatch):
     """The kernel record: trials/sec of every clique engine's kernel.
 
     The five-class floor is asserted on the full workload only; arrangement
-    and cycle throughput are recorded without a floor.
+    (per coder path) and cycle throughput are recorded without a floor.
     """
     monkeypatch.setattr(engine_module, "CHUNK_TRIALS", KERNEL_CHUNK)
     n_trials = KERNEL_SMOKE_TRIALS if smoke else KERNEL_TRIALS
     results: dict[str, float] = {}
     print()
-    for key, path_model, compromised in KERNEL_DOMAINS:
-        engine = _kernel_engine(path_model, compromised)
+    for key, path_model, compromised, adversary in KERNEL_DOMAINS:
+        engine = _kernel_engine(path_model, compromised, adversary)
         accumulator = engine.run_accumulate(50_000, rng=1)  # prices every class
         assert sum(count for count, _, _ in accumulator.classes.values()) == 50_000
         tps = _accumulate_tps(engine, n_trials)
         # The record keys keep their historical ``fused_`` prefix so the
         # cross-run trend history lines up with earlier records.
         results[f"fused_{key}_trials_per_sec"] = round(tps, 1)
-        print(f"{engine.name:<14}: {tps:>12,.0f} trials/sec")
+        print(f"{key:<28}: {tps:>12,.0f} trials/sec")
 
     write_record(
         "engines",

@@ -472,14 +472,15 @@ class ArrangementEngine(TrialEngine):
             model.with_compromised(len(self.compromised)), self._distribution
         )
 
-    def draw(
+    def draw_raw(
         self, n_trials: int, generator: np.random.Generator
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Draw senders, lengths, and the ``(C, n)`` row-sorted compromised slots.
+    ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+        """Draw one chunk: senders, lengths, and one raw slot column per compromised node.
 
-        One raw slot column per compromised node, decoded by the insertion
-        walk of :func:`~repro.batch.sampler.decode_slots`; with ``C == N``
-        there is no honest sender and no column is drawn.
+        These are all of a chunk's draws, in their fixed order.  Raw column
+        ``j`` is uniform over the ``N - 1 - j`` slots still untaken (see
+        :func:`~repro.batch.sampler.decode_slots`); with ``C == N`` there is
+        no honest sender and no column is drawn.
         """
         n_nodes = self.model.n_nodes
         senders = generator.integers(0, n_nodes, size=n_trials)
@@ -488,6 +489,13 @@ class ArrangementEngine(TrialEngine):
             generator.integers(0, n_nodes - 1 - j, size=n_trials)
             for j in range(self._score_table.coder.n_columns)
         ]
+        return senders, lengths, raw_columns
+
+    def draw(
+        self, n_trials: int, generator: np.random.Generator
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`draw_raw`, its slot columns decoded to ``(C, n)`` row-sorted slots."""
+        senders, lengths, raw_columns = self.draw_raw(n_trials, generator)
         return senders, lengths, decode_slots(raw_columns, n_trials)
 
     def accumulate_chunk(
@@ -495,17 +503,33 @@ class ArrangementEngine(TrialEngine):
     ) -> tuple[int, ChunkClasses]:
         """Draw one chunk, code its observation classes, and price each once.
 
-        The class codes (:class:`~repro.batch.multiclass.ClassCoder`) reduce
-        through one ``np.unique``; only the handful of distinct codes reach
-        Python, each mapped to its canonical observation key and price.
+        Full Bayes and position-aware chunks decode their slots and reduce
+        their class codes (:class:`~repro.batch.multiclass.ClassCoder`)
+        through one ``np.unique``.  A predecessor-only chunk only asks
+        whether a trial's smallest slot is on the path, and the smallest
+        decoded slot is the smallest raw draw, so it skips the decode, the
+        codes and the sort: its three classes take two counts.  Either way
+        only the handful of distinct codes reach Python, each mapped to its
+        canonical observation key and price.
         """
-        senders, lengths, slots = self.draw(n_trials, generator)
+        senders, lengths, raw_columns = self.draw_raw(n_trials, generator)
+        origin = self._is_compromised[senders]
         table = self._score_table
-        codes = table.coder.encode(
-            self._is_compromised[senders], lengths.astype(slots.dtype), slots
-        )
+        if self.model.adversary is AdversaryModel.PREDECESSOR_ONLY:
+            # The minimum is taken in place, in the chunk's own first column;
+            # with no column, slot N - 1 lies past every path.
+            smallest = (
+                raw_columns[0] if raw_columns else np.full(n_trials, self.model.n_nodes - 1)
+            )
+            for column in raw_columns[1:]:
+                np.minimum(smallest, column, out=smallest)
+            tallied = table.coder.tally_on_path(origin, smallest < lengths)
+        else:
+            slots = decode_slots(raw_columns, n_trials)
+            codes = table.coder.encode(origin, lengths.astype(slots.dtype), slots)
+            tallied = table.coder.tally(codes)
         classes: ChunkClasses = {}
-        for code, count in zip(*table.coder.tally(codes)):
+        for code, count in zip(*tallied):
             key = table.key(code)
             score = table.score(key)
             classes[key] = (count, score.entropy_bits, score.identified)

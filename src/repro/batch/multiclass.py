@@ -24,9 +24,10 @@ This module turns that fact into a batch kernel:
 
 :class:`ClassCoder`
     Encode one chunk's sorted slot columns into one integer *class code* per
-    trial with array operations, and reduce the codes with one
+    trial, one digit column at a time, and reduce the codes with one
     ``np.unique``.  Code spaces too wide for an int64 reduce over digit rows
-    instead.
+    instead.  Predecessor-only classes need no code: two counts over
+    per-trial flags tally them.
 
 :class:`ClassScoreTable`
     Map each new code to its canonical observation key once — run
@@ -48,7 +49,9 @@ engine compromised.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,11 +122,21 @@ def canonical_key(key: tuple, compromised: frozenset[int]) -> tuple:
 class ClassCoder:
     """Columnar class codes for one adversary's simple-path observation classes.
 
-    A code is a mixed-radix number over per-trial digits (see the module
-    docstring): the on-path count, the clipped gaps and the clipped tail for
-    full Bayes; whether any compromised node is on the path for
-    predecessor-only; the on-path positions (``0`` for off-path slots) and the
-    clipped tail for position-aware.  The last code is the origin class.
+    A code is a mixed-radix number over per-trial digit columns (see the
+    module docstring), built one column at a time:
+
+    * full Bayes: one base-4 digit per slot column.  With ``c_j = min(slot_j,
+      length)`` and ``c_C = length``, digit ``j`` is ``min(c_{j+1} - c_j,
+      3)``: ``0`` past the last on-path slot, the clipped gap plus one while
+      slot ``j + 1`` is on the path, and the clipped tail plus one at the
+      last on-path slot, capped at ``2`` under an honest receiver.  The
+      nonzero digits are a prefix, one per on-path compromised node;
+    * predecessor-only: whether any compromised node is on the path;
+    * position-aware: the on-path positions (``0`` for off-path slots) and
+      the clipped tail.
+
+    The last code is the origin class.  Codes and canonical keys match one to
+    one, so :meth:`trial` rebuilds one shortest trial per key.
     """
 
     def __init__(
@@ -137,13 +150,13 @@ class ClassCoder:
         #: Slot columns a chunk draws: one per compromised node.
         self.n_columns = n_columns
         tail_radix = 3 if receiver_compromised else 2
-        self._tail_max = tail_radix - 1
+        self._tail_radix = tail_radix
         if adversary is AdversaryModel.PREDECESSOR_ONLY:
             radices: tuple[int, ...] = (2,)
         elif adversary is AdversaryModel.POSITION_AWARE:
             radices = (max_length + 1,) * n_columns + (tail_radix,)
         else:
-            radices = (n_columns + 1,) + (3,) * max(n_columns - 1, 0) + (tail_radix,)
+            radices = (4,) * n_columns
         self._radices = radices
         space = math.prod(radices)
         #: Packed codes are int64 scalars; wider spaces use digit rows.
@@ -164,7 +177,7 @@ class ClassCoder:
         """
         digits = self._digits(lengths, slots)
         if not self.packed:
-            rows = np.stack(digits, axis=1).astype(np.int64, copy=False)
+            rows = np.stack(list(digits), axis=1).astype(np.int64, copy=False)
             rows[origin] = -1
             return rows
         codes = np.zeros(lengths.shape, dtype=np.int64)
@@ -174,30 +187,40 @@ class ClassCoder:
         codes[origin] = self.origin_code
         return codes
 
-    def _digits(self, lengths: np.ndarray, slots: np.ndarray) -> list[np.ndarray]:
+    def _digits(self, lengths: np.ndarray, slots: np.ndarray) -> Iterator[np.ndarray]:
+        """The digit columns of each trial's code, most significant first."""
         if self._adversary is AdversaryModel.PREDECESSOR_ONLY:
             # Sorted rows: some slot is on the path iff the smallest one is.
-            return [(slots[:1] < lengths).any(axis=0)]
-        on_path = slots < lengths
-        # Sorted rows put the on-path slots first, so the last on-path row
-        # to write ``last`` holds the trial's last compromised slot.
-        last = lengths - 1
-        tail = last.copy()
-        for row, on in zip(slots, on_path):
-            np.copyto(last, row, where=on)
-        tail -= last
-        np.minimum(tail, self._tail_max, out=tail)
+            yield (slots[:1] < lengths).any(axis=0)
+            return
         if self._adversary is AdversaryModel.POSITION_AWARE:
-            positions = [np.where(on, row + 1, 0) for row, on in zip(slots, on_path)]
-            return [*positions, tail]
-        digits = [on_path.sum(axis=0)]
-        for j in range(self.n_columns - 1):
-            gap = slots[j + 1] - slots[j]
-            gap -= 1
-            np.minimum(gap, 2, out=gap)
-            gap *= on_path[j + 1]
-            digits.append(gap)
-        return [*digits, tail]
+            # Sorted rows put the on-path slots first, so the largest position
+            # is the trial's last compromised hop, and 0 when none is on it.
+            last = np.zeros_like(lengths)
+            for row in slots:
+                position = row + 1
+                position *= row < lengths
+                np.maximum(last, position, out=last)
+                yield position
+            tail = lengths - last
+            np.minimum(tail, self._tail_radix - 1, out=tail)
+            tail *= last > 0
+            yield tail
+            return
+        if not self.n_columns:
+            return
+        # ``here`` and ``after`` hold c_j and c_{j+1}, one column each.
+        here = np.minimum(slots[0], lengths)
+        for j in range(self.n_columns):
+            after = np.minimum(slots[j + 1], lengths) if j + 1 < self.n_columns else lengths
+            digit = after - here
+            np.minimum(digit, 3, out=digit)
+            if self._tail_radix < 3:
+                # Where c_{j+1} is the length, a nonzero digit is the tail,
+                # and an honest receiver only tells a tail of 0 from 1+.
+                digit -= (digit == 3) & (after == lengths)
+            yield digit
+            here = after
 
     def tally(self, codes: np.ndarray) -> tuple[list, list[int]]:
         """The distinct codes of one chunk, ascending, with their counts."""
@@ -206,6 +229,24 @@ class ClassCoder:
             return values.tolist(), counts.tolist()
         rows, counts = np.unique(codes, axis=0, return_counts=True)
         return [tuple(row) for row in rows.tolist()], counts.tolist()
+
+    def tally_on_path(
+        self, origin: np.ndarray, on_path: np.ndarray
+    ) -> tuple[list, list[int]]:
+        """Predecessor-only :meth:`tally` from per-trial flags, with no code written.
+
+        ``on_path`` flags the trials with a compromised node on the path;
+        the three classes then take two counts.
+        """
+        n_origin = int(np.count_nonzero(origin))
+        n_seen = int(np.count_nonzero(on_path & ~origin))
+        counts = (origin.size - n_origin - n_seen, n_seen, n_origin)
+        present = [
+            (code, count)
+            for code, count in zip((0, 1, self.origin_code), counts)
+            if count
+        ]
+        return [code for code, _ in present], [count for _, count in present]
 
     def trial(self, code: int | tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
         """``(length, positions)`` of the shortest honest-sender trial of ``code``."""
@@ -219,12 +260,14 @@ class ClassCoder:
             digits.reverse()
         if self._adversary is AdversaryModel.PREDECESSOR_ONLY:
             return (1, (1,)) if digits[0] else (0, ())
-        if self._adversary is AdversaryModel.POSITION_AWARE:
-            positions = [position for position in digits[:-1] if position]
-        else:
-            positions = [1] if digits[0] else []
-            for gap in digits[1 : digits[0]]:
-                positions.append(positions[-1] + 1 + gap)
+        if self._adversary is AdversaryModel.FULL_BAYES:
+            # Each on-path digit steps from one compromised position to the
+            # next, and the last one to the hop after the path's end.
+            *positions, end = itertools.accumulate(
+                (digit for digit in digits if digit), initial=1
+            )
+            return end - 1, tuple(positions)
+        positions = [position for position in digits[:-1] if position]
         if not positions:
             return 0, ()
         return positions[-1] + digits[-1], tuple(positions)

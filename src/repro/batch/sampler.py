@@ -108,6 +108,12 @@ def decode_slots(raw_columns: Sequence[np.ndarray], n_trials: int) -> np.ndarray
     every trial's ``j``-th smallest slot.  A compromised node on slot
     ``s < length`` sits on 1-based hop position ``s + 1``, and because the
     rows are sorted, a trial's on-path slots are its first ones.
+
+    Row 0 is the smallest raw draw, ``np.minimum.reduce(raw_columns)``: by
+    induction over the columns, a draw below every taken slot stays in place
+    and becomes the new row 0, and any other draw is lifted above the
+    current row 0, which stays.  So whether a trial has any compromised node
+    on its path needs no decode.
     """
     # Slots lie below N - 1, so int32 holds them at half the memory traffic.
     slots = np.empty((len(raw_columns), n_trials), dtype=np.int32)

@@ -220,6 +220,11 @@ DOMAINS = [
     pytest.param(PathModel.SIMPLE, frozenset({1, 4}), AdversaryModel.FULL_BAYES, False, id="arrangement-honest"),
     pytest.param(PathModel.SIMPLE, frozenset({0, 3, 5}), AdversaryModel.POSITION_AWARE, True, id="arrangement-pos"),
     pytest.param(PathModel.SIMPLE, frozenset({0, 3, 5}), AdversaryModel.PREDECESSOR_ONLY, False, id="arrangement-pred"),
+    pytest.param(PathModel.SIMPLE, frozenset({0, 3, 5}), AdversaryModel.FULL_BAYES, False, id="arrangement-honest-c3"),
+    pytest.param(PathModel.SIMPLE, frozenset({0, 2, 3, 5, 7}), AdversaryModel.FULL_BAYES, False, id="arrangement-honest-c5"),
+    pytest.param(PathModel.SIMPLE, frozenset({0, 3, 5}), AdversaryModel.POSITION_AWARE, False, id="arrangement-pos-honest"),
+    pytest.param(PathModel.SIMPLE, frozenset({0, 3, 5}), AdversaryModel.PREDECESSOR_ONLY, True, id="arrangement-pred-recv"),
+    pytest.param(PathModel.SIMPLE, frozenset(), AdversaryModel.PREDECESSOR_ONLY, True, id="arrangement-pred-c0"),
     pytest.param(PathModel.CYCLE_ALLOWED, frozenset({2}), AdversaryModel.FULL_BAYES, True, id="cycle"),
     pytest.param(PathModel.CYCLE_ALLOWED, frozenset({2}), AdversaryModel.POSITION_AWARE, True, id="cycle-pos"),
     pytest.param(PathModel.CYCLE_ALLOWED, frozenset({2}), AdversaryModel.FULL_BAYES, False, id="cycle-honest"),
@@ -297,6 +302,24 @@ class TestKernelsMatchScalarOracles:
         for index in range(n_trials):
             raws = [int(column[index]) for column in columns]
             assert slots[:, index].tolist() == sorted(insertion_walk(raws))
+
+    @pytest.mark.parametrize(
+        "n_nodes, n_compromised",
+        [
+            (n_nodes, n_compromised)
+            for n_nodes in (3, 4, 9, 100, 1_000)
+            for n_compromised in range(1, min(n_nodes - 1, 12) + 1)
+        ],
+    )
+    def test_smallest_slot_is_the_smallest_raw_draw(self, n_nodes, n_compromised):
+        """The identity the predecessor-only kernel rests on: it never decodes."""
+        generator = np.random.default_rng([n_nodes, n_compromised])
+        columns = [
+            generator.integers(0, n_nodes - 1 - j, size=2_000)
+            for j in range(n_compromised)
+        ]
+        smallest = decode_slots(columns, 2_000)[0]
+        assert np.array_equal(smallest, np.minimum.reduce(columns))
 
 
 class ScriptedGenerator:
