@@ -13,7 +13,7 @@ inline links and images, and checks every *intra-repository* target:
   this checker is for repo hygiene, not the internet.
 
 With ``--rules-json``, every contract-rule id mentioned in the docs (R001,
-R002, ...) is additionally checked against the linter's registry, as listed
+R003, ...) is additionally checked against the linter's rule set, as listed
 by ``repro-anon check --list-rules --json`` — a rule renamed or removed in
 code cannot silently leave stale mentions behind:
 
@@ -21,7 +21,8 @@ code cannot silently leave stale mentions behind:
     python scripts/check_links.py --rules-json rules.json
 
 Exit status 0 when every link (and rule mention) resolves, 1 otherwise (one
-line per problem).  Stdlib only; used by the CI ``static-analysis`` job.
+line per problem).  Stdlib only; used by the CI ``static-analysis`` job
+and, with ``--rules-json``, by a tier-1 test.
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ def check_file(path: Path, repo_root: Path) -> list[str]:
 
 
 def check_rule_mentions(path: Path, repo_root: Path, known: set[str]) -> list[str]:
-    """Complaints for doc-mentioned rule ids missing from the registry.
+    """Complaints for doc-mentioned rule ids that are not linter rules.
 
     Scans prose *and* code fences: suppression examples
     (``# repro: ignore[R001]``) name rule ids inside fenced blocks, and a
@@ -132,8 +133,8 @@ def check_rule_mentions(path: Path, repo_root: Path, known: set[str]) -> list[st
         for rule_id in _RULE_ID_RE.findall(line):
             if rule_id not in known:
                 problems.append(
-                    f"{display}:{line_number}: rule {rule_id} is not in the "
-                    "linter registry (repro-anon check --list-rules)"
+                    f"{display}:{line_number}: rule {rule_id} is not a "
+                    "linter rule (repro-anon check --list-rules)"
                 )
     return problems
 
@@ -142,7 +143,7 @@ def load_known_rules(rules_json: Path) -> set[str]:
     """Rule ids from a ``repro-anon check --list-rules --json`` dump.
 
     ``R000`` is always known: it is the walker's reserved parse-error id,
-    documented but never registered as a rule class.
+    documented but never listed as a rule.
     """
     payload = json.loads(rules_json.read_text(encoding="utf-8"))
     return {rule["id"] for rule in payload["rules"]} | {"R000"}
@@ -159,7 +160,7 @@ def main(argv: list[str] | None = None) -> int:
         "--rules-json",
         default=None,
         help="output of 'repro-anon check --list-rules --json'; when given, "
-        "every R### id mentioned in the docs must be a registered rule",
+        "every R### id mentioned in the docs must be a listed rule",
     )
     args = parser.parse_args(argv)
     repo_root = Path(__file__).resolve().parent.parent

@@ -27,7 +27,6 @@ from repro.batch import (
     available_backends,
     estimate_anonymity,
     get_backend,
-    register_backend,
 )
 from repro.core import (
     AdversaryModel,
@@ -108,7 +107,6 @@ __all__ = [
     "ShardedBackend",
     "available_backends",
     "get_backend",
-    "register_backend",
     "estimate_anonymity",
     # Exceptions
     "ReproError",

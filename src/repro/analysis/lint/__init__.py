@@ -1,33 +1,22 @@
 """Static contract linter: AST rules enforcing the repo's runtime invariants.
 
 Public surface: :func:`run_check` walks one checkout and returns sorted
-:class:`Finding` objects; :func:`register_rule` adds a rule to the registry
-(the ``TrialEngine`` registration idiom applied to lint rules);
-:func:`available_rules` lists the registered ids.  ``repro-anon check`` is
-the CLI front end.
+:class:`Finding` objects; :data:`RULES` is the closed tuple of rules it runs
+(R001, R003, R004 and R005, in id order).  ``repro-anon check`` is the CLI
+front end.
 """
 
 from repro.analysis.lint.findings import Finding, apply_suppressions, suppressed_rules
-from repro.analysis.lint.registry import (
-    ContractRule,
-    available_rules,
-    get_rule,
-    register_rule,
-)
+from repro.analysis.lint.rules import RULES, ContractRule
 from repro.analysis.lint.walker import Project, default_root, run_check
-
-# Importing the rules module registers the built-in rules R001-R005.
-from repro.analysis.lint import rules as _rules  # noqa: F401
 
 __all__ = [
     "ContractRule",
     "Finding",
     "Project",
+    "RULES",
     "apply_suppressions",
-    "available_rules",
     "default_root",
-    "get_rule",
-    "register_rule",
     "run_check",
     "suppressed_rules",
 ]

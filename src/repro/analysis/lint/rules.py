@@ -1,4 +1,4 @@
-"""The built-in contract rules: the static twins of the runtime guarantees.
+"""The contract rules: the static twins of the runtime guarantees.
 
 Each rule guards one invariant the tier-1 suite otherwise only catches at
 runtime — after the violation is written, and only if a test exercises it:
@@ -6,9 +6,6 @@ runtime — after the violation is written, and only if a test exercises it:
 =====  ==================================================================
 R001   Determinism: no global-state randomness, wall-clock, or unordered
        set iteration inside the estimation kernels.
-R002   Registry totality: every ``register_backend`` call site registers a
-       class that statically defines the protocol surface the registry
-       promises.
 R003   Schema stability: the field lists of the content-addressed request,
        cache entry, and run-ledger record match the pinned snapshot in
        ``analysis/schemas.json`` unless the matching version constant was
@@ -20,8 +17,10 @@ R005   Telemetry hygiene: no ``print()`` or root-logger calls in library
        code, and metric handles only touched behind the ``enabled`` check.
 =====  ==================================================================
 
-Suppress a deliberate exception on its line with ``# repro: ignore[R001]``
-(see :mod:`repro.analysis.lint.findings`).
+The set is closed: :data:`RULES` holds one instance of each rule, in id
+order, and is what both ``run_check`` and ``repro-anon check --list-rules``
+read.  Suppress a deliberate exception on its line with
+``# repro: ignore[R001]`` (see :mod:`repro.analysis.lint.findings`).
 """
 
 from __future__ import annotations
@@ -31,21 +30,70 @@ import json
 from typing import TYPE_CHECKING
 
 from repro.analysis.lint.findings import Finding
-from repro.analysis.lint.registry import ContractRule, register_rule
 
 if TYPE_CHECKING:
     from repro.analysis.lint.walker import Project
 
 __all__ = [
+    "ContractRule",
     "DeterminismRule",
-    "RegistryContractRule",
     "SchemaDriftRule",
     "FloatPersistenceRule",
     "TelemetryHygieneRule",
+    "RULES",
     "SCHEMA_SNAPSHOT_PATH",
     "PINNED_SCHEMAS",
     "current_schemas",
 ]
+
+
+class ContractRule:
+    """One static contract: an id, a scope, and a per-file or project check.
+
+    Two hooks, both optional to override:
+
+    ``check(tree, source, path)``
+        Per-file pass over one parsed module.  ``path`` is repo-relative
+        posix (``src/repro/batch/engine.py``); the walker only calls it for
+        files the rule's ``scope``/``exclude`` prefixes admit.
+    ``check_project(project)``
+        One whole-project pass after the per-file walk — for rules whose
+        invariant spans files (the schema-drift rule compares dataclasses
+        against a pinned snapshot).  Findings from this hook are not
+        line-suppressible; they guard repo-level contracts.
+    """
+
+    #: Rule identifier (``R001``...), the name ``--rule`` selects and the
+    #: key of the ``# repro: ignore[...]`` suppression idiom.
+    id: str = "R000"
+    #: One-line description, shown by ``repro-anon check --list-rules``.
+    title: str = ""
+    #: Repo-relative posix path prefixes the per-file check runs on.
+    #: ``None`` scopes the rule to the whole walked tree.
+    scope: tuple[str, ...] | None = None
+    #: Prefixes excluded even when ``scope`` admits them.
+    exclude: tuple[str, ...] = ()
+
+    @classmethod
+    def applies_to(cls, path: str) -> bool:
+        """Whether the per-file check runs on ``path`` (repo-relative posix)."""
+        if any(path.startswith(prefix) for prefix in cls.exclude):
+            return False
+        if cls.scope is None:
+            return True
+        return any(path.startswith(prefix) for prefix in cls.scope)
+
+    def check(self, tree: ast.Module, source: str, path: str) -> list[Finding]:
+        """Per-file pass; the default participates only in ``check_project``."""
+        return []
+
+    def check_project(self, project: "Project") -> list[Finding]:
+        """Whole-project pass after the file walk; default: nothing."""
+        return []
+
+    def finding(self, path: str, line: int, message: str) -> Finding:
+        """Convenience constructor stamping this rule's id."""
+        return Finding(path=path, line=line, rule=self.id, message=message)
 
 
 # ---------------------------------------------------------------------- #
@@ -124,7 +172,6 @@ _WALL_CLOCK = {
 _DATETIME_NOW = frozenset({"now", "utcnow", "today"})
 
 
-@register_rule
 class DeterminismRule(ContractRule):
     """R001: the estimation kernels must be pure functions of the seed.
 
@@ -289,110 +336,6 @@ class DeterminismRule(ContractRule):
 
 
 # ---------------------------------------------------------------------- #
-# R002 — registry contracts                                               #
-# ---------------------------------------------------------------------- #
-
-
-@register_rule
-class RegistryContractRule(ContractRule):
-    """R002: registration call sites must register total protocol surfaces.
-
-    ``get_backend`` promises that every registered name can estimate; a class
-    registered without ``estimate`` only fails when its name is first asked
-    for.  For every ``register_backend(...)`` call the registered class
-    (resolved through the project-wide class index, inherited concrete
-    methods included) must define ``estimate``
-    (``plan``/``accumulate_runner`` extend the surface but are optional).
-    A call site whose class the linter cannot resolve statically is itself
-    a finding — registration is a compile-time contract, not a runtime
-    surprise.
-    """
-
-    id = "R002"
-    title = "registry contracts: registered classes define the protocol surface"
-    scope = ("src/repro/",)
-    #: The walker needs the whole-project class index, handed in lazily.
-    _project: "Project | None" = None
-
-    def bind(self, project: "Project") -> None:
-        self._project = project
-
-    def check(self, tree: ast.Module, source: str, path: str) -> list[Finding]:
-        findings: list[Finding] = []
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            callee = node.func
-            name = (
-                callee.id
-                if isinstance(callee, ast.Name)
-                else callee.attr
-                if isinstance(callee, ast.Attribute)
-                else None
-            )
-            if name != "register_backend":
-                continue
-            target = self._registered_target(node)
-            if target is None:
-                findings.append(
-                    self.finding(
-                        path,
-                        node.lineno,
-                        f"{name}() call site registers an expression the "
-                        "linter cannot resolve to a class; register the "
-                        "class by name so the protocol surface is checkable",
-                    )
-                )
-                continue
-            findings.extend(self._check_target(node, path, name, target))
-        return findings
-
-    @staticmethod
-    def _registered_target(node: ast.Call) -> str | None:
-        """The class name being registered, or ``None`` if unresolvable."""
-        candidate: ast.expr | None = None
-        for keyword in node.keywords:
-            if keyword.arg == "factory":
-                candidate = keyword.value
-        if candidate is None:
-            if len(node.args) >= 2:
-                candidate = node.args[1]
-            elif len(node.args) == 1:
-                candidate = node.args[0]
-        if isinstance(candidate, ast.Name):
-            return candidate.id
-        if isinstance(candidate, ast.Attribute):
-            return candidate.attr
-        return None
-
-    def _check_target(self, node, path, registrar, class_name) -> list[Finding]:
-        if self._project is None:
-            return []
-        methods = self._project.concrete_methods(class_name)
-        if methods is None:
-            return [
-                self.finding(
-                    path,
-                    node.lineno,
-                    f"{registrar}({class_name}) registers a class the "
-                    "project-wide index cannot find; registered classes "
-                    "must be statically defined in src/repro",
-                )
-            ]
-        if "estimate" not in methods:
-            return [
-                self.finding(
-                    path,
-                    node.lineno,
-                    f"{registrar}({class_name}) registers a class without a "
-                    "concrete estimate; the registry promises this surface "
-                    "to every caller",
-                )
-            ]
-        return []
-
-
-# ---------------------------------------------------------------------- #
 # R003 — schema drift                                                     #
 # ---------------------------------------------------------------------- #
 
@@ -465,7 +408,6 @@ def current_schemas(project: "Project") -> dict:
     return {"modules": modules}
 
 
-@register_rule
 class SchemaDriftRule(ContractRule):
     """R003: serialised field lists match the pinned snapshot or bump a version.
 
@@ -593,7 +535,6 @@ class SchemaDriftRule(ContractRule):
 # ---------------------------------------------------------------------- #
 
 
-@register_rule
 class FloatPersistenceRule(ContractRule):
     """R004: floats in bit-identical persistence paths route through ``float.hex``.
 
@@ -715,7 +656,6 @@ _ROOT_LOGGER_CALLS = frozenset(
 _METRIC_HANDLES = frozenset({"counter", "gauge", "histogram"})
 
 
-@register_rule
 class TelemetryHygieneRule(ContractRule):
     """R005: library code stays silent and pays for telemetry only when on.
 
@@ -827,3 +767,12 @@ class TelemetryHygieneRule(ContractRule):
                     "must stay one enabled-check per chunk",
                 )
             )
+
+
+#: Every contract rule, in id order.  A new rule is one more entry here.
+RULES: tuple[ContractRule, ...] = (
+    DeterminismRule(),
+    SchemaDriftRule(),
+    FloatPersistenceRule(),
+    TelemetryHygieneRule(),
+)

@@ -55,9 +55,10 @@ def _degree_evaluator(
     """Build the per-distribution degree function for one sweep.
 
     The default ``"exact"`` backend keeps the historical behaviour (and cost)
-    of calling the closed form directly; any other name is resolved through
-    the backend registry and evaluated with ``n_trials`` samples per point,
-    with ``backend_options`` forwarded to the backend factory.
+    of calling the closed form directly; any other name is resolved by
+    :func:`~repro.batch.backends.get_backend` and evaluated with ``n_trials``
+    samples per point, with ``backend_options`` forwarded to the backend's
+    constructor.
 
     When ``precision`` and/or ``service`` is given the sweep goes through the
     estimation service instead: each point becomes an ``EstimateRequest``

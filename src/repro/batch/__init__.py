@@ -50,8 +50,9 @@ Layout
 :mod:`repro.batch.sharded`
     The multiprocess ``sharded`` backend (:class:`ShardedBackend`).
 :mod:`repro.batch.backends`
-    The ``exact | event | batch | sharded`` backend registry used by sweeps,
-    the experiment registry, and the ``repro-anon batch`` CLI.
+    The four estimator backends (``exact | event | batch | sharded``) and
+    :func:`get_backend`, which sweeps, the experiment registry, and the
+    ``repro-anon batch`` CLI select them through.
 """
 
 from repro.batch.backends import (
@@ -62,7 +63,6 @@ from repro.batch.backends import (
     available_backends,
     estimate_anonymity,
     get_backend,
-    register_backend,
 )
 from repro.batch.cycleclassify import cycle_trial_key
 from repro.batch.cycleengine import CycleBatchEngine, CycleScoreTable
@@ -99,6 +99,5 @@ __all__ = [
     "split_trials",
     "available_backends",
     "get_backend",
-    "register_backend",
     "estimate_anonymity",
 ]

@@ -1,9 +1,9 @@
-"""Pluggable estimator backends for the anonymity degree.
+"""The four estimator backends for the anonymity degree.
 
 Every consumer of ``H*(S)`` — the sweeps behind the paper's figures, the
 extension experiments, the CLI — ultimately needs the same thing: "given a
 system model and a path-selection strategy, estimate the anonymity degree".
-Three engines can answer, with very different cost/coverage trade-offs:
+Four backends can answer, with very different cost/coverage trade-offs:
 
 ``exact``
     The closed form of :class:`repro.core.anonymity.AnonymityAnalyzer`.
@@ -26,12 +26,12 @@ Three engines can answer, with very different cost/coverage trade-offs:
     kernels fanned out over worker processes, merged through per-class
     accumulators.  Accepts ``workers=`` / ``shards=`` options.
 
-The registry makes the choice a string, so callers (``analysis.sweep``, the
-``repro-anon batch`` CLI, the experiment registry) can switch engines without
-importing any of them, and downstream code can plug in new engines (remote,
-GPU, ...) with :func:`register_backend`.  Backend-specific constructor options
-(``workers``, ``shards``, ...) flow through the ``**options`` of
-:func:`get_backend` / :func:`estimate_anonymity`.
+:func:`get_backend` makes the choice a string, so callers (``analysis.sweep``,
+the ``repro-anon batch`` CLI, the experiment registry) can switch backends
+without importing any of them.  The set is closed: a fifth backend is one more
+branch there and one more name in :func:`available_backends`.
+Backend-specific constructor options (``workers``, ``shards``, ...) flow
+through the ``**options`` of :func:`get_backend` / :func:`estimate_anonymity`.
 
 Every backend returns the same
 :class:`repro.core.results.MonteCarloReport`; the exact backend
@@ -61,7 +61,6 @@ __all__ = [
     "BatchBackend",
     "available_backends",
     "get_backend",
-    "register_backend",
     "estimate_anonymity",
 ]
 
@@ -71,7 +70,7 @@ logger = logging.getLogger(__name__)
 class EstimatorBackend(abc.ABC):
     """One engine that estimates the anonymity degree of a strategy."""
 
-    #: Registry key and display name of the backend.
+    #: The name :func:`get_backend` selects the backend by.
     name: str = "abstract"
 
     @abc.abstractmethod
@@ -166,59 +165,37 @@ class BatchBackend(EstimatorBackend):
         return BatchMonteCarlo(model, strategy, compromised).run_accumulate
 
 
-# ---------------------------------------------------------------------- #
-# Registry                                                                #
-# ---------------------------------------------------------------------- #
-
-_BACKENDS: dict[str, Callable[..., EstimatorBackend]] = {
-    ExactBackend.name: ExactBackend,
-    EventBackend.name: EventBackend,
-    BatchBackend.name: BatchBackend,
-}
-
-
 def available_backends() -> tuple[str, ...]:
-    """Registered backend names, in registration order."""
-    return tuple(_BACKENDS)
+    """The names :func:`get_backend` accepts."""
+    return ("exact", "event", "batch", "sharded")
 
 
 def get_backend(name: str, **options: Any) -> EstimatorBackend:
-    """Instantiate the backend registered under ``name``.
+    """Instantiate the backend called ``name``.
 
-    ``options`` are forwarded to the backend factory — e.g.
-    ``get_backend("sharded", workers=8)``.  Factories reject options they do
-    not understand with a ``TypeError``, exactly like any constructor.
+    ``options`` are forwarded to the backend's constructor — e.g.
+    ``get_backend("sharded", workers=8)``.  A constructor rejects options it
+    does not understand with a ``TypeError``, like any constructor.
     """
-    try:
-        factory = _BACKENDS[name]
-    except KeyError:
-        known = ", ".join(_BACKENDS)
+    # sharded.py subclasses EstimatorBackend from this module, so it loads here.
+    from repro.batch.sharded import ShardedBackend
+
+    backend: type[EstimatorBackend]
+    if name == "exact":
+        backend = ExactBackend
+    elif name == "event":
+        backend = EventBackend
+    elif name == "batch":
+        backend = BatchBackend
+    elif name == "sharded":
+        backend = ShardedBackend
+    else:
+        known = ", ".join(available_backends())
         raise ConfigurationError(
-            f"unknown estimator backend {name!r}; registered backends: {known}"
-        ) from None
-    logger.debug("selected backend %r with options %r", name, options)
-    return factory(**options)
-
-
-def register_backend(
-    name: str,
-    factory: Callable[..., EstimatorBackend],
-    overwrite: bool = False,
-) -> None:
-    """Register a new estimator backend under ``name``.
-
-    This is how new engines reach every sweep and CLI entry point without
-    touching call sites: the in-tree ``sharded`` backend registers itself this
-    way (see :mod:`repro.batch.sharded`), and downstream code can do the same
-    for remote or accelerator-specific engines.  ``factory`` must accept the
-    keyword options callers pass through :func:`get_backend` for that name and
-    return an :class:`EstimatorBackend`.
-    """
-    if name in _BACKENDS and not overwrite:
-        raise ConfigurationError(
-            f"backend {name!r} is already registered; pass overwrite=True to replace it"
+            f"unknown estimator backend {name!r}; known backends: {known}"
         )
-    _BACKENDS[name] = factory
+    logger.debug("selected backend %r with options %r", name, options)
+    return backend(**options)
 
 
 def estimate_anonymity(

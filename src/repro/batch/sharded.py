@@ -35,8 +35,8 @@ Each worker takes its engine from its own process-wide cache
 (:func:`~repro.batch.engine.shared_engine`), so it builds and prices a
 configuration once for the life of the pool, not once per task.
 
-Registered as the ``"sharded"`` estimator backend; reach it anywhere a backend
-name is accepted::
+It is the ``"sharded"`` estimator backend; reach it anywhere a backend name
+is accepted::
 
     estimate_anonymity(model, strategy, n_trials=2_000_000,
                        backend="sharded", workers=8)
@@ -53,7 +53,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.batch.backends import EstimatorBackend, register_backend
+from repro.batch.backends import EstimatorBackend
 from repro.batch.engine import shared_engine
 from repro.batch.estimator import BatchAccumulator
 from repro.core.model import SystemModel
@@ -389,6 +389,3 @@ class ShardedBackend(EstimatorBackend):
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-register_backend(ShardedBackend.name, ShardedBackend)

@@ -14,7 +14,7 @@ exposes the library's main entry points without writing any Python:
 * ``repro-anon simulate --n 40 --protocol freedom --trials 500`` — run the
   discrete-event simulator and compare with the closed form;
 * ``repro-anon batch --n 100 --strategy uniform --trials 100000`` — run the
-  vectorized batch estimator (or any registered backend) and compare its
+  vectorized batch estimator (or any other backend) and compare its
   estimate and throughput with the closed form; ``--backend sharded
   --workers 8`` fans the trials across worker processes,
   ``--compromised 2`` switches to the multi-compromised engines
@@ -304,7 +304,12 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers.add_parser("list", help="list every reproducible experiment")
 
     figure = subparsers.add_parser("figure", help="regenerate one experiment's data")
-    figure.add_argument("experiment_id", help="experiment identifier, e.g. fig3a")
+    figure.add_argument(
+        "experiment_id",
+        choices=list_experiments(),
+        metavar="experiment_id",
+        help="experiment identifier, e.g. fig3a (see 'repro-anon list')",
+    )
 
     degree = subparsers.add_parser("degree", help="anonymity degree of one strategy")
     _add_strategy_arguments(degree, default_strategy="fixed")
@@ -333,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--seed", type=_non_negative_int, default=0)
 
     batch = subparsers.add_parser(
-        "batch", help="vectorized Monte-Carlo estimate via a pluggable backend"
+        "batch", help="vectorized Monte-Carlo estimate via a named backend"
     )
     _add_strategy_arguments(batch, default_strategy="uniform")
     batch.add_argument("--trials", type=_positive_int, default=100_000)
@@ -512,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = subparsers.add_parser(
         "check",
-        help="run the static contract linter (determinism, registries, schemas)",
+        help="run the static contract linter (determinism, schemas, floats, telemetry)",
     )
     check.add_argument(
         "--root",
@@ -526,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="rules",
         default=None,
         metavar="RULE",
-        help="run only this rule id (repeatable; default: all registered)",
+        help="run only this rule id (repeatable; default: every rule)",
     )
     check.add_argument(
         "--json",
@@ -536,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--list-rules",
         action="store_true",
-        help="list registered rule ids and titles instead of linting",
+        help="list the rule ids and titles instead of linting",
     )
     check.add_argument(
         "--update-schemas",
@@ -1120,16 +1125,13 @@ def _command_history(args: argparse.Namespace) -> int:
 
 def _command_check(args: argparse.Namespace) -> int:
     # Imported lazily: the linter is tooling, not part of the estimation
-    # fast path, and the import registers the built-in rules.
-    from repro.analysis.lint import available_rules, get_rule, run_check
+    # fast path.
+    from repro.analysis.lint import RULES, run_check
     from repro.analysis.lint.rules import SCHEMA_SNAPSHOT_PATH, current_schemas
     from repro.analysis.lint.walker import Project, default_root
 
     if args.list_rules:
-        rules = [
-            {"id": rule_id, "title": get_rule(rule_id).title}
-            for rule_id in available_rules()
-        ]
+        rules = [{"id": rule.id, "title": rule.title} for rule in RULES]
         if args.json:
             print(json.dumps({"rules": rules}, indent=2))
         else:

@@ -29,12 +29,13 @@ statistics, so it, too, is deterministic; a ``max_seconds`` ceiling is the
 one escape hatch, and runs stopped by it are flagged so they are never
 cached.
 
-Backends opt in by exposing ``accumulate_runner(model, strategy)`` — a
-callable ``(n_trials, rng) -> BatchAccumulator`` — as ``batch`` and
-``sharded`` do; a run with an explicit compromised set passes it as a third
-argument.  The ``exact`` backend short-circuits (zero variance, zero
-trials); backends without accumulation (e.g. ``event``) are rejected with a
-clear error instead of a silent statistical downgrade.
+``batch`` and ``sharded`` accumulate: each exposes
+``accumulate_runner(model, strategy)`` — a callable
+``(n_trials, rng) -> BatchAccumulator`` — and a run with an explicit
+compromised set passes it as a third argument.  The ``exact`` backend
+short-circuits (zero variance, zero trials); ``event`` has no accumulator
+and is rejected with a clear error instead of a silent statistical
+downgrade.
 """
 
 from __future__ import annotations
@@ -171,8 +172,9 @@ class AdaptiveScheduler:
     Parameters
     ----------
     backend:
-        Backend name (resolved through the registry with
-        ``backend_options``) or a ready :class:`EstimatorBackend` instance.
+        Backend name (resolved by :func:`~repro.batch.backends.get_backend`
+        with ``backend_options``) or a ready :class:`EstimatorBackend`
+        instance.
     precision:
         Target 95% CI half-width in bits, or ``None`` to always spend the
         full ``max_trials`` budget (useful for apples-to-apples comparisons).
@@ -241,8 +243,7 @@ class AdaptiveScheduler:
             strategy = PathSelectionStrategy(
                 name=strategy.name, distribution=strategy
             )
-        backend_name = getattr(self.backend, "name", type(self.backend).__name__)
-        with trace_span("adaptive.run", backend=backend_name) as span:
+        with trace_span("adaptive.run", backend=self.backend.name) as span:
             run = self._run(model, strategy, rng, compromised)
             span.annotate(
                 rounds=run.rounds,
@@ -270,7 +271,7 @@ class AdaptiveScheduler:
         compromised: Collection[int] | None,
     ) -> AdaptiveRun:
         started = time.perf_counter()
-        if getattr(self.backend, "name", None) == "exact":
+        if self.backend.name == "exact":
             report = self.backend.estimate(model, strategy, rng=rng)
             return AdaptiveRun(
                 report=report,
@@ -283,10 +284,9 @@ class AdaptiveScheduler:
         runner = getattr(self.backend, "accumulate_runner", None)
         if runner is None:
             raise ConfigurationError(
-                f"backend {getattr(self.backend, 'name', self.backend)!r} does "
-                "not support block accumulation; adaptive estimation needs an "
-                "accumulating backend ('batch', 'sharded', or a registered "
-                "engine exposing accumulate_runner(model, strategy))"
+                f"backend {self.backend.name!r} does not support block "
+                "accumulation; adaptive estimation needs the 'batch' or "
+                "'sharded' backend"
             )
         accumulate = (
             runner(model, strategy)

@@ -284,9 +284,9 @@ class EstimateRequest:
         The :class:`DistributionSpec` of the path-length strategy (a live
         ``PathLengthDistribution`` is accepted and converted).
     backend, backend_options:
-        The estimator engine (must support block accumulation — ``batch``,
-        ``sharded``, or a registered backend exposing ``accumulate_runner``;
-        ``exact`` short-circuits) and its constructor options.
+        The estimator backend (must support block accumulation — ``batch``
+        or ``sharded``; ``exact`` short-circuits) and its constructor
+        options.
     precision:
         Target 95% confidence-interval **half-width** in bits; the adaptive
         scheduler stops as soon as the estimate is at least this precise.

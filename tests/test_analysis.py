@@ -19,26 +19,25 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.lint import (
-    ContractRule,
+    RULES,
     Finding,
     apply_suppressions,
-    available_rules,
-    get_rule,
-    register_rule,
     run_check,
     suppressed_rules,
 )
-from repro.analysis.lint.registry import _RULES
 from repro.analysis.lint.rules import PINNED_SCHEMAS, SCHEMA_SNAPSHOT_PATH
 from repro.analysis.lint.walker import Project, default_root
+from repro.cli import main
 from repro.exceptions import ConfigurationError
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
+RULE = {rule.id: rule for rule in RULES}
+
 
 def check_snippet(rule_id: str, source: str, path: str) -> list[Finding]:
     """Run one rule's per-file check on a source snippet."""
-    rule = get_rule(rule_id)()
+    rule = RULE[rule_id]
     tree = ast.parse(source)
     return apply_suppressions(rule.check(tree, source, path), source)
 
@@ -64,7 +63,7 @@ class TestFindings:
         assert suppressed_rules(source) == {1: frozenset({"R001", "R004"})}
 
     def test_suppression_only_silences_named_rule(self):
-        source = "x = 1  # repro: ignore[R002]\n"
+        source = "x = 1  # repro: ignore[R004]\n"
         findings = [Finding(path="f.py", line=1, rule="R001", message="m")]
         assert apply_suppressions(findings, source) == findings
 
@@ -74,39 +73,18 @@ class TestFindings:
         assert apply_suppressions(findings, source) == []
 
 
-class TestRegistry:
-    def test_builtin_rules_are_registered(self):
-        assert set(available_rules()) >= {"R001", "R002", "R003", "R004", "R005"}
+class TestRules:
+    def test_rules_are_the_four_in_id_order(self):
+        assert [rule.id for rule in RULES] == ["R001", "R003", "R004", "R005"]
 
     def test_every_rule_has_id_and_title(self):
-        for rule_id in available_rules():
-            rule = get_rule(rule_id)
-            assert rule.id == rule_id
+        for rule in RULES:
+            assert rule.id
             assert rule.title
 
-    def test_duplicate_registration_is_rejected(self):
-        class Duplicate(ContractRule):
-            id = "R001"
-
-        with pytest.raises(ConfigurationError):
-            register_rule(Duplicate)
-
-    def test_overwrite_replaces_and_restores(self):
-        original = get_rule("R001")
-
-        class Replacement(ContractRule):
-            id = "R001"
-            title = "replaced"
-
-        try:
-            register_rule(Replacement, overwrite=True)
-            assert get_rule("R001") is Replacement
-        finally:
-            _RULES["R001"] = original
-
     def test_unknown_rule_is_a_configuration_error(self):
-        with pytest.raises(ConfigurationError):
-            get_rule("R999")
+        with pytest.raises(ConfigurationError, match="R001, R003, R004, R005"):
+            run_check(root=REPO_ROOT, rules=("R999",))
 
 
 # ---------------------------------------------------------------------- #
@@ -169,7 +147,7 @@ class TestR001Determinism:
         assert check_snippet("R001", source, R001_PATH) == []
 
     def test_out_of_scope_package_not_checked(self):
-        rule = get_rule("R001")
+        rule = RULE["R001"]
         assert rule.applies_to("src/repro/batch/engine.py")
         assert rule.applies_to("src/repro/routing/path.py")
         assert not rule.applies_to("src/repro/cli.py")
@@ -177,12 +155,12 @@ class TestR001Determinism:
 
 
 # ---------------------------------------------------------------------- #
-# R002 registry contracts                                                 #
+# R003 schema drift                                                       #
 # ---------------------------------------------------------------------- #
 
 
 def project_copy(tmp_path: Path) -> Path:
-    """A trimmed copy of the real tree that R002/R003 runs can mutate."""
+    """A trimmed copy of the real tree that linter runs can mutate."""
     root = tmp_path / "checkout"
     shutil.copytree(
         REPO_ROOT / "src",
@@ -190,39 +168,6 @@ def project_copy(tmp_path: Path) -> Path:
         ignore=shutil.ignore_patterns("__pycache__"),
     )
     return root
-
-
-class TestR002RegistryContracts:
-    def test_head_registrations_are_clean(self):
-        assert run_check(root=REPO_ROOT, rules=("R002",)) == []
-
-    def test_unresolvable_registration_fires(self, tmp_path):
-        root = project_copy(tmp_path)
-        backends = root / "src/repro/batch/backends.py"
-        backends.write_text(
-            backends.read_text() + "\n\nregister_backend('dyn', get_backend('batch'))\n"
-        )
-        findings = run_check(root=root, rules=("R002",))
-        assert len(findings) == 1
-        assert "cannot" in findings[0].message
-
-    def test_backend_without_estimate_fires(self, tmp_path):
-        root = project_copy(tmp_path)
-        backends = root / "src/repro/batch/backends.py"
-        backends.write_text(
-            backends.read_text()
-            + "\n\nclass HollowBackend:\n"
-            + "    name = 'hollow'\n\n"
-            + "register_backend('hollow', HollowBackend)\n"
-        )
-        findings = run_check(root=root, rules=("R002",))
-        assert len(findings) == 1
-        assert "estimate" in findings[0].message
-
-
-# ---------------------------------------------------------------------- #
-# R003 schema drift                                                       #
-# ---------------------------------------------------------------------- #
 
 
 class TestR003SchemaDrift:
@@ -338,7 +283,7 @@ class TestR004FloatPersistence:
         assert check_snippet("R004", source, R004_PATH) == []
 
     def test_scoped_to_persistence_modules(self):
-        rule = get_rule("R004")
+        rule = RULE["R004"]
         assert rule.applies_to("src/repro/service/cache.py")
         assert rule.applies_to("src/repro/telemetry/journal.py")
         assert not rule.applies_to("src/repro/telemetry/export.py")
@@ -400,7 +345,7 @@ class TestR005TelemetryHygiene:
         assert len(check_snippet("R005", source, R005_PATH)) == 1
 
     def test_cli_is_exempt(self):
-        rule = get_rule("R005")
+        rule = RULE["R005"]
         assert not rule.applies_to("src/repro/cli.py")
         assert rule.applies_to("src/repro/service/service.py")
 
@@ -435,20 +380,6 @@ class TestProject:
         assert files == sorted(files)
         assert all(path.startswith("src/repro/") for path in files)
         assert "src/repro/batch/engine.py" in files
-
-    def test_concrete_methods_resolve_through_bases(self):
-        project = Project(REPO_ROOT)
-        methods = project.concrete_methods("FiveClassEngine")
-        assert methods is not None
-        # Inherited concrete driver plus its own kernel.
-        assert {"run_accumulate", "accumulate_chunk"} <= methods
-
-    def test_abstract_methods_do_not_satisfy_lookup(self):
-        project = Project(REPO_ROOT)
-        methods = project.concrete_methods("TrialEngine")
-        assert methods is not None
-        assert "accumulate_chunk" not in methods
-        assert "run_accumulate" in methods
 
     def test_syntax_error_becomes_r000_finding(self, tmp_path):
         root = project_copy(tmp_path)
@@ -506,7 +437,7 @@ class TestWholeRepoGate:
         assert result.returncode == 1
         assert "fixture_bad.py:4: R001" in result.stdout
 
-    def test_cli_list_rules_json_matches_registry(self):
+    def test_cli_list_rules_json_is_the_four_rules_in_id_order(self):
         result = subprocess.run(
             [sys.executable, "-m", "repro.cli", "check", "--list-rules", "--json"],
             capture_output=True,
@@ -514,8 +445,54 @@ class TestWholeRepoGate:
             env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
         )
         assert result.returncode == 0
-        listed = {rule["id"] for rule in json.loads(result.stdout)["rules"]}
-        assert listed == set(available_rules())
+        listed = [rule["id"] for rule in json.loads(result.stdout)["rules"]]
+        assert listed == ["R001", "R003", "R004", "R005"]
+
+    def test_cli_list_rules_text_is_the_four_rules_in_id_order(self, capsys):
+        assert main(["check", "--list-rules"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == ["R001", "R003", "R004", "R005"]
+        assert lines[1] == f"R003  {RULE['R003'].title}"
+
+    def test_cli_unknown_rule_is_a_one_line_usage_error(self, capsys):
+        assert main(["check", "--rule", "R002"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: unknown contract rule 'R002'; known rules: "
+            "R001, R003, R004, R005\n"
+        )
+
+    def test_cli_repeated_rule_runs_once(self, tmp_path, capsys):
+        root = project_copy(tmp_path)
+        kernel = root / "src/repro/batch/fixture_bad.py"
+        kernel.write_text("import random\n\ndef f():\n    return random.random()\n")
+        code = main(["check", "--root", str(root), "--rule", "R001", "--rule", "R001"])
+        assert code == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith("src/repro/batch/fixture_bad.py:4: R001 ")
+        assert lines[1] == "1 finding"
+
+    def test_docs_name_only_existing_rules(self, tmp_path):
+        env = {"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"}
+        listed = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "check", "--list-rules", "--json"],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert listed.returncode == 0, listed.stderr
+        rules_json = tmp_path / "rules.json"
+        rules_json.write_text(listed.stdout, encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, "scripts/check_links.py", "--rules-json", str(rules_json)],
+            capture_output=True,
+            text=True,
+            env=env,
+            cwd=REPO_ROOT,
+        )
+        assert result.returncode == 0, result.stdout + result.stderr
 
     def test_update_schemas_round_trips(self, tmp_path):
         root = project_copy(tmp_path)

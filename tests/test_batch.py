@@ -29,9 +29,7 @@ from repro.batch import (
     available_backends,
     estimate_anonymity,
     get_backend,
-    register_backend,
 )
-from repro.batch.backends import ExactBackend, _BACKENDS
 from repro.core.anonymity import AnonymityAnalyzer
 from repro.core.events import EVENT_ORDER, EventClass, classify_trial
 from repro.core.model import AdversaryModel, PathModel, SystemModel
@@ -264,11 +262,17 @@ class TestBatchEstimatorParity:
 
 
 class TestBackends:
-    def test_registry_lists_the_three_engines(self):
-        assert set(available_backends()) >= {"exact", "event", "batch"}
+    def test_available_backends_are_the_four(self):
+        assert available_backends() == ("exact", "event", "batch", "sharded")
+
+    @pytest.mark.parametrize("name", ["exact", "event", "batch", "sharded"])
+    def test_get_backend_builds_the_named_backend(self, name):
+        assert get_backend(name).name == name
 
     def test_unknown_backend_raises_with_known_names(self):
-        with pytest.raises(ConfigurationError, match="registered backends"):
+        with pytest.raises(
+            ConfigurationError, match="known backends: exact, event, batch, sharded"
+        ):
             get_backend("warp-drive")
 
     def test_exact_backend_reports_zero_width_interval(self):
@@ -291,20 +295,6 @@ class TestBackends:
         )
         assert event.estimate.contains(exact, slack=0.02)
         assert batch.estimate.contains(exact)
-
-    def test_register_backend_round_trip(self):
-        class NullBackend(ExactBackend):
-            name = "null-test"
-
-        try:
-            register_backend("null-test", NullBackend)
-            assert "null-test" in available_backends()
-            with pytest.raises(ConfigurationError, match="already registered"):
-                register_backend("null-test", NullBackend)
-            register_backend("null-test", NullBackend, overwrite=True)
-            assert isinstance(get_backend("null-test"), NullBackend)
-        finally:
-            _BACKENDS.pop("null-test", None)
 
     def test_estimate_anonymity_with_a_strategy(self):
         model = SystemModel(n_nodes=12, n_compromised=1)

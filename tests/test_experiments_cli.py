@@ -277,9 +277,14 @@ class TestCLI:
         assert estimate_error.count("\n") == 1
         assert "--backend batch" in estimate_error
 
-    def test_unknown_experiment_via_cli(self):
-        with pytest.raises(KeyError):
+    def test_unknown_experiment_via_cli(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
             main(["figure", "nope"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid choice: 'nope'" in captured.err
+        assert "Traceback" not in captured.err
 
 
 class TestExperimentDataContract:

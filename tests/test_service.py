@@ -405,7 +405,9 @@ class TestAdaptiveScheduler:
 
     def test_non_accumulating_backend_rejected(self):
         model = SystemModel(n_nodes=20, n_compromised=1)
-        with pytest.raises(ConfigurationError, match="accumulat"):
+        with pytest.raises(
+            ConfigurationError, match="accumulation; .* needs the 'batch' or 'sharded'"
+        ):
             AdaptiveScheduler(backend="event").run(model, FixedLength(4), rng=0)
 
     @pytest.mark.parametrize("block_size", [0, -1, 2.5, True, "auto"], ids=repr)
