@@ -11,7 +11,6 @@ from __future__ import annotations
 from repro.experiments.extensions import (
     adversary_ablation,
     compromised_sweep,
-    cycle_validation,
     predecessor_attack_rounds,
     protocol_comparison,
     simulation_validation,
@@ -43,7 +42,3 @@ def test_predecessor_attack(benchmark, run_and_report):
     """Repeated Crowds paths fall to the predecessor attack (Wright et al.)."""
     run_and_report(benchmark, predecessor_attack_rounds)
 
-
-def test_cycle_validation(benchmark, run_and_report):
-    """The vectorized cycle engine reproduces the exhaustive/event references."""
-    run_and_report(benchmark, cycle_validation)

@@ -252,9 +252,15 @@ def _emit_profile(args: argparse.Namespace, profiler) -> None:
 
 
 def _add_strategy_arguments(
-    parser: argparse.ArgumentParser, default_strategy: str
+    parser: argparse.ArgumentParser,
+    default_strategy: str,
+    cycle_note: str = "cycle-allowed ones run on the cycle engine",
 ) -> None:
-    """The shared model/strategy flags of degree, batch, and estimate."""
+    """The shared model/strategy flags of degree, batch, and estimate.
+
+    ``cycle_note`` tells ``--strategy``'s help what the command does with the
+    cycle-allowed named strategies.
+    """
     parser.add_argument("--n", type=_positive_int, default=100, help="number of nodes")
     parser.add_argument(
         "--adversary",
@@ -266,7 +272,7 @@ def _add_strategy_arguments(
         choices=["fixed", "uniform", "geometric", *_NAMED_STRATEGIES],
         default=default_strategy,
         help="parametric family (fixed | uniform | geometric) or a named "
-        "deployed-system strategy (cycle-allowed ones run on the cycle engine)",
+        f"deployed-system strategy ({cycle_note})",
     )
     parser.add_argument(
         "--length", type=_non_negative_int, default=5, help="fixed path length"
@@ -312,7 +318,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     degree = subparsers.add_parser("degree", help="anonymity degree of one strategy")
-    _add_strategy_arguments(degree, default_strategy="fixed")
+    _add_strategy_arguments(
+        degree,
+        default_strategy="fixed",
+        cycle_note="the closed form covers simple paths, so cycle-allowed "
+        "ones are refused; use batch",
+    )
+    # degree answers the closed form's C = 1 and has no --compromised.
+    degree.set_defaults(compromised=1)
 
     optimize = subparsers.add_parser("optimize", help="optimal path-length distribution")
     optimize.add_argument("--n", type=int, default=100)
@@ -552,21 +565,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _strategy_distribution(args: argparse.Namespace) -> PathLengthDistribution:
-    if args.strategy in _NAMED_STRATEGIES:
-        return _resolve_strategy(args).distribution
-    if args.strategy == "fixed":
-        return FixedLength(args.length)
-    if args.strategy == "uniform":
-        return UniformLength(args.low, args.high)
-    return GeometricLength(p_forward=args.p_forward, minimum=1, max_length=args.n - 1)
-
-
 def _resolve_strategy(args: argparse.Namespace) -> PathSelectionStrategy:
     """The complete path-selection strategy requested on the command line."""
     if args.strategy in _NAMED_STRATEGIES:
         return deployed_system_strategies(include_cycle_variants=True)[args.strategy]
-    distribution = _strategy_distribution(args)
+    distribution: PathLengthDistribution
+    if args.strategy == "fixed":
+        distribution = FixedLength(args.length)
+    elif args.strategy == "uniform":
+        distribution = UniformLength(args.low, args.high)
+    else:
+        distribution = GeometricLength(
+            p_forward=args.p_forward, minimum=1, max_length=args.n - 1
+        )
     return PathSelectionStrategy(name=distribution.name, distribution=distribution)
 
 
@@ -583,12 +594,15 @@ def _command_figure(args: argparse.Namespace) -> int:
 
 
 def _command_degree(args: argparse.Namespace) -> int:
+    strategy = _resolve_strategy(args)
+    if not _exact_backend_covers(args, strategy):
+        return 2
     model = SystemModel(
         n_nodes=args.n,
         n_compromised=1,
         adversary=AdversaryModel(args.adversary),
     )
-    distribution = _strategy_distribution(args)
+    distribution = strategy.effective_distribution(args.n)
     result = AnonymityAnalyzer(model).analyze(distribution)
     print(render_event_breakdown(result, title=f"{distribution.name} under {model.describe()}"))
     return 0
@@ -749,7 +763,8 @@ def _exact_backend_covers(
     node, simple paths, compromised receiver.  Requests outside that domain
     are usage errors (one line, exit code 2) that point at the backend whose
     engines actually cover them, rather than only restating the restriction.
-    ``batch`` and ``estimate`` both check here, so they print the same line.
+    ``batch``, ``estimate`` and ``degree`` all check here, so they print the
+    same line.
     """
     if strategy.path_model is not PathModel.SIMPLE:
         print(

@@ -1,8 +1,9 @@
 """Registry mapping experiment identifiers to their generator functions.
 
-The registry is the single source of truth used by the CLI (``repro-anon
-figure <id>``), the benchmark harness (one benchmark per entry), and
-EXPERIMENTS.md (one section per entry).
+The registry is the single source of truth for the CLI (``repro-anon list``
+and ``repro-anon figure <id>``).  The test suite runs every entry's
+qualitative checks and requires every experiment id that ``README.md`` and
+``docs/`` cite to be registered here.
 """
 
 from __future__ import annotations
@@ -11,16 +12,11 @@ from collections.abc import Callable
 
 from repro.experiments.base import ExperimentData
 from repro.experiments.extensions import (
-    adaptive_validation,
     adversary_ablation,
-    batch_validation,
     compromised_sweep,
-    cycle_validation,
     predecessor_attack_rounds,
     protocol_comparison,
-    sharded_validation,
     simulation_validation,
-    topology_validation,
 )
 from repro.experiments.fig3 import figure3a, figure3b
 from repro.experiments.fig4 import figure4a, figure4b, figure4c, figure4d
@@ -51,11 +47,6 @@ EXPERIMENTS: dict[str, Callable[[], ExperimentData]] = {
     "ext-proto": protocol_comparison,
     "ext-sim": simulation_validation,
     "ext-pred": predecessor_attack_rounds,
-    "ext-batch": batch_validation,
-    "ext-shard": sharded_validation,
-    "ext-adaptive": adaptive_validation,
-    "ext-cycle": cycle_validation,
-    "ext-topology": topology_validation,
 }
 
 

@@ -11,8 +11,8 @@ The load-bearing properties:
   ``StrategyMonteCarlo``: its confidence interval covers the closed form on
   the single-compromised-node domain for every distribution family of the
   paper, and a fixed seed reproduces results exactly;
-* the ``exact | event | batch`` backend registry routes sweeps, experiments,
-  and the CLI onto any engine.
+* the ``exact | event | batch`` backends route sweeps and the CLI onto any
+  engine.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from repro.distributions import (
     UniformLength,
 )
 from repro.exceptions import ConfigurationError, DistributionError
-from repro.experiments.registry import run_experiment
 from repro.routing.strategies import PathSelectionStrategy
 
 #: The four families named by the parity requirement, all feasible at N=20.
@@ -331,11 +330,6 @@ class TestSweepIntegration:
 
 
 class TestBatchExperiment:
-    def test_ext_batch_checks_pass(self):
-        data = run_experiment("ext-batch")
-        assert data.experiment_id == "ext-batch"
-        assert data.all_checks_pass, data.checks
-
     def test_entropy_never_exceeds_log2_n(self):
         model = SystemModel(n_nodes=20, n_compromised=1)
         report = BatchMonteCarlo.from_distribution(model, UniformLength(0, 19)).run(

@@ -44,7 +44,6 @@ from repro.core.enumeration import ExhaustiveAnalyzer
 from repro.core.model import AdversaryModel, PathModel, SystemModel
 from repro.distributions import FixedLength, GeometricLength, UniformLength
 from repro.exceptions import ConfigurationError
-from repro.experiments.registry import list_experiments
 from repro.routing.strategies import (
     PathSelectionStrategy,
     deployed_system_strategies,
@@ -449,8 +448,9 @@ class TestCycleBatchEngine:
         report = BatchMonteCarlo(model, strategy).run(40_000, rng=29)
         assert report.estimate.contains(truth, slack=0.01)
 
-    def test_agrees_with_event_engine(self):
-        model = SystemModel(n_nodes=12, n_compromised=1)
+    @pytest.mark.parametrize("adversary", list(AdversaryModel))
+    def test_agrees_with_event_engine(self, adversary):
+        model = SystemModel(n_nodes=12, n_compromised=1, adversary=adversary)
         strategy = cycle_strategy(p_forward=0.75, max_length=20)
         event = StrategyMonteCarlo(model, strategy).run(1_200, rng=31)
         batch = BatchMonteCarlo(model, strategy).run(60_000, rng=31)
@@ -637,9 +637,6 @@ class TestCycleCLI:
         captured = capsys.readouterr()
         assert code == 2
         assert "--backend batch" in captured.err
-
-    def test_ext_cycle_registered(self):
-        assert "ext-cycle" in list_experiments()
 
     def test_simulate_supports_crowds_and_hordes(self, capsys):
         assert main([

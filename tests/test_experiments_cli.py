@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +27,11 @@ from repro.experiments.extensions import (
     adversary_ablation,
     protocol_comparison,
 )
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+#: Experiment ids as the docs write them (fig3a, thm2, ext-sim, ...).
+EXPERIMENT_ID = re.compile(r"\b(?:fig\d+[a-z]?|thm\d+|ext-[a-z]+)\b")
 
 
 class TestRegistry:
@@ -58,6 +65,21 @@ class TestRegistry:
         data = run_experiment("fig3b")
         assert isinstance(data, ExperimentData)
         assert data.experiment_id == "fig3b"
+
+    def test_docs_cite_only_registered_experiments(self):
+        known = set(list_experiments())
+        cited = {}
+        for path in [REPO_ROOT / "README.md", *sorted(REPO_ROOT.glob("docs/*.md"))]:
+            lines = path.read_text(encoding="utf-8").splitlines()
+            for number, line in enumerate(lines, start=1):
+                for match in EXPERIMENT_ID.finditer(line):
+                    cited[match.group()] = f"{path.name}:{number}"
+        assert "fig3a" in cited
+        assert {
+            experiment_id: where
+            for experiment_id, where in cited.items()
+            if experiment_id not in known
+        } == {}
 
 
 class TestFigure3:
@@ -148,6 +170,28 @@ class TestCLI:
     def test_degree_command_geometric(self, capsys):
         assert main(["degree", "--n", "30", "--strategy", "geometric", "--p-forward", "0.6"]) == 0
         assert "anonymity degree" in capsys.readouterr().out
+
+    def test_degree_refuses_cycle_strategies_like_the_exact_backend(self, capsys):
+        # It used to print the simple-path closed form, labelled paths=simple.
+        for strategy in ("crowds-cycles", "onion-routing-2-cycles", "hordes"):
+            errors = []
+            for command in (["degree"], ["batch", "--backend", "exact"]):
+                code = main([*command, "--n", "100", "--strategy", strategy])
+                captured = capsys.readouterr()
+                assert code == 2
+                assert captured.out == ""
+                errors.append(captured.err)
+            degree_error, batch_error = errors
+            assert degree_error == batch_error
+            assert degree_error.startswith("error:")
+            assert degree_error.count("\n") == 1
+
+    def test_degree_truncates_crowds_like_batch(self, capsys):
+        # Below N = 99 it used to fail with "Truncate the distribution first";
+        # batch --backend exact reads 5.4241 at N = 50 and 2.6369 at N = 10.
+        for n, degree in (("50", "5.42405"), ("10", "2.63693")):
+            assert main(["degree", "--n", n, "--strategy", "crowds"]) == 0
+            assert f"H*(S) = {degree} bits" in capsys.readouterr().out
 
     def test_optimize_command_with_mean(self, capsys):
         assert main(["optimize", "--n", "40", "--mean", "6"]) == 0
@@ -288,6 +332,12 @@ class TestCLI:
 
 
 class TestExperimentDataContract:
+    @pytest.mark.parametrize("experiment_id", list_experiments())
+    def test_checks_pass(self, experiment_id):
+        data = EXPERIMENTS[experiment_id]()
+        assert data.experiment_id == experiment_id
+        assert data.all_checks_pass, data.checks
+
     @pytest.mark.parametrize("experiment_id", ["fig3b", "fig4a", "fig5a", "thm1"])
     def test_sweeps_have_aligned_series(self, experiment_id):
         data = EXPERIMENTS[experiment_id]()

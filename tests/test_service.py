@@ -35,7 +35,6 @@ from repro.distributions import (
     UniformLength,
 )
 from repro.exceptions import ConfigurationError
-from repro.experiments.registry import run_experiment
 from repro.service import (
     AdaptiveScheduler,
     CachedEstimate,
@@ -619,13 +618,6 @@ class TestServiceSweeps:
             adaptive.series[0].values, exact.series[0].values
         ):
             assert abs(estimate - reference) < 0.05
-
-
-class TestAdaptiveExperiment:
-    def test_ext_adaptive_checks_pass(self):
-        data = run_experiment("ext-adaptive")
-        assert data.experiment_id == "ext-adaptive"
-        assert data.all_checks_pass
 
 
 class TestServiceCLI:

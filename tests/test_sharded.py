@@ -9,9 +9,9 @@ The load-bearing properties:
   spawn-backed pool reproduces the inline (``workers=1``) report exactly;
 * merged estimates keep the statistical contract of the single-process batch
   engine on both the C=1 closed-form domain and the C>1 exhaustive domain;
-* the backend is reachable everywhere backends are: the registry, sweeps,
-  ``estimate_anonymity``, the ``ext-shard`` experiment, and the
-  ``repro-anon batch --backend sharded`` CLI round-trip.
+* the backend is reachable everywhere backends are: ``get_backend``, sweeps,
+  ``estimate_anonymity``, and the ``repro-anon batch --backend sharded`` CLI
+  round-trip.
 
 The spawn pool is exercised once (it costs ~a second of interpreter start-up
 per worker); every other property is checked through the inline path, which
@@ -37,9 +37,8 @@ from repro.cli import main
 from repro.core.anonymity import AnonymityAnalyzer
 from repro.core.enumeration import ExhaustiveAnalyzer
 from repro.core.model import SystemModel
-from repro.distributions import FixedLength, UniformLength
+from repro.distributions import FixedLength, GeometricLength, UniformLength
 from repro.exceptions import ConfigurationError
-from repro.experiments.registry import run_experiment
 from repro.routing.strategies import PathSelectionStrategy
 from repro.service.adaptive import AdaptiveScheduler
 from repro.telemetry import activate
@@ -175,12 +174,21 @@ class TestAccumulatorMerge:
 
 
 class TestShardedStatistics:
-    def test_ci_covers_closed_form_at_c1(self):
+    @pytest.mark.parametrize(
+        "distribution",
+        [
+            FixedLength(5),
+            UniformLength(2, 8),
+            GeometricLength(p_forward=0.75, minimum=1, max_length=19),
+        ],
+        ids=lambda d: d.name,
+    )
+    def test_ci_covers_closed_form_at_c1(self, distribution):
         model = SystemModel(n_nodes=20, n_compromised=1)
-        exact = AnonymityAnalyzer(model).anonymity_degree(UniformLength(2, 8))
+        exact = AnonymityAnalyzer(model).anonymity_degree(distribution)
         report = estimate_anonymity(
             model,
-            UniformLength(2, 8),
+            distribution,
             n_trials=30_000,
             rng=202,
             backend="sharded",
@@ -286,11 +294,6 @@ class TestShardedWiring:
             fixed_length_sweep(
                 model, [2], backend_options={"workers": 8}
             )
-
-    def test_ext_shard_experiment_checks_pass(self):
-        data = run_experiment("ext-shard")
-        assert data.experiment_id == "ext-shard"
-        assert data.all_checks_pass, data.checks
 
     def test_cli_round_trip(self, capsys):
         exit_code = main(
