@@ -24,7 +24,8 @@ The measurement writes a machine-readable ``BENCH_cycle.json`` record (see
 :mod:`perf_record`); the ``C = 2`` case of the same engine merges
 its numbers into the same record under ``c2_``-prefixed keys, with its own
 floor against the hop-by-hop path.  A third case records the engine alone at
-paper scale (``N = 100``) under ``n100_``-prefixed keys, with no floor;
+paper scale (``N = 100``) under ``n100_``-prefixed keys, with no floor:
+throughput, and the traced memory peak of the ``p_forward = 0.97`` run;
 ``scripts/compare_bench.py --trend`` watches them.  Under ``--smoke`` the
 budgets shrink so the whole run takes seconds; the records are written but
 the floors are not asserted.
@@ -37,6 +38,7 @@ Run with::
 from __future__ import annotations
 
 import time
+import tracemalloc
 
 from perf_record import update_record, write_record
 
@@ -213,18 +215,21 @@ def test_paper_scale_crowds_throughput(smoke):
     """Record the cycle engine's trials/sec at N = 100, prices already cached.
 
     A warm-up run of the same seed prices every class the timed run meets,
-    so the timing is the kernel's: draws, classification and counting.
+    so the timing is the kernel's: draws, classification and counting.  One
+    more run at ``p_forward = 0.97``, untimed and under ``tracemalloc``,
+    records the kernel's traced memory peak in MiB.
     """
     budgets = SMOKE_SCALE_TRIALS if smoke else SCALE_TRIALS
     model = SystemModel(n_nodes=SCALE_NODES, n_compromised=1)
     results = {}
+    estimators = {}
     for p_forward, trials in budgets.items():
         strategy = PathSelectionStrategy(
             "Crowds",
             GeometricLength(p_forward=p_forward, minimum=1),
             path_model=PathModel.CYCLE_ALLOWED,
         )
-        estimator = BatchMonteCarlo(model, strategy)
+        estimator = estimators[p_forward] = BatchMonteCarlo(model, strategy)
         estimator.run(trials, rng=1)
         started = time.perf_counter()
         report = estimator.run(trials, rng=1)
@@ -235,6 +240,15 @@ def test_paper_scale_crowds_throughput(smoke):
             f"({trials / seconds:,.0f} trials/sec), estimate {report.estimate}"
         )
         results[p_forward] = (trials, seconds)
+
+    # The traced run is separate, so tracing never slows the timed one.
+    tracemalloc.start()
+    try:
+        estimators[0.97].run(budgets[0.97], rng=1)
+        _, p97_traced_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    print(f"N={SCALE_NODES} p_forward=0.97: traced peak {p97_traced_peak / 2**20:.1f} MiB")
 
     (trials, seconds), (p97_trials, p97_seconds) = results[0.75], results[0.97]
     update_record(
@@ -248,4 +262,5 @@ def test_paper_scale_crowds_throughput(smoke):
         n100_trials_per_sec=round(trials / seconds, 1),
         n100_p97_trials_per_sec=round(p97_trials / p97_seconds, 1),
         n100_p97_seconds=round(p97_seconds, 3),
+        n100_p97_traced_peak_mib=round(p97_traced_peak / 2**20, 1),
     )

@@ -9,7 +9,7 @@ intermediate length (the paper reports the maximum around ``l ≈ 32``), and
 decreases again for very long paths (the *long-path effect*).  Our re-derived
 model reproduces the band, the short-path plateau, and the interior maximum;
 the peak sits at a longer length and the terminal decline is shallower (see
-EXPERIMENTS.md for the side-by-side numbers).
+EXPERIMENTS.md for the regenerated numbers).
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ compromised, uniform lengths on cycle-allowed paths) run
 * single-process through the ``batch`` backend, and
 * through the ``sharded`` backend with a 4-worker ``spawn`` pool.
 
-The cycle kernel walks a hop matrix level by level over bounded
+The cycle kernel walks its packed hop store level by level over bounded
 65,536-trial chunks, so a multi-million-trial job is seconds of CPU-bound
 work in constant memory — the regime sharding exists for; the simple-path
 kernels finish a job this size so quickly that process startup, not

@@ -27,8 +27,8 @@ one JSONL line per benchmark per run) is grouped by ``(benchmark,
 environment fingerprint, smoke)``, and the newest entry of each group is
 compared against the rolling median of its previous ``--trend-window`` runs.
 A throughput key (``*per_sec*``, ``*speedup*``) more than ``--trend-drop``
-below the median — or a duration key (``*_seconds``) the same fraction above
-it — is flagged.  Smoke groups only warn; full-workload regressions become
+below the median — or a duration (``*_seconds``) or memory (``*_mib``) key
+the same fraction above it — is flagged.  Smoke groups only warn; full-workload regressions become
 violations, gated by ``--strict`` like the floors.  Groups with fewer than
 two prior runs are skipped (no median to trust yet), as are keys whose
 better-direction cannot be inferred from the name.
@@ -130,7 +130,7 @@ def _direction(key: str) -> int:
     """+1 when bigger is better, -1 when smaller is, 0 when unknowable."""
     if "per_sec" in key or "speedup" in key:
         return 1
-    if key.endswith("_seconds"):
+    if key.endswith(("_seconds", "_mib")):
         return -1
     return 0
 

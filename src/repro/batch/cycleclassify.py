@@ -36,13 +36,15 @@ coincide).  The keys, per adversary:
     with the single-node form.
 
 :func:`cycle_trial_key` is the scalar reference rule.  The array kernel
-:func:`classify_cycle_arrays` finds every compromised visit level by level
-among the trials still walking, so its cost follows the walked hops rather
-than the longest path.  It then reads each trial's visit count, first
-visit, gap counts and tail relation from those visits with array
-operations, packs them into one integer code per on-path trial, and builds
-keys only for the distinct codes, so no trial takes a per-row Python path
-at any ``C``.  It reads only live cells: a trial's first ``length`` hops.
+:func:`classify_cycle_arrays` reads a chunk in the cycle engine's packed
+layout: trials sorted longest first, and their live hops (a trial's first
+``length`` hops) stored level by level in one array, at the offsets of
+:func:`level_offsets`.  It finds every compromised visit in one pass over
+those cells, so its cost follows the walked hops rather than the longest
+path.  It then reads each trial's visit count, first visit, gap counts and
+tail relation from those visits with array operations, packs them into one
+integer code per on-path trial, and builds keys only for the distinct
+codes, so no trial takes a per-row Python path at any ``C``.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ __all__ = [
     "ADJACENT",
     "cycle_trial_key",
     "classify_cycle_arrays",
+    "level_offsets",
 ]
 
 #: Class key of a compromised sender (identified outright).
@@ -125,6 +128,34 @@ def cycle_trial_key(
     return ("fb", len(occurrences), tuple(gaps), last)
 
 
+def level_offsets(lengths: np.ndarray) -> np.ndarray:
+    """Where each hop level starts in a packed hop store, then its total size.
+
+    ``lengths`` are sorted longest first, so the trials still walking at
+    level ``h`` (those longer than ``h``) are a prefix of the chunk: level
+    ``h`` holds cells ``offsets[h]`` to ``offsets[h + 1]``, one per walking
+    trial in chunk order, and ``offsets[-1]`` is ``sum(lengths)``.
+    """
+    width = int(lengths[0]) if len(lengths) else 0
+    # lengths[::-1] ascends; matching dtypes keep searchsorted from copying.
+    shorter = np.searchsorted(
+        lengths[::-1], np.arange(width, dtype=lengths.dtype), "right"
+    )
+    offsets = np.zeros(width + 1, dtype=np.intp)
+    np.cumsum(len(lengths) - shorter, out=offsets[1:])
+    return offsets
+
+
+def _members(nodes: np.ndarray, compromised: Sequence[int]) -> np.ndarray:
+    """Flags of the cells of ``nodes`` that hold a compromised node."""
+    found = np.zeros(nodes.shape, dtype=bool)
+    if compromised:
+        match = np.empty(nodes.shape, dtype=bool)
+        for node in compromised:
+            found |= np.equal(nodes, node, out=match)
+    return found
+
+
 def classify_cycle_arrays(
     senders,
     lengths,
@@ -135,50 +166,39 @@ def classify_cycle_arrays(
 ) -> dict[tuple, int]:
     """Histogram one chunk into ``{key: count}``.
 
-    ``hops`` is the ``n_trials x width`` hop matrix (any layout numpy can
-    index — the cycle engine passes a transposed view of its level-major
-    draw matrix).  Only live cells are read: row ``i``'s first
-    ``lengths[i]`` hops.  Cells past a trial's length are never read, so they
-    may hold anything.  Compromised visits are found level by level among
-    the trials still walking and sorted by trial; each on-path trial's visit
-    count, first and last visit, gap counts and tail relation come from
-    those visits and the live cells beside them.  Every key equals
-    :func:`cycle_trial_key` of the trials it counts.
+    The chunk is sorted longest first (``lengths`` never increase), and
+    ``hops`` is its packed hop store: level by level, one cell per trial
+    still walking, so trial ``i``'s hop at level ``h`` sits at
+    ``offsets[h] + i`` with ``offsets`` from :func:`level_offsets`.  Only
+    those live cells are read: cells from ``sum(lengths)`` on may hold
+    anything.  Compromised visits are found in one pass over the live cells
+    and grouped by trial; each on-path trial's visit count, first and last
+    visit, gap counts and tail relation come from those visits and the live
+    cells beside them.  Every key equals :func:`cycle_trial_key` of the
+    trials it counts.
     """
+    lengths = np.asarray(lengths)
+    if np.any(lengths[1:] > lengths[:-1]):
+        raise ValueError("a packed cycle chunk must be sorted longest first")
     n_trials = len(senders)
-    width = hops.shape[1]
-    # Node ids are non-negative, so clipping at one past the largest
-    # compromised id maps every honest node onto a False entry.
-    top = max(compromised, default=-1) + 1
-    compromised_ids = np.zeros(top + 1, dtype=bool)
-    compromised_ids[sorted(compromised)] = True
+    offsets = level_offsets(lengths)
+    width = offsets.size - 1
+    members = sorted(compromised)
 
-    def visited(nodes):
-        return compromised_ids[np.minimum(nodes, top)]
+    def hop(rows, levels):
+        return hops[offsets[levels] + rows]
 
-    origin = visited(senders)
-    # Honest senders' trials, longest first, so the trials still walking at
-    # a level are a prefix of them.
-    walkers = np.flatnonzero(~origin)
-    walkers = walkers[np.argsort(-lengths[walkers], kind="stable")]
-    still_walking = walkers.size - np.searchsorted(
-        lengths[walkers][::-1], np.arange(width), "right"
-    )
-    visitors_at = []
-    for level, count in enumerate(still_walking.tolist()):
-        walking = walkers[:count]
-        visitors_at.append(walking[visited(hops[:, level][walking])])
-
-    # Every visit as (trial, level), grouped by trial with its levels in
-    # walk order.
-    visit_rows = np.concatenate([np.empty(0, dtype=np.intp), *visitors_at])
-    visit_levels = np.repeat(
-        np.arange(width),
-        np.fromiter((visitors.size for visitors in visitors_at), np.intp, width),
-    )
-    order = np.argsort(visit_rows, kind="stable")
-    visit_rows = visit_rows[order]
-    visit_levels = visit_levels[order]
+    origin = _members(np.asarray(senders), members)
+    # Every compromised visit of an honest sender's trial as (trial, level),
+    # grouped by trial with its levels in walk order: the packed cells are
+    # level-major, and the sort by trial is stable.
+    cells = np.flatnonzero(_members(hops[: offsets[-1]], members))
+    visit_levels = np.searchsorted(offsets, cells, "right") - 1
+    visit_rows = cells - offsets[visit_levels]
+    honest = ~origin[visit_rows]
+    order = np.argsort(visit_rows[honest], kind="stable")
+    visit_rows = visit_rows[honest][order]
+    visit_levels = visit_levels[honest][order]
     starts = np.ones(visit_rows.size, dtype=bool)
     starts[1:] = visit_rows[1:] != visit_rows[:-1]
     first_visit = np.flatnonzero(starts)
@@ -213,9 +233,8 @@ def classify_cycle_arrays(
     adjacent = visit_levels[gap + 1] == visit_levels[gap] + 1
     spaced = gap[~adjacent]
     spaced_rows = visit_rows[spaced]
-    bridged = (
-        hops[spaced_rows, visit_levels[spaced] + 1]
-        == hops[spaced_rows, visit_levels[spaced + 1] - 1]
+    bridged = hop(spaced_rows, visit_levels[spaced] + 1) == hop(
+        spaced_rows, visit_levels[spaced + 1] - 1
     )
     n_adjacent = np.bincount(trial_of[gap[adjacent]], minlength=on_path.size)
     n_bridged = np.bincount(trial_of[spaced[bridged]], minlength=on_path.size)
@@ -231,9 +250,8 @@ def classify_cycle_arrays(
         tails[relayed] = _TAILS.index("open")
     else:
         relay_rows = on_path[relayed]
-        witnessed = (
-            hops[relay_rows, last_visit[relayed] + 1]
-            == hops[relay_rows, path_lengths[relayed] - 1]
+        witnessed = hop(relay_rows, last_visit[relayed] + 1) == hop(
+            relay_rows, path_lengths[relayed] - 1
         )
         tails[relayed] = np.where(
             witnessed, _TAILS.index("eq"), _TAILS.index("ne")

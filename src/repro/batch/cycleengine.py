@@ -9,24 +9,26 @@ compromised nodes.  Each chunk runs one kernel, :meth:`CycleBatchEngine.accumula
    adversary's observation class depends on *coincidences* between hop
    identities (whether the node a compromised node forwarded to later shows
    up as another observed predecessor), so the kernel draws the hop
-   sequences themselves, as one level-major matrix of Markov-style
-   transitions.  Senders are uniform over the ``N`` nodes and lengths come
-   from the inverse-CDF decoder.  The chunk is then sorted by length
-   (stable, longest first), so the trials still walking at level ``h`` —
-   the *live* cells, level ``h`` below the trial's length — form a prefix.
-   Only those hops are drawn: level ``h`` takes one raw uniform draw over
-   ``[0, N-1)`` per walking trial, in that sorted order, so the generator
-   consumption is a fixed function of the sampled lengths.  Each raw value
-   decodes as "the raw value, skipping the node that currently holds the
-   message" — exactly the uniform-over-``N-1`` no-self-forwarding rule of
-   :class:`~repro.routing.selection.CyclePathSelector`.  Every other cell of
-   the level-major hop matrix stays unwritten;
+   sequences themselves, as Markov-style transitions.  Senders are uniform
+   over the ``N`` nodes and lengths come from the inverse-CDF decoder.  The
+   chunk is then sorted by length (stable, longest first), so the trials
+   still walking at level ``h`` — the *live* cells, level ``h`` below the
+   trial's length — form a prefix.  Only those hops are drawn and stored:
+   the **packed hop store** is one int32 array of ``sum(lengths)`` cells,
+   level by level, and level ``h`` starts at ``offsets[h]`` of
+   :func:`~repro.batch.cycleclassify.level_offsets`, a running sum of the
+   live counts.  Level ``h`` takes one raw uniform draw over ``[0, N-1)``
+   per walking trial, in that sorted order, so the generator consumption is
+   a fixed function of the sampled lengths.  Each raw value decodes as "the
+   raw value, skipping the node that currently holds the message" —
+   exactly the uniform-over-``N-1`` no-self-forwarding rule of
+   :class:`~repro.routing.selection.CyclePathSelector`;
 2. **classify** — histogram every trial into its cycle observation class
-   (:func:`~repro.batch.cycleclassify.classify_cycle_arrays`, on a
-   transposed view of the hop matrix), reading live cells only, so its cost
-   follows the hops the trials walk rather than the longest path.  A
-   full-Bayes key orders its gaps canonically, so walks with the same gap
-   counts share one class;
+   (:func:`~repro.batch.cycleclassify.classify_cycle_arrays`, which reads
+   trial ``i``'s hop at level ``h`` from cell ``offsets[h] + i`` of the
+   store), so its cost follows the hops the trials walk rather than the
+   longest path.  A full-Bayes key orders its gaps canonically, so walks
+   with the same gap counts share one class;
 3. **price** — score each *distinct* class exactly once with the cycle-aware
    exact Bayesian engine (:class:`CycleScoreTable` over
    :class:`repro.adversary.inference.BayesianPathInference`).
@@ -50,7 +52,10 @@ Any ``C`` runs on the one engine, :class:`CycleBatchEngine` (``"cycle"``):
 honest-subgraph walk counts of :mod:`repro.combinatorics.walks`.
 
 Trials are processed in chunks of :data:`repro.batch.engine.CHUNK_TRIALS`,
-so the hop matrix of a multi-million-trial run never materialises at once.
+so the hops of a multi-million-trial run never materialise at once, and a
+chunk holds only the hops its trials walk: at ``N = 100`` and
+``p_forward = 0.97`` one 65 536-trial chunk stores about 2.2 million hops
+(8.7 MB), where a ``(width, n_trials)`` matrix would span 190 MiB.
 """
 
 from __future__ import annotations
@@ -67,9 +72,10 @@ from repro.batch.cycleclassify import (
     PATH_KEY,
     SILENT_KEY,
     classify_cycle_arrays,
+    level_offsets,
 )
 from repro.batch.engine import ChunkClasses, TrialEngine
-from repro.batch.sampler import InverseCdfDecoder
+from repro.batch.sampler import InverseCdfDecoder, chunk_buffer
 from repro.core.model import PathModel, SystemModel
 from repro.core.results import IDENTIFIED_THRESHOLD
 from repro.distributions.base import PathLengthDistribution
@@ -223,40 +229,42 @@ class CycleBatchEngine(TrialEngine):
         """Draw, walk, classify, and price one chunk of cycle-path trials.
 
         Only live cells (level ``h`` below the trial's length) are drawn,
-        decoded into the level-major hop matrix and classified, through a
-        transposed *view* (no row-major copy); each new class is priced from
-        its key alone.
+        into the packed hop store, and classified; each new class is priced
+        from its key alone.
         """
         n_nodes = self.model.n_nodes
-        senders = generator.integers(0, n_nodes, size=n_trials)
+        senders = generator.integers(0, n_nodes, size=n_trials, dtype=np.int32)
         lengths = self._lengths.decode(n_trials, generator)
         width = int(lengths.max())
 
         # Longest paths first (stable), so the trials still walking at level
-        # h are a prefix of live[h] trials.  This order is part of the draw
+        # h are a prefix of the chunk.  This order is part of the draw
         # contract.  The narrowest unsigned key lets numpy radix-sort it.
+        # The key and the sorted columns are per-thread chunk buffers.
+        keys = chunk_buffer("cycle_keys", n_trials, np.min_scalar_type(width))
         order = np.argsort(
-            (width - lengths).astype(np.min_scalar_type(width)), kind="stable"
+            np.subtract(width, lengths, out=keys, casting="unsafe"), kind="stable"
         )
-        senders = senders[order]
-        lengths = lengths[order]
-        live = n_trials - np.searchsorted(lengths[::-1], np.arange(width), "right")
-        # A full (width x n_trials) buffer, although only live cells are
-        # written: freeing a block this large raises glibc's mmap and trim
-        # thresholds, which keeps the simple-path kernels' chunk arrays on
-        # the heap without page faults.  A ragged hop store raised the
-        # perfbench kernel-fixed median request time from 0.036 s to
-        # 0.057-0.060 s this way (ROADMAP item 11, which owns that change).
-        levels = np.empty((width, n_trials), dtype=np.int64)
+        senders = senders.take(
+            order, out=chunk_buffer("cycle_senders", n_trials, senders.dtype), mode="wrap"
+        )
+        lengths = lengths.take(
+            order, out=chunk_buffer("cycle_lengths", n_trials, lengths.dtype), mode="wrap"
+        )
+        offsets = level_offsets(lengths)
+        # Level h's draws are the next offsets[h + 1] - offsets[h] values of
+        # one bulk draw: numpy's 32-bit bounded draws carry no state between
+        # values but the generator's, so this equals one draw per level.
+        hops = generator.integers(
+            0, n_nodes - 1, size=int(offsets[-1]), dtype=np.int32
+        )
         current = senders
-        for h, walking in enumerate(live.tolist()):
-            # One draw per walking trial at this level: the raw value r in
-            # [0, N-1) decodes to "r, skipping the current holder".
-            step = levels[h, :walking]
-            step[:] = generator.integers(0, n_nodes - 1, size=walking)
-            step += step >= current[:walking]
+        for start, stop in itertools.pairwise(offsets.tolist()):
+            # The raw value r in [0, N-1) decodes to "r, skipping the
+            # current holder".
+            step = hops[start:stop]
+            step += step >= current[: stop - start]
             current = step
-        hops = levels.T  # (n_trials, width) view — no copy
 
         keyed = classify_cycle_arrays(
             senders,

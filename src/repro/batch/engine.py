@@ -59,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.batch.multiclass import ClassScoreTable
-from repro.batch.sampler import InverseCdfDecoder, decode_slots
+from repro.batch.sampler import InverseCdfDecoder, chunk_buffer, decode_slots
 from repro.core.anonymity import AnonymityAnalyzer
 from repro.core.events import EVENT_ORDER, EventClass, event_code
 from repro.core.model import AdversaryModel, PathModel, SystemModel
@@ -204,7 +204,11 @@ class TrialEngine(abc.ABC):
     requests, shard tasks and threads.  An engine must therefore keep no
     per-run state besides its memoised class prices, and each memoised price
     must be a function of its class key alone, so that concurrent misses on
-    one class store the same value.  All four engines meet this.
+    one class store the same value.  All four engines meet this.  The clique
+    engines write their chunk temporaries into per-thread buffers
+    (:func:`~repro.batch.sampler.chunk_buffer`), never into the engine, and
+    a buffer handed out lives for one chunk on its thread: arrays a chunk's
+    draw methods return are overwritten by the next chunk on that thread.
     """
 
     #: Display name of the engine: its telemetry label and span attribute.
@@ -394,27 +398,39 @@ class FiveClassEngine(TrialEngine):
         """
         adversary = self.model.adversary
         n_nodes = self.model.n_nodes
-        senders = generator.integers(0, n_nodes, size=n_trials)
+        senders = generator.integers(0, n_nodes, size=n_trials, dtype=np.int32)
         lengths = self._lengths.decode(n_trials, generator)
-        slots = generator.integers(0, n_nodes - 1, size=n_trials)
+        slots = generator.integers(0, n_nodes - 1, size=n_trials, dtype=np.int32)
 
-        on_path = slots < lengths
-        origin = senders == self._compromised_node
+        # The masks and the last-slot column are per-thread chunk buffers.
+        on_path = np.less(slots, lengths, out=chunk_buffer("on_path", n_trials, bool))
+        origin = np.equal(
+            senders, self._compromised_node, out=chunk_buffer("origin", n_trials, bool)
+        )
+        hit = chunk_buffer("hit", n_trials, bool)
         if adversary is AdversaryModel.POSITION_AWARE:
             # The first hop sees the sender directly: slot 0 identifies too.
-            origin = origin | (on_path & (slots == 0))
+            np.equal(slots, 0, out=hit)
+            hit &= on_path
+            origin |= hit
         n_origin = int(np.count_nonzero(origin))
-        observed = on_path & ~origin
+        # on_path > origin is on_path & ~origin: the observed trials.
+        observed = np.greater(on_path, origin, out=on_path)
         n_observed = int(np.count_nonzero(observed))
         if adversary is AdversaryModel.PREDECESSOR_ONLY:
             n_last = n_penultimate = 0
             n_interior = n_observed
         else:
-            last_slot = lengths - 1
-            n_last = int(np.count_nonzero(observed & (slots == last_slot)))
-            n_penultimate = int(
-                np.count_nonzero(observed & (slots == last_slot - 1))
+            last_slot = np.subtract(
+                lengths, 1, out=chunk_buffer("last_slot", n_trials, lengths.dtype)
             )
+            np.equal(slots, last_slot, out=hit)
+            hit &= observed
+            n_last = int(np.count_nonzero(hit))
+            last_slot -= 1
+            np.equal(slots, last_slot, out=hit)
+            hit &= observed
+            n_penultimate = int(np.count_nonzero(hit))
             n_interior = n_observed - n_last - n_penultimate
         n_silent = n_trials - n_origin - n_observed
 
@@ -477,16 +493,19 @@ class ArrangementEngine(TrialEngine):
     ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
         """Draw one chunk: senders, lengths, and one raw slot column per compromised node.
 
-        These are all of a chunk's draws, in their fixed order.  Raw column
-        ``j`` is uniform over the ``N - 1 - j`` slots still untaken (see
-        :func:`~repro.batch.sampler.decode_slots`); with ``C == N`` there is
-        no honest sender and no column is drawn.
+        These are all of a chunk's draws, in their fixed order, as int32.
+        Raw column ``j`` is uniform over the ``N - 1 - j`` slots still
+        untaken (see :func:`~repro.batch.sampler.decode_slots`); with
+        ``C == N`` there is no honest sender and no column is drawn.  The
+        lengths are this thread's decode buffer
+        (:meth:`~repro.batch.sampler.InverseCdfDecoder.decode`): they live
+        until the next draw on the thread.
         """
         n_nodes = self.model.n_nodes
-        senders = generator.integers(0, n_nodes, size=n_trials)
+        senders = generator.integers(0, n_nodes, size=n_trials, dtype=np.int32)
         lengths = self._lengths.decode(n_trials, generator)
         raw_columns = [
-            generator.integers(0, n_nodes - 1 - j, size=n_trials)
+            generator.integers(0, n_nodes - 1 - j, size=n_trials, dtype=np.int32)
             for j in range(self._score_table.coder.n_columns)
         ]
         return senders, lengths, raw_columns
@@ -513,20 +532,31 @@ class ArrangementEngine(TrialEngine):
         canonical observation key and price.
         """
         senders, lengths, raw_columns = self.draw_raw(n_trials, generator)
-        origin = self._is_compromised[senders]
+        # The origin and on-path flags are per-thread chunk buffers, and so
+        # is the intp copy of the senders that the lookup gathers with.
+        indices = chunk_buffer("sender_indices", n_trials, np.intp)
+        np.copyto(indices, senders)
+        origin = self._is_compromised.take(
+            indices, out=chunk_buffer("origin", n_trials, bool), mode="wrap"
+        )
         table = self._score_table
         if self.model.adversary is AdversaryModel.PREDECESSOR_ONLY:
             # The minimum is taken in place, in the chunk's own first column;
             # with no column, slot N - 1 lies past every path.
             smallest = (
-                raw_columns[0] if raw_columns else np.full(n_trials, self.model.n_nodes - 1)
+                raw_columns[0]
+                if raw_columns
+                else np.full(n_trials, self.model.n_nodes - 1, dtype=np.int32)
             )
             for column in raw_columns[1:]:
                 np.minimum(smallest, column, out=smallest)
-            tallied = table.coder.tally_on_path(origin, smallest < lengths)
+            on_path = np.less(
+                smallest, lengths, out=chunk_buffer("on_path", n_trials, bool)
+            )
+            tallied = table.coder.tally_on_path(origin, on_path)
         else:
             slots = decode_slots(raw_columns, n_trials)
-            codes = table.coder.encode(origin, lengths.astype(slots.dtype), slots)
+            codes = table.coder.encode(origin, lengths, slots)
             tallied = table.coder.tally(codes)
         classes: ChunkClasses = {}
         for code, count in zip(*tallied):

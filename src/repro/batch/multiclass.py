@@ -78,6 +78,8 @@ ORIGIN_KEY: tuple = ("origin", 0)
 
 #: Code spaces up to this many bins fit one int64 code per trial.
 _MAX_PACKED_BINS = 1 << 62
+#: Code spaces up to this many bins fit one int32 code per trial.
+_MAX_INT32_BINS = 1 << 31
 
 
 def canonical_key(key: tuple, compromised: frozenset[int]) -> tuple:
@@ -159,8 +161,11 @@ class ClassCoder:
             radices = (4,) * n_columns
         self._radices = radices
         space = math.prod(radices)
-        #: Packed codes are int64 scalars; wider spaces use digit rows.
+        #: Codes pack into one integer per trial; wider spaces use digit rows.
         self.packed = space + 1 <= _MAX_PACKED_BINS
+        #: Packed codes are int32 where they fit, so ``np.unique`` sorts
+        #: half the bytes (full Bayes up to ``C = 15``), and int64 above.
+        self.code_dtype = np.int32 if space + 1 <= _MAX_INT32_BINS else np.int64
         #: The code of the origin class (a compromised sender).
         self.origin_code: int | tuple[int, ...] = (
             space if self.packed else (-1,) * len(radices)
@@ -169,7 +174,7 @@ class ClassCoder:
     def encode(
         self, origin: np.ndarray, lengths: np.ndarray, slots: np.ndarray
     ) -> np.ndarray:
-        """One code per trial: an int64 vector, or an ``(n, digits)`` matrix.
+        """One code per trial: a :attr:`code_dtype` vector, or an ``(n, digits)`` matrix.
 
         ``origin`` flags compromised senders, ``lengths`` are the path
         lengths and ``slots`` the ``(C, n)`` row-sorted slots of
@@ -180,7 +185,7 @@ class ClassCoder:
             rows = np.stack(list(digits), axis=1).astype(np.int64, copy=False)
             rows[origin] = -1
             return rows
-        codes = np.zeros(lengths.shape, dtype=np.int64)
+        codes = np.zeros(lengths.shape, dtype=self.code_dtype)
         for digit, radix in zip(digits, self._radices):
             codes *= radix
             codes += digit

@@ -30,18 +30,52 @@ at any path length: positions are plain integers, never bits of a mask.
 
 Each engine consumes a fixed number of bulk draws from the generator per
 chunk (senders, length uniforms, then its slot or hop columns), in a fixed
-order, so results are deterministic under a fixed seed.
+order, so results are deterministic under a fixed seed.  Bounded integer
+draws are int32: below ``2**31`` numpy's bounded-integer path yields the
+same values and leaves the generator in the same state as an int64 draw,
+at half the memory.
+
+:func:`chunk_buffer` hands out the per-thread arrays that the kernels
+write their chunk temporaries into, so a chunk allocates little besides its
+draws.  Its speed then does not depend on whether an earlier, larger array
+was freed (which is what keeps the C allocator's freed pages around).
 """
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.distributions.base import PathLengthDistribution
 
-__all__ = ["InverseCdfDecoder", "decode_slots"]
+if TYPE_CHECKING:
+    from numpy.typing import DTypeLike
+
+__all__ = ["InverseCdfDecoder", "chunk_buffer", "decode_slots"]
+
+_THREAD_BUFFERS = threading.local()
+
+
+def chunk_buffer(name: str, n_trials: int, dtype: DTypeLike) -> np.ndarray:
+    """This thread's scratch array ``name``: ``n_trials`` cells of ``dtype``.
+
+    The array is reused from chunk to chunk, and grows when a chunk needs
+    more cells, so a thread keeps its largest chunk's worth (about 3 MiB
+    over every buffer at :data:`~repro.batch.engine.CHUNK_TRIALS`).  A
+    handed-out buffer lives for one chunk on its thread: the
+    next request for ``name`` on that thread returns the same cells, so a
+    caller must be done with it by then.  Engines are shared between
+    threads (:func:`~repro.batch.engine.shared_engine`), so the buffers are
+    kept per thread, never per engine.
+    """
+    buffers = vars(_THREAD_BUFFERS)
+    buffer = buffers.get(name)
+    if buffer is None or buffer.size < n_trials or buffer.dtype != dtype:
+        buffer = buffers[name] = np.empty(n_trials, dtype)
+    return buffer[:n_trials]
 
 
 class InverseCdfDecoder:
@@ -62,6 +96,7 @@ class InverseCdfDecoder:
     exponent — so no rounding can leak a uniform into the wrong cell.
 
     One ``generator.random(n)`` draw per chunk, identical to ``sample_batch``.
+    Lengths are int32 whenever the support allows it.
     """
 
     _SCALE_BITS = 12
@@ -69,7 +104,8 @@ class InverseCdfDecoder:
     def __init__(self, distribution: PathLengthDistribution) -> None:
         lengths, cumulative = distribution.cdf_table()
         self._cum = np.asarray(cumulative)
-        self._lengths = np.asarray(lengths, dtype=np.int64)
+        dtype = np.int32 if max(lengths) < np.iinfo(np.int32).max else np.int64
+        self._lengths = np.asarray(lengths, dtype=dtype)
         scale = 1 << self._SCALE_BITS
         self._scale = scale
         edges = np.searchsorted(
@@ -82,13 +118,25 @@ class InverseCdfDecoder:
         )
 
     def decode(self, n_trials: int, generator: np.random.Generator) -> np.ndarray:
-        """Draw ``n_trials`` lengths as a live int64 array."""
-        uniforms = generator.random(n_trials)
-        # int64 buckets: fancy indexing re-casts narrower index arrays to
-        # intp, which costs more than the wider astype saves.
-        buckets = (uniforms * self._scale).astype(np.int64)
-        lengths = self._table[buckets]
-        unresolved = np.nonzero(lengths == self._sentinel)[0]
+        """Draw ``n_trials`` lengths into this thread's ``lengths`` buffer.
+
+        The uniforms, their buckets and the lengths are per-thread chunk
+        buffers (:func:`chunk_buffer`), so the returned array lives until
+        the next decode on the same thread.
+        """
+        uniforms = generator.random(out=chunk_buffer("uniforms", n_trials, np.float64))
+        # intp buckets: a gather re-casts narrower index arrays to intp,
+        # which costs more than the wider cast saves.
+        buckets = chunk_buffer("buckets", n_trials, np.intp)
+        np.multiply(uniforms, self._scale, out=buckets, casting="unsafe")
+        # Every bucket lies in [0, scale), so "wrap" never wraps; unlike the
+        # default mode it writes straight into the buffer.
+        lengths = self._table.take(
+            buckets,
+            out=chunk_buffer("lengths", n_trials, self._table.dtype),
+            mode="wrap",
+        )
+        unresolved = np.flatnonzero(lengths == self._sentinel)
         if unresolved.size:
             indices = np.searchsorted(
                 self._cum, uniforms[unresolved], side="left"
@@ -118,7 +166,8 @@ def decode_slots(raw_columns: Sequence[np.ndarray], n_trials: int) -> np.ndarray
     # Slots lie below N - 1, so int32 holds them at half the memory traffic.
     slots = np.empty((len(raw_columns), n_trials), dtype=np.int32)
     for j, raw in enumerate(raw_columns):
-        carry = raw.astype(np.int32)
+        carry = slots[j]
+        carry[...] = raw
         # One pass over the taken rows both shifts the new draw past every
         # taken slot at or below it and carries the larger value upwards,
         # which inserts the draw into the sorted rows.
@@ -127,5 +176,4 @@ def decode_slots(raw_columns: Sequence[np.ndarray], n_trials: int) -> np.ndarray
             lower = np.minimum(taken, carry)
             np.maximum(taken, carry, out=carry)
             taken[...] = lower
-        slots[j] = carry
     return slots

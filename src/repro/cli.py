@@ -764,29 +764,31 @@ def _exact_backend_covers(
     are usage errors (one line, exit code 2) that point at the backend whose
     engines actually cover them, rather than only restating the restriction.
     ``batch``, ``estimate`` and ``degree`` all check here, so they print the
-    same line.
+    same line, and it names a whole ``repro-anon batch`` command: ``degree``
+    has no ``--backend`` flag to follow a bare one.
     """
     if strategy.path_model is not PathModel.SIMPLE:
         print(
             f"error: the exact backend evaluates the simple-path closed form, "
             f"but --strategy {args.strategy} builds cycle-allowed walks; use "
-            "--backend batch (the vectorized cycle engine) or sharded",
+            "repro-anon batch --backend batch (the vectorized cycle engine) "
+            "or --backend sharded",
             file=sys.stderr,
         )
         return False
     if args.compromised != 1:
         print(
             f"error: the exact backend covers the closed form's C=1 domain "
-            f"only, got --compromised {args.compromised}; use --backend batch "
-            "(the arrangement-class engine) or sharded",
+            f"only, got --compromised {args.compromised}; use repro-anon batch "
+            "--backend batch (the arrangement-class engine) or --backend sharded",
             file=sys.stderr,
         )
         return False
     if topology is not None:
         print(
             f"error: the exact backend evaluates the clique closed form, but "
-            f"--topology {args.topology} restricts routing; use --backend "
-            "batch (the topology engine) or sharded",
+            f"--topology {args.topology} restricts routing; use repro-anon "
+            "batch --backend batch (the topology engine) or --backend sharded",
             file=sys.stderr,
         )
         return False

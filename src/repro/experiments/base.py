@@ -4,8 +4,8 @@ Each experiment module regenerates the data behind one figure of the paper
 (or one extension study) and returns an :class:`ExperimentData` object: the
 sweep itself, the paper's qualitative claims about it expressed as named
 boolean checks, and a handful of headline numbers.  Benchmarks print the data
-and assert the checks; EXPERIMENTS.md records the headline numbers next to the
-values read off the paper's figures.
+and assert the checks; EXPERIMENTS.md records the headline numbers and the
+check outcomes of every experiment.
 """
 
 from __future__ import annotations

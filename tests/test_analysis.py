@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import ast
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -493,6 +494,22 @@ class TestWholeRepoGate:
             cwd=REPO_ROOT,
         )
         assert result.returncode == 0, result.stdout + result.stderr
+
+    def test_markdown_files_named_in_code_exist(self):
+        """Every ``*.md`` path a module or benchmark cites is in the tree.
+
+        Paths are read from the repository root, as the citations write
+        them (``EXPERIMENTS.md``, ``docs/backends.md``).
+        """
+        cited = {}
+        for source in sorted((REPO_ROOT / "src").rglob("*.py")) + sorted(
+            (REPO_ROOT / "benchmarks").rglob("*.py")
+        ):
+            for name in re.findall(r"(?<![\w./-])([\w./-]*\w\.md)\b", source.read_text()):
+                cited.setdefault(name, source.relative_to(REPO_ROOT))
+        assert "EXPERIMENTS.md" in cited
+        missing = {name: str(where) for name, where in cited.items() if not (REPO_ROOT / name).is_file()}
+        assert missing == {}
 
     def test_update_schemas_round_trips(self, tmp_path):
         root = project_copy(tmp_path)

@@ -298,6 +298,41 @@ class TestClassCodes:
         assert value == priced
 
 
+    @pytest.mark.parametrize(
+        "n_compromised, code_dtype", [(15, np.int32), (16, np.int64)]
+    )
+    def test_full_bayes_codes_are_int32_through_c15(self, n_compromised, code_dtype):
+        """4**15 + 1 full-Bayes bins fit int32 codes and 4**16 + 1 do not.
+
+        Either way the tallied codes name exactly the scalar keys of the
+        trials they count.
+        """
+        n_nodes = 40
+        distribution = UniformLength(1, 20)
+        engine = arrangement_engine(n_nodes, distribution, n_compromised)
+        table = ClassScoreTable(engine.model, distribution)
+        assert table.coder.code_dtype is code_dtype
+        senders, lengths, slots = engine.draw(3_000, np.random.default_rng(n_compromised))
+        compromised = engine.compromised
+        origin = np.isin(senders, sorted(compromised))
+        codes = table.coder.encode(origin, lengths, slots)
+        assert codes.dtype == code_dtype
+        tallied: Counter = Counter()
+        for code, count in zip(*table.coder.tally(codes)):
+            tallied[table.key(code)] += count
+        scalar: Counter = Counter()
+        for sender, length, column in zip(senders.tolist(), lengths.tolist(), slots.T.tolist()):
+            positions = {slot + 1 for slot in column if slot < length}
+            spies = iter(sorted(compromised))
+            honest = (node for node in range(n_nodes) if node not in compromised | {sender})
+            path = [next(spies) if hop in positions else next(honest) for hop in range(1, length + 1)]
+            observation = observation_from_path(sender, path, compromised)
+            key = observation_class_key(observation, AdversaryModel.FULL_BAYES)
+            scalar[canonical_key(key, compromised)] += 1
+        assert tallied == scalar
+        assert scalar[ORIGIN_KEY] == np.count_nonzero(origin) > 0
+
+
 class TestClassScoreTable:
     @pytest.mark.parametrize("adversary", list(AdversaryModel))
     def test_scores_equal_per_observation_posteriors(self, adversary):

@@ -15,6 +15,7 @@ the only pre-existing exact engine for cycle-allowed paths.
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -31,7 +32,7 @@ from repro.batch import (
     estimate_anonymity,
 )
 from repro.batch import cycleengine
-from repro.batch.cycleclassify import ADJACENT, classify_cycle_arrays
+from repro.batch.cycleclassify import ADJACENT, classify_cycle_arrays, level_offsets
 from repro.cli import main
 from repro.combinatorics.walks import (
     clique_walks,
@@ -82,23 +83,28 @@ def draw_cycle_trials(n_nodes, distribution, n_trials, seed):
 
 
 def cycle_arrays(trials, padding=0):
-    """The kernel's array layout of ``trials``: senders, lengths, hop matrix.
+    """The kernel's packed layout of ``trials``: senders, lengths, hop store.
 
-    Cells past a trial's length hold ``padding``; a classifier must never
-    read them.
+    The trials are sorted longest first (stably, as the kernel sorts a
+    chunk), and the store holds their live cells level by level: trial
+    ``i``'s hop at level ``h`` sits at ``level_offsets(lengths)[h] + i``.
+    One more level's worth of ``padding`` cells follows the live ones; a
+    classifier must never read them.
     """
-    width = max(len(path) for _, path in trials)
-    senders = np.array([sender for sender, _ in trials], dtype=np.int64)
-    lengths = np.array([len(path) for _, path in trials], dtype=np.int64)
-    hops = np.full((len(trials), width), padding, dtype=np.int64)
-    for index, (_, path) in enumerate(trials):
-        hops[index, : len(path)] = path
+    ordered = sorted(trials, key=lambda trial: -len(trial[1]))
+    width = len(ordered[0][1])
+    senders = np.array([sender for sender, _ in ordered], dtype=np.int64)
+    lengths = np.array([len(path) for _, path in ordered], dtype=np.int64)
+    cells = [
+        path[level] for level in range(width) for _, path in ordered if len(path) > level
+    ]
+    hops = np.array(cells + [padding] * len(ordered), dtype=np.int64)
     return senders, lengths, hops
 
 
-#: Hop-matrix fillers past each trial's length: a node id, a negative value,
-#: one far beyond any node id or table size, and one far below any valid
-#: index (the kind of value ``np.empty`` can leave in a dead cell).
+#: Hop-store fillers past the live cells: a node id, a negative value, one
+#: far beyond any node id, and one far below any valid index (the kind of
+#: value ``np.empty`` can leave in an unwritten cell).
 PADDINGS = (0, -1, 2**62, -(2**62))
 
 
@@ -291,7 +297,11 @@ class TestCycleKernelDraws:
         assert sum(count for count, _, _ in classes.values()) == 10
 
     def test_paths_follow_the_selector_rules(self, rng, monkeypatch):
-        """The kernel's hop matrix: no self-forwarding, nodes in range."""
+        """The kernel's packed hop store: no self-forwarding, nodes in range.
+
+        The chunk reaches the classifier sorted longest first, with one
+        cell per walked hop.
+        """
         walked = []
 
         def recording(senders, lengths, hops, *args, **kwargs):
@@ -306,15 +316,49 @@ class TestCycleKernelDraws:
         engine = CycleBatchEngine(model, strategy, frozenset({0}))
         length_sum, _ = engine.accumulate_chunk(500, rng)
         ((senders, lengths, hops),) = walked
-        assert hops.shape == (500, lengths.max())
+        assert senders.shape == lengths.shape == (500,)
+        assert hops.shape == (lengths.sum(),)
+        assert (np.diff(lengths) <= 0).all()
         assert length_sum == lengths.sum()
-        for sender, length, row in zip(senders, lengths, hops):
-            path = row[:length].tolist()
+        offsets = level_offsets(lengths)
+        for index, (sender, length) in enumerate(zip(senders, lengths)):
+            path = [int(hops[offsets[level] + index]) for level in range(length)]
             if path:
                 assert path[0] != sender
             for first, second in zip(path, path[1:]):
                 assert first != second
             assert all(0 <= node < 7 for node in path)
+
+    def test_chunk_memory_follows_the_walked_hops(self):
+        """A chunk holds its walked hops, not a ``(width, n_trials)`` matrix.
+
+        One 65 536-trial chunk at N = 100 and ``p_forward = 0.97`` walks
+        about 2.2 million hops over a width near 380.  Stored as an int64
+        matrix, the hops traced a 195 MiB peak; the packed store keeps the
+        peak within 16 bytes per walked hop plus 8 MiB.
+        """
+        model = SystemModel(n_nodes=100, n_compromised=1)
+        strategy = PathSelectionStrategy(
+            "Crowds",
+            GeometricLength(p_forward=0.97, minimum=1),
+            path_model=PathModel.CYCLE_ALLOWED,
+        )
+        engine = CycleBatchEngine(model, strategy, frozenset({0}))
+        # The same seed first prices every class the traced chunk meets.
+        engine.accumulate_chunk(65_536, np.random.default_rng(1))
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            baseline, _ = tracemalloc.get_traced_memory()
+            length_sum, _ = engine.accumulate_chunk(65_536, np.random.default_rng(1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert length_sum > 2_000_000
+        assert peak - baseline <= 16 * length_sum + 8 * 2**20
 
     def test_rejects_degenerate_configurations(self):
         with pytest.raises(ConfigurationError):
@@ -377,8 +421,8 @@ class TestCycleClassifier:
         """Key counts equal ``cycle_trial_key`` row by row.
 
         At ``C >= 2`` the walks are long enough for several visits and
-        adjacent gaps, and the compromised identities leave holes in the
-        membership table, so a read of a dead cell changes a key or raises.
+        adjacent gaps, so a read of a cell past the live store changes a
+        key or raises.
         """
         trials = draw_cycle_trials(n_nodes, distribution, 4_000, seed=9)
         for padding in PADDINGS:
@@ -392,6 +436,11 @@ class TestCycleClassifier:
                 trials, compromised, adversary, receiver_compromised
             )
             assert sum(keyed.values()) == len(trials)
+
+    def test_an_unsorted_chunk_is_refused(self):
+        senders, lengths, hops = cycle_arrays([(1, (2, 0)), (1, (0, 2, 3))])
+        with pytest.raises(ValueError, match="longest first"):
+            classify_cycle_arrays(senders[::-1], lengths[::-1], hops, frozenset({0}))
 
     def test_kernels_match_scalar_reference(self):
         trials = draw_cycle_trials(4, UniformLength(0, 8), 1_500, seed=3)

@@ -186,6 +186,20 @@ class TestCLI:
             assert degree_error.startswith("error:")
             assert degree_error.count("\n") == 1
 
+    def test_degree_refusal_names_a_command_that_runs(self, capsys):
+        """``degree`` has no ``--backend``, so the hint names the whole command."""
+        assert main(["degree", "--n", "100", "--strategy", "crowds-cycles"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        hint = captured.err.split("; use ", 1)[1]
+        assert hint.startswith("repro-anon batch --backend batch ")
+        command = hint.split()[1:4]
+        assert command == ["batch", "--backend", "batch"]
+        assert main([*command, "--n", "100", "--strategy", "crowds-cycles",
+                     "--trials", "2000", "--seed", "1"]) == 0
+        assert "backend=batch" in capsys.readouterr().out
+
     def test_degree_truncates_crowds_like_batch(self, capsys):
         # Below N = 99 it used to fail with "Truncate the distribution first";
         # batch --backend exact reads 5.4241 at N = 50 and 2.6369 at N = 10.

@@ -26,7 +26,10 @@ at every ``(seed, chunk size)``, the chunk size patched through
 
 from __future__ import annotations
 
+import sys
+import threading
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -38,7 +41,7 @@ from repro.batch import engine as engine_module
 from repro.batch.cycleclassify import cycle_trial_key
 from repro.batch.engine import BatchAccumulator, TrialEngine, select_engine
 from repro.batch.multiclass import canonical_key
-from repro.batch.sampler import decode_slots
+from repro.batch.sampler import chunk_buffer, decode_slots
 from repro.core.anonymity import AnonymityAnalyzer
 from repro.core.events import EVENT_ORDER, EventClass, classify_trial, event_code
 from repro.core.model import AdversaryModel, PathModel, SystemModel
@@ -325,9 +328,10 @@ class TestKernelsMatchScalarOracles:
 class ScriptedGenerator:
     """Hands a kernel fixed draws, in the order it asks for them.
 
-    ``integers`` calls are answered from ``columns`` in turn; ``random``
-    answers with the midpoint of each wanted length's CDF interval, which
-    the length decoder maps back to exactly that length.
+    ``integers`` calls are answered from ``columns`` in turn, in the asked
+    ``dtype``; ``random`` answers with the midpoint of each wanted length's
+    CDF interval, which the length decoder maps back to exactly that
+    length, returned or written into ``out``.
     """
 
     def __init__(self, distribution, lengths, *columns):
@@ -337,15 +341,19 @@ class ScriptedGenerator:
         self._uniforms = np.array([(lower[n] + upper[n]) / 2 for n in lengths])
         self._columns = [np.array(column, dtype=np.int64) for column in columns]
 
-    def integers(self, low, high, size):
+    def integers(self, low, high, size, dtype=np.int64):
         column = self._columns.pop(0)
         assert column.shape == (size,)
         assert low <= column.min() and column.max() < high
-        return column
+        return column.astype(dtype)
 
-    def random(self, size):
-        assert self._uniforms.shape == (size,)
-        return self._uniforms
+    def random(self, size=None, out=None):
+        if out is None:
+            assert self._uniforms.shape == (size,)
+            return self._uniforms
+        assert size is None and out.shape == self._uniforms.shape
+        out[...] = self._uniforms
+        return out
 
 
 class TestFiveClassKernelLadder:
@@ -415,9 +423,10 @@ class TestClassPricesDependOnTheKeyAlone:
         prices = []
         # Sender 3 reaches the receiver through node 0 on hop 1, or through
         # nodes 5, 6, 7 and then 0 (a raw draw skips the current holder).
-        for lengths, *levels in (([1], [0]), ([4], [4], [5], [6], [0])):
+        # The kernel draws every live hop in one bulk column.
+        for lengths, hops in (([1], [0]), ([4], [4, 5, 6, 0])):
             engine = build_engine(PathModel.CYCLE_ALLOWED, frozenset({0}))
-            generator = ScriptedGenerator(engine.distribution, lengths, [3], *levels)
+            generator = ScriptedGenerator(engine.distribution, lengths, [3], hops)
             _, classes = engine.accumulate_chunk(1, generator)
             assert list(classes) == [key]
             prices.append(classes[key][1])
@@ -519,3 +528,87 @@ class TestInverseCdfDecoder:
         """The LUT leaves boundary cells to searchsorted (and they agree)."""
         decoder = InverseCdfDecoder(GeometricLength(0.25, max_length=40))
         assert int((decoder._table == decoder._sentinel).sum()) > 0
+
+
+#: Bounded ranges the int32 draw contract is checked over: degenerate, tiny,
+#: the paper's N and N - 1, one past a power of two, and the widest int32.
+DRAW_RANGES = (1, 2, 99, 100, 2**20 + 3, 2**31 - 1)
+
+
+class TestBoundedDrawContract:
+    """The numpy behaviour the clique kernels' int32 draws rest on.
+
+    Every bounded integer draw of the clique engines is int32, and the cycle
+    kernel draws all hop levels of a chunk in one call.  Both are bit-neutral
+    only while numpy's bounded-integer path keeps these properties, so a
+    numpy upgrade that breaks one fails here, not in a golden digest.
+    """
+
+    @pytest.mark.parametrize("high", DRAW_RANGES)
+    def test_int32_draws_equal_int64_draws(self, high):
+        wide = np.random.default_rng(5)
+        narrow = np.random.default_rng(5)
+        for size in (0, 1, 7, 65_536, 3):
+            assert np.array_equal(
+                wide.integers(0, high, size=size),
+                narrow.integers(0, high, size=size, dtype=np.int32),
+            )
+            assert wide.bit_generator.state == narrow.bit_generator.state
+            assert np.array_equal(wide.random(5), narrow.random(5))
+
+    @pytest.mark.parametrize("high", DRAW_RANGES)
+    def test_one_bulk_draw_equals_its_parts(self, high):
+        whole = np.random.default_rng(11)
+        parts = np.random.default_rng(11)
+        for generator in (whole, parts):
+            # One 32-bit draw leaves half of a 64-bit output cached.
+            generator.random(3)
+            generator.integers(0, 5, size=1, dtype=np.int32)
+        sizes = (65_536, 40_000, 7, 0, 1)
+        split = [parts.integers(0, high, size=size, dtype=np.int32) for size in sizes]
+        bulk = whole.integers(0, high, size=sum(sizes), dtype=np.int32)
+        assert np.array_equal(bulk, np.concatenate(split))
+        assert whole.bit_generator.state == parts.bit_generator.state
+        assert np.array_equal(whole.random(4), parts.random(4))
+
+
+class TestChunkBuffers:
+    def test_a_buffer_is_reused_on_its_thread_and_private_to_it(self):
+        first = chunk_buffer("test_scratch", 64, np.int32)
+        assert chunk_buffer("test_scratch", 10, np.int32).base is first.base
+        assert chunk_buffer("test_scratch", 64, np.int64).dtype == np.int64
+        others = []
+        worker = threading.Thread(
+            target=lambda: others.append(chunk_buffer("test_scratch", 64, np.int64))
+        )
+        worker.start()
+        worker.join()
+        mine = chunk_buffer("test_scratch", 64, np.int64)
+        assert not np.shares_memory(mine, others[0])
+
+    def test_threads_sharing_engines_reproduce_serial_bits(self, monkeypatch):
+        """Six threads on two cores run three shared engines at once.
+
+        Every kernel's temporaries live in per-thread buffers, so each run
+        still equals its serial twin bit for bit; a buffer shared between
+        threads would mix chunks and change counts.
+        """
+        monkeypatch.setattr(engine_module, "CHUNK_TRIALS", 2_048)
+        engines = [
+            build_engine(PathModel.SIMPLE, frozenset({2})),
+            build_engine(PathModel.SIMPLE, frozenset({0, 3, 5}), AdversaryModel.PREDECESSOR_ONLY),
+            build_engine(PathModel.CYCLE_ALLOWED, frozenset({1, 4})),
+        ]
+        jobs = [(engine, seed) for engine in engines for seed in range(4)]
+        serial = [engine.run_accumulate(30_001, rng=seed) for engine, seed in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [
+                    pool.submit(engine.run_accumulate, 30_001, seed) for engine, seed in jobs
+                ]
+                threaded = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial

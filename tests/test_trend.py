@@ -145,6 +145,17 @@ class TestCheckTrend:
         violations, _, _ = compare_bench.check_trend(entries)
         assert violations == []
 
+    def test_memory_keys_flag_like_durations(self):
+        entries = [
+            _entry(recorded_at=float(i), traced_peak_mib=13.0) for i in range(4)
+        ]
+        entries.append(_entry(recorded_at=9.0, traced_peak_mib=190.0))
+        violations, _, _ = compare_bench.check_trend(entries)
+        assert len(violations) == 1 and "traced_peak_mib" in violations[0]
+        entries[-1]["results"]["traced_peak_mib"] = 6.0
+        violations, _, _ = compare_bench.check_trend(entries)
+        assert violations == []
+
     def test_unknown_direction_keys_are_skipped(self):
         entries = [
             _entry(recorded_at=float(i), anonymity_bits=6.6) for i in range(4)
