@@ -24,7 +24,8 @@ Four backends can answer, with very different cost/coverage trade-offs:
 ``sharded``
     The multiprocess :class:`repro.batch.sharded.ShardedBackend`: ``batch``
     kernels fanned out over worker processes, merged through per-class
-    accumulators.  Accepts ``workers=`` / ``shards=`` options.
+    accumulators; a block of at most one engine chunk runs in the parent.
+    Accepts ``workers=`` / ``shards=`` options.
 
 :func:`get_backend` makes the choice a string, so callers (``analysis.sweep``,
 the ``repro-anon batch`` CLI, the experiment registry) can switch backends

@@ -513,7 +513,12 @@ class ArrangementEngine(TrialEngine):
     def draw(
         self, n_trials: int, generator: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`draw_raw`, its slot columns decoded to ``(C, n)`` row-sorted slots."""
+        """:meth:`draw_raw`, its slot columns decoded to ``(C, n)`` row-sorted slots.
+
+        The slots are this thread's decode buffer
+        (:func:`~repro.batch.sampler.decode_slots`), like the lengths: they
+        live until the next draw on the thread.
+        """
         senders, lengths, raw_columns = self.draw_raw(n_trials, generator)
         return senders, lengths, decode_slots(raw_columns, n_trials)
 
@@ -524,10 +529,11 @@ class ArrangementEngine(TrialEngine):
 
         Full Bayes and position-aware chunks decode their slots and reduce
         their class codes (:class:`~repro.batch.multiclass.ClassCoder`)
-        through one ``np.unique``.  A predecessor-only chunk only asks
-        whether a trial's smallest slot is on the path, and the smallest
-        decoded slot is the smallest raw draw, so it skips the decode, the
-        codes and the sort: its three classes take two counts.  Either way
+        through one in-place sort, all in per-thread chunk buffers.  A
+        predecessor-only chunk only asks whether a trial's smallest slot is
+        on the path, and the smallest decoded slot is the smallest raw draw,
+        so it skips the decode, the codes and the sort: its three classes
+        take two counts.  Either way
         only the handful of distinct codes reach Python, each mapped to its
         canonical observation key and price.
         """

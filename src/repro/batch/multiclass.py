@@ -25,7 +25,7 @@ This module turns that fact into a batch kernel:
 :class:`ClassCoder`
     Encode one chunk's sorted slot columns into one integer *class code* per
     trial, one digit column at a time, and reduce the codes with one
-    ``np.unique``.  Code spaces too wide for an int64 reduce over digit rows
+    in-place sort.  Code spaces too wide for an int64 reduce over digit rows
     instead.  Predecessor-only classes need no code: two counts over
     per-trial flags tally them.
 
@@ -58,6 +58,7 @@ import numpy as np
 
 from repro.adversary.inference import BayesianPathInference, observation_class_key
 from repro.adversary.observation import Observation, observation_from_path
+from repro.batch.sampler import chunk_buffer
 from repro.core.model import AdversaryModel, SystemModel
 from repro.core.results import IDENTIFIED_THRESHOLD
 from repro.distributions.base import PathLengthDistribution
@@ -139,6 +140,11 @@ class ClassCoder:
 
     The last code is the origin class.  Codes and canonical keys match one to
     one, so :meth:`trial` rebuilds one shortest trial per key.
+
+    Packed codes, the digit columns and the tally's run flags are this
+    thread's chunk buffers (:func:`~repro.batch.sampler.chunk_buffer`), so
+    the codes :meth:`encode` returns live until the next encode on the same
+    thread.
     """
 
     def __init__(
@@ -163,7 +169,7 @@ class ClassCoder:
         space = math.prod(radices)
         #: Codes pack into one integer per trial; wider spaces use digit rows.
         self.packed = space + 1 <= _MAX_PACKED_BINS
-        #: Packed codes are int32 where they fit, so ``np.unique`` sorts
+        #: Packed codes are int32 where they fit, so :meth:`tally` sorts
         #: half the bytes (full Bayes up to ``C = 15``), and int64 above.
         self.code_dtype = np.int32 if space + 1 <= _MAX_INT32_BINS else np.int64
         #: The code of the origin class (a compromised sender).
@@ -178,62 +184,105 @@ class ClassCoder:
 
         ``origin`` flags compromised senders, ``lengths`` are the path
         lengths and ``slots`` the ``(C, n)`` row-sorted slots of
-        :func:`~repro.batch.sampler.decode_slots`.
+        :func:`~repro.batch.sampler.decode_slots`.  A vector is this
+        thread's ``codes`` chunk buffer: it lives until the next encode on
+        the thread.
         """
         digits = self._digits(lengths, slots)
         if not self.packed:
-            rows = np.stack(list(digits), axis=1).astype(np.int64, copy=False)
+            rows = np.empty((lengths.size, len(self._radices)), dtype=np.int64)
+            for index, digit in enumerate(digits):
+                rows[:, index] = digit
             rows[origin] = -1
             return rows
-        codes = np.zeros(lengths.shape, dtype=self.code_dtype)
+        codes = chunk_buffer("codes", lengths.size, self.code_dtype)
+        codes.fill(0)
         for digit, radix in zip(digits, self._radices):
             codes *= radix
             codes += digit
-        codes[origin] = self.origin_code
+        np.copyto(codes, self.origin_code, where=origin)
         return codes
 
     def _digits(self, lengths: np.ndarray, slots: np.ndarray) -> Iterator[np.ndarray]:
-        """The digit columns of each trial's code, most significant first."""
+        """The digit columns of each trial's code, most significant first.
+
+        Each column is yielded in a chunk buffer that the next one
+        overwrites, so a caller must consume a column before asking for the
+        next.
+        """
         if self._adversary is AdversaryModel.PREDECESSOR_ONLY:
             # Sorted rows: some slot is on the path iff the smallest one is.
             yield (slots[:1] < lengths).any(axis=0)
             return
+        n_trials = lengths.size
+        flag = chunk_buffer("code_flag", n_trials, bool)
         if self._adversary is AdversaryModel.POSITION_AWARE:
             # Sorted rows put the on-path slots first, so the largest position
             # is the trial's last compromised hop, and 0 when none is on it.
-            last = np.zeros_like(lengths)
+            last = chunk_buffer("code_last", n_trials, lengths.dtype)
+            last.fill(0)
+            position = chunk_buffer("code_digit", n_trials, slots.dtype)
             for row in slots:
-                position = row + 1
-                position *= row < lengths
+                np.add(row, 1, out=position)
+                position *= np.less(row, lengths, out=flag)
                 np.maximum(last, position, out=last)
                 yield position
-            tail = lengths - last
+            tail = np.subtract(
+                lengths, last, out=chunk_buffer("code_tail", n_trials, lengths.dtype)
+            )
             np.minimum(tail, self._tail_radix - 1, out=tail)
-            tail *= last > 0
+            tail *= np.greater(last, 0, out=flag)
             yield tail
             return
         if not self.n_columns:
             return
-        # ``here`` and ``after`` hold c_j and c_{j+1}, one column each.
-        here = np.minimum(slots[0], lengths)
+        # ``here`` and ``after`` hold c_j and c_{j+1}, one column each; the
+        # two buffers swap roles from one column to the next.
+        dtype = np.result_type(slots.dtype, lengths.dtype)
+        here = np.minimum(
+            slots[0], lengths, out=chunk_buffer("code_here", n_trials, dtype)
+        )
+        spare = chunk_buffer("code_after", n_trials, dtype)
+        digit = chunk_buffer("code_digit", n_trials, dtype)
         for j in range(self.n_columns):
-            after = np.minimum(slots[j + 1], lengths) if j + 1 < self.n_columns else lengths
-            digit = after - here
+            if j + 1 < self.n_columns:
+                after = np.minimum(slots[j + 1], lengths, out=spare)
+            else:
+                after = lengths
+            np.subtract(after, here, out=digit)
             np.minimum(digit, 3, out=digit)
             if self._tail_radix < 3:
                 # Where c_{j+1} is the length, a nonzero digit is the tail,
                 # and an honest receiver only tells a tail of 0 from 1+.
-                digit -= (digit == 3) & (after == lengths)
+                at_end = chunk_buffer("code_at_end", n_trials, bool)
+                np.equal(digit, 3, out=flag)
+                flag &= np.equal(after, lengths, out=at_end)
+                digit -= flag
             yield digit
-            here = after
+            spare, here = here, after
 
     def tally(self, codes: np.ndarray) -> tuple[list, list[int]]:
-        """The distinct codes of one chunk, ascending, with their counts."""
-        if self.packed:
-            values, counts = np.unique(codes, return_counts=True)
-            return values.tolist(), counts.tolist()
-        rows, counts = np.unique(codes, axis=0, return_counts=True)
-        return [tuple(row) for row in rows.tolist()], counts.tolist()
+        """The distinct codes of one chunk, ascending, with their counts.
+
+        Packed codes are sorted in place and counted by runs, which yields
+        exactly ``np.unique(codes, return_counts=True)`` without its sort
+        copy; ``codes`` is left sorted.
+        """
+        if not self.packed:
+            rows, counts = np.unique(codes, axis=0, return_counts=True)
+            return [tuple(row) for row in rows.tolist()], counts.tolist()
+        if not codes.size:
+            return [], []
+        codes.sort()
+        # A run starts at the first code and wherever a code differs from
+        # the one before it.
+        runs = chunk_buffer("code_runs", codes.size, bool)
+        runs[0] = True
+        np.not_equal(codes[1:], codes[:-1], out=runs[1:])
+        first = np.flatnonzero(runs)
+        starts = first.tolist()
+        counts = [end - start for start, end in zip(starts, starts[1:] + [codes.size])]
+        return codes[first].tolist(), counts
 
     def tally_on_path(
         self, origin: np.ndarray, on_path: np.ndarray

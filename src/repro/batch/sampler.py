@@ -149,6 +149,10 @@ class InverseCdfDecoder:
 def decode_slots(raw_columns: Sequence[np.ndarray], n_trials: int) -> np.ndarray:
     """Decode raw slot columns to each trial's sorted slots, as ``(C, n)`` int32.
 
+    The slots and the decode's temporaries are this thread's chunk buffers
+    (:func:`chunk_buffer`), so the returned array lives until the next
+    decode on the same thread.
+
     ``raw_columns[j]`` holds uniform draws over the ``N - 1 - j`` slots still
     untaken; each is shifted past the already-taken slots in ascending order
     (the insertion walk of the module docstring) and then inserted into the
@@ -164,7 +168,12 @@ def decode_slots(raw_columns: Sequence[np.ndarray], n_trials: int) -> np.ndarray
     on its path needs no decode.
     """
     # Slots lie below N - 1, so int32 holds them at half the memory traffic.
-    slots = np.empty((len(raw_columns), n_trials), dtype=np.int32)
+    n_columns = len(raw_columns)
+    slots = chunk_buffer("slots", n_columns * n_trials, np.int32).reshape(
+        n_columns, n_trials
+    )
+    above = chunk_buffer("slot_above", n_trials, bool)
+    lower = chunk_buffer("slot_lower", n_trials, np.int32)
     for j, raw in enumerate(raw_columns):
         carry = slots[j]
         carry[...] = raw
@@ -172,8 +181,8 @@ def decode_slots(raw_columns: Sequence[np.ndarray], n_trials: int) -> np.ndarray
         # taken slot at or below it and carries the larger value upwards,
         # which inserts the draw into the sorted rows.
         for taken in slots[:j]:
-            carry += carry >= taken
-            lower = np.minimum(taken, carry)
+            carry += np.greater_equal(carry, taken, out=above)
+            np.minimum(taken, carry, out=lower)
             np.maximum(taken, carry, out=carry)
             taken[...] = lower
     return slots

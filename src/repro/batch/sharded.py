@@ -8,7 +8,8 @@ throughput with cores.  The design leans on the accumulator factoring of
 * the trial budget is split into ``shards`` near-equal chunks;
 * every shard gets its own sub-seed, drawn from the parent generator in shard
   order, and runs the configuration's
-  :class:`~repro.batch.engine.TrialEngine` in a worker process;
+  :class:`~repro.batch.engine.TrialEngine` in a worker process — or in the
+  parent, when the block is too small to repay the fan-out (see below);
 * each worker returns only a :class:`~repro.batch.estimator.BatchAccumulator`
   — per-class counts plus a length sum, a few hundred bytes — so nothing
   per-trial (no columns, no delivery logs, no observations) ever crosses a
@@ -26,6 +27,20 @@ bit-identical reports for the same ``(seed, shards)`` pair.  ``shards``
 defaults to ``workers``, so the issue-level guarantee "deterministic for a
 fixed ``(seed, workers)`` pair" holds, and pinning ``shards`` explicitly makes
 results independent of the machine's parallelism.
+
+Where a block runs
+------------------
+A block whose shards together fit in one engine chunk
+(:data:`~repro.batch.engine.CHUNK_TRIALS` trials) runs its shards in the
+parent, one after the other, through the same shard entry point a worker
+runs; larger blocks go to the worker pool.  A pooled block pays an
+inter-process round trip of a millisecond or two: at the adaptive service's
+default 10 000-trial blocks the parent is faster for every engine, and for
+the light ones up to one chunk (``docs/backends.md`` has the measured
+table).  Block size is a property of the input, and the worker count never
+changes the bits, so where a block runs changes no report.  The pool is
+started lazily, by the first block that needs it: an adaptive run on
+default-sized blocks never starts one.
 
 Workers are started with the ``spawn`` method (never ``fork``), so the backend
 is safe under threaded parents and behaves identically across platforms; the
@@ -53,8 +68,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.batch import engine
 from repro.batch.backends import EstimatorBackend
-from repro.batch.engine import shared_engine
 from repro.batch.estimator import BatchAccumulator
 from repro.core.model import SystemModel
 from repro.exceptions import ConfigurationError
@@ -157,7 +172,7 @@ def _run_shard(task: ShardTask) -> ShardResult:
     """
     # Elapsed-time *reporting* only — never feeds the accumulator bits.
     started = time.perf_counter()  # repro: ignore[R001]
-    kernel, reused = shared_engine(task.model, task.strategy, task.compromised)
+    kernel, reused = engine.shared_engine(task.model, task.strategy, task.compromised)
     built = time.perf_counter()  # repro: ignore[R001]
     accumulator = kernel.run_accumulate(task.n_trials, rng=task.seed)
     return ShardResult(
@@ -192,15 +207,18 @@ class ShardedBackend(EstimatorBackend):
     ----------
     workers:
         Size of the process pool (default: the CPU count).  ``workers=1``
-        runs the shards inline in the parent process — no pool, no spawn
-        cost — which is also what makes single-core CI runs cheap.
+        runs every block's shards inline in the parent process — no pool,
+        no spawn cost — which is also what makes single-core CI runs cheap.
+        With more workers, a block of at most
+        :data:`~repro.batch.engine.CHUNK_TRIALS` trials still runs inline
+        (see the module docstring); larger blocks use the pool.
     shards:
         Number of seed streams the trial budget is split into (default:
         ``workers``).  Fixing ``shards`` makes results independent of
         ``workers``; see the module docstring for the determinism contract.
 
-    The worker pool is created lazily on the first pooled :meth:`estimate`
-    and *reused* across calls, so a sweep that evaluates many points through
+    The worker pool is created lazily on the first pooled block and
+    *reused* across calls, so a sweep that evaluates many points through
     one backend instance pays the spawn start-up once, not per point.  The
     pool is released by :meth:`close` (the backend is also a context
     manager) or, failing that, when the backend is garbage-collected.
@@ -351,9 +369,25 @@ class ShardedBackend(EstimatorBackend):
         ]
 
     def _execute(self, tasks: list[ShardTask]) -> list[ShardResult]:
-        if self.workers == 1 or len(tasks) == 1:
-            return [_run_shard(task) for task in tasks]
-        return list(self._ensure_pool().map(_run_shard, tasks))
+        """Run one block's shards, in shard order: inline, or across the pool.
+
+        A block that fits in one engine chunk runs in the parent, so it
+        never pays the pool's round trip (see the module docstring).
+        """
+        inline = (
+            self.workers == 1
+            or len(tasks) == 1
+            or sum(task.n_trials for task in tasks) <= engine.CHUNK_TRIALS
+        )
+        if not inline:
+            return list(self._ensure_pool().map(_run_shard, tasks))
+        results = [_run_shard(task) for task in tasks]
+        telemetry = get_registry()
+        if telemetry.enabled:
+            telemetry.counter(
+                "sharded_inline_blocks_total", engine=results[0].engine_name
+            ).inc()
+        return results
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:

@@ -13,11 +13,12 @@ otherwise the adaptive scheduler's minimum.  Properties:
   computation (the second caller waits on the first's future);
 * **bounded concurrency** — independent requests dispatch onto a fixed-size
   worker pool (:meth:`submit` / :meth:`estimate_many`); the heavy backends
-  either release the GIL in their NumPy kernels (``batch``) or run in worker
-  processes (``sharded``), so threads are the right dispatch unit;
+  either release the GIL in their NumPy kernels (``batch``, and ``sharded``
+  blocks of at most one engine chunk) or run in worker processes (larger
+  ``sharded`` blocks), so threads are the right dispatch unit;
 * **backend reuse** — one backend instance per ``(name, options)`` is shared
-  across requests, so e.g. the sharded worker pool spawns once per service,
-  not once per request;
+  across requests, so e.g. the sharded worker pool spawns at most once per
+  service, not once per request;
 * **no start-up collection on the request path** — the first service of a
   process freezes the start-up heap, so full garbage collections during
   requests skip the tens of thousands of objects loaded at import.

@@ -40,7 +40,7 @@ from repro.batch import InverseCdfDecoder, ShardedBackend
 from repro.batch import engine as engine_module
 from repro.batch.cycleclassify import cycle_trial_key
 from repro.batch.engine import BatchAccumulator, TrialEngine, select_engine
-from repro.batch.multiclass import canonical_key
+from repro.batch.multiclass import ClassCoder, canonical_key
 from repro.batch.sampler import chunk_buffer, decode_slots
 from repro.core.anonymity import AnonymityAnalyzer
 from repro.core.events import EVENT_ORDER, EventClass, classify_trial, event_code
@@ -599,16 +599,64 @@ class TestChunkBuffers:
             build_engine(PathModel.SIMPLE, frozenset({0, 3, 5}), AdversaryModel.PREDECESSOR_ONLY),
             build_engine(PathModel.CYCLE_ALLOWED, frozenset({1, 4})),
         ]
-        jobs = [(engine, seed) for engine in engines for seed in range(4)]
-        serial = [engine.run_accumulate(30_001, rng=seed) for engine, seed in jobs]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            with ThreadPoolExecutor(max_workers=6) as pool:
-                futures = [
-                    pool.submit(engine.run_accumulate, 30_001, seed) for engine, seed in jobs
-                ]
-                threaded = [future.result(timeout=120) for future in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        assert threaded == serial
+        assert_threads_reproduce_serial_bits(engines)
+
+    def test_threads_sharing_coded_engines_reproduce_serial_bits(self, monkeypatch):
+        """The same for the engines that decode slots and sort class codes.
+
+        Full Bayes with either receiver setting and position-aware chunks
+        write their slots, digit columns, codes and run flags into
+        per-thread buffers too.
+        """
+        monkeypatch.setattr(engine_module, "CHUNK_TRIALS", 2_048)
+        engines = [
+            build_engine(PathModel.SIMPLE, frozenset({0, 3, 5})),
+            build_engine(PathModel.SIMPLE, frozenset({1, 4}), receiver_compromised=False),
+            build_engine(PathModel.SIMPLE, frozenset({2, 6}), AdversaryModel.POSITION_AWARE),
+        ]
+        assert_threads_reproduce_serial_bits(engines)
+
+    def test_coded_chunks_reuse_their_buffers(self):
+        """Decoded slots and packed codes come back in the same cells on their thread."""
+        engine = build_engine(PathModel.SIMPLE, frozenset({0, 3, 5}))
+        _, _, first = engine.draw(1_000, np.random.default_rng(1))
+        _, lengths, slots = engine.draw(600, np.random.default_rng(2))
+        assert np.shares_memory(first, slots)
+        coder = engine._score_table.coder
+        origin = np.zeros(600, dtype=bool)
+        codes = coder.encode(origin, lengths, slots).copy()
+        again = coder.encode(origin, lengths, slots)
+        assert np.shares_memory(again, coder.encode(origin, lengths, slots))
+        assert np.array_equal(again, codes)
+
+    @pytest.mark.parametrize("n_columns, code_dtype", [(3, np.int32), (16, np.int64)])
+    def test_tally_counts_runs_exactly_like_unique(self, n_columns, code_dtype):
+        """Sorting in place and counting runs gives np.unique's values and counts."""
+        coder = ClassCoder(AdversaryModel.FULL_BAYES, True, n_columns, 8)
+        assert coder.code_dtype is code_dtype
+        generator = np.random.default_rng(n_columns)
+        for size in (1, 2, 5_000):
+            codes = generator.choice(
+                np.array([0, 7, 64, coder.origin_code], dtype=code_dtype), size=size
+            )
+            values, counts = np.unique(codes, return_counts=True)
+            tallied = coder.tally(codes)
+            assert tallied == (values.tolist(), counts.tolist())
+            assert (np.diff(codes) >= 0).all()  # left sorted, in place
+
+
+def assert_threads_reproduce_serial_bits(engines) -> None:
+    """Run four seeds per engine on six threads; each equals its serial run."""
+    jobs = [(engine, seed) for engine in engines for seed in range(4)]
+    serial = [engine.run_accumulate(30_001, rng=seed) for engine, seed in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [
+                pool.submit(engine.run_accumulate, 30_001, seed) for engine, seed in jobs
+            ]
+            threaded = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial

@@ -7,15 +7,19 @@ The load-bearing properties:
   bit-identical run to run;
 * the worker *count* never changes results — it only sizes the pool — so a
   spawn-backed pool reproduces the inline (``workers=1``) report exactly;
+* a block of at most one engine chunk runs in the parent even with a pool
+  configured, so it never starts one, and its report is the pooled one;
 * merged estimates keep the statistical contract of the single-process batch
   engine on both the C=1 closed-form domain and the C>1 exhaustive domain;
 * the backend is reachable everywhere backends are: ``get_backend``, sweeps,
   ``estimate_anonymity``, and the ``repro-anon batch --backend sharded`` CLI
   round-trip.
 
-The spawn pool is exercised once (it costs ~a second of interpreter start-up
-per worker); every other property is checked through the inline path, which
-runs the identical shard code.
+A spawn pool costs ~a second of interpreter start-up per worker, so only the
+tests about the pool start one, each with blocks of more than
+:data:`~repro.batch.engine.CHUNK_TRIALS` trials (smaller blocks never reach
+it); every other property is checked through the inline path, which runs the
+identical shard code.
 """
 
 from __future__ import annotations
@@ -33,15 +37,21 @@ from repro.batch import (
     get_backend,
     split_trials,
 )
+from repro.batch.engine import CHUNK_TRIALS
 from repro.cli import main
 from repro.core.anonymity import AnonymityAnalyzer
 from repro.core.enumeration import ExhaustiveAnalyzer
-from repro.core.model import SystemModel
+from repro.core.model import AdversaryModel, PathModel, SystemModel
+from repro.core.topology import Topology
 from repro.distributions import FixedLength, GeometricLength, UniformLength
 from repro.exceptions import ConfigurationError
 from repro.routing.strategies import PathSelectionStrategy
+from repro.service import DistributionSpec, EstimateRequest, EstimationService
 from repro.service.adaptive import AdaptiveScheduler
 from repro.telemetry import activate
+
+#: The smallest block the pool runs: one trial more than one engine chunk.
+POOLED_TRIALS = CHUNK_TRIALS + 1
 
 
 def _held_worker_cpus(hold: float) -> tuple[int, tuple[int, ...]]:
@@ -102,12 +112,13 @@ class TestShardPlanDeterminism:
         """workers only size the pool: a spawn pool matches workers=1 exactly."""
         model = SystemModel(n_nodes=20, n_compromised=1)
         strategy = PathSelectionStrategy("U(2, 8)", UniformLength(2, 8))
+        n_trials = CHUNK_TRIALS + 8_000
         inline = ShardedBackend(workers=1, shards=4).estimate(
-            model, strategy, n_trials=8_000, rng=42
+            model, strategy, n_trials=n_trials, rng=42
         )
-        pooled = ShardedBackend(workers=2, shards=4).estimate(
-            model, strategy, n_trials=8_000, rng=42
-        )
+        with ShardedBackend(workers=2, shards=4) as backend:
+            pooled = backend.estimate(model, strategy, n_trials=n_trials, rng=42)
+            assert backend._pool is not None  # the block ran in the pool
         assert pooled.estimate == inline.estimate
         assert pooled.mean_path_length == inline.mean_path_length
         assert pooled.identification_rate == inline.identification_rate
@@ -119,7 +130,10 @@ class TestShardPlanDeterminism:
 
         def adaptive(backend):
             return AdaptiveScheduler(
-                backend=backend, precision=None, block_size=2_000, max_trials=8_000
+                backend=backend,
+                precision=None,
+                block_size=POOLED_TRIALS,
+                max_trials=4 * POOLED_TRIALS,
             ).run(model, strategy, rng=7)
 
         inline = adaptive(ShardedBackend(workers=1, shards=2))
@@ -129,20 +143,98 @@ class TestShardPlanDeterminism:
             backend.estimate(
                 SystemModel(n_nodes=15, n_compromised=1),
                 PathSelectionStrategy("F(3)", FixedLength(3)),
-                n_trials=4_000,
+                n_trials=POOLED_TRIALS,
                 rng=1,
             )
-            backend.estimate(model, strategy, n_trials=8_000, rng=99)
+            backend.estimate(model, strategy, n_trials=POOLED_TRIALS, rng=99)
             with activate() as registry:
                 pooled = adaptive(backend)
+            assert backend._pool is not None
         assert pooled.report == inline.report
         assert pooled.trajectory == inline.trajectory
         shards = registry.counter("sharded_shards_total", engine="arrangement").value
         reuses = registry.counter(
             "sharded_engine_reuses_total", engine="arrangement"
         ).value
+        inline_blocks = registry.counter(
+            "sharded_inline_blocks_total", engine="arrangement"
+        ).value
         assert shards == 8
+        assert inline_blocks == 0  # every round ran in the pool
         assert reuses >= shards - 2  # at most one build per worker
+
+    def test_one_chunk_blocks_run_inline_and_larger_ones_in_the_pool(self):
+        """The rule's edge: CHUNK_TRIALS trials stay in the parent, one more pools.
+
+        Both match ``workers=1`` bit for bit, so where a block runs moves
+        no report.
+        """
+        model = SystemModel(n_nodes=20, n_compromised=2)
+        strategy = PathSelectionStrategy("U(2, 8)", UniformLength(2, 8))
+        for n_trials, pooled in ((CHUNK_TRIALS, False), (POOLED_TRIALS, True)):
+            reference = ShardedBackend(workers=1, shards=2).estimate(
+                model, strategy, n_trials=n_trials, rng=5
+            )
+            with ShardedBackend(workers=2, shards=2) as backend:
+                report = backend.estimate(model, strategy, n_trials=n_trials, rng=5)
+                assert (backend._pool is not None) is pooled
+            assert report == reference
+
+    def test_adaptive_service_run_on_default_blocks_never_spawns_the_pool(self):
+        """An adaptive request on 10 000-trial blocks runs wholly in the parent."""
+
+        def request(workers):
+            return EstimateRequest(
+                n_nodes=50,
+                n_compromised=2,
+                distribution=DistributionSpec("uniform", {"low": 2, "high": 8}),
+                precision=0.005,
+                seed=3,
+                backend="sharded",
+                backend_options=(("shards", 2), ("workers", workers)),
+            )
+
+        with EstimationService() as service:
+            one_worker = service.estimate(request(1))
+        with EstimationService() as service:
+            two_workers = service.estimate(request(2))
+            assert service._backend(request(2))._pool is None
+        assert two_workers.rounds > 1
+        assert two_workers.report == one_worker.report
+        assert two_workers.trajectory == one_worker.trajectory
+
+    def test_pooled_and_inline_reports_agree_on_every_engine(self):
+        """Five-class, arrangement, cycle and topology blocks: pool == parent."""
+        configurations = [
+            (SystemModel(n_nodes=30, n_compromised=1), UniformLength(1, 12), PathModel.SIMPLE),
+            (
+                SystemModel(n_nodes=30, n_compromised=3, adversary=AdversaryModel.POSITION_AWARE),
+                UniformLength(2, 8),
+                PathModel.SIMPLE,
+            ),
+            (
+                SystemModel(n_nodes=30, n_compromised=2, path_model=PathModel.CYCLE_ALLOWED),
+                UniformLength(1, 6),
+                PathModel.CYCLE_ALLOWED,
+            ),
+            (
+                SystemModel(n_nodes=9, n_compromised=1, topology=Topology.star(9)),
+                UniformLength(1, 3),
+                PathModel.SIMPLE,
+            ),
+        ]
+        with ShardedBackend(workers=2, shards=3) as backend:
+            for model, distribution, path_model in configurations:
+                strategy = PathSelectionStrategy(
+                    distribution.name, distribution, path_model=path_model
+                )
+                for n_trials in (CHUNK_TRIALS, POOLED_TRIALS + 2):
+                    inline = ShardedBackend(workers=1, shards=3).estimate(
+                        model, strategy, n_trials=n_trials, rng=17
+                    )
+                    pooled = backend.estimate(model, strategy, n_trials=n_trials, rng=17)
+                    assert pooled == inline
+            assert backend._pool is not None
 
 
 class TestAccumulatorMerge:
@@ -335,9 +427,10 @@ class TestShardedWiring:
         model = SystemModel(n_nodes=15, n_compromised=1)
         strategy = PathSelectionStrategy("F(3)", FixedLength(3))
         with ShardedBackend(workers=2, shards=2) as backend:
-            first = backend.estimate(model, strategy, n_trials=4_000, rng=3)
+            first = backend.estimate(model, strategy, n_trials=POOLED_TRIALS, rng=3)
             pool = backend._pool
-            second = backend.estimate(model, strategy, n_trials=4_000, rng=3)
+            assert pool is not None  # the block ran in the pool
+            second = backend.estimate(model, strategy, n_trials=POOLED_TRIALS, rng=3)
             assert backend._pool is pool  # one pool across calls
             assert first.estimate == second.estimate
         assert backend._pool is None  # context exit released it

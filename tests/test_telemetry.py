@@ -487,6 +487,22 @@ class TestEngineInstrumentation:
         assert registry.counter("sharded_engine_reuses_total", engine=name).value == 5
         assert registry.histogram("sharded_construct_seconds", engine=name).count == 6
 
+    def test_inline_blocks_are_counted_and_pooled_ones_are_not(self):
+        """A one-chunk block runs in the parent and counts; a two-chunk one pools."""
+        model = SystemModel(n_nodes=30, n_compromised=2)
+        one_chunk = engine_module.CHUNK_TRIALS
+        with ShardedBackend(workers=2, shards=2) as backend:
+            with activate() as registry:
+                backend.estimate(model, _strategy(), n_trials=one_chunk, rng=2)
+            inline = registry.counter("sharded_inline_blocks_total", engine="arrangement")
+            assert inline.value == 1
+            assert backend._pool is None
+            with activate() as registry:
+                backend.estimate(model, _strategy(), n_trials=2 * one_chunk, rng=2)
+            assert backend._pool is not None
+        assert registry.counter("sharded_shards_total", engine="arrangement").value == 2
+        assert registry.counter("sharded_inline_blocks_total", engine="arrangement").value == 0
+
 
 class TestCacheInstrumentation:
     def test_miss_store_and_both_hit_tiers_are_counted(self, tmp_path):

@@ -33,6 +33,7 @@ from repro.batch import (
     TopologyEngine,
     select_engine,
 )
+from repro.batch.engine import CHUNK_TRIALS
 from repro.cli import main
 from repro.core.anonymity import AnonymityAnalyzer
 from repro.core.enumeration import ExhaustiveAnalyzer
@@ -584,13 +585,16 @@ class TestTopologyService:
         """A request's named compromised node is the one the estimate runs with.
 
         On a star, compromising leaf 3 instead of the hub (node 0, the
-        canonical set) changes the answer, so an ignored set shows.
+        canonical set) changes the answer, so an ignored set shows.  Blocks
+        are one trial over an engine chunk, so the two-worker leg ships the
+        set to its workers rather than running in the parent.
         """
         request = self._request(
             n_nodes=8,
             topology="star",
             compromised=(3,),
             distribution=DistributionSpec("uniform", {"low": 1, "high": 3}),
+            block_size=CHUNK_TRIALS + 1,
             seed=1,
         )
         truth = TopologyEngine(
@@ -607,6 +611,8 @@ class TestTopologyService:
             )
             with EstimationService() as service:
                 runs[backend, options] = service.estimate(routed).report
+                if ("workers", 2) in options:
+                    assert service._backend(routed)._pool is not None
         for report in runs.values():
             assert abs(report.degree_bits - truth) <= 5 * report.estimate.std_error
         one_worker, two_workers = (
