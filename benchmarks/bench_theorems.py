@@ -6,16 +6,16 @@ enumeration of a small system (no shared code or symmetry arguments at all).
 
 ``test_closed_form_record`` writes ``BENCH_closed_form.json``: the analyses
 per second of the event-class engine on a fixed 41-length pmf at N = 100, and
-the wall time (median of a few runs) and iteration count of one
-mean-constrained SLSQP run.  That run evaluates the exact value-and-gradient
-of ``AnonymityAnalyzer.degree_gradient`` at each step and calls the event-class
-engine only twice, to score the returned distribution and the start.  It is
-a trend record (``--smoke`` shrinks the counts), with no floor.
+the wall time (median of a few runs) and Newton-step count of one
+mean-constrained interior-point run.  That run evaluates the exact value,
+gradient and Hessian of ``AnonymityAnalyzer.degree_gradient`` at each step and
+calls the event-class engine only twice, to score the returned distribution
+and the start.  It is a trend record (``--smoke`` shrinks the counts), with no
+floor.
 """
 
 from __future__ import annotations
 
-import importlib
 import statistics
 import time
 
@@ -31,7 +31,7 @@ from repro.experiments.theorems import theorem1, theorem2, theorem3
 #: Timed analyses of the fixed pmf (full workload / ``--smoke``).
 ANALYSES = 5_000
 SMOKE_ANALYSES = 500
-#: Timed SLSQP runs; the record keeps the median one.
+#: Timed optimiser runs; the record keeps the median one.
 OPTIMIZE_RUNS = 5
 SMOKE_OPTIMIZE_RUNS = 3
 
@@ -69,7 +69,7 @@ def test_closed_form_throughput(benchmark):
 
 
 def test_closed_form_record(smoke):
-    """Closed-form throughput and one SLSQP run (N = 100, mean 12) as a trend record."""
+    """Closed-form throughput and one optimiser run (N = 100, mean 12) as a trend record."""
     model = SystemModel(n_nodes=100, n_compromised=1)
     pmf = UniformLength(0, 40)
     analyzer = AnonymityAnalyzer(model)
@@ -79,8 +79,6 @@ def test_closed_form_record(smoke):
         analyzer.analyze(pmf)
     analyses_per_sec = count / (time.perf_counter() - started)
 
-    # Load scipy outside the timed runs: the optimiser imports it lazily.
-    importlib.import_module("scipy.optimize")
     seconds = []
     for _ in range(SMOKE_OPTIMIZE_RUNS if smoke else OPTIMIZE_RUNS):
         started = time.perf_counter()
@@ -90,7 +88,7 @@ def test_closed_form_record(smoke):
 
     print(
         f"\nclosed form: {analyses_per_sec:,.0f} analyses/s of {pmf.name} at N=100; "
-        f"SLSQP mean 12: {optimize_seconds:.3f} s, {outcome.iterations} iterations, "
+        f"optimiser mean 12: {optimize_seconds:.4f} s, {outcome.iterations} Newton steps, "
         f"H* = {outcome.degree_bits:.6f} bits"
     )
     write_record(

@@ -186,6 +186,27 @@ class CycleScoreTable:
         return sender, tuple(path)
 
 
+def longest_first_order(lengths: np.ndarray, width: int) -> np.ndarray:
+    """Trial indices by decreasing length, ties in trial order.
+
+    The order of a stable argsort of ``width - lengths``, from one in-place
+    sort: each trial's key packs ``width - length`` above its index, so the
+    sorted keys' low bits are the order.  Keys are uint32 while
+    ``(width + 1) << index bits`` fits in 32 bits, uint64 beyond.  The keys
+    are a fresh array per chunk, not a per-thread buffer, so they do not
+    stay resident between chunks.
+    """
+    n_trials = len(lengths)
+    shift = max(n_trials - 1, 1).bit_length()
+    dtype = np.uint32 if (width + 1) << shift <= 1 << 32 else np.uint64
+    keys = np.subtract(width, lengths, dtype=dtype, casting="unsafe")
+    keys <<= shift
+    keys |= np.arange(n_trials, dtype=dtype)
+    keys.sort()
+    keys &= (1 << shift) - 1
+    return keys
+
+
 class CycleBatchEngine(TrialEngine):
     """Columnar Monte-Carlo kernel for one cycle-allowed strategy, any ``C``.
 
@@ -239,12 +260,8 @@ class CycleBatchEngine(TrialEngine):
 
         # Longest paths first (stable), so the trials still walking at level
         # h are a prefix of the chunk.  This order is part of the draw
-        # contract.  The narrowest unsigned key lets numpy radix-sort it.
-        # The key and the sorted columns are per-thread chunk buffers.
-        keys = chunk_buffer("cycle_keys", n_trials, np.min_scalar_type(width))
-        order = np.argsort(
-            np.subtract(width, lengths, out=keys, casting="unsafe"), kind="stable"
-        )
+        # contract.  The sorted columns are per-thread chunk buffers.
+        order = longest_first_order(lengths, width)
         senders = senders.take(
             order, out=chunk_buffer("cycle_senders", n_trials, senders.dtype), mode="wrap"
         )

@@ -335,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     optimize.add_argument(
         "--full-simplex",
         action="store_true",
-        help="search all distributions (SLSQP) instead of the uniform family",
+        help="search all distributions (interior point) instead of the uniform family",
     )
 
     compare = subparsers.add_parser("compare", help="rank deployed systems")

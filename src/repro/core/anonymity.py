@@ -32,8 +32,8 @@ arbitrary systems); both share the same threat-model semantics and are tested
 against this module on their common domain.
 
 Beside each adversary's event table sits a dense form of the same sum,
-:meth:`AnonymityAnalyzer.degree_gradient`: ``H*`` and its exact gradient over
-a pmf vector on a fixed support, which the Section 5.4 optimiser
+:meth:`AnonymityAnalyzer.degree_gradient`: ``H*`` with its exact gradient and
+Hessian over a pmf vector on a fixed support, which the Section 5.4 optimiser
 (:mod:`repro.core.optimizer`) calls instead of one analysis per support point.
 """
 
@@ -55,14 +55,12 @@ __all__ = ["AnonymityAnalyzer", "AnonymityResult", "DegreeGradient", "anonymity_
 
 #: The zero-weight rule: a candidate's share ``q`` of its class's weight is
 #: floored at the unit roundoff ``2**-53`` before its log2 is taken.  The
-#: entropy slope ``-log2 q`` is unbounded at ``q = 0`` (the mean-matching
-#: start of the optimiser has ``Pr[L = 0] = 0``), and SLSQP's quasi-Newton
-#: model needs a finite one.  A weight whose share is below the floor is
-#: lost in rounding when added to its class's total, and its entropy term
+#: entropy slope ``-log2 q`` is unbounded at ``q = 0`` (a pmf with
+#: ``Pr[L = 0] = 0``, such as a fixed length), and a gradient there should
+#: stay finite.  A weight whose share is below the floor is lost in
+#: rounding when added to its class's total, and its entropy term
 #: ``q*log2(1/q)`` is under 6e-15 bits, so the floor moves the gradient
-#: only where the value cannot see the weight.  Floors from ``2**-30`` to
-#: ``2**-1074`` all reach the same optima; lower floors cost more
-#: iterations, because SLSQP's first step must scale down a steeper slope.
+#: only where the value cannot see the weight.
 _SHARE_FLOOR = math.ldexp(1.0, -53)
 
 #: One observation class of a :class:`DegreeGradient`: its probability,
@@ -122,7 +120,7 @@ def _split_entropy(
 
 @dataclass(frozen=True, eq=False)
 class DegreeGradient:
-    """``H*`` and its gradient over dense pmfs on one support of path lengths.
+    """``H*`` with its gradient and Hessian over dense pmfs on one support of path lengths.
 
     Built by :meth:`AnonymityAnalyzer.degree_gradient`.  Each observation
     class whose posterior depends on the pmf ``p`` is four things: a
@@ -164,6 +162,62 @@ class DegreeGradient:
             )[0]
             gradient = gradient + (self.rows[0, empty] * own_entropy).sum(axis=0)
         return float(probability @ entropy + self.constant @ pmf), gradient
+
+    def second_order(self, pmf: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        """Return ``(H* in bits, dH*/dpmf, d2H*/dpmf2)`` at a strictly positive pmf.
+
+        The Hessian is ``sum over classes of R.T @ M @ R``, where ``R``
+        stacks the class's rows ``a``, ``s`` and ``o`` and ``M`` holds the
+        second derivatives of ``P * H(s, o)`` in ``(P, s, o)``:
+        ``[[0, H_s, H_o], [H_s, P*H_ss, P*H_so], [H_o, P*H_so, P*H_oo]]``.
+        With shares ``u = s/T`` and ``v = o/T`` and ``c = 1 / (T ln 2)``,
+
+        * ``T * H_ss = -2*H_s - c*k*v/u``,
+        * ``T * H_so = -H_o - k*H_s + c*k``,
+        * ``T * H_oo = -2*k*H_o - c*k*u/v``.
+
+        ``P`` is proportional to ``T`` within a class, so each ``P * H_..``
+        is taken as ``(P/T) * (T * H_..)``.  A share below the zero-weight
+        floor has a constant log2 in the gradient, so its ``1/u`` or ``1/v``
+        term is dropped: the Hessian stays finite, and matches the
+        gradient wherever the gradient moves.  Every class needs positive
+        special and other weights: every entry of the pmf positive
+        suffices, because :meth:`AnonymityAnalyzer.degree_gradient` folds
+        the classes whose special or other row is zero on the whole
+        support into ``constant``.
+        """
+        probability, special, other = self.rows @ pmf
+        counts = self.counts
+        entropy, total, log_special, log_other = _split_entropy(special, other, counts)
+        slope = probability / total
+        # The gradient as __call__ forms it, bit for bit.
+        gradient = (
+            entropy @ self.rows[0]
+            + (slope * (-entropy - log_special)) @ self.rows[1]
+            + (slope * counts * (-entropy - log_other)) @ self.rows[2]
+            + self.constant
+        )
+        d_special = (-entropy - log_special) / total
+        d_other = counts * (-entropy - log_other) / total
+        special_share, other_share = special / total, other / total
+        curvature = counts / (total * math.log(2.0))  # k * c
+        special_bend = np.where(
+            special_share >= _SHARE_FLOOR, other_share / np.maximum(special_share, _SHARE_FLOOR), 0.0
+        )
+        other_bend = np.where(
+            other_share >= _SHARE_FLOOR, special_share / np.maximum(other_share, _SHARE_FLOOR), 0.0
+        )
+        second = np.zeros((len(counts), 3, 3))
+        second[:, 0, 1] = second[:, 1, 0] = d_special
+        second[:, 0, 2] = second[:, 2, 0] = d_other
+        second[:, 1, 1] = slope * (-2.0 * d_special - curvature * special_bend)
+        second[:, 1, 2] = second[:, 2, 1] = slope * (-d_other - counts * d_special + curvature)
+        second[:, 2, 2] = slope * (-2.0 * counts * d_other - curvature * other_bend)
+        # rows is (3, classes, lengths); R.T @ M @ R summed over classes is
+        # one product over the flattened (row kind, class) axis.
+        weighted = np.einsum("cij,jcl->icl", second, self.rows)
+        hessian = self.rows.reshape(-1, len(pmf)).T @ weighted.reshape(-1, len(pmf))
+        return float(probability @ entropy + self.constant @ pmf), gradient, hessian
 
 
 class AnonymityAnalyzer:
@@ -241,7 +295,8 @@ class AnonymityAnalyzer:
         """``H*`` and its exact gradient over dense pmfs on ``lengths``.
 
         The returned callable maps a pmf vector (entry ``i`` is the
-        probability of ``lengths[i]``) to ``(H* in bits, dH*/dpmf)``.  Its
+        probability of ``lengths[i]``) to ``(H* in bits, dH*/dpmf)``, and
+        its :meth:`~DegreeGradient.second_order` adds the Hessian.  Its
         value equals :meth:`analyze` of the same pmf up to rounding.
         """
         support = np.asarray(lengths, dtype=np.int64)
@@ -260,12 +315,28 @@ class AnonymityAnalyzer:
             classes, constant = self._gradient_predecessor_only(support)
         else:  # pragma: no cover - exhaustiveness guard
             raise ConfigurationError(f"unsupported adversary model {adversary!r}")
-        probability, special, other, counts = zip(*classes)
+        # A class whose special or other row is zero on the whole support
+        # has a posterior the pmf cannot move: uniform over its k others
+        # (log2 k bits) without a special candidate, a point (0 bits)
+        # without others.  Folding it into the constant row leaves the
+        # value and gradient unchanged up to rounding, and keeps the
+        # Hessian finite.
+        # n - 3 and n - 4 are negative in the smallest systems, which have
+        # no such candidates.
+        kept: list[_GradientClass] = []
+        for probability, special, other, count in classes:
+            count = max(count, 0)
+            if count > 0 and np.any(other):
+                if np.any(special):
+                    kept.append((probability, special, other, count))
+                else:
+                    constant = constant + probability * math.log2(count)
+        rows = np.zeros((3, len(kept), len(support)))
+        for index, (probability, special, other, _) in enumerate(kept):
+            rows[:, index] = probability, special, other
         return DegreeGradient(
-            rows=np.array([probability, special, other], dtype=float),
-            # n - 3 and n - 4 are negative in the smallest systems, which
-            # have no such candidates.
-            counts=np.maximum(np.array(counts, dtype=float), 0.0),
+            rows=rows,
+            counts=np.array([count for *_, count in kept], dtype=float),
             constant=constant,
         )
 

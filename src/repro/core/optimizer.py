@@ -14,28 +14,25 @@ Three optimizers are provided, in increasing generality:
   a given expected length ``L``, pick the width ``w`` maximising ``H*``
   (this is the restricted optimization the paper plots in Figure 6);
 * :func:`optimize_distribution` — search the full probability simplex over an
-  integer support with ``scipy.optimize`` (SLSQP), optionally constraining the
-  mean.  The result is returned as a
+  integer support with a primal-dual interior-point method, optionally
+  constraining the mean.  The result is returned as a
   :class:`repro.distributions.CategoricalLength`.
 
-SLSQP runs on exact gradients.  :meth:`AnonymityAnalyzer.degree_gradient
-<repro.core.anonymity.AnonymityAnalyzer.degree_gradient>` builds each
-observation class's per-length rows once per support and returns ``H*`` with
-its gradient in one vectorised pass, so each SLSQP evaluation costs a few
-small matrix products instead of one closed-form analysis per support point.
-The gradient is taken through the map from SLSQP's vector ``v`` to the pmf
-``v / sum(v)``, and both equality constraints pass their constant Jacobians.
-A candidate of zero posterior weight has an unbounded entropy slope; its
-share is floored at ``2**-53`` (the zero-weight rule, see
-:data:`repro.core.anonymity._SHARE_FLOOR`).  ``H*`` is a conditional entropy
-whose joint law is linear in the pmf, so it is concave in the pmf for every
-adversary and each problem has one optimum value.  The reported degree is
-the closed form (:meth:`AnonymityAnalyzer.analyze`) of the returned
-distribution.
-
-``scipy.optimize`` is imported on the first call of :func:`optimize_distribution`,
-its only user, so importing this module (and the ``repro-anon`` CLI) does not
-pay for it.
+``H*`` is a conditional entropy whose joint law is linear in the pmf, so it
+is concave in the pmf for every adversary and each problem has one optimum
+value.  The solver is Mehrotra's predictor-corrector method (*SIAM J. Optim.*
+2(4), 1992) on ``max H*(p)`` subject to ``sum(p) = 1``, ``lengths @ p =
+mean`` and ``p >= 0``, run on the exact second-order model of
+:meth:`DegreeGradient.second_order
+<repro.core.anonymity.DegreeGradient.second_order>`: each observation class
+reaches ``H*`` through three rows over the support, so the value, gradient
+and Hessian cost a few small matrix products, and each Newton step is one
+dense KKT system of the support's size plus the constraints.  A candidate of
+zero posterior weight has an unbounded entropy slope; its share is floored
+at ``2**-53`` (the zero-weight rule, see
+:data:`repro.core.anonymity._SHARE_FLOOR`).  The reported degree is the
+closed form (:meth:`AnonymityAnalyzer.analyze`) of the returned
+distribution.  The module needs nothing beyond numpy.
 """
 
 from __future__ import annotations
@@ -45,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.anonymity import AnonymityAnalyzer
+from repro.core.anonymity import AnonymityAnalyzer, DegreeGradient
 from repro.core.model import SystemModel
 from repro.distributions import (
     CategoricalLength,
@@ -66,8 +63,19 @@ __all__ = [
 ]
 
 #: How far from ``mean`` a start's expected length may be for
-#: :func:`optimize_distribution` to return that start in place of SLSQP's answer.
+#: :func:`optimize_distribution` to return that start in place of the solver's.
 _MEAN_TOLERANCE = 1e-9
+#: A Newton step goes this share of the way to the boundary of ``p, z > 0``.
+_STEP_TO_BOUNDARY = 0.995
+#: A proximal term added to the Hessian block of the KKT matrix.  Where a
+#: face of pmfs is optimal, ``H*`` is flat along it and the barrier term
+#: ``z/p`` vanishes there, so without it the matrix turns singular and the
+#: steps wander along the face.
+_PROXIMAL = 1e-10
+#: Convergence: the constraint residual relative to ``1 + max|targets|``,
+#: and the duality gap the multipliers certify, in bits.
+_PRIMAL_TOLERANCE = 1e-12
+_GAP_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -170,17 +178,17 @@ def optimize_distribution(
     expected path length (pass ``mean``).  Returns the best distribution found
     and the anonymity degree it achieves.
 
-    SLSQP takes the exact gradient of :meth:`AnonymityAnalyzer.degree_gradient
-    <repro.core.anonymity.AnonymityAnalyzer.degree_gradient>`, with each
-    candidate's posterior share floored at ``2**-53`` so that zero weights
-    (such as ``Pr[L = 0] = 0`` at the mean-matching start) keep a finite
-    slope.  ``degree_bits`` is the closed form of the returned distribution,
+    The interior-point solver (:func:`_interior_point`) starts from the
+    uniform pmf, the two-point pmf bracketing ``mean``, or ``initial``, and
+    takes at most ``max_iterations`` Newton steps; ``iterations`` counts
+    them.  ``degree_bits`` is the closed form of the returned distribution,
     and the start is returned instead when it scores higher and meets
-    ``mean`` to within 1e-9 (an ``initial`` off the mean only seeds SLSQP).
-    A one-length support returns its point mass.  The bounds
-    must be integers, ``mean`` a number within them and ``max_iterations`` a
-    positive integer; anything else raises :class:`ConfigurationError`
-    before any evaluation.
+    ``mean`` to within 1e-9 (an ``initial`` off the mean only seeds the
+    solver).  A feasible set of one point (a one-length support, or ``mean``
+    at either end of it) returns that point mass after no iterations.  The
+    bounds must be integers, ``mean`` a number within them and
+    ``max_iterations`` a positive integer; anything else raises
+    :class:`ConfigurationError` before any evaluation.
     """
     min_length, max_length = _length_range(model, min_length, max_length)
     max_iterations = check_positive_int(max_iterations, "max_iterations")
@@ -196,7 +204,7 @@ def optimize_distribution(
     analyzer = AnonymityAnalyzer(model)
     lengths = np.arange(min_length, max_length + 1)
     dimension = len(lengths)
-    evaluate = analyzer.degree_gradient(lengths)
+    weights = lengths.astype(float)
 
     def degree_of_vector(vector: np.ndarray) -> float:
         vector = np.clip(vector, 0.0, None)
@@ -210,18 +218,6 @@ def optimize_distribution(
         }
         distribution = CategoricalLength(pmf, name="candidate")
         return analyzer.anonymity_degree(distribution)
-
-    def objective(vector: np.ndarray) -> tuple[float, np.ndarray]:
-        # -H* at pmf = clip(v) / sum(clip(v)).  SLSQP evaluates only within
-        # the bounds, where the clip is the identity, so the chain rule
-        # through the normalisation gives dH/dv = (dH/dpmf - <dH/dpmf, pmf>) / sum(v).
-        vector = np.clip(vector, 0.0, None)
-        total = vector.sum()
-        if total <= 0.0:
-            return 0.0, np.zeros(dimension)
-        pmf = vector / total
-        degree, gradient = evaluate(pmf)
-        return -degree, (gradient @ pmf - gradient) / total
 
     # Starting point: the caller's initial distribution, or uniform over the
     # support (respecting the mean constraint via a simple two-point warm start
@@ -238,48 +234,31 @@ def optimize_distribution(
     else:
         start = _mean_matching_start(lengths, mean)
 
-    # Both constraints are linear, so their Jacobians are constant rows.
-    ones = np.ones(dimension)
-    weights = lengths.astype(float)
-    constraints = [
-        {
-            "type": "eq",
-            "fun": lambda vector: float(np.sum(vector) - 1.0),
-            "jac": lambda vector: ones,
-        },
-    ]
-    # On a one-length support the simplex constraint already fixes the mean,
-    # and SLSQP refuses more equality constraints than variables.
-    if mean is not None and dimension > 1:
-        constraints.append(
-            {
-                "type": "eq",
-                "fun": lambda vector: float(np.dot(vector, lengths) - mean),
-                "jac": lambda vector: weights,
-            }
+    if dimension == 1 or mean in (min_length, max_length):
+        point = (lengths == (min_length if mean is None else mean)).astype(float)
+        return OptimizationOutcome(
+            distribution=CategoricalLength.from_vector(point, offset=min_length, name="optimized"),
+            degree_bits=degree_of_vector(point),
+            iterations=0,
+            converged=True,
+            message="the feasible set is a single point",
         )
-    bounds = [(0.0, 1.0)] * dimension
 
-    from scipy import optimize as scipy_optimize
-
-    result = scipy_optimize.minimize(
-        objective,
-        start,
-        jac=True,
-        method="SLSQP",
-        bounds=bounds,
-        constraints=constraints,
-        options={"maxiter": max_iterations, "ftol": 1e-12},
+    if mean is None:
+        constraints, targets = np.ones((1, dimension)), np.ones(1)
+    else:
+        constraints = np.stack([np.ones(dimension), weights])
+        targets = np.array([1.0, float(mean)])
+    best_vector, iterations, converged, message = _interior_point(
+        analyzer.degree_gradient(lengths), constraints, targets, start, max_iterations
     )
-
-    best_vector = np.clip(result.x, 0.0, None)
+    best_vector = np.clip(best_vector, 0.0, None)
     if best_vector.sum() <= 0.0:
         raise OptimizationError("optimizer produced an all-zero probability vector")
     best_degree = degree_of_vector(best_vector)
 
-    # SLSQP occasionally terminates at a point worse than its starting point on
-    # flat regions of the objective; keep whichever is better, but only a
-    # start that meets the mean (a caller's ``initial`` need not).
+    # Keep the start when it scores higher, but only a start that meets the
+    # mean (a caller's ``initial`` need not).
     start_feasible = mean is None or abs(float(start @ weights) - mean) <= _MEAN_TOLERANCE
     if start_feasible:
         start_degree = degree_of_vector(start)
@@ -292,10 +271,131 @@ def optimize_distribution(
     return OptimizationOutcome(
         distribution=distribution,
         degree_bits=best_degree,
-        iterations=int(result.get("nit", 0)) if hasattr(result, "get") else result.nit,
-        converged=bool(result.success),
-        message=str(result.message),
+        iterations=iterations,
+        converged=converged,
+        message=message,
     )
+
+
+def _interior_point(
+    evaluate: DegreeGradient,
+    constraints: np.ndarray,
+    targets: np.ndarray,
+    start: np.ndarray,
+    max_iterations: int,
+) -> tuple[np.ndarray, int, bool, str]:
+    """Maximise ``H*(p)`` subject to ``constraints @ p = targets`` and ``p >= 0``.
+
+    Mehrotra's predictor-corrector primal-dual method on ``min f = -H*``
+    with multipliers ``y`` and reduced costs ``z >= 0``.  Each Newton step
+    builds the KKT matrix ``[[Q + Z/P + _PROXIMAL, -A.T], [A, 0]]``, where
+    ``Q`` is the exact Hessian of ``f``, and solves it twice: once for the
+    affine predictor, and once for the corrector, which aims at
+    ``sigma * mu`` with ``sigma = (mu_aff / mu)**3`` and adds the
+    predictor's second-order term.  Primal and dual variables take one
+    common step, ``_STEP_TO_BOUNDARY`` of the way to the nearer boundary,
+    because ``f``'s gradient ties them together.  The run stops once the
+    constraints hold and the multipliers certify a duality gap of at most
+    ``_GAP_TOLERANCE`` bits.  That test, unlike one on the dual residual,
+    also ends at an optimal vertex where a class's weights all vanish: its
+    entropy, and so the gradient, then hangs on the ratio of vanishing
+    entries, and the residual never settles.
+
+    The start is infeasible on purpose: ``start`` mixed half and half with
+    the uniform pmf, so every entry is positive, with ``y`` the least-squares
+    multipliers of its gradient and ``z`` their residual lifted above zero.
+    Returns ``(pmf, Newton steps, converged, message)``.
+    """
+    dimension = len(start)
+    pmf = 0.5 * start + 0.5 / dimension
+    slope, hessian = _negated_second_order(evaluate, pmf)
+    multipliers = np.linalg.lstsq(constraints.T, slope, rcond=None)[0]
+    reduced = slope - constraints.T @ multipliers
+    reduced = np.maximum(reduced, 0.0) + 0.1 * max(1.0, float(np.abs(reduced).max()))
+    kkt = np.zeros((dimension + len(targets),) * 2)
+    kkt[dimension:, :dimension] = constraints
+    kkt[:dimension, dimension:] = -constraints.T
+    diagonal = np.arange(dimension)
+    primal_tolerance = _PRIMAL_TOLERANCE * (1.0 + float(np.abs(targets).max()))
+    for step in range(max_iterations + 1):
+        primal_residual = constraints @ pmf - targets
+        # The multipliers certify the duality gap: with every q that meets
+        # the constraints, f(p) - f(q) <= c.p - c.q for c = grad f - A.T y,
+        # and c.q >= min(c) because q sums to one.
+        certificate = slope - constraints.T @ multipliers
+        gap = float(pmf @ certificate) - min(0.0, float(certificate.min()))
+        if np.abs(primal_residual).max() <= primal_tolerance and gap <= _GAP_TOLERANCE:
+            return pmf, step, True, f"converged: duality gap {gap:.1e} bits"
+        if step == max_iterations:
+            break
+        dual_residual = certificate - reduced
+        complementarity = float(pmf @ reduced)
+        kkt[:dimension, :dimension] = hessian
+        kkt[diagonal, diagonal] += reduced / pmf + _PROXIMAL
+        residuals = (pmf, reduced, dual_residual, primal_residual)
+        try:
+            affine, _, affine_reduced = _newton_step(kkt, *residuals, -pmf * reduced)
+            predicted_gap = float(
+                (pmf + min(1.0, _to_boundary(pmf, affine)) * affine)
+                @ (reduced + min(1.0, _to_boundary(reduced, affine_reduced)) * affine_reduced)
+            )
+            centring = (
+                (predicted_gap / complementarity) ** 3 * complementarity / dimension
+                if complementarity > 0.0
+                else 0.0
+            )
+            move, multiplier_move, reduced_move = _newton_step(
+                kkt, *residuals, centring - pmf * reduced - affine * affine_reduced
+            )
+        except np.linalg.LinAlgError:
+            return pmf, step, False, "the KKT matrix is singular"
+        length = min(
+            1.0,
+            _STEP_TO_BOUNDARY * _to_boundary(pmf, move),
+            _STEP_TO_BOUNDARY * _to_boundary(reduced, reduced_move),
+        )
+        pmf = pmf + length * move
+        multipliers = multipliers + length * multiplier_move
+        reduced = reduced + length * reduced_move
+        slope, hessian = _negated_second_order(evaluate, pmf)
+        if not (np.isfinite(slope).all() and np.isfinite(hessian).all()):
+            return pmf, step + 1, False, "the Newton model is not finite"
+    return pmf, max_iterations, False, f"{max_iterations} Newton steps did not converge"
+
+
+def _newton_step(
+    kkt: np.ndarray,
+    pmf: np.ndarray,
+    reduced: np.ndarray,
+    dual_residual: np.ndarray,
+    primal_residual: np.ndarray,
+    target: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One solve of the KKT system: the moves of ``p``, ``y`` and ``z``.
+
+    ``target`` is the complementarity the step aims at, linearised:
+    ``p * z + z * dp + p * dz = target + p * z``.
+    """
+    dimension = len(pmf)
+    solution = np.linalg.solve(
+        kkt, np.concatenate([target / pmf - dual_residual, -primal_residual])
+    )
+    move = solution[:dimension]
+    return move, solution[dimension:], (target - reduced * move) / pmf
+
+
+def _negated_second_order(evaluate: DegreeGradient, pmf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The gradient and Hessian of ``-H*`` at ``pmf``."""
+    _, gradient, hessian = evaluate.second_order(pmf)
+    return -gradient, -hessian
+
+
+def _to_boundary(values: np.ndarray, move: np.ndarray) -> float:
+    """The largest step in ``(0, inf]`` keeping ``values + step * move >= 0``."""
+    shrinking = move < 0.0
+    if not shrinking.any():
+        return float("inf")
+    return float(np.min(-values[shrinking] / move[shrinking]))
 
 
 def _length_range(

@@ -35,7 +35,7 @@ def figure6(
 
     By default the optimization is performed over the uniform family (choose
     the best width for the given mean), matching the paper's restricted
-    optimization; pass ``full_simplex=True`` to run the SLSQP search over all
+    optimization; pass ``full_simplex=True`` to run the interior-point search over all
     distributions of the given mean (slower, never worse).
     """
     model = SystemModel(n_nodes=n_nodes, n_compromised=n_compromised)

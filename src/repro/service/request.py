@@ -462,8 +462,17 @@ class EstimateRequest:
         )
 
     def digest(self) -> str:
-        """SHA-256 content digest (hex) — the cache key of this request."""
-        return hashlib.sha256(self.canonical_json().encode("ascii")).hexdigest()
+        """SHA-256 content digest (hex) — the cache key of this request.
+
+        Hashed once per instance and kept on it: the request is frozen and
+        its fields hold only immutable values, so its canonical form cannot
+        change, and one cache miss asks for the digest three times.
+        """
+        digest: str | None = self.__dict__.get("_digest")
+        if digest is None:
+            digest = hashlib.sha256(self.canonical_json().encode("ascii")).hexdigest()
+            object.__setattr__(self, "_digest", digest)
+        return digest
 
     @classmethod
     def from_canonical_dict(cls, data: Mapping) -> "EstimateRequest":

@@ -550,6 +550,42 @@ class TestDegreeGradient:
             np.testing.assert_allclose(gradient, differences, rtol=1e-6, atol=0.0)
 
     @pytest.mark.parametrize("adversary", list(AdversaryModel))
+    @pytest.mark.parametrize("n", [5, 20, 100, 200])
+    @pytest.mark.parametrize("low", [0, 2], ids=["from_0", "from_2"])
+    def test_hessian_matches_central_differences_of_the_gradient(self, n, adversary, low):
+        analyzer = AnonymityAnalyzer(SystemModel(n_nodes=n, n_compromised=1, adversary=adversary))
+        evaluate = analyzer.degree_gradient(range(low, n))
+        step = 1e-6
+        for pmf in self._pmfs(n - low):
+            value, gradient, hessian = evaluate.second_order(pmf)
+            first_value, first_gradient = evaluate(pmf)
+            assert value == first_value
+            np.testing.assert_array_equal(gradient, first_gradient)
+            differences = [
+                (evaluate(pmf + step * unit)[1] - evaluate(pmf - step * unit)[1]) / (2 * step)
+                for unit in np.eye(n - low)
+            ]
+            np.testing.assert_allclose(
+                differences, hessian, rtol=1e-6, atol=1e-6 * np.abs(hessian).max()
+            )
+
+    @pytest.mark.parametrize("adversary", list(AdversaryModel))
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_hessian_is_finite_on_every_support_of_a_small_system(self, n, adversary):
+        # Supports that start above 0 or end below 4, and the counts clipped
+        # to 0 at N <= 4, zero a class's special or other row on the whole
+        # support; folded into the constant row, such a class cannot turn
+        # the Hessian's 1/s or 1/o terms into NaN.
+        analyzer = AnonymityAnalyzer(SystemModel(n_nodes=n, n_compromised=1, adversary=adversary))
+        for low in range(n):
+            for high in range(low, n):
+                evaluate = analyzer.degree_gradient(range(low, high + 1))
+                for pmf in self._pmfs(high - low + 1):
+                    value, gradient, hessian = evaluate.second_order(pmf)
+                    assert np.isfinite(hessian).all(), (low, high)
+                    assert value == pytest.approx(evaluate(pmf)[0], abs=1e-15)
+
+    @pytest.mark.parametrize("adversary", list(AdversaryModel))
     @pytest.mark.parametrize("mean", [1, 2, 12])
     def test_gradient_is_finite_at_the_mean_matching_start(self, mean, adversary):
         # Pr[L = 0] = 0 there: the special candidate of the silent class has

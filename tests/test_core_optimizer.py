@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from test_core_anonymity import UnmemoisedAnalyzer
 
@@ -125,7 +126,7 @@ class TestFullSimplexOptimization:
     def test_optimize_initial_u12_12_off_mean_0_89(self):
         # U(12, 12) has mean 12.  It used to win the start-vs-best guard and
         # came back "converged" at mean 12.0 with 4.664 bits, above the 4.524
-        # bits of the feasible optimum.  Now it only seeds SLSQP.
+        # bits of the feasible optimum.  Now it only seeds the solver.
         model = SystemModel(n_nodes=31, n_compromised=1)
         outcome = optimize_distribution(
             model, min_length=0, max_length=12, mean=0.89, initial=UniformLength(12, 12)
@@ -137,18 +138,54 @@ class TestFullSimplexOptimization:
 
     @pytest.mark.parametrize("length", [5, 0], ids=["support_5_5_mean_5", "support_0_0_mean_0"])
     def test_optimize_n_20_one_length_support_with_its_mean(self, length):
-        # SLSQP refused the mean constraint next to the simplex one on a
-        # single variable ("More equality constraints than independent
+        # A solver once refused the mean constraint next to the simplex one
+        # on a single variable ("More equality constraints than independent
         # variables") and reported converged=False for the only pmf there is.
         model = SystemModel(n_nodes=20, n_compromised=1)
         outcome = optimize_distribution(
             model, min_length=length, max_length=length, mean=length
         )
         assert outcome.converged, outcome.message
+        assert outcome.iterations == 0
         assert outcome.distribution.as_dict() == {length: 1.0}
         assert outcome.degree_bits == AnonymityAnalyzer(model).anonymity_degree(
             FixedLength(length)
         )
+
+    @pytest.mark.parametrize("adversary", list(AdversaryModel), ids=str)
+    @pytest.mark.parametrize(
+        "min_length,max_length,mean",
+        [(0, 12, 0), (0, 12, 12), (3, 12, 3), (0, 7, 7), (4, 4, None), (0, 0, None)],
+        ids=str,
+    )
+    def test_a_one_point_feasible_set_returns_its_point_mass(
+        self, adversary, min_length, max_length, mean
+    ):
+        # A one-length support, or a mean at either end of the support,
+        # leaves one feasible pmf; it needs no Newton step.
+        model = SystemModel(n_nodes=20, n_compromised=1, adversary=adversary)
+        outcome = optimize_distribution(
+            model, min_length=min_length, max_length=max_length, mean=mean
+        )
+        point = min_length if mean is None else mean
+        assert outcome.converged, outcome.message
+        assert outcome.iterations == 0
+        assert outcome.distribution.as_dict() == {point: 1.0}
+        assert outcome.degree_bits == AnonymityAnalyzer(model).anonymity_degree(
+            FixedLength(point)
+        )
+
+    @pytest.mark.parametrize("n,max_length", [(9, 2), (18, 14), (38, 25), (136, 54)])
+    def test_an_optimal_vertex_that_empties_a_class_converges(self, n, max_length):
+        # Predecessor-only, F(0) is optimal here, and it empties the on-path
+        # class: near it that class's entropy hangs on the ratio of the
+        # vanishing masses, so the dual residual never settles, and the
+        # solver has to stop on the gap its multipliers certify.
+        model = SystemModel(n_nodes=n, n_compromised=1, adversary=AdversaryModel.PREDECESSOR_ONLY)
+        outcome = optimize_distribution(model, min_length=0, max_length=max_length)
+        assert outcome.converged, outcome.message
+        direct = AnonymityAnalyzer(model).anonymity_degree(FixedLength(0))
+        assert outcome.degree_bits == pytest.approx(direct, abs=1e-9)
 
 
 @pytest.fixture
@@ -160,6 +197,7 @@ def no_evaluation(monkeypatch):
 
     monkeypatch.setattr(AnonymityAnalyzer, "analyze", never)
     monkeypatch.setattr(DegreeGradient, "__call__", never)
+    monkeypatch.setattr(DegreeGradient, "second_order", never)
 
 
 class TestInputValidation:
@@ -279,9 +317,72 @@ FINITE_DIFFERENCE_OPTIMA = {
 }
 
 
+#: Optima of the SLSQP solver that the interior-point method replaced,
+#: recorded with it: ``(adversary, N, min_length, max_length, mean): H*``.
+#: Supports that start above 0 or end below 4, and systems of N <= 4, have
+#: classes whose special or other row is zero on the whole support (see
+#: ``AnonymityAnalyzer.degree_gradient``), where an unfolded Hessian is NaN.
+SLSQP_OPTIMA = {
+    ("full_bayes", 12, 5, 6, 5.815): 2.9439371937261507,
+    ("full_bayes", 100, 14, 60, 40.816): 6.538043713308013,
+    ("predecessor_only", 6, 0, 1, 0.587): 1.707778113789655,
+    ("position_aware", 5, 2, 4, None): 0.9509775004326935,
+    ("full_bayes", 250, 12, 25, None): 7.913249142261532,
+    ("full_bayes", 3, 0, 2, None): 0.5663661073981914,
+    ("position_aware", 3, 0, 2, 1.3): 0.23333333333333328,
+    ("predecessor_only", 3, 0, 2, None): 0.6666666666666647,
+    ("full_bayes", 4, 0, 3, 1.5): 1.036692730083376,
+    ("position_aware", 4, 1, 3, None): 0.5,
+    ("predecessor_only", 4, 0, 3, 2.2): 1.188721875540867,
+    ("full_bayes", 5, 1, 4, None): 1.2679700005769026,
+    ("predecessor_only", 5, 2, 4, 3.1): 1.5881270261981966,
+    ("position_aware", 6, 0, 5, 2.5): 1.4536883929498516,
+    ("full_bayes", 6, 3, 5, None): 1.430827083453526,
+    ("full_bayes", 7, 0, 6, 3.3): 2.042925822575881,
+    ("position_aware", 7, 4, 6, 5.2): 1.3809125817691137,
+    ("predecessor_only", 7, 1, 6, None): 2.2156821434752767,
+    ("full_bayes", 8, 2, 7, 4.75): 2.159959354960537,
+    ("position_aware", 8, 0, 7, None): 2.1552367800532624,
+    ("predecessor_only", 8, 3, 7, 5.5): 2.450696879043292,
+    ("position_aware", 100, 10, 40, 22.5): 6.476466945251794,
+    ("predecessor_only", 200, 5, 150, None): 7.598177184120086,
+    ("full_bayes", 30, 0, 29, 0.3): 2.1804274890225144,
+    ("position_aware", 60, 20, 30, None): 5.647952724904105,
+    ("full_bayes", 40, 37, 39, 38.9): 5.080274934917241,
+}
+
+
+def _certified_gap(model, lengths, pmf, mean):
+    """The smallest duality gap any multipliers certify at ``pmf``, in bits.
+
+    ``H*`` is concave, so ``H*(q) <= H*(p) + g @ (q - p)`` for every feasible
+    ``q``, with ``g`` the gradient at ``p``.  By LP duality the largest
+    ``g @ (q - p)`` over the feasible polytope is the least gap ``p @ z`` of
+    multipliers ``(y, z = A.T @ y - g >= 0)``.  The polytope's vertices are
+    the point masses, or with a mean the pmfs on two lengths bracketing it.
+    """
+    gradient = AnonymityAnalyzer(model).degree_gradient(lengths)(pmf)[1]
+    if mean is None:
+        best = gradient.max()
+    else:
+        low, high = np.flatnonzero(lengths <= mean), np.flatnonzero(lengths >= mean)
+        below, above = lengths[low, None].astype(float), lengths[None, high].astype(float)
+        span = above - below
+        share = np.divide(mean - below, span, out=np.zeros(span.shape), where=span > 0)
+        best = (gradient[low, None] * (1.0 - share) + gradient[None, high] * share).max()
+    return float(best - gradient @ pmf)
+
+
 class TestOptimumParity:
     """H* is concave in the pmf, so each problem has one optimum value, and an
-    exact-gradient optimum below the finite-difference one is a gradient bug."""
+    optimum below a recorded one is a solver bug."""
+
+    @staticmethod
+    def _check(outcome, mean, pinned):
+        assert outcome.converged, outcome.message
+        assert outcome.degree_bits >= pinned - 1e-9
+        if mean is not None:
+            assert abs(outcome.distribution.mean() - mean) <= 1e-9
 
     @pytest.mark.parametrize("adversary,n,mean", list(FINITE_DIFFERENCE_OPTIMA), ids=str)
     def test_never_below_the_finite_difference_optimum(self, adversary, n, mean):
@@ -292,26 +393,57 @@ class TestOptimumParity:
             outcome = optimize_distribution(
                 model, min_length=0, max_length=min(n - 1, 2 * mean), mean=mean
             )
+        self._check(outcome, mean, FINITE_DIFFERENCE_OPTIMA[adversary, n, mean])
+
+    @pytest.mark.parametrize("adversary,n,low,high,mean", list(SLSQP_OPTIMA), ids=str)
+    def test_never_below_the_slsqp_optimum(self, adversary, n, low, high, mean):
+        model = SystemModel(n_nodes=n, n_compromised=1, adversary=AdversaryModel(adversary))
+        outcome = optimize_distribution(model, min_length=low, max_length=high, mean=mean)
+        self._check(outcome, mean, SLSQP_OPTIMA[adversary, n, low, high, mean])
+
+    @pytest.mark.parametrize(
+        "adversary,n,low,high,mean",
+        [
+            *((adversary, n, 0, min(n - 1, 2 * mean), mean)
+              for adversary, n, mean in FINITE_DIFFERENCE_OPTIMA if mean is not None),
+            *((adversary, n, 0, n - 1, None)
+              for adversary, n, mean in FINITE_DIFFERENCE_OPTIMA if mean is None),
+            *SLSQP_OPTIMA,
+        ],
+        ids=str,
+    )
+    def test_a_kkt_certificate_holds_at_the_returned_optimum(self, adversary, n, low, high, mean):
+        model = SystemModel(n_nodes=n, n_compromised=1, adversary=AdversaryModel(adversary))
+        outcome = optimize_distribution(model, min_length=low, max_length=high, mean=mean)
         assert outcome.converged, outcome.message
-        assert outcome.degree_bits >= FINITE_DIFFERENCE_OPTIMA[adversary, n, mean] - 1e-9
+        lengths = np.arange(low, high + 1)
+        pmf = np.array([outcome.distribution.pmf(int(length)) for length in lengths])
+        assert _certified_gap(model, lengths, pmf, mean) <= 1e-9
 
 
 class TestExactGradientBudget:
     def test_n_100_mean_12_runs_on_the_exact_gradient(self, monkeypatch):
         # Finite differences over the 25 support points took 507 closed-form
-        # analyses here; the exact gradient needs no analysis until the end.
+        # analyses here; the exact value, gradient and Hessian need no
+        # analysis until the end.
         calls = {"evaluate": 0, "analyze": 0}
-        evaluate, analyze = DegreeGradient.__call__, AnonymityAnalyzer.analyze
+        evaluate, second_order = DegreeGradient.__call__, DegreeGradient.second_order
+        analyze = AnonymityAnalyzer.analyze
 
         def counted_evaluate(self, pmf):
             calls["evaluate"] += 1
             return evaluate(self, pmf)
+
+        def counted_second_order(self, pmf):
+            calls["evaluate"] += 1
+            return second_order(self, pmf)
 
         def counted_analyze(self, distribution):
             calls["analyze"] += 1
             return analyze(self, distribution)
 
         monkeypatch.setattr(DegreeGradient, "__call__", counted_evaluate)
+        monkeypatch.setattr(DegreeGradient, "second_order", counted_second_order)
         monkeypatch.setattr(AnonymityAnalyzer, "analyze", counted_analyze)
         outcome = optimize_distribution(
             SystemModel(n_nodes=100, n_compromised=1), min_length=0, max_length=24, mean=12
@@ -346,15 +478,17 @@ class TestMemoisedAnalyzerParity:
         assert outcome.distribution.as_dict() == expected.distribution.as_dict()
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    """scipy loads on the first full-simplex optimisation, not with the CLI."""
+def test_a_full_simplex_optimisation_leaves_scipy_unloaded():
+    """The CLI and a full-simplex optimisation run on numpy alone."""
     source = Path(repro.__file__).resolve().parent.parent
+    script = (
+        "import sys, repro.cli\n"
+        "from repro import SystemModel, optimize_distribution\n"
+        "optimize_distribution(SystemModel(n_nodes=50, n_compromised=1), max_length=16, mean=8)\n"
+        "print('scipy' in sys.modules)"
+    )
     result = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "import sys, repro.cli; print('scipy' in sys.modules)",
-        ],
+        [sys.executable, "-c", script],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(source)},

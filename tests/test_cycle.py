@@ -284,6 +284,65 @@ class TestCycleInference:
 # ---------------------------------------------------------------------- #
 
 
+class TestLongestFirstOrder:
+    """The packed-key sort gives the stable argsort's order, bit for bit."""
+
+    @staticmethod
+    def _stable(lengths, width):
+        return np.argsort(width - lengths.astype(np.int64), kind="stable")
+
+    @pytest.mark.parametrize(
+        "n_trials,width",
+        [(1, 0), (2, 1), (7, 3), (1000, 9), (65_536, 41), (65_536, 65_534), (65_536, 70_000)],
+    )
+    def test_equals_the_stable_argsort(self, n_trials, width):
+        # (width + 1) << 16 passes 2**32 at width 65 535, where the keys
+        # turn uint64.
+        generator = np.random.default_rng([n_trials, width])
+        lengths = generator.integers(0, width + 1, size=n_trials).astype(np.int32)
+        lengths[generator.integers(0, n_trials)] = width
+        order = cycleengine.longest_first_order(lengths, width)
+        np.testing.assert_array_equal(order, self._stable(lengths, width))
+
+    @pytest.mark.parametrize("adversary", list(AdversaryModel))
+    @pytest.mark.parametrize(
+        "n_nodes,compromised,law",
+        [
+            (4, 1, GeometricLength(p_forward=0.75, minimum=1)),
+            (20, 2, GeometricLength(p_forward=0.9, minimum=1)),
+            (20, 3, UniformLength(0, 9)),
+            (100, 1, GeometricLength(p_forward=0.75, minimum=1)),
+        ],
+        ids=["n4-c1-geo0.75", "n20-c2-geo0.9", "n20-c3-U0_9", "n100-c1-geo0.75"],
+    )
+    def test_chunks_and_generator_states_match_the_stable_argsort(
+        self, n_nodes, compromised, law, adversary, monkeypatch
+    ):
+        model = SystemModel(
+            n_nodes=n_nodes,
+            n_compromised=compromised,
+            adversary=adversary,
+            path_model=PathModel.CYCLE_ALLOWED,
+        )
+        strategy = PathSelectionStrategy(law.name, law, path_model=PathModel.CYCLE_ALLOWED)
+        # One engine: both runs price each class once, from its memo.
+        engine = CycleBatchEngine(model, strategy, frozenset(range(compromised)))
+
+        def run():
+            generator = np.random.default_rng([n_nodes, compromised, 5])
+            chunks = [
+                (total, list(classes.items()))
+                for total, classes in (
+                    engine.accumulate_chunk(trials, generator) for trials in (1, 7, 2_000)
+                )
+            ]
+            return chunks, generator.bit_generator.state
+
+        packed = run()
+        monkeypatch.setattr(cycleengine, "longest_first_order", self._stable)
+        assert packed == run()
+
+
 class TestCycleKernelDraws:
     def test_lengths_can_exceed_the_simple_path_cap(self, rng):
         # The whole point of the cycle model: no N - 1 feasibility cap.

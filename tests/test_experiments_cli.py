@@ -112,8 +112,8 @@ class TestFigure6AndTheorems:
         assert data.all_checks_pass
 
     def test_fig6_full_simplex_at_paper_scale(self, monkeypatch):
-        # figure6 keeps the better of the scan and SLSQP, so SLSQP's own
-        # answers are recorded on the way through.
+        # figure6 keeps the better of the scan and the full-simplex solver,
+        # so the solver's own answers are recorded on the way through.
         outcomes = {}
 
         def recorded(model, **kwargs):

@@ -16,6 +16,7 @@ Covers the four contracts of the subsystem:
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import json
 import math
@@ -185,6 +186,26 @@ class TestRequestCanonicalization:
             json.loads(request.canonical_json())
         )
         assert rebuilt == request and rebuilt.digest() == request.digest()
+
+    def test_digest_hashes_the_canonical_form_once_per_request(self, monkeypatch):
+        # A cache miss asks for the digest three times (service, cache get,
+        # cache put); the frozen request keeps the first answer.
+        encodings = []
+        canonical_json = EstimateRequest.canonical_json
+
+        def counted(self):
+            encodings.append(self)
+            return canonical_json(self)
+
+        monkeypatch.setattr(EstimateRequest, "canonical_json", counted)
+        request = EstimateRequest(**REFERENCE_KWARGS)
+        assert {request.digest() for _ in range(3)} == {REFERENCE_DIGEST}
+        assert encodings == [request]
+        reseeded = dataclasses.replace(request, seed=8)
+        assert reseeded.digest() != REFERENCE_DIGEST
+        assert len(encodings) == 2
+        assert hash(request) == hash(EstimateRequest(**REFERENCE_KWARGS))
+        assert request == EstimateRequest(**REFERENCE_KWARGS)
 
     def test_invalid_requests_rejected(self):
         with pytest.raises(ConfigurationError):
