@@ -20,7 +20,6 @@ from repro.analysis.report import (
 from repro.analysis.sweep import (
     SweepResult,
     SweepSeries,
-    adversary_model_sweep,
     fixed_length_sweep,
     uniform_mean_sweep,
     uniform_width_sweep,
@@ -36,7 +35,6 @@ __all__ = [
     "fixed_length_sweep",
     "uniform_width_sweep",
     "uniform_mean_sweep",
-    "adversary_model_sweep",
     "StrategyComparison",
     "compare_strategies",
     "compare_deployed_systems",

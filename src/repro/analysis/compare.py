@@ -68,6 +68,15 @@ def compare_deployed_systems(model: SystemModel) -> list[StrategyComparison]:
     Cycle-path variants are excluded because the closed-form engine covers
     simple paths; the geometric length distributions of Crowds and Onion
     Routing II are evaluated on simple paths, which the paper itself does when
-    comparing strategies purely by their length distributions.
+    comparing strategies purely by their length distributions.  A system
+    whose every length exceeds the longest simple path ``N - 1`` (Onion
+    Routing I's ``F(5)`` at ``N <= 5``) has no feasible strategy at ``N`` and
+    is left out of the ranking.
     """
-    return compare_strategies(model, deployed_system_strategies(include_cycle_variants=False))
+    strategies = deployed_system_strategies(include_cycle_variants=False)
+    feasible = {
+        key: strategy
+        for key, strategy in strategies.items()
+        if strategy.distribution.min_length <= model.max_simple_path_length
+    }
+    return compare_strategies(model, feasible)

@@ -637,6 +637,17 @@ def _command_compare(args: argparse.Namespace) -> int:
     model = SystemModel(n_nodes=args.n, n_compromised=1)
     rows = compare_deployed_systems(model)
     print(render_comparison(rows, title=f"Deployed systems ranked for N={args.n}, C=1"))
+    ranked = {row.name for row in rows}
+    left_out = [
+        f"{strategy.name}, {strategy.distribution.name}"
+        for strategy in deployed_system_strategies().values()
+        if strategy.name not in ranked
+    ]
+    if left_out:
+        print(
+            f"left out, no feasible length at N={args.n} (at most {args.n - 1} hops): "
+            + "; ".join(left_out)
+        )
     return 0
 
 

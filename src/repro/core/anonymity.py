@@ -146,6 +146,16 @@ class DegreeGradient:
 
     def __call__(self, pmf: np.ndarray) -> tuple[float, np.ndarray]:
         """Return ``(H* in bits, dH*/dpmf)`` at the pmf vector ``pmf``."""
+        value, gradient, _ = self._first_order(pmf)
+        return value, gradient
+
+    def _first_order(
+        self, pmf: np.ndarray
+    ) -> tuple[float, np.ndarray, tuple[np.ndarray, ...]]:
+        """``(H*, dH*/dpmf)`` plus the per-class terms :meth:`second_order` reuses.
+
+        The terms are ``(P/T, s.p, o.p, H, T, log2 s-share, log2 o-share)``.
+        """
         probability, special, other = self.rows @ pmf
         entropy, total, log_special, log_other = _split_entropy(special, other, self.counts)
         slope = probability / total
@@ -161,7 +171,8 @@ class DegreeGradient:
                 self.rows[1, empty], self.rows[2, empty], self.counts[empty, None]
             )[0]
             gradient = gradient + (self.rows[0, empty] * own_entropy).sum(axis=0)
-        return float(probability @ entropy + self.constant @ pmf), gradient
+        value = float(probability @ entropy + self.constant @ pmf)
+        return value, gradient, (slope, special, other, entropy, total, log_special, log_other)
 
     def second_order(self, pmf: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         """Return ``(H* in bits, dH*/dpmf, d2H*/dpmf2)`` at a strictly positive pmf.
@@ -186,17 +197,9 @@ class DegreeGradient:
         the classes whose special or other row is zero on the whole
         support into ``constant``.
         """
-        probability, special, other = self.rows @ pmf
+        value, gradient, terms = self._first_order(pmf)
+        slope, special, other, entropy, total, log_special, log_other = terms
         counts = self.counts
-        entropy, total, log_special, log_other = _split_entropy(special, other, counts)
-        slope = probability / total
-        # The gradient as __call__ forms it, bit for bit.
-        gradient = (
-            entropy @ self.rows[0]
-            + (slope * (-entropy - log_special)) @ self.rows[1]
-            + (slope * counts * (-entropy - log_other)) @ self.rows[2]
-            + self.constant
-        )
         d_special = (-entropy - log_special) / total
         d_other = counts * (-entropy - log_other) / total
         special_share, other_share = special / total, other / total
@@ -217,7 +220,7 @@ class DegreeGradient:
         # one product over the flattened (row kind, class) axis.
         weighted = np.einsum("cij,jcl->icl", second, self.rows)
         hessian = self.rows.reshape(-1, len(pmf)).T @ weighted.reshape(-1, len(pmf))
-        return float(probability @ entropy + self.constant @ pmf), gradient, hessian
+        return value, gradient, hessian
 
 
 class AnonymityAnalyzer:

@@ -39,7 +39,7 @@ def _panel(
     coincide_tolerance: float | None,
 ) -> ExperimentData:
     model = SystemModel(n_nodes=n_nodes, n_compromised=n_compromised)
-    sweep = uniform_mean_sweep(model, lower_bounds, means, include_fixed=True)
+    sweep = uniform_mean_sweep(model, lower_bounds, means)
     by_label = sweep.as_dict()
     fixed = by_label["F(L)"]
     checks = {}

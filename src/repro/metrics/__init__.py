@@ -1,25 +1,5 @@
-"""Anonymity metrics computed from adversary posteriors."""
+"""Anonymity metrics derived from the anonymity degree ``H*(S)``."""
 
-from repro.metrics.anonymity_metrics import (
-    effective_set_size,
-    gini_coefficient,
-    guessing_entropy,
-    max_posterior,
-    min_entropy_bits,
-    normalized_degree,
-    normalized_entropy,
-    posterior_metrics,
-    probable_innocence,
-)
+from repro.metrics.anonymity_metrics import normalized_degree
 
-__all__ = [
-    "normalized_degree",
-    "min_entropy_bits",
-    "max_posterior",
-    "guessing_entropy",
-    "effective_set_size",
-    "probable_innocence",
-    "posterior_metrics",
-    "gini_coefficient",
-    "normalized_entropy",
-]
+__all__ = ["normalized_degree"]

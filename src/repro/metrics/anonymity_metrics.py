@@ -1,53 +1,19 @@
 """Anonymity metrics beyond the paper's ``H*(S)``.
 
 The paper measures anonymity as the expected Shannon entropy of the
-adversary's posterior (the *anonymity degree*).  Follow-up literature proposed
-several related measures; they are included here because they are cheap to
-compute from the same posteriors and because the extension benchmarks use them
-to show that the paper's qualitative findings (short-path and long-path
-effects, fixed vs. variable length) are not artefacts of the particular choice
-of entropy:
+adversary's posterior (the *anonymity degree*).  The strategy comparison,
+the overhead trade-off and the e-voting example also report it on a common
+scale:
 
 * **normalized degree of anonymity** (Diaz et al. / Serjantov & Danezis):
-  ``H / log2(N)`` in ``[0, 1]``;
-* **min-entropy** ``-log2(max_i p_i)``: worst-case guessing security;
-* **guessing entropy**: expected number of guesses needed to hit the sender;
-* **effective anonymity-set size**: ``2**H``, the "equivalent number of
-  equally likely senders";
-* **probable innocence**: Reiter & Rubin's criterion that no candidate is more
-  likely than not to be the sender;
-* **Gini coefficient** and **normalized entropy** over observed load or
-  selection counts (empirical-measurement idiom, following the navigator
-  anonymity-metrics tooling): how evenly the rerouting traffic spreads over
-  the nodes, which bounds how much an adversary learns from volume alone.
+  ``H / log2(N)`` in ``[0, 1]``.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping, Sequence
 
-from repro.utils.mathx import entropy_bits
-
-__all__ = [
-    "normalized_degree",
-    "min_entropy_bits",
-    "max_posterior",
-    "guessing_entropy",
-    "effective_set_size",
-    "probable_innocence",
-    "posterior_metrics",
-    "gini_coefficient",
-    "normalized_entropy",
-]
-
-
-def _as_probabilities(posterior: Mapping[int, float] | Sequence[float]) -> list[float]:
-    if isinstance(posterior, Mapping):
-        values = list(posterior.values())
-    else:
-        values = list(posterior)
-    return [float(p) for p in values if p > 0.0]
+__all__ = ["normalized_degree"]
 
 
 def normalized_degree(entropy_bits_value: float, n_nodes: int) -> float:
@@ -55,108 +21,3 @@ def normalized_degree(entropy_bits_value: float, n_nodes: int) -> float:
     if n_nodes <= 1:
         return 0.0
     return entropy_bits_value / math.log2(n_nodes)
-
-
-def max_posterior(posterior: Mapping[int, float] | Sequence[float]) -> float:
-    """The adversary's best single-guess success probability."""
-    probabilities = _as_probabilities(posterior)
-    return max(probabilities) if probabilities else 0.0
-
-
-def min_entropy_bits(posterior: Mapping[int, float] | Sequence[float]) -> float:
-    """Min-entropy ``-log2(max_i p_i)`` of the posterior."""
-    top = max_posterior(posterior)
-    if top <= 0.0:
-        return 0.0
-    return -math.log2(top)
-
-
-def guessing_entropy(posterior: Mapping[int, float] | Sequence[float]) -> float:
-    """Expected number of guesses to identify the sender (Massey's guessing entropy)."""
-    probabilities = sorted(_as_probabilities(posterior), reverse=True)
-    return sum((rank + 1) * p for rank, p in enumerate(probabilities))
-
-
-def effective_set_size(posterior: Mapping[int, float] | Sequence[float]) -> float:
-    """``2**H``: the number of equally likely senders that would give the same entropy."""
-    probabilities = _as_probabilities(posterior)
-    if not probabilities:
-        return 0.0
-    return 2.0 ** entropy_bits(probabilities)
-
-
-def probable_innocence(posterior: Mapping[int, float] | Sequence[float]) -> bool:
-    """True when no candidate is more likely than not to be the sender (p_max <= 1/2)."""
-    return max_posterior(posterior) <= 0.5
-
-
-def gini_coefficient(values: Iterable[float]) -> float:
-    """Gini coefficient of a set of non-negative counts or weights.
-
-    ``0.0`` means the quantity (e.g. forwarding load, selection frequency) is
-    spread perfectly evenly over the population; values approaching ``1.0``
-    mean it concentrates on a few members — exactly the signal a traffic
-    adversary exploits.  Pure Python (sorted-rank formula), no statistical
-    runtime required; empty input returns ``0.0`` by convention.
-    """
-    sorted_values = sorted(float(v) for v in values)
-    n = len(sorted_values)
-    if n == 0:
-        return 0.0
-    if any(v < 0.0 for v in sorted_values):
-        raise ValueError("gini_coefficient requires non-negative values")
-    total = sum(sorted_values)
-    if total <= 0.0:
-        return 0.0
-    weighted = sum((2 * rank - n - 1) * v for rank, v in enumerate(sorted_values, 1))
-    return weighted / (n * total)
-
-
-def normalized_entropy(values: Iterable[float], base_count: int | None = None) -> float:
-    """Shannon entropy of a count/weight vector, normalised into ``[0, 1]``.
-
-    The values are normalised into a probability vector and the entropy is
-    divided by ``log2(base_count)``; ``base_count`` defaults to the number of
-    positive entries, so a perfectly even spread scores ``1.0`` and full
-    concentration on one member scores ``0.0``.  Pass an explicit
-    ``base_count`` (e.g. the total population size ``N``) to measure evenness
-    against a fixed reference instead of the observed support.
-
-    The degenerate one-member case — ``base_count=1``, whether passed
-    explicitly or defaulted from a single positive entry — returns ``0.0``
-    rather than dividing by ``log2(1) == 0``: a population of one has no
-    spread to measure.  Empty or all-zero input likewise returns ``0.0``.
-    """
-    as_floats = [float(v) for v in values]
-    if any(v < 0.0 for v in as_floats):
-        raise ValueError("normalized_entropy requires non-negative values")
-    positives = [v for v in as_floats if v > 0.0]
-    if base_count is None:
-        base_count = len(positives)
-    elif base_count < len(positives):
-        raise ValueError(
-            f"base_count ({base_count}) must cover the {len(positives)} members "
-            "with positive weight, or the result would exceed 1"
-        )
-    if base_count <= 1 or not positives:
-        return 0.0
-    total = sum(positives)
-    shannon = entropy_bits([v / total for v in positives])
-    return shannon / math.log2(base_count)
-
-
-def posterior_metrics(
-    posterior: Mapping[int, float] | Sequence[float], n_nodes: int
-) -> dict[str, float]:
-    """Bundle of every per-posterior metric, keyed by metric name."""
-    probabilities = _as_probabilities(posterior)
-    shannon = entropy_bits(probabilities)
-    return {
-        "entropy_bits": shannon,
-        "normalized_degree": normalized_degree(shannon, n_nodes),
-        "min_entropy_bits": min_entropy_bits(probabilities),
-        "max_posterior": max_posterior(probabilities),
-        "guessing_entropy": guessing_entropy(probabilities),
-        "effective_set_size": effective_set_size(probabilities),
-        "probable_innocence": float(probable_innocence(probabilities)),
-    }

@@ -20,7 +20,8 @@ service spends the minimum work — often zero — to answer.
     ``(seed, block_size)``.
 :mod:`repro.service.service`
     :class:`EstimationService`: the facade — cache lookup, single-flight
-    deduplication, and a bounded-concurrency dispatch queue.
+    deduplication of concurrent identical requests, and one pooled backend
+    per ``(name, options)``.
 
 See ``docs/service.md`` for the request spec, the digest/determinism
 contract, precision semantics, and the cache layout.

@@ -6,7 +6,7 @@ replaces the budget with a *precision target*: it runs successive **blocks**
 of trials through an accumulating estimator backend, merges the per-block
 :class:`~repro.batch.estimator.BatchAccumulator`\\ s, and stops as soon as the
 95% confidence-interval half-width of the entropy estimate falls below the
-target (or a trial / wall-clock ceiling is hit).
+target (or the trial ceiling is hit).
 
 The sample variance cannot see a class the run has not drawn yet — with
 small blocks, a run could otherwise stop after two trials of one class with
@@ -25,9 +25,7 @@ deterministic (see ``docs/backends.md``), two runs with the same
 ``(seed, block_size)`` — and, for the ``sharded`` backend, the same
 ``shards`` — produce bit-identical reports, which is what lets the service
 cache results by content digest.  The stopping rule reads only merged
-statistics, so it, too, is deterministic; a ``max_seconds`` ceiling is the
-one escape hatch, and runs stopped by it are flagged so they are never
-cached.
+statistics, so it, too, is deterministic.
 
 ``batch`` and ``sharded`` accumulate: each exposes
 ``accumulate_runner(model, strategy)`` — a callable
@@ -65,7 +63,6 @@ __all__ = [
     "RoundProgress",
     "STOP_PRECISION",
     "STOP_BUDGET",
-    "STOP_WALL_CLOCK",
     "STOP_EXACT",
     "trial_floor",
 ]
@@ -75,7 +72,6 @@ logger = logging.getLogger(__name__)
 #: Stop reasons reported by :class:`AdaptiveRun`.
 STOP_PRECISION = "precision"      #: the CI half-width target was reached
 STOP_BUDGET = "max_trials"        #: the trial ceiling was exhausted first
-STOP_WALL_CLOCK = "max_seconds"   #: the wall-clock ceiling fired (not cacheable)
 STOP_EXACT = "exact"              #: a zero-variance backend answered directly
 
 
@@ -110,16 +106,6 @@ class AdaptiveRun:
     def half_width(self) -> float:
         """Achieved 95% CI half-width in bits."""
         return Z_95 * self.report.estimate.std_error
-
-    @property
-    def deterministic(self) -> bool:
-        """Whether the outcome is a pure function of ``(seed, block_size)``.
-
-        False for runs stopped by the wall-clock ceiling, whose round count
-        depends on the machine.  Non-deterministic runs are never cached by
-        the service.
-        """
-        return self.stop_reason != STOP_WALL_CLOCK
 
     @property
     def convergence_history(self) -> tuple[tuple[int, float], ...]:
@@ -184,9 +170,6 @@ class AdaptiveScheduler:
         changes the sub-seed sequence and therefore the bits of the result.
     max_trials:
         Hard ceiling on total trials; reaching it stops the run un-converged.
-    max_seconds:
-        Optional wall-clock ceiling, checked between rounds.  Runs stopped by
-        it are marked non-deterministic (:attr:`AdaptiveRun.deterministic`).
     on_round:
         Optional callback invoked with a :class:`RoundProgress` after every
         round — trials done, achieved half-width, and the extrapolated
@@ -201,7 +184,6 @@ class AdaptiveScheduler:
         precision: float | None = 0.01,
         block_size: int = 10_000,
         max_trials: int = 1_000_000,
-        max_seconds: float | None = None,
         on_round: Callable[[RoundProgress], None] | None = None,
         **backend_options: Any,
     ) -> None:
@@ -209,8 +191,6 @@ class AdaptiveScheduler:
             raise ConfigurationError(f"precision must be > 0, got {precision}")
         block_size = check_positive_int(block_size, "block_size")
         max_trials = check_positive_int(max_trials, "max_trials")
-        if max_seconds is not None and max_seconds <= 0.0:
-            raise ConfigurationError(f"max_seconds must be > 0, got {max_seconds}")
         if isinstance(backend, EstimatorBackend):
             if backend_options:
                 raise ConfigurationError(
@@ -223,7 +203,6 @@ class AdaptiveScheduler:
         self.precision = precision
         self.block_size = block_size
         self.max_trials = max_trials
-        self.max_seconds = max_seconds
         self.on_round = on_round
 
     def run(
@@ -303,8 +282,6 @@ class AdaptiveScheduler:
         merged: BatchAccumulator | None = None
         trajectory: list[tuple[int, float]] = []
         rounds = 0
-        converged = False
-        stop_reason = STOP_BUDGET
         while True:
             block = min(block_size, self.max_trials - (merged.n_trials if merged else 0))
             sub_seed = int(generator.integers(0, 2**63 - 1))
@@ -338,12 +315,6 @@ class AdaptiveScheduler:
                 # With no precision target the full budget *is* the plan.
                 converged = self.precision is None
                 stop_reason = STOP_BUDGET
-                break
-            if (
-                self.max_seconds is not None
-                and time.perf_counter() - started > self.max_seconds
-            ):
-                stop_reason = STOP_WALL_CLOCK
                 break
         report = merged.report(model, distribution.name)
         return AdaptiveRun(

@@ -1,30 +1,24 @@
 """The estimation service: adaptive precision behind a content-addressed cache.
 
-:class:`EstimationService` is the front door the ROADMAP's serving story
-plugs into: callers describe *what* they want as an
+:class:`EstimationService` is the front door of the CLI's ``estimate``
+command: callers describe *what* they want as an
 :class:`~repro.service.request.EstimateRequest` (model, distribution,
 backend, seed policy, precision target) and the service decides *how much
 work* that costs — zero, when the request's content digest is already cached;
 otherwise the adaptive scheduler's minimum.  Properties:
 
 * **idempotence** — identical requests return bit-identical reports, whether
-  computed or served from either cache tier;
+  computed or served from either cache tier; every computed answer is a pure
+  function of its request and is cached;
 * **single-flight** — concurrent identical requests are coalesced onto one
-  computation (the second caller waits on the first's future);
-* **bounded concurrency** — independent requests dispatch onto a fixed-size
-  worker pool (:meth:`submit` / :meth:`estimate_many`); the heavy backends
-  either release the GIL in their NumPy kernels (``batch``, and ``sharded``
-  blocks of at most one engine chunk) or run in worker processes (larger
-  ``sharded`` blocks), so threads are the right dispatch unit;
+  computation (the second caller waits on the first's future), so callers
+  may share one service across their own threads;
 * **backend reuse** — one backend instance per ``(name, options)`` is shared
   across requests, so e.g. the sharded worker pool spawns at most once per
   service, not once per request;
 * **no start-up collection on the request path** — the first service of a
   process freezes the start-up heap, so full garbage collections during
   requests skip the tens of thousands of objects loaded at import.
-
-Results that are not a pure function of the request — runs cut short by the
-service's wall-clock ceiling — are returned but never cached.
 """
 
 from __future__ import annotations
@@ -34,15 +28,14 @@ import logging
 import os
 import threading
 import time
-from collections.abc import Callable, Iterable
-from concurrent.futures import Future, ThreadPoolExecutor
+from collections.abc import Callable
+from concurrent.futures import Future
 from dataclasses import dataclass
 
 from repro.batch.backends import EstimatorBackend, get_backend
 from repro.core.results import MonteCarloReport
-from repro.exceptions import ConfigurationError
 from repro.service.adaptive import AdaptiveRun, AdaptiveScheduler, RoundProgress
-from repro.service.cache import CachedEstimate, CacheStats, ResultCache
+from repro.service.cache import CachedEstimate, ResultCache
 from repro.service.request import EstimateRequest
 from repro.telemetry.journal import RunJournal
 from repro.telemetry.metrics import get_registry
@@ -110,22 +103,13 @@ class ServiceResult:
 
 
 class EstimationService:
-    """Facade: cached, adaptive, concurrently-dispatched anonymity estimates.
+    """Facade: cached, adaptive, single-flight anonymity estimates.
 
     Parameters
     ----------
     cache_dir:
         Directory of the durable cache tier; ``None`` keeps the cache
         in-memory only (still deduplicates within the service's lifetime).
-    memory_entries:
-        Capacity of the in-memory LRU tier.
-    max_workers:
-        Size of the dispatch pool used by :meth:`submit` /
-        :meth:`estimate_many`.  Synchronous :meth:`estimate` calls run on the
-        caller's thread and are not queued.
-    max_seconds:
-        Optional per-request wall-clock ceiling.  Requests stopped by it
-        return their best estimate so far, un-converged and un-cached.
     journal:
         Optional run ledger — a :class:`~repro.telemetry.journal.RunJournal`
         or a path to one.  Every answered request (computed, cache hit, or
@@ -139,25 +123,15 @@ class EstimationService:
     def __init__(
         self,
         cache_dir: str | os.PathLike | None = None,
-        memory_entries: int = 256,
-        max_workers: int = 4,
-        max_seconds: float | None = None,
         journal: RunJournal | str | None = None,
     ) -> None:
-        if max_workers < 1:
-            raise ConfigurationError(f"max_workers must be >= 1, got {max_workers}")
-        self._cache = ResultCache(cache_dir=cache_dir, memory_entries=memory_entries)
-        self._max_seconds = max_seconds
+        self._cache = ResultCache(cache_dir=cache_dir)
         if journal is not None and not isinstance(journal, RunJournal):
             journal = RunJournal(journal)
         self._journal = journal
-        self._pool = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="repro-service"
-        )
         self._lock = threading.Lock()
         self._inflight: dict[str, Future] = {}
         self._backends: dict[tuple, EstimatorBackend] = {}
-        self._closed = False
         _freeze_startup_heap()
 
     # ------------------------------------------------------------------ #
@@ -234,19 +208,6 @@ class EstimationService:
                     if telemetry.enabled:
                         telemetry.gauge("service_inflight").set(len(self._inflight))
 
-    def submit(self, request: EstimateRequest) -> "Future[ServiceResult]":
-        """Queue one request on the bounded worker pool; returns a future."""
-        if self._closed:
-            raise ConfigurationError("the estimation service has been closed")
-        return self._pool.submit(self.estimate, request)
-
-    def estimate_many(
-        self, requests: Iterable[EstimateRequest]
-    ) -> list[ServiceResult]:
-        """Answer many requests in parallel, preserving input order."""
-        futures = [self.submit(request) for request in requests]
-        return [future.result() for future in futures]
-
     # ------------------------------------------------------------------ #
     # Internals                                                           #
     # ------------------------------------------------------------------ #
@@ -310,7 +271,6 @@ class EstimationService:
             precision=request.precision,
             block_size=request.block_size,
             max_trials=request.max_trials,
-            max_seconds=self._max_seconds,
             on_round=on_round,
         )
         run: AdaptiveRun = scheduler.run(
@@ -319,17 +279,16 @@ class EstimationService:
             rng=request.seed,
             compromised=request.compromised,
         )
-        if run.deterministic:
-            self._cache.put(
-                request,
-                CachedEstimate(
-                    report=run.report,
-                    rounds=run.rounds,
-                    converged=run.converged,
-                    stop_reason=run.stop_reason,
-                    trajectory=run.trajectory,
-                ),
-            )
+        self._cache.put(
+            request,
+            CachedEstimate(
+                report=run.report,
+                rounds=run.rounds,
+                converged=run.converged,
+                stop_reason=run.stop_reason,
+                trajectory=run.trajectory,
+            ),
+        )
         return ServiceResult(
             digest=digest,
             report=run.report,
@@ -342,7 +301,7 @@ class EstimationService:
         )
 
     # ------------------------------------------------------------------ #
-    # Cache maintenance and lifecycle                                     #
+    # Accessors and lifecycle                                             #
     # ------------------------------------------------------------------ #
 
     @property
@@ -355,18 +314,8 @@ class EstimationService:
         """The run ledger every answered request is appended to (if any)."""
         return self._journal
 
-    def cache_stats(self) -> CacheStats:
-        """Hit/miss counters and tier sizes."""
-        return self._cache.stats()
-
-    def clear_cache(self) -> int:
-        """Drop every cached result; returns the number of entries removed."""
-        return self._cache.clear()
-
     def close(self) -> None:
-        """Shut the dispatch pool down and release pooled backends."""
-        self._closed = True
-        self._pool.shutdown(wait=True)
+        """Release pooled backends (e.g. the sharded backend's worker pool)."""
         with self._lock:
             backends = list(self._backends.values())
             self._backends.clear()

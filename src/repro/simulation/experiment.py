@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.adversary.inference import BayesianPathInference
+from repro.adversary.inference import BayesianPathInference, observation_class_key
 from repro.adversary.observation import observation_from_path
 from repro.core.model import SystemModel
 from repro.core.results import IDENTIFIED_THRESHOLD, MonteCarloReport, summarize_samples
@@ -107,7 +107,10 @@ class ProtocolMonteCarlo:
     Every trial builds a fresh system instance (so protocol state such as
     Crowds' static paths does not leak across trials), transmits one message
     from a uniformly random sender, and scores the adversary's posterior
-    entropy for the observation the agents collected.
+    entropy for the observation the agents collected.  Observations with the
+    same :func:`~repro.adversary.inference.observation_class_key` share one
+    posterior, so each distinct class is priced (entropy and identification)
+    once per run, as in the batch engines' price tables.
     """
 
     model: SystemModel
@@ -133,17 +136,24 @@ class ProtocolMonteCarlo:
         entropies: list[float] = []
         lengths: list[int] = []
         identified = 0
+        prices: dict[tuple, tuple[float, bool]] = {}
         for _ in range(n_trials):
             system = AnonymousCommunicationSystem(
                 model=self.model, protocol=self.protocol_factory()
             )
             sender = int(generator.integers(0, self.model.n_nodes))
             outcome = system.send(sender, payload="probe", rng=generator)
-            posterior = inference.posterior(outcome.observation)
-            entropies.append(posterior.entropy_bits)
+            key = observation_class_key(outcome.observation, self.model.adversary)
+            price = prices.get(key)
+            if price is None:
+                posterior = inference.posterior(outcome.observation)
+                price = prices[key] = (
+                    posterior.entropy_bits,
+                    posterior.max_probability >= IDENTIFIED_THRESHOLD,
+                )
+            entropies.append(price[0])
             lengths.append(outcome.delivery.path_length)
-            if posterior.max_probability >= IDENTIFIED_THRESHOLD:
-                identified += 1
+            identified += price[1]
 
         return MonteCarloReport(
             estimate=summarize_samples(entropies),

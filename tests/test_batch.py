@@ -22,7 +22,6 @@ import math
 import numpy as np
 import pytest
 
-from repro.analysis.sweep import fixed_length_sweep
 from repro.batch import (
     BatchMonteCarlo,
     FiveClassEngine,
@@ -303,30 +302,6 @@ class TestBackends:
         )
         exact = AnonymityAnalyzer(model).anonymity_degree(FixedLength(2))
         assert report.estimate.contains(exact)
-
-
-class TestSweepIntegration:
-    def test_batch_backend_sweep_tracks_exact_sweep(self):
-        model = SystemModel(n_nodes=25, n_compromised=1)
-        lengths = [1, 4, 8, 12]
-        reference = fixed_length_sweep(model, lengths)
-        sampled = fixed_length_sweep(
-            model, lengths, backend="batch", n_trials=30_000, rng=77
-        )
-        for exact, estimated in zip(
-            reference.series[0].values, sampled.series[0].values
-        ):
-            assert estimated == pytest.approx(exact, abs=0.05)
-
-    def test_sweep_is_reproducible_under_a_seed(self):
-        model = SystemModel(n_nodes=25, n_compromised=1)
-        first = fixed_length_sweep(
-            model, [2, 5], backend="batch", n_trials=2_000, rng=11
-        )
-        second = fixed_length_sweep(
-            model, [2, 5], backend="batch", n_trials=2_000, rng=11
-        )
-        assert first.series[0].values == second.series[0].values
 
 
 class TestBatchExperiment:

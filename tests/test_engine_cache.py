@@ -240,10 +240,10 @@ def test_estimate_many_over_threads_returns_the_sequential_bits():
         )
         for seed in (1, 2, 3)
     ]
-    with EstimationService(max_workers=4) as service:
-        concurrent = service.estimate_many(requests)
+    with EstimationService() as service, ThreadPoolExecutor(max_workers=4) as pool:
+        concurrent = list(pool.map(service.estimate, requests))
     clear_engine_cache()
-    with EstimationService(max_workers=1) as service:
+    with EstimationService() as service:
         sequential = [service.estimate(request) for request in requests]
     for threaded, alone in zip(concurrent, sequential):
         assert threaded.report.estimate.mean.hex() == alone.report.estimate.mean.hex()

@@ -215,6 +215,32 @@ class TestCLI:
         assert main(["compare", "--n", "40"]) == 0
         assert "Crowds" in capsys.readouterr().out
 
+    def test_compare_at_n5_leaves_out_onion_routing_1(self, capsys):
+        assert main(["compare", "--n", "5"]) == 0
+        table, left_out = capsys.readouterr().out.rstrip("\n").rsplit("\n", 1)
+        for name in ("Crowds", "Onion Routing II", "PipeNet", "Anonymizer", "LPWA", "Freedom"):
+            assert name in table
+        assert "F(5)" not in table  # Onion Routing I's law
+        assert left_out == (
+            "left out, no feasible length at N=5 (at most 4 hops): Onion Routing I, F(5)"
+        )
+
+    def test_compare_at_n3_ranks_the_systems_with_a_feasible_length(self, capsys):
+        assert main(["compare", "--n", "3"]) == 0
+        table, left_out = capsys.readouterr().out.rstrip("\n").rsplit("\n", 1)
+        for name in ("Crowds", "Onion Routing II", "Anonymizer", "LPWA"):
+            assert name in table
+        for name in ("Freedom", "PipeNet", "F(5)"):
+            assert name not in table
+        assert left_out == (
+            "left out, no feasible length at N=3 (at most 2 hops): Freedom, F(3); "
+            "PipeNet, TwoPoint(3:0.5, 4:0.5); Onion Routing I, F(5)"
+        )
+
+    def test_compare_names_no_system_when_all_fit(self, capsys):
+        assert main(["compare", "--n", "6"]) == 0
+        assert "left out" not in capsys.readouterr().out
+
     @pytest.mark.parametrize(
         "protocol",
         ["anonymizer", "crowds", "freedom", "hordes", "onion-routing-1", "pipenet", "remailer"],

@@ -7,7 +7,6 @@ import math
 import pytest
 
 from repro.analysis import (
-    adversary_model_sweep,
     compare_deployed_systems,
     compare_strategies,
     fixed_length_sweep,
@@ -21,97 +20,13 @@ from repro.analysis import (
 from repro.core.anonymity import AnonymityAnalyzer
 from repro.core.model import SystemModel
 from repro.distributions import FixedLength, UniformLength
-from repro.metrics import (
-    effective_set_size,
-    gini_coefficient,
-    guessing_entropy,
-    max_posterior,
-    min_entropy_bits,
-    normalized_degree,
-    normalized_entropy,
-    posterior_metrics,
-    probable_innocence,
-)
+from repro.metrics import normalized_degree
 from repro.routing.strategies import PathSelectionStrategy
 
 
 class TestMetrics:
-    def test_uniform_posterior_metrics(self):
-        posterior = {i: 0.25 for i in range(4)}
-        assert normalized_degree(2.0, 4) == pytest.approx(1.0)
-        assert max_posterior(posterior) == 0.25
-        assert min_entropy_bits(posterior) == pytest.approx(2.0)
-        assert effective_set_size(posterior) == pytest.approx(4.0)
-        assert guessing_entropy(posterior) == pytest.approx(2.5)
-        assert probable_innocence(posterior)
-
-    def test_degenerate_posterior_metrics(self):
-        posterior = {0: 1.0, 1: 0.0}
-        assert min_entropy_bits(posterior) == 0.0
-        assert effective_set_size(posterior) == pytest.approx(1.0)
-        assert guessing_entropy(posterior) == pytest.approx(1.0)
-        assert not probable_innocence(posterior)
-
-    def test_posterior_metrics_bundle(self):
-        metrics = posterior_metrics({0: 0.5, 1: 0.5}, n_nodes=4)
-        assert metrics["entropy_bits"] == pytest.approx(1.0)
-        assert metrics["normalized_degree"] == pytest.approx(0.5)
-        assert metrics["probable_innocence"] == 1.0
-
-    def test_sequence_input_accepted(self):
-        assert max_posterior([0.2, 0.3, 0.5]) == 0.5
-
     def test_normalized_degree_degenerate_system(self):
         assert normalized_degree(1.0, 1) == 0.0
-
-
-class TestLoadSpreadMetrics:
-    def test_gini_of_even_spread_is_zero(self):
-        assert gini_coefficient([7, 7, 7, 7]) == pytest.approx(0.0)
-
-    def test_gini_of_full_concentration(self):
-        # For one loaded member out of n, G = (n - 1) / n.
-        assert gini_coefficient([0, 0, 0, 10]) == pytest.approx(0.75)
-
-    def test_gini_edge_cases(self):
-        assert gini_coefficient([]) == 0.0
-        assert gini_coefficient([0.0, 0.0]) == 0.0
-        with pytest.raises(ValueError):
-            gini_coefficient([1.0, -1.0])
-
-    def test_gini_is_scale_invariant(self):
-        counts = [1, 4, 2, 9, 3]
-        assert gini_coefficient(counts) == pytest.approx(
-            gini_coefficient([10 * c for c in counts])
-        )
-
-    def test_normalized_entropy_bounds(self):
-        assert normalized_entropy([5, 5, 5, 5]) == pytest.approx(1.0)
-        assert normalized_entropy([10, 0, 0]) == 0.0
-        assert 0.0 < normalized_entropy([8, 1, 1]) < 1.0
-
-    def test_normalized_entropy_against_fixed_base(self):
-        # Two equally loaded members measured against a population of four.
-        assert normalized_entropy([1, 1], base_count=4) == pytest.approx(0.5)
-        # A base smaller than the observed support would break the [0, 1] bound.
-        with pytest.raises(ValueError):
-            normalized_entropy([1, 1, 1, 1], base_count=2)
-
-    def test_normalized_entropy_degenerate(self):
-        assert normalized_entropy([]) == 0.0
-        assert normalized_entropy([3.0]) == 0.0
-        with pytest.raises(ValueError):
-            normalized_entropy([1.0, -1.0])
-
-    def test_normalized_entropy_one_member_base_never_divides_by_zero(self):
-        # Regression: log2(base_count) == 0 for a one-member base; the
-        # degenerate case must return 0.0, never raise ZeroDivisionError —
-        # whether base_count=1 is explicit or defaulted from a single
-        # positive entry (possibly amid zeros).
-        assert normalized_entropy([7.0], base_count=1) == 0.0
-        assert normalized_entropy([0.0, 4.0, 0.0]) == 0.0
-        assert normalized_entropy([4.0, 0.0], base_count=1) == 0.0
-        assert normalized_entropy([], base_count=1) == 0.0
 
 
 class TestSweeps:
@@ -143,10 +58,6 @@ class TestSweeps:
         assert sweep.series_by_label("F(l)").values == sweep.series[0].values
         with pytest.raises(KeyError):
             sweep.series_by_label("missing")
-
-    def test_adversary_model_sweep_ordering(self):
-        results = adversary_model_sweep(40, FixedLength(6))
-        assert results["position_aware"] <= results["full_bayes"] <= results["predecessor_only"]
 
 
 class TestComparisons:

@@ -21,10 +21,10 @@ import gc
 import json
 import math
 import statistics
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.analysis.sweep import fixed_length_sweep
 from repro.cli import main
 from repro.core.anonymity import AnonymityAnalyzer
 from repro.core.model import AdversaryModel, SystemModel
@@ -541,8 +541,8 @@ class TestEstimationService:
             )
             for length in (2, 3, 4)
         ]
-        with EstimationService(max_workers=3) as service:
-            parallel = service.estimate_many(requests)
+        with EstimationService() as service, ThreadPoolExecutor(max_workers=3) as pool:
+            parallel = list(pool.map(service.estimate, requests))
         with EstimationService() as service:
             sequential = [service.estimate(request) for request in requests]
         assert [r.report for r in parallel] == [r.report for r in sequential]
@@ -552,11 +552,11 @@ class TestEstimationService:
         with EstimationService(cache_dir=tmp_path) as service:
             service.estimate(request)
             service.estimate(request)
-            stats = service.cache_stats()
+            stats = service.cache.stats()
             assert stats.misses == 1 and stats.hits == 1
             assert stats.disk_entries == 1
-            assert service.clear_cache() == 1
-            assert service.cache_stats().disk_entries == 0
+            assert service.cache.clear() == 1
+            assert service.cache.stats().disk_entries == 0
 
     def test_first_service_freezes_the_startup_heap_once(self, monkeypatch):
         calls = []
@@ -566,79 +566,6 @@ class TestEstimationService:
         EstimationService().close()
         EstimationService().close()
         assert calls == ["collect", "freeze"]
-
-
-class TestServiceSweeps:
-    def test_precision_sweep_is_cache_warm_on_repeat(self):
-        model = SystemModel(n_nodes=20, n_compromised=1)
-        with EstimationService() as service:
-            first = fixed_length_sweep(
-                model, lengths=(2, 3, 4), backend="batch",
-                n_trials=50_000, rng=5, precision=0.05, service=service,
-            )
-            misses_after_first = service.cache_stats().misses
-            second = fixed_length_sweep(
-                model, lengths=(2, 3, 4), backend="batch",
-                n_trials=50_000, rng=5, precision=0.05, service=service,
-            )
-            stats = service.cache_stats()
-        assert first.series == second.series
-        assert misses_after_first == 3
-        assert stats.misses == 3 and stats.hits == 3
-
-    def test_every_sweep_routes_through_a_given_service(self):
-        """Regression: uniform_width_sweep once dropped precision/service."""
-        from repro.analysis.sweep import (
-            adversary_model_sweep,
-            uniform_mean_sweep,
-            uniform_width_sweep,
-        )
-
-        model = SystemModel(n_nodes=15, n_compromised=1)
-        with EstimationService() as service:
-            uniform_width_sweep(
-                model, lower_bounds=(2,), widths=(2,), backend="batch",
-                n_trials=5_000, rng=0, precision=0.1, service=service,
-            )
-            assert service.cache_stats().misses == 1
-            uniform_mean_sweep(
-                model, lower_bounds=(2,), means=(4,), include_fixed=False,
-                backend="batch", n_trials=5_000, rng=0, precision=0.1,
-                service=service,
-            )
-            assert service.cache_stats().misses == 2
-            adversary_model_sweep(
-                15, FixedLength(3), backend="batch", n_trials=5_000,
-                rng=0, precision=0.1, service=service,
-            )
-            assert service.cache_stats().misses == 5  # one per adversary
-
-    def test_service_only_sweep_keeps_the_fixed_budget(self):
-        """service= without precision= means cache-warm, not adaptive."""
-        model = SystemModel(n_nodes=15, n_compromised=1)
-        with EstimationService() as service:
-            fixed_length_sweep(
-                model, lengths=(3,), backend="batch",
-                n_trials=7_000, rng=2, service=service,
-            )
-            stats = service.cache_stats()
-            assert stats.misses == 1
-            (cached,) = [
-                service.cache.get(digest)
-                for digest in list(service.cache._memory)
-            ]
-        assert cached.report.n_trials == 7_000  # full budget, not adaptive
-
-    def test_precision_sweep_tracks_exact_sweep(self):
-        model = SystemModel(n_nodes=20, n_compromised=1)
-        exact = fixed_length_sweep(model, lengths=(2, 4))
-        adaptive = fixed_length_sweep(
-            model, lengths=(2, 4), n_trials=100_000, rng=1, precision=0.02
-        )
-        for estimate, reference in zip(
-            adaptive.series[0].values, exact.series[0].values
-        ):
-            assert abs(estimate - reference) < 0.05
 
 
 class TestServiceCLI:
@@ -760,8 +687,8 @@ class TestTrajectoryReplay:
 
     def test_dedup_hit_carries_the_trajectory(self):
         request = self._request()
-        with EstimationService(max_workers=4) as service:
-            results = service.estimate_many([request] * 4)
+        with EstimationService() as service, ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(service.estimate, [request] * 4))
         trajectories = {result.trajectory for result in results}
         assert len(trajectories) == 1 and results[0].trajectory
 

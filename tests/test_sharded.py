@@ -29,7 +29,6 @@ import time
 
 import pytest
 
-from repro.analysis.sweep import fixed_length_sweep
 from repro.batch import (
     BatchAccumulator,
     ShardedBackend,
@@ -363,29 +362,6 @@ class TestShardedWiring:
         )
         exact = AnonymityAnalyzer(model).anonymity_degree(FixedLength(2))
         assert report.estimate.contains(exact, slack=0.01)
-
-    def test_sweeps_accept_backend_options(self):
-        model = SystemModel(n_nodes=15, n_compromised=1)
-        reference = fixed_length_sweep(model, [2, 5])
-        sampled = fixed_length_sweep(
-            model,
-            [2, 5],
-            backend="sharded",
-            n_trials=20_000,
-            rng=77,
-            backend_options={"workers": 1, "shards": 3},
-        )
-        for exact, estimated in zip(
-            reference.series[0].values, sampled.series[0].values
-        ):
-            assert estimated == pytest.approx(exact, abs=0.05)
-
-    def test_sweeps_reject_options_on_the_exact_backend(self):
-        model = SystemModel(n_nodes=15, n_compromised=1)
-        with pytest.raises(ConfigurationError, match="sampling backends"):
-            fixed_length_sweep(
-                model, [2], backend_options={"workers": 8}
-            )
 
     def test_cli_round_trip(self, capsys):
         exit_code = main(

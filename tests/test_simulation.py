@@ -5,9 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.simulation.experiment as experiment_module
+from repro.adversary.inference import BayesianPathInference
 from repro.adversary.observation import observation_from_path
 from repro.core.anonymity import AnonymityAnalyzer
-from repro.core.model import SystemModel
+from repro.core.model import AdversaryModel, SystemModel
 from repro.distributions import FixedLength, TwoPointLength
 from repro.exceptions import ConfigurationError
 from repro.protocols import (
@@ -185,6 +187,48 @@ class TestProtocolMonteCarlo:
         report = ProtocolMonteCarlo(model, lambda: CrowdsProtocol(20)).run(10, rng=1)
         assert report.n_trials == 10
         assert 0.0 <= report.degree_bits <= model.max_entropy
+
+    @pytest.mark.parametrize("adversary", list(AdversaryModel), ids=lambda a: a.value)
+    @pytest.mark.parametrize(
+        "protocol", [FreedomProtocol, CrowdsProtocol], ids=["freedom", "crowds"]
+    )
+    def test_posterior_memo_prices_each_class_once_and_keeps_the_bits(
+        self, monkeypatch, adversary, protocol
+    ):
+        model = SystemModel(n_nodes=12, n_compromised=1, adversary=adversary)
+        experiment = ProtocolMonteCarlo(model, lambda: protocol(12))
+        class_key = experiment_module.observation_class_key
+        posterior = BayesianPathInference.posterior
+        keys: list[tuple] = []
+        priced: list[object] = []
+
+        def recorded_key(observation, adversary):
+            keys.append(class_key(observation, adversary))
+            return keys[-1]
+
+        def counted_posterior(self, observation):
+            priced.append(observation)
+            return posterior(self, observation)
+
+        monkeypatch.setattr(BayesianPathInference, "posterior", counted_posterior)
+        monkeypatch.setattr(experiment_module, "observation_class_key", recorded_key)
+        memoised = experiment.run(300, rng=5)
+        assert len(keys) == 300
+        assert len(priced) == len(set(keys)) < 300
+
+        # A key that never repeats makes every lookup miss.
+        monkeypatch.setattr(
+            experiment_module, "observation_class_key", lambda observation, adversary: object()
+        )
+        priced.clear()
+        unmemoised = experiment.run(300, rng=5)
+        assert len(priced) == 300
+        for report in (memoised, unmemoised):
+            assert report.n_trials == 300
+        assert memoised.estimate.mean.hex() == unmemoised.estimate.mean.hex()
+        assert memoised.estimate.std_error.hex() == unmemoised.estimate.std_error.hex()
+        assert memoised.identification_rate == unmemoised.identification_rate
+        assert memoised.mean_path_length == unmemoised.mean_path_length
 
 
 @pytest.mark.parametrize("n_trials", [0, 2.5, True])

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -32,7 +33,6 @@ from repro.service.adaptive import (
     STOP_BUDGET,
     STOP_EXACT,
     STOP_PRECISION,
-    STOP_WALL_CLOCK,
     AdaptiveScheduler,
 )
 from repro.telemetry import (
@@ -555,7 +555,7 @@ class TestAdaptiveInstrumentation:
                 SystemModel(n_nodes=40, n_compromised=1), _strategy(), rng=2
             )
         assert run.stop_reason == STOP_PRECISION
-        assert run.converged and run.deterministic
+        assert run.converged
         assert run.convergence_history == run.trajectory
         assert run.convergence_history[-1][1] <= 0.1
         assert registry.counter(
@@ -572,28 +572,10 @@ class TestAdaptiveInstrumentation:
                 SystemModel(n_nodes=40, n_compromised=1), _strategy(), rng=2
             )
         assert run.stop_reason == STOP_BUDGET
-        assert not run.converged and run.deterministic
+        assert not run.converged
         assert run.n_trials == 3_000
         assert registry.counter(
             "adaptive_stops_total", reason=STOP_BUDGET
-        ).value == 1
-
-    def test_stop_reason_wall_clock_is_not_deterministic(self):
-        scheduler = AdaptiveScheduler(
-            backend="batch",
-            precision=1e-9,
-            block_size=1_000,
-            max_trials=10_000_000,
-            max_seconds=1e-9,
-        )
-        with activate() as registry:
-            run = scheduler.run(
-                SystemModel(n_nodes=40, n_compromised=1), _strategy(), rng=2
-            )
-        assert run.stop_reason == STOP_WALL_CLOCK
-        assert not run.deterministic
-        assert registry.counter(
-            "adaptive_stops_total", reason=STOP_WALL_CLOCK
         ).value == 1
 
     def test_stop_reason_exact_backend(self):
@@ -654,13 +636,13 @@ class TestServiceInstrumentation:
                 return result
 
         with activate() as registry:
-            with EstimationService(max_workers=2) as service:
+            with EstimationService() as service, ThreadPoolExecutor(max_workers=2) as pool:
                 service._cache = SlowCache()
-                first = service.submit(request)
+                first = pool.submit(service.estimate, request)
                 assert entered.wait(timeout=10)
                 # The second identical request lands while the first computes.
                 entered.clear()
-                second = service.submit(request)
+                second = pool.submit(service.estimate, request)
                 assert entered.wait(timeout=10)
                 release.set()
                 results = [first.result(60), second.result(60)]
@@ -940,8 +922,8 @@ class TestRegistryConcurrency:
         set_registry(registry)
         try:
             requests = [_request(seed=seed) for seed in range(6)]
-            with EstimationService(max_workers=4) as service:
-                results = service.estimate_many(requests + requests)
+            with EstimationService() as service, ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(service.estimate, requests + requests))
             assert all(result.converged for result in results)
             snapshot = registry.snapshot()
             counters = {
