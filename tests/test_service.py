@@ -529,6 +529,27 @@ class TestEstimationService:
         assert not first.from_cache and not second.from_cache
         assert first.report == second.report
 
+    def test_budget_stopped_answer_is_cached_like_a_converged_one(self):
+        # The stop reason is a pure function of the request, so an answer
+        # that ran out of trials is as cacheable as one that converged.
+        request = EstimateRequest(
+            n_nodes=20,
+            distribution=DistributionSpec("fixed", {"length": 4}),
+            precision=1e-9,
+            block_size=1_000,
+            max_trials=3_000,
+            seed=0,
+        )
+        with EstimationService() as service:
+            cold = service.estimate(request)
+            warm = service.estimate(request)
+        assert cold.stop_reason == "max_trials" and not cold.converged
+        assert not cold.from_cache and warm.from_cache
+        assert warm.report == cold.report
+        assert (warm.stop_reason, warm.converged, warm.rounds) == (
+            cold.stop_reason, cold.converged, cold.rounds
+        )
+
     def test_estimate_many_preserves_order_and_matches_sequential(self):
         requests = [
             EstimateRequest(

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 import repro.simulation.experiment as experiment_module
 from repro.adversary.inference import BayesianPathInference
 from repro.adversary.observation import observation_from_path
+from repro.batch import ExactBackend
 from repro.core.anonymity import AnonymityAnalyzer
 from repro.core.model import AdversaryModel, SystemModel
 from repro.distributions import FixedLength, TwoPointLength
@@ -229,6 +232,22 @@ class TestProtocolMonteCarlo:
         assert memoised.estimate.std_error.hex() == unmemoised.estimate.std_error.hex()
         assert memoised.identification_rate == unmemoised.identification_rate
         assert memoised.mean_path_length == unmemoised.mean_path_length
+
+    @pytest.mark.parametrize("adversary", list(AdversaryModel), ids=lambda a: a.value)
+    @pytest.mark.parametrize(
+        "protocol", [FreedomProtocol, PipeNetProtocol], ids=["freedom", "pipenet"]
+    )
+    def test_identification_rate_tracks_the_exact_probability(self, adversary, protocol):
+        # The closed form sums the probability of every event whose top
+        # posterior identifies the sender; the run counts such trials.
+        model = SystemModel(n_nodes=12, n_compromised=1, adversary=adversary)
+        exact = ExactBackend().estimate(model, protocol(12).strategy()).identification_rate
+        n_trials = 1_200
+        report = ProtocolMonteCarlo(model, lambda: protocol(12)).run(n_trials, rng=1)
+        tolerance = 4 * math.sqrt(exact * (1 - exact) / n_trials)
+        # Neither "no trial" nor "every trial" identified is within reach.
+        assert tolerance < exact < 1 - tolerance
+        assert abs(report.identification_rate - exact) <= tolerance
 
 
 @pytest.mark.parametrize("n_trials", [0, 2.5, True])
