@@ -1,6 +1,6 @@
 """Adversary substrate: observations, collection agents, and sender inference."""
 
-from repro.adversary.attacks import IntersectionAttack, PredecessorAttack
+from repro.adversary.attacks import PredecessorAttack
 from repro.adversary.collector import (
     AdversaryCoordinator,
     AgentRecord,
@@ -29,5 +29,4 @@ __all__ = [
     "BayesianPathInference",
     "SenderPosterior",
     "PredecessorAttack",
-    "IntersectionAttack",
 ]

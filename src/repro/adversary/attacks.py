@@ -1,11 +1,11 @@
-"""Long-term attacks built on top of per-message observations.
+"""A long-term attack built on top of per-message observations.
 
 The paper analyses the anonymity of a *single* message.  Follow-up work (the
 predecessor attack of Wright et al., cited by the paper as [23]) shows that an
 adversary who observes many messages of the same sender over time can do much
-better by aggregating.  These extension attacks are included because they are
-the natural next experiment once the per-message machinery exists; the
-extension benchmarks quantify how quickly repeated path formation erodes the
+better by aggregating.  The predecessor attack is included because it is the
+natural next experiment once the per-message machinery exists; the ``ext-pred``
+extension quantifies how quickly repeated path formation erodes the
 single-message anonymity degree.
 """
 
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from repro.adversary.observation import Observation
 from repro.utils.mathx import entropy_bits
 
-__all__ = ["PredecessorAttack", "IntersectionAttack"]
+__all__ = ["PredecessorAttack"]
 
 
 @dataclass
@@ -62,50 +62,3 @@ class PredecessorAttack:
             return entropy_bits([1.0 / n_nodes] * n_nodes)
         total = sum(self.counts.values())
         return entropy_bits([count / total for count in self.counts.values()])
-
-
-@dataclass
-class IntersectionAttack:
-    """The intersection attack: intersect the candidate sets across messages.
-
-    Each observation rules some nodes out as the sender (nodes known to be
-    intermediates, compromised nodes that stayed silent, and so on).  When the
-    same sender is responsible for a series of messages, intersecting the
-    per-message candidate sets shrinks the anonymity set monotonically.
-    """
-
-    candidates: set[int] | None = None
-    rounds_observed: int = 0
-
-    def ingest(self, observation: Observation, n_nodes: int) -> None:
-        """Incorporate one observation, shrinking the candidate set."""
-        self.rounds_observed += 1
-        if observation.origin_node is not None:
-            round_candidates = {observation.origin_node}
-        else:
-            excluded: set[int] = set(observation.silent_compromised)
-            for report in observation.hop_reports:
-                excluded.add(report.node)
-            if observation.receiver_report is not None and observation.hop_reports:
-                # The receiver's predecessor is a known intermediate whenever a
-                # compromised node saw the message earlier on the path.
-                excluded.add(observation.receiver_report.predecessor)
-            round_candidates = {
-                node for node in range(n_nodes) if node not in excluded
-            }
-        if self.candidates is None:
-            self.candidates = round_candidates
-        else:
-            self.candidates &= round_candidates
-
-    @property
-    def anonymity_set_size(self) -> int:
-        """Number of candidates still consistent with every observation."""
-        return 0 if self.candidates is None else len(self.candidates)
-
-    def entropy_bits(self) -> float:
-        """Entropy of a uniform distribution over the remaining candidates."""
-        size = self.anonymity_set_size
-        if size <= 0:
-            return 0.0
-        return entropy_bits([1.0 / size] * size)

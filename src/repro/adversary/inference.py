@@ -48,6 +48,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -60,6 +61,7 @@ from repro.combinatorics.walks import (
     normalized_free_walks,
 )
 from repro.core.model import AdversaryModel, PathModel, SystemModel
+from repro.core.results import IDENTIFIED_THRESHOLD
 from repro.core.topology import TopologyPathLaw
 from repro.distributions.base import PathLengthDistribution
 from repro.exceptions import ConfigurationError, InferenceError
@@ -206,6 +208,29 @@ class TopologyClassTable:
                 f"{self._model.topology.spec} under this configuration"
             ) from None
 
+    @cached_property
+    def prices(self) -> tuple[tuple[float, float, bool], ...]:
+        """Each class's ``(total, entropy, identified)``, in class index order.
+
+        ``total`` is the class's probability, the compensated sum of its
+        joint weights; ``entropy`` is the Shannon entropy of its posterior,
+        and ``identified`` whether its top posterior probability reaches
+        :data:`~repro.core.results.IDENTIFIED_THRESHOLD`.  A class of zero
+        total prices at zero entropy, unidentified.  The batch ``topology``
+        engine scores its classes from these, and :meth:`exact_degree`
+        sums them.
+        """
+        prices = []
+        for weights in self._joint.values():
+            total = kahan_sum(weights)
+            if total <= 0.0:
+                prices.append((total, 0.0, False))
+                continue
+            posterior = [w / total for w in weights]
+            identified = max(posterior) >= IDENTIFIED_THRESHOLD
+            prices.append((total, entropy_bits(posterior), identified))
+        return tuple(prices)
+
     def exact_degree(self) -> float:
         """Exact ``H*(S)`` from the class table — no sampling involved.
 
@@ -214,12 +239,8 @@ class TopologyClassTable:
         topology parity tests assert to ``1e-10``.
         """
         degree = 0.0
-        for weights in self._joint.values():
-            total = kahan_sum(weights)
-            if total <= 0.0:
-                continue
-            posterior = [w / total for w in weights]
-            degree += total * entropy_bits(posterior)
+        for total, entropy, _ in self.prices:
+            degree += total * entropy
         return degree
 
 

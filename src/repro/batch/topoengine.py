@@ -44,11 +44,9 @@ import numpy as np
 from repro.adversary.inference import TopologyClassTable
 from repro.batch.engine import ChunkClasses, TrialEngine
 from repro.core.model import PathModel, SystemModel
-from repro.core.results import IDENTIFIED_THRESHOLD
 from repro.core.topology import TopologyPathLaw
 from repro.exceptions import ConfigurationError
 from repro.routing.strategies import PathSelectionStrategy
-from repro.utils.mathx import entropy_bits, kahan_sum
 
 __all__ = ["TopologyEngine"]
 
@@ -103,15 +101,9 @@ class TopologyEngine(TrialEngine):
         )
         self._entry_keys = np.concatenate(self._table.outcome_classes)
 
-        # Exact per-class scores, priced once from the joint table, in class
-        # index order.
-        self._scores: list[tuple[float, bool]] = []
-        for weights in self._table.joint.values():
-            total = kahan_sum(weights)
-            posterior = [w / total for w in weights]
-            self._scores.append(
-                (entropy_bits(posterior), max(posterior) >= IDENTIFIED_THRESHOLD)
-            )
+        # Exact per-class scores, priced once by the table, in class index
+        # order.
+        self._scores = [(entropy, identified) for _, entropy, identified in self._table.prices]
 
     def accumulate_chunk(
         self, n_trials: int, generator: np.random.Generator

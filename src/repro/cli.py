@@ -75,6 +75,7 @@ from repro.batch.backends import available_backends, estimate_anonymity
 from repro.exceptions import ConfigurationError
 from repro.core.anonymity import AnonymityAnalyzer
 from repro.core.model import AdversaryModel, SystemModel
+from repro.core.results import MonteCarloReport
 from repro.core.topology import Topology
 from repro.core.optimizer import best_fixed_length, best_uniform_for_mean, optimize_distribution
 from repro.distributions import (
@@ -673,13 +674,9 @@ def _command_simulate(args: argparse.Namespace) -> int:
         "mean path length": round(report.mean_path_length, 3),
         "identification rate": round(report.identification_rate, 4),
     }
-    if args.compromised == 1 and strategy.path_model is PathModel.SIMPLE:
-        # Cycle protocols (crowds, hordes) have no closed form to compare to.
-        exact = AnonymityAnalyzer(model).anonymity_degree(
-            strategy.effective_distribution(args.n)
-        )
-        lines["closed-form H*"] = round(exact, 5)
-        lines["closed form inside the 95% CI"] = report.estimate.contains(exact, slack=0.02)
+    lines.update(
+        _closed_form_rows(model, strategy.effective_distribution(args.n), report, slack=0.02)
+    )
     print(render_key_points(lines, title=f"Simulation of {args.protocol} ({model.describe()})"))
     return 0
 
@@ -728,19 +725,7 @@ def _command_batch(args: argparse.Namespace) -> int:
     }
     if args.workers is not None and args.backend == "sharded":
         lines["workers"] = args.workers
-    if (
-        model.n_compromised == 1
-        and strategy.path_model is PathModel.SIMPLE
-        and model.clique_routing
-    ):
-        # The closed form covers the paper's C=1 simple-path clique domain only.
-        exact = AnonymityAnalyzer(
-            model.with_path_model(PathModel.SIMPLE)
-        ).anonymity_degree(distribution)
-        lines["closed-form H*"] = round(exact, 5)
-        lines["closed form inside the 95% CI"] = report.estimate.contains(
-            exact, slack=1e-9
-        )
+    lines.update(_closed_form_rows(model, distribution, report, slack=1e-9))
     lines.update(
         {
             "mean path length": round(report.mean_path_length, 3),
@@ -761,6 +746,33 @@ def _command_batch(args: argparse.Namespace) -> int:
     _emit_telemetry(args, registry)
     _emit_profile(args, profiler)
     return 0
+
+
+def _closed_form_rows(
+    model: SystemModel,
+    distribution: PathLengthDistribution,
+    report: MonteCarloReport,
+    slack: float,
+) -> dict[str, object]:
+    """The closed-form ``H*`` and whether the report's 95% CI, widened by ``slack``, holds it.
+
+    Empty outside the closed form's domain (one compromised node, simple
+    paths, clique routing, a compromised receiver): ``simulate``, ``batch``
+    and ``estimate`` print these rows only where the paper's closed form
+    answers the same question.
+    """
+    if not (
+        model.n_compromised == 1
+        and model.path_model is PathModel.SIMPLE
+        and model.clique_routing
+        and model.receiver_compromised
+    ):
+        return {}
+    exact = AnonymityAnalyzer(model).anonymity_degree(distribution)
+    return {
+        "closed-form H*": round(exact, 5),
+        "closed form inside the 95% CI": report.estimate.contains(exact, slack=slack),
+    }
 
 
 def _exact_backend_covers(
@@ -938,18 +950,14 @@ def _command_estimate(args: argparse.Namespace) -> int:
         "request digest": result.digest[:16],
         "estimated H*": str(report.estimate),
     }
-    if (
-        args.compromised == 1
-        and strategy.path_model is PathModel.SIMPLE
-        and request.topology is None
-    ):
-        exact = AnonymityAnalyzer(request.model()).anonymity_degree(
-            request.strategy().effective_distribution(args.n)
+    lines.update(
+        _closed_form_rows(
+            request.model(),
+            request.strategy().effective_distribution(args.n),
+            report,
+            slack=1e-9,
         )
-        lines["closed-form H*"] = round(exact, 5)
-        lines["closed form inside the 95% CI"] = report.estimate.contains(
-            exact, slack=1e-9
-        )
+    )
     lines["elapsed seconds"] = round(result.elapsed_seconds, 4)
     lines["cache"] = args.cache_dir or "(memory only)"
     model = request.model()

@@ -31,17 +31,27 @@ machinery in :mod:`repro.simulation` (estimates with confidence intervals,
 arbitrary systems); both share the same threat-model semantics and are tested
 against this module on their common domain.
 
-Beside each adversary's event table sits a dense form of the same sum,
-:meth:`AnonymityAnalyzer.degree_gradient`: ``H*`` with its exact gradient and
-Hessian over a pmf vector on a fixed support, which the Section 5.4 optimiser
-(:mod:`repro.core.optimizer`) calls instead of one analysis per support point.
+Each class's probability and posterior weights are linear in the pmf, so
+each adversary's classes are written once, as a factor table: the classes'
+kinds (one special candidate plus ``k`` others, or uniform over ``k``), and
+per path length (:meth:`AnonymityAnalyzer._row`) each class's probability
+coefficient and its special and other weight factors.  The table is filled
+lazily, one length at a time, and read two ways.
+:meth:`AnonymityAnalyzer.analyze` sums it against one distribution's pmf;
+:meth:`AnonymityAnalyzer.degree_gradient` stacks it into dense rows over a
+fixed support: ``H*`` with its exact gradient and Hessian over a pmf vector,
+which the Section 5.4 optimiser (:mod:`repro.core.optimizer`) calls instead
+of one analysis per support point.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Collection, Iterable, Sequence
 from dataclasses import dataclass
+from functools import reduce
+from operator import mul, sub
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -223,6 +233,46 @@ class DegreeGradient:
         return value, gradient, hessian
 
 
+class _Class(NamedTuple):
+    """One observation class after ORIGIN in an adversary's factor table."""
+
+    event: EventClass
+    #: ``True``: the posterior is uniform over ``count`` candidates whatever
+    #: the pmf.  ``False``: it weighs one special candidate and ``count``
+    #: others by the class's special and other weights.
+    uniform: bool
+    count: int
+
+
+#: A posterior weight factor ``(mult, num, den)`` of one path length of
+#: probability ``p``: it adds ``p * mult * num / den`` to the weight in
+#: :meth:`AnonymityAnalyzer.analyze` and ``num / den * mult`` to the weight
+#: row of :meth:`AnonymityAnalyzer.degree_gradient`.
+_Factor = tuple[float, float, float]
+
+#: One length's row of a factor table (see :meth:`AnonymityAnalyzer._row`).
+_Row = tuple[Any, ...]
+
+
+def _weights(
+    probs: Iterable[float], specials: Iterable[_Factor | None], others: Iterable[_Factor | None]
+) -> tuple[float, float]:
+    """A split class's special and other weights: each ``sum of p * mult * num / den``.
+
+    Each sum runs over the lengths that have a factor, in support order.
+    """
+    special_terms = []
+    other_terms = []
+    for p, special, other in zip(probs, specials, others):
+        if special:
+            mult, num, den = special
+            special_terms.append(p * mult * num / den)
+        if other:
+            mult, num, den = other
+            other_terms.append(p * mult * num / den)
+    return sum(special_terms), sum(other_terms)
+
+
 class AnonymityAnalyzer:
     """Exact anonymity-degree computations for a single-compromised-node system."""
 
@@ -252,8 +302,45 @@ class AnonymityAnalyzer:
                 "the topology batch engine (estimates)."
             )
         self._model = model
-        #: Path length -> its falling-factorial row (see :meth:`_coefficients`).
-        self._memo: dict[int, tuple[float, float, float, float, float]] = {}
+        n = model.n_nodes
+        adversary = model.adversary
+        #: The class whose probability :meth:`analyze` takes as what ORIGIN
+        #: and the other classes leave of 1, subtracted in table order.
+        #: The gradient keeps its linear row, which is equal on the simplex.
+        self._remainder: int | None = None
+        # The classes of each adversary's factor table (see _row), in the
+        # order analyze reports them.
+        if adversary is AdversaryModel.FULL_BAYES:
+            self._classes = (
+                _Class(EventClass.SILENT, False, n - 2),
+                _Class(EventClass.LAST, False, n - 2),
+                _Class(EventClass.PENULTIMATE, False, n - 3),
+                _Class(EventClass.INTERIOR, False, n - 4),
+            )
+        elif adversary is AdversaryModel.POSITION_AWARE:
+            # The position leaves LAST, PENULTIMATE and INTERIOR uniform over
+            # the candidates it does not name.
+            self._classes = (
+                _Class(EventClass.SILENT, False, n - 2),
+                _Class(EventClass.LAST, True, n - 2),
+                _Class(EventClass.PENULTIMATE, True, n - 3),
+                _Class(EventClass.INTERIOR, True, n - 4),
+            )
+        elif adversary is AdversaryModel.PREDECESSOR_ONLY:
+            # A silent node tells this adversary only that it is not the
+            # sender.  Every on-path report is INTERIOR, so LAST and
+            # PENULTIMATE never occur.
+            self._classes = (
+                _Class(EventClass.SILENT, True, n - 1),
+                _Class(EventClass.INTERIOR, False, n - 2),
+                _Class(EventClass.LAST, True, 0),
+                _Class(EventClass.PENULTIMATE, True, 0),
+            )
+            self._remainder = 0
+        else:  # pragma: no cover - exhaustiveness guard
+            raise ConfigurationError(f"unsupported adversary model {adversary!r}")
+        #: Path length -> its factor row, filled on first use (see :meth:`_table`).
+        self._rows: dict[int, _Row] = {}
 
     # ------------------------------------------------------------------ #
     # Public API                                                          #
@@ -271,15 +358,34 @@ class AnonymityAnalyzer:
     def analyze(self, distribution: PathLengthDistribution) -> AnonymityResult:
         """Return the anonymity degree together with the per-event breakdown."""
         self._check_distribution(distribution)
-        adversary = self._model.adversary
-        if adversary is AdversaryModel.FULL_BAYES:
-            events = self._events_full_bayes(distribution)
-        elif adversary is AdversaryModel.POSITION_AWARE:
-            events = self._events_position_aware(distribution)
-        elif adversary is AdversaryModel.PREDECESSOR_ONLY:
-            events = self._events_predecessor_only(distribution)
-        else:  # pragma: no cover - exhaustiveness guard
-            raise ConfigurationError(f"unsupported adversary model {adversary!r}")
+        n = self._model.n_nodes
+        pmf = distribution.as_dict()
+        probs = pmf.values()
+        origin, *columns = zip(*self._table(pmf))
+        # Each sum() adds one column's terms in support order.  Keep sum():
+        # CPython 3.12 compensates float sums and 3.10/3.11 do not, so a +=
+        # loop would change the bits on one of them.  A zero coefficient
+        # adds 0.0, which moves no sum.
+        p_origin = 1.0 / n + (sum(map(mul, probs, origin)) / n if any(origin) else 0.0)
+        probabilities = [
+            sum(map(mul, probs, column)) / n if any(column) else 0.0 for column in columns[::3]
+        ]
+        if self._remainder is not None:
+            index = self._remainder
+            rest = probabilities[:index] + probabilities[index + 1 :]
+            probabilities[index] = reduce(sub, rest, 1.0 - p_origin)
+        events = [EventSummary(EventClass.ORIGIN, p_origin, 0.0, 1, 1.0)]
+        for spec, probability, specials, others in zip(
+            self._classes, probabilities, columns[1::3], columns[2::3]
+        ):
+            count = spec.count
+            if not spec.uniform:
+                price = self._class_entropy(*_weights(probs, specials, others), count)
+            elif count > 0:
+                price = math.log2(count), count, 1.0 / count
+            else:
+                price = 0.0, 0, 0.0
+            events.append(EventSummary(spec.event, probability, *price))
         degree = sum(summary.contribution_bits for summary in events)
         return AnonymityResult(
             degree_bits=degree,
@@ -287,12 +393,6 @@ class AnonymityAnalyzer:
             distribution=distribution.name,
             events=tuple(events),
         )
-
-    def degree_for_fixed_length(self, length: int) -> float:
-        """Convenience wrapper: anonymity degree of the fixed-length strategy ``F(length)``."""
-        from repro.distributions.fixed import FixedLength
-
-        return self.anonymity_degree(FixedLength(length))
 
     def degree_gradient(self, lengths: Sequence[int]) -> DegreeGradient:
         """``H*`` and its exact gradient over dense pmfs on ``lengths``.
@@ -309,26 +409,33 @@ class AnonymityAnalyzer:
                 f"path lengths must lie within [0, {max_len}] for a system of "
                 f"{self._model.n_nodes} nodes; got {list(lengths)}"
             )
-        adversary = self._model.adversary
-        if adversary is AdversaryModel.FULL_BAYES:
-            classes, constant = self._gradient_full_bayes(support)
-        elif adversary is AdversaryModel.POSITION_AWARE:
-            classes, constant = self._gradient_position_aware(support)
-        elif adversary is AdversaryModel.PREDECESSOR_ONLY:
-            classes, constant = self._gradient_predecessor_only(support)
-        else:  # pragma: no cover - exhaustiveness guard
-            raise ConfigurationError(f"unsupported adversary model {adversary!r}")
-        # A class whose special or other row is zero on the whole support
-        # has a posterior the pmf cannot move: uniform over its k others
-        # (log2 k bits) without a special candidate, a point (0 bits)
-        # without others.  Folding it into the constant row leaves the
-        # value and gradient unchanged up to rounding, and keeps the
-        # Hessian finite.
+        _, *columns = zip(*self._table(support.tolist()))
+        probabilities = np.array(columns[::3]) / self._model.n_nodes
+        # The uniform classes add their probability row times log2 k bits
+        # to the constant row first.  Then a split class whose special or
+        # other row is zero on the whole support, whose posterior the pmf
+        # cannot move, is folded in: uniform over its k others (log2 k
+        # bits) without a special candidate, a point (0 bits) without
+        # others.  That leaves the value and gradient unchanged up to
+        # rounding, and keeps the Hessian finite.  Counts are clipped at 0:
         # n - 3 and n - 4 are negative in the smallest systems, which have
         # no such candidates.
+        constant = np.zeros(len(support))
+        split: list[_GradientClass] = []
+        for spec, probability, specials, others in zip(
+            self._classes, probabilities, columns[1::3], columns[2::3]
+        ):
+            if not spec.uniform:
+                special, other = (
+                    # A factor (mult, num, den) is the row entry num / den * mult.
+                    np.array([f[1] / f[2] * f[0] if f else 0.0 for f in factors])
+                    for factors in (specials, others)
+                )
+                split.append((probability, special, other, max(spec.count, 0)))
+            elif spec.count > 0:
+                constant += probability * math.log2(spec.count)
         kept: list[_GradientClass] = []
-        for probability, special, other, count in classes:
-            count = max(count, 0)
+        for probability, special, other, count in split:
             if count > 0 and np.any(other):
                 if np.any(special):
                     kept.append((probability, special, other, count))
@@ -344,7 +451,7 @@ class AnonymityAnalyzer:
         )
 
     # ------------------------------------------------------------------ #
-    # Shared helpers                                                      #
+    # The factor table                                                    #
     # ------------------------------------------------------------------ #
 
     def _check_distribution(self, distribution: PathLengthDistribution) -> None:
@@ -357,46 +464,93 @@ class AnonymityAnalyzer:
                 "Truncate the distribution first (PathLengthDistribution.truncated)."
             )
 
+    def _table(self, lengths: Collection[int]) -> list[_Row]:
+        """The factor rows of ``lengths`` in order, each built on first use."""
+        rows = self._rows
+        for length in lengths:
+            if length not in rows:
+                rows[length] = self._row(length)
+        return [rows[length] for length in lengths]
+
+    def _row(self, length: int) -> _Row:
+        """The adversary's factor table at ``length``.
+
+        The row is ORIGIN's probability coefficient ``c`` (a length of
+        probability ``p`` adds ``p * c / N`` to a class's probability), then
+        each class's ``c``, special factor and other factor, in the order of
+        ``self._classes``.  A factor is ``None`` where the length adds
+        nothing to the weight; a uniform class has none.  The row holds
+        floats: every term would convert its ints to floats anyway, and
+        float operands take the interpreter's fast path.
+        """
+        n = self._model.n_nodes
+        adversary = self._model.adversary
+        if adversary is AdversaryModel.PREDECESSOR_ONLY:
+            # SILENT, then INTERIOR: the node's predecessor is the sender
+            # exactly when the node sits at position 1.  LAST and
+            # PENULTIMATE never occur.
+            return (
+                0.0,
+                n - 1.0 - length, None, None,
+                float(length),
+                (1.0, 1.0, n - 1.0) if length >= 1 else None,
+                (1.0, length - 1.0, (n - 1.0) * (n - 2.0)) if length >= 2 else None,
+                0.0, None, None,
+                0.0, None, None,
+            )  # fmt: skip
+        den, silent, last, pen, interior = self._coefficients(length)
+        # The special candidate of SILENT, LAST and PENULTIMATE is the
+        # sender of one path of exactly 0, 1 or 2 intermediates.
+        point = (1.0, 1.0, den)
+        # SILENT: the receiver reports w and the compromised node saw
+        # nothing; w itself is the sender of a direct path.
+        silent_entry = (n - 1.0 - length, point if length == 0 else None, (1.0, silent, den))
+        if adversary is AdversaryModel.POSITION_AWARE:
+            # The node at position 1 sees the sender, and the adversary
+            # knows the position: ORIGIN.  LAST, PENULTIMATE, INTERIOR.
+            return (
+                float(length >= 1),
+                *silent_entry,
+                float(length >= 2), None, None,
+                float(length >= 3), None, None,
+                max(length - 3.0, 0.0), None, None,
+            )  # fmt: skip
+        pen_other = (1.0, pen, den)
+        return (
+            0.0,
+            *silent_entry,
+            # LAST: the node reports (p, R); the receiver reports m.
+            float(length >= 1), point if length == 1 else None, (1.0, last, den),
+            # PENULTIMATE: the node's successor is the receiver's reported
+            # predecessor.
+            float(length >= 2), point if length == 2 else None, pen_other,
+            # INTERIOR: the successor matches neither.  Its special weight
+            # is PENULTIMATE's other weight.
+            max(length - 2.0, 0.0), pen_other, (max(length - 3.0, 0.0), interior, den),
+        )  # fmt: skip
+
     def _coefficients(self, length: int) -> tuple[float, float, float, float, float]:
-        """The falling factorials of the class weights at ``length >= 1``, memoised.
+        """The falling factorials of the class weights at ``length``.
 
         The row is ``(den, silent, last, penultimate, interior)``: ``(N-1)_l``
         and the numerators ``(N-3)_{l-1}``, ``(N-3)_{l-2}``, ``(N-4)_{l-3}``
         and ``(N-5)_{l-4}`` (``0.0`` where ``l`` is too short for the class).
-        They are stored as the floats that ``prob * numerator / den`` converts
-        the exact integers to, so every weight term keeps its bits.  Beyond
-        ``N ~ 171`` that conversion overflows; such a row holds the exactly
-        rounded ratios ``numerator / den`` over a unit denominator instead.
+        They are returned as the floats that ``prob * numerator / den``
+        converts the exact integers to, so every weight term keeps its bits.
+        Beyond ``N ~ 171`` that conversion overflows; such a row holds the
+        exactly rounded ratios ``numerator / den`` over a unit denominator
+        instead.
         """
-        row = self._memo.get(length)
-        if row is None:
-            n = self._model.n_nodes
-            den = falling_factorial(n - 1, length)
-            silent = falling_factorial(n - 3, length - 1)
-            last = falling_factorial(n - 3, length - 2) if length >= 2 else 0
-            pen = falling_factorial(n - 4, length - 3) if length >= 3 else 0
-            interior = falling_factorial(n - 5, length - 4) if length >= 4 else 0
-            try:
-                row = (float(den), float(silent), float(last), float(pen), float(interior))
-            except OverflowError:
-                row = (1.0, silent / den, last / den, pen / den, interior / den)
-            self._memo[length] = row
-        return row
-
-    def _ratio_rows(self, support: np.ndarray) -> np.ndarray:
-        """The full-Bayes other-weight ratios per length of ``support``.
-
-        Rows are ``silent / den``, ``last / den``, ``penultimate / den`` and
-        ``(l - 3) * interior / den`` from :meth:`_coefficients` (zero at
-        ``l = 0``, and wherever ``l`` is too short for the class).
-        """
-        rows = np.zeros((4, len(support)))
-        for column, length in enumerate(support.tolist()):
-            if length >= 1:
-                den, *numerators = self._coefficients(length)
-                rows[:, column] = [numerator / den for numerator in numerators]
-        rows[3] *= np.maximum(support - 3, 0)
-        return rows
+        n = self._model.n_nodes
+        den = falling_factorial(n - 1, length)
+        silent = falling_factorial(n - 3, length - 1) if length >= 1 else 0
+        last = falling_factorial(n - 3, length - 2) if length >= 2 else 0
+        pen = falling_factorial(n - 4, length - 3) if length >= 3 else 0
+        interior = falling_factorial(n - 5, length - 4) if length >= 4 else 0
+        try:
+            return float(den), float(silent), float(last), float(pen), float(interior)
+        except OverflowError:
+            return 1.0, silent / den, last / den, pen / den, interior / den
 
     @staticmethod
     def _class_entropy(special_weight: float, other_weight: float, n_others: int) -> tuple[float, int, float]:
@@ -423,212 +577,9 @@ class AnonymityAnalyzer:
                 top = max(top, probability)
                 if probability > 0.0:
                     terms += [xlog2x(probability)] * len(group)
-        return -kahan_sum(terms), len(weights), top
-
-    # ------------------------------------------------------------------ #
-    # FULL_BAYES event table                                              #
-    # ------------------------------------------------------------------ #
-
-    def _events_full_bayes(self, dist: PathLengthDistribution) -> list[EventSummary]:
-        n = self._model.n_nodes
-
-        # --- Event probabilities -------------------------------------- #
-        p_origin = 1.0 / n
-        p_silent = sum(prob * (n - 1 - length) for length, prob in dist.items()) / n
-        p_last = sum(prob for length, prob in dist.items() if length >= 1) / n
-        p_penultimate = sum(prob for length, prob in dist.items() if length >= 2) / n
-        p_interior = sum(prob * max(length - 2, 0) for length, prob in dist.items()) / n
-
-        # One pass over the support appends each class's weight terms to its
-        # own list in support order, so each sum() below adds the same floats
-        # in the same order as a per-class pass would.  Keep sum(): CPython
-        # 3.12 compensates float sums and 3.10/3.11 do not, so a += loop
-        # would change the bits on one of them.
-        silent_terms: list[float] = []
-        last_terms: list[float] = []
-        pen_terms: list[float] = []
-        interior_terms: list[float] = []
-        for length, prob in dist.items():
-            if length < 1:
-                continue
-            den, silent, last, pen, interior = self._coefficients(length)
-            silent_terms.append(prob * silent / den)
-            if length >= 2:
-                last_terms.append(prob * last / den)
-            if length >= 3:
-                pen_terms.append(prob * pen / den)
-            if length >= 4:
-                interior_terms.append(prob * (length - 3) * interior / den)
-
-        # --- Posterior likelihood weights per class -------------------- #
-        # SILENT: receiver reports w; the compromised node saw nothing.
-        silent_special = dist.pmf(0)  # the reported node itself, via a direct path
-        silent_entropy, silent_support, silent_top = self._class_entropy(
-            silent_special, sum(silent_terms), n - 2
-        )
-
-        # LAST: the compromised node reports (p, R); the receiver reports m.
-        last_special = dist.pmf(1) / (n - 1) if n >= 2 else 0.0
-        last_entropy, last_support, last_top = self._class_entropy(
-            last_special, sum(last_terms), n - 2
-        )
-
-        # PENULTIMATE: the compromised node's successor is the receiver's
-        # reported predecessor.
-        pen_special = dist.pmf(2) / ((n - 1) * (n - 2)) if n >= 3 else 0.0
-        pen_other = sum(pen_terms)
-        pen_entropy, pen_support, pen_top = self._class_entropy(
-            pen_special, pen_other, n - 3
-        )
-
-        # INTERIOR: the compromised node's successor matches neither the
-        # receiver nor the receiver's reported predecessor.  Its special
-        # weight is the PENULTIMATE class's other weight.
-        interior_entropy, interior_support, interior_top = self._class_entropy(
-            pen_other, sum(interior_terms), n - 4
-        )
-
-        return [
-            EventSummary(EventClass.ORIGIN, p_origin, 0.0, 1, 1.0),
-            EventSummary(EventClass.SILENT, p_silent, silent_entropy, silent_support, silent_top),
-            EventSummary(EventClass.LAST, p_last, last_entropy, last_support, last_top),
-            EventSummary(
-                EventClass.PENULTIMATE, p_penultimate, pen_entropy, pen_support, pen_top
-            ),
-            EventSummary(
-                EventClass.INTERIOR, p_interior, interior_entropy, interior_support, interior_top
-            ),
-        ]
-
-    def _gradient_full_bayes(self, support: np.ndarray) -> tuple[list[_GradientClass], np.ndarray]:
-        """:meth:`_events_full_bayes` as :class:`DegreeGradient` rows."""
-        n = self._model.n_nodes
-        silent, last, pen, interior = self._ratio_rows(support)
-        classes = [
-            ((n - 1 - support) / n, support == 0, silent, n - 2),
-            ((support >= 1) / n, (support == 1) / (n - 1), last, n - 2),
-            # Length 2 exists only when n >= 3, so the max() never changes a
-            # non-zero entry; it keeps n = 2 from dividing by zero.
-            ((support >= 2) / n, (support == 2) / max((n - 1) * (n - 2), 1), pen, n - 3),
-            (np.maximum(support - 2, 0) / n, pen, interior, n - 4),
-        ]
-        return classes, np.zeros(len(support))
-
-    # ------------------------------------------------------------------ #
-    # POSITION_AWARE event table                                          #
-    # ------------------------------------------------------------------ #
-
-    def _events_position_aware(self, dist: PathLengthDistribution) -> list[EventSummary]:
-        n = self._model.n_nodes
-
-        p_origin = 1.0 / n
-        p_silent = sum(prob * (n - 1 - length) for length, prob in dist.items()) / n
-        # The compromised node at position 1 sees the sender directly and the
-        # adversary knows the position, so the sender is identified.
-        p_identified = sum(prob for length, prob in dist.items() if length >= 1) / n
-        p_last = sum(prob for length, prob in dist.items() if length >= 2) / n
-        p_penultimate = sum(prob for length, prob in dist.items() if length >= 3) / n
-        p_interior = sum(prob * max(length - 3, 0) for length, prob in dist.items()) / n
-
-        # SILENT is identical to the FULL_BAYES case: position knowledge adds
-        # nothing when the compromised node is off the path.
-        silent_special = dist.pmf(0)
-        silent_terms: list[float] = []
-        for length, prob in dist.items():
-            if length >= 1:
-                den, silent = self._coefficients(length)[:2]
-                silent_terms.append(prob * silent / den)
-        silent_entropy, silent_support, silent_top = self._class_entropy(
-            silent_special, sum(silent_terms), n - 2
-        )
-
-        def uniform_event(excluded: int) -> tuple[float, int, float]:
-            candidates = max(n - excluded, 0)
-            if candidates <= 0:
-                return 0.0, 0, 0.0
-            return math.log2(candidates), candidates, 1.0 / candidates
-
-        last_entropy, last_support, last_top = uniform_event(2)
-        pen_entropy, pen_support, pen_top = uniform_event(3)
-        interior_entropy, interior_support, interior_top = uniform_event(4)
-
-        return [
-            EventSummary(EventClass.ORIGIN, p_origin + p_identified, 0.0, 1, 1.0),
-            EventSummary(EventClass.SILENT, p_silent, silent_entropy, silent_support, silent_top),
-            EventSummary(EventClass.LAST, p_last, last_entropy, last_support, last_top),
-            EventSummary(EventClass.PENULTIMATE, p_penultimate, pen_entropy, pen_support, pen_top),
-            EventSummary(
-                EventClass.INTERIOR, p_interior, interior_entropy, interior_support, interior_top
-            ),
-        ]
-
-    def _gradient_position_aware(
-        self, support: np.ndarray
-    ) -> tuple[list[_GradientClass], np.ndarray]:
-        """:meth:`_events_position_aware` as :class:`DegreeGradient` rows."""
-        n = self._model.n_nodes
-        silent = self._ratio_rows(support)[0]
-        classes = [((n - 1 - support) / n, support == 0, silent, n - 2)]
-        # LAST, PENULTIMATE and INTERIOR are uniform over the candidates the
-        # position leaves, whatever the pmf.
-        constant = np.zeros(len(support))
-        for excluded, probability in (
-            (2, support >= 2),
-            (3, support >= 3),
-            (4, np.maximum(support - 3, 0)),
-        ):
-            if n - excluded > 0:
-                constant += probability / n * math.log2(n - excluded)
-        return classes, constant
-
-    # ------------------------------------------------------------------ #
-    # PREDECESSOR_ONLY event table                                        #
-    # ------------------------------------------------------------------ #
-
-    def _events_predecessor_only(self, dist: PathLengthDistribution) -> list[EventSummary]:
-        n = self._model.n_nodes
-
-        p_origin = 1.0 / n
-        p_on_path = sum(prob * length for length, prob in dist.items()) / n
-        p_silent = 1.0 - p_origin - p_on_path
-
-        # Posterior when the compromised node is on the path: its predecessor
-        # is the sender exactly when the node sits at position 1.
-        special = sum(prob / (n - 1) for length, prob in dist.items() if length >= 1)
-        other = sum(
-            prob * (length - 1) / ((n - 1) * (n - 2))
-            for length, prob in dist.items()
-            if length >= 2
-        )
-        on_entropy, on_support, on_top = self._class_entropy(special, other, n - 2)
-
-        # When the compromised node saw nothing this weak adversary learns only
-        # that the compromised node is not the sender (it would have observed
-        # its own origination), so the posterior is uniform over the others.
-        silent_entropy = math.log2(n - 1) if n > 1 else 0.0
-
-        return [
-            EventSummary(EventClass.ORIGIN, p_origin, 0.0, 1, 1.0),
-            EventSummary(
-                EventClass.SILENT, p_silent, silent_entropy, n - 1, 1.0 / (n - 1)
-            ),
-            EventSummary(EventClass.INTERIOR, p_on_path, on_entropy, on_support, on_top),
-            EventSummary(EventClass.LAST, 0.0, 0.0, 0, 0.0),
-            EventSummary(EventClass.PENULTIMATE, 0.0, 0.0, 0, 0.0),
-        ]
-
-    def _gradient_predecessor_only(
-        self, support: np.ndarray
-    ) -> tuple[list[_GradientClass], np.ndarray]:
-        """:meth:`_events_predecessor_only` as :class:`DegreeGradient` rows."""
-        n = self._model.n_nodes
-        # Lengths of 2 or more exist only when n >= 3 (see _gradient_full_bayes).
-        other = np.maximum(support - 1, 0) / max((n - 1) * (n - 2), 1)
-        classes = [(support / n, (support >= 1) / (n - 1), other, n - 2)]
-        # SILENT: uniform over the n - 1 non-compromised nodes.  Its
-        # probability 1 - 1/n - E[L]/n is written per length, (n - 1 - l)/n,
-        # so the rows stay linear in the pmf.
-        return classes, (n - 1 - support) / n * math.log2(n - 1)
+        # 0.0 - s is -s for every non-zero s, and +0.0 (not -0.0) for the
+        # point posterior of an identified class.
+        return 0.0 - kahan_sum(terms), len(weights), top
 
 
 def anonymity_degree(

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import repro.adversary.inference as inference_module
-from repro.adversary.attacks import IntersectionAttack, PredecessorAttack
+from repro.adversary.attacks import PredecessorAttack
 from repro.adversary.inference import BayesianPathInference, SenderPosterior
 from repro.adversary.observation import (
     RECEIVER,
@@ -437,22 +437,3 @@ class TestPredecessorAttack:
         attack = PredecessorAttack()
         attack.ingest(Observation(origin_node=4))
         assert attack.suspect() == 4
-
-
-class TestIntersectionAttack:
-    def test_candidate_set_shrinks_monotonically(self):
-        attack = IntersectionAttack()
-        sender = 7
-        compromised = {0, 1}
-        sizes = []
-        for path in [(2, 3, 4), (5, 6, 2), (3, 0, 5)]:
-            attack.ingest(observation_from_path(sender, path, compromised), n_nodes=10)
-            sizes.append(attack.anonymity_set_size)
-        assert sizes == sorted(sizes, reverse=True)
-        assert sender in attack.candidates
-
-    def test_origin_observation_collapses_the_set(self):
-        attack = IntersectionAttack()
-        attack.ingest(Observation(origin_node=3), n_nodes=10)
-        assert attack.candidates == {3}
-        assert attack.entropy_bits() == 0.0

@@ -40,14 +40,30 @@ from repro.utils.mathx import entropy_bits, falling_factorial
 
 
 class UnmemoisedAnalyzer(AnonymityAnalyzer):
-    """Oracle: the event tables without the per-length coefficient memo.
+    """Oracle: one hand-written event table per adversary, without the factor table.
 
-    ``_class_entropy`` and the full-Bayes and position-aware tables are the
-    per-class passes the memoised analyzer replaced, kept verbatim: every
-    class weight is its own generator sum that recomputes the exact falling
+    ``analyze`` dispatches to this class's own tables, which are the
+    per-class passes the factor table replaced, kept verbatim: every class
+    weight is its own generator sum that recomputes the exact falling
     factorials of each term, and every class entropy loops over candidates.
-    The predecessor-only table is inherited; it only calls ``_class_entropy``.
+    Only the model checks and ``degree_gradient`` are inherited.
     """
+
+    def analyze(self, distribution: PathLengthDistribution) -> AnonymityResult:
+        self._check_distribution(distribution)
+        adversary = self._model.adversary
+        if adversary is AdversaryModel.FULL_BAYES:
+            events = self._events_full_bayes(distribution)
+        elif adversary is AdversaryModel.POSITION_AWARE:
+            events = self._events_position_aware(distribution)
+        else:
+            events = self._events_predecessor_only(distribution)
+        return AnonymityResult(
+            degree_bits=sum(summary.contribution_bits for summary in events),
+            model=self._model,
+            distribution=distribution.name,
+            events=tuple(events),
+        )
 
     @staticmethod
     def _class_entropy(special_weight: float, other_weight: float, n_others: int) -> tuple[float, int, float]:
@@ -185,6 +201,38 @@ class UnmemoisedAnalyzer(AnonymityAnalyzer):
             EventSummary(
                 EventClass.INTERIOR, p_interior, interior_entropy, interior_support, interior_top
             ),
+        ]
+
+    def _events_predecessor_only(self, dist: PathLengthDistribution) -> list[EventSummary]:
+        n = self._model.n_nodes
+
+        p_origin = 1.0 / n
+        p_on_path = sum(prob * length for length, prob in dist.items()) / n
+        p_silent = 1.0 - p_origin - p_on_path
+
+        # Posterior when the compromised node is on the path: its predecessor
+        # is the sender exactly when the node sits at position 1.
+        special = sum(prob / (n - 1) for length, prob in dist.items() if length >= 1)
+        other = sum(
+            prob * (length - 1) / ((n - 1) * (n - 2))
+            for length, prob in dist.items()
+            if length >= 2
+        )
+        on_entropy, on_support, on_top = self._class_entropy(special, other, n - 2)
+
+        # When the compromised node saw nothing this weak adversary learns only
+        # that the compromised node is not the sender (it would have observed
+        # its own origination), so the posterior is uniform over the others.
+        silent_entropy = math.log2(n - 1) if n > 1 else 0.0
+
+        return [
+            EventSummary(EventClass.ORIGIN, p_origin, 0.0, 1, 1.0),
+            EventSummary(
+                EventClass.SILENT, p_silent, silent_entropy, n - 1, 1.0 / (n - 1)
+            ),
+            EventSummary(EventClass.INTERIOR, p_on_path, on_entropy, on_support, on_top),
+            EventSummary(EventClass.LAST, 0.0, 0.0, 0, 0.0),
+            EventSummary(EventClass.PENULTIMATE, 0.0, 0.0, 0, 0.0),
         ]
 
 
@@ -594,7 +642,7 @@ class TestDegreeGradient:
         start = np.zeros(2 * mean + 1)
         start[mean] = 1.0
         degree, gradient = analyzer.degree_gradient(range(2 * mean + 1))(start)
-        assert degree == pytest.approx(analyzer.degree_for_fixed_length(mean), abs=1e-12)
+        assert degree == pytest.approx(analyzer.anonymity_degree(FixedLength(mean)), abs=1e-12)
         assert np.isfinite(gradient).all()
 
     @pytest.mark.parametrize(

@@ -34,6 +34,112 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 EXPERIMENT_ID = re.compile(r"\b(?:fig\d+[a-z]?|thm\d+|ext-[a-z]+)\b")
 
 
+#: ``repro-anon degree --n 100`` as printed for F(1), F(5) and U(2, 8) under
+#: each adversary.  An identified class prints 0.00000 bits, never -0.00000;
+#: five decimals keep the pin the same on every CPython.
+DEGREE_TABLES = {
+    "--adversary full_bayes --strategy fixed --length 1": (
+        "F(1) under N=100, C=1, paths=simple, adversary=full_bayes, receiver compromised\n"
+        "event class  probability  H(S|E) bits  support  max posterior  contribution\n"
+        "-----------  -----------  -----------  -------  -------------  ------------\n"
+        "     origin      0.01000      0.00000        1        1.00000       0.00000\n"
+        "     silent      0.98000      6.61471       98        0.01020       6.48242\n"
+        "       last      0.01000      0.00000        1        1.00000       0.00000\n"
+        "penultimate      0.00000      0.00000        0        0.00000       0.00000\n"
+        "   interior      0.00000      0.00000        0        0.00000       0.00000\n"
+        "anonymity degree H*(S) = 6.48242 bits (0.9757 of the log2(N) = 6.6439 bound)\n"
+    ),
+    "--adversary full_bayes --strategy fixed --length 5": (
+        "F(5) under N=100, C=1, paths=simple, adversary=full_bayes, receiver compromised\n"
+        "event class  probability  H(S|E) bits  support  max posterior  contribution\n"
+        "-----------  -----------  -----------  -------  -------------  ------------\n"
+        "     origin      0.01000      0.00000        1        1.00000       0.00000\n"
+        "     silent      0.94000      6.61471       98        0.01020       6.21783\n"
+        "       last      0.01000      6.61471       98        0.01020       0.06615\n"
+        "penultimate      0.01000      6.59991       97        0.01031       0.06600\n"
+        "   interior      0.03000      5.30827       97        0.33333       0.15925\n"
+        "anonymity degree H*(S) = 6.50922 bits (0.9797 of the log2(N) = 6.6439 bound)\n"
+    ),
+    "--adversary full_bayes --strategy uniform --low 2 --high 8": (
+        "U(2, 8) under N=100, C=1, paths=simple, adversary=full_bayes, receiver compromised\n"
+        "event class  probability  H(S|E) bits  support  max posterior  contribution\n"
+        "-----------  -----------  -----------  -------  -------------  ------------\n"
+        "     origin      0.01000      0.00000        1        1.00000       0.00000\n"
+        "     silent      0.94000      6.61471       98        0.01020       6.21783\n"
+        "       last      0.01000      6.61471       98        0.01020       0.06615\n"
+        "penultimate      0.01000      6.24874       98        0.14286       0.06249\n"
+        "   interior      0.03000      5.56667       97        0.28571       0.16700\n"
+        "anonymity degree H*(S) = 6.51346 bits (0.9804 of the log2(N) = 6.6439 bound)\n"
+    ),
+    "--adversary position_aware --strategy fixed --length 1": (
+        "F(1) under N=100, C=1, paths=simple, adversary=position_aware, receiver compromised\n"
+        "event class  probability  H(S|E) bits  support  max posterior  contribution\n"
+        "-----------  -----------  -----------  -------  -------------  ------------\n"
+        "     origin      0.02000      0.00000        1        1.00000       0.00000\n"
+        "     silent      0.98000      6.61471       98        0.01020       6.48242\n"
+        "       last      0.00000      6.61471       98        0.01020       0.00000\n"
+        "penultimate      0.00000      6.59991       97        0.01031       0.00000\n"
+        "   interior      0.00000      6.58496       96        0.01042       0.00000\n"
+        "anonymity degree H*(S) = 6.48242 bits (0.9757 of the log2(N) = 6.6439 bound)\n"
+    ),
+    "--adversary position_aware --strategy fixed --length 5": (
+        "F(5) under N=100, C=1, paths=simple, adversary=position_aware, receiver compromised\n"
+        "event class  probability  H(S|E) bits  support  max posterior  contribution\n"
+        "-----------  -----------  -----------  -------  -------------  ------------\n"
+        "     origin      0.02000      0.00000        1        1.00000       0.00000\n"
+        "     silent      0.94000      6.61471       98        0.01020       6.21783\n"
+        "       last      0.01000      6.61471       98        0.01020       0.06615\n"
+        "penultimate      0.01000      6.59991       97        0.01031       0.06600\n"
+        "   interior      0.02000      6.58496       96        0.01042       0.13170\n"
+        "anonymity degree H*(S) = 6.48167 bits (0.9756 of the log2(N) = 6.6439 bound)\n"
+    ),
+    "--adversary position_aware --strategy uniform --low 2 --high 8": (
+        "U(2, 8) under N=100, C=1, paths=simple, adversary=position_aware, receiver compromised\n"
+        "event class  probability  H(S|E) bits  support  max posterior  contribution\n"
+        "-----------  -----------  -----------  -------  -------------  ------------\n"
+        "     origin      0.02000      0.00000        1        1.00000       0.00000\n"
+        "     silent      0.94000      6.61471       98        0.01020       6.21783\n"
+        "       last      0.01000      6.61471       98        0.01020       0.06615\n"
+        "penultimate      0.00857      6.59991       97        0.01031       0.05657\n"
+        "   interior      0.02143      6.58496       96        0.01042       0.14111\n"
+        "anonymity degree H*(S) = 6.48165 bits (0.9756 of the log2(N) = 6.6439 bound)\n"
+    ),
+    "--adversary predecessor_only --strategy fixed --length 1": (
+        "F(1) under N=100, C=1, paths=simple, adversary=predecessor_only, receiver compromised\n"
+        "event class  probability  H(S|E) bits  support  max posterior  contribution\n"
+        "-----------  -----------  -----------  -------  -------------  ------------\n"
+        "     origin      0.01000      0.00000        1        1.00000       0.00000\n"
+        "     silent      0.98000      6.62936       99        0.01010       6.49677\n"
+        "   interior      0.01000      0.00000        1        1.00000       0.00000\n"
+        "       last      0.00000      0.00000        0        0.00000       0.00000\n"
+        "penultimate      0.00000      0.00000        0        0.00000       0.00000\n"
+        "anonymity degree H*(S) = 6.49677 bits (0.9779 of the log2(N) = 6.6439 bound)\n"
+    ),
+    "--adversary predecessor_only --strategy fixed --length 5": (
+        "F(5) under N=100, C=1, paths=simple, adversary=predecessor_only, receiver compromised\n"
+        "event class  probability  H(S|E) bits  support  max posterior  contribution\n"
+        "-----------  -----------  -----------  -------  -------------  ------------\n"
+        "     origin      0.01000      0.00000        1        1.00000       0.00000\n"
+        "     silent      0.94000      6.62936       99        0.01010       6.23160\n"
+        "   interior      0.05000      6.01370       99        0.20000       0.30068\n"
+        "       last      0.00000      0.00000        0        0.00000       0.00000\n"
+        "penultimate      0.00000      0.00000        0        0.00000       0.00000\n"
+        "anonymity degree H*(S) = 6.53228 bits (0.9832 of the log2(N) = 6.6439 bound)\n"
+    ),
+    "--adversary predecessor_only --strategy uniform --low 2 --high 8": (
+        "U(2, 8) under N=100, C=1, paths=simple, adversary=predecessor_only, receiver compromised\n"
+        "event class  probability  H(S|E) bits  support  max posterior  contribution\n"
+        "-----------  -----------  -----------  -------  -------------  ------------\n"
+        "     origin      0.01000      0.00000        1        1.00000       0.00000\n"
+        "     silent      0.94000      6.62936       99        0.01010       6.23160\n"
+        "   interior      0.05000      6.01370       99        0.20000       0.30068\n"
+        "       last      0.00000      0.00000        0        0.00000       0.00000\n"
+        "penultimate      0.00000      0.00000        0        0.00000       0.00000\n"
+        "anonymity degree H*(S) = 6.53228 bits (0.9832 of the log2(N) = 6.6439 bound)\n"
+    ),
+}
+
+
 class TestRegistry:
     def test_every_figure_of_the_paper_is_registered(self):
         identifiers = set(list_experiments())
@@ -166,6 +272,11 @@ class TestCLI:
         assert main(["degree", "--n", "50", "--strategy", "uniform", "--low", "2", "--high", "8"]) == 0
         output = capsys.readouterr().out
         assert "anonymity degree" in output
+
+    @pytest.mark.parametrize("arguments", DEGREE_TABLES)
+    def test_degree_prints_the_pinned_table(self, capsys, arguments):
+        assert main(["degree", "--n", "100", *arguments.split()]) == 0
+        assert capsys.readouterr().out == DEGREE_TABLES[arguments]
 
     def test_degree_command_geometric(self, capsys):
         assert main(["degree", "--n", "30", "--strategy", "geometric", "--p-forward", "0.6"]) == 0
@@ -311,6 +422,29 @@ class TestCLI:
             == 0
         )
         assert "closed-form H*" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "command,inside",
+        [
+            ("simulate --n 12 --protocol freedom --trials 40 --seed 3", True),
+            ("simulate --n 12 --protocol crowds --trials 40 --seed 3", False),
+            ("batch --n 20 --trials 2000 --seed 9 --topology clique", True),
+            ("batch --n 12 --trials 2000 --seed 9 --topology ring", False),
+            ("estimate --n 20 --precision 0.05 --seed 7", True),
+            ("estimate --n 20 --precision 0.05 --seed 7 --compromised 2", False),
+        ],
+    )
+    def test_closed_form_rows_only_inside_its_domain(self, command, inside, capsys):
+        # C = 1, simple paths, clique routing and a compromised receiver:
+        # there each command adds the closed form and the CI check.
+        assert main(command.split()) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = [line.split() for line in lines if "closed" in line]
+        if inside:
+            assert [row[:2] for row in rows] == [["closed-form", "H*"], ["closed", "form"]]
+            assert rows[1][-1] == "True"
+        else:
+            assert rows == []
 
     @pytest.mark.parametrize("backend", ["exact", "event", "batch"])
     def test_batch_command_every_backend(self, backend, capsys):
