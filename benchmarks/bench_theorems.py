@@ -10,8 +10,11 @@ the wall time (median of a few runs) and Newton-step count of one
 mean-constrained interior-point run.  That run evaluates the exact value,
 gradient and Hessian of ``AnonymityAnalyzer.degree_gradient`` at each step and
 calls the event-class engine only twice, to score the returned distribution
-and the start.  It is a trend record (``--smoke`` shrinks the counts), with no
-floor.
+and the start.  The record also keeps the median wall time of the width scan
+``best_uniform_for_mean`` at N = 100, mean 12 (``scan_seconds``) and the
+closed-form analyses one such scan runs (``scan_analyses``): it scores every
+width on dense rows and analyses only the widths that tie for the maximum.
+It is a trend record (``--smoke`` shrinks the counts), with no floor.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from perf_record import write_record
 from repro.core.anonymity import AnonymityAnalyzer
 from repro.core.closed_form import fixed_length_degree
 from repro.core.model import SystemModel
-from repro.core.optimizer import optimize_distribution
+from repro.core.optimizer import best_uniform_for_mean, optimize_distribution
 from repro.distributions import UniformLength
 from repro.experiments.theorems import theorem1, theorem2, theorem3
 
@@ -34,6 +37,9 @@ SMOKE_ANALYSES = 500
 #: Timed optimiser runs; the record keeps the median one.
 OPTIMIZE_RUNS = 5
 SMOKE_OPTIMIZE_RUNS = 3
+#: Timed width scans; the record keeps the median one.
+SCAN_RUNS = 50
+SMOKE_SCAN_RUNS = 5
 
 
 def test_theorem1(benchmark, run_and_report):
@@ -68,8 +74,8 @@ def test_closed_form_throughput(benchmark):
     assert max(values) < 6.6
 
 
-def test_closed_form_record(smoke):
-    """Closed-form throughput and one optimiser run (N = 100, mean 12) as a trend record."""
+def test_closed_form_record(smoke, monkeypatch):
+    """Closed-form throughput, one width scan and one optimiser run (N = 100, mean 12)."""
     model = SystemModel(n_nodes=100, n_compromised=1)
     pmf = UniformLength(0, 40)
     analyzer = AnonymityAnalyzer(model)
@@ -86,8 +92,27 @@ def test_closed_form_record(smoke):
         seconds.append(time.perf_counter() - started)
     optimize_seconds = statistics.median(seconds)
 
+    scan_times = []
+    for _ in range(SMOKE_SCAN_RUNS if smoke else SCAN_RUNS):
+        started = time.perf_counter()
+        best_uniform_for_mean(model, 12)
+        scan_times.append(time.perf_counter() - started)
+    scan_seconds = statistics.median(scan_times)
+    scan_analyses = []
+    analyze = AnonymityAnalyzer.analyze
+
+    def counted(self, distribution):
+        scan_analyses.append(distribution.name)
+        return analyze(self, distribution)
+
+    monkeypatch.setattr(AnonymityAnalyzer, "analyze", counted)
+    scan = best_uniform_for_mean(model, 12)
+    monkeypatch.undo()
+
     print(
         f"\nclosed form: {analyses_per_sec:,.0f} analyses/s of {pmf.name} at N=100; "
+        f"width scan mean 12: {scan_seconds:.5f} s, {len(scan_analyses)} analyses, "
+        f"{scan.best_distribution.name}; "
         f"optimiser mean 12: {optimize_seconds:.4f} s, {outcome.iterations} Newton steps, "
         f"H* = {outcome.degree_bits:.6f} bits"
     )
@@ -101,8 +126,11 @@ def test_closed_form_record(smoke):
             "mean": 12,
             "max_length": 24,
             "optimize_runs": len(seconds),
+            "scan_runs": len(scan_times),
         },
         analyses_per_sec=round(analyses_per_sec, 1),
+        scan_seconds=round(scan_seconds, 6),
+        scan_analyses=len(scan_analyses),
         optimize_seconds=round(optimize_seconds, 4),
         optimize_iterations=outcome.iterations,
         optimize_degree_bits=outcome.degree_bits,

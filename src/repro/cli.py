@@ -618,8 +618,12 @@ def _command_optimize(args: argparse.Namespace) -> int:
         report["H* at best fixed length"] = round(scan.best_degree, 5)
         if args.full_simplex:
             outcome = optimize_distribution(model, min_length=0)
+            optimum = outcome.distribution
             report["H* of unconstrained optimum"] = round(outcome.degree_bits, 5)
-            report["optimal distribution"] = outcome.distribution.name
+            report["E[L] of unconstrained optimum"] = round(optimum.mean(), 5)
+            report["support of unconstrained optimum"] = (
+                f"{optimum.min_length}..{optimum.max_length} ({len(optimum.support)} lengths)"
+            )
     else:
         scan = best_uniform_for_mean(model, args.mean)
         report["target expected length"] = args.mean

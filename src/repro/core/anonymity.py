@@ -36,17 +36,20 @@ each adversary's classes are written once, as a factor table: the classes'
 kinds (one special candidate plus ``k`` others, or uniform over ``k``), and
 per path length (:meth:`AnonymityAnalyzer._row`) each class's probability
 coefficient and its special and other weight factors.  The table is filled
-lazily, one length at a time, and read two ways.
-:meth:`AnonymityAnalyzer.analyze` sums it against one distribution's pmf;
-:meth:`AnonymityAnalyzer.degree_gradient` stacks it into dense rows over a
-fixed support: ``H*`` with its exact gradient and Hessian over a pmf vector,
-which the Section 5.4 optimiser (:mod:`repro.core.optimizer`) calls instead
-of one analysis per support point.
+lazily, one length at a time, kept once per ``(N, adversary)`` in the
+process, and read two ways.  :meth:`AnonymityAnalyzer.analyze` sums it
+against one distribution's pmf; :meth:`AnonymityAnalyzer.degree_gradient`
+stacks it into dense rows over a fixed support: ``H*`` of many pmfs at once,
+or ``H*`` with its exact gradient and Hessian at one pmf vector.  The
+Section 5.4 optimisers (:mod:`repro.core.optimizer`) search on those rows
+and analyse only the strategies they report.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from collections.abc import Collection, Iterable, Sequence
 from dataclasses import dataclass
 from functools import reduce
@@ -72,11 +75,6 @@ __all__ = ["AnonymityAnalyzer", "AnonymityResult", "DegreeGradient", "anonymity_
 #: ``q*log2(1/q)`` is under 6e-15 bits, so the floor moves the gradient
 #: only where the value cannot see the weight.
 _SHARE_FLOOR = math.ldexp(1.0, -53)
-
-#: One observation class of a :class:`DegreeGradient`: its probability,
-#: special-weight and other-weight rows over the support, and its count of
-#: other candidates.
-_GradientClass = tuple[np.ndarray, np.ndarray, np.ndarray, int]
 
 
 @dataclass(frozen=True)
@@ -110,13 +108,14 @@ class AnonymityResult:
 
 def _split_entropy(
     special: np.ndarray, other: np.ndarray, counts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, ...]:
     """Posterior entropy of one candidate of weight ``special`` and ``counts`` of ``other``.
 
     The array form of :meth:`AnonymityAnalyzer._class_entropy`, elementwise.
-    Returns ``(entropy_bits, total, log2 special share, log2 other share)``.
-    A total of zero reads as one, so an empty posterior has entropy zero;
-    shares are floored at :data:`_SHARE_FLOOR` before their log2.
+    Returns ``(entropy_bits, total, special share, other share, log2
+    special share, log2 other share)``.  A total of zero reads as one, so an
+    empty posterior has entropy zero; shares are floored at
+    :data:`_SHARE_FLOOR` before their log2.
     """
     total = special + counts * other
     total = np.where(total > 0.0, total, 1.0)
@@ -125,7 +124,7 @@ def _split_entropy(
     log_special = np.log2(np.maximum(special_share, _SHARE_FLOOR))
     log_other = np.log2(np.maximum(other_share, _SHARE_FLOOR))
     entropy = -(special_share * log_special + counts * other_share * log_other)
-    return entropy, total, log_special, log_other
+    return entropy, total, special_share, other_share, log_special, log_other
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,20 +158,35 @@ class DegreeGradient:
         value, gradient, _ = self._first_order(pmf)
         return value, gradient
 
+    def values(self, pmfs: np.ndarray) -> np.ndarray:
+        """``H*`` in bits at each row of ``pmfs``, a ``(pmfs, lengths)`` matrix.
+
+        The value half of :meth:`__call__`, for many pmfs in one pass; each
+        entry equals :meth:`AnonymityAnalyzer.analyze` of its row up to
+        rounding.
+        """
+        probability, special, other = self.rows @ pmfs.T
+        entropy = _split_entropy(special, other, self.counts[:, None])[0]
+        return (probability * entropy).sum(axis=0) + pmfs @ self.constant
+
     def _first_order(
         self, pmf: np.ndarray
     ) -> tuple[float, np.ndarray, tuple[np.ndarray, ...]]:
         """``(H*, dH*/dpmf)`` plus the per-class terms :meth:`second_order` reuses.
 
-        The terms are ``(P/T, s.p, o.p, H, T, log2 s-share, log2 o-share)``.
+        The terms are ``(P/T, T, s-share, o-share, T*dH/ds, T*dH/do / k)``.
         """
         probability, special, other = self.rows @ pmf
-        entropy, total, log_special, log_other = _split_entropy(special, other, self.counts)
+        entropy, total, special_share, other_share, log_special, log_other = _split_entropy(
+            special, other, self.counts
+        )
         slope = probability / total
+        special_slope = -entropy - log_special
+        other_slope = -entropy - log_other
         gradient = (
             entropy @ self.rows[0]
-            + (slope * (-entropy - log_special)) @ self.rows[1]
-            + (slope * self.counts * (-entropy - log_other)) @ self.rows[2]
+            + (slope * special_slope) @ self.rows[1]
+            + (slope * self.counts * other_slope) @ self.rows[2]
             + self.constant
         )
         empty = special + self.counts * other <= 0.0
@@ -182,7 +196,8 @@ class DegreeGradient:
             )[0]
             gradient = gradient + (self.rows[0, empty] * own_entropy).sum(axis=0)
         value = float(probability @ entropy + self.constant @ pmf)
-        return value, gradient, (slope, special, other, entropy, total, log_special, log_other)
+        terms = (slope, total, special_share, other_share, special_slope, other_slope)
+        return value, gradient, terms
 
     def second_order(self, pmf: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         """Return ``(H* in bits, dH*/dpmf, d2H*/dpmf2)`` at a strictly positive pmf.
@@ -208,11 +223,10 @@ class DegreeGradient:
         support into ``constant``.
         """
         value, gradient, terms = self._first_order(pmf)
-        slope, special, other, entropy, total, log_special, log_other = terms
+        slope, total, special_share, other_share, special_slope, other_slope = terms
         counts = self.counts
-        d_special = (-entropy - log_special) / total
-        d_other = counts * (-entropy - log_other) / total
-        special_share, other_share = special / total, other / total
+        d_special = special_slope / total
+        d_other = counts * other_slope / total
         curvature = counts / (total * math.log(2.0))  # k * c
         special_bend = np.where(
             special_share >= _SHARE_FLOOR, other_share / np.maximum(special_share, _SHARE_FLOOR), 0.0
@@ -220,12 +234,16 @@ class DegreeGradient:
         other_bend = np.where(
             other_share >= _SHARE_FLOOR, special_share / np.maximum(other_share, _SHARE_FLOOR), 0.0
         )
-        second = np.zeros((len(counts), 3, 3))
-        second[:, 0, 1] = second[:, 1, 0] = d_special
-        second[:, 0, 2] = second[:, 2, 0] = d_other
-        second[:, 1, 1] = slope * (-2.0 * d_special - curvature * special_bend)
-        second[:, 1, 2] = second[:, 2, 1] = slope * (-d_other - counts * d_special + curvature)
-        second[:, 2, 2] = slope * (-2.0 * counts * d_other - curvature * other_bend)
+        special_special = slope * (-2.0 * d_special - curvature * special_bend)
+        special_other = slope * (-d_other - counts * d_special + curvature)
+        other_other = slope * (-2.0 * counts * d_other - curvature * other_bend)
+        second = np.array(
+            (
+                np.zeros(len(counts)), d_special, d_other,
+                d_special, special_special, special_other,
+                d_other, special_other, other_other,
+            )
+        ).T.reshape(-1, 3, 3)  # fmt: skip
         # rows is (3, classes, lengths); R.T @ M @ R summed over classes is
         # one product over the flattened (row kind, class) axis.
         weighted = np.einsum("cij,jcl->icl", second, self.rows)
@@ -271,6 +289,37 @@ def _weights(
             mult, num, den = other
             other_terms.append(p * mult * num / den)
     return sum(special_terms), sum(other_terms)
+
+
+#: Factor tables kept per process, one per ``(N, adversary)``, least
+#: recently used evicted first, with the engine cache's bound
+#: (:data:`repro.batch.engine.ENGINE_CACHE_SIZE`).  A table holds at most
+#: one row per path length, measured with tracemalloc: a full full-Bayes
+#: table at ``N = 300`` takes 194 KiB, where unbounded full-Bayes tables
+#: for every ``N`` up to 200 would take 13 MiB.
+FACTOR_TABLE_CACHE_SIZE = 32
+
+_FACTOR_TABLES: OrderedDict[tuple[int, AdversaryModel], dict[int, _Row]] = OrderedDict()
+_FACTOR_TABLES_LOCK = threading.Lock()
+
+
+def _factor_table(n_nodes: int, adversary: AdversaryModel) -> dict[int, _Row]:
+    """This process's factor table of ``(n_nodes, adversary)``: path length -> row.
+
+    Every analyzer of one system shares it, so the width scans and the
+    optimiser of one request, and later requests, fill each row once.
+    Rows are a pure function of the key, so two threads that fill one row
+    at once store equal values.
+    """
+    key = (n_nodes, adversary)
+    with _FACTOR_TABLES_LOCK:
+        table = _FACTOR_TABLES.get(key)
+        if table is None:
+            table = _FACTOR_TABLES[key] = {}
+        _FACTOR_TABLES.move_to_end(key)
+        while len(_FACTOR_TABLES) > FACTOR_TABLE_CACHE_SIZE:
+            _FACTOR_TABLES.popitem(last=False)
+    return table
 
 
 class AnonymityAnalyzer:
@@ -339,8 +388,9 @@ class AnonymityAnalyzer:
             self._remainder = 0
         else:  # pragma: no cover - exhaustiveness guard
             raise ConfigurationError(f"unsupported adversary model {adversary!r}")
-        #: Path length -> its factor row, filled on first use (see :meth:`_table`).
-        self._rows: dict[int, _Row] = {}
+        #: Path length -> its factor row, filled on first use (see
+        #: :meth:`_table`) and shared by every analyzer of this ``(N, adversary)``.
+        self._rows = _factor_table(n, adversary)
 
     # ------------------------------------------------------------------ #
     # Public API                                                          #
@@ -398,8 +448,9 @@ class AnonymityAnalyzer:
         """``H*`` and its exact gradient over dense pmfs on ``lengths``.
 
         The returned callable maps a pmf vector (entry ``i`` is the
-        probability of ``lengths[i]``) to ``(H* in bits, dH*/dpmf)``, and
-        its :meth:`~DegreeGradient.second_order` adds the Hessian.  Its
+        probability of ``lengths[i]``) to ``(H* in bits, dH*/dpmf)``; its
+        :meth:`~DegreeGradient.second_order` adds the Hessian, and its
+        :meth:`~DegreeGradient.values` scores many pmfs at once.  Each
         value equals :meth:`analyze` of the same pmf up to rounding.
         """
         support = np.asarray(lengths, dtype=np.int64)
@@ -411,6 +462,14 @@ class AnonymityAnalyzer:
             )
         _, *columns = zip(*self._table(support.tolist()))
         probabilities = np.array(columns[::3]) / self._model.n_nodes
+        # A factor (mult, num, den) is the row entry num / den * mult; a
+        # uniform class has none, so its weight rows are zero.
+        specials, others = (
+            np.array(
+                [[f[1] / f[2] * f[0] if f else 0.0 for f in factors] for factors in columns[kind::3]]
+            )
+            for kind in (1, 2)
+        )
         # The uniform classes add their probability row times log2 k bits
         # to the constant row first.  Then a split class whose special or
         # other row is zero on the whole support, whose posterior the pmf
@@ -420,33 +479,19 @@ class AnonymityAnalyzer:
         # rounding, and keeps the Hessian finite.  Counts are clipped at 0:
         # n - 3 and n - 4 are negative in the smallest systems, which have
         # no such candidates.
+        counts = np.array([max(spec.count, 0) for spec in self._classes])
+        split = np.array([not spec.uniform for spec in self._classes])
+        moving = split & (counts > 0) & others.any(axis=1)
+        kept = moving & specials.any(axis=1)
         constant = np.zeros(len(support))
-        split: list[_GradientClass] = []
-        for spec, probability, specials, others in zip(
-            self._classes, probabilities, columns[1::3], columns[2::3]
-        ):
-            if not spec.uniform:
-                special, other = (
-                    # A factor (mult, num, den) is the row entry num / den * mult.
-                    np.array([f[1] / f[2] * f[0] if f else 0.0 for f in factors])
-                    for factors in (specials, others)
-                )
-                split.append((probability, special, other, max(spec.count, 0)))
-            elif spec.count > 0:
+        for probability, spec in zip(probabilities, self._classes):
+            if spec.uniform and spec.count > 0:
                 constant += probability * math.log2(spec.count)
-        kept: list[_GradientClass] = []
-        for probability, special, other, count in split:
-            if count > 0 and np.any(other):
-                if np.any(special):
-                    kept.append((probability, special, other, count))
-                else:
-                    constant = constant + probability * math.log2(count)
-        rows = np.zeros((3, len(kept), len(support)))
-        for index, (probability, special, other, _) in enumerate(kept):
-            rows[:, index] = probability, special, other
+        for index in np.flatnonzero(moving & ~kept):
+            constant = constant + probabilities[index] * math.log2(counts[index])
         return DegreeGradient(
-            rows=rows,
-            counts=np.array([count for *_, count in kept], dtype=float),
+            rows=np.stack((probabilities[kept], specials[kept], others[kept])),
+            counts=counts[kept].astype(float),
             constant=constant,
         )
 

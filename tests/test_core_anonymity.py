@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import math
 import random
+import sys
+from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -536,6 +539,71 @@ class TestCoefficientMemo:
         analyzer.analyze(UniformLength(10, 30))
         analyzer.analyze(law)
         assert calls == []
+
+    def test_analyzers_of_one_system_share_its_factor_table(self, monkeypatch):
+        calls = []
+
+        def counted(n: int, k: int) -> int:
+            calls.append((n, k))
+            return falling_factorial(n, k)
+
+        monkeypatch.setattr(anonymity, "falling_factorial", counted)
+        monkeypatch.setattr(anonymity, "_FACTOR_TABLES", OrderedDict())
+        law = UniformLength(0, 40)
+        AnonymityAnalyzer(SystemModel(n_nodes=100)).analyze(law)
+        assert calls
+        calls.clear()
+        AnonymityAnalyzer(SystemModel(n_nodes=100)).degree_gradient(law.support)
+        AnonymityAnalyzer(SystemModel(n_nodes=100, n_compromised=1)).analyze(law)
+        assert calls == []
+        AnonymityAnalyzer(SystemModel(n_nodes=101)).analyze(law)
+        assert calls
+        calls.clear()
+        aware = SystemModel(n_nodes=100, adversary=AdversaryModel.POSITION_AWARE)
+        AnonymityAnalyzer(aware).analyze(law)
+        assert calls
+
+    def test_the_process_keeps_at_most_32_factor_tables(self, monkeypatch):
+        monkeypatch.setattr(anonymity, "_FACTOR_TABLES", OrderedDict())
+        first = AnonymityAnalyzer(SystemModel(n_nodes=10))
+        first.analyze(FixedLength(3))
+        for n in range(11, 11 + anonymity.FACTOR_TABLE_CACHE_SIZE):
+            AnonymityAnalyzer(SystemModel(n_nodes=n)).analyze(FixedLength(3))
+        assert len(anonymity._FACTOR_TABLES) == anonymity.FACTOR_TABLE_CACHE_SIZE == 32
+        # The least recently used table went; its analyzer keeps its own.
+        assert (10, AdversaryModel.FULL_BAYES) not in anonymity._FACTOR_TABLES
+        assert first.analyze(FixedLength(3)) == AnonymityAnalyzer(
+            SystemModel(n_nodes=10)
+        ).analyze(FixedLength(3))
+
+    def test_threads_sharing_and_evicting_tables_keep_every_bit(self, monkeypatch):
+        """Eight threads on two cores fill, share and evict the tables at once."""
+        monkeypatch.setattr(anonymity, "_FACTOR_TABLES", OrderedDict())
+        jobs = [
+            (n, adversary, law)
+            for n in range(8, 8 + anonymity.FACTOR_TABLE_CACHE_SIZE + 8)
+            for adversary in AdversaryModel
+            for law in (UniformLength(0, 6), FixedLength(5))
+        ] * 2
+
+        def run(job, analyzer=AnonymityAnalyzer):
+            n, adversary, law = job
+            return analyzer(SystemModel(n_nodes=n, adversary=adversary)).analyze(law)
+
+        expected = {job: run(job, UnmemoisedAnalyzer) for job in set(jobs)}
+
+        anonymity._FACTOR_TABLES.clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(run, job) for job in jobs]
+                results = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for job, result in zip(jobs, results):
+            assert result == expected[job], job
+        assert len(anonymity._FACTOR_TABLES) == anonymity.FACTOR_TABLE_CACHE_SIZE
 
     def test_fixed_lengths_at_n_200_match_theorem1(self):
         # (N-1)_l exceeds the float range from N ~ 172; the closed form used
